@@ -79,7 +79,7 @@ import platform
 import random
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -446,7 +446,7 @@ def bench_incidence(flow_counts: List[int], events: int) -> List[Dict]:
     return rows
 
 
-def _waterfill_instance(n_flows: int, seed: int = 4) -> CompiledMaxMin:
+def _waterfill_instance(n_flows: int, seed: int = 4, small: bool = False) -> CompiledMaxMin:
     """A host-link-rich leaf-spine fabric (the Fig. 5 waterfill shape).
 
     Every flow crosses its own host up/down links plus shared core links,
@@ -456,32 +456,59 @@ def _waterfill_instance(n_flows: int, seed: int = 4) -> CompiledMaxMin:
     at paper scale.  (On the 12-link core-only bench topology both
     schedules need the same handful of rounds, which is exactly why this
     bench uses the fabric.)
+
+    ``small`` pins a 48-link fabric (16 servers, 4 leaves, 2 spines) at any
+    flow count: ~8 % incidence density, the many-flows-on-few-links regime.
     """
     from repro.core.config import SimulationParameters
     from repro.fluid.topologies import leaf_spine
 
     rng = random.Random(seed)
-    servers = max(16, min(128, 8 * max(1, (2 * n_flows) // 8)))
-    params = SimulationParameters(num_servers=servers, num_leaves=8, num_spines=4)
+    if small:
+        servers = 16
+        params = SimulationParameters(num_servers=servers, num_leaves=4, num_spines=2)
+    else:
+        servers = max(16, min(128, 8 * max(1, (2 * n_flows) // 8)))
+        params = SimulationParameters(num_servers=servers, num_leaves=8, num_spines=4)
     fabric = leaf_spine(params)
     paths = {}
     for flow_id in range(n_flows):
         src, dst = rng.sample(range(servers), 2)
-        paths[flow_id] = fabric.path(src, dst, spine=flow_id % 4)
+        paths[flow_id] = fabric.path(src, dst, spine=flow_id % params.num_spines)
     return CompiledMaxMin(paths, fabric.network.capacities)
 
 
-def bench_waterfill(flow_counts: List[int], repeats: int) -> List[Dict]:
+#: Recorded with the small-fabric waterfill rows (see docs/PERFORMANCE.md).
+SMALL_FABRIC_NOTE = (
+    "48-link fabric at ~8 % incidence density: the regime where index gathers "
+    "have the least edge over the dense tie-group schedule they replaced (a "
+    "48-row BLAS matvec is cheap).  Per call on the PR 12 box: dense 540 us / "
+    "1.10 ms vs path-indexed 371 us / 0.78 ms at 400 / 2000 flows; the issue's "
+    "prototype, which reduced along the short hop axis, was slower here (783 us "
+    "/ 2.7 ms).  No catalog scenario or benchmark workload runs >= 400 "
+    "concurrent flows on < 64 links, so one schedule serves every size: this "
+    "row is a record, not a fork."
+)
+
+
+def bench_waterfill(
+    flow_counts: List[int], repeats: int, small_fabric_counts: Sequence[int] = ()
+) -> List[Dict]:
     """Layer 3 before/after: one-bottleneck-per-round vs batched waterfill.
 
-    Also records the freezing-round counters: batched rounds track the
-    number of distinct bottleneck levels (bounded by the dependency depth),
-    not the bottleneck-link count the unbatched schedule pays.
+    ``single`` is the dense one-bottleneck-per-round reference schedule,
+    ``batched`` the path-indexed wave schedule every caller runs.  Also
+    records the freezing-round counters: batched rounds track the number of
+    distinct bottleneck levels (bounded by the dependency depth), not the
+    bottleneck-link count the unbatched schedule pays.
+    ``small_fabric_counts`` adds rows on the 48-link fabric, tagged with
+    :data:`SMALL_FABRIC_NOTE`.
     """
     rows = []
-    for n_flows in flow_counts:
+    cases = [(n, False) for n in flow_counts] + [(n, True) for n in small_fabric_counts]
+    for n_flows, small in cases:
         rng = random.Random(3)
-        compiled = _waterfill_instance(n_flows)
+        compiled = _waterfill_instance(n_flows, small=small)
         weight_vec = np.array([rng.uniform(0.5, 4.0) for _ in compiled.flow_ids])
         capacities = compiled.capacities_vector()
 
@@ -491,10 +518,7 @@ def bench_waterfill(flow_counts: List[int], repeats: int) -> List[Dict]:
             compiled.incidence, compiled.incidence_f, weight_vec, capacities,
             batch_ties=False, stats=single_stats,
         )
-        batched = waterfill_arrays(
-            compiled.incidence, compiled.incidence_f, weight_vec, capacities,
-            stats=batched_stats,
-        )
+        batched = compiled.solve_array(weight_vec, capacities, stats=batched_stats)
         max_diff = float(
             max(
                 abs(s - b) / max(abs(s), 1.0)
@@ -511,23 +535,23 @@ def bench_waterfill(flow_counts: List[int], repeats: int) -> List[Dict]:
         single_s = time.perf_counter() - start
         start = time.perf_counter()
         for _ in range(repeats):
-            waterfill_arrays(
-                compiled.incidence, compiled.incidence_f, weight_vec, capacities
-            )
+            compiled.solve_array(weight_vec, capacities)
         batched_s = time.perf_counter() - start
-        rows.append(
-            {
-                "flows": n_flows,
-                "repeats": repeats,
-                "single_seconds": single_s,
-                "batched_seconds": batched_s,
-                "speedup": single_s / batched_s if batched_s > 0 else float("inf"),
-                "rounds_single": single_stats["rounds"],
-                "rounds_batched": batched_stats["rounds"],
-                "distinct_levels": batched_stats["levels"],
-                "max_rel_rate_diff": max_diff,
-            }
-        )
+        row = {
+            "flows": n_flows,
+            "links": len(compiled.link_ids),
+            "repeats": repeats,
+            "single_seconds": single_s,
+            "batched_seconds": batched_s,
+            "speedup": single_s / batched_s if batched_s > 0 else float("inf"),
+            "rounds_single": single_stats["rounds"],
+            "rounds_batched": batched_stats["rounds"],
+            "distinct_levels": batched_stats["levels"],
+            "max_rel_rate_diff": max_diff,
+        }
+        if small:
+            row["note"] = SMALL_FABRIC_NOTE
+        rows.append(row)
     return rows
 
 
@@ -548,18 +572,14 @@ def bench_kernels(flow_counts: List[int], repeats: int) -> Dict:
         compiled = _waterfill_instance(n_flows)
         weight_vec = np.array([rng.uniform(0.5, 4.0) for _ in compiled.flow_ids])
         capacities = compiled.capacities_vector()
-        reference = waterfill_arrays(
-            compiled.incidence, compiled.incidence_f, weight_vec, capacities
-        )
+        reference = compiled.solve_array(weight_vec, capacities)
         start = time.perf_counter()
         for _ in range(repeats):
-            waterfill_arrays(
-                compiled.incidence, compiled.incidence_f, weight_vec, capacities
-            )
+            compiled.solve_array(weight_vec, capacities)
         numpy_s = time.perf_counter() - start
         numba_s = speedup = parity = None
         if have_numba:
-            csr = fluid_kernels.build_csr(compiled.incidence)
+            csr = compiled.csr_arrays()
             kernel_rates = waterfill_arrays(  # warm-up: triggers the JIT compile
                 compiled.incidence, compiled.incidence_f, weight_vec, capacities,
                 kernel="numba", csr=csr,
@@ -1035,7 +1055,7 @@ def run(smoke: bool = False) -> Dict:
         oracle_counts, oracle_repeats = [20, 50], 2
         persistent_counts, churn_events = [50], 15
         incidence_counts, incidence_events = [50], 40
-        waterfill_counts, waterfill_repeats = [20, 50], 3
+        waterfill_counts, waterfill_repeats, small_fabric_counts = [20, 50], 3, []
         kernel_counts, kernel_repeats = [20, 50], 3
         flow_level_counts, dict_limit = [100], None
         engine_events, port_packets = 10_000, 2_000
@@ -1045,7 +1065,7 @@ def run(smoke: bool = False) -> Dict:
         oracle_counts, oracle_repeats = [50, 200, 1000], 5
         persistent_counts, churn_events = [200, 1000], 40
         incidence_counts, incidence_events = [200, 1000], 200
-        waterfill_counts, waterfill_repeats = [50, 200, 1000], 20
+        waterfill_counts, waterfill_repeats, small_fabric_counts = [50, 200, 1000], 20, [400, 2000]
         kernel_counts, kernel_repeats = [50, 200, 1000], 20
         # The dict reference loop at 10k flows used to burn ~3 minutes of
         # full-mode bench time; parity stays pinned at the sampled sizes.
@@ -1067,7 +1087,7 @@ def run(smoke: bool = False) -> Dict:
         "oracle": bench_oracle(oracle_counts, oracle_repeats),
         "oracle_persistent": bench_oracle_persistent(persistent_counts, churn_events),
         "incidence": bench_incidence(incidence_counts, incidence_events),
-        "waterfill": bench_waterfill(waterfill_counts, waterfill_repeats),
+        "waterfill": bench_waterfill(waterfill_counts, waterfill_repeats, small_fabric_counts),
         "kernels": bench_kernels(kernel_counts, kernel_repeats),
         "flow_level": bench_flow_level(flow_level_counts, dict_limit),
         "engine": bench_engine(engine_events, port_packets),
@@ -1215,7 +1235,8 @@ def main(argv: Optional[List[str]] = None) -> Dict:
         )
     for row in results["waterfill"]:
         print(
-            f"waterfill {row['flows']:>5} flows: single {row['single_seconds']:.3f}s "
+            f"waterfill {row['flows']:>5} flows x {row['links']} links: "
+            f"single {row['single_seconds']:.3f}s "
             f"({row['rounds_single']} rounds), batched {row['batched_seconds']:.3f}s "
             f"({row['rounds_batched']} rounds / {row['distinct_levels']} levels), "
             f"speedup {row['speedup']:.1f}x, max rate diff {row['max_rel_rate_diff']:.2e}"

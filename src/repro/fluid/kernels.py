@@ -120,6 +120,28 @@ def build_csr(incidence: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray
     )
 
 
+def csr_from_path_links(
+    path_links: np.ndarray, n_links: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`build_csr`'s four arrays from ``path_links``.
+
+    ``path_links`` is the sentinel-padded flows x max-hops link-index array
+    of :class:`repro.fluid.vectorized.CompiledFluidNetwork` (padding index
+    ``n_links``): O(nnz log nnz), no scan of the dense matrix.  Same contract
+    (flows ascending within a link, contiguous ``int64``); within a flow the
+    links come in ``path_links`` row order.
+    """
+    real = path_links != n_links
+    flow_of_hop = np.nonzero(real)[0]
+    flow_rows = path_links[real].astype(np.int64)
+    order = np.argsort(flow_rows, kind="stable")
+    link_ptr = np.zeros(n_links + 1, dtype=np.int64)
+    link_ptr[1:] = np.cumsum(np.bincount(flow_rows, minlength=n_links))
+    flow_ptr = np.zeros(len(path_links) + 1, dtype=np.int64)
+    flow_ptr[1:] = np.cumsum(real.sum(axis=1))
+    return link_ptr, flow_of_hop[order].astype(np.int64), flow_ptr, flow_rows
+
+
 def _waterfill_csr_impl(
     link_ptr: np.ndarray,
     link_cols: np.ndarray,

@@ -808,10 +808,10 @@ def _solve_num_vectorized(
         # including failed (zero-capacity) ones excluded from the dual --
         # otherwise a dead-link flow looks entitled to a positive rate and
         # the safeguard wrongly rejects the (correct) dual solution.
-        carrying = compiled.incidence.any(axis=1)
         maxmin_vec = waterfill_arrays(
-            compiled.incidence[carrying], compiled.incidence_f[carrying],
-            np.ones(len(compiled.flow_ids)), capacities_all[carrying],
+            compiled.incidence, compiled.incidence_f,
+            np.ones(len(compiled.flow_ids)), capacities_all,
+            path_links=compiled.path_links,
         )
         maxmin_objective = float(vec_utils.value(maxmin_vec).sum())
         maxmin_rates = dict(zip(compiled.flow_ids, maxmin_vec.tolist()))
@@ -1116,10 +1116,10 @@ class PersistentDualSolver:
         if self.safeguard:
             # Full-capacity reference (see _solve_num_vectorized): failed
             # links must constrain the safeguard allocation too.
-            carrying = compiled.incidence.any(axis=1)
             maxmin_vec = waterfill_arrays(
-                compiled.incidence[carrying], compiled.incidence_f[carrying],
-                np.ones(len(compiled.flow_ids)), capacities_all[carrying],
+                compiled.incidence, compiled.incidence_f,
+                np.ones(len(compiled.flow_ids)), capacities_all,
+                path_links=compiled.path_links,
             )
             maxmin_objective = float(vec_utils.value(maxmin_vec).sum())
             maxmin_rates = dict(zip(compiled.flow_ids, maxmin_vec.tolist()))

@@ -6,8 +6,10 @@ iterates Python dicts per flow and per link, which caps the convergence and
 sensitivity experiments at toy scale.  This module compiles a
 :class:`~repro.fluid.network.FluidNetwork` snapshot into
 
-* a link x flow boolean **incidence matrix** plus capacity / path-length
-  vectors (:class:`CompiledFluidNetwork`), and
+* a padded per-flow **link-index array** (``path_links``) that every hot
+  link <-> flow reduction runs on, a dense link x flow boolean incidence
+  matrix for the Oracle's dual, plus capacity / path-length vectors
+  (:class:`CompiledFluidNetwork`), and
 * per-flow utility parameters batched by family
   (:class:`VectorizedUtilities`),
 
@@ -47,6 +49,7 @@ numbers.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,7 +75,7 @@ from repro.fluid.kernels import (  # noqa: F401  (re-exported for the tests)
     _FAM_LOG,
     _FAM_POWER,
     _FAM_WALPHA,
-    build_csr,
+    csr_from_path_links,
     resolve_kernel,
 )
 from repro.fluid.network import FluidFlow, FluidNetwork, FlowId, LinkId
@@ -392,10 +395,22 @@ class VectorizedUtilities:
 class CompiledFluidNetwork:
     """Array view of a :class:`FluidNetwork` snapshot.
 
-    Holds the link x flow incidence matrix, path lengths and batched utility
-    parameters for the *current* flow set; capacities are deliberately not
-    frozen (they are re-read each iteration so ``set_capacity`` takes effect
-    without recompiling).
+    Holds the per-flow link indices (:attr:`path_links`), the link x flow
+    incidence matrix, path lengths and batched utility parameters for the
+    *current* flow set; capacities are deliberately not frozen (they are
+    re-read each iteration so ``set_capacity`` takes effect without
+    recompiling).
+
+    ``path_links`` is a flows x max-hops ``intp`` array, row ``j`` holding
+    flow ``j``'s link indices in path order, padded with the **sentinel**
+    index ``len(link_ids)``.  Consumers extend their per-link vector by one
+    neutral entry for it (``+inf`` capacity / fair share, zero price / load),
+    so water-filling (:func:`waterfill_arrays`) and the link <-> flow
+    reductions (:meth:`path_prices`, :meth:`path_capacities`,
+    :meth:`link_min`, :meth:`link_load`) cost O(flows x hops) instead of
+    O(links x flows).  The dense :attr:`incidence` / :attr:`incidence_f`
+    pair is kept only for the Oracle's dual closures, its feasibility
+    rescale and RCP*'s power sums, which still read it.
 
     The column storage is over-allocated behind a flow-slot map (mirroring
     the flow-level simulation's slot map), so a single arrival or departure
@@ -420,12 +435,13 @@ class CompiledFluidNetwork:
         "_count",
         "_incidence",
         "_incidence_f",
+        "_path_links",
+        "_link_getter",
         "_path_len",
         "_capacities_vec",
         "_capacities_version",
         "_path_caps",
         "_path_caps_capacities",
-        "_link_flow_buffer",
         "_csr",
         "_csr_version",
     )
@@ -440,11 +456,16 @@ class CompiledFluidNetwork:
         n_links, n_flows = len(self.link_ids), len(self.flows)
         columns = max(n_flows, 8)
         incidence = np.zeros((n_links, columns), dtype=bool)
+        hops = max((len(flow.path) for flow in self.flows), default=1)
+        path_links = np.full((columns, hops), n_links, dtype=np.intp)
         for j, flow in enumerate(self.flows):
-            for link in flow.path:
-                incidence[self._link_index[link], j] = True
+            rows = [self._link_index[link] for link in flow.path]
+            incidence[rows, j] = True
+            path_links[j, : len(rows)] = rows
         self._incidence = incidence
         self._incidence_f = incidence.astype(float)
+        self._path_links = path_links
+        self._link_getter = itemgetter(*self.link_ids)  # C-level read, see link_vector
         self._count = n_flows
         path_len = np.zeros(columns)
         path_len[:n_flows] = [len(flow.path) for flow in self.flows]
@@ -461,7 +482,6 @@ class CompiledFluidNetwork:
         self._capacities_version: int = -1
         self._path_caps = np.zeros(columns)
         self._path_caps_capacities: Optional[np.ndarray] = None
-        self._link_flow_buffer = np.empty((n_links, columns))
         self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
         self._csr_version: int = -1
 
@@ -474,6 +494,11 @@ class CompiledFluidNetwork:
     def incidence_f(self) -> np.ndarray:
         """Float twin of :attr:`incidence` (a view)."""
         return self._incidence_f[:, : self._count]
+
+    @property
+    def path_links(self) -> np.ndarray:
+        """Per-flow link indices, sentinel-padded, in slot order (a view)."""
+        return self._path_links[: self._count]
 
     @property
     def path_len(self) -> np.ndarray:
@@ -554,23 +579,27 @@ class CompiledFluidNetwork:
         path_caps = np.zeros(columns)
         path_caps[: self._count] = self._path_caps[: self._count]
         self._path_caps = path_caps
-        self._link_flow_buffer = np.empty((n_links, columns))
+        path_links = np.full((columns, self._path_links.shape[1]), n_links, dtype=np.intp)
+        path_links[: self._count] = self._path_links[: self._count]
+        self._path_links = path_links
 
     def _append_flow(self, flow: FluidFlow) -> None:
         """O(path) column edit: one arrival into the next free slot."""
         self._grow_columns(1)
         slot = self._count
-        for link in flow.path:
-            row = self._link_index[link]
-            self._incidence[row, slot] = True
-            self._incidence_f[row, slot] = 1.0
-        self._path_len[slot] = len(flow.path)
+        rows = [self._link_index[link] for link in flow.path]
+        self._incidence[rows, slot] = True
+        self._incidence_f[rows, slot] = 1.0
+        if len(rows) > self._path_links.shape[1]:  # longest path so far: widen
+            widened = np.full((len(self._path_links), len(rows)), len(self.link_ids), dtype=np.intp)
+            widened[:, : self._path_links.shape[1]] = self._path_links
+            self._path_links = widened
+        self._path_links[slot, : len(rows)] = rows
+        self._path_len[slot] = len(rows)
         if self._path_caps_capacities is not None:
             # Extend the path-capacity cache in O(path); a later capacity
             # change is caught by the equality check in path_capacities.
-            self._path_caps[slot] = min(
-                self._path_caps_capacities[self._link_index[link]] for link in flow.path
-            )
+            self._path_caps[slot] = self._path_caps_capacities[rows].min()
         self.flows.append(flow)
         self.flow_ids.append(flow.flow_id)
         self._slot_of[flow.flow_id] = slot
@@ -584,6 +613,7 @@ class CompiledFluidNetwork:
         if slot != last:
             self._incidence[:, slot] = self._incidence[:, last]
             self._incidence_f[:, slot] = self._incidence_f[:, last]
+            self._path_links[slot] = self._path_links[last]
             self._path_len[slot] = self._path_len[last]
             self._path_caps[slot] = self._path_caps[last]
             moved = self.flows[last]
@@ -591,10 +621,11 @@ class CompiledFluidNetwork:
             self.flow_ids[slot] = moved.flow_id
             self._slot_of[moved.flow_id] = slot
             self.vec_utils.move(last, slot)
-        # Keep the invariant that columns beyond ``_count`` are all zero, so
-        # the next append only needs to touch its path's rows.
+        # Keep the invariant that columns beyond ``_count`` are all zero (all
+        # sentinel in path_links), so the next append only writes its path.
         self._incidence[:, last] = False
         self._incidence_f[:, last] = 0.0
+        self._path_links[last] = len(self.link_ids)
         self.flows.pop()
         self.flow_ids.pop()
         self.vec_utils.pop()
@@ -623,52 +654,55 @@ class CompiledFluidNetwork:
 
         Memoized on the capacity vector and maintained *incrementally*
         across flow churn (O(path) per arrival, O(1) per departure): the
-        L x F reduction is paid once per capacity change, not once per
-        iteration or churn event.  Treat the result as read-only.
+        gather + min over the hop axis is paid once per capacity change,
+        not once per iteration or churn event.  Treat the result as
+        read-only.
         """
         if self._path_caps_capacities is not None and np.array_equal(
             self._path_caps_capacities, capacities
         ):
             return self._path_caps[: self._count]
-        self._path_caps[: self._count] = np.where(
-            self.incidence, capacities[:, None], np.inf
-        ).min(axis=0)
+        hop_caps = np.append(capacities, np.inf)[self.path_links.T]
+        self._path_caps[: self._count] = hop_caps.min(axis=0)
         self._path_caps_capacities = capacities.copy()
         return self._path_caps[: self._count]
 
     def path_prices(self, prices: np.ndarray) -> np.ndarray:
         """Per-flow sum of link prices along the path."""
-        return self.incidence_f.T @ prices
-
-    @property
-    def link_flow_scratch(self) -> np.ndarray:
-        """The shared links x flow-columns scratch buffer.
-
-        For transient per-call use only (e.g. as :func:`waterfill_arrays`'
-        ``scratch``): :meth:`link_min` overwrites it on every call.
-        """
-        return self._link_flow_buffer
+        return np.append(prices, 0.0)[self.path_links.T].sum(axis=0)
 
     def link_min(self, per_flow: np.ndarray) -> np.ndarray:
         """Per-link minimum of a per-flow quantity (``inf`` on empty links)."""
-        buffer = self._link_flow_buffer[:, : self._count]
-        buffer.fill(np.inf)
-        np.copyto(buffer, per_flow[None, :], where=self.incidence)
-        return buffer.min(axis=1)
+        n_links = len(self.link_ids)
+        out = np.full(n_links + 1, np.inf)
+        path_links = self.path_links
+        np.minimum.at(out, path_links.ravel(), np.repeat(per_flow, path_links.shape[1]))
+        return out[:n_links]
 
     def link_load(self, rates: np.ndarray) -> np.ndarray:
         """Per-link aggregate traffic for a per-flow rate vector."""
-        return self.incidence_f @ rates
+        n_links, path_links = len(self.link_ids), self.path_links
+        per_hop = np.repeat(rates, path_links.shape[1])
+        return np.bincount(path_links.ravel(), weights=per_hop, minlength=n_links + 1)[:n_links]
+
+    def link_vector(self, values: Mapping[LinkId, float]) -> np.ndarray:
+        """Per-link dict state -> array in compiled link order (absent: 0)."""
+        try:
+            picked = self._link_getter(values)  # a bare value on a one-link network
+        except KeyError:
+            picked = [values.get(link, 0.0) for link in self.link_ids]
+        return np.array(picked, dtype=float, ndmin=1)
 
     def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSR index arrays of :attr:`incidence` for the compiled kernels.
+        """CSR index arrays of the incidence for the compiled kernels.
 
-        Memoized on the topology version (column edits always bump it), so
-        per-iteration kernel callers pay the ``nonzero`` scan once per churn
-        batch, not once per solve.  Treat the arrays as read-only.
+        Built from :attr:`path_links` (O(nnz log nnz), no dense scan) and
+        memoized on the topology version (column edits always bump it), so
+        per-iteration kernel callers pay it once per churn batch, not once
+        per solve.  Treat the arrays as read-only.
         """
         if self._csr is None or self._csr_version != self.version:
-            self._csr = build_csr(self.incidence)
+            self._csr = csr_from_path_links(self.path_links, len(self.link_ids))
             self._csr_version = self.version
         return self._csr
 
@@ -720,17 +754,13 @@ class VectorizedBackendMixin:
 
     def _link_vector(self, values: Mapping[LinkId, float]) -> np.ndarray:
         """Per-link dict state -> array in the compiled link order."""
-        link_ids = self._compiled.link_ids
-        return np.fromiter(
-            (values.get(link, 0.0) for link in link_ids), dtype=float, count=len(link_ids)
-        )
+        return self._compiled.link_vector(values)
 
     def _store_link_vector(
         self, target: Dict[LinkId, float], vector: np.ndarray
     ) -> None:
         """Write an array back into the simulator's per-link dict state."""
-        for link, value in zip(self._compiled.link_ids, vector.tolist()):
-            target[link] = value
+        target.update(zip(self._compiled.link_ids, vector.tolist()))
 
 
 class CompiledMaxMin:
@@ -751,8 +781,8 @@ class CompiledMaxMin:
     capacity steps) without recompiling.
     """
 
-    __slots__ = ("flow_ids", "link_ids", "incidence", "incidence_f", "_flow_index",
-                 "_capacities", "_link_index", "_csr")
+    __slots__ = ("flow_ids", "link_ids", "incidence", "incidence_f", "path_links",
+                 "_flow_index", "_capacities", "_link_index", "_csr")
 
     def __init__(
         self,
@@ -775,6 +805,7 @@ class CompiledMaxMin:
                 incidence[self._link_index[link], j] = True
         self.incidence = incidence
         self.incidence_f = incidence.astype(float)
+        self.path_links = path_links_from_incidence(incidence)
         self._capacities = np.fromiter(
             (capacities[link] for link in self.link_ids),
             dtype=float,
@@ -822,7 +853,7 @@ class CompiledMaxMin:
     def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """CSR index arrays of the compiled incidence (built once, cached)."""
         if self._csr is None:
-            self._csr = build_csr(self.incidence)
+            self._csr = csr_from_path_links(self.path_links, len(self.link_ids))
         return self._csr
 
     def solve_array(
@@ -847,6 +878,7 @@ class CompiledMaxMin:
             stats=stats,
             kernel=kernel,
             csr=self.csr_arrays() if kernel == "numba" else None,
+            path_links=self.path_links,
         )
 
     def _capacity_vector(
@@ -868,11 +900,85 @@ def compile_max_min(
     return CompiledMaxMin(paths, capacities)
 
 
-#: Link count above which the batched waterfill runs its local-minimum
-#: *wave* detector; smaller fabrics freeze only exact tie groups per round
-#: (the dependency depth there approaches the level count, so the two
-#: masked-min passes of the wave detector cannot pay for themselves).
-_WATERFILL_WAVE_MIN_LINKS = 64
+def path_links_from_incidence(incidence: np.ndarray) -> np.ndarray:
+    """Sentinel-padded flows x max-hops link-index array of a dense incidence.
+
+    O(nnz) after one ``nonzero`` scan of the transpose; row ``j`` lists flow
+    ``j``'s links in ascending index order, padded with ``n_links`` (see
+    :class:`CompiledFluidNetwork` for the sentinel convention).
+    """
+    n_links, n_flows = incidence.shape
+    flows, links = np.nonzero(incidence.T)
+    hops = np.bincount(flows, minlength=n_flows)
+    path_links = np.full((n_flows, int(hops.max(initial=1))), n_links, dtype=np.intp)
+    first_hop = np.cumsum(hops) - hops
+    path_links[flows, np.arange(flows.size) - first_hop[flows]] = links
+    return path_links
+
+
+def _waterfill_paths(
+    path_links: np.ndarray,
+    weights: np.ndarray,
+    capacities: np.ndarray,
+    stats: Optional[Dict[str, int]],
+) -> np.ndarray:
+    """Batched-wave water-filling on the padded per-flow link indices.
+
+    Per-link vectors carry one extra entry for the sentinel index (``+inf``
+    remaining capacity, never carrying, never freezing).  The working set
+    is the still-unfrozen flows, held hops x flows so the per-flow
+    reductions run along the contiguous axis; frozen flows are compacted
+    away every round, so a round costs O(live flows x hops).
+    """
+    n_flows, hops = path_links.shape
+    n_links = capacities.size
+    bins = n_links + 1
+    rates = np.zeros(n_flows)
+    remaining = np.append(capacities, np.inf)  # float64 copy, sentinel last
+    live_links = np.ascontiguousarray(path_links.T)
+    live_weights = np.asarray(weights, dtype=float)
+    slots: Optional[np.ndarray] = None  # None = identity mapping
+    fair_share = np.empty(bins)
+    rounds = 0
+    levels: set = set()
+    while live_weights.size:
+        flat = live_links.ravel()
+        per_hop = np.concatenate((live_weights,) * hops)
+        link_weight = np.bincount(flat, weights=per_hop, minlength=bins)
+        link_weight[n_links] = 0.0
+        carrying = link_weight > 0.0
+        fair_share.fill(np.inf)
+        np.divide(remaining, link_weight, out=fair_share, where=carrying)
+        # Per-flow bottleneck share: the minimum over the flow's hops.
+        hop_share = fair_share[live_links]
+        flow_share = hop_share.min(axis=0)
+        # A link freezes when every unfrozen flow on it bottlenecks *here*:
+        # no live hop on it belongs to a flow with a smaller share elsewhere.
+        elsewhere = np.bincount(flat, weights=(hop_share > flow_share).ravel(), minlength=bins)
+        freezing = carrying & (elsewhere == 0.0)
+        frozen = freezing[live_links].any(axis=0)
+        picked = np.nonzero(frozen)[0]
+        if not picked.size:
+            break  # leftover flows only cross capacity-exhausted links: rate 0
+        frozen_rates = live_weights[picked] * flow_share[picked]
+        rates[picked if slots is None else slots[picked]] = frozen_rates
+        remaining -= np.bincount(
+            live_links.take(picked, axis=1).ravel(),
+            weights=np.concatenate((frozen_rates,) * hops),
+            minlength=bins,
+        )
+        np.maximum(remaining, 0.0, out=remaining)
+        if stats is not None:
+            levels.update(fair_share[freezing].tolist())
+        rounds += 1
+        alive = np.nonzero(~frozen)[0]
+        live_links = live_links.take(alive, axis=1)  # take keeps C order, [:, alive] does not
+        live_weights = live_weights[alive]
+        slots = alive if slots is None else slots[alive]
+    if stats is not None:
+        stats["rounds"] = rounds
+        stats["levels"] = len(levels)
+    return rates
 
 
 def waterfill_arrays(
@@ -882,9 +988,9 @@ def waterfill_arrays(
     capacities: np.ndarray,
     batch_ties: bool = True,
     stats: Optional[Dict[str, int]] = None,
-    scratch: Optional[np.ndarray] = None,
     kernel: Optional[str] = None,
     csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
+    path_links: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Weighted max-min water-filling on the compiled incidence structure.
 
@@ -899,41 +1005,36 @@ def waterfill_arrays(
     independent regions of the fabric at different levels at once: the
     Python round count scales with the depth of the bottleneck dependency
     chain, bounded by the number of distinct bottleneck levels, instead of
-    the number of bottleneck links.  Every round is O(links x flows) array
-    work; the allocation matches the scalar reference in
-    :func:`repro.fluid.maxmin.weighted_max_min` (the same unique fixed
-    point, to floating-point reassociation -- 1e-9 gates in the tests and
-    the perf harness).
+    the number of bottleneck links.  The rounds run on the padded per-flow
+    link indices (:func:`_waterfill_paths`), so each is O(live flows x
+    hops) array work at every fabric size; the allocation matches the
+    scalar reference in :func:`repro.fluid.maxmin.weighted_max_min` (the
+    same unique fixed point, to floating-point reassociation -- 1e-9 gates
+    in the tests and the perf harness).
 
-    On small fabrics (few links) the dependency depth approaches the level
-    count, so the wave detection cannot reduce rounds; below
-    :data:`_WATERFILL_WAVE_MIN_LINKS` links each round batches only the
-    exact global-minimum tie group (one extra comparison) instead of
-    paying the two masked-min passes of the wave detector.
+    ``path_links``, when given, must be the sentinel-padded link-index
+    array of ``incidence`` (:attr:`CompiledFluidNetwork.path_links`; repeat
+    callers cache it); otherwise it is derived from ``incidence`` per call.
 
-    ``batch_ties=False`` keeps the one-bottleneck-per-round schedule (the
-    before/after reference for the perf harness).  ``stats``, when given,
-    receives ``"rounds"`` (freezing rounds executed) and ``"levels"``
+    ``batch_ties=False`` keeps the dense one-bottleneck-per-round schedule
+    (the before/after reference for the perf harness).  ``stats``, when
+    given, receives ``"rounds"`` (freezing rounds executed) and ``"levels"``
     (distinct fair-share levels frozen) for the round-count accounting.
-    ``scratch``, when given, must be a float array of at least
-    ``links x flows``: per-step callers (the xWI inner loop) pass a
-    persistent buffer so the wave detector's masked-min workspace is not
-    reallocated -- and its pages not re-faulted -- on every control-loop
-    iteration.
 
     ``kernel="numba"`` runs the compiled CSR freeze-round loop of
-    :func:`repro.fluid.kernels.waterfill_csr` instead (same fixed point,
-    1e-9 parity gates; under ``batch_ties`` the kernel uses the wave
-    schedule at every fabric size, so round counts can differ from the
-    small-fabric tie-group schedule here).  It resolves through
+    :func:`repro.fluid.kernels.waterfill_csr` instead (same fixed point and
+    wave schedule, 1e-9 parity gates).  It resolves through
     :func:`repro.fluid.kernels.resolve_kernel`, so without numba installed
-    this NumPy path runs unchanged.  ``csr``, when given, must be
-    :func:`~repro.fluid.kernels.build_csr` of ``incidence`` (repeat callers
-    cache it); it is ignored on the NumPy path.
+    this NumPy path runs unchanged.  ``csr``, when given, must be the
+    :func:`~repro.fluid.kernels.csr_from_path_links` arrays of
+    ``path_links`` (repeat callers cache them, see ``csr_arrays()``); it is
+    ignored on the NumPy path.
     """
     if resolve_kernel(kernel) == "numba":
         if csr is None:
-            csr = build_csr(incidence)
+            if path_links is None:
+                path_links = path_links_from_incidence(incidence)
+            csr = csr_from_path_links(path_links, len(capacities))
         rates, rounds, link_level = _kernels.waterfill_csr(
             *csr, weights, capacities, batch_ties=batch_ties
         )
@@ -942,84 +1043,15 @@ def waterfill_arrays(
             stats["rounds"] = rounds
             stats["levels"] = int(np.unique(frozen_levels).size)
         return rates
+    if batch_ties:
+        if path_links is None:
+            path_links = path_links_from_incidence(incidence)
+        return _waterfill_paths(path_links, weights, capacities, stats)
     n_links, n_flows = incidence.shape
     rates = np.zeros(n_flows)
     rounds = 0
     levels: set = set()
-    if n_flows and batch_ties:
-        # The working set holds the still-unfrozen flows: frozen columns are
-        # first masked out in place (zero weight + an ``unfrozen`` mask) and
-        # the arrays are *compacted* only once at least half the columns are
-        # dead, so the total copy cost stays geometric while rounds that
-        # freeze few flows (small fabrics) pay no compaction at all.
-        remaining = capacities.astype(float).copy()
-        inc = incidence
-        inc_f = incidence_f
-        live_weights = weights.astype(float)
-        unfrozen = np.ones(n_flows, dtype=bool)
-        masked = 0  # frozen-in-place columns not yet compacted away
-        cols: Optional[np.ndarray] = None  # None = identity mapping
-        fair_share = np.empty(n_links)
-        use_waves = n_links >= _WATERFILL_WAVE_MIN_LINKS
-        if not use_waves:
-            buffer = None
-        elif (
-            scratch is not None
-            and scratch.shape[0] >= n_links
-            and scratch.shape[1] >= n_flows
-        ):
-            buffer = scratch[:n_links]
-        else:
-            buffer = np.empty((n_links, n_flows))
-        flows_left = n_flows
-        while flows_left:
-            link_weight = inc_f @ live_weights
-            carrying = link_weight > 0.0
-            fair_share.fill(np.inf)
-            np.divide(remaining, link_weight, out=fair_share, where=carrying)
-            min_share = fair_share.min()
-            if not np.isfinite(min_share):
-                break  # leftover flows only cross capacity-exhausted links: rate 0
-            width = live_weights.size
-            if use_waves:
-                window = buffer[:, :width]
-                live = inc & unfrozen[None, :] if masked else inc
-                # Per-flow bottleneck share: the minimum over the flow's links.
-                window.fill(np.inf)
-                np.copyto(window, fair_share[:, None], where=live)
-                flow_share = window.min(axis=0)
-                # A link freezes when every unfrozen flow on it bottlenecks
-                # *here*: its share is the minimum over each such flow's links.
-                window.fill(np.inf)
-                np.copyto(window, flow_share[None, :], where=live)
-                freezing = (fair_share <= window.min(axis=1)) & carrying
-                frozen = np.nonzero(inc[freezing].any(axis=0) & unfrozen)[0]
-                frozen_rates = live_weights[frozen] * flow_share[frozen]
-            else:
-                freezing = fair_share == min_share
-                frozen = np.nonzero(inc[freezing].any(axis=0) & unfrozen)[0]
-                frozen_rates = live_weights[frozen] * min_share
-            rates[frozen if cols is None else cols[frozen]] = frozen_rates
-            remaining -= inc_f[:, frozen] @ frozen_rates
-            np.maximum(remaining, 0.0, out=remaining)
-            if stats is not None:
-                levels.update(fair_share[freezing].tolist())
-            flows_left -= frozen.size
-            rounds += 1
-            if 2 * (masked + frozen.size) >= width:
-                alive = unfrozen
-                alive[frozen] = False
-                inc = inc[:, alive]
-                inc_f = inc_f[:, alive]
-                live_weights = live_weights[alive]
-                cols = np.nonzero(alive)[0] if cols is None else cols[alive]
-                unfrozen = np.ones(live_weights.size, dtype=bool)
-                masked = 0
-            else:
-                unfrozen[frozen] = False
-                live_weights[frozen] = 0.0
-                masked += frozen.size
-    elif n_flows:
+    if n_flows:
         # One-bottleneck-per-round reference schedule (perf-harness before/
         # after baseline); same allocation, one Python round per bottleneck.
         remaining = capacities.astype(float).copy()

@@ -14,9 +14,9 @@ Two interchangeable backends drive the iteration:
 
 * ``backend="scalar"`` (default) -- the reference implementation below,
   plain Python over dicts;
-* ``backend="vectorized"`` -- NumPy array math over a compiled link x flow
-  incidence structure (:mod:`repro.fluid.vectorized`), recompiled only when
-  flows arrive or depart.  Allocations match the scalar backend to well
+* ``backend="vectorized"`` -- NumPy array math over compiled per-flow link
+  indices (:mod:`repro.fluid.vectorized`), patched in place when flows
+  arrive or depart.  Allocations match the scalar backend to well
   within 1e-9 (enforced by ``tests/fluid/test_vectorized_parity.py``) and
   run ~13x faster at 1000 flows, ~4x at 200 (see ``benchmarks/perf`` and
   ``BENCH_fluid.json``).
@@ -167,16 +167,14 @@ class XwiFluidSimulator(VectorizedBackendMixin):
         np.maximum(weight_vec, _WEIGHT_FLOOR, out=weight_vec)
 
         # Swift settles to the weighted max-min allocation for those weights.
-        # The compiled link x flow buffer doubles as the waterfill scratch
-        # (link_min reuses it later in the step, strictly afterwards).
         rate_vec = waterfill_arrays(
             compiled.incidence,
             compiled.incidence_f,
             weight_vec,
             capacities,
-            scratch=compiled.link_flow_scratch,
             kernel=self.kernel,
             csr=compiled.csr_arrays() if self.kernel == "numba" else None,
+            path_links=compiled.path_links,
         )
         rates = dict(zip(compiled.flow_ids, rate_vec.tolist()))
         self.last_rates = rates

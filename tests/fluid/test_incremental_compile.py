@@ -35,6 +35,9 @@ def assert_matches_full_compile(incremental, network):
     assert sorted(incremental.flow_ids, key=repr) == sorted(full.flow_ids, key=repr)
     assert incremental.version == full.version
     full_slot = {flow_id: j for j, flow_id in enumerate(full.flow_ids)}
+    sentinel = len(incremental.link_ids)
+    # Free slots stay all-sentinel, so an append only writes its own path.
+    assert np.all(incremental._path_links[len(incremental.flow_ids) :] == sentinel)
     for slot, flow_id in enumerate(incremental.flow_ids):
         reference = full_slot[flow_id]
         np.testing.assert_array_equal(
@@ -44,6 +47,13 @@ def assert_matches_full_compile(incremental, network):
             incremental.incidence_f[:, slot], full.incidence_f[:, reference]
         )
         assert incremental.path_len[slot] == full.path_len[reference]
+        # Both build their rows from flow.path in path order; the hop axis
+        # of the incremental one may be wider (a long flow since departed).
+        hops = full.path_links.shape[1]
+        np.testing.assert_array_equal(
+            incremental.path_links[slot, :hops], full.path_links[reference]
+        )
+        assert np.all(incremental.path_links[slot, hops:] == sentinel)
         assert incremental.flows[slot] is full.flows[reference]
         assert incremental.vec_utils.utilities[slot] is full.vec_utils.utilities[reference]
     # Utility parameters: evaluate both on a per-slot-aligned rate vector.
@@ -119,6 +129,79 @@ class TestIncrementalEqualsFullCompile:
         assert compiled.refresh() == "updated"
         assert_matches_full_compile(compiled, network)
         assert compiled.refresh() == "current"
+
+
+class TestPathLinksMaintenance:
+    def test_slot_order_equals_full_compile_without_departures(self):
+        # Arrivals only: slot order is the network's dict order, so the whole
+        # array (not just each row) equals a from-scratch compile.
+        network = FluidNetwork(dict(LINKS))
+        compiled = compile_network(network)
+        for i, path in enumerate([("a",), ("b", "c"), ("d", "a", "b"), ("c",)] * 5):
+            network.add_flow(FluidFlow(i, path, LogUtility()))  # crosses a column regrow
+        assert compiled.refresh() == "updated"
+        full = compile_network(network)
+        assert compiled.flow_ids == full.flow_ids
+        np.testing.assert_array_equal(compiled.path_links, full.path_links)
+        assert compiled.path_links.dtype == np.intp
+
+    def test_longer_path_widens_hop_axis_in_place(self):
+        network = FluidNetwork(dict(LINKS))
+        network.add_flow(FluidFlow("short", ("b",), LogUtility()))
+        network.add_flow(FluidFlow("pair", ("c", "a"), LogUtility()))
+        compiled = compile_network(network)
+        before = compiled.path_links.copy()
+        assert before.shape == (2, 2)
+        network.add_flow(FluidFlow("long", ("d", "c", "b", "a"), LogUtility()))
+        assert compiled.refresh() == "updated"
+        assert compiled.path_links.shape == (3, 4)
+        np.testing.assert_array_equal(compiled.path_links[:2, :2], before)
+        assert np.all(compiled.path_links[:2, 2:] == len(LINKS))
+        assert compiled.path_links[2].tolist() == [3, 2, 1, 0]  # path order, not sorted
+        assert_matches_full_compile(compiled, network)
+        # The widened axis survives the long flow's departure.
+        network.remove_flow("long")
+        assert compiled.refresh() == "updated"
+        assert compiled.path_links.shape == (2, 4)
+        assert_matches_full_compile(compiled, network)
+
+    def test_swap_remove_moves_the_last_row(self):
+        network = FluidNetwork(dict(LINKS))
+        for i, path in enumerate([("a", "b"), ("c",), ("d", "a", "c")]):
+            network.add_flow(FluidFlow(i, path, LogUtility()))
+        compiled = compile_network(network)
+        network.remove_flow(0)
+        assert compiled.refresh() == "updated"
+        assert compiled.flow_ids == [2, 1]
+        assert compiled.path_links.tolist() == [[3, 0, 2], [2, 4, 4]]
+
+    def test_pickle_round_trip_resumes_bit_identically(self):
+        # The streaming checkpoint pickles a simulator holding its compiled
+        # snapshot; the restored copy must continue exactly like the original.
+        import pickle
+
+        from repro.fluid.xwi import XwiFluidSimulator
+
+        def populate(network, start, count):
+            names = list(LINKS)
+            for i in range(start, start + count):
+                path = tuple(names[(i + k) % 4] for k in range(1 + i % 3))
+                network.add_flow(FluidFlow(i, path, LogUtility(weight=1.0 + i % 2)))
+
+        network = FluidNetwork(dict(LINKS))
+        populate(network, 0, 9)
+        simulator = XwiFluidSimulator(network, backend="vectorized", record_detail=False)
+        simulator.run(5, record_history=False)
+        restored = pickle.loads(pickle.dumps(simulator))
+        np.testing.assert_array_equal(
+            restored._compiled.path_links, simulator._compiled.path_links
+        )
+        for sim in (simulator, restored):
+            sim.network.remove_flow(4)
+            populate(sim.network, 9, 2)
+        for _ in range(5):
+            assert restored.step().rates == simulator.step().rates
+        assert restored.prices == simulator.prices
 
 
 class TestRefreshFallbacks:

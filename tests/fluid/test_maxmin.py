@@ -177,13 +177,11 @@ class TestBatchedWaterfill:
         assert stats["rounds"] >= stats["levels"]
 
     def test_wave_regime_matches_scalar_on_host_link_fabric(self):
-        # Above _WATERFILL_WAVE_MIN_LINKS links the batched path switches to
-        # the local-minimum wave detector; pin it to the scalar reference on
+        # The local-minimum wave detector freezes independent regions at
+        # different levels in one round; pin it to the scalar reference on
         # a host-link-rich fabric (the Fig. 5 shape) and check the rounds
         # collapse below the level count.
         import random as random_module
-
-        from repro.fluid.vectorized import _WATERFILL_WAVE_MIN_LINKS
 
         rng = random_module.Random(9)
         n_hosts = 96
@@ -195,7 +193,6 @@ class TestBatchedWaterfill:
             src, dst = rng.sample(range(n_hosts), 2)
             paths[f] = [("edge", src), ("core", rng.randrange(4)), ("edge", dst)]
             weights[f] = rng.uniform(0.5, 4.0)
-        assert len(capacities) >= _WATERFILL_WAVE_MIN_LINKS
         stats = _assert_batched_matches_scalar(weights, paths, capacities)
         assert stats["rounds"] <= stats["levels"]
         assert stats["rounds"] < len(capacities)

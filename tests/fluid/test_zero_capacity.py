@@ -20,7 +20,7 @@ from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.oracle import PersistentDualSolver, solve_num
 from repro.fluid.rcp import RcpStarFluidSimulator
-from repro.fluid.vectorized import compile_max_min
+from repro.fluid.vectorized import compile_max_min, compile_network, waterfill_arrays
 from repro.fluid.xwi import XwiFluidSimulator
 
 DEAD_CAPACITIES = [0.0, 1e-12]
@@ -86,6 +86,19 @@ def test_waterfill_arrays_zero_capacity(dead):
     )
     for flow_id, rate in scalar.items():
         assert rates[flow_id] == pytest.approx(rate, abs=1e-6)
+    # Same instance on the network snapshot's maintained path_links (ragged
+    # rows, so the dead link sits next to sentinel padding).
+    snapshot = compile_network(two_link_network(dead))
+    assert snapshot.path_links.tolist() == [[0, 2], [1, 2], [0, 1]]
+    path_indexed = waterfill_arrays(
+        snapshot.incidence, snapshot.incidence_f, np.ones(3), snapshot.capacities_vector(),
+        path_links=snapshot.path_links,
+    )
+    assert np.all(np.isfinite(path_indexed))
+    for flow_id, rate in zip(snapshot.flow_ids, path_indexed.tolist()):
+        assert rate == pytest.approx(scalar[flow_id], abs=1e-6)
+    assert snapshot.path_capacities(snapshot.capacities_vector()).tolist() == [10e9, dead, dead]
+    assert np.all(snapshot.link_load(path_indexed) <= snapshot.capacities_vector() + 1e-6)
 
 
 @pytest.mark.parametrize("dead", DEAD_CAPACITIES)
