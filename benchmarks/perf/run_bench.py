@@ -14,9 +14,9 @@ Times (stdlib ``time.perf_counter`` only, no external dependencies):
   dual against the vectorized batched dual, on an all-log workload where
   both backends converge to the same optimum;
 * the *persistent* dynamic Oracle
-  (:class:`repro.fluid.oracle.PersistentDualSolver`) against the warm
-  scipy path on a churn trace, gated at 1e-6 against tightly converged
-  cold solves;
+  (:class:`repro.fluid.oracle.PersistentDualSolver`) against a cold
+  :func:`~repro.fluid.oracle.solve_num` per event on a churn trace, gated
+  at 1e-6 against tightly converged cold solves;
 * incremental incidence compilation
   (:meth:`repro.fluid.vectorized.CompiledFluidNetwork.refresh`) against a
   full recompile per churn event, with a column-for-column equality check;
@@ -98,7 +98,7 @@ from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidFlow, FluidNetwork
-from repro.fluid.oracle import PersistentDualSolver, estimate_price_scale, solve_num
+from repro.fluid.oracle import PersistentDualSolver, solve_num
 from repro.fluid.rcp import RcpStarFluidSimulator
 from repro.fluid.vectorized import CompiledMaxMin, compile_network, waterfill_arrays
 from repro.fluid.xwi import XwiFluidSimulator
@@ -340,30 +340,25 @@ def _apply_churn_event(network: FluidNetwork, event) -> None:
 
 
 def bench_oracle_persistent(flow_counts: List[int], events: int) -> List[Dict]:
-    """Layer 1 before/after: warm-scipy vs persistent dynamic Oracle.
+    """The two Oracle paths production runs: cold per event vs persistent.
 
-    Replays one churn trace twice -- once solving per event with the
-    scipy L-BFGS-B path (warm-started prices + cached conditioning, the
-    pre-persistent ``OracleRatePolicy`` behaviour) and once with the
-    :class:`PersistentDualSolver` -- and checks the persistent rates per
-    event against a *tightly converged* cold scipy solve (at scipy's
-    default ftol, its own stopping slack is larger than the gate).
+    Replays one churn trace twice -- once with a cold :func:`solve_num`
+    per event (how the semi-dynamic fluid scenario of Fig. 4 gets its
+    reference allocation) and once with the :class:`PersistentDualSolver`
+    (the flow engine's Oracle policy) -- and checks the persistent rates
+    per event against a *tightly converged* cold solve (at scipy's default
+    ftol, its own stopping slack is larger than the gate).
     """
     rows = []
     for n_flows in flow_counts:
         trace = _churn_trace(build_network(n_flows, seed=5, utilities="log"), events)
 
         network = build_network(n_flows, seed=5, utilities="log")
-        prices = None
-        scale = estimate_price_scale(network)
         start = time.perf_counter()
         for event in trace:
             _apply_churn_event(network, event)
-            result = solve_num(
-                network, initial_prices=prices, price_scale=scale, safeguard=False
-            )
-            prices = result.prices
-        scipy_s = time.perf_counter() - start
+            solve_num(network)
+        cold_s = time.perf_counter() - start
 
         network = build_network(n_flows, seed=5, utilities="log")
         solver = PersistentDualSolver()
@@ -379,17 +374,16 @@ def bench_oracle_persistent(flow_counts: List[int], events: int) -> List[Dict]:
         for event, warm in zip(trace, persistent_results):
             _apply_churn_event(network, event)
             cold = solve_num(
-                network, solver="scipy", tolerance=1e-14, max_iterations=20000,
-                safeguard=False,
+                network, tolerance=1e-14, max_iterations=20000, safeguard=False
             )
             max_diff = max(max_diff, _max_rel_rate_diff(cold.rates, warm.rates))
         rows.append(
             {
                 "flows": n_flows,
                 "events": events,
-                "scipy_seconds": scipy_s,
+                "cold_seconds": cold_s,
                 "persistent_seconds": persistent_s,
-                "speedup": scipy_s / persistent_s if persistent_s > 0 else float("inf"),
+                "speedup": cold_s / persistent_s if persistent_s > 0 else float("inf"),
                 "max_rel_rate_diff": max_diff,
             }
         )
@@ -1152,6 +1146,12 @@ def check_against_committed(path: str) -> None:
             f"committed {os.path.basename(path)} is missing sections: {missing} "
             "(re-run the full benchmark and commit the refreshed JSON)"
         )
+    stale = [row["flows"] for row in committed["oracle_persistent"] if "cold_seconds" not in row]
+    if stale:
+        raise RuntimeError(
+            f"committed oracle_persistent rows at {stale} flows predate the cold-solve "
+            "baseline (no cold_seconds column); re-run that section"
+        )
     enforce_parity(committed)
     for section in ("fig5_paper_scale", "fig5_100k"):
         fig5 = committed.get(section)
@@ -1222,7 +1222,7 @@ def main(argv: Optional[List[str]] = None) -> Dict:
     for row in results["oracle_persistent"]:
         print(
             f"oracle-persistent {row['flows']:>5} flows x {row['events']} churn events: "
-            f"warm scipy {row['scipy_seconds']:.3f}s, persistent "
+            f"cold solve_num {row['cold_seconds']:.3f}s, persistent "
             f"{row['persistent_seconds']:.3f}s, speedup {row['speedup']:.1f}x, "
             f"max rate diff {row['max_rel_rate_diff']:.2e}"
         )

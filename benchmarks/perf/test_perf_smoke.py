@@ -74,7 +74,7 @@ def test_smoke_covers_persistent_oracle(smoke_results):
     assert [row["flows"] for row in rows] == [50]
     for row in rows:
         assert row["max_rel_rate_diff"] < run_bench.ORACLE_PARITY_TOLERANCE
-        assert row["scipy_seconds"] > 0 and row["persistent_seconds"] > 0
+        assert row["cold_seconds"] > 0 and row["persistent_seconds"] > 0
         assert row["events"] > 0
     assert written["oracle_persistent"] == rows
 

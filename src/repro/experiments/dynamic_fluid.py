@@ -21,16 +21,16 @@ once per control-loop update.  Flow completion times are therefore
 quantized to the step grid; completion-time accounting still uses the exact
 arrival time, so a flow's FCT includes the sub-step admission latency.
 
-Two interchangeable backends drive :class:`FlowLevelSimulation`:
-
-* ``backend="array"`` (default) -- remaining bytes / start times / sizes
-  live in NumPy arrays indexed by a compact flow-slot map; each step is one
-  vectorized delivered-bytes update and completions are detected with a
-  single comparison, with slots compacted per completion batch (never per
-  flow).  This is what lets Fig. 5 run the paper's 10k-flow workloads.
-* ``backend="dict"`` -- the original per-flow dict loop, kept as the parity
-  reference; ``tests/experiments/test_flow_level_parity.py`` pins the two
-  backends to identical completion records.
+Remaining bytes / start times / sizes live in NumPy arrays indexed by a
+compact flow-slot map; each step is one vectorized delivered-bytes update
+and completions are detected with a single comparison, with slots compacted
+per completion batch (never per flow).  This is what lets Fig. 5 run the
+paper's 10k-flow workloads.  :meth:`FlowLevelSimulation.run` (materialized
+arrival list) and :meth:`~FlowLevelSimulation.run_stream` (lazy, resumable)
+are the same loop.  ``FlowLevelSimulation(backend="dict")`` is the original
+per-flow dict loop, kept only as the reference that
+``tests/experiments/test_flow_level_parity.py`` pins the array loop to; no
+layer above the constructor can select it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ import numpy as np
 from repro.core.utility import LogUtility, Utility
 from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.network import FluidFlow, FluidNetwork
-from repro.fluid.oracle import PersistentDualSolver, estimate_price_scale, solve_num
+from repro.fluid.oracle import PersistentDualSolver
+from repro.fluid.oracle import solve_num  # noqa: F401 -- benchmarks/e2e's span table binds it
 from repro.fluid.rcp import RcpStarFluidSimulator
 from repro.fluid.xwi import XwiFluidSimulator
 from repro.workloads.poisson import FlowArrival
@@ -131,98 +132,46 @@ class EqualSharePolicy(RatePolicy):
 class OracleRatePolicy(RatePolicy):
     """Instantaneously optimal rates, recomputed on every flow-set change.
 
-    Tuned for the dynamic experiments' solve-per-change pattern.  The
-    default ``solver="persistent"`` drives a
-    :class:`~repro.fluid.oracle.PersistentDualSolver`, which keeps prices,
-    curvature, conditioning *and* the compiled incidence alive across
-    flow-set changes (the incidence is patched incrementally from the
-    network's churn journal) -- no scipy per-call setup, no per-event
-    recompiles.  ``solver="scipy"`` keeps the previous behaviour (per-call
-    L-BFGS-B with warm-started prices and cached conditioning), the parity
-    reference:
+    A thin owner of a :class:`~repro.fluid.oracle.PersistentDualSolver`,
+    which keeps prices, curvature, conditioning *and* the compiled incidence
+    alive across flow-set changes -- no scipy per-call setup, no per-event
+    recompiles.  The arguments are the solver's:
 
-    * prices from the previous solve warm-start the next one (the flow set
-      changes by a handful of flows per step, so the dual moves little);
-    * the price-scale conditioning is cached and refreshed only every
+    * the price-scale conditioning is refreshed only every
       ``scale_refresh_interval`` flow-set changes (it only conditions the
       solver, so staleness cannot change the optimum);
     * the max-min safeguard defaults to off -- it exists for very steep
       utility mixes, and for the well-conditioned log/moderate-alpha
       workloads of Fig. 5 it costs more than the solve itself.  Pass
       ``safeguard=True`` when using steep utilities (e.g. FCT with a small
-      epsilon).
-
-    ``warm_start`` applies to the scipy solver only: the persistent solver
-    warm-starts by construction (that is its point).
+      epsilon);
+    * ``kernel`` selects the dual-evaluation kernel (``"numpy"``/``"numba"``,
+      ``None`` for ``REPRO_KERNEL``).
     """
 
     def __init__(
         self,
-        backend: str = "vectorized",
-        warm_start: bool = True,
         scale_refresh_interval: int = 32,
         safeguard: bool = False,
         tolerance: float = 1e-9,
-        solver: str = "persistent",
-        inner: str = "spg",
         kernel: Optional[str] = None,
     ):
-        if solver not in ("persistent", "scipy"):
-            raise ValueError(f"unknown oracle policy solver {solver!r}")
-        if solver == "persistent" and backend != "vectorized":
-            raise ValueError('solver="persistent" requires backend="vectorized"')
-        self.backend = backend
-        self.warm_start = warm_start
-        self.scale_refresh_interval = scale_refresh_interval
-        self.safeguard = safeguard
-        self.tolerance = tolerance
-        self.solver = solver
-        #: Persistent solver's inner minimizer ("spg"/"lbfgs") and the dual
-        #: evaluation kernel ("numpy"/"numba"/None for REPRO_KERNEL); both
-        #: forwarded to :class:`~repro.fluid.oracle.PersistentDualSolver`.
-        self.inner = inner
-        self.kernel = kernel
-        self._persistent: Optional[PersistentDualSolver] = None
+        self._solver = PersistentDualSolver(
+            tolerance=tolerance,
+            scale_refresh_interval=scale_refresh_interval,
+            safeguard=safeguard,
+            kernel=kernel,
+        )
         self._cached: Optional[Dict[object, float]] = None
-        self._prices: Optional[Dict[object, float]] = None
-        self._scale: Optional[Dict[object, float]] = None
-        self._changes_since_scale = 0
         self._epoch = 0
 
     def on_flow_set_changed(self, network: FluidNetwork) -> None:
         self._cached = None
-        self._changes_since_scale += 1
         self._epoch += 1
 
     def rates(self, network: FluidNetwork, dt: float) -> Dict[object, float]:
         if self._cached is None:
-            if not network.flows:
-                self._cached = {}
-                return self._cached
-            if self.solver == "persistent":
-                if self._persistent is None:
-                    self._persistent = PersistentDualSolver(
-                        tolerance=self.tolerance,
-                        scale_refresh_interval=self.scale_refresh_interval,
-                        safeguard=self.safeguard,
-                        inner=self.inner,
-                        kernel=self.kernel,
-                    )
-                result = self._persistent.solve(network)
-            else:
-                if self._scale is None or self._changes_since_scale >= self.scale_refresh_interval:
-                    self._scale = estimate_price_scale(network, backend=self.backend)
-                    self._changes_since_scale = 0
-                result = solve_num(
-                    network,
-                    tolerance=self.tolerance,
-                    initial_prices=self._prices if self.warm_start else None,
-                    backend=self.backend,
-                    price_scale=self._scale,
-                    safeguard=self.safeguard,
-                )
-                self._prices = result.prices
-            self._cached = result.rates
+            self._cached = self._solver.solve(network).rates if network.flows else {}
         return self._cached
 
     def rates_epoch(self) -> Optional[int]:
@@ -237,11 +186,10 @@ class SimulatorRatePolicy(RatePolicy):
     schemes with slower convergence deliver fewer bytes to short flows --
     exactly the effect Fig. 5 measures.
 
-    For large dynamic workloads use :func:`scheme_rate_policy`, which builds
-    the simulator on the vectorized fluid backend (now available for xWI,
-    DGD and RCP* alike): the compiled incidence structure is invalidated
-    only on flow arrivals/departures, so the per-iteration cost between
-    flow-set changes is pure array math.
+    :func:`scheme_rate_policy` builds the simulator on the vectorized fluid
+    backend: the compiled incidence structure is invalidated only on flow
+    arrivals/departures, so the per-iteration cost between flow-set changes
+    is pure array math.
     """
 
     def __init__(self, simulator_factory: Callable[[FluidNetwork], object]):
@@ -294,14 +242,11 @@ SCHEME_SIMULATORS: Dict[str, Callable] = {
 
 
 def scheme_rate_policy(
-    scheme: str, backend: str = "vectorized", params=None, kernel: Optional[str] = None
+    scheme: str, params=None, kernel: Optional[str] = None
 ) -> SimulatorRatePolicy:
-    """A :class:`SimulatorRatePolicy` for a named scheme on a given backend.
+    """A :class:`SimulatorRatePolicy` for a named scheme on the vectorized engine.
 
-    ``backend`` defaults to the vectorized fluid engine (every scheme's
-    allocations match its scalar reference within 1e-9); pass
-    ``backend="scalar"`` for the reference implementation.  ``kernel``
-    selects the compiled waterfill for simulators that accept one
+    ``kernel`` selects the compiled waterfill for simulators that accept one
     (currently xWI/NUMFabric); schemes without a kernel path ignore it.
     """
     try:
@@ -316,7 +261,7 @@ def scheme_rate_policy(
     # the dynamic experiments' paper scale.
     return SimulatorRatePolicy(
         lambda network: simulator_cls(
-            network, params=params, backend=backend, record_detail=False, **extra
+            network, params=params, backend="vectorized", record_detail=False, **extra
         )
     )
 
@@ -399,7 +344,7 @@ class FlowLevelSimulation:
         #: is *not* appended to :attr:`completed` -- memory stays bounded.
         self.on_complete: Optional[Callable[[CompletedFlow], None]] = None
         self.keep_completions = True
-        #: Simulated-time position of the streaming loop (:meth:`run_stream`
+        #: Simulated-time position of the array step loop (:meth:`run_stream`
         #: resumes from here; checkpointed alongside the slot arrays).
         self._time = 0.0
         self.completed: List[CompletedFlow] = []
@@ -442,7 +387,8 @@ class FlowLevelSimulation:
         pending = sorted(arrivals, key=lambda a: a.time)
         if self.backend == "dict":
             return self._run_dict(pending, max_time)
-        return self._run_array(pending, max_time)
+        self._advance(ArrivalStream(pending), max_time, None)
+        return self.completed
 
     # -- shared admission helper ------------------------------------------
 
@@ -624,57 +570,6 @@ class FlowLevelSimulation:
         self._rate_cache_epoch = epoch
         return vector
 
-    def _run_array(
-        self, pending: List[FlowArrival], max_time: Optional[float]
-    ) -> List[CompletedFlow]:
-        time = 0.0
-        index = 0
-        horizon = max_time if max_time is not None else float("inf")
-        dt = self.step_interval
-
-        while time < horizon and (index < len(pending) or self._count):
-            self._inject_faults(time)
-            changed = False
-            while index < len(pending) and pending[index].time <= time:
-                arrival = pending[index]
-                self._admit(arrival)
-                self._append_flow(arrival)
-                index += 1
-                changed = True
-            if changed:
-                self.rate_policy.on_flow_set_changed(self.network)
-
-            if not self._count:
-                if index < len(pending):
-                    time = pending[index].time
-                    continue
-                break
-
-            rates = self.rate_policy.rates(self.network, dt)
-            rate_vec = self._gather_rates(rates)
-            remaining = self._remaining[: self._count]
-            # Identical per-element arithmetic to the dict backend:
-            # ``remaining - rate * dt / 8.0`` with the same operation order.
-            remaining -= rate_vec * dt / 8.0
-            time += dt
-            finished = remaining <= 0.0
-            if finished.any():
-                for slot in np.nonzero(finished)[0].tolist():
-                    flow_id = self._slots[slot]
-                    self._emit(
-                        CompletedFlow(
-                            flow_id=flow_id,
-                            size_bytes=int(self._sizes_arr[slot]),
-                            start_time=float(self._starts[slot]),
-                            finish_time=time,
-                        )
-                    )
-                    self.network.remove_flow(flow_id)
-                self._compact(~finished)
-                self.rate_policy.on_flow_set_changed(self.network)
-
-        return self.completed
-
     # -- streaming loop (bounded memory, resumable) -------------------------
 
     def run_stream(
@@ -689,9 +584,9 @@ class FlowLevelSimulation:
         one at a time from ``stream`` (which must be time-sorted -- see
         :class:`ArrivalStream`), completions are routed through
         :attr:`on_complete`, and with ``keep_completions=False`` nothing is
-        accumulated per flow.  Step arithmetic is identical to the array
-        backend of :meth:`run`, so an all-list run and a streamed run of
-        the same schedule produce bit-identical completion records.
+        accumulated per flow.  :meth:`run` drives the same loop, so an
+        all-list run and a streamed run of the same schedule produce
+        bit-identical completion records.
 
         ``stop_at`` pauses the loop at the first step boundary at or after
         that simulated time and returns ``False`` (resume by calling again
@@ -705,6 +600,12 @@ class FlowLevelSimulation:
                 'run_stream requires backend="array" (the dict backend is the '
                 "materializing parity reference)"
             )
+        return self._advance(stream, max_time, stop_at)
+
+    def _advance(
+        self, stream: ArrivalStream, max_time: Optional[float], stop_at: Optional[float]
+    ) -> bool:
+        """The array-backend step loop behind :meth:`run` and :meth:`run_stream`."""
         horizon = max_time if max_time is not None else float("inf")
         limit = stop_at if stop_at is not None else float("inf")
         dt = self.step_interval
@@ -734,7 +635,8 @@ class FlowLevelSimulation:
             rates = self.rate_policy.rates(self.network, dt)
             rate_vec = self._gather_rates(rates)
             remaining = self._remaining[: self._count]
-            # Identical per-element arithmetic to ``_run_array``.
+            # Identical per-element arithmetic to the dict backend:
+            # ``remaining - rate * dt / 8.0`` with the same operation order.
             remaining -= rate_vec * dt / 8.0
             time += dt
             finished = remaining <= 0.0

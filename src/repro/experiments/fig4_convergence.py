@@ -60,16 +60,13 @@ class ConvergenceSettings:
 def run_convergence_cdf(
     settings: Optional[ConvergenceSettings] = None,
     criterion: Optional[ConvergenceCriterion] = None,
-    backend: str = "vectorized",
 ) -> ExperimentResult:
     """Reproduce Fig. 4(a): per-event convergence times of the three schemes.
 
-    All three schemes (xWI, DGD, RCP*) iterate on the NumPy fluid backend by
-    default -- allocations agree with the scalar references to ~1e-12, and
-    the ``paper_scale()`` setting with hundreds of concurrent flows per
-    event becomes practical.  Pass ``backend="scalar"`` to run the reference
-    implementations instead (the escape hatch; results are identical within
-    the parity tolerance).
+    All three schemes (xWI, DGD, RCP*) iterate on the NumPy fluid engine --
+    allocations agree with the scalar references to ~1e-12, and the
+    ``paper_scale()`` setting with hundreds of concurrent flows per event
+    is practical.
 
     Each scheme runs the *same* seeded scenario spec, so all three see an
     identical sequence of network events.
@@ -94,7 +91,6 @@ def run_convergence_cdf(
             num_events=settings.num_events,
             max_iterations=settings.max_iterations,
             seed=settings.seed,
-            backend=backend,
         )
         run = run_scenario(spec, criterion=criterion, oracle_cache=oracle_cache)
         convergence_times[scheme_name] = run.artifacts["convergence_seconds"]
@@ -130,15 +126,13 @@ def run_rate_timeseries(
     link_capacity: float = 10e9,
     iterations: int = 400,
     change_at: int = 200,
-    backend: str = "vectorized",
 ) -> ExperimentResult:
     """Reproduce Fig. 4(b)/(c): a typical flow's rate under DCTCP vs NUMFabric.
 
     A population of flows shares one bottleneck; half of them leave at
     ``change_at`` to emulate a network event.  Under DCTCP the tracked
     flow's rate keeps oscillating, while NUMFabric locks onto the optimal
-    rate within a few price updates.  Both simulators run on the vectorized
-    fluid backend by default (``backend="scalar"`` is the escape hatch).
+    rate within a few price updates.
     """
     timeseries: Dict[str, List[Dict]] = {}
     for scheme_name in ("DCTCP", "NUMFabric"):
@@ -148,7 +142,6 @@ def run_rate_timeseries(
             link_capacity=link_capacity,
             iterations=iterations,
             change_at=change_at,
-            backend=backend,
         )
         timeseries[scheme_name] = run_scenario(spec).artifacts["timeseries"]
 

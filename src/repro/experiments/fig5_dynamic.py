@@ -41,7 +41,7 @@ class DeviationSettings:
         return cls(num_servers=128, num_leaves=8, num_spines=4, load=0.6, num_flows=10_000)
 
 
-def _deviation_spec(scheme, workload, settings, backend, flow_backend):
+def _deviation_spec(scheme, workload, settings):
     return deviation_spec(
         scheme_name=scheme,
         workload=workload,
@@ -51,8 +51,6 @@ def _deviation_spec(scheme, workload, settings, backend, flow_backend):
         load=settings.load,
         num_flows=settings.num_flows,
         seed=settings.seed,
-        backend=backend,
-        flow_backend=flow_backend,
     )
 
 
@@ -60,21 +58,17 @@ def run_deviation_experiment(
     workload: str = "websearch",
     settings: Optional[DeviationSettings] = None,
     schemes: Optional[List[str]] = None,
-    backend: str = "vectorized",
-    flow_backend: str = "array",
     mode: str = "serial",
     cache=None,
     workers: Optional[int] = None,
 ) -> ExperimentResult:
     """Reproduce Fig. 5(a) (web search) or Fig. 5(b) (enterprise).
 
-    Every scheme's control loop runs on the vectorized fluid backend by
-    default (``backend="scalar"`` is the reference escape hatch), and the
-    flow-level byte accounting on the array backend of
-    :class:`~repro.experiments.dynamic_fluid.FlowLevelSimulation`
-    (``flow_backend="dict"`` is its reference twin).  Together with the
-    warm-started vectorized Oracle this runs ``paper_scale()``'s 10k-flow
-    workloads end to end in well under a minute.
+    Every scheme's control loop runs on the vectorized fluid engine and
+    the flow-level byte accounting on the array loop of
+    :class:`~repro.experiments.dynamic_fluid.FlowLevelSimulation`.
+    Together with the persistent dual Oracle this runs ``paper_scale()``'s
+    10k-flow workloads end to end in well under a minute.
 
     All cells go through the sweep fabric: ``mode="serial"`` (default)
     runs in-process and escalates any failure; ``mode="sharded"`` fans
@@ -95,7 +89,7 @@ def run_deviation_experiment(
     # Every scheme replays the identical seeded arrival sequence; the sizes
     # for BDP binning come from the Oracle run's materialized arrivals.
     specs = [
-        _deviation_spec(scheme, workload, settings, backend, flow_backend)
+        _deviation_spec(scheme, workload, settings)
         for scheme in ["Oracle"] + schemes
     ]
     tasks = tasks_from_specs(specs, axes=[{"scheme": s} for s in ["Oracle"] + schemes])

@@ -28,7 +28,6 @@ from repro.sweep import run_sweep, tasks_from_specs
 def _convergence_sweep(
     points: List[tuple],
     max_iterations: int,
-    backend: str,
     mode: str,
     cache,
     workers: Optional[int],
@@ -36,14 +35,9 @@ def _convergence_sweep(
     """Convergence times (seconds) of fluid xWI on the Fig. 6 star network.
 
     ``points`` is a list of ``(alpha, params)`` pairs; one sweep cell each.
-    The NumPy fluid backend is the default -- same convergence results (the
-    backends agree to ~1e-12), much faster sweeps at larger flow counts;
-    ``backend="scalar"`` runs the reference implementation instead.
     """
     specs = [
-        star_convergence_spec(
-            alpha=alpha, params=params, max_iterations=max_iterations, backend=backend
-        )
+        star_convergence_spec(alpha=alpha, params=params, max_iterations=max_iterations)
         for alpha, params in points
     ]
     tasks = tasks_from_specs(specs, axes=[{"alpha": alpha} for alpha, _ in points])
@@ -54,7 +48,6 @@ def _convergence_sweep(
 
 def run_price_interval_sensitivity(
     intervals_us: Optional[List[float]] = None,
-    backend: str = "vectorized",
     mode: str = "serial",
     cache=None,
     workers: Optional[int] = None,
@@ -65,7 +58,7 @@ def run_price_interval_sensitivity(
         (1.0, NumFabricParameters(price_update_interval=interval_us * 1e-6))
         for interval_us in intervals_us
     ]
-    times = _convergence_sweep(points, 400, backend, mode, cache, workers)
+    times = _convergence_sweep(points, 400, mode, cache, workers)
     result = ExperimentResult(
         experiment_id="fig6b",
         title="Convergence time vs price update interval",
@@ -85,7 +78,6 @@ def run_price_interval_sensitivity(
 
 def run_alpha_sensitivity(
     alphas: Optional[List[float]] = None,
-    backend: str = "vectorized",
     mode: str = "serial",
     cache=None,
     workers: Optional[int] = None,
@@ -104,7 +96,7 @@ def run_alpha_sensitivity(
     slowed = base.slowed_down(2.0)
     # One sweep over the full (alpha, slowdown) grid: 1x cells then 2x cells.
     points = [(alpha, base) for alpha in alphas] + [(alpha, slowed) for alpha in alphas]
-    times = _convergence_sweep(points, 400, backend, mode, cache, workers)
+    times = _convergence_sweep(points, 400, mode, cache, workers)
     result = ExperimentResult(
         experiment_id="fig6c",
         title="Convergence time vs alpha (1x and 2x slowed control loop)",

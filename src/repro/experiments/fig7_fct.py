@@ -140,11 +140,10 @@ class FlowLevelFctSettings:
     num_flows: int = 120
     seed: int = 11
     epsilon: float = 0.125
-    flow_backend: str = "array"
 
     @classmethod
     def paper_scale(cls) -> "FlowLevelFctSettings":
-        """The paper's fabric and workload size (tractable on the array backend)."""
+        """The paper's fabric and workload size."""
         return cls(num_servers=128, num_leaves=8, num_spines=4, num_flows=10_000)
 
 
@@ -166,7 +165,6 @@ def _run_flow_level(
         num_flows=settings.num_flows,
         seed=settings.seed,
         epsilon=settings.epsilon,
-        flow_backend=settings.flow_backend,
     )
     run = run_scenario(spec)
     return [

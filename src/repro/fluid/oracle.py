@@ -14,35 +14,27 @@ judged.  We implement two solvers:
   the primal directly with SLSQP (suitable for the evaluation's scale of a
   few hundred sub-flows).
 
-:func:`solve_num` has two interchangeable backends, mirroring the fluid
-simulators:
+Every single-path solve is the same scaled dual problem, assembled once by
+:class:`_DualProblem` from a :class:`CompiledFluidNetwork`; the two entry
+points differ only in start point, preconditioner and minimiser:
 
-* ``backend="vectorized"`` (default) -- the dual objective/gradient are
-  batched array expressions over the compiled link x flow incidence of
-  :mod:`repro.fluid.vectorized`, so each L-BFGS-B evaluation is a handful
-  of matrix products instead of a Python loop per flow.  This is what makes
-  the per-flow-set-change Oracle of the dynamic experiments (Fig. 5)
-  tractable at the paper's 10k-flow scale.
-* ``backend="scalar"`` -- the original per-flow reference implementation,
-  kept as the parity baseline (``tests/fluid/test_oracle.py`` pins the two
-  backends together on a grid of topologies and utility families).
+* :func:`solve_num` -- the *cold reference*: ``z = 0.5`` and scipy
+  L-BFGS-B, the external minimiser every parity gate compares against.
+* :class:`PersistentDualSolver` -- the *production* path of the dynamic
+  experiments (Fig. 5/7): it keeps prices, conditioning, the spectral step
+  *and* the compiled incidence alive across flow-set changes (the incidence
+  is patched incrementally from the network's churn journal) and minimises
+  with the in-repo projected spectral-gradient loop of
+  :func:`_spg_minimize` over preallocated arrays -- scipy's per-call
+  workspace setup is the dominant cost of a warm-started dynamic solve.
 
-For repeated solves on a churning flow set (the dynamic Oracle), pass
-``initial_prices`` (warm start) and a cached ``price_scale`` from
-:func:`estimate_price_scale`; both cut the per-solve cost by an order of
-magnitude without changing the optimum.  Better still, use
-:class:`PersistentDualSolver`: it keeps prices, conditioning, curvature
-state *and* the compiled incidence alive across flow-set changes (the
-incidence is patched incrementally from the network's churn journal), and
-replaces the scipy L-BFGS-B call -- whose per-call workspace setup is the
-dominant cost of warm-started dynamic solves -- with an in-repo projected
-spectral-gradient minimizer over preallocated arrays.  ``solver="scipy"``
-remains the parity reference.
+``solve_num(backend="scalar")`` is the per-flow reference implementation
+that ``tests/fluid/test_oracle.py`` pins the array dual to on a grid of
+topologies and utility families; no layer above selects it.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -95,8 +87,8 @@ def estimate_price_scale(network: FluidNetwork, backend: str = "vectorized") -> 
     allocation.  Only links with at least one flow appear in the result.
 
     The scale is pure conditioning: it never changes the optimum, so
-    repeated dynamic solves (:class:`~repro.experiments.dynamic_fluid.OracleRatePolicy`)
-    can cache it across flow-set changes instead of recomputing it per solve.
+    :class:`PersistentDualSolver` caches it across flow-set changes instead
+    of recomputing it per solve.
     Single-path flows only (multipath groups are rejected by the callers).
     """
     if backend == "scalar":
@@ -147,66 +139,31 @@ def _scale_medians(compiled: CompiledFluidNetwork) -> Tuple[np.ndarray, np.ndarr
     return active_idx, medians
 
 
-def _scale_vector(
-    price_scale: Optional[Mapping[LinkId, float]],
-    network: FluidNetwork,
-    backend: str,
-    active_links: List[LinkId],
-) -> np.ndarray:
-    """Price scale for the active links, computing or completing as needed.
-
-    A caller-provided (cached) scale may predate the current flow set; links
-    it misses fall back to the median of the provided values, which keeps
-    the conditioning in the right ballpark without a full recompute.
-    """
-    if price_scale is None:
-        price_scale = estimate_price_scale(network, backend=backend)
-    if price_scale:
-        fill = float(np.median(np.fromiter(price_scale.values(), dtype=float)))
-    else:
-        fill = 1.0
-    return np.array([price_scale.get(link, fill) for link in active_links], dtype=float)
-
-
 def solve_num(
     network: FluidNetwork,
     max_iterations: int = 2000,
     tolerance: float = 1e-9,
-    initial_prices: Optional[Mapping[LinkId, float]] = None,
     backend: str = "vectorized",
-    price_scale: Optional[Mapping[LinkId, float]] = None,
     safeguard: bool = True,
-    solver: str = "scipy",
     kernel: Optional[str] = None,
 ) -> OracleResult:
     """Solve ``max sum_i U_i(x_i)`` s.t. ``Rx <= c`` for single-path flows.
 
-    Flows that belong to a group (multipath aggregates) are not supported
-    here; use :func:`solve_num_multipath`.
+    The cold reference solve: every call starts from ``z = 0.5`` and
+    minimises the dual with scipy L-BFGS-B.  Flows that belong to a group
+    (multipath aggregates) are not supported here; use
+    :func:`solve_num_multipath`.
 
     Parameters
     ----------
-    initial_prices:
-        Warm-start prices (e.g. from the previous solve of a dynamic
-        scenario); links not present start at zero.
     backend:
-        ``"vectorized"`` (default, batched array dual) or ``"scalar"``
-        (the per-flow reference implementation).
-    price_scale:
-        Cached conditioning from :func:`estimate_price_scale`; computed
-        fresh when omitted.
+        ``"vectorized"`` (default, the batched array dual of
+        :class:`_DualProblem`) or ``"scalar"`` (the per-flow reference
+        implementation the parity tests compare against).
     safeguard:
         When true (default), the solution is checked against the max-min
         allocation and a primal SLSQP fallback is attempted if the dual
-        stalled (very steep utilities).  Dynamic callers with
-        well-conditioned utilities can disable it to shave per-solve cost.
-    solver:
-        ``"scipy"`` (default: L-BFGS-B, the parity reference), ``"spg"``
-        (the in-repo projected spectral-gradient minimizer of
-        :func:`_spg_minimize`, the one-shot form of what
-        :class:`PersistentDualSolver` runs with persistent state) or
-        ``"lbfgs"`` (the in-repo projected quasi-Newton minimizer of
-        :func:`_lbfgs_minimize`).
+        stalled (very steep utilities).
     kernel:
         ``"numba"`` evaluates the dual objective/gradient with the fused
         compiled kernel of :mod:`repro.fluid.kernels` (vectorized backend,
@@ -223,39 +180,37 @@ def solve_num(
         raise ValueError("network contains multipath groups; use solve_num_multipath")
     if backend not in ("scalar", "vectorized"):
         raise ValueError(f"unknown oracle backend {backend!r}")
-    if solver not in ("scipy", "spg", "lbfgs"):
-        raise ValueError(f"unknown oracle solver {solver!r}")
-    links = network.links
     if not flows:
-        return OracleResult(rates={}, prices={link: 0.0 for link in links}, objective=0.0,
-                            iterations=0, converged=True)
-    if backend == "vectorized":
-        return _solve_num_vectorized(
-            network, flows, links, max_iterations, tolerance, initial_prices,
-            price_scale, safeguard, solver, kernel,
-        )
-    return _solve_num_scalar(
-        network, flows, links, max_iterations, tolerance, initial_prices,
-        price_scale, safeguard, solver,
+        return OracleResult(rates={}, prices={link: 0.0 for link in network.links},
+                            objective=0.0, iterations=0, converged=True)
+    if backend == "scalar":
+        return _solve_num_scalar(network, flows, network.links, max_iterations, tolerance,
+                                 safeguard)
+    compiled = compile_network(network)
+    problem = _DualProblem(compiled)
+    if not problem.active_idx.size:
+        return problem.idle_result(network)
+    problem.bind(_scale_medians(compiled)[1], _kernels.resolve_kernel(kernel))
+    minimised = _cold_minimize(
+        problem.dual_and_gradient, len(problem.active_idx), max_iterations, tolerance
+    )
+    return problem.result(
+        network, problem.prices(minimised.x), int(minimised.nit), bool(minimised.success),
+        safeguard, max_iterations,
     )
 
 
-def _dual_minimize(dual_and_gradient, z0: np.ndarray, max_iterations: int, tolerance: float,
-                   solver: str = "scipy", precondition: Optional[np.ndarray] = None):
-    """The shared dual minimization over non-negative scaled prices."""
-    if solver == "spg":
-        return _spg_minimize(
-            dual_and_gradient, z0, max_iterations, tolerance, precondition=precondition
-        )
-    if solver == "lbfgs":
-        return _lbfgs_minimize(
-            dual_and_gradient, z0, max_iterations, tolerance, precondition=precondition
-        )
+def _cold_minimize(dual_and_gradient, n_links: int, max_iterations: int, tolerance: float):
+    """The cold reference minimisation: scipy L-BFGS-B over scaled prices ``z >= 0``.
+
+    Starts at half the scale estimate itself (``z = 0.5``) so multi-hop
+    paths are not wildly overpriced initially.
+    """
     return optimize.minimize(
         dual_and_gradient,
-        z0,
+        np.full(n_links, 0.5, dtype=float),
         jac=True,
-        bounds=[(0.0, None)] * len(z0),
+        bounds=[(0.0, None)] * n_links,
         method="L-BFGS-B",
         options={"maxiter": max_iterations, "ftol": tolerance, "gtol": 1e-12},
     )
@@ -291,18 +246,18 @@ def _spg_minimize(
     z0: np.ndarray,
     max_iterations: int,
     tolerance: float,
+    precondition: np.ndarray,
     initial_step: Optional[float] = None,
-    precondition: Optional[np.ndarray] = None,
 ) -> _SpgResult:
     """Preconditioned projected spectral-gradient descent over ``z >= 0``.
 
-    The in-repo replacement for the per-call L-BFGS-B setup: a projected
-    Barzilai-Borwein step with a nonmonotone Armijo line search, operating
-    directly on the caller's arrays.  The dual is convex and (piecewise)
-    smooth, so the spectral step converges in a handful of iterations from
-    a warm start -- without scipy's per-call workspace allocation, bound
-    standardization and Fortran round trips, which dominate warm dynamic
-    solves.
+    The persistent solver's minimiser, replacing the per-call L-BFGS-B
+    setup: a projected Barzilai-Borwein step with a nonmonotone Armijo line
+    search, operating directly on the caller's arrays.  The dual is convex
+    and (piecewise) smooth, so the spectral step converges in a handful of
+    iterations from a warm start -- without scipy's per-call workspace
+    allocation, bound standardization and Fortran round trips, which
+    dominate warm dynamic solves.
 
     ``precondition`` is a positive diagonal ``D`` applied to the gradient
     step (``z - step * D * g``, equivalent to plain SPG in the variables
@@ -324,9 +279,7 @@ def _spg_minimize(
     """
     z = np.maximum(np.asarray(z0, dtype=float), 0.0)
     f, g = dual_and_gradient(z)
-    scaled = precondition is not None
-    diag = precondition if scaled else None
-    step_direction = diag * g if scaled else g
+    step_direction = precondition * g
     if initial_step is not None and np.isfinite(initial_step) and initial_step > 0.0:
         step = initial_step
     else:
@@ -357,15 +310,14 @@ def _spg_minimize(
         y = g_new - g
         sy = float(s @ y)
         if sy > 0.0:
-            # BB step in the preconditioned variables z / sqrt(D).
-            step = float((s / diag) @ s) / sy if scaled else float(s @ s) / sy
+            step = float((s / precondition) @ s) / sy  # BB step in the variables z / sqrt(D)
         else:
             step = step * 2.0
         step = min(max(step, _SPG_STEP_MIN), _SPG_STEP_MAX)
         stalls = stalls + 1 if abs(f - f_new) <= tolerance * max(abs(f), abs(f_new), 1.0) else 0
         z, f, g = z_new, f_new, g_new
         recent.append(f)
-        step_direction = diag * g if scaled else g
+        step_direction = precondition * g
         projected_gradient = z - np.maximum(z - step_direction, 0.0)
         pg_norm = float(np.max(np.abs(projected_gradient), initial=0.0))
         if pg_norm <= _SPG_PGTOL or (
@@ -374,181 +326,6 @@ def _spg_minimize(
             success = True
             break
     return _SpgResult(x=z, nit=nit, success=success, step=step)
-
-
-#: Curvature-pair memory of the projected quasi-Newton inner solver.
-_LBFGS_MEMORY = 10
-#: Relative curvature threshold below which an ``(s, y)`` pair is discarded
-#: (numerical noise must not enter the inverse-Hessian model).
-_LBFGS_CURVATURE_MIN = 1e-10
-#: Trust cap on the quasi-Newton displacement, in multiples of the current
-#: spectral step length (same metric).  The dual is piecewise smooth -- rate
-#: clipping leaves flat directions -- so an almost-singular curvature model
-#: can propose arbitrarily long steps; projected onto the orthant those stop
-#: being descent directions and every one costs a full line-search backtrack.
-_LBFGS_TRUST = 4.0
-
-
-def _lbfgs_direction(
-    g: np.ndarray,
-    pairs,
-    fallback_step: float,
-    diag: Optional[np.ndarray],
-) -> np.ndarray:
-    """Two-loop recursion over the stored curvature pairs.
-
-    Returns the quasi-Newton *displacement* ``-H g``.  The implicit
-    inverse-Hessian model is seeded with ``gamma D`` -- the caller's
-    diagonal preconditioner under the standard per-iteration spectral
-    scaling -- i.e. the recursion runs in the preconditioned variables
-    ``z / sqrt(D)``.  Seeding with the usual ``gamma I`` instead is
-    hopeless here: the dual mixes per-link curvatures spanning orders of
-    magnitude (that is why SPG preconditions every step), and ``m``
-    curvature pairs can only correct ``m`` directions of that
-    ill-conditioning.  With an empty history the direction degrades to the
-    preconditioned spectral step, so iteration one is exactly SPG.
-    """
-    if not pairs:
-        return -(fallback_step * (diag * g if diag is not None else g))
-    q = g.copy()
-    alphas = [0.0] * len(pairs)
-    for i in range(len(pairs) - 1, -1, -1):
-        s, y, rho = pairs[i]
-        alpha = rho * float(s @ q)
-        alphas[i] = alpha
-        q -= alpha * y
-    s_last, y_last, _ = pairs[-1]
-    if diag is not None:
-        # gamma in the D-metric: (s' y') / (y' y') with s' = D^-1/2 s,
-        # y' = D^1/2 y, then H0 = gamma * D back in the original variables.
-        q *= (float(s_last @ y_last) / float(y_last @ (diag * y_last))) * diag
-    else:
-        q *= float(s_last @ y_last) / float(y_last @ y_last)
-    for i, (s, y, rho) in enumerate(pairs):
-        beta = rho * float(y @ q)
-        q += (alphas[i] - beta) * s
-    np.negative(q, out=q)
-    return q
-
-
-def _lbfgs_minimize(
-    dual_and_gradient,
-    z0: np.ndarray,
-    max_iterations: int,
-    tolerance: float,
-    initial_step: Optional[float] = None,
-    precondition: Optional[np.ndarray] = None,
-    history: Optional[deque] = None,
-) -> _SpgResult:
-    """Limited-memory projected quasi-Newton descent over ``z >= 0``.
-
-    The ``inner="lbfgs"`` option of :class:`PersistentDualSolver` (and
-    ``solver="lbfgs"`` of :func:`solve_num`): a two-loop recursion over the
-    last :data:`_LBFGS_MEMORY` curvature pairs proposes ``z + d`` with
-    ``d = -H g``, the trial is projected onto the nonnegative orthant, and
-    the *same* GLL nonmonotone Armijo line search as :func:`_spg_minimize`
-    safeguards the (projected, hence merely heuristic) quasi-Newton step.
-    Whenever the projected direction fails the descent test -- the model
-    was built on a different active face, or curvature went stale after
-    churn -- the history is dropped and the iteration falls back to the
-    preconditioned projected spectral step, so the solver is never worse
-    than restarting SPG.  The spectral (Barzilai-Borwein) step length is
-    maintained alongside as the fallback scale and the cross-solve
-    curvature carrier, and the stopping rules (projected-gradient
-    optimality, guarded objective stall) are shared with SPG, so the two
-    inner solvers are interchangeable per solve.
-
-    ``history``, when given, is a deque of ``(s, y, 1/s@y)`` pairs reused
-    and refilled in place: :class:`PersistentDualSolver` carries it across
-    churned solves (the SNIPPETS persistent-state idiom), dropping it only
-    when the active link set or the conditioning changes.
-    """
-    z = np.maximum(np.asarray(z0, dtype=float), 0.0)
-    f, g = dual_and_gradient(z)
-    scaled = precondition is not None
-    diag = precondition if scaled else None
-    pairs = history if history is not None else deque(maxlen=_LBFGS_MEMORY)
-    step_direction = diag * g if scaled else g
-    if initial_step is not None and np.isfinite(initial_step) and initial_step > 0.0:
-        step = initial_step
-    else:
-        g_norm = float(np.max(np.abs(step_direction), initial=0.0))
-        step = 1.0 / g_norm if g_norm > 0.0 else 1.0
-    step = min(max(step, _SPG_STEP_MIN), _SPG_STEP_MAX)
-    recent = deque([f], maxlen=_SPG_MEMORY)
-    stalls = 0
-    nit = 0
-    success = not z.size
-    for nit in range(1, max_iterations + 1):
-        d = _lbfgs_direction(g, pairs, step, diag)
-        if pairs:
-            # Trust cap (see _LBFGS_TRUST): compare the proposed displacement
-            # against the spectral step in the D^-1 metric and shrink it if
-            # the curvature model is extrapolating into a flat region.
-            spectral_len = step * float(np.sqrt(g @ step_direction))
-            qn_sq = float(d @ (d / diag)) if scaled else float(d @ d)
-            limit = _LBFGS_TRUST * spectral_len
-            if qn_sq > limit * limit > 0.0:
-                d *= limit / math.sqrt(qn_sq)
-        trial = np.maximum(z + d, 0.0)
-        d = trial - z
-        dg = float(d @ g)
-        if dg >= 0.0 and pairs:
-            # The quasi-Newton direction is blocked by the bounds (or the
-            # curvature model went stale): restart from the spectral step.
-            pairs.clear()
-            trial = np.maximum(z - step * step_direction, 0.0)
-            d = trial - z
-            dg = float(d @ g)
-        if dg >= 0.0:
-            success = True  # no feasible descent direction: stationary point
-            nit -= 1
-            break
-        f_ref = max(recent)
-        lam = 1.0
-        z_new = trial
-        f_new, g_new = dual_and_gradient(z_new)
-        while f_new > f_ref + _SPG_ARMIJO * lam * dg and lam > 1e-8:
-            lam *= 0.5
-            z_new = z + lam * d
-            f_new, g_new = dual_and_gradient(z_new)
-        s = z_new - z
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > _LBFGS_CURVATURE_MIN * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            pairs.append((s, y, 1.0 / sy))
-        if sy > 0.0:
-            # Spectral step in the preconditioned variables (see SPG).
-            step = float((s / diag) @ s) / sy if scaled else float(s @ s) / sy
-        else:
-            step = step * 2.0
-        step = min(max(step, _SPG_STEP_MIN), _SPG_STEP_MAX)
-        stalls = stalls + 1 if abs(f - f_new) <= tolerance * max(abs(f), abs(f_new), 1.0) else 0
-        z, f, g = z_new, f_new, g_new
-        recent.append(f)
-        step_direction = diag * g if scaled else g
-        projected_gradient = z - np.maximum(z - step_direction, 0.0)
-        pg_norm = float(np.max(np.abs(projected_gradient), initial=0.0))
-        if pg_norm <= _SPG_PGTOL or (
-            stalls >= _SPG_STALL_LIMIT and pg_norm <= _SPG_STALL_PGTOL
-        ):
-            success = True
-            break
-    return _SpgResult(x=z, nit=nit, success=success, step=step)
-
-
-def _warm_start(
-    initial_prices: Optional[Mapping[LinkId, float]],
-    active_links: List[LinkId],
-    scale_vec: np.ndarray,
-) -> np.ndarray:
-    if initial_prices is not None:
-        return np.array(
-            [max(initial_prices.get(link, 0.0), 0.0) for link in active_links], dtype=float
-        ) / scale_vec
-    # Start at half the scale estimate itself (z = 0.5) so multi-hop paths
-    # are not wildly overpriced initially.
-    return np.full(len(active_links), 0.5, dtype=float)
 
 
 def _finish(
@@ -599,10 +376,7 @@ def _solve_num_scalar(
     links: List[LinkId],
     max_iterations: int,
     tolerance: float,
-    initial_prices: Optional[Mapping[LinkId, float]],
-    price_scale: Optional[Mapping[LinkId, float]],
     safeguard: bool,
-    solver: str = "scipy",
 ) -> OracleResult:
     """The per-flow reference implementation of the dual solve."""
     used = set()
@@ -625,7 +399,8 @@ def _solve_num_scalar(
     rate_caps = {flow.flow_id: network.path_capacity(flow.flow_id) for flow in flows}
     rate_floors = {fid: cap * _MIN_RATE_FRACTION for fid, cap in rate_caps.items()}
 
-    scale_vec = _scale_vector(price_scale, network, "scalar", active_links)
+    scales = estimate_price_scale(network, backend="scalar")
+    scale_vec = np.array([scales[link] for link in active_links], dtype=float)
     objective_scale = float(np.max(capacities) * np.median(scale_vec))
 
     def primal_rates(prices: np.ndarray) -> Dict[FlowId, float]:
@@ -656,9 +431,7 @@ def _solve_num_scalar(
         gradient = scale_vec * (capacities - load)
         return value / objective_scale, gradient / objective_scale
 
-    z0 = _warm_start(initial_prices, active_links, scale_vec)
-    result = _dual_minimize(dual_and_gradient, z0, max_iterations, tolerance, solver,
-                            precondition=objective_scale / (scale_vec * capacities))
+    result = _cold_minimize(dual_and_gradient, len(active_links), max_iterations, tolerance)
     prices = scale_vec * np.maximum(result.x, 0.0)
     rates = primal_rates(prices)
     rates = _rescale_to_feasible(network, rates)
@@ -727,153 +500,181 @@ def _kernel_dual_closure(
     return dual_and_gradient
 
 
-def _solve_num_vectorized(
-    network: FluidNetwork,
-    flows,
-    links: List[LinkId],
-    max_iterations: int,
-    tolerance: float,
-    initial_prices: Optional[Mapping[LinkId, float]],
-    price_scale: Optional[Mapping[LinkId, float]],
-    safeguard: bool,
-    solver: str = "scipy",
-    kernel: Optional[str] = None,
-) -> OracleResult:
-    """Batched dual solve over the compiled link x flow incidence."""
-    compiled = compile_network(network)
-    vec_utils = compiled.vec_utils
-    capacities_all = compiled.capacities_vector()
-    # Failed (zero-capacity) links are excluded like flowless ones: their
-    # price stays zero and path-capacity clipping already pins every flow
-    # crossing them to a zero rate, so they cannot condition the dual.
-    active = compiled.incidence.any(axis=1) & (capacities_all > 0.0)
-    active_idx = np.nonzero(active)[0]
-    active_links = [compiled.link_ids[i] for i in active_idx]
-    incidence = compiled.incidence[active]
-    incidence_f = compiled.incidence_f[active]
-    capacities = capacities_all[active]
+class _DualProblem:
+    """The scaled dual of one compiled flow set, assembled once for both solvers.
 
-    path_caps = compiled.path_capacities(capacities_all)
-    floors = path_caps * _MIN_RATE_FRACTION
+    Construction fixes what the flow set and the capacities determine alone
+    (active links, per-flow rate caps and floors); :meth:`bind` adds the
+    per-link price scale and builds the objective/gradient closure.  The
+    callers -- cold :func:`solve_num` and :class:`PersistentDualSolver` --
+    choose only the start point, the preconditioner and the minimiser, then
+    hand the optimal prices to :meth:`result`.
+    """
 
-    if not active_idx.size:
-        rates = {flow.flow_id: 0.0 for flow in flows}
-        return OracleResult(rates=rates, prices={link: 0.0 for link in links},
+    def __init__(self, compiled: CompiledFluidNetwork):
+        self.compiled = compiled
+        self.capacities_all = compiled.capacities_vector()
+        # Failed (zero-capacity) links are excluded like flowless ones: their
+        # price stays zero and path-capacity clipping already pins every flow
+        # crossing them to a zero rate, so they cannot condition the dual.
+        active = compiled.incidence.any(axis=1) & (self.capacities_all > 0.0)
+        self.active_idx = np.nonzero(active)[0]
+        self.incidence = compiled.incidence[active]
+        self.incidence_f = compiled.incidence_f[active]
+        self.capacities = self.capacities_all[active]
+        # Per-flow rate cap: the narrowest link on the path.  Clipping at the
+        # cap keeps the inner maximization bounded even at a ~0 path price.
+        self.path_caps = compiled.path_capacities(self.capacities_all)
+        self.floors = self.path_caps * _MIN_RATE_FRACTION
+
+    def idle_result(self, network: FluidNetwork) -> OracleResult:
+        """The allocation when no link can carry anything: every rate is zero."""
+        rates = {flow_id: 0.0 for flow_id in self.compiled.flow_ids}
+        return OracleResult(rates=rates, prices={link: 0.0 for link in self.compiled.link_ids},
                             objective=network.total_utility(rates),
                             iterations=0, converged=True)
 
-    scale_vec = _scale_vector(price_scale, network, "vectorized", active_links)
-    objective_scale = float(np.max(capacities) * np.median(scale_vec))
+    def bind(self, scale_vec: np.ndarray, kernel: str) -> None:
+        """Fix the price scale (``p_l = scale_l * z_l``) and build the closures.
 
-    def primal_rates_vec(prices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        path_prices = incidence_f.T @ prices
-        rates = vec_utils.inverse_marginal_clipped(path_prices, path_caps)
-        return np.maximum(rates, floors), path_prices
+        ``kernel`` is a resolved kernel name; ``"numba"`` swaps in the fused
+        compiled closure when the utility population allows it.
+        """
+        vec_utils = self.compiled.vec_utils
+        incidence_f, capacities = self.incidence_f, self.capacities
+        path_caps, floors = self.path_caps, self.floors
+        objective_scale = float(np.max(capacities) * np.median(scale_vec))
+        incidence_f_t = incidence_f.T
+        log_weights = vec_utils.uniform_log_weights()
 
-    def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
-        prices = scale_vec * z
-        rates, path_prices = primal_rates_vec(prices)
-        value = float(prices @ capacities + vec_utils.value(rates).sum() - rates @ path_prices)
-        load = incidence_f @ rates
-        gradient = scale_vec * (capacities - load)
-        return value / objective_scale, gradient / objective_scale
+        def primal_rates(prices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            path_prices = incidence_f_t @ prices
+            if log_weights is None:
+                rates = vec_utils.inverse_marginal_clipped(path_prices, path_caps)
+            else:
+                # Fused all-log fast path: same elementwise arithmetic as
+                # inverse_marginal_clipped, without per-family dispatch.
+                rates = np.minimum(
+                    log_weights / np.maximum(path_prices, _EPSILON), path_caps
+                )
+                np.copyto(rates, path_caps, where=path_prices <= 0.0)
+            return np.maximum(rates, floors), path_prices
 
-    if _kernels.resolve_kernel(kernel) == "numba":
-        fused = _kernel_dual_closure(
-            vec_utils, incidence, scale_vec, capacities, path_caps, floors,
-            objective_scale,
+        def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
+            prices = scale_vec * z
+            rates, path_prices = primal_rates(prices)
+            if log_weights is None:
+                utility_sum = vec_utils.value(rates).sum()
+            else:
+                utility_sum = (log_weights * np.log(np.maximum(rates, _EPSILON))).sum()
+            value = float(prices @ capacities + utility_sum - rates @ path_prices)
+            load = incidence_f @ rates
+            gradient = scale_vec * (capacities - load)
+            return value / objective_scale, gradient / objective_scale
+
+        if kernel == "numba":
+            fused = _kernel_dual_closure(
+                vec_utils, self.incidence, scale_vec, capacities, path_caps, floors,
+                objective_scale,
+            )
+            if fused is not None:
+                dual_and_gradient = fused
+
+        self.scale_vec = scale_vec
+        self.objective_scale = objective_scale
+        self.primal_rates = primal_rates
+        self.dual_and_gradient = dual_and_gradient
+
+    def prices(self, z: np.ndarray) -> np.ndarray:
+        """Physical prices of the active links at scaled prices ``z``."""
+        return self.scale_vec * np.maximum(z, 0.0)
+
+    def residual_precondition(self) -> np.ndarray:
+        """``D_l = 1 / (scale_l * capacity_l)`` in objective units (see SPG)."""
+        return self.objective_scale / (self.scale_vec * self.capacities)
+
+    def jacobi_precondition(self, z0: np.ndarray) -> np.ndarray:
+        """Diagonal (Jacobi) preconditioner for *cold* SPG dual solves.
+
+        The dual Hessian's diagonal is ``H_l = sum_{f on l} |dx_f/dq_f|`` over
+        flows whose rate is strictly between floor and cap; every batched
+        family is a power-law demand ``x ~ q^(-1/alpha_eff)``, so
+        ``|dx/dq| = x / (alpha_eff * q)``.  Evaluated at the start point, this
+        rescues instances where the median price-scale misestimates a link by
+        orders of magnitude (a link shared by log and alpha = 2 flows: the
+        median picks the log marginal ~1e-10 while the binding curvature sits
+        at ~1e-20, and the plain relative-residual step then oscillates across
+        the tiny true price for thousands of iterations).  Warm solves skip
+        this -- measured on the Fig. 5 churn pattern, the relative-residual
+        heuristic converges in fewer iterations from a near-optimal start.
+        Links with zero measured curvature (all flows clipped) fall back to
+        the heuristic.
+        """
+        scale_vec = self.scale_vec
+        rates0, path_prices0 = self.primal_rates(scale_vec * z0)
+        interior = (rates0 > self.floors) & (rates0 < self.path_caps)
+        slopes = np.zeros(len(rates0))
+        np.divide(
+            rates0,
+            self.compiled.vec_utils.curvature_alpha * np.maximum(path_prices0, 1e-300),
+            out=slopes, where=interior,
         )
-        if fused is not None:
-            dual_and_gradient = fused
-
-    z0 = _warm_start(initial_prices, active_links, scale_vec)
-    if solver == "spg" and initial_prices is None:
-        precondition = _cold_start_precondition(
-            z0, scale_vec, capacities, objective_scale, incidence_f,
-            vec_utils.curvature_alpha, primal_rates_vec, path_caps, floors,
+        curvature = self.incidence_f @ slopes
+        with np.errstate(divide="ignore", over="ignore"):
+            newton = self.objective_scale / (scale_vec**2 * curvature)
+        return np.where(
+            (curvature > 0.0) & np.isfinite(newton), newton, self.residual_precondition()
         )
-    else:
-        precondition = objective_scale / (scale_vec * capacities)
-    result = _dual_minimize(dual_and_gradient, z0, max_iterations, tolerance, solver,
-                            precondition=precondition)
-    prices = scale_vec * np.maximum(result.x, 0.0)
-    rate_vec, _ = primal_rates_vec(prices)
-    rate_vec = _rescale_to_feasible_arrays(incidence, incidence_f, rate_vec, capacities)
-    objective = float(vec_utils.value(rate_vec).sum())
-    rates = dict(zip(compiled.flow_ids, rate_vec.tolist()))
 
-    maxmin_rates = maxmin_objective = None
-    if safeguard:
-        # The reference allocation must respect *all* carrying links,
-        # including failed (zero-capacity) ones excluded from the dual --
-        # otherwise a dead-link flow looks entitled to a positive rate and
-        # the safeguard wrongly rejects the (correct) dual solution.
-        maxmin_vec = waterfill_arrays(
-            compiled.incidence, compiled.incidence_f,
-            np.ones(len(compiled.flow_ids)), capacities_all,
-            path_links=compiled.path_links,
+    def result(
+        self,
+        network: FluidNetwork,
+        prices: np.ndarray,
+        iterations: int,
+        success: bool,
+        safeguard: bool,
+        max_iterations: int,
+    ) -> OracleResult:
+        """Pack the minimiser's prices into a feasible, safeguarded allocation."""
+        compiled = self.compiled
+        vec_utils = compiled.vec_utils
+        rate_vec, _ = self.primal_rates(prices)
+        rate_vec = _rescale_to_feasible_arrays(
+            self.incidence, self.incidence_f, rate_vec, self.capacities
         )
-        maxmin_objective = float(vec_utils.value(maxmin_vec).sum())
-        maxmin_rates = dict(zip(compiled.flow_ids, maxmin_vec.tolist()))
-    price_dict = {link: 0.0 for link in links}
-    for position, link in enumerate(active_links):
-        price_dict[link] = float(prices[position])
-    return _finish(network, flows, links, rates, price_dict, objective,
-                   int(result.nit), bool(result.success),
-                   maxmin_rates, maxmin_objective, max_iterations)
+        objective = float(vec_utils.value(rate_vec).sum())
+        rates = dict(zip(compiled.flow_ids, rate_vec.tolist()))
 
-
-def _cold_start_precondition(
-    z0: np.ndarray,
-    scale_vec: np.ndarray,
-    capacities: np.ndarray,
-    objective_scale: float,
-    incidence_f: np.ndarray,
-    curvature_alpha: np.ndarray,
-    primal_rates_vec,
-    path_caps: np.ndarray,
-    floors: np.ndarray,
-) -> np.ndarray:
-    """Diagonal (Jacobi) preconditioner for *cold* SPG dual solves.
-
-    The dual Hessian's diagonal is ``H_l = sum_{f on l} |dx_f/dq_f|`` over
-    flows whose rate is strictly between floor and cap; every batched
-    family is a power-law demand ``x ~ q^(-1/alpha_eff)``, so
-    ``|dx/dq| = x / (alpha_eff * q)``.  Evaluated at the start point, this
-    rescues instances where the median price-scale misestimates a link by
-    orders of magnitude (a link shared by log and alpha = 2 flows: the
-    median picks the log marginal ~1e-10 while the binding curvature sits
-    at ~1e-20, and the plain relative-residual step then oscillates across
-    the tiny true price for thousands of iterations).  Warm solves skip
-    this -- measured on the Fig. 5 churn pattern, the relative-residual
-    heuristic converges in fewer iterations from a near-optimal start.
-    Links with zero measured curvature (all flows clipped) fall back to
-    the heuristic.
-    """
-    prices0 = scale_vec * z0
-    rates0, path_prices0 = primal_rates_vec(prices0)
-    interior = (rates0 > floors) & (rates0 < path_caps)
-    slopes = np.zeros(len(rates0))
-    np.divide(
-        rates0, curvature_alpha * np.maximum(path_prices0, 1e-300),
-        out=slopes, where=interior,
-    )
-    curvature = incidence_f @ slopes
-    heuristic = objective_scale / (scale_vec * capacities)
-    with np.errstate(divide="ignore", over="ignore"):
-        newton = objective_scale / (scale_vec**2 * curvature)
-    return np.where((curvature > 0.0) & np.isfinite(newton), newton, heuristic)
+        maxmin_rates = maxmin_objective = None
+        if safeguard:
+            # The reference allocation must respect *all* carrying links,
+            # including failed (zero-capacity) ones excluded from the dual --
+            # otherwise a dead-link flow looks entitled to a positive rate and
+            # the safeguard wrongly rejects the (correct) dual solution.
+            maxmin_vec = waterfill_arrays(
+                compiled.incidence, compiled.incidence_f,
+                np.ones(len(compiled.flow_ids)), self.capacities_all,
+                path_links=compiled.path_links,
+            )
+            maxmin_objective = float(vec_utils.value(maxmin_vec).sum())
+            maxmin_rates = dict(zip(compiled.flow_ids, maxmin_vec.tolist()))
+        links = compiled.link_ids
+        price_dict = {link: 0.0 for link in links}
+        for position, link_idx in enumerate(self.active_idx.tolist()):
+            price_dict[links[link_idx]] = float(prices[position])
+        return _finish(network, compiled.flows, links, rates, price_dict, objective,
+                       iterations, success, maxmin_rates, maxmin_objective, max_iterations)
 
 
 class PersistentDualSolver:
     """A dual Oracle whose state survives flow-set changes.
 
     The dynamic experiments (Fig. 5/7) re-solve the NUM problem on *every*
-    arrival/departure batch; with ``solver="scipy"`` each of those solves
-    pays L-BFGS-B's per-call setup (workspace allocation, bound
-    standardization, ``ScalarFunction`` wrappers) even when the warm start
-    lands one step from the optimum.  This solver keeps everything that is
-    reusable alive across flow-set changes instead:
+    arrival/departure batch; a cold :func:`solve_num` per batch would pay
+    L-BFGS-B's per-call setup (workspace allocation, bound standardization,
+    ``ScalarFunction`` wrappers) even when the previous prices sit one step
+    from the optimum.  This solver keeps everything that is reusable alive
+    across flow-set changes instead:
 
     * **Compiled incidence** -- a private :class:`CompiledFluidNetwork`
       brought up to date via its incremental :meth:`~CompiledFluidNetwork.refresh`
@@ -884,17 +685,21 @@ class PersistentDualSolver:
       warm start (links temporarily without flows keep their last price as
       the guess for when they refill).
     * **Curvature** -- the spectral (Barzilai-Borwein) step carried between
-      solves, and, under ``inner="lbfgs"``, the limited-memory curvature
-      pairs of :func:`_lbfgs_minimize` (dropped whenever the active link
-      set or the conditioning changes).
+      solves.
     * **Conditioning** -- the per-link price scale of
       :func:`estimate_price_scale`, refreshed only every
       ``scale_refresh_interval`` churned solves (it conditions the solver
       but never changes the optimum).
 
-    Parity: warm persistent solves match a cold ``solver="scipy"`` solve of
-    the same instance to well within 1e-6 relative on rates (pinned by the
-    churn-trace test in ``tests/fluid/test_oracle.py`` and gated by the
+    The minimiser is :func:`_spg_minimize`: the clipped dual is piecewise
+    smooth, so a quasi-Newton model is invalidated face by face while the
+    spectral step re-converges in ~4 iterations from a warm start.  A fresh
+    solver's first solve is a cold SPG solve (``z = 0.5``, Jacobi
+    preconditioner).
+
+    Parity: warm persistent solves match a cold :func:`solve_num` of the
+    same instance to well within 1e-6 relative on rates (pinned by the
+    churn-trace tests in ``tests/fluid/test_oracle.py`` and gated by the
     perf harness); the allocation it converges to is the same unique NUM
     optimum.  Multipath groups are rejected exactly like :func:`solve_num`.
     """
@@ -906,26 +711,12 @@ class PersistentDualSolver:
         max_iterations: int = 2000,
         scale_refresh_interval: int = 32,
         safeguard: bool = False,
-        inner: str = "spg",
         kernel: Optional[str] = None,
     ):
-        if inner not in ("spg", "lbfgs"):
-            raise ValueError(f"unknown inner solver {inner!r} (expected 'spg' or 'lbfgs')")
         self.tolerance = tolerance
         self.max_iterations = max_iterations
         self.scale_refresh_interval = scale_refresh_interval
         self.safeguard = safeguard
-        #: Inner minimizer: ``"spg"`` (default, the preconditioned spectral
-        #: projected-gradient loop) or ``"lbfgs"`` (the projected
-        #: quasi-Newton of :func:`_lbfgs_minimize` with curvature pairs
-        #: carried across churned solves).  SPG stays the default because
-        #: the dual is piecewise smooth: rate clipping changes the active
-        #: curvature per face, so the quasi-Newton model is frequently
-        #: invalidated and warm churned solves take ~5x more gradient
-        #: evaluations than SPG's ~4-iteration resolves (see
-        #: ``benchmarks/perf``); ``lbfgs`` is kept as a parity-tested
-        #: alternative for stiffer utility mixes.
-        self.inner = inner
         #: Dual-evaluation kernel, resolved once (honors ``REPRO_KERNEL``).
         self.kernel = _kernels.resolve_kernel(kernel)
         self._network = network
@@ -939,8 +730,6 @@ class PersistentDualSolver:
         self._last_capacity_version: Optional[int] = None
         self._step: Optional[float] = None
         self._warm = False
-        self._lbfgs_pairs: deque = deque(maxlen=_LBFGS_MEMORY)
-        self._lbfgs_key: Optional[tuple] = None
 
     def reset(self) -> None:
         """Drop all persistent state (next solve starts cold)."""
@@ -953,8 +742,6 @@ class PersistentDualSolver:
         self._last_capacity_version = None
         self._step = None
         self._warm = False
-        self._lbfgs_pairs.clear()
-        self._lbfgs_key = None
 
     def _refresh_compiled(self, network: FluidNetwork) -> CompiledFluidNetwork:
         if network is not self._network:
@@ -968,8 +755,10 @@ class PersistentDualSolver:
     def _scale_for(self, compiled: CompiledFluidNetwork, active_idx: np.ndarray) -> np.ndarray:
         """Cached per-link conditioning for the currently active links.
 
-        Links that gained flows since the last refresh fall back to the
-        median of the cached values, mirroring :func:`_scale_vector`.
+        A cached scale may predate the current flow set; links that gained
+        flows since the last refresh fall back to the median of the cached
+        values, which keeps the conditioning in the right ballpark without
+        a full recompute.
         """
         if (
             self._scale_full is None
@@ -1015,177 +804,103 @@ class PersistentDualSolver:
                 self._step = None
             self._last_capacity_version = network.capacity_version
 
-        capacities_all = compiled.capacities_vector()
-        # Failed (zero-capacity) links are excluded like flowless ones: their
-        # price stays zero (warm prices are retained for their restoration)
-        # and path-capacity clipping pins every flow crossing them to zero.
-        active = compiled.incidence.any(axis=1) & (capacities_all > 0.0)
-        active_idx = np.nonzero(active)[0]
-        incidence = compiled.incidence[active]
-        incidence_f = compiled.incidence_f[active]
-        capacities = capacities_all[active]
-        path_caps = compiled.path_capacities(capacities_all)
-        floors = path_caps * _MIN_RATE_FRACTION
-        vec_utils = compiled.vec_utils
-
+        # Dead links keep their warm price for their restoration.
+        problem = _DualProblem(compiled)
+        active_idx = problem.active_idx
         if not active_idx.size:
-            rates = {flow.flow_id: 0.0 for flow in flows}
-            return OracleResult(rates=rates, prices={link: 0.0 for link in links},
-                                objective=network.total_utility(rates),
-                                iterations=0, converged=True)
-
-        scale_vec = self._scale_for(compiled, active_idx)
-        objective_scale = float(np.max(capacities) * np.median(scale_vec))
-
-        incidence_f_t = incidence_f.T
-        log_weights = vec_utils.uniform_log_weights()
-
-        def primal_rates_vec(prices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            path_prices = incidence_f_t @ prices
-            if log_weights is None:
-                rates = vec_utils.inverse_marginal_clipped(path_prices, path_caps)
-            else:
-                # Fused all-log fast path: same elementwise arithmetic as
-                # inverse_marginal_clipped, without per-family dispatch.
-                rates = np.minimum(
-                    log_weights / np.maximum(path_prices, _EPSILON), path_caps
-                )
-                np.copyto(rates, path_caps, where=path_prices <= 0.0)
-            return np.maximum(rates, floors), path_prices
-
-        def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
-            prices = scale_vec * z
-            rates, path_prices = primal_rates_vec(prices)
-            if log_weights is None:
-                utility_sum = vec_utils.value(rates).sum()
-            else:
-                utility_sum = (log_weights * np.log(np.maximum(rates, _EPSILON))).sum()
-            value = float(prices @ capacities + utility_sum - rates @ path_prices)
-            load = incidence_f @ rates
-            gradient = scale_vec * (capacities - load)
-            return value / objective_scale, gradient / objective_scale
-
-        if self.kernel == "numba":
-            fused = _kernel_dual_closure(
-                vec_utils, incidence, scale_vec, capacities, path_caps, floors,
-                objective_scale,
-            )
-            if fused is not None:
-                dual_and_gradient = fused
+            return problem.idle_result(network)
+        problem.bind(self._scale_for(compiled, active_idx), self.kernel)
 
         if self._warm:
-            z0 = np.maximum(self._prices_full[active_idx], 0.0) / scale_vec
-            precondition = objective_scale / (scale_vec * capacities)
+            z0 = np.maximum(self._prices_full[active_idx], 0.0) / problem.scale_vec
+            precondition = problem.residual_precondition()
         else:
-            z0 = np.full(len(active_idx), 0.5)  # same cold start as _warm_start
-            precondition = _cold_start_precondition(
-                z0, scale_vec, capacities, objective_scale, incidence_f,
-                vec_utils.curvature_alpha, primal_rates_vec, path_caps, floors,
-            )
-        if self.inner == "lbfgs":
-            # The curvature pairs stay valid only while the dual keeps its
-            # geometry: same active links, same conditioning, same scaling.
-            # Flow churn alone perturbs the Hessian smoothly enough that the
-            # descent check + line search in _lbfgs_minimize absorb it.
-            key = (active_idx.tobytes(), scale_vec.tobytes(), objective_scale)
-            if key != self._lbfgs_key:
-                self._lbfgs_pairs.clear()
-                self._lbfgs_key = key
-            result = _lbfgs_minimize(
-                dual_and_gradient, z0, self.max_iterations, self.tolerance,
-                initial_step=self._step,
-                precondition=precondition,
-                history=self._lbfgs_pairs,
-            )
-        else:
-            result = _spg_minimize(
-                dual_and_gradient, z0, self.max_iterations, self.tolerance,
-                initial_step=self._step,
-                precondition=precondition,
-            )
-        self._step = result.step
+            z0 = np.full(len(active_idx), 0.5)  # same cold start as solve_num
+            precondition = problem.jacobi_precondition(z0)
+        minimised = _spg_minimize(
+            problem.dual_and_gradient, z0, self.max_iterations, self.tolerance,
+            precondition=precondition, initial_step=self._step,
+        )
+        self._step = minimised.step
         self._warm = True
-        prices = scale_vec * np.maximum(result.x, 0.0)
+        prices = problem.prices(minimised.x)
         self._prices_full[active_idx] = prices
-        rate_vec, _ = primal_rates_vec(prices)
-        rate_vec = _rescale_to_feasible_arrays(incidence, incidence_f, rate_vec, capacities)
-        objective = float(vec_utils.value(rate_vec).sum())
-        rates = dict(zip(compiled.flow_ids, rate_vec.tolist()))
-
-        maxmin_rates = maxmin_objective = None
-        if self.safeguard:
-            # Full-capacity reference (see _solve_num_vectorized): failed
-            # links must constrain the safeguard allocation too.
-            maxmin_vec = waterfill_arrays(
-                compiled.incidence, compiled.incidence_f,
-                np.ones(len(compiled.flow_ids)), capacities_all,
-                path_links=compiled.path_links,
-            )
-            maxmin_objective = float(vec_utils.value(maxmin_vec).sum())
-            maxmin_rates = dict(zip(compiled.flow_ids, maxmin_vec.tolist()))
-        price_dict = {link: 0.0 for link in links}
-        for position, link_idx in enumerate(active_idx.tolist()):
-            price_dict[links[link_idx]] = float(prices[position])
-        return _finish(network, flows, links, rates, price_dict, objective,
-                       result.nit, result.success,
-                       maxmin_rates, maxmin_objective, self.max_iterations)
+        return problem.result(network, prices, minimised.nit, minimised.success,
+                              self.safeguard, self.max_iterations)
 
 
-def _solve_num_primal(network: FluidNetwork, max_iterations: int = 500) -> OracleResult:
-    """Primal SLSQP solve for single-path flows (the dual solver's fallback)."""
+def _slsqp_solve(
+    network: FluidNetwork,
+    utility_of_rates,
+    marginal_of_rates,
+    max_iterations: int,
+    ftol: float,
+) -> OracleResult:
+    """Primal SLSQP scaffold shared by the dual fallback and the multipath solver.
+
+    ``utility_of_rates(x)`` is the total utility at physical rates ``x`` (an
+    array in ``network.flows`` order); ``marginal_of_rates(x)`` its per-flow
+    gradient, or ``None`` to let SLSQP difference the objective (and the
+    constraints) numerically.
+
+    Optimizes in units of the largest link capacity so the variables,
+    constraints and numerical gradients are all O(1); the objective is
+    evaluated at the physical rates, so the optimum is unchanged.  Its
+    magnitude varies across utility families, so it is normalized by its
+    value at an equal-split starting point to make ``ftol`` behave
+    consistently.
+    """
     flows = network.flows
     links = network.links
     link_index = {link: i for i, link in enumerate(links)}
-    flow_index = {flow.flow_id: i for i, flow in enumerate(flows)}
     capacities = np.array([network.capacity(link) for link in links], dtype=float)
     routing = np.zeros((len(links), len(flows)))
-    for flow in flows:
+    for column, flow in enumerate(flows):
         for link in flow.path:
-            routing[link_index[link], flow_index[flow.flow_id]] = 1.0
+            routing[link_index[link], column] = 1.0
     rate_unit = float(np.max(capacities))
     scaled_capacities = capacities / rate_unit
     floor = 1e-9
 
-    def total_utility(y: np.ndarray) -> float:
-        y = np.maximum(y, floor)
-        return sum(
-            flow.utility.value(y[flow_index[flow.flow_id]] * rate_unit) for flow in flows
-        )
+    def physical(y: np.ndarray) -> np.ndarray:
+        return np.maximum(y, floor) * rate_unit
 
     y0 = np.array([network.path_capacity(f.flow_id) / (4.0 * rate_unit) for f in flows])
-    objective_scale = max(abs(total_utility(y0)), 1e-12)
+    objective_scale = max(abs(utility_of_rates(physical(y0))), 1e-12)
 
-    # Analytic gradient: finite differences are hopeless here because for
-    # steep utilities the objective's magnitude dwarfs the change produced
-    # by SLSQP's default step.
-    def negative_objective_and_gradient(y: np.ndarray):
-        y = np.maximum(y, floor)
-        value = total_utility(y)
-        gradient = np.array(
-            [
-                flow.utility.marginal(y[flow_index[flow.flow_id]] * rate_unit) * rate_unit
-                for flow in flows
-            ]
-        )
-        return -value / objective_scale, -gradient / objective_scale
+    if marginal_of_rates is None:
 
-    constraints = [
-        {"type": "ineq", "fun": lambda y, row=row: scaled_capacities[row] - routing[row] @ y,
-         "jac": lambda y, row=row: -routing[row]}
-        for row in range(len(links))
-    ]
+        def objective(y: np.ndarray) -> float:
+            return -utility_of_rates(physical(y)) / objective_scale
+
+    else:
+
+        def objective(y: np.ndarray):
+            x = physical(y)
+            gradient = marginal_of_rates(x) * rate_unit
+            return -utility_of_rates(x) / objective_scale, -gradient / objective_scale
+
+    constraints = []
+    for row in range(len(links)):
+        constraint = {
+            "type": "ineq",
+            "fun": lambda y, row=row: scaled_capacities[row] - routing[row] @ y,
+        }
+        if marginal_of_rates is not None:
+            constraint["jac"] = lambda y, row=row: -routing[row]
+        constraints.append(constraint)
     result = optimize.minimize(
-        negative_objective_and_gradient,
+        objective,
         y0,
-        jac=True,
+        jac=marginal_of_rates is not None,
         method="SLSQP",
         bounds=[(floor, 1.0) for _ in flows],
         constraints=constraints,
-        options={"maxiter": max_iterations, "ftol": 1e-12},
+        options={"maxiter": max_iterations, "ftol": ftol},
     )
     rates = {
-        flow.flow_id: float(max(result.x[flow_index[flow.flow_id]], 0.0) * rate_unit)
-        for flow in flows
+        flow.flow_id: float(max(result.x[column], 0.0) * rate_unit)
+        for column, flow in enumerate(flows)
     }
     rates = _rescale_to_feasible(network, rates)
     return OracleResult(
@@ -1195,6 +910,22 @@ def _solve_num_primal(network: FluidNetwork, max_iterations: int = 500) -> Oracl
         iterations=int(result.nit),
         converged=bool(result.success),
     )
+
+
+def _solve_num_primal(network: FluidNetwork, max_iterations: int = 500) -> OracleResult:
+    """Primal SLSQP solve for single-path flows (the dual solver's fallback)."""
+    utilities = [flow.utility for flow in network.flows]
+
+    def utility_of_rates(x: np.ndarray) -> float:
+        return sum(utility.value(rate) for utility, rate in zip(utilities, x))
+
+    # Analytic gradient: finite differences are hopeless here because for
+    # steep utilities the objective's magnitude dwarfs the change produced
+    # by SLSQP's default step.
+    def marginal_of_rates(x: np.ndarray) -> np.ndarray:
+        return np.array([utility.marginal(rate) for utility, rate in zip(utilities, x)])
+
+    return _slsqp_solve(network, utility_of_rates, marginal_of_rates, max_iterations, 1e-12)
 
 
 def _rescale_to_feasible_arrays(
@@ -1252,37 +983,15 @@ def solve_num_multipath(
     SLSQP; intended for the evaluation's scale (hundreds of sub-flows).
     """
     flows = network.flows
-    links = network.links
-    link_index = {link: i for i, link in enumerate(links)}
-    flow_index = {flow.flow_id: i for i, flow in enumerate(flows)}
-    capacities = np.array([network.capacity(link) for link in links], dtype=float)
-
     if not flows:
-        return OracleResult(rates={}, prices={link: 0.0 for link in links}, objective=0.0,
-                            iterations=0, converged=True)
-
-    routing = np.zeros((len(links), len(flows)))
-    for flow in flows:
-        for link in flow.path:
-            routing[link_index[link], flow_index[flow.flow_id]] = 1.0
-
+        return OracleResult(rates={}, prices={link: 0.0 for link in network.links},
+                            objective=0.0, iterations=0, converged=True)
+    flow_index = {flow.flow_id: i for i, flow in enumerate(flows)}
     groups = network.groups
     grouped_members = {m for g in groups for m in g.member_ids}
     ungrouped = [flow for flow in flows if flow.flow_id not in grouped_members]
 
-    # Optimize in units of the largest link capacity so the variables,
-    # constraints and numerical gradients are all O(1); the objective is
-    # evaluated at the physical rates, so the optimum is unchanged.
-    rate_unit = float(np.max(capacities))
-    scaled_capacities = capacities / rate_unit
-    floor = 1e-9
-
-    # The objective magnitude varies across utility families; normalize it by
-    # its value at an equal-split starting point so SLSQP's ftol behaves
-    # consistently.
-    def total_utility(y: np.ndarray) -> float:
-        y = np.maximum(y, floor)
-        x = y * rate_unit
+    def utility_of_rates(x: np.ndarray) -> float:
         total = 0.0
         for group in groups:
             aggregate = sum(x[flow_index[m]] for m in group.member_ids if m in flow_index)
@@ -1291,41 +1000,7 @@ def solve_num_multipath(
             total += flow.utility.value(x[flow_index[flow.flow_id]])
         return total
 
-    y0 = np.array(
-        [network.path_capacity(flow.flow_id) / (4.0 * rate_unit) for flow in flows]
-    )
-    objective_scale = max(abs(total_utility(y0)), 1e-12)
-
-    def negative_objective(y: np.ndarray) -> float:
-        return -total_utility(y) / objective_scale
-
-    constraints = [
-        {"type": "ineq", "fun": lambda y, row=row: scaled_capacities[row] - routing[row] @ y}
-        for row in range(len(links))
-    ]
-    bounds = [(floor, 1.0) for _ in flows]
-
-    result = optimize.minimize(
-        negative_objective,
-        y0,
-        method="SLSQP",
-        bounds=bounds,
-        constraints=constraints,
-        options={"maxiter": max_iterations, "ftol": tolerance},
-    )
-    rates = {
-        flow.flow_id: float(max(result.x[flow_index[flow.flow_id]], 0.0) * rate_unit)
-        for flow in flows
-    }
-    rates = _rescale_to_feasible(network, rates)
-    objective = network.total_utility(rates)
-    return OracleResult(
-        rates=rates,
-        prices={link: 0.0 for link in links},
-        objective=objective,
-        iterations=int(result.nit),
-        converged=bool(result.success),
-    )
+    return _slsqp_solve(network, utility_of_rates, None, max_iterations, tolerance)
 
 
 def proportional_fair_single_link(capacity: float, n_flows: int) -> List[float]:

@@ -10,16 +10,18 @@ max-min, no link is ever oversubscribed and the utilization term only acts
 on genuinely under-utilized links -- the decoupling that lets NUMFabric move
 aggressively toward the optimum.
 
-Two interchangeable backends drive the iteration:
+The constructor's ``backend=`` picks between two implementations of the
+same iteration:
 
-* ``backend="scalar"`` (default) -- the reference implementation below,
-  plain Python over dicts;
-* ``backend="vectorized"`` -- NumPy array math over compiled per-flow link
-  indices (:mod:`repro.fluid.vectorized`), patched in place when flows
-  arrive or depart.  Allocations match the scalar backend to well
-  within 1e-9 (enforced by ``tests/fluid/test_vectorized_parity.py``) and
-  run ~13x faster at 1000 flows, ~4x at 200 (see ``benchmarks/perf`` and
-  ``BENCH_fluid.json``).
+* ``backend="vectorized"`` -- the production path: NumPy array math over
+  compiled per-flow link indices (:mod:`repro.fluid.vectorized`), patched in
+  place when flows arrive or depart.  Every scenario, experiment harness and
+  rate policy constructs this one unconditionally (~13x faster at 1000
+  flows, ~4x at 200; see ``benchmarks/perf`` and ``BENCH_fluid.json``).
+* ``backend="scalar"`` (the constructor default) -- the reference
+  implementation below, plain Python over dicts, which
+  ``tests/fluid/test_vectorized_parity.py`` pins the array path to within
+  1e-9.  Nothing above the constructor selects it.
 """
 
 from __future__ import annotations

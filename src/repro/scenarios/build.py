@@ -298,12 +298,11 @@ def explicit_workload(
 
 def scheme(
     name: str = "NUMFabric",
-    backend: str = "vectorized",
     params: Optional[Any] = None,
     **options: Any,
 ) -> SchemeSpec:
     """A named scheme (NUMFabric, DGD, RCP*, DCTCP, pFabric) with parameters."""
-    return SchemeSpec(name=name, backend=backend, params=params, options=options)
+    return SchemeSpec(name=name, params=params, options=options)
 
 
 def oracle_scheme(**options: Any) -> SchemeSpec:

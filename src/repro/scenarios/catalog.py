@@ -70,7 +70,6 @@ def semidynamic_convergence_spec(
     num_events: int = 5,
     max_iterations: int = 300,
     seed: int = 1,
-    backend: str = "vectorized",
 ) -> ScenarioSpec:
     """Fig. 4(a): per-event convergence in the semi-dynamic scenario."""
     return ScenarioSpec(
@@ -87,7 +86,7 @@ def semidynamic_convergence_spec(
             max_active=max_active,
             num_events=num_events,
         ),
-        scheme=scheme(scheme_name, backend=backend),
+        scheme=scheme(scheme_name),
         engine="fluid",
         seed=seed,
         sizing={"max_iterations": max_iterations},
@@ -100,7 +99,6 @@ def single_link_churn_spec(
     link_capacity: float = 10e9,
     iterations: int = 400,
     change_at: int = 200,
-    backend: str = "vectorized",
 ) -> ScenarioSpec:
     """Fig. 4(b)/(c): one bottleneck, half the flows leave mid-run."""
     departures = [(change_at, tuple(range(num_flows // 2, num_flows)))]
@@ -110,7 +108,7 @@ def single_link_churn_spec(
         paper_reference="Figure 4(b), 4(c)",
         topology=single_link_topology(capacity=link_capacity),
         workload=fanout_workload(num_flows, departures=departures),
-        scheme=scheme(scheme_name, backend=backend),
+        scheme=scheme(scheme_name),
         engine="fluid",
         sizing={"iterations": iterations, "record_timeseries": True},
     )
@@ -125,8 +123,6 @@ def deviation_spec(
     load: float = 0.4,
     num_flows: int = 120,
     seed: int = 7,
-    backend: str = "vectorized",
-    flow_backend: str = "array",
 ) -> ScenarioSpec:
     """Fig. 5: Poisson arrivals at flow level, rates vs the Oracle's."""
     return ScenarioSpec(
@@ -137,11 +133,10 @@ def deviation_spec(
             num_servers=num_servers, num_leaves=num_leaves, num_spines=num_spines
         ),
         workload=poisson_workload(workload, load=load, num_flows=num_flows),
-        scheme=scheme(scheme_name, backend=backend),
+        scheme=scheme(scheme_name),
         engine="flow",
         engines=("flow", "fluid"),
         seed=seed,
-        sizing={"flow_backend": flow_backend},
     )
 
 
@@ -152,7 +147,6 @@ def star_convergence_spec(
     num_links: int = 6,
     capacity: float = 10e9,
     max_iterations: int = 400,
-    backend: str = "vectorized",
 ) -> ScenarioSpec:
     """Fig. 6(b)/(c): fluid xWI convergence on a multi-bottleneck star."""
     return ScenarioSpec(
@@ -161,7 +155,7 @@ def star_convergence_spec(
         paper_reference="Figure 6(b), 6(c)",
         topology=star_topology(num_links=num_links, capacity=capacity),
         workload=star_spread_workload(num_flows),
-        scheme=scheme("NUMFabric", backend=backend, params=params),
+        scheme=scheme("NUMFabric", params=params),
         objective=alpha_fair_objective(alpha),
         engine="fluid",
         sizing={"iterations": max_iterations, "measure": "convergence"},
@@ -232,7 +226,6 @@ def flow_level_fct_spec(
     num_flows: int = 120,
     seed: int = 11,
     epsilon: float = 0.125,
-    flow_backend: str = "array",
 ) -> ScenarioSpec:
     """Fig. 7 (flow-level companion): FCT utility vs proportional fairness."""
     objective = fct_objective(epsilon) if utility_kind == "fct" else alpha_fair_objective(1.0)
@@ -248,7 +241,6 @@ def flow_level_fct_spec(
         objective=objective,
         engine="flow",
         seed=seed,
-        sizing={"flow_backend": flow_backend},
     )
 
 

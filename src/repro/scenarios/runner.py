@@ -37,6 +37,7 @@ faulted fluid links.
 
 from __future__ import annotations
 
+import inspect
 import os
 import pickle
 import tempfile
@@ -135,7 +136,7 @@ def _make_fluid_simulator(spec: ScenarioSpec, network: FluidNetwork):
             f"scheme {spec.scheme.name!r} has no fluid simulator; "
             f"expected one of {sorted(FLUID_SIMULATORS)} or 'Oracle'"
         ) from None
-    return simulator_cls(network, params=spec.scheme.params, backend=spec.scheme.backend)
+    return simulator_cls(network, params=spec.scheme.params, backend="vectorized")
 
 
 def _run_fluid(spec: ScenarioSpec, result: ExperimentResult) -> None:
@@ -347,19 +348,28 @@ def _flow_policy_factory(spec: ScenarioSpec) -> Callable[[], object]:
     The factory (rather than a policy instance) is what checkpoint resume
     needs: a restored :class:`SimulatorRatePolicy` that never built its
     simulator carries no state and is rebuilt fresh from the spec.
+
+    ``spec.scheme.options`` (e.g. ``kernel="numba"``) are checked against
+    the policy's parameters here, at the boundary, so a misspelt option is
+    a :class:`ValueError` naming it rather than a ``TypeError`` from inside
+    the run.
     """
     from repro.experiments.dynamic_fluid import OracleRatePolicy, scheme_rate_policy
 
+    options = dict(spec.scheme.options)
     if spec.scheme.name == "Oracle":
-        options = dict(spec.scheme.options)
-        return lambda: OracleRatePolicy(**options)
-    # Scheme options (e.g. kernel="numba") flow through to the simulator
-    # factory, so spec-level backend selection covers the compiled kernels.
-    scheme_options = dict(spec.scheme.options)
-    return lambda: scheme_rate_policy(
-        spec.scheme.name, backend=spec.scheme.backend, params=spec.scheme.params,
-        **scheme_options,
-    )
+        policy, supplied = OracleRatePolicy, {}
+    else:
+        policy = scheme_rate_policy
+        supplied = {"scheme": spec.scheme.name, "params": spec.scheme.params}
+    accepted = set(inspect.signature(policy).parameters) - set(supplied)
+    unknown = sorted(set(options) - accepted)
+    if unknown:
+        raise ValueError(
+            f"scheme {spec.scheme.name!r} does not accept option(s) {unknown}; "
+            f"accepted: {sorted(accepted)}"
+        )
+    return lambda: policy(**supplied, **options)
 
 
 def _build_flow_simulation(spec: ScenarioSpec, topo: FluidTopology):
@@ -377,7 +387,6 @@ def _build_flow_simulation(spec: ScenarioSpec, topo: FluidTopology):
         _flow_policy_factory(spec)(),
         step_interval=spec.size("step_interval", 30e-6),
         utility_for_arrival=utility_for_arrival_factory(spec.objective),
-        backend=spec.size("flow_backend", "array"),
         fault_injector=fault_injector,
     )
 
@@ -408,8 +417,10 @@ def _run_flow(spec: ScenarioSpec, result: ExperimentResult) -> None:
 # -- flow engine, streaming (bounded memory + checkpoint/resume) ------------
 
 #: Bumped whenever the checkpoint payload layout changes; mismatched
-#: checkpoints are rejected rather than misinterpreted.
-CHECKPOINT_VERSION = 1
+#: checkpoints are rejected rather than misinterpreted.  Version 2: the
+#: pickled ``OracleRatePolicy`` / ``PersistentDualSolver`` lost their
+#: solver-selection attributes.
+CHECKPOINT_VERSION = 2
 
 
 def _checkpoint_fingerprint(spec: ScenarioSpec) -> str:
@@ -527,11 +538,6 @@ def _run_flow_streaming(
     from repro.experiments.dynamic_fluid import ArrivalStream, SimulatorRatePolicy
 
     _check_flow_workload(spec)
-    if spec.size("flow_backend", "array") != "array":
-        raise ValueError(
-            'streaming runs require flow_backend="array" (the dict backend '
-            "is the materializing parity reference)"
-        )
     topo = build_fluid_topology(spec)
     telemetry = _streaming_telemetry(spec)
     sim = None

@@ -83,12 +83,11 @@ class SchemeSpec:
     ``name`` is one of the evaluation's schemes (``NUMFabric``, ``DGD``,
     ``RCP*``, ``DCTCP``, ``pFabric``) or ``Oracle`` (solve the NUM problem
     directly).  ``params`` is the scheme's parameter dataclass (or None for
-    Table 2 defaults); ``backend`` selects the fluid backend
-    (``vectorized``/``scalar``) where applicable.
+    Table 2 defaults); ``options`` are forwarded to the flow engine's rate
+    policy (e.g. ``kernel="numba"``) and validated by the runner.
     """
 
     name: str = "NUMFabric"
-    backend: str = "vectorized"
     params: Optional[Any] = None
     options: Mapping[str, Any] = field(default_factory=dict)
 

@@ -5,6 +5,9 @@ locally before it fails on a reader.
 """
 
 import doctest
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -58,3 +61,38 @@ def test_docs_directory_is_linked_from_readme():
     readme = (REPO_ROOT / "README.md").read_text()
     assert "docs/ARCHITECTURE.md" in readme
     assert "docs/METRICS.md" in readme
+
+
+_MATRIX_OPTION = re.compile(r'`(\w+)="[^"`]*"`')
+
+
+def _public_parameters(module):
+    """Parameter names of the module's own public callables and their public methods."""
+    names = set()
+    for attr, obj in vars(module).items():
+        if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = [obj]
+        if inspect.isclass(obj):
+            members += [m for n, m in vars(obj).items() if not n.startswith("_")]
+        for member in members:
+            if inspect.isfunction(member) or inspect.isclass(member):
+                names.update(inspect.signature(member).parameters)
+    return names
+
+
+def test_performance_matrix_options_are_real_parameters():
+    """A selection-matrix row must not outlive the knob it documents."""
+    import repro.fluid
+
+    modules = [importlib.import_module("repro.experiments.dynamic_fluid")] + [
+        importlib.import_module(f"repro.fluid.{info.name}")
+        for info in pkgutil.iter_modules(repro.fluid.__path__)
+    ]
+    known = set().union(*(_public_parameters(module) for module in modules))
+    text = (REPO_ROOT / "docs" / "PERFORMANCE.md").read_text()
+    matrix = text.split("## Selection matrix", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in matrix.splitlines() if line.startswith("|")]
+    options = {name for row in rows for name in _MATRIX_OPTION.findall(row)}
+    assert options, "the selection matrix lost its `name=\"value\"` options"
+    assert options <= known, f"documented option(s) with no parameter: {options - known}"

@@ -17,7 +17,7 @@ from repro.experiments.fig4_convergence import ConvergenceSettings
 from repro.experiments.fig5_dynamic import DeviationSettings
 from repro.experiments.fig7_fct import FlowLevelFctSettings, run_fct_flow_level
 from repro.experiments.fig8_resource_pooling import ResourcePoolingSettings
-from repro.experiments.registry import ExperimentResult
+from repro.results import ExperimentResult
 
 
 class TestRegistry:
@@ -108,16 +108,6 @@ class TestFig7FlowLevel:
             assert row["proportional_flows_completed"] == 60
             # The SRPT-like utility cannot do worse on average than fair sharing.
             assert row["ratio"] <= 1.0 + 1e-9
-
-    def test_flow_backends_agree(self):
-        settings_array = FlowLevelFctSettings(num_servers=8, num_leaves=2, num_flows=40)
-        settings_dict = FlowLevelFctSettings(
-            num_servers=8, num_leaves=2, num_flows=40, flow_backend="dict"
-        )
-        by_array = run_fct_flow_level(loads=[0.5], settings=settings_array)
-        by_dict = run_fct_flow_level(loads=[0.5], settings=settings_dict)
-        for key in ("fct_utility_mean_norm_fct", "proportional_p99_norm_fct"):
-            assert by_array.rows[0][key] == pytest.approx(by_dict.rows[0][key], rel=1e-12)
 
 
 class TestFig8:

@@ -10,6 +10,7 @@ truncation mid-flow.
 import pytest
 
 from repro.experiments.dynamic_fluid import (
+    ArrivalStream,
     EqualSharePolicy,
     FlowLevelSimulation,
     OracleRatePolicy,
@@ -160,6 +161,41 @@ class TestBackendParity:
         _, by_dict = run_single_link(arrivals, "dict", policy=OracleRatePolicy())
         _, by_array = run_single_link(arrivals, "array", policy=OracleRatePolicy())
         assert_identical(by_dict, by_array)
+
+
+class TestRunMatchesRunStream:
+    def test_list_run_and_streamed_run_complete_identically(self):
+        """``run(list)`` and ``run_stream(ArrivalStream(list))`` are one loop:
+        equal completion records across an idle gap (the loop jumps to the
+        next arrival), simultaneous arrivals and a ``max_time`` cut."""
+        arrivals = [
+            arrival(0, 0.0, 30_000),
+            arrival(1, 0.0, 5_000),  # simultaneous with flow 0
+            arrival(2, 3 * STEP, 0),  # zero-byte, completes in its first step
+            arrival(3, 0.004, 20_000),  # after an idle gap, off the step grid
+            arrival(4, 0.004, 20_000),
+            arrival(5, 0.004 + 2 * STEP, 900_000),  # still in flight at max_time
+        ]
+        max_time = 0.0045
+        simulation, by_run = run_single_link(arrivals, "array", max_time=max_time)
+
+        streamed = FlowLevelSimulation(
+            single_link_network(), lambda a: ("bottleneck",), EqualSharePolicy(1e9),
+            step_interval=STEP,
+        )
+        assert streamed.run_stream(ArrivalStream(arrivals), max_time=max_time) is True
+        assert_identical(by_run, streamed.completed)
+        assert [c.flow_id for c in by_run] == [1, 2, 0, 3, 4]
+        assert simulation.active_flow_count == streamed.active_flow_count == 1
+        assert simulation._time == streamed._time
+
+    def test_run_stream_rejects_the_dict_reference(self):
+        simulation = FlowLevelSimulation(
+            single_link_network(), lambda a: ("bottleneck",), EqualSharePolicy(1e9),
+            backend="dict",
+        )
+        with pytest.raises(ValueError, match="array"):
+            simulation.run_stream(ArrivalStream([]))
 
 
 class TestArrayInternals:

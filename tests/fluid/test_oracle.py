@@ -245,43 +245,6 @@ class TestBackendParity:
             assert result.prices["idle"] == 0.0
             assert result.rates["f"] == pytest.approx(1e9, rel=1e-3)
 
-    def test_warm_start_reaches_same_optimum(self):
-        network = FluidNetwork({"l1": 9e9, "l2": 9e9})
-        network.add_flow(FluidFlow("long", ("l1", "l2"), LogUtility()))
-        network.add_flow(FluidFlow("s1", ("l1",), LogUtility(weight=2.0)))
-        network.add_flow(FluidFlow("s2", ("l2",), LogUtility()))
-        cold = solve_num(network)
-        assert cold.converged
-        warm = solve_num(network, initial_prices=cold.prices)
-        assert warm.converged
-        # Warm starts only change where the solver *starts*: it lands on the
-        # same optimum (to solver precision) in fewer iterations.
-        assert _max_rel_rate_diff(cold.rates, warm.rates) <= 1e-4
-        assert warm.iterations < cold.iterations
-
-    def test_cached_price_scale_is_conditioning_only(self):
-        # A stale scale (here: computed before half the flows existed) must
-        # still converge to the same optimum -- it only preconditions.
-        network = FluidNetwork({"l": 10e9})
-        for i in range(3):
-            network.add_flow(FluidFlow(i, ("l",), LogUtility()))
-        stale_scale = estimate_price_scale(network)
-        for i in range(3, 6):
-            network.add_flow(FluidFlow(i, ("l",), LogUtility()))
-        result = solve_num(network, price_scale=stale_scale)
-        for rate in result.rates.values():
-            assert rate == pytest.approx(10e9 / 6, rel=1e-6)
-
-    def test_price_scale_for_unseen_links_falls_back_to_median(self):
-        network = FluidNetwork({"a": 10e9, "b": 10e9})
-        network.add_flow(FluidFlow(0, ("a",), LogUtility()))
-        scale_before = estimate_price_scale(network)
-        assert "b" not in scale_before
-        network.add_flow(FluidFlow(1, ("b",), LogUtility()))
-        result = solve_num(network, price_scale=scale_before)
-        assert result.rates[0] == pytest.approx(10e9, rel=1e-3)
-        assert result.rates[1] == pytest.approx(10e9, rel=1e-3)
-
     def test_safeguard_off_matches_on_for_well_conditioned(self):
         network = _parity_grid()["single_link_log"]
         guarded = solve_num(network, safeguard=True)
@@ -307,8 +270,7 @@ def _cold_scipy(network, **kwargs):
     against a loosely converged reference would measure scipy's stopping
     slack, not the persistent solver's accuracy.)"""
     return solve_num(
-        network, solver="scipy", tolerance=1e-14, max_iterations=20000,
-        safeguard=False, **kwargs,
+        network, tolerance=1e-14, max_iterations=20000, safeguard=False, **kwargs
     )
 
 
@@ -384,18 +346,15 @@ class TestPersistentDualSolver:
             assert warm.converged
 
     def test_one_shot_spg_solver_matches_scipy(self):
+        """A fresh solver's first solve is the one-shot cold SPG solve."""
         for name, network in _parity_grid().items():
-            spg = solve_num(network, solver="spg", safeguard=False)
+            spg = PersistentDualSolver().solve(network)
             cold = _cold_scipy(network)
             assert abs(spg.objective - cold.objective) <= 1e-8 * max(
                 abs(cold.objective), 1.0
             ), name
             if name not in _FLAT_DUAL_CASES:
                 assert _max_rel_rate_diff(cold.rates, spg.rates) <= 1e-6, name
-
-    def test_rejects_unknown_solver(self):
-        with pytest.raises(ValueError):
-            solve_num(FluidNetwork.single_link(1e9, 1), solver="quantum")
 
     def test_empty_network(self):
         network = FluidNetwork({"l": 1e9})

@@ -9,6 +9,7 @@ from repro.scenarios import (
     get_scenario,
     leaf_spine_topology,
     list_scenarios,
+    oracle_scheme,
     poisson_workload,
     run_scenario,
     scheme,
@@ -313,6 +314,22 @@ class TestRunnerFlowAndPacket:
         )
         with pytest.raises(ValueError):
             run_scenario(spec)
+
+    @pytest.mark.parametrize(
+        "scheme_spec, option",
+        [
+            (oracle_scheme(solver="scipy"), "solver"),  # a knob that no longer exists
+            (scheme("NUMFabric", kernal="numba"), "kernal"),  # a misspelt one
+        ],
+    )
+    def test_unknown_scheme_option_is_a_value_error_naming_it(self, scheme_spec, option):
+        spec = get_scenario("unit/dumbbell-websearch")
+        with pytest.raises(ValueError, match=rf"option\(s\) \['{option}'\].*'kernel'"):
+            run_scenario(spec, scheme=scheme_spec, seed=5)
+
+    def test_known_scheme_options_reach_the_policy(self):
+        spec = get_scenario("unit/dumbbell-websearch")
+        assert run_scenario(spec, scheme=oracle_scheme(safeguard=True), seed=5).rows
 
 
 class TestNewWorkloads:

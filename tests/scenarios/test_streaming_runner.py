@@ -126,11 +126,14 @@ class TestCheckpointResume:
     def test_version_mismatch_rejected(self, tmp_path):
         spec = _sized_spec(100, seed=2)
         path = tmp_path / "run.ckpt"
-        write_checkpoint(
-            path, {"version": CHECKPOINT_VERSION + 1, "spec_fingerprint": "x"}
-        )
-        with pytest.raises(ValueError, match="format version"):
-            load_checkpoint(path, spec)
+        # Version 1 predates OracleRatePolicy / PersistentDualSolver losing
+        # their solver-selection attributes: such a checkpoint must not resume.
+        for version in (1, CHECKPOINT_VERSION + 1):
+            write_checkpoint(path, {"version": version, "spec_fingerprint": "x"})
+            with pytest.raises(ValueError, match="format version"):
+                load_checkpoint(path, spec)
+            with pytest.raises(ValueError, match="format version"):
+                run_scenario_streaming(spec, engine="flow", checkpoint_path=path)
 
     def test_checkpoint_file_is_a_complete_pickle(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -156,11 +159,6 @@ class TestRunScenarioIntegration:
         spec = get_scenario("fig5/websearch")
         with pytest.raises(ValueError, match="flow engine only"):
             run_scenario_streaming(spec, engine="fluid")
-
-    def test_streaming_rejects_dict_backend(self):
-        spec = _sized_spec(50, seed=2)
-        with pytest.raises(ValueError, match="array"):
-            run_scenario_streaming(spec, engine="flow", flow_backend="dict")
 
 
 class TestBoundedMemory:
