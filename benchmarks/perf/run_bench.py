@@ -394,8 +394,9 @@ def bench_incidence(flow_counts: List[int], events: int) -> List[Dict]:
     """Layer 2 before/after: full recompile vs incremental refresh per churn.
 
     The same churn trace is applied twice; the ``identical`` flag records
-    whether the incrementally maintained incidence matches a from-scratch
-    compile column-for-column (after aligning the slot permutation).
+    whether the incidence derived from the incrementally maintained
+    ``path_links`` matches a from-scratch compile column-for-column (after
+    aligning the slot permutation).
     """
     rows = []
     for n_flows in flow_counts:
@@ -421,11 +422,9 @@ def bench_incidence(flow_counts: List[int], events: int) -> List[Dict]:
         full_slot = {flow_id: j for j, flow_id in enumerate(full.flow_ids)}
         identical = sorted(map(repr, compiled.flow_ids)) == sorted(
             map(repr, full.flow_ids)
-        ) and all(
-            np.array_equal(
-                compiled.incidence[:, slot], full.incidence[:, full_slot[flow_id]]
-            )
-            for slot, flow_id in enumerate(compiled.flow_ids)
+        ) and np.array_equal(  # .incidence is derived per read: read each once
+            compiled.incidence,
+            full.incidence[:, [full_slot[flow_id] for flow_id in compiled.flow_ids]],
         )
         rows.append(
             {
@@ -602,42 +601,22 @@ def bench_kernels(flow_counts: List[int], repeats: int) -> Dict:
     dual_rows = []
     for n_flows in flow_counts:
         network = build_network(n_flows, seed=3, utilities="log")
-        compiled = compile_network(network)
-        vec_utils = compiled.vec_utils
-        caps_all = compiled.capacities_vector()
-        active = compiled.incidence.any(axis=1) & (caps_all > 0.0)
-        incidence = compiled.incidence[active]
-        incidence_f = compiled.incidence_f[active]
-        capacities = caps_all[active]
-        path_caps = compiled.path_capacities(caps_all)
-        floors = path_caps * fluid_oracle._MIN_RATE_FRACTION
-        scale_vec = 1.0 / capacities
-        objective_scale = float(np.max(capacities) * np.median(scale_vec))
+        # Both columns time the closures the Oracle itself binds.
+        problem = fluid_oracle._DualProblem(compile_network(network))
+        scale_vec = 1.0 / problem.capacities
+        problem.bind(scale_vec, "numpy")
+        numpy_dual = problem.dual_and_gradient
 
-        def numpy_dual(z):
-            prices = scale_vec * z
-            path_prices = incidence_f.T @ prices
-            rates = np.maximum(
-                vec_utils.inverse_marginal_clipped(path_prices, path_caps), floors
-            )
-            value = float(
-                prices @ capacities + vec_utils.value(rates).sum() - rates @ path_prices
-            )
-            gradient = scale_vec * (capacities - incidence_f @ rates)
-            return value / objective_scale, gradient / objective_scale
-
-        z = np.full(capacities.size, 0.5)
+        z = np.full(problem.capacities.size, 0.5)
         value_np, grad_np = numpy_dual(z)
         start = time.perf_counter()
         for _ in range(repeats):
             numpy_dual(z)
         numpy_s = time.perf_counter() - start
         numba_s = speedup = parity = None
-        fused = fluid_oracle._kernel_dual_closure(
-            vec_utils, incidence, scale_vec, capacities, path_caps, floors,
-            objective_scale,
-        )
-        if fused is not None:  # numba installed and utilities closed-form
+        problem.bind(scale_vec, "numba")
+        fused = problem.dual_and_gradient
+        if have_numba:  # all-log utilities: bind swapped the fused kernel in
             value_k, grad_k = fused(z)  # warm-up: triggers the JIT compile
             start = time.perf_counter()
             for _ in range(repeats):

@@ -11,7 +11,8 @@ Two interchangeable backends drive the iteration:
 * ``backend="scalar"`` (default) -- the reference implementation, plain
   Python over dicts;
 * ``backend="vectorized"`` -- windows, ECN fractions and queues as arrays
-  over the compiled incidence structure of :mod:`repro.fluid.vectorized`.
+  over the compiled ``path_links`` of :mod:`repro.fluid.vectorized` (a flow
+  is marked when a gather of the marked-link mask over its hops hits one).
   The per-flow state arrays persist across iterations and are realigned
   with the flow set only on churn (the ``_on_recompile`` hook); the
   ``windows`` and ``ecn_fraction`` dicts are lazily-materialized views of
@@ -173,7 +174,7 @@ class DctcpFluidSimulator(VectorizedBackendMixin):
         )
         marked_links = queues > capacities * params.rtt * params.marking_threshold_fraction
         if marked_links.any():
-            marked_flows = compiled.incidence[marked_links].any(axis=0)
+            marked_flows = np.append(marked_links, False)[compiled.path_links].any(axis=1)
         else:
             marked_flows = np.zeros(len(compiled.flow_ids), dtype=bool)
 

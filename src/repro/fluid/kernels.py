@@ -96,40 +96,20 @@ def resolve_kernel(kernel: Optional[str] = None) -> str:
     return kernel
 
 
-def build_csr(incidence: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Compress a boolean link x flow incidence into CSR index arrays.
-
-    Returns ``(link_ptr, link_cols, flow_ptr, flow_rows)``: link-major
-    (``link_cols[link_ptr[l]:link_ptr[l+1]]`` are the flows on link ``l``)
-    and flow-major (``flow_rows[flow_ptr[f]:flow_ptr[f+1]]`` are the links
-    of flow ``f``) adjacency, both as contiguous ``int64`` arrays -- the
-    only structure the jitted kernels traverse.
-    """
-    n_links, n_flows = incidence.shape
-    rows, cols = np.nonzero(incidence)
-    link_ptr = np.zeros(n_links + 1, dtype=np.int64)
-    link_ptr[1:] = np.cumsum(np.bincount(rows, minlength=n_links))
-    cols_t, rows_t = np.nonzero(incidence.T)
-    flow_ptr = np.zeros(n_flows + 1, dtype=np.int64)
-    flow_ptr[1:] = np.cumsum(np.bincount(cols_t, minlength=n_flows))
-    return (
-        link_ptr,
-        np.ascontiguousarray(cols, dtype=np.int64),
-        flow_ptr,
-        np.ascontiguousarray(rows_t, dtype=np.int64),
-    )
-
-
 def csr_from_path_links(
     path_links: np.ndarray, n_links: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`build_csr`'s four arrays from ``path_links``.
+    """CSR index arrays of the link x flow incidence, from ``path_links``.
 
     ``path_links`` is the sentinel-padded flows x max-hops link-index array
     of :class:`repro.fluid.vectorized.CompiledFluidNetwork` (padding index
-    ``n_links``): O(nnz log nnz), no scan of the dense matrix.  Same contract
-    (flows ascending within a link, contiguous ``int64``); within a flow the
-    links come in ``path_links`` row order.
+    ``n_links``): O(nnz log nnz), no dense matrix.  Returns ``(link_ptr,
+    link_cols, flow_ptr, flow_rows)``: link-major
+    (``link_cols[link_ptr[l]:link_ptr[l+1]]`` are the flows on link ``l``,
+    ascending) and flow-major (``flow_rows[flow_ptr[f]:flow_ptr[f+1]]`` are
+    the links of flow ``f``, in ``path_links`` row order) adjacency, both as
+    contiguous ``int64`` arrays -- the only structure the jitted kernels
+    traverse.
     """
     real = path_links != n_links
     flow_of_hop = np.nonzero(real)[0]

@@ -15,18 +15,20 @@ judged.  We implement two solvers:
   few hundred sub-flows).
 
 Every single-path solve is the same scaled dual problem, assembled once by
-:class:`_DualProblem` from a :class:`CompiledFluidNetwork`; the two entry
-points differ only in start point, preconditioner and minimiser:
+:class:`_DualProblem` from a :class:`CompiledFluidNetwork`'s ``path_links``
+(an evaluation is O(flows x hops) gathers and one ``bincount``; no dense
+link x flow matrix exists); the two entry points differ only in start
+point, preconditioner and minimiser:
 
 * :func:`solve_num` -- the *cold reference*: ``z = 0.5`` and scipy
   L-BFGS-B, the external minimiser every parity gate compares against.
+  scipy is imported by the functions that call it, never by ``import repro``.
 * :class:`PersistentDualSolver` -- the *production* path of the dynamic
   experiments (Fig. 5/7): it keeps prices, conditioning, the spectral step
-  *and* the compiled incidence alive across flow-set changes (the incidence
-  is patched incrementally from the network's churn journal) and minimises
-  with the in-repo projected spectral-gradient loop of
-  :func:`_spg_minimize` over preallocated arrays -- scipy's per-call
-  workspace setup is the dominant cost of a warm-started dynamic solve.
+  *and* the compiled snapshot alive across flow-set changes (patched
+  incrementally from the network's churn journal) and minimises with the
+  in-repo projected spectral-gradient loop of :func:`_spg_minimize` --
+  scipy's per-call workspace setup would dominate a warm dynamic solve.
 
 ``solve_num(backend="scalar")`` is the per-flow reference implementation
 that ``tests/fluid/test_oracle.py`` pins the array dual to on a grid of
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.utility import _EPSILON
 from repro.fluid import kernels as _kernels
@@ -119,24 +120,28 @@ def _scale_medians(compiled: CompiledFluidNetwork) -> Tuple[np.ndarray, np.ndarr
     :func:`estimate_price_scale`, shared with :class:`PersistentDualSolver`
     so the persistent path never recompiles just to refresh conditioning.
     """
-    incidence = compiled.incidence
-    counts = incidence.sum(axis=1)
+    n_links = len(compiled.link_ids)
+    path_links = compiled.path_links
+    counts = np.bincount(path_links.ravel(), minlength=n_links + 1)
     capacities = compiled.capacities_vector()
     # Failed (zero-capacity) links are skipped: an equal share of zero would
     # produce the _EPSILON-floored marginal (~1e30) and poison the medians.
-    active = (counts > 0) & (capacities > 0.0)
-    if not active.any():
-        return np.empty(0, dtype=np.intp), np.empty(0)
-    shares = np.where(active, capacities / np.maximum(counts, 1), 1.0)
-    # One marginal per (link, flow-on-link) at that link's equal share; the
-    # placeholder rate 1.0 for non-members is masked to +inf before sorting,
-    # so the upper median lands on the same element the scalar loop picks.
-    marginals = compiled.vec_utils.marginal(np.where(incidence, shares[:, None], 1.0))
-    marginals = np.where(incidence, marginals, np.inf)
-    marginals.sort(axis=1)
+    active = (counts[:n_links] > 0) & (capacities > 0.0)
     active_idx = np.nonzero(active)[0]
-    medians = np.maximum(marginals[active_idx, counts[active_idx] // 2], 1e-300)
-    return active_idx, medians
+    if not active_idx.size:
+        return active_idx, np.empty(0)
+    # One marginal per hop at that link's equal share (padding and dead
+    # links: placeholder rate 1.0, never picked below).
+    shares = np.ones(n_links + 1)
+    np.divide(capacities, counts[:n_links], out=shares[:n_links], where=active)
+    hop_links = path_links.T.ravel()
+    marginals = compiled.vec_utils.marginal(shares[path_links.T]).ravel()
+    # Sorted by link, then marginal: link l's run starts at first[l] and its
+    # upper median (the scalar loop's pick) sits counts[l] // 2 into it.
+    order = np.lexsort((marginals, hop_links))
+    first = np.cumsum(counts) - counts
+    medians = marginals[order[first[active_idx] + counts[active_idx] // 2]]
+    return active_idx, np.maximum(medians, 1e-300)
 
 
 def solve_num(
@@ -206,6 +211,8 @@ def _cold_minimize(dual_and_gradient, n_links: int, max_iterations: int, toleran
     Starts at half the scale estimate itself (``z = 0.5``) so multi-hop
     paths are not wildly overpriced initially.
     """
+    from scipy import optimize  # only the cold reference pays the import
+
     return optimize.minimize(
         dual_and_gradient,
         np.full(n_links, 0.5, dtype=float),
@@ -254,10 +261,11 @@ def _spg_minimize(
     The persistent solver's minimiser, replacing the per-call L-BFGS-B
     setup: a projected Barzilai-Borwein step with a nonmonotone Armijo line
     search, operating directly on the caller's arrays.  The dual is convex
-    and (piecewise) smooth, so the spectral step converges in a handful of
-    iterations from a warm start -- without scipy's per-call workspace
-    allocation, bound standardization and Fortran round trips, which
-    dominate warm dynamic solves.
+    and (piecewise) smooth, so the spectral step needs no curvature model
+    -- and none of scipy's per-call workspace allocation, bound
+    standardization and Fortran round trips.  The loop body is the
+    algorithm's arithmetic and nothing else: at ~200 links a NumPy call
+    costs more than its work, so each one here is load-bearing.
 
     ``precondition`` is a positive diagonal ``D`` applied to the gradient
     step (``z - step * D * g``, equivalent to plain SPG in the variables
@@ -283,7 +291,7 @@ def _spg_minimize(
     if initial_step is not None and np.isfinite(initial_step) and initial_step > 0.0:
         step = initial_step
     else:
-        g_norm = float(np.max(np.abs(step_direction), initial=0.0))
+        g_norm = float(np.maximum.reduce(np.abs(step_direction), initial=0.0))
         step = 1.0 / g_norm if g_norm > 0.0 else 1.0
     step = min(max(step, _SPG_STEP_MIN), _SPG_STEP_MAX)
     recent = deque([f], maxlen=_SPG_MEMORY)
@@ -306,7 +314,7 @@ def _spg_minimize(
             lam *= 0.5
             z_new = z + lam * d
             f_new, g_new = dual_and_gradient(z_new)
-        s = z_new - z
+        s = d if lam == 1.0 else z_new - z
         y = g_new - g
         sy = float(s @ y)
         if sy > 0.0:
@@ -319,7 +327,8 @@ def _spg_minimize(
         recent.append(f)
         step_direction = precondition * g
         projected_gradient = z - np.maximum(z - step_direction, 0.0)
-        pg_norm = float(np.max(np.abs(projected_gradient), initial=0.0))
+        # ufunc.reduce directly: np.max's wrapper layers cost more than the reduction
+        pg_norm = float(np.maximum.reduce(np.abs(projected_gradient), initial=0.0))
         if pg_norm <= _SPG_PGTOL or (
             stalls >= _SPG_STALL_LIMIT and pg_norm <= _SPG_STALL_PGTOL
         ):
@@ -451,37 +460,29 @@ def _solve_num_scalar(
                    maxmin_rates, maxmin_objective, max_iterations)
 
 
-def _kernel_dual_closure(
-    vec_utils,
-    incidence: np.ndarray,
-    scale_vec: np.ndarray,
-    capacities: np.ndarray,
-    path_caps: np.ndarray,
-    floors: np.ndarray,
-    objective_scale: float,
-):
+def _kernel_dual_closure(problem: "_DualProblem", scale_vec: np.ndarray, objective_scale: float):
     """Fused compiled dual objective/gradient closure, or ``None``.
 
-    Builds the CSR index arrays for the (active-link) incidence and binds
-    them, the family-coded utility parameters and preallocated price/rate
-    buffers into a closure around
-    :func:`repro.fluid.kernels.fused_dual_csr_kernel`.  Returns ``None``
-    when numba is unavailable or the utility population is not fully
-    closed-form -- callers then keep their NumPy closures, which is also
-    why a fresh gradient array is returned per call (the minimizers hold
-    ``y = g_new - g`` across iterations).
+    Builds the CSR index arrays of ``problem.hops`` and binds them, the
+    family-coded utility parameters and preallocated price/rate buffers into
+    a closure around :func:`repro.fluid.kernels.fused_dual_csr_kernel`.
+    Returns ``None`` when numba is unavailable or the utility population is
+    not fully closed-form -- callers then keep their NumPy closures, which
+    is also why a fresh gradient array is returned per call (the minimizers
+    hold ``y = g_new - g`` across iterations).
     """
     if not _kernels.HAVE_NUMBA:
         return None
-    family = vec_utils.kernel_family_arrays()
+    family = problem.compiled.vec_utils.kernel_family_arrays()
     if family is None:
         return None
-    link_ptr, link_cols, flow_ptr, flow_rows = _kernels.build_csr(incidence)
+    capacities = problem.capacities
+    n_links, n_flows = capacities.size, problem.hops.shape[1]
+    csr = _kernels.csr_from_path_links(problem.hops.T, n_links)
     code = np.ascontiguousarray(family[0])
     p0, p1, p2, p3 = (np.ascontiguousarray(row) for row in family[1:])
-    path_caps = np.ascontiguousarray(path_caps)
-    floors = np.ascontiguousarray(floors)
-    n_links, n_flows = incidence.shape
+    path_caps = np.ascontiguousarray(problem.path_caps)
+    floors = np.ascontiguousarray(problem.floors)
     prices_buf = np.empty(n_links)
     rates_buf = np.empty(n_flows)
     inv_scale = 1.0 / objective_scale
@@ -490,8 +491,7 @@ def _kernel_dual_closure(
     def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
         gradient = np.empty(n_links)
         value = body(
-            np.ascontiguousarray(z), scale_vec, capacities,
-            link_ptr, link_cols, flow_ptr, flow_rows,
+            np.ascontiguousarray(z), scale_vec, capacities, *csr,
             code, p0, p1, p2, p3, path_caps, floors, inv_scale,
             prices_buf, rates_buf, gradient,
         )
@@ -504,28 +504,49 @@ class _DualProblem:
     """The scaled dual of one compiled flow set, assembled once for both solvers.
 
     Construction fixes what the flow set and the capacities determine alone
-    (active links, per-flow rate caps and floors); :meth:`bind` adds the
-    per-link price scale and builds the objective/gradient closure.  The
-    callers -- cold :func:`solve_num` and :class:`PersistentDualSolver` --
-    choose only the start point, the preconditioner and the minimiser, then
-    hand the optimal prices to :meth:`result`.
+    (active links, the hop indices in active-link space, per-flow rate caps
+    and floors); :meth:`bind` adds the per-link price scale and builds the
+    objective/gradient closure.  The callers -- cold :func:`solve_num` and
+    :class:`PersistentDualSolver` -- choose only the start point, the
+    preconditioner and the minimiser, then hand the optimal prices to
+    :meth:`result`.
+
+    Everything runs on :attr:`hops`: the compiled ``path_links`` remapped
+    once into active-link index space and held hops x flows (per-flow
+    reductions run along the contiguous axis).  Padding *and* hops on
+    excluded links carry the sentinel ``len(active_idx)``, so a per-link
+    vector extended by one neutral entry prices them at zero and collects
+    their load where nobody reads it.
     """
 
     def __init__(self, compiled: CompiledFluidNetwork):
         self.compiled = compiled
         self.capacities_all = compiled.capacities_vector()
+        n_links = len(compiled.link_ids)
+        path_links = compiled.path_links
+        carrying = np.bincount(path_links.ravel(), minlength=n_links + 1)[:n_links] > 0
         # Failed (zero-capacity) links are excluded like flowless ones: their
         # price stays zero and path-capacity clipping already pins every flow
         # crossing them to a zero rate, so they cannot condition the dual.
-        active = compiled.incidence.any(axis=1) & (self.capacities_all > 0.0)
-        self.active_idx = np.nonzero(active)[0]
-        self.incidence = compiled.incidence[active]
-        self.incidence_f = compiled.incidence_f[active]
-        self.capacities = self.capacities_all[active]
+        self.active_idx = np.nonzero(carrying & (self.capacities_all > 0.0))[0]
+        n_active = self.active_idx.size
+        remap = np.full(n_links + 1, n_active, dtype=np.intp)
+        remap[self.active_idx] = np.arange(n_active)
+        self.hops = remap.take(path_links.T)  # take: C-contiguous hops x flows
+        self._hop_values = np.empty(self.hops.shape)  # link_sums' bincount weights
+        self.capacities = self.capacities_all[self.active_idx]
         # Per-flow rate cap: the narrowest link on the path.  Clipping at the
         # cap keeps the inner maximization bounded even at a ~0 path price.
         self.path_caps = compiled.path_capacities(self.capacities_all)
         self.floors = self.path_caps * _MIN_RATE_FRACTION
+
+    def link_sums(self, per_flow: np.ndarray) -> np.ndarray:
+        """Per-active-link sum of a per-flow quantity: one ``bincount`` over the hops."""
+        n_active = self.capacities.size
+        self._hop_values[:] = per_flow
+        return np.bincount(
+            self.hops.ravel(), weights=self._hop_values.ravel(), minlength=n_active + 1
+        )[:n_active]
 
     def idle_result(self, network: FluidNetwork) -> OracleResult:
         """The allocation when no link can carry anything: every rate is zero."""
@@ -541,24 +562,31 @@ class _DualProblem:
         compiled closure when the utility population allows it.
         """
         vec_utils = self.compiled.vec_utils
-        incidence_f, capacities = self.incidence_f, self.capacities
+        hops, capacities = self.hops, self.capacities
         path_caps, floors = self.path_caps, self.floors
         objective_scale = float(np.max(capacities) * np.median(scale_vec))
-        incidence_f_t = incidence_f.T
+        gradient_scale = scale_vec / objective_scale
         log_weights = vec_utils.uniform_log_weights()
+        link_sums = self.link_sums
+        # Reused by every evaluation: gather target and the prices with their
+        # zero sentinel entry.
+        n_active = capacities.size
+        hop_prices = np.empty(hops.shape)
+        prices_ext = np.zeros(n_active + 1)
+        prices_buf = prices_ext[:n_active]
 
         def primal_rates(prices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            path_prices = incidence_f_t @ prices
+            prices_buf[:] = prices
+            prices_ext.take(hops, out=hop_prices, mode="clip")  # "raise" buffers out
+            path_prices = hop_prices.sum(axis=0)
             if log_weights is None:
                 rates = vec_utils.inverse_marginal_clipped(path_prices, path_caps)
             else:
                 # Fused all-log fast path: same elementwise arithmetic as
                 # inverse_marginal_clipped, without per-family dispatch.
-                rates = np.minimum(
-                    log_weights / np.maximum(path_prices, _EPSILON), path_caps
-                )
+                rates = np.minimum(log_weights / np.maximum(path_prices, _EPSILON), path_caps)
                 np.copyto(rates, path_caps, where=path_prices <= 0.0)
-            return np.maximum(rates, floors), path_prices
+            return np.maximum(rates, floors, out=rates), path_prices
 
         def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
             prices = scale_vec * z
@@ -568,15 +596,12 @@ class _DualProblem:
             else:
                 utility_sum = (log_weights * np.log(np.maximum(rates, _EPSILON))).sum()
             value = float(prices @ capacities + utility_sum - rates @ path_prices)
-            load = incidence_f @ rates
-            gradient = scale_vec * (capacities - load)
-            return value / objective_scale, gradient / objective_scale
+            gradient = capacities - link_sums(rates)
+            gradient *= gradient_scale
+            return value / objective_scale, gradient
 
         if kernel == "numba":
-            fused = _kernel_dual_closure(
-                vec_utils, self.incidence, scale_vec, capacities, path_caps, floors,
-                objective_scale,
-            )
+            fused = _kernel_dual_closure(self, scale_vec, objective_scale)
             if fused is not None:
                 dual_and_gradient = fused
 
@@ -619,7 +644,7 @@ class _DualProblem:
             self.compiled.vec_utils.curvature_alpha * np.maximum(path_prices0, 1e-300),
             out=slopes, where=interior,
         )
-        curvature = self.incidence_f @ slopes
+        curvature = self.link_sums(slopes)
         with np.errstate(divide="ignore", over="ignore"):
             newton = self.objective_scale / (scale_vec**2 * curvature)
         return np.where(
@@ -639,9 +664,7 @@ class _DualProblem:
         compiled = self.compiled
         vec_utils = compiled.vec_utils
         rate_vec, _ = self.primal_rates(prices)
-        rate_vec = _rescale_to_feasible_arrays(
-            self.incidence, self.incidence_f, rate_vec, self.capacities
-        )
+        rate_vec = _rescale_to_feasible_arrays(self, rate_vec)
         objective = float(vec_utils.value(rate_vec).sum())
         rates = dict(zip(compiled.flow_ids, rate_vec.tolist()))
 
@@ -652,16 +675,15 @@ class _DualProblem:
             # otherwise a dead-link flow looks entitled to a positive rate and
             # the safeguard wrongly rejects the (correct) dual solution.
             maxmin_vec = waterfill_arrays(
-                compiled.incidence, compiled.incidence_f,
-                np.ones(len(compiled.flow_ids)), self.capacities_all,
+                None, None, np.ones(len(compiled.flow_ids)), self.capacities_all,
                 path_links=compiled.path_links,
             )
             maxmin_objective = float(vec_utils.value(maxmin_vec).sum())
             maxmin_rates = dict(zip(compiled.flow_ids, maxmin_vec.tolist()))
         links = compiled.link_ids
-        price_dict = {link: 0.0 for link in links}
-        for position, link_idx in enumerate(self.active_idx.tolist()):
-            price_dict[links[link_idx]] = float(prices[position])
+        price_vec = np.zeros(len(links))  # excluded links report a zero price
+        price_vec[self.active_idx] = prices
+        price_dict = dict(zip(links, price_vec.tolist()))
         return _finish(network, compiled.flows, links, rates, price_dict, objective,
                        iterations, success, maxmin_rates, maxmin_objective, max_iterations)
 
@@ -676,10 +698,10 @@ class PersistentDualSolver:
     from the optimum.  This solver keeps everything that is reusable alive
     across flow-set changes instead:
 
-    * **Compiled incidence** -- a private :class:`CompiledFluidNetwork`
+    * **Compiled snapshot** -- a private :class:`CompiledFluidNetwork`
       brought up to date via its incremental :meth:`~CompiledFluidNetwork.refresh`
-      (O(path) column edits replayed from the network's churn journal)
-      rather than recompiled per event.
+      (O(path) ``path_links`` edits replayed from the network's churn
+      journal) rather than recompiled per event.
     * **Prices** -- a full-length per-link price vector; the dual optimum
       moves little per churn event, so the previous solve's prices are the
       warm start (links temporarily without flows keep their last price as
@@ -693,9 +715,13 @@ class PersistentDualSolver:
 
     The minimiser is :func:`_spg_minimize`: the clipped dual is piecewise
     smooth, so a quasi-Newton model is invalidated face by face while the
-    spectral step re-converges in ~4 iterations from a warm start.  A fresh
-    solver's first solve is a cold SPG solve (``z = 0.5``, Jacobi
-    preconditioner).
+    spectral step carries over.  Measured by ``benchmarks/e2e`` on
+    ``fig5_websearch`` (seed 7; ~135 flows on ~220 active links per solve,
+    one arrival or departure apart): a warm solve takes a median of 25-27
+    and a 99th percentile of 91-96 iterations (``fluid.oracle_iters_p50`` /
+    ``_p99``), none unconverged; the 12-link churn trace of the tests takes
+    14.  A fresh solver's first solve is a cold SPG solve (``z = 0.5``,
+    Jacobi preconditioner).
 
     Parity: warm persistent solves match a cold :func:`solve_num` of the
     same instance to well within 1e-6 relative on rates (pinned by the
@@ -720,27 +746,19 @@ class PersistentDualSolver:
         #: Dual-evaluation kernel, resolved once (honors ``REPRO_KERNEL``).
         self.kernel = _kernels.resolve_kernel(kernel)
         self._network = network
+        self._scale_fill = 1.0
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop all persistent state (next solve starts cold)."""
         self._compiled: Optional[CompiledFluidNetwork] = None
         self._prices_full: Optional[np.ndarray] = None
         self._scale_full: Optional[np.ndarray] = None
         self._scale_valid: Optional[np.ndarray] = None
-        self._scale_fill = 1.0
         self._churned_solves = 0
         self._last_version: Optional[int] = None
         self._last_capacity_version: Optional[int] = None
         self._step: Optional[float] = None
-        self._warm = False
-
-    def reset(self) -> None:
-        """Drop all persistent state (next solve starts cold)."""
-        self._compiled = None
-        self._prices_full = None
-        self._scale_full = None
-        self._scale_valid = None
-        self._churned_solves = 0
-        self._last_version = None
-        self._last_capacity_version = None
-        self._step = None
         self._warm = False
 
     def _refresh_compiled(self, network: FluidNetwork) -> CompiledFluidNetwork:
@@ -779,11 +797,10 @@ class PersistentDualSolver:
     def solve(self, network: FluidNetwork) -> OracleResult:
         """Solve the NUM problem for the network's current flow set."""
         compiled = self._refresh_compiled(network)
-        flows = compiled.flows
         links = compiled.link_ids
-        if network.groups or any(flow.group_id is not None for flow in flows):
+        if network.groups or compiled.grouped:
             raise ValueError("network contains multipath groups; use solve_num_multipath")
-        if not flows:
+        if not compiled.flows:
             return OracleResult(rates={}, prices={link: 0.0 for link in links},
                                 objective=0.0, iterations=0, converged=True)
         n_links = len(links)
@@ -850,6 +867,8 @@ def _slsqp_solve(
     value at an equal-split starting point to make ``ftol`` behave
     consistently.
     """
+    from scipy import optimize  # only the primal fallbacks pay the import
+
     flows = network.flows
     links = network.links
     link_index = {link: i for i, link in enumerate(links)}
@@ -928,22 +947,13 @@ def _solve_num_primal(network: FluidNetwork, max_iterations: int = 500) -> Oracl
     return _slsqp_solve(network, utility_of_rates, marginal_of_rates, max_iterations, 1e-12)
 
 
-def _rescale_to_feasible_arrays(
-    incidence: np.ndarray,
-    incidence_f: np.ndarray,
-    rates: np.ndarray,
-    capacities: np.ndarray,
-) -> np.ndarray:
-    """Array twin of :func:`_rescale_to_feasible` (same per-flow worst-link rule)."""
-    load = incidence_f @ rates
-    # Zero-capacity rows cannot appear from the solvers (dead links are
-    # excluded from the dual), but guard the division so direct callers
-    # with faulted capacities get ratio 0 instead of 0/0 NaN.
-    ratio = np.zeros_like(capacities)
-    np.divide(load, capacities, out=ratio, where=capacities > 0.0)
+def _rescale_to_feasible_arrays(problem: _DualProblem, rates: np.ndarray) -> np.ndarray:
+    """Array twin of :func:`_rescale_to_feasible` on :attr:`_DualProblem.hops`."""
+    # Active links all have positive capacity; the sentinel's ratio is neutral.
+    ratio = np.append(problem.link_sums(rates) / problem.capacities, 1.0)
     if not (ratio > 1.0).any():
         return rates
-    worst = np.where(incidence, np.maximum(ratio, 1.0)[:, None], 1.0).max(axis=0)
+    worst = np.maximum(ratio, 1.0)[problem.hops].max(axis=0)
     return np.where(worst > 1.0, rates / worst, rates)
 
 

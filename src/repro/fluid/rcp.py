@@ -12,8 +12,9 @@ Two interchangeable backends drive the iteration:
   Python over dicts;
 * ``backend="vectorized"`` -- the Eq. (16) rate combination and the
   fair-rate/queue update as NumPy array operations over the compiled
-  incidence structure of :mod:`repro.fluid.vectorized` (RCP* needs no
-  utility batching: its dynamics read only paths and capacities).  Rates,
+  ``path_links`` of :mod:`repro.fluid.vectorized` (the power sums are
+  gather + add over each flow's hops; RCP* needs no utility batching: its
+  dynamics read only paths and capacities).  Rates,
   fair rates and queues match the scalar backend to well within the 1e-9
   enforced by ``tests/fluid/test_scheme_backend_parity.py``; see
   ``BENCH_fluid.json`` for the measured speedup.
@@ -105,18 +106,18 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         # (the scalar total > 0 branch can only be false for zero flows).
         path_caps = compiled.path_capacities(capacities)
         # Failed links advertise a zero fair share: exclude them from the
-        # power sum (0 ** -alpha would inject inf into the matmul and NaN
-        # into disjoint paths) and zero out the flows that cross them --
-        # exactly the scalar branch's inf-total behavior.
+        # power sum (0 ** -alpha would inject inf into the path sums) and
+        # zero out the flows that cross them -- exactly the scalar branch's
+        # inf-total behavior.
         live_fair = fair_rates > 0.0
         fair_pow = np.zeros_like(fair_rates)
         np.power(fair_rates, -params.alpha, out=fair_pow, where=live_fair)
-        totals = compiled.incidence_f.T @ fair_pow
+        totals = compiled.path_prices(fair_pow)
         rate_vec = path_caps.copy()  # the scalar fallback when total <= 0
         positive = totals > 0.0
         rate_vec[positive] = totals[positive] ** (-1.0 / params.alpha)
         if not live_fair.all():
-            dead_path = compiled.incidence_f.T @ (~live_fair).astype(float) > 0.0
+            dead_path = compiled.path_prices((~live_fair).astype(float)) > 0.0
             rate_vec[dead_path] = 0.0
         np.minimum(rate_vec, params.max_outstanding_bdp * path_caps, out=rate_vec)
 

@@ -6,9 +6,9 @@ iterates Python dicts per flow and per link, which caps the convergence and
 sensitivity experiments at toy scale.  This module compiles a
 :class:`~repro.fluid.network.FluidNetwork` snapshot into
 
-* a padded per-flow **link-index array** (``path_links``) that every hot
-  link <-> flow reduction runs on, a dense link x flow boolean incidence
-  matrix for the Oracle's dual, plus capacity / path-length vectors
+* a padded per-flow **link-index array** (``path_links``) that every
+  link <-> flow reduction runs on -- water-filling, the schemes' path sums
+  and the Oracle's dual alike -- plus capacity / path-length vectors
   (:class:`CompiledFluidNetwork`), and
 * per-flow utility parameters batched by family
   (:class:`VectorizedUtilities`),
@@ -395,11 +395,10 @@ class VectorizedUtilities:
 class CompiledFluidNetwork:
     """Array view of a :class:`FluidNetwork` snapshot.
 
-    Holds the per-flow link indices (:attr:`path_links`), the link x flow
-    incidence matrix, path lengths and batched utility parameters for the
-    *current* flow set; capacities are deliberately not frozen (they are
-    re-read each iteration so ``set_capacity`` takes effect without
-    recompiling).
+    Holds the per-flow link indices (:attr:`path_links`), path lengths and
+    batched utility parameters for the *current* flow set; capacities are
+    deliberately not frozen (they are re-read each iteration so
+    ``set_capacity`` takes effect without recompiling).
 
     ``path_links`` is a flows x max-hops ``intp`` array, row ``j`` holding
     flow ``j``'s link indices in path order, padded with the **sentinel**
@@ -408,18 +407,19 @@ class CompiledFluidNetwork:
     so water-filling (:func:`waterfill_arrays`) and the link <-> flow
     reductions (:meth:`path_prices`, :meth:`path_capacities`,
     :meth:`link_min`, :meth:`link_load`) cost O(flows x hops) instead of
-    O(links x flows).  The dense :attr:`incidence` / :attr:`incidence_f`
-    pair is kept only for the Oracle's dual closures, its feasibility
-    rescale and RCP*'s power sums, which still read it.
+    O(links x flows).  The dense link x flow matrix is not stored:
+    :attr:`incidence` / :attr:`incidence_f` derive it from ``path_links``
+    per read, for the parity tests, the ``batch_ties=False`` reference
+    schedule and the perf harness's reference rows.
 
-    The column storage is over-allocated behind a flow-slot map (mirroring
+    The slot storage is over-allocated behind a flow-slot map (mirroring
     the flow-level simulation's slot map), so a single arrival or departure
-    is an O(path-length) column edit applied by :meth:`refresh` from the
-    network's churn journal -- dynamic scenarios no longer pay a full
-    O(links x flows) recompile per event.  Departures swap the last column
-    into the vacated slot, so after churn the column order is an admission/
-    swap order rather than the network's dict order; all consumers key their
-    outputs by ``flow_ids``, which is maintained in the same slot order.
+    is an O(path-length) row edit applied by :meth:`refresh` from the
+    network's churn journal -- dynamic scenarios do not pay a full
+    recompile per event.  Departures swap the last slot into the vacated
+    one, so after churn the slot order is an admission/swap order rather
+    than the network's dict order; all consumers key their outputs by
+    ``flow_ids``, which is maintained in the same slot order.
     """
 
     __slots__ = (
@@ -433,8 +433,6 @@ class CompiledFluidNetwork:
         "_link_index",
         "_slot_of",
         "_count",
-        "_incidence",
-        "_incidence_f",
         "_path_links",
         "_link_getter",
         "_path_len",
@@ -455,15 +453,11 @@ class CompiledFluidNetwork:
         self._link_index = {link: i for i, link in enumerate(self.link_ids)}
         n_links, n_flows = len(self.link_ids), len(self.flows)
         columns = max(n_flows, 8)
-        incidence = np.zeros((n_links, columns), dtype=bool)
         hops = max((len(flow.path) for flow in self.flows), default=1)
         path_links = np.full((columns, hops), n_links, dtype=np.intp)
         for j, flow in enumerate(self.flows):
             rows = [self._link_index[link] for link in flow.path]
-            incidence[rows, j] = True
             path_links[j, : len(rows)] = rows
-        self._incidence = incidence
-        self._incidence_f = incidence.astype(float)
         self._path_links = path_links
         self._link_getter = itemgetter(*self.link_ids)  # C-level read, see link_vector
         self._count = n_flows
@@ -487,13 +481,16 @@ class CompiledFluidNetwork:
 
     @property
     def incidence(self) -> np.ndarray:
-        """Boolean link x flow incidence for the active slots (a view)."""
-        return self._incidence[:, : self._count]
+        """Boolean link x flow incidence, built from :attr:`path_links` on
+        every read: a reference view for tests, never a hot path."""
+        dense = np.zeros((len(self.link_ids) + 1, self._count), dtype=bool)
+        dense[self.path_links.T, np.arange(self._count)] = True
+        return dense[:-1]  # the sentinel row collected the padding
 
     @property
     def incidence_f(self) -> np.ndarray:
-        """Float twin of :attr:`incidence` (a view)."""
-        return self._incidence_f[:, : self._count]
+        """Float twin of :attr:`incidence` (derived per read as well)."""
+        return self.incidence.astype(float)
 
     @property
     def path_links(self) -> np.ndarray:
@@ -563,16 +560,10 @@ class CompiledFluidNetwork:
 
     def _grow_columns(self, extra: int) -> None:
         needed = self._count + extra
-        if needed <= self._incidence.shape[1]:
+        if needed <= len(self._path_len):
             return
-        columns = max(needed, 2 * self._incidence.shape[1])
+        columns = max(needed, 2 * len(self._path_len))
         n_links = len(self.link_ids)
-        incidence = np.zeros((n_links, columns), dtype=bool)
-        incidence[:, : self._count] = self._incidence[:, : self._count]
-        self._incidence = incidence
-        incidence_f = np.zeros((n_links, columns))
-        incidence_f[:, : self._count] = self._incidence_f[:, : self._count]
-        self._incidence_f = incidence_f
         path_len = np.zeros(columns)
         path_len[: self._count] = self._path_len[: self._count]
         self._path_len = path_len
@@ -584,12 +575,10 @@ class CompiledFluidNetwork:
         self._path_links = path_links
 
     def _append_flow(self, flow: FluidFlow) -> None:
-        """O(path) column edit: one arrival into the next free slot."""
+        """O(path) row edit: one arrival into the next free slot."""
         self._grow_columns(1)
         slot = self._count
         rows = [self._link_index[link] for link in flow.path]
-        self._incidence[rows, slot] = True
-        self._incidence_f[rows, slot] = 1.0
         if len(rows) > self._path_links.shape[1]:  # longest path so far: widen
             widened = np.full((len(self._path_links), len(rows)), len(self.link_ids), dtype=np.intp)
             widened[:, : self._path_links.shape[1]] = self._path_links
@@ -607,12 +596,10 @@ class CompiledFluidNetwork:
         self._count += 1
 
     def _remove_flow(self, flow_id: FlowId) -> None:
-        """O(links) column edit: swap the last slot into the vacated one."""
+        """O(hops) row edit: swap the last slot into the vacated one."""
         slot = self._slot_of.pop(flow_id)
         last = self._count - 1
         if slot != last:
-            self._incidence[:, slot] = self._incidence[:, last]
-            self._incidence_f[:, slot] = self._incidence_f[:, last]
             self._path_links[slot] = self._path_links[last]
             self._path_len[slot] = self._path_len[last]
             self._path_caps[slot] = self._path_caps[last]
@@ -621,10 +608,8 @@ class CompiledFluidNetwork:
             self.flow_ids[slot] = moved.flow_id
             self._slot_of[moved.flow_id] = slot
             self.vec_utils.move(last, slot)
-        # Keep the invariant that columns beyond ``_count`` are all zero (all
-        # sentinel in path_links), so the next append only writes its path.
-        self._incidence[:, last] = False
-        self._incidence_f[:, last] = 0.0
+        # Keep the invariant that rows beyond ``_count`` are all sentinel, so
+        # the next append only writes its path.
         self._path_links[last] = len(self.link_ids)
         self.flows.pop()
         self.flow_ids.pop()
@@ -982,8 +967,8 @@ def _waterfill_paths(
 
 
 def waterfill_arrays(
-    incidence: np.ndarray,
-    incidence_f: np.ndarray,
+    incidence: Optional[np.ndarray],
+    incidence_f: Optional[np.ndarray],
     weights: np.ndarray,
     capacities: np.ndarray,
     batch_ties: bool = True,
@@ -1015,6 +1000,8 @@ def waterfill_arrays(
     ``path_links``, when given, must be the sentinel-padded link-index
     array of ``incidence`` (:attr:`CompiledFluidNetwork.path_links`; repeat
     callers cache it); otherwise it is derived from ``incidence`` per call.
+    With it, ``incidence`` / ``incidence_f`` may be ``None``: only the
+    ``batch_ties=False`` schedule reads the dense pair.
 
     ``batch_ties=False`` keeps the dense one-bottleneck-per-round schedule
     (the before/after reference for the perf harness).  ``stats``, when

@@ -170,8 +170,8 @@ class XwiFluidSimulator(VectorizedBackendMixin):
 
         # Swift settles to the weighted max-min allocation for those weights.
         rate_vec = waterfill_arrays(
-            compiled.incidence,
-            compiled.incidence_f,
+            None,
+            None,
             weight_vec,
             capacities,
             kernel=self.kernel,

@@ -16,6 +16,7 @@ of sub-BDP flows).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from abc import ABC, abstractmethod
@@ -56,8 +57,8 @@ class EmpiricalFlowSizeDistribution(FlowSizeDistribution):
         if cdf[0] < 0.0:
             raise ValueError("CDF values must be non-negative")
         self.name = name
-        self._sizes = sizes
-        self._cdf = cdf
+        self._sizes = tuple(sizes)
+        self._cdf = tuple(cdf)
 
     def quantile(self, u: float) -> float:
         """Inverse CDF: the flow size at cumulative probability ``u``."""
@@ -95,15 +96,25 @@ class EmpiricalFlowSizeDistribution(FlowSizeDistribution):
         Computed numerically by quantile integration, which is accurate
         enough for sizing Poisson arrival rates.
         """
-        steps = 10_000
-        total = 0.0
-        for i in range(steps):
-            u = (i + 0.5) / steps
-            total += self.quantile(u)
-        return total / steps
+        return _quantile_mean(self._sizes, self._cdf)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EmpiricalFlowSizeDistribution({self.name!r})"
+
+
+@functools.lru_cache(maxsize=32)
+def _quantile_mean(sizes: Tuple[float, ...], cdf: Tuple[float, ...]) -> float:
+    """Midpoint-rule quantile integral of one CDF (~6 ms), once per process.
+
+    Keyed by the CDF points, not the instance: Poisson generators ask on
+    every ``arrivals()`` call and the named workloads build a fresh instance.
+    """
+    quantile = EmpiricalFlowSizeDistribution(list(zip(sizes, cdf))).quantile
+    steps = 10_000
+    total = 0.0
+    for i in range(steps):
+        total += quantile((i + 0.5) / steps)
+    return total / steps
 
 
 class ParetoFlowSizeDistribution(FlowSizeDistribution):

@@ -1,11 +1,12 @@
-"""Incremental incidence compilation vs full recompiles.
+"""Incremental compilation vs full recompiles.
 
 ``CompiledFluidNetwork.refresh`` replays the network's churn journal as
-O(path) column edits (arrivals append a column, departures swap-remove
-one).  These tests pin the contract the vectorized backends rely on: after
-any sequence of arrivals/departures, the incrementally maintained arrays
-are *identical* -- up to the documented slot permutation -- to a compile
-from scratch, and the journal machinery degrades safely (full recompile)
+O(path) row edits of ``path_links`` (arrivals append a slot, departures
+swap-remove one); the dense ``incidence`` is derived from it on demand.
+These tests pin the contract the vectorized backends rely on: after any
+sequence of arrivals/departures, the incrementally maintained arrays are
+*identical* -- up to the documented slot permutation -- to a compile from
+scratch, and the journal machinery degrades safely (full recompile)
 whenever it cannot replay.
 """
 
@@ -29,9 +30,27 @@ def _utility(kind: int, parameter: float):
     return FctUtility(flow_size=1e4 * parameter)
 
 
+def dense_from_flows(compiled):
+    """The link x flow incidence rebuilt from the flow objects, in slot order."""
+    link_index = {link: i for i, link in enumerate(compiled.link_ids)}
+    dense = np.zeros((len(compiled.link_ids), len(compiled.flows)), dtype=bool)
+    for slot, flow in enumerate(compiled.flows):
+        dense[[link_index[link] for link in flow.path], slot] = True
+    return dense
+
+
+def assert_incidence_matches_flows(compiled):
+    """The on-demand dense views are the matrix the flows' paths spell out."""
+    dense = dense_from_flows(compiled)
+    assert compiled.incidence.dtype == bool and compiled.incidence_f.dtype == float
+    np.testing.assert_array_equal(compiled.incidence, dense)
+    np.testing.assert_array_equal(compiled.incidence_f, dense.astype(float))
+
+
 def assert_matches_full_compile(incremental, network):
     """The incremental snapshot must equal a fresh compile, per flow id."""
     full = compile_network(network)
+    assert_incidence_matches_flows(incremental)
     assert sorted(incremental.flow_ids, key=repr) == sorted(full.flow_ids, key=repr)
     assert incremental.version == full.version
     full_slot = {flow_id: j for j, flow_id in enumerate(full.flow_ids)}
@@ -40,12 +59,6 @@ def assert_matches_full_compile(incremental, network):
     assert np.all(incremental._path_links[len(incremental.flow_ids) :] == sentinel)
     for slot, flow_id in enumerate(incremental.flow_ids):
         reference = full_slot[flow_id]
-        np.testing.assert_array_equal(
-            incremental.incidence[:, slot], full.incidence[:, reference]
-        )
-        np.testing.assert_array_equal(
-            incremental.incidence_f[:, slot], full.incidence_f[:, reference]
-        )
         assert incremental.path_len[slot] == full.path_len[reference]
         # Both build their rows from flow.path in path order; the hop axis
         # of the incremental one may be wider (a long flow since departed).
@@ -196,12 +209,14 @@ class TestPathLinksMaintenance:
         np.testing.assert_array_equal(
             restored._compiled.path_links, simulator._compiled.path_links
         )
+        assert_incidence_matches_flows(restored._compiled)
         for sim in (simulator, restored):
             sim.network.remove_flow(4)
             populate(sim.network, 9, 2)
         for _ in range(5):
             assert restored.step().rates == simulator.step().rates
         assert restored.prices == simulator.prices
+        assert_incidence_matches_flows(restored._compiled)  # after post-restore churn
 
 
 class TestRefreshFallbacks:

@@ -36,6 +36,8 @@ from repro.fluid.oracle import PersistentDualSolver, solve_num
 from repro.fluid.vectorized import compile_network, waterfill_arrays
 from repro.fluid.xwi import XwiFluidSimulator
 
+from _dense_reference import build_csr
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -134,7 +136,7 @@ def _assert_waterfill_parity(incidence, weights, capacities, batch_ties):
         batch_ties=batch_ties, stats=expected_stats,
     )
     rates, rounds, link_level = kernels.waterfill_csr(
-        *kernels.build_csr(incidence), weights, capacities,
+        *build_csr(incidence), weights, capacities,
         batch_ties=batch_ties, jit=False,
     )
     scale = float(capacities.max(initial=1.0))
@@ -173,7 +175,7 @@ class TestWaterfillKernelParity:
         weights = np.zeros(0)
         capacities = np.array([1.0, 2.0, 3.0])
         rates, rounds, link_level = kernels.waterfill_csr(
-            *kernels.build_csr(incidence), weights, capacities, jit=False
+            *build_csr(incidence), weights, capacities, jit=False
         )
         assert rates.size == 0 and rounds == 0
         assert np.all(np.isnan(link_level))
@@ -181,7 +183,7 @@ class TestWaterfillKernelParity:
     def test_all_links_zero_capacity(self):
         incidence = np.ones((2, 3), dtype=bool)
         rates, _, _ = kernels.waterfill_csr(
-            *kernels.build_csr(incidence),
+            *build_csr(incidence),
             np.ones(3), np.zeros(2), jit=False,
         )
         expected = waterfill_arrays(
@@ -194,11 +196,11 @@ class TestWaterfillKernelParity:
         n = 8
         incidence = np.eye(n, dtype=bool)
         _, rounds_batched, _ = kernels.waterfill_csr(
-            *kernels.build_csr(incidence), np.ones(n), np.full(n, 4.0),
+            *build_csr(incidence), np.ones(n), np.full(n, 4.0),
             batch_ties=True, jit=False,
         )
         _, rounds_single, _ = kernels.waterfill_csr(
-            *kernels.build_csr(incidence), np.ones(n), np.full(n, 4.0),
+            *build_csr(incidence), np.ones(n), np.full(n, 4.0),
             batch_ties=False, jit=False,
         )
         assert rounds_batched == 1
@@ -209,7 +211,7 @@ class TestWaterfillKernelParity:
         incidence, weights, capacities = _random_waterfill_instance(
             3, n_links=6, n_flows=9, zero_cap=True, tie_heavy=False
         )
-        csr = kernels.build_csr(incidence)
+        csr = build_csr(incidence)
         jit = kernels.waterfill_csr(*csr, weights, capacities, jit=True)
         twin = kernels.waterfill_csr(*csr, weights, capacities, jit=False)
         assert np.array_equal(jit[0], twin[0]) and jit[1] == twin[1]
@@ -271,7 +273,7 @@ def _dual_closure_pair(network, rng):
 
     family = vec_utils.kernel_family_arrays()
     assert family is not None  # the generator only draws closed-form utilities
-    link_ptr, link_cols, flow_ptr, flow_rows = kernels.build_csr(incidence)
+    link_ptr, link_cols, flow_ptr, flow_rows = build_csr(incidence)
     code = np.ascontiguousarray(family[0])
     p0, p1, p2, p3 = (np.ascontiguousarray(row) for row in family[1:])
     n_links, n_flows = incidence.shape

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _dense_reference import build_csr
 from repro.core.utility import LogUtility
-from repro.fluid.kernels import build_csr, csr_from_path_links, waterfill_csr
+from repro.fluid.kernels import csr_from_path_links, waterfill_csr
 from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.vectorized import (

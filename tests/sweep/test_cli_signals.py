@@ -91,7 +91,7 @@ class TestCliSignals:
                 "-m",
                 "repro",
                 "run",
-                "fig5/websearch",
+                "hotspot/leaf-spine",
                 "--scale",
                 "paper",
                 "--quiet",
@@ -102,8 +102,9 @@ class TestCliSignals:
             stderr=subprocess.PIPE,
             text=True,
         )
-        # Paper scale runs for tens of seconds; by 2.5s the handler is
-        # installed and the scenario is mid-flight.
+        # Paper scale runs ~15 s on the default (flow) engine after ~0.3 s of
+        # start-up (fig5/websearch, used here before, now finishes in ~2.5 s);
+        # by 2.5s the handler is installed and the scenario is mid-flight.
         time.sleep(2.5)
         assert process.poll() is None, "paper-scale run finished implausibly fast"
         process.send_signal(signal.SIGINT)
