@@ -44,7 +44,11 @@ Times (stdlib ``time.perf_counter`` only, no external dependencies):
   workload (exercising the lazy purge and the O(1) ``pending_events``
   counter), the handle-allocating vs fire-and-forget scheduling paths on
   an identical self-rescheduling workload (the before/after pair for the
-  event free-list), and a packet stream through an :class:`OutputPort`.
+  event free-list), a packet stream through an :class:`OutputPort`, and the
+  demand-driven port timers: an idle 14-controller NUMFabric dumbbell
+  (events and host seconds for 0.5 s simulated -- at most one event per
+  controller, gated) and a timer that parks and is woken every other
+  interval against an always-on one over the same span.
 
 Any scheme whose vectorized allocation drifts more than 1e-9 (relative)
 from its scalar reference aborts the run with a loud error -- the harness
@@ -89,6 +93,7 @@ _SRC = os.path.join(
 if _SRC not in sys.path:  # allow running without installation
     sys.path.insert(0, _SRC)
 
+from repro.core.config import NumFabricParameters
 from repro.core.utility import AlphaFairUtility, FctUtility, LogUtility
 from repro.experiments.dynamic_fluid import EqualSharePolicy, FlowLevelSimulation
 from repro.experiments.fig5_dynamic import DeviationSettings, run_deviation_experiment
@@ -105,6 +110,8 @@ from repro.fluid.xwi import XwiFluidSimulator
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
+from repro.sim.topology import dumbbell
+from repro.transports.numfabric import NumFabricScheme
 from repro.workloads.distributions import UniformFlowSizeDistribution
 from repro.workloads.poisson import PoissonTrafficGenerator
 
@@ -123,6 +130,10 @@ FIG5_PAPER_BUDGET_SECONDS = 60.0
 #: (the ``fig5_100k`` row, full mode only; derived from the streaming side
 #: of the long-horizon replay bench so the workload is measured once).
 FIG5_100K_BUDGET_SECONDS = 600.0
+#: A timer that parks and is woken every other interval may cost at most
+#: this many times the always-on timer over the same span (``--check``
+#: audits the committed full-mode number; the smoke run is too short to time).
+PORT_TIMER_CHURN_MAX_RATIO = 1.0
 
 #: The comparison schemes ported to ``backend="vectorized"`` in this repo;
 #: xWI is benchmarked separately (it predates them and skips history).
@@ -946,6 +957,66 @@ def _bench_port_stream(n_packets: int, propagation_delay: float = 1e-6) -> Dict:
     }
 
 
+def _bench_idle_port_timers(simulated_seconds: float = 0.5) -> Dict:
+    """fig7's dumbbell (14 price controllers) with no flows at all.
+
+    Every controller's first tick closes an idle interval and parks, so the
+    whole run is one event per controller; ``always_on_events`` is what one
+    tick per port per interval comes to over the same span.
+    """
+    # The end-to-end fig7 workload's parameters: 60 us price updates.
+    scheme = NumFabricScheme(NumFabricParameters(baseline_rtt=50e-6).slowed_down(2.0))
+    network = dumbbell(scheme, num_pairs=6)
+    start = time.perf_counter()
+    network.run(simulated_seconds)
+    elapsed = time.perf_counter() - start
+    controllers = len(scheme.controllers)
+    ticks = int(simulated_seconds / scheme.params.price_update_interval)
+    return {
+        "controllers": controllers,
+        "simulated_seconds": simulated_seconds,
+        "events": network.simulator.events_processed,
+        "always_on_events": controllers * ticks,
+        "seconds": elapsed,
+    }
+
+
+def _bench_port_timer_churn(n_ticks: int, interval: float = 3e-5) -> Dict:
+    """Worst-case park/unpark churn against the reschedule it replaces.
+
+    A port that sees one packet every other interval parks after every
+    idle tick and is woken by the next packet.  Both sides run the same
+    ``n_ticks`` intervals with the same wake-up events (the packets, which
+    exist either way); the always-on timer pays a fire and a reschedule per
+    interval, the parking one a fire, a park and an unpark per two.
+    """
+    seconds = {}
+    for label, parks in (("always_on", False), ("park_unpark", True)):
+        simulator = Simulator()
+        timer = simulator.every(interval, (lambda: timer.park()) if parks else (lambda: None))
+        for k in range(n_ticks // 2):
+            simulator.schedule((2 * k + 1.5) * interval, timer.unpark)
+        start = time.perf_counter()
+        simulator.run(until=n_ticks * interval)
+        seconds[label] = time.perf_counter() - start
+    return {
+        "ticks": n_ticks,
+        "always_on_seconds": seconds["always_on"],
+        "park_unpark_seconds": seconds["park_unpark"],
+        "ratio": seconds["park_unpark"] / seconds["always_on"],
+    }
+
+
+def enforce_idle_timers(engine: Dict) -> None:
+    """An idle network must cost at most one event per controller."""
+    idle = engine["idle_port_timers"]
+    if idle["events"] > idle["controllers"]:
+        raise RuntimeError(
+            f"idle port timers did not park: {idle['events']} events for "
+            f"{idle['controllers']} controllers over {idle['simulated_seconds']} s simulated"
+        )
+
+
 def bench_engine(n_events: int, n_packets: int) -> Dict:
     return {
         "cancellation_heavy": _bench_cancellation_heavy(n_events),
@@ -955,6 +1026,8 @@ def bench_engine(n_events: int, n_packets: int) -> Dict:
         },
         "port_stream": _bench_port_stream(n_packets),
         "port_stream_zero_delay": _bench_port_stream(n_packets, propagation_delay=0.0),
+        "idle_port_timers": _bench_idle_port_timers(),
+        "port_timer_churn": _bench_port_timer_churn(n_events),
     }
 
 
@@ -1084,6 +1157,7 @@ def run(smoke: bool = False) -> Dict:
             "p99_rel_error": streaming["p99_rel_error"],
         }
     enforce_parity(results)
+    enforce_idle_timers(results["engine"])
     return results
 
 
@@ -1132,6 +1206,18 @@ def check_against_committed(path: str) -> None:
             "baseline (no cold_seconds column); re-run that section"
         )
     enforce_parity(committed)
+    if "idle_port_timers" not in committed["engine"]:
+        raise RuntimeError(
+            "committed engine section predates the demand-driven port timers "
+            "(no idle_port_timers row); re-run that section"
+        )
+    enforce_idle_timers(committed["engine"])
+    churn = committed["engine"]["port_timer_churn"]
+    if churn["ratio"] > PORT_TIMER_CHURN_MAX_RATIO:
+        raise RuntimeError(
+            f"committed port_timer_churn: parking costs {churn['ratio']:.2f}x the "
+            f"always-on timer (gate {PORT_TIMER_CHURN_MAX_RATIO})"
+        )
     for section in ("fig5_paper_scale", "fig5_100k"):
         fig5 = committed.get(section)
         if fig5 is not None and not fig5.get("within_budget", False):

@@ -176,6 +176,52 @@ def test_smoke_covers_compiled_maxmin_and_engine(smoke_results):
 
 
 @pytest.mark.perf_smoke
+def test_idle_ports_leave_the_event_heap(smoke_results):
+    """Event-count guard: fig7's 14-controller dumbbell with no flows costs
+    one event per controller over 0.5 s simulated, not one per port per
+    price-update interval (116 662 with always-on timers)."""
+    results, written = smoke_results
+    idle = results["engine"]["idle_port_timers"]
+    assert idle["controllers"] == 14 and idle["simulated_seconds"] == 0.5
+    assert idle["events"] <= idle["controllers"]
+    assert idle["always_on_events"] > 100_000
+    assert written["engine"]["idle_port_timers"] == idle
+    churn = results["engine"]["port_timer_churn"]
+    assert churn["always_on_seconds"] > 0 and churn["park_unpark_seconds"] > 0
+    with pytest.raises(RuntimeError, match="did not park"):
+        run_bench.enforce_idle_timers({"idle_port_timers": dict(idle, events=116_662)})
+
+
+@pytest.mark.perf_smoke
+def test_ports_park_again_after_the_last_ack():
+    """One short flow wakes the ports on its path; within three ticks of its
+    last ACK every controller is parked again and the heap is empty."""
+    from repro.sim.flow import FlowDescriptor
+
+    def build():
+        scheme = run_bench.NumFabricScheme(
+            run_bench.NumFabricParameters(baseline_rtt=50e-6).slowed_down(2.0)
+        )
+        network = run_bench.dumbbell(scheme, num_pairs=6)
+        network.add_flow(FlowDescriptor(
+            flow_id=0, source=("sender", 0), destination=("receiver", 0), size_bytes=30_000))
+        return scheme, network
+
+    scheme, network = build()
+    network.run(0.5)
+    (completion,) = network.fct_tracker.completions
+    assert network.simulator.pending_events == 0
+    total_events = network.simulator.events_processed
+
+    scheme, network = build()
+    interval = scheme.params.price_update_interval
+    network.run(completion.finish_time + 3 * interval)
+    assert all(controller._timer.parked for controller in scheme.controllers)
+    assert network.simulator.pending_events == 0
+    assert network.simulator.events_processed == total_events  # nothing ticked afterwards
+
+
+@pytest.mark.perf_smoke
 def test_parity_enforcement_fails_loudly():
     """A drifted scheme result must abort the harness, not slip into JSON."""
     results = {

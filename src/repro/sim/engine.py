@@ -2,7 +2,11 @@
 
 A minimal but complete event loop: events are (time, sequence, callback)
 tuples in a binary heap; ties in time are broken by insertion order so the
-simulation is fully deterministic.
+simulation is fully deterministic.  The one exception is a
+:class:`PeriodicTimer` tick, which runs before every other event of its
+instant (ticks of several timers in timer-creation order): where a tick
+falls among simultaneous events then does not depend on when it was armed,
+which is what lets an idle timer leave the heap and come back.
 
 Cancellation is lazy (the heap entry stays until popped), but the scheduler
 keeps an O(1) live-event count and compacts the heap whenever more than
@@ -62,6 +66,9 @@ class Simulator:
         self._now = 0.0
         self._queue: List[Tuple[float, int, EventHandle, Callable[..., None], tuple]] = []
         self._sequence = itertools.count()
+        # Tick keys: negative, so a tick sorts ahead of the ordinary events
+        # of its instant; one per timer, so ticks sort in creation order.
+        self._timer_ranks = itertools.count(-(1 << 62))
         self._events_processed = 0
         self._cancelled_pending = 0
 
@@ -112,6 +119,12 @@ class Simulator:
             raise ValueError(f"cannot schedule at {time} (now is {self._now})")
         handle = EventHandle(time, self)
         heapq.heappush(self._queue, (time, next(self._sequence), handle, callback, args))
+        return handle
+
+    def _schedule_tick(self, time: float, rank: int, callback: Callable[[], None]) -> EventHandle:
+        """Arm a timer's next tick; ``rank`` takes the sequence number's place."""
+        handle = EventHandle(time, self)
+        heapq.heappush(self._queue, (time, rank, handle, callback, ()))
         return handle
 
     def _on_cancel(self) -> None:
@@ -174,7 +187,14 @@ class Simulator:
 
 
 class PeriodicTimer:
-    """Repeatedly invokes a callback at a fixed interval until stopped."""
+    """Repeatedly invokes a callback at a fixed interval until stopped.
+
+    Tick times form the accumulated float grid ``due += interval``.  A
+    timer whose owner has nothing to do can :meth:`park`: it then holds no
+    heap entry at all, and :meth:`unpark` walks the *same* grid past
+    ``now``, so the ticks after a parked stretch fall on the instants they
+    would have without it, bit for bit.
+    """
 
     def __init__(
         self,
@@ -189,18 +209,60 @@ class PeriodicTimer:
         self.interval = interval
         self.callback = callback
         self._stopped = False
-        self._handle = simulator.schedule(
-            interval if start_delay is None else start_delay, self._fire
-        )
+        self.parked = False  # read by owners on their hot path; set only here
+        self._rank = next(simulator._timer_ranks)
+        delay = interval if start_delay is None else start_delay
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        self._due = simulator.now + delay
+        self._handle: Optional[EventHandle] = self._arm()
+
+    def _arm(self) -> EventHandle:
+        return self.simulator._schedule_tick(self._due, self._rank, self._fire)
 
     def _fire(self) -> None:
         if self._stopped:
             return
+        self._due += self.interval
+        self._handle = None
         self.callback()
-        self._handle = self.simulator.schedule(self.interval, self._fire)
+        # An unpark() inside the callback has already re-armed the timer.
+        if self._handle is None and not (self.parked or self._stopped):
+            self._handle = self._arm()
+
+    def park(self) -> None:
+        """Leave the event heap until :meth:`unpark`; callable from the callback."""
+        if self.parked or self._stopped:
+            return
+        self.parked = True
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def unpark(self) -> int:
+        """Re-arm a parked timer; returns how many ticks it skipped.
+
+        A tick due at exactly ``now`` counts as skipped: the owner replays
+        it before acting, as a tick precedes the other events of its instant.
+        """
+        if not self.parked:
+            return 0
+        self.parked = False
+        now = self.simulator.now
+        due = self._due
+        interval = self.interval
+        skipped = 0
+        while due <= now:
+            due += interval
+            skipped += 1
+        self._due = due
+        self._handle = self._arm()
+        return skipped
 
     def stop(self) -> None:
         """Stop the timer; the callback will not fire again."""
         self._stopped = True
+        self.parked = False
         if self._handle is not None:
             self._handle.cancel()
+            self._handle = None

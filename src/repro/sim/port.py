@@ -6,7 +6,8 @@ link rate, and delivered to the peer node after the propagation delay.
 
 Protocol logic that lives "at the link" (the NUMFabric price computation,
 DGD's price update, RCP*'s fair-rate update) attaches to the port as a
-:class:`PortController` and gets callbacks on enqueue and dequeue.
+:class:`PortController` and gets callbacks on enqueue and dequeue, and
+before a rate change.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ class PortController(Protocol):
 
     def on_dequeue(self, packet: Packet, now: float) -> None:
         """Called when a packet starts transmission on the link."""
+
+    def settle(self) -> None:
+        """Bring time-driven state up to now; called before the link rate changes."""
 
 
 class OutputPort:
@@ -106,6 +110,10 @@ class OutputPort:
         """
         if rate_bps < 0:
             raise ValueError("rate_bps must be non-negative")
+        # A controller that parked its timer on an idle port owes ticks at
+        # the old rate; it pays them before the rate moves.
+        for controller in self.controllers:
+            controller.settle()
         was_down = self.rate_bps <= 0.0
         self.rate_bps = rate_bps
         if was_down and rate_bps > 0.0 and not self._busy:

@@ -13,6 +13,7 @@ from abc import ABC, abstractmethod
 from typing import Optional, Tuple
 
 from repro.core.config import SimulationParameters
+from repro.sim.engine import PeriodicTimer
 from repro.sim.flow import FlowCompletion, FlowDescriptor
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
@@ -43,6 +44,64 @@ class TransportScheme(ABC):
         self, network, flow: FlowDescriptor
     ) -> Tuple["SenderBase", "ReceiverBase"]:
         """Create the (sender, receiver) endpoints of one flow."""
+
+
+class DemandDrivenPortController:
+    """A switch-side controller whose periodic control tick is demand-driven.
+
+    The paper's switch recomputes its price on a fixed timeout at every
+    port (Fig. 3).  Realised literally that is one heap event per port per
+    interval whether or not the port carried a byte, so the tick that
+    closes an *idle* interval parks the timer instead of re-arming it, and
+    :meth:`settle` -- called first thing by every hook, every read of the
+    control variable and ``OutputPort.set_rate`` -- replays the skipped
+    ticks through the same update before anything else happens.  Results
+    are those of the always-on timer, event for event (grid, tie rule and
+    why port ticks commute: "Packet engine, idle ports" in
+    ``docs/ARCHITECTURE.md``).
+
+    A subclass arms ``self._timer`` with ``Simulator.every`` on ``self._tick``
+    and starts its public reads with ``self.settle()`` and the per-packet
+    hooks ``on_enqueue`` / ``on_dequeue`` with the same behind an
+    ``if self._timer.parked`` (a no-op call is still a call, twice a packet).
+    """
+
+    port: OutputPort
+    _timer: PeriodicTimer
+
+    def _interval_was_idle(self) -> bool:
+        """Whether nothing the update reads happened since the last tick."""
+        raise NotImplementedError
+
+    def _update(self, queue_bytes: int) -> None:
+        """One control update: close the interval, move the control variable.
+
+        ``queue_bytes`` is the port's backlog at the tick.  A replayed tick
+        gets 0: a parked port's queue was empty at every tick it skipped,
+        while by the time the replay runs the packet that woke it is queued.
+        """
+        raise NotImplementedError
+
+    def _control_value(self) -> float:
+        """The variable :meth:`_update` moves (price, fair rate)."""
+        raise NotImplementedError
+
+    def _tick(self) -> None:
+        idle = self._interval_was_idle()
+        self._update(self.port.queue_bytes)
+        if idle:
+            self._timer.park()
+
+    def settle(self) -> None:
+        """Replay the idle ticks a parked timer skipped, up to and including now."""
+        for _ in range(self._timer.unpark()):
+            before = self._control_value()
+            self._update(0)
+            # An idle update is a function of the control variable alone, so
+            # once it leaves it unchanged (price 0, rate at capacity, link
+            # down) every later one does too.
+            if self._control_value() == before:
+                break
 
 
 class SenderBase:

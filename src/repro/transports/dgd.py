@@ -21,7 +21,13 @@ from repro.sim.flow import FlowDescriptor
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
 from repro.sim.queues import DropTailQueue, QueueDiscipline
-from repro.transports.base import MTU_BYTES, ReceiverBase, SenderBase, TransportScheme
+from repro.transports.base import (
+    MTU_BYTES,
+    DemandDrivenPortController,
+    ReceiverBase,
+    SenderBase,
+    TransportScheme,
+)
 
 
 @dataclass(frozen=True)
@@ -35,27 +41,33 @@ class DgdSchemeParameters:
     baseline_rtt: float = 16e-6
 
 
-class DgdPortController:
+class DgdPortController(DemandDrivenPortController):
     """Per-link price computation: ``p <- [p + a (y - C) + b q]+`` (Eq. (14))."""
 
     def __init__(self, network, port: OutputPort, params: DgdSchemeParameters):
         self.port = port
         self.params = params
-        self.price = 0.0
+        self._price = 0.0
         self._bytes_serviced = 0.0
         self._seed_price = 1.0 / port.rate_bps  # marginal log-utility at capacity
-        self._timer = network.simulator.every(params.price_update_interval, self._update_price)
+        self._timer = network.simulator.every(params.price_update_interval, self._tick)
 
     def on_enqueue(self, packet: Packet, now: float) -> None:
-        pass
+        if self._timer.parked:
+            self.settle()
 
     def on_dequeue(self, packet: Packet, now: float) -> None:
+        if self._timer.parked:
+            self.settle()
         self._bytes_serviced += packet.size_bytes
         if packet.is_data:
-            packet.path_price += self.price
+            packet.path_price += self._price
             packet.path_length += 1
 
-    def _update_price(self) -> None:
+    def _interval_was_idle(self) -> bool:
+        return self._bytes_serviced == 0 and self.port.queue_bytes == 0
+
+    def _update(self, queue_bytes: int) -> None:
         if self.port.rate_bps <= 0.0:  # link down (fault injection): hold price
             self._bytes_serviced = 0.0
             return
@@ -63,11 +75,19 @@ class DgdPortController:
         throughput = 8.0 * self._bytes_serviced / interval
         excess = (throughput - self.port.rate_bps) / self.port.rate_bps
         bdp = self.port.rate_bps * self.params.baseline_rtt / 8.0
-        queue_in_bdp = self.port.queue_bytes / bdp
-        price_scale = max(self.price, self._seed_price)
+        queue_in_bdp = queue_bytes / bdp
+        price_scale = max(self._price, self._seed_price)
         delta = (self.params.utilization_gain * excess + self.params.queue_gain * queue_in_bdp)
-        self.price = max(self.price + delta * price_scale, self._seed_price * 1e-6)
+        self._price = max(self._price + delta * price_scale, self._seed_price * 1e-6)
         self._bytes_serviced = 0.0
+
+    def _control_value(self) -> float:
+        return self._price
+
+    @property
+    def price(self) -> float:
+        self.settle()
+        return self._price
 
 
 class DgdSender(SenderBase):

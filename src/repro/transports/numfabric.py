@@ -16,6 +16,7 @@ Three pieces:
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 from repro.core.config import NumFabricParameters
@@ -26,36 +27,57 @@ from repro.sim.flow import FlowDescriptor
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
 from repro.sim.queues import QueueDiscipline, StfqQueue
-from repro.transports.base import MTU_BYTES, ReceiverBase, SenderBase, TransportScheme
+from repro.transports.base import (
+    MTU_BYTES,
+    DemandDrivenPortController,
+    ReceiverBase,
+    SenderBase,
+    TransportScheme,
+)
 
 
-class NumFabricPortController:
+class NumFabricPortController(DemandDrivenPortController):
     """Per-port xWI price computation (Fig. 3)."""
 
     def __init__(self, network, port: OutputPort, params: NumFabricParameters):
         self.port = port
         self.params = params
         self.state = XwiLinkState(capacity=port.rate_bps, params=params)
-        self.price_history = []
-        self._timer = network.simulator.every(params.price_update_interval, self._update_price)
-        self._simulator = network.simulator
+        self._timer = network.simulator.every(params.price_update_interval, self._tick)
 
     def on_enqueue(self, packet: Packet, now: float) -> None:
+        if self._timer.parked:
+            self.settle()
         if packet.is_data:
             self.state.on_enqueue(packet.normalized_residual)
 
     def on_dequeue(self, packet: Packet, now: float) -> None:
+        if self._timer.parked:
+            self.settle()
         price = self.state.on_dequeue(packet.size_bytes)
         if packet.is_data:
             packet.path_price += price
             packet.path_length += 1
 
-    def _update_price(self) -> None:
-        price = self.state.update_price(self.params.price_update_interval)
-        self.price_history.append((self._simulator.now, price))
+    def _interval_was_idle(self) -> bool:
+        return self.state.bytes_serviced == 0 and self.state.min_residual == math.inf
+
+    def _update(self, queue_bytes: int) -> None:  # xWI reads no queue
+        state = self.state
+        rate = self.port.rate_bps
+        if rate <= 0.0:  # link down (fault injection): hold the price
+            state.bytes_serviced = 0.0
+            state.min_residual = math.inf
+            return
+        state.capacity = rate  # utilisation against the rate now, not the one at build time
+        state.update_price(self.params.price_update_interval)
+
+    def _control_value(self) -> float:
+        return self.state.price
 
     @property
     def price(self) -> float:
+        self.settle()
         return self.state.price
 
 

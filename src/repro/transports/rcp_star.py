@@ -15,7 +15,13 @@ from repro.sim.flow import FlowDescriptor
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
 from repro.sim.queues import DropTailQueue, QueueDiscipline
-from repro.transports.base import MTU_BYTES, ReceiverBase, SenderBase, TransportScheme
+from repro.transports.base import (
+    MTU_BYTES,
+    DemandDrivenPortController,
+    ReceiverBase,
+    SenderBase,
+    TransportScheme,
+)
 
 
 @dataclass(frozen=True)
@@ -30,26 +36,32 @@ class RcpStarSchemeParameters:
     baseline_rtt: float = 16e-6
 
 
-class RcpStarPortController:
+class RcpStarPortController(DemandDrivenPortController):
     """Per-link fair-rate computation (Eq. (15))."""
 
     def __init__(self, network, port: OutputPort, params: RcpStarSchemeParameters):
         self.port = port
         self.params = params
-        self.fair_rate = port.rate_bps * 0.1
+        self._fair_rate = port.rate_bps * 0.1
         self._bytes_serviced = 0.0
-        self._timer = network.simulator.every(params.rate_update_interval, self._update_rate)
+        self._timer = network.simulator.every(params.rate_update_interval, self._tick)
 
     def on_enqueue(self, packet: Packet, now: float) -> None:
-        pass
+        if self._timer.parked:
+            self.settle()
 
     def on_dequeue(self, packet: Packet, now: float) -> None:
+        if self._timer.parked:
+            self.settle()
         self._bytes_serviced += packet.size_bytes
         if packet.is_data:
-            packet.rcp_price_sum += self.fair_rate ** (-self.params.alpha)
+            packet.rcp_price_sum += self._fair_rate ** (-self.params.alpha)
             packet.path_length += 1
 
-    def _update_rate(self) -> None:
+    def _interval_was_idle(self) -> bool:
+        return self._bytes_serviced == 0 and self.port.queue_bytes == 0
+
+    def _update(self, queue_bytes: int) -> None:
         params = self.params
         interval = params.rate_update_interval
         capacity = self.port.rate_bps
@@ -58,13 +70,21 @@ class RcpStarPortController:
             return
         throughput = 8.0 * self._bytes_serviced / interval
         spare_fraction = (capacity - throughput) / capacity
-        queue_in_rtt = 8.0 * self.port.queue_bytes / (capacity * params.baseline_rtt)
+        queue_in_rtt = 8.0 * queue_bytes / (capacity * params.baseline_rtt)
         factor = 1.0 + (interval / params.baseline_rtt) * (
             params.gain_a * spare_fraction - params.gain_b * queue_in_rtt
         )
         factor = min(max(factor, 0.5), 2.0)
-        self.fair_rate = min(max(self.fair_rate * factor, capacity * 1e-6), capacity)
+        self._fair_rate = min(max(self._fair_rate * factor, capacity * 1e-6), capacity)
         self._bytes_serviced = 0.0
+
+    def _control_value(self) -> float:
+        return self._fair_rate
+
+    @property
+    def fair_rate(self) -> float:
+        self.settle()
+        return self._fair_rate
 
 
 class RcpStarSender(SenderBase):

@@ -64,6 +64,117 @@ class TestSimulator:
         assert len(ticks) == 5
 
 
+class TestPeriodicTimerParking:
+    """``park`` / ``unpark``: a parked timer holds no heap entry, and the
+    ticks after any parked stretch fall where an unparked twin's do."""
+
+    INTERVAL = 6e-5  # not a dyadic fraction: the accumulated grid is not k * interval
+
+    def _twin_fire_times(self, ticks):
+        simulator = Simulator()
+        times = []
+        simulator.every(self.INTERVAL, lambda: times.append(simulator.now))
+        simulator.run(max_events=ticks)
+        return times
+
+    def test_fire_times_match_unparked_twin_bit_for_bit(self):
+        reference = self._twin_fire_times(10_000)
+        assert reference[-1] != 10_000 * self.INTERVAL  # the grid really is accumulated
+
+        simulator = Simulator()
+        fired = []
+
+        def tick():
+            fired.append(simulator.now)
+            if len(fired) % 3 == 0:  # park from inside the callback
+                timer.park()
+
+        timer = simulator.every(self.INTERVAL, tick)
+        # Wake-ups at irregular offsets: some land inside the interval the
+        # timer parked in (nothing skipped), some skip dozens of ticks.
+        skipped = 0
+        wake, index = 0.0, 0
+        while wake < reference[-1]:
+            simulator.run(until=wake)
+            skipped += timer.unpark()
+            index += 1
+            wake += self.INTERVAL * (0.37 + (index % 11) * 0.61)
+        simulator.run(until=reference[-1])
+        skipped += timer.unpark()
+        # Every tick it fired is a tick of the twin, bit for bit, and fired
+        # plus skipped ticks account for the whole grid: none lost, none added.
+        assert set(fired) <= set(reference)
+        assert fired == sorted(set(fired))
+        assert len(fired) + skipped == len(reference)
+        assert skipped > 1000 and len(fired) > 1000
+
+    def test_unpark_resumes_on_the_same_grid_after_a_long_park(self):
+        reference = self._twin_fire_times(10_000)
+        simulator = Simulator()
+        fired = []
+        timer = simulator.every(self.INTERVAL, lambda: fired.append(simulator.now))
+        simulator.run(max_events=5)
+        timer.park()
+        simulator.run(until=0.5 * (reference[8999] + reference[9000]))
+        assert timer.unpark() == 9000 - 5
+        simulator.run(until=reference[-1])
+        assert fired == reference[:5] + reference[9000:]
+
+    def test_unpark_exactly_at_a_tick_time_counts_that_tick_as_skipped(self):
+        reference = self._twin_fire_times(8)
+        simulator = Simulator()
+        fired = []
+        timer = simulator.every(self.INTERVAL, lambda: fired.append(simulator.now))
+        simulator.run(max_events=2)
+        timer.park()
+        simulator.schedule_at(reference[4], lambda: None)
+        simulator.run()
+        assert simulator.now == reference[4]
+        assert timer.unpark() == 3  # ticks 3, 4 and the one due now
+        simulator.run(until=reference[-1])
+        assert fired == reference[:2] + reference[5:]
+
+    def test_park_and_unpark_are_idempotent_and_stop_is_safe(self):
+        simulator = Simulator()
+        fired = []
+        timer = simulator.every(self.INTERVAL, lambda: fired.append(simulator.now))
+        assert timer.unpark() == 0  # armed: nothing skipped, nothing re-armed
+        assert simulator.pending_events == 1
+        timer.park()
+        timer.park()
+        assert timer.parked and simulator.pending_events == 0
+        timer.stop()
+        assert not timer.parked
+        assert timer.unpark() == 0
+        timer.park()
+        simulator.run(until=1e-3)
+        assert fired == [] and simulator.pending_events == 0
+
+    def test_unpark_inside_the_callback_arms_exactly_once(self):
+        simulator = Simulator()
+        fired = []
+
+        def tick():
+            fired.append(simulator.now)
+            timer.park()
+            assert timer.unpark() == 0
+
+        timer = simulator.every(self.INTERVAL, tick)
+        simulator.run(max_events=4)
+        assert fired == self._twin_fire_times(4)
+        assert simulator.pending_events == 1
+
+    def test_run_until_returns_at_until_while_every_timer_is_parked(self):
+        simulator = Simulator()
+        timers = [simulator.every(self.INTERVAL * (k + 1), lambda: None) for k in range(14)]
+        for timer in timers:
+            timer.park()
+        assert simulator.pending_events == 0
+        simulator.run(until=0.5)
+        assert simulator.now == 0.5
+        assert simulator.events_processed == 0
+
+
 class TestDropTailQueue:
     def test_fifo_order(self):
         queue = DropTailQueue(capacity_bytes=10_000)
