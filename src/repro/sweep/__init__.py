@@ -1,4 +1,4 @@
-"""The fault-tolerant sweep fabric: grids, caching, sharded execution.
+"""The fault-tolerant sweep fabric: grids, caching, leased execution.
 
 The paper's claims are sweeps over loads x schemes x seeds; this package
 makes such sweeps a first-class, crash-only primitive:
@@ -7,15 +7,16 @@ makes such sweeps a first-class, crash-only primitive:
   scheme=numfabric,dctcp seed=0..9'`` into ``(spec, engine, seed)`` tasks;
 * :mod:`repro.sweep.cache` memoizes each cell under a content address
   (spec + engine + seed + code fingerprint) so reruns compute only deltas;
-* :mod:`repro.sweep.executor` fans cells out over worker processes with
-  timeouts, retry/backoff, quarantine and heartbeat-based dead-worker
-  detection;
+* :mod:`repro.sweep.lease` is the one lease/retry/quarantine machine:
+  attempts, expiry, backoff, dead hosts, reconnects and distinct-host
+  quarantine as pure decisions (events in, actions out);
+* :mod:`repro.sweep.executor` carries them out: the worker pool (spawn,
+  heartbeat-based dead-worker detection, kill, reap) and the selector loop
+  that leases cells to it or to dialled agents;
 * :mod:`repro.sweep.transport` abstracts the wire (worker pipes and
   line-delimited JSON over TCP) behind one send/recv_all interface;
-* :mod:`repro.sweep.remote` leases cells to agent processes on other
-  machines (``python -m repro agent``) with wall-clock leases, dead-host
-  detection, reconnect backoff and distinct-host quarantine -- crash-only
-  across machines, with each agent's local cache as the source of truth;
+* :mod:`repro.sweep.remote` is the agent (``python -m repro agent``): the
+  same pool behind a TCP socket, its local cache the source of truth;
 * :mod:`repro.sweep.driver` aggregates everything back into one
   :class:`~repro.results.ExperimentResult`, with a serial mode kept as the
   bit-identical parity reference.
@@ -57,7 +58,7 @@ from repro.sweep.cache import (
     task_key,
 )
 from repro.sweep.driver import MODES, SweepReport, aggregate_report, run_sweep
-from repro.sweep.executor import RetryPolicy, ShardedExecutor, SweepFailure
+from repro.sweep.executor import SweepExecutor
 from repro.sweep.grid import (
     SweepGrid,
     SweepTask,
@@ -66,12 +67,8 @@ from repro.sweep.grid import (
     parse_sweep,
     tasks_from_specs,
 )
-from repro.sweep.remote import (
-    AgentFaults,
-    RemoteExecutor,
-    SweepAgent,
-    spawn_local_agents,
-)
+from repro.sweep.lease import RetryPolicy, SweepFailure
+from repro.sweep.remote import AgentFaults, SweepAgent, spawn_local_agents
 from repro.sweep.signals import GracefulInterrupt, SweepInterrupted
 from repro.sweep.transport import (
     PROTOCOL_VERSION,
@@ -92,12 +89,11 @@ __all__ = [
     "PROTOCOL_VERSION",
     "PipeTransport",
     "ProtocolError",
-    "RemoteExecutor",
     "ResultCache",
     "RetryPolicy",
-    "ShardedExecutor",
     "SocketTransport",
     "SweepAgent",
+    "SweepExecutor",
     "SweepFailure",
     "SweepGrid",
     "SweepInterrupted",

@@ -5,15 +5,15 @@ Three modes share one aggregation path:
 * ``"serial"``  -- run every cell in-process, in task order.  This is the
   parity reference: for deterministic scenarios the sharded and remote
   aggregates must be bit-identical to the serial one.
-* ``"sharded"`` -- fan cells out over worker processes through the
-  fault-tolerant :class:`~repro.sweep.executor.ShardedExecutor`.
-* ``"remote"``  -- lease cells to agent processes over TCP through
-  :class:`~repro.sweep.remote.RemoteExecutor` (``hosts=["host:port", ...]``
-  naming running ``python -m repro agent`` listeners).
+* ``"sharded"`` -- lease cells to a pool of local worker processes through
+  the fault-tolerant :class:`~repro.sweep.executor.SweepExecutor`.
+* ``"remote"``  -- the same executor, leasing to agent processes over TCP
+  (``hosts=["host:port", ...]`` naming running ``python -m repro agent``
+  listeners) instead of to the local pool.
 
 All modes consult the content-addressed cache first (when one is given)
 and only compute the delta; all degrade gracefully -- a failed cell
-becomes a structured :class:`~repro.sweep.executor.SweepFailure` row in
+becomes a structured :class:`~repro.sweep.lease.SweepFailure` row in
 the aggregate, never a crashed driver.
 """
 
@@ -32,8 +32,9 @@ from repro.sweep.cache import (
     encode_result,
     task_key,
 )
-from repro.sweep.executor import RetryPolicy, ShardedExecutor, SweepFailure
+from repro.sweep.executor import SweepExecutor
 from repro.sweep.grid import SweepTask
+from repro.sweep.lease import RetryPolicy, SweepFailure
 
 MODES = ("serial", "sharded", "remote")
 
@@ -44,8 +45,8 @@ class SweepReport:
 
     ``attempts`` maps task index -> dispatch count (how often the cell was
     handed to a worker or host; cache hits never appear), so retries that
-    eventually succeeded are visible.  ``hosts`` (remote mode) maps host
-    name -> ``{"cells", "runs", "reconnects"}`` tallies.
+    eventually succeeded are visible.  ``hosts`` maps endpoint (an agent's
+    ``host:port``, or ``"local"``) -> ``{"cells", "runs", "reconnects"}``.
     """
 
     tasks: List[SweepTask]
@@ -242,7 +243,7 @@ def run_sweep(
     ``mode="remote"`` leases cells to agents at ``hosts`` (``"host:port"``
     strings naming running ``python -m repro agent`` listeners);
     ``lease_timeout``, ``connect_retry`` and ``quarantine_hosts`` tune the
-    lease lifecycle (see :mod:`repro.sweep.remote`).
+    lease lifecycle (see :mod:`repro.sweep.lease`).
     """
     if mode not in MODES:
         raise ValueError(f"unknown sweep mode {mode!r}; expected one of {MODES}")
@@ -278,17 +279,18 @@ def run_sweep(
         failure_map = _run_serial(
             tasks, results, keys, store, interrupt, progress, stats, attempts
         )
-    elif mode == "remote":
-        from repro.sweep.remote import RemoteExecutor
-
+    else:
         remaining = [task for task in tasks if task.index not in results]
         failure_map = {}
         if remaining:
-            executor = RemoteExecutor(
+            if mode == "remote" and not hosts:
+                raise ValueError("remote mode needs at least one agent host ('host:port')")
+            executor = SweepExecutor(
                 remaining,
-                hosts=list(hosts or ()),
+                hosts=list(hosts or ()) if mode == "remote" else (),
                 keys=keys,
                 cache=store,
+                workers=workers,
                 timeout=timeout,
                 retry=retry,
                 lease_timeout=lease_timeout,
@@ -299,31 +301,10 @@ def run_sweep(
                 interrupt=interrupt,
                 progress=progress,
             )
-            payloads, failure_map, remote_stats, attempts, hosts_report = executor.run()
+            payloads, failure_map, executor_stats, attempts, hosts_report = executor.run()
             for index, payload in payloads.items():
                 results[index] = decode_result(payload)
-            for key, value in remote_stats.items():
-                stats[key] = stats.get(key, 0) + value
-    else:
-        remaining = [task for task in tasks if task.index not in results]
-        failure_map = {}
-        if remaining:
-            executor = ShardedExecutor(
-                remaining,
-                keys=keys,
-                cache=store,
-                workers=workers,
-                timeout=timeout,
-                retry=retry,
-                heartbeat_interval=heartbeat_interval,
-                stall_timeout=stall_timeout,
-                interrupt=interrupt,
-                progress=progress,
-            )
-            payloads, failure_map, shard_stats, attempts = executor.run()
-            for index, payload in payloads.items():
-                results[index] = decode_result(payload)
-            for key, value in shard_stats.items():
+            for key, value in executor_stats.items():
                 stats[key] = stats.get(key, 0) + value
 
     stats["failed"] = len(failure_map)

@@ -1,114 +1,75 @@
-"""Fault-tolerant sharded execution of sweep tasks over worker processes.
+"""Fault-tolerant execution of sweep cells: worker pool, endpoints, one loop.
 
 Crash-only by design: every completed cell is written to the
 content-addressed cache *before* the worker reports it, so the driver --
 and the whole machine -- can die at any instant and a rerun recomputes
-only the missing delta.  Failure handling is the normal path, not an
-exception path:
+only the missing delta.
 
-* each worker is a ``spawn``-ed process driven over its own duplex pipe
-  (no shared queue, so killing a worker can never corrupt a lock another
-  worker holds);
-* workers heartbeat from a daemon thread; a silent worker is presumed dead
-  after ``stall_timeout`` and killed;
-* tasks carry a wall-clock ``timeout``; an overrunning worker is killed
-  and the task retried;
-* retries back off exponentially with jitter; a task that keeps failing is
-  *quarantined* -- reported as a structured :class:`SweepFailure` with its
-  captured traceback -- and the sweep still returns every other cell.
-
-Test hooks: a task's ``inject`` mapping can direct the worker to raise,
-crash (``os._exit``), hang, or hang silently (heartbeats stopped) on given
-attempts, so the whole failure matrix is exercised by fast deterministic
-tests (mirroring the repo's fault-injection philosophy).
+* :class:`WorkerPool` is the only place worker processes are spawned,
+  health-checked, killed and reaped.  Each worker is driven over its own
+  duplex pipe (no shared queue, so killing one can never corrupt a lock
+  another holds), and the pool speaks the agent message shapes
+  (``hello``/``start``/``heartbeat``/``done``/``error{kind}``):
+  :class:`~repro.sweep.remote.SweepAgent` is a pool with a TCP socket in
+  front, local mode is a pool reached without one.
+* An *endpoint* is anything with ``send(message)`` / ``poll()`` /
+  ``waitables()`` / ``close()``: a pool, or a dialled agent
+  (:class:`_AgentLink`, which also owns the wire boundary).
+* :class:`SweepExecutor` is the selector loop that owns the endpoints and
+  the clock and carries out what :class:`~repro.sweep.lease.LeaseMachine`
+  decides.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import random
+import pickle
+import socket
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sweep.cache import ResultCache, encode_result
+from repro.sweep.cache import CACHE_VERSION, ResultCache, code_fingerprint, encode_result
 from repro.sweep.grid import SweepTask
-from repro.sweep.transport import PipeTransport, TransportClosed, wait_readable
+from repro.sweep.lease import Action, LeaseMachine, RetryPolicy
+from repro.sweep.transport import (
+    PROTOCOL_VERSION,
+    PipeTransport,
+    ProtocolError,
+    SocketTransport,
+    TransportClosed,
+    pack_pickle,
+    parse_host,
+    unpack_blob,
+    wait_readable,
+)
+
+#: Selector timeout of the driver and agent loops: the granularity of every
+#: deadline (leases, stalls, backoff).
+TICK = 0.05
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry with exponential backoff plus jitter.
-
-    ``max_attempts`` counts the first try: ``max_attempts=3`` means one try
-    plus two retries, after which the task is quarantined.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.5
-    max_delay: float = 30.0
-    jitter: float = 0.25
-
-    def delay(self, attempt: int, rng: random.Random) -> float:
-        base = min(self.max_delay, self.base_delay * (2.0 ** max(0, attempt - 1)))
-        return base * (1.0 + self.jitter * rng.random())
-
-
-@dataclass
-class SweepFailure:
-    """One failed (or cancelled) sweep cell, as structured data.
-
-    ``kind`` is ``"error"`` (the task raised), ``"timeout"`` (wall-clock
-    limit), ``"crash"`` (worker process died), ``"dead-worker"`` (heartbeat
-    stall) or ``"cancelled"`` (sweep interrupted before the cell ran).
-    ``quarantined`` marks tasks that exhausted their retry budget.
-    """
-
-    index: int
-    label: str
-    kind: str
-    message: str
-    traceback: str = ""
-    attempts: int = 0
-    quarantined: bool = False
-
-    def as_row(self) -> Dict[str, Any]:
-        return {
-            "status": "failed" if self.kind != "cancelled" else "cancelled",
-            "kind": self.kind,
-            "error": self.message,
-            "attempts": self.attempts,
-        }
-
-
-# -- worker side -------------------------------------------------------------
+def covers(values: Any, number: int) -> bool:
+    """Does a fault-hook value (``"all"``, or a list of numbers) cover this one?"""
+    if values is None:
+        return False
+    return values == "all" or number in tuple(values)
 
 
 def _apply_injection(inject: Mapping[str, Any], attempt: int, beating: threading.Event) -> None:
     """Execute test-only fault directives before running the real task."""
-    if not inject:
-        return
-
-    def _matches(key: str) -> bool:
-        spec = inject.get(key)
-        if spec is None:
-            return False
-        if spec == "all":
-            return True
-        return attempt in tuple(spec)
-
-    if _matches("crash_on"):
+    if covers(inject.get("crash_on"), attempt):
         os._exit(int(inject.get("exit_code", 134)))
-    if _matches("silent_hang_on"):
+    if covers(inject.get("silent_hang_on"), attempt):
         beating.clear()
         time.sleep(float(inject.get("hang_seconds", 3600.0)))
-    if _matches("hang_on"):
+    if covers(inject.get("hang_on"), attempt):
         time.sleep(float(inject.get("hang_seconds", 3600.0)))
-    if _matches("raise_on"):
+    if covers(inject.get("raise_on"), attempt):
         raise RuntimeError(str(inject.get("message", "injected failure")))
 
 
@@ -116,45 +77,45 @@ def _worker_main(
     conn: Connection,
     worker_id: int,
     heartbeat_interval: float,
-    worker_faults: Optional[Mapping[str, Any]] = None,
+    cache_root: Optional[str],
+    worker_faults: Mapping[str, Any],
 ) -> None:
-    """One worker process: receive tasks, run them, report over the pipe.
+    """One worker process: receive ``task`` messages, run them, report.
 
-    ``worker_faults`` is a test-only mapping keyed by fault name whose values
-    are worker-id lists: ``die_after_hello`` exits right after the hello
-    (first-contact death), ``wedge_before_start`` takes a task but never acks
-    ``start`` while its heartbeat thread keeps beating (the pre-start wedge
-    the start-ack deadline exists for).
+    Test hooks: a task's ``inject`` mapping makes it raise, crash, hang, or
+    hang silently (heartbeats stopped) on given attempts.  ``worker_faults``
+    maps a fault name to worker ids: ``die_after_hello`` exits right after
+    the hello (first-contact death), ``wedge_before_start`` takes a task but
+    never acks ``start`` while its heartbeat thread keeps beating (the
+    pre-start wedge the start-ack deadline exists for).
     """
     import signal
 
     # The driver coordinates shutdown; Ctrl-C must interrupt it, not us.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    worker_faults = worker_faults or {}
-
     def _faulted(name: str) -> bool:
-        return worker_id in tuple(worker_faults.get(name, ()))
+        return covers(worker_faults.get(name), worker_id)
 
     send_lock = threading.Lock()
     beating = threading.Event()
     beating.set()
 
-    def send(message: Any) -> None:
+    def send(message_type: str, /, **fields: Any) -> None:
         with send_lock:
             try:
-                conn.send(message)
-            except (BrokenPipeError, OSError):  # driver is gone; die quietly
+                conn.send({"type": message_type, **fields})
+            except (BrokenPipeError, OSError):  # the pool is gone; die quietly
                 os._exit(0)
 
     def heartbeat_loop() -> None:
         while True:
             time.sleep(heartbeat_interval)
             if beating.is_set():
-                send(("heartbeat", worker_id))
+                send("heartbeat")
 
     threading.Thread(target=heartbeat_loop, daemon=True).start()
-    send(("hello", worker_id, os.getpid()))
+    send("hello")
     if _faulted("die_after_hello"):
         os._exit(13)
 
@@ -162,448 +123,404 @@ def _worker_main(
 
     while True:
         try:
-            message = conn.recv()
+            job = conn.recv()
         except (EOFError, OSError):
             return
-        if message[0] == "stop":
-            return
-        _, index, attempt, spec, key, cache_root, inject = message
+        ident = {"index": job["index"], "attempt": job["attempt"]}
+        key = job.get("key")
         if _faulted("wedge_before_start"):
             time.sleep(3600.0)  # heartbeats continue; start is never acked
-        send(("start", worker_id, index, attempt))
+        send("start", **ident)
         started = time.monotonic()
         try:
-            _apply_injection(inject, attempt, beating)
-            result = run_scenario(spec)
-            payload = encode_result(result)
+            _apply_injection(job.get("inject") or {}, job["attempt"], beating)
+            payload = encode_result(run_scenario(job["spec"]))
             if cache_root is not None and key is not None:
                 # Cache first, report second: if we die between the two the
                 # entry survives and the retry is a pure cache hit.
                 ResultCache(cache_root).put(key, payload)
-            send(("done", worker_id, index, attempt, payload, time.monotonic() - started))
+            send("done", **ident, key=key, payload=payload, elapsed=time.monotonic() - started)
         except BaseException as exc:  # crash-only: report anything, keep serving
             send(
-                (
-                    "error",
-                    worker_id,
-                    index,
-                    attempt,
-                    type(exc).__name__,
-                    str(exc),
-                    traceback.format_exc(),
-                    time.monotonic() - started,
-                )
+                "error",
+                **ident,
+                kind="error",
+                exc_type=type(exc).__name__,
+                message=str(exc),
+                traceback=traceback.format_exc(),
+                elapsed=time.monotonic() - started,
             )
 
 
-# -- driver side -------------------------------------------------------------
-
-
-def spawn_worker(
-    ctx,
-    worker_id: int,
-    heartbeat_interval: float,
-    worker_faults: Optional[Mapping[str, Any]] = None,
-):
-    """Spawn one ``_worker_main`` process; return ``(process, transport)``.
-
-    Shared by the local executor and the remote agent
-    (:mod:`repro.sweep.remote`), which both drive the same spawn-pool
-    worker protocol over a :class:`PipeTransport`.
-    """
-    parent_conn, child_conn = ctx.Pipe(duplex=True)
-    process = ctx.Process(
-        target=_worker_main,
-        args=(child_conn, worker_id, heartbeat_interval, dict(worker_faults or {})),
-        daemon=True,
-        name=f"sweep-worker-{worker_id}",
-    )
-    process.start()
-    child_conn.close()
-    return process, PipeTransport(parent_conn)
-
-
 @dataclass
-class _Attempt:
-    task: SweepTask
-    attempt: int
-    eligible_at: float
-
-
-@dataclass
-class _WorkerHandle:
-    worker_id: int
+class _Worker:
     process: multiprocessing.process.BaseProcess
     transport: PipeTransport
-    current: Optional[_Attempt] = None
+    #: The ``task`` message this worker is running, if any.
+    job: Optional[Dict[str, Any]] = None
     dispatched_at: float = 0.0
-    #: Set when the worker acks "start" -- i.e. after its (possibly slow,
-    #: first-task) imports.  The task timeout is measured from here.
-    task_started_at: Optional[float] = None
-    spawned_at: float = field(default_factory=time.monotonic)
-    #: True once any message arrived; heartbeat-stall detection waits for
-    #: first contact so slow spawn/imports are not mistaken for death.
+    #: When the worker acked "start", i.e. after its first-task imports.
+    started_at: Optional[float] = None
+    #: True once any message arrived; until then silence is judged by
+    #: ``spawn_timeout``, so a slow spawn is not mistaken for death.
     contacted: bool = False
-    #: True once the worker acked "start" for any task: later start acks
-    #: carry no import cost, so they get the (short) start-ack deadline.
+    #: True once it acked "start" for any task: later start acks carry no
+    #: import cost, so they get the (short) start-ack deadline.
     ever_started: bool = False
-    #: Set when the pipe reports EOF -- death evidence acted on promptly by
-    #: the health check instead of waiting out the stall detector.
-    conn_eof: bool = False
-    last_heartbeat: float = field(default_factory=time.monotonic)
+    #: The pipe reported EOF: death evidence the health check acts on at
+    #: once instead of waiting out the stall detector.
+    eof: bool = False
+    last_heartbeat: float = 0.0
 
-    def kill(self) -> None:
+
+class WorkerPool:
+    """Up to ``slots`` spawn-ed workers behind the endpoint interface.
+
+    ``send`` takes ``task`` (queued, started as soon as a worker is free,
+    spawning on demand) and ``cancel`` (dropped, or its worker killed);
+    ``poll`` returns what happened since the last call.  A dead or wedged
+    worker is reaped and its cell reported as ``error{kind}``.
+    """
+
+    def __init__(
+        self,
+        slots: int,
+        *,
+        cache_root: Optional[str] = None,
+        heartbeat_interval: float = 0.5,
+        stall_timeout: Optional[float] = None,
+        spawn_timeout: float = 60.0,
+        start_ack_timeout: Optional[float] = None,
+        worker_faults: Optional[Mapping[str, Any]] = None,
+    ):
+        self.slots = max(1, slots)
+        self.heartbeat_interval = heartbeat_interval
+        self.stall_timeout = (
+            stall_timeout if stall_timeout is not None else max(10.0 * heartbeat_interval, 5.0)
+        )
+        #: How long a fresh worker may take to report in and to ack its first
+        #: ``start``: process spawn plus the imports.
+        self.spawn_timeout = spawn_timeout
+        #: The "start" ack deadline of a *warm* worker.  It catches a main
+        #: thread that wedged or died before the ack while the heartbeat
+        #: thread kept the stall detector happy.
+        self.start_ack_timeout = (
+            start_ack_timeout if start_ack_timeout is not None else self.stall_timeout
+        )
+        self._worker_args = (heartbeat_interval, cache_root, dict(worker_faults or {}))
+        self._ctx = multiprocessing.get_context("spawn")
+        self._workers: List[_Worker] = []
+        self._queue: List[Dict[str, Any]] = []
+        self._events: List[Dict[str, Any]] = [self.hello()]
+        self._spawned = 0
+        self._last_heartbeat = 0.0
+
+    def hello(self) -> Dict[str, Any]:
+        identity = {"proto": PROTOCOL_VERSION, "code": code_fingerprint()}
+        return {"type": "hello", **identity, "slots": self.slots}
+
+    def send(self, message: Mapping[str, Any]) -> None:
+        kind, index = message["type"], message.get("index")
+        if kind == "task":
+            if index not in self.busy() and all(job["index"] != index for job in self._queue):
+                self._queue.append(dict(message))  # (else: a duplicate lease)
+                self._pump()
+        elif kind == "cancel":
+            self._queue = [job for job in self._queue if job["index"] != index]
+            for worker in list(self._workers):
+                if worker.job is not None and worker.job["index"] == index:
+                    self._reap(worker)
+        # "ping" means nothing to a pool
+
+    def poll(self) -> List[Dict[str, Any]]:
+        now = time.monotonic()
+        for worker in self._workers:
+            try:
+                messages = worker.transport.recv_all()
+            except TransportClosed:
+                worker.eof = True
+                continue
+            for message in messages:
+                worker.contacted = True
+                worker.last_heartbeat = now
+                if message["type"] == "start":
+                    worker.started_at = now
+                    worker.ever_started = True
+                elif message["type"] in ("done", "error"):
+                    worker.job = None
+                else:  # the worker's own hello / heartbeat
+                    continue
+                self._events.append(message)
+        for worker in list(self._workers):
+            problem = self._diagnose(worker, now)
+            if problem is not None:
+                job = worker.job
+                self._reap(worker)
+                if job is not None:
+                    report = {"type": "error", "index": job["index"], "attempt": job["attempt"]}
+                    self._events.append({**report, "kind": problem[0], "message": problem[1]})
+        self._pump()
+        if now - self._last_heartbeat >= self.heartbeat_interval:
+            self._last_heartbeat = now
+            self._events.append({"type": "heartbeat", "busy": self.busy()})
+        events, self._events = self._events, []
+        return events
+
+    def waitables(self) -> List[Any]:
+        return [worker.transport for worker in self._workers]
+
+    def close(self) -> None:
+        for worker in list(self._workers):
+            self._reap(worker)
+
+    def busy(self) -> List[int]:
+        """Indices of the cells running right now."""
+        return [worker.job["index"] for worker in self._workers if worker.job is not None]
+
+    def drain(self) -> List[Dict[str, Any]]:
+        """Take back every queued (not yet started) ``task`` message."""
+        queued, self._queue = self._queue, []
+        return queued
+
+    def _spawn(self) -> _Worker:
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        args = (child_conn, self._spawned, *self._worker_args)
+        process = self._ctx.Process(target=_worker_main, args=args, daemon=True)
+        process.start()
+        child_conn.close()
+        self._spawned += 1
+        self._workers.append(_Worker(process, PipeTransport(parent_conn)))
+        return self._workers[-1]
+
+    def _reap(self, worker: _Worker) -> None:
         try:
-            self.process.terminate()
-            self.process.join(0.5)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(0.5)
+            worker.process.terminate()
+            worker.process.join(0.5)
+            if worker.process.is_alive():
+                worker.process.kill()
+                worker.process.join(0.5)
         except (OSError, ValueError):
+            pass
+        worker.transport.close()
+        self._workers.remove(worker)
+
+    def _pump(self) -> None:
+        while self._queue:
+            idle = next((w for w in self._workers if w.job is None), None)
+            if idle is None:
+                if len(self._workers) >= self.slots:
+                    return
+                idle = self._spawn()
+            try:
+                idle.transport.send(self._queue[0])
+            except TransportClosed:  # died while idle: not the cell's fault
+                self._reap(idle)
+                continue
+            idle.job = self._queue.pop(0)
+            idle.started_at = None
+            idle.dispatched_at = idle.last_heartbeat = time.monotonic()
+
+    def _diagnose(self, worker: _Worker, now: float) -> Optional[Tuple[str, str]]:
+        """The failure ``(kind, message)`` this worker shows, if any."""
+        if worker.eof or not worker.process.is_alive():
+            # EOF counts even while the exit is still in flight (is_alive
+            # can race a dying process): a worker that died before its first
+            # heartbeat fails its task promptly, not a stall later.
+            worker.process.join(0.2)
+            return "crash", f"worker process died (exit code {worker.process.exitcode})"
+        if worker.job is None:
+            return None
+        if worker.started_at is None:
+            grace = self.start_ack_timeout if worker.ever_started else self.spawn_timeout
+            if now - worker.dispatched_at > grace:
+                return "dead-worker", f"no start ack within {grace:.1f}s of dispatch"
+        silent = now - worker.last_heartbeat
+        limit = self.stall_timeout if worker.contacted else self.spawn_timeout
+        if silent > limit:
+            return "dead-worker", f"no heartbeat for {silent:.1f}s (threshold {limit:.1f}s)"
+        return None
+
+
+class _AgentLink:
+    """A dialled agent as an endpoint, and the wire boundary.
+
+    Outbound ``task`` specs are pickled for JSON.  The driver never trusts
+    the wire: every inbound ``done`` has its blob hash, cache version and
+    key binding verified and is re-cached locally before it is handed on;
+    one that fails reads as ``error{kind: "bad-payload"}`` for that cell.
+    """
+
+    def __init__(
+        self, addr: Tuple[str, int], keys: Mapping[int, str], cache: Optional[ResultCache]
+    ):
+        self.transport = SocketTransport(socket.create_connection(addr, timeout=1.0))
+        self.keys = keys
+        self.cache = cache
+
+    def send(self, message: Mapping[str, Any]) -> None:
+        if message["type"] == "task":
+            message = {**message, "spec": pack_pickle(message["spec"])}
+        self.transport.send(message)
+
+    def poll(self) -> List[Dict[str, Any]]:
+        messages = self.transport.recv_all()
+        for position, message in enumerate(messages):
+            if message["type"] != "done":
+                continue
+            key = self.keys.get(message.get("index"))
+            try:
+                message["payload"] = payload = self._verified(message, key)
+            except Exception as exc:
+                # Corrupt on the wire or mis-cached on the agent: exactly a
+                # torn cache entry -- a miss, retried like any failure.
+                report = {"type": "error", "kind": "bad-payload", "index": message.get("index")}
+                messages[position] = {**report, "exc_type": type(exc).__name__, "message": str(exc)}
+                continue
+            if self.cache is not None and key is not None:
+                self.cache.put(key, payload)
+        return messages
+
+    @staticmethod
+    def _verified(message: Dict[str, Any], expected_key: Optional[str]) -> Dict[str, Any]:
+        if message.get("key") != expected_key:
+            raise ProtocolError(
+                f"key mismatch: agent acked {str(message.get('key'))[:12]}..., "
+                f"cell is {str(expected_key)[:12]}..."
+            )
+        payload = pickle.loads(unpack_blob(message.pop("blob", None)))
+        if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
+            raise ProtocolError("payload is not a current-version cache entry")
+        if expected_key is not None and payload.get("cache_key") not in (None, expected_key):
+            raise ProtocolError("payload is bound to a different cache key")
+        return payload
+
+    def waitables(self) -> List[Any]:
+        return [self.transport]
+
+    def close(self) -> None:
+        try:  # end the session, so the agent need not wait out its stall guard
+            self.transport.send({"type": "stop"})
+        except TransportClosed:
             pass
         self.transport.close()
 
 
-class ShardedExecutor:
-    """Fan sweep tasks out over spawn-ed worker processes, fault-tolerantly.
+class SweepExecutor:
+    """Run sweep cells on endpoints: agents at ``hosts``, else a local pool.
 
-    ``run()`` returns ``(payloads, failures, stats, attempts)``: payloads is
-    a dict ``task index -> encoded result`` for every cell that completed,
-    failures maps indices of cells that did not, stats counts what happened
-    (computed/retried/quarantined/timeouts/crashes/backoff seconds/...), and
-    attempts maps ``task index -> dispatch count`` so retries that
-    eventually succeeded are visible, not silent.
+    ``run()`` returns :meth:`LeaseMachine.results`.
     """
 
     def __init__(
         self,
         tasks: Sequence[SweepTask],
         *,
+        hosts: Sequence[Any] = (),
         keys: Optional[Mapping[int, str]] = None,
         cache: Optional[ResultCache] = None,
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
+        lease_timeout: Optional[float] = None,
         heartbeat_interval: float = 0.5,
         stall_timeout: Optional[float] = None,
         spawn_timeout: float = 60.0,
         start_ack_timeout: Optional[float] = None,
+        connect_retry: Optional[RetryPolicy] = None,
+        quarantine_hosts: int = 2,
         interrupt: Optional[Any] = None,
         progress: Optional[Callable[[str], None]] = None,
-        tick: float = 0.05,
         worker_faults: Optional[Mapping[str, Any]] = None,
     ):
-        self.tasks = list(tasks)
-        self._by_index = {task.index: task for task in self.tasks}
-        self.keys = dict(keys or {})
         self.cache = cache
-        self.workers = max(1, workers or min(8, (os.cpu_count() or 2) - 1 or 1))
-        self.timeout = timeout
-        self.retry = retry or RetryPolicy()
-        self.heartbeat_interval = heartbeat_interval
-        self.stall_timeout = (
-            stall_timeout
-            if stall_timeout is not None
-            else max(10.0 * heartbeat_interval, 5.0)
-        )
-        self.spawn_timeout = spawn_timeout
-        #: Deadline for the "start" ack once a task is dispatched to a *warm*
-        #: worker (one that has started a task before, so no import cost
-        #: remains).  A fresh worker gets ``spawn_timeout`` instead.  This is
-        #: what catches a worker whose main thread wedged or died before the
-        #: ack while its heartbeat thread kept the stall detector happy.
-        self.start_ack_timeout = (
-            start_ack_timeout if start_ack_timeout is not None else self.stall_timeout
-        )
+        self.keys = dict(keys or {})
         self.interrupt = interrupt
         self.progress = progress or (lambda message: None)
-        self.tick = tick
-        self.worker_faults = dict(worker_faults or {})
-        self._rng = random.Random(0x5EED)
-        self._ctx = multiprocessing.get_context("spawn")
-        self._next_worker_id = 0
-
-    # -- lifecycle helpers --
-
-    def _spawn_worker(self) -> _WorkerHandle:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        process, transport = spawn_worker(
-            self._ctx, worker_id, self.heartbeat_interval, self.worker_faults
+        if stall_timeout is None:
+            stall_timeout = max(10.0 * heartbeat_interval, 5.0)
+        self._addrs = {f"{host}:{port}": (host, port) for host, port in map(parse_host, hosts)}
+        if self._addrs and lease_timeout is None:
+            # A remote cell is only observable through its acks, so its
+            # lease is a hard wall-clock bound.  Local workers are observed
+            # directly and run unbounded unless ``timeout`` (or an explicit
+            # ``lease_timeout``) says otherwise.
+            lease_timeout = (
+                timeout + stall_timeout + 5.0
+                if timeout is not None
+                else max(30.0, 6.0 * stall_timeout)
+            )
+        self._pool_options = dict(
+            slots=workers or min(8, (os.cpu_count() or 2) - 1 or 1),
+            cache_root=str(cache.root) if cache is not None else None,
+            heartbeat_interval=heartbeat_interval,
+            stall_timeout=stall_timeout,
+            spawn_timeout=spawn_timeout,
+            start_ack_timeout=start_ack_timeout,
+            worker_faults=worker_faults,
         )
-        return _WorkerHandle(worker_id=worker_id, process=process, transport=transport)
+        self.machine = LeaseMachine(
+            list(tasks),
+            list(self._addrs) or ["local"],
+            keys=self.keys,
+            code=code_fingerprint(),
+            retry=retry or RetryPolicy(),
+            connect_retry=connect_retry
+            or RetryPolicy(max_attempts=8, base_delay=0.2, max_delay=2.0),
+            timeout=timeout,
+            lease_timeout=lease_timeout,
+            heartbeat_interval=heartbeat_interval,
+            stall_timeout=stall_timeout,
+            quarantine_hosts=quarantine_hosts,
+        )
+        self._links: Dict[str, Any] = {}
 
-    def _record_failure(
-        self,
-        state: Dict[str, Any],
-        attempt: _Attempt,
-        kind: str,
-        message: str,
-        tb: str = "",
-    ) -> None:
-        index = attempt.task.index
-        if index in state["payloads"] or index in state["failures"]:
-            return  # already resolved (e.g. a stale report raced a retry)
-        stats = state["stats"]
-        stats[kind] = stats.get(kind, 0) + 1
-        if attempt.attempt >= self.retry.max_attempts:
-            state["failures"][index] = SweepFailure(
-                index=index,
-                label=attempt.task.label,
-                kind=kind,
-                message=message,
-                traceback=tb,
-                attempts=attempt.attempt,
-                quarantined=True,
-            )
-            stats["quarantined"] = stats.get("quarantined", 0) + 1
-            self.progress(
-                f"quarantined {attempt.task.label or index} after "
-                f"{attempt.attempt} attempt(s): {kind}: {message}"
-            )
-        else:
-            delay = self.retry.delay(attempt.attempt, self._rng)
-            state["pending"].append(
-                _Attempt(attempt.task, attempt.attempt + 1, time.monotonic() + delay)
-            )
-            stats["retried"] = stats.get("retried", 0) + 1
-            stats["backoff_seconds"] = round(stats.get("backoff_seconds", 0.0) + delay, 6)
-            self.progress(
-                f"retrying {attempt.task.label or index} in {delay:.2f}s "
-                f"(attempt {attempt.attempt + 1}/{self.retry.max_attempts}; {kind})"
-            )
-
-    def _fail_worker(
-        self, state: Dict[str, Any], worker: _WorkerHandle, kind: str, message: str
-    ) -> None:
-        attempt = worker.current
-        worker.current = None
-        worker.kill()
-        state["workers"].remove(worker)
-        if attempt is not None:
-            self._record_failure(state, attempt, kind, message)
-
-    # -- main loop --
-
-    def run(self) -> Tuple[Dict[int, Any], Dict[int, SweepFailure], Dict[str, Any], Dict[int, int]]:
-        state: Dict[str, Any] = {
-            "payloads": {},
-            "failures": {},
-            "stats": {"computed": 0},
-            "attempts": {},
-            "pending": [_Attempt(task, 1, 0.0) for task in self.tasks],
-            "workers": [],
-        }
+    def run(self):
+        machine = self.machine
         try:
-            self._loop(state)
+            while not machine.finished:
+                # Hear before judging: heartbeats that queued up during a slow
+                # step (a dial timing out) must precede the stall check.
+                quiet = True
+                for name, link in list(self._links.items()):
+                    try:
+                        messages = link.poll()
+                    except (TransportClosed, ProtocolError) as exc:
+                        self._perform(machine.on_lost(name, str(exc), time.monotonic()))
+                        continue
+                    for message in messages:
+                        quiet = False
+                        self._perform(machine.on_message(name, message, time.monotonic()))
+                interrupted = bool(getattr(self.interrupt, "requested", False))
+                actions = machine.tick(time.monotonic(), interrupted)
+                self._perform(actions)
+                if quiet and not actions:  # (acting may have news ready: a new pool's hello)
+                    waitables = [w for link in self._links.values() for w in link.waitables()]
+                    if waitables:
+                        wait_readable(waitables, timeout=TICK)
+                    else:
+                        time.sleep(TICK)
         finally:
-            self._shutdown(state)
-        if self.interrupt is not None and getattr(self.interrupt, "requested", False):
-            for task in self.tasks:
-                if task.index not in state["payloads"] and task.index not in state["failures"]:
-                    state["failures"][task.index] = SweepFailure(
-                        index=task.index,
-                        label=task.label,
-                        kind="cancelled",
-                        message="sweep interrupted before this cell ran",
-                    )
-                    state["stats"]["cancelled"] = state["stats"].get("cancelled", 0) + 1
-        return state["payloads"], state["failures"], state["stats"], state["attempts"]
+            for link in self._links.values():
+                link.close()
+            self._links.clear()
+        return machine.results()
 
-    def _loop(self, state: Dict[str, Any]) -> None:
-        total = len(self.tasks)
-        while len(state["payloads"]) + len(state["failures"]) < total:
-            if self.interrupt is not None and getattr(self.interrupt, "requested", False):
-                return
-            self._dispatch(state)
-            self._drain(state)
-            self._check_health(state)
-
-    def _dispatch(self, state: Dict[str, Any]) -> None:
-        now = time.monotonic()
-        pending: List[_Attempt] = state["pending"]
-        workers: List[_WorkerHandle] = state["workers"]
-        # Drop attempts whose task got resolved while they waited (a stale
-        # "done" racing a retry, or a cache hit recorded by another path).
-        pending[:] = [
-            attempt
-            for attempt in pending
-            if attempt.task.index not in state["payloads"]
-            and attempt.task.index not in state["failures"]
-        ]
-        eligible = [attempt for attempt in pending if attempt.eligible_at <= now]
-        if not eligible:
-            return
-        while eligible and (
-            any(w.current is None for w in workers) or len(workers) < self.workers
-        ):
-            idle = next((w for w in workers if w.current is None), None)
-            if idle is None:
-                idle = self._spawn_worker()
-                workers.append(idle)
-            attempt = eligible.pop(0)
-            pending.remove(attempt)
-            task = attempt.task
-            try:
-                idle.transport.send(
-                    (
-                        "task",
-                        task.index,
-                        attempt.attempt,
-                        task.spec,
-                        self.keys.get(task.index),
-                        str(self.cache.root) if self.cache is not None else None,
-                        dict(task.inject),
-                    )
-                )
-            except TransportClosed:
-                pending.append(attempt)
-                self._fail_worker(state, idle, "crash", "worker pipe closed at dispatch")
-                continue
-            state["attempts"][task.index] = state["attempts"].get(task.index, 0) + 1
-            idle.current = attempt
-            idle.dispatched_at = time.monotonic()
-            idle.task_started_at = None
-            idle.last_heartbeat = idle.dispatched_at
-
-    def _drain(self, state: Dict[str, Any]) -> None:
-        workers: List[_WorkerHandle] = state["workers"]
-        if not workers:
-            time.sleep(self.tick)
-            return
-        by_transport = {w.transport: w for w in workers}
-        ready = wait_readable(list(by_transport), timeout=self.tick)
-        for transport in ready:
-            worker = by_transport[transport]
-            try:
-                messages = transport.recv_all()
-            except TransportClosed:
-                # Pipe closed: death evidence the health check acts on
-                # immediately instead of waiting out the stall detector.
-                worker.conn_eof = True
-                continue
-            for message in messages:
-                self._handle_message(state, worker, message)
-
-    def _handle_message(
-        self, state: Dict[str, Any], worker: _WorkerHandle, message: tuple
-    ) -> None:
-        kind = message[0]
-        worker.contacted = True
-        worker.last_heartbeat = time.monotonic()
-        if kind == "start":
-            # The task timeout runs from here: the worker has finished its
-            # (possibly slow, first-task) imports and begins real work.
-            if worker.current is not None and worker.current.task.index == message[2]:
-                worker.task_started_at = worker.last_heartbeat
-                worker.ever_started = True
-            return
-        if kind in ("heartbeat", "hello"):
-            return
-        if kind == "done":
-            _, _, index, attempt_no, payload, elapsed = message
-            if worker.current is not None and worker.current.task.index == index:
-                worker.current = None
-            if index not in state["payloads"]:
-                state["payloads"][index] = payload
-                state["failures"].pop(index, None)
-                state["stats"]["computed"] += 1
-                done = len(state["payloads"])
-                self.progress(
-                    f"[{done + len(state['failures'])}/{len(self.tasks)}] "
-                    f"{self._by_index[index].label or index}: ok ({elapsed:.2f}s)"
-                )
-        elif kind == "error":
-            _, _, index, attempt_no, exc_type, exc_message, tb, _elapsed = message
-            attempt = worker.current
-            if attempt is not None and attempt.task.index == index:
-                worker.current = None
-            else:  # stale report; reconstruct the attempt for bookkeeping
-                attempt = _Attempt(self._by_index[index], attempt_no, 0.0)
-            self._record_failure(
-                state, attempt, "error", f"{exc_type}: {exc_message}", tb
-            )
-
-    def _check_health(self, state: Dict[str, Any]) -> None:
-        now = time.monotonic()
-        for worker in list(state["workers"]):
-            if worker.conn_eof or not worker.process.is_alive():
-                # Pipe EOF is acted on as death evidence even while the exit
-                # is still in flight (is_alive can race a dying process), so
-                # a worker that connected and died before its first
-                # heartbeat fails its task promptly -- not a stall later.
-                worker.process.join(0.2)
-                exitcode = worker.process.exitcode
-                if worker.current is not None:
-                    self._fail_worker(
-                        state,
-                        worker,
-                        "crash",
-                        f"worker process died (exit code {exitcode})",
-                    )
-                else:
-                    worker.kill()
-                    state["workers"].remove(worker)
-                continue
-            if worker.current is None:
-                continue
-            if worker.task_started_at is None:
-                # Dispatched but no "start" ack yet.  A fresh worker gets the
-                # spawn/import grace; a warm worker must ack within the
-                # start-ack deadline -- catching a main thread that wedged or
-                # died pre-start while heartbeats kept flowing (previously
-                # only the stall detector's longer deadline, or nothing at
-                # all when no task timeout was set).
-                grace = self.spawn_timeout if not worker.ever_started else self.start_ack_timeout
-                if now - worker.dispatched_at > grace:
-                    self._fail_worker(
-                        state,
-                        worker,
-                        "dead-worker",
-                        f"no start ack within {grace:.1f}s of dispatch",
-                    )
-                    continue
-            if self.timeout is not None:
-                if worker.task_started_at is not None:
-                    busy_for = now - worker.task_started_at
-                else:
-                    # No "start" ack yet: grant spawn/import grace on top of
-                    # the task timeout so fresh workers are not killed while
-                    # importing, but a wedged pre-start worker still dies.
-                    busy_for = now - worker.dispatched_at - self.stall_timeout
-                if busy_for > self.timeout:
-                    self._fail_worker(
-                        state,
-                        worker,
-                        "timeout",
-                        f"task exceeded the {self.timeout:.1f}s wall-clock timeout",
-                    )
-                    continue
-            if worker.contacted:
-                if now - worker.last_heartbeat > self.stall_timeout:
-                    self._fail_worker(
-                        state,
-                        worker,
-                        "dead-worker",
-                        f"no heartbeat for {now - worker.last_heartbeat:.1f}s "
-                        f"(threshold {self.stall_timeout:.1f}s)",
-                    )
-            elif now - worker.spawned_at > self.spawn_timeout:
-                self._fail_worker(
-                    state,
-                    worker,
-                    "dead-worker",
-                    f"worker never reported in within {self.spawn_timeout:.1f}s of spawn",
-                )
-
-    def _shutdown(self, state: Dict[str, Any]) -> None:
-        for worker in state["workers"]:
-            try:
-                worker.transport.send(("stop",))
-            except TransportClosed:
-                pass
-        deadline = time.monotonic() + 2.0
-        for worker in state["workers"]:
-            worker.process.join(max(0.0, deadline - time.monotonic()))
-            worker.kill()
-        state["workers"] = []
+    def _perform(self, actions: List[Action]) -> None:
+        """Carry out the machine's decisions; feed I/O failures back in."""
+        for kind, name, *rest in actions:
+            if kind == "progress":
+                self.progress(name)
+            elif kind == "close":
+                link = self._links.pop(name, None)
+                if link is not None:
+                    link.close()
+            elif kind == "open" or name in self._links:  # a send to a dropped link is moot
+                try:
+                    if kind == "send":
+                        self._links[name].send(rest[0])
+                    elif name in self._addrs:
+                        self._links[name] = _AgentLink(self._addrs[name], self.keys, self.cache)
+                    else:
+                        self._links[name] = WorkerPool(**self._pool_options)
+                except OSError as exc:  # TransportClosed included: the peer is unreachable
+                    self._perform(self.machine.on_lost(name, str(exc), time.monotonic()))

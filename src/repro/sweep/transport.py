@@ -1,8 +1,8 @@
-"""Transport abstraction under the sweep fabric's worker/agent protocols.
+"""Transport abstraction under the sweep fabric's worker/agent protocol.
 
-The executor's per-worker protocol (``hello``/``start``/``heartbeat``/
-``done``/``error``) was designed transport-agnostic; this module makes the
-transport an explicit, swappable object with one tiny interface:
+One message vocabulary (``hello``/``start``/``heartbeat``/``done``/
+``error``: dicts with a ``"type"`` key) runs worker-to-pool and
+agent-to-driver; a transport is the swappable object that carries it:
 
 * ``send(message)``     -- ship one message; raises :class:`TransportClosed`
   the moment the peer is unreachable (callers treat that as a dead peer,
@@ -14,10 +14,10 @@ transport an explicit, swappable object with one tiny interface:
 
 Two implementations:
 
-* :class:`PipeTransport` wraps the ``multiprocessing`` duplex pipe the
-  local executor drives its spawned workers over (messages are tuples);
+* :class:`PipeTransport` wraps the ``multiprocessing`` duplex pipe a
+  worker pool drives each spawned worker over;
 * :class:`SocketTransport` frames messages as line-delimited JSON over a
-  TCP socket -- the remote-dispatch protocol (:mod:`repro.sweep.remote`).
+  TCP socket -- driver to agent (:mod:`repro.sweep.remote`).
   Binary payloads travel base64-encoded with their SHA-256 alongside
   (:func:`pack_blob`/:func:`unpack_blob`), so the receiver verifies every
   byte it acts on; corruption reads as a failure to retry, never as data.
@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Bumped whenever the wire protocol changes shape; mismatched peers are
 #: rejected at ``hello`` time.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: One framed line may not exceed this (a torn or hostile peer cannot make
 #: the receiver buffer unboundedly).
@@ -118,8 +118,7 @@ def parse_host(value: Any) -> Tuple[str, int]:
 class PipeTransport:
     """The ``multiprocessing`` duplex pipe, behind the transport interface.
 
-    Messages are plain tuples (the executor's worker protocol); framing and
-    integrity come from the pipe itself.
+    Framing and integrity come from the pipe itself.
     """
 
     def __init__(self, conn):
@@ -178,10 +177,6 @@ class SocketTransport:
             self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
         except OSError:
             pass
-
-    @property
-    def closed(self) -> bool:
-        return self._eof
 
     def send(self, message: Dict[str, Any]) -> None:
         if "type" not in message:

@@ -153,9 +153,9 @@ class TestFirstContactDeath:
         return box["out"], time.monotonic() - started
 
     def test_wedged_pre_start_worker_is_killed_promptly_without_timeout(self):
-        from repro.sweep.executor import ShardedExecutor
+        from repro.sweep.executor import SweepExecutor
 
-        executor = ShardedExecutor(
+        executor = SweepExecutor(
             make_tasks(),
             workers=1,
             timeout=None,  # the previously-undetectable configuration
@@ -166,7 +166,7 @@ class TestFirstContactDeath:
             retry=RetryPolicy(max_attempts=3, base_delay=0.05, max_delay=0.2),
             worker_faults={"wedge_before_start": (0,)},
         )
-        (payloads, failures, stats, attempts), elapsed = self._run_guarded(executor)
+        (payloads, failures, stats, attempts, _), elapsed = self._run_guarded(executor)
         # Worker 0 took the task and wedged while its heartbeats kept
         # flowing; the start-ack deadline killed it and the retry succeeded.
         assert stats["dead-worker"] == 1
@@ -176,9 +176,9 @@ class TestFirstContactDeath:
         assert elapsed < 60.0
 
     def test_worker_dying_right_after_hello_fails_fast_not_at_stall(self):
-        from repro.sweep.executor import ShardedExecutor
+        from repro.sweep.executor import SweepExecutor
 
-        executor = ShardedExecutor(
+        executor = SweepExecutor(
             make_tasks(),
             workers=1,
             heartbeat_interval=0.1,
@@ -186,7 +186,7 @@ class TestFirstContactDeath:
             retry=RetryPolicy(max_attempts=3, base_delay=0.05, max_delay=0.2),
             worker_faults={"die_after_hello": (0,)},
         )
-        (payloads, failures, stats, attempts), elapsed = self._run_guarded(executor)
+        (payloads, failures, stats, attempts, _), elapsed = self._run_guarded(executor)
         # Death is detected from the pipe EOF, not by waiting out the
         # 30-second stall detector.
         assert stats["crash"] == 1
@@ -252,3 +252,25 @@ class TestInterrupt:
         assert all(failure.kind == "cancelled" for failure in report.failures)
         rows = report.aggregate("cancelled").rows
         assert sum(1 for row in rows if row.get("status") == "cancelled") == len(tasks) - 1
+
+    def test_interrupt_drains_in_flight_cells_then_cancels_the_rest(self):
+        # One interrupt rule for every mode: stop granting, let in-flight
+        # cells finish and report them, cancel what never started.
+        class FakeInterrupt:
+            requested = False
+
+        interrupt = FakeInterrupt()
+
+        def request_after_first(message):
+            if ": ok" in message:
+                interrupt.requested = True
+
+        tasks = make_tasks()
+        report = run_sweep(
+            tasks, mode="sharded", workers=2, interrupt=interrupt, progress=request_after_first
+        )
+        # Both workers had a cell when the first one finished; the second is
+        # drained and reported, not killed and forgotten.
+        assert report.stats["computed"] == 2
+        assert report.stats["cancelled"] == len(tasks) - 2
+        assert all(failure.kind == "cancelled" for failure in report.failures)

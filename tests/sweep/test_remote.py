@@ -13,6 +13,7 @@ import json
 import pickle
 import socket
 import threading
+import time
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep.cache import code_fingerprint
-from repro.sweep.remote import RemoteExecutor
+from repro.sweep.executor import SweepExecutor
 from repro.sweep.transport import PROTOCOL_VERSION, pack_blob
 
 EXPRESSION = "fig4/single-link-churn scheme=numfabric,dctcp seed=0..1"
@@ -167,6 +168,44 @@ class TestFaultHooks:
         assert report.aggregate("ref").rows == serial_reference
         assert report.hosts[b.host]["cells"] >= 1
 
+    def test_stalled_driver_hears_queued_heartbeats_before_judging(
+        self, agents, serial_reference, monkeypatch
+    ):
+        # The *driver* freezes (suspended, swapped out) for longer than
+        # stall_timeout while a healthy agent keeps heartbeating into the
+        # socket buffer: on waking it must read those before its stall check,
+        # or it writes a live host off for the driver's own silence.
+        from repro.sweep import executor
+
+        (a,) = agents(1, heartbeat_interval=0.1)
+        real_wait, freezes, frozen = executor.wait_readable, [], []
+
+        def freeze_once_the_host_is_ready(line):
+            if "ready" in line and not frozen:
+                freezes.append(1.5)
+
+        def wait_then_freeze(waitables, timeout):
+            ready = real_wait(waitables, timeout)
+            if freezes:
+                frozen.append(freezes.pop())
+                time.sleep(frozen[-1])
+            return ready
+
+        monkeypatch.setattr(executor, "wait_readable", wait_then_freeze)
+        report = run_sweep(
+            make_tasks(),
+            mode="remote",
+            hosts=[a.host],
+            cache=None,
+            heartbeat_interval=0.1,
+            stall_timeout=1.0,
+            progress=freeze_once_the_host_is_ready,
+        )
+        assert frozen
+        assert "host_lost" not in report.stats
+        assert report.stats["failed"] == 0
+        assert report.aggregate("ref").rows == serial_reference
+
     def test_expired_lease_is_reassigned_and_retry_succeeds(
         self, agents, serial_reference
     ):
@@ -188,6 +227,43 @@ class TestFaultHooks:
         assert report.stats["failed"] == 0
         assert report.aggregate("ref").rows == serial_reference
         assert report.attempts[0] >= 2
+
+    def test_silently_hung_agent_worker_is_presumed_dead(self, agents):
+        # The remote twin of the sharded test: the agent runs the same worker
+        # pool, so a worker that stops heartbeating is reported by the agent
+        # as a dead worker within stall_timeout -- not discovered by the
+        # driver's (30 s default) lease expiry.
+        (a,) = agents(1, heartbeat_interval=0.1, stall_timeout=0.8)
+        tasks = make_tasks()
+        tasks[3] = with_inject(tasks[3], silent_hang_on="all")
+        started = time.monotonic()
+        report = run_sweep(tasks, mode="remote", hosts=[a.host], cache=None, retry=FAST_RETRY)
+        (failure,) = report.failures
+        assert failure.index == 3
+        assert failure.kind == "dead-worker"
+        assert failure.quarantined
+        assert report.stats["computed"] == len(tasks) - 1
+        assert "lease-expired" not in report.stats
+        assert time.monotonic() - started < 20.0
+
+    def test_crashed_agent_worker_is_tallied_as_crash(self, agents, serial_reference):
+        # Same pool, same verdict as sharded mode: a worker process that dies
+        # under a cell is a ``crash`` (not an anonymous error), then retried.
+        (a,) = agents(1)
+        tasks = make_tasks()
+        tasks[0] = with_inject(tasks[0], crash_on=(1,))
+        report = run_sweep(
+            tasks,
+            mode="remote",
+            hosts=[a.host],
+            cache=None,
+            retry=RetryPolicy(max_attempts=3, base_delay=0.05, max_delay=0.2),
+        )
+        assert report.stats["crash"] == 1
+        assert report.stats["retried"] == 1
+        assert report.stats["failed"] == 0
+        assert report.attempts[0] == 2
+        assert report.aggregate("ref").rows == serial_reference
 
     def test_cell_failing_on_two_distinct_hosts_is_quarantined_early(self, agents):
         (a, b) = agents(2)
@@ -215,13 +291,13 @@ class TestVerification:
     def test_code_mismatch_hosts_are_rejected(self, agents):
         (a,) = agents(1)
         tasks = make_tasks()
-        executor = RemoteExecutor(
+        executor = SweepExecutor(
             tasks,
             hosts=[a.host],
             keys={task.index: f"{task.index:064x}" for task in tasks},
             connect_retry=RetryPolicy(max_attempts=1, base_delay=0.05, max_delay=0.1),
         )
-        executor._code = "a-different-source-tree"
+        executor.machine.code = "a-different-source-tree"
         payloads, failures, stats, attempts, hosts = executor.run()
         # The agent runs "different code": accepting its results would cache
         # them under the wrong keys, so the host is written off and the
