@@ -320,3 +320,27 @@ def test_bench_network_is_deterministic():
     b = run_bench.build_network(30)
     assert [f.path for f in a.flows] == [f.path for f in b.flows]
     assert [repr(f.utility) for f in a.flows] == [repr(f.utility) for f in b.flows]
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.parametrize("scheme", ["xwi", *sorted(run_bench.SCHEME_SIMULATORS)])
+def test_history_records_stay_array_backed(scheme):
+    """Memory guard: a vectorized simulator's history holds a few vectors per
+    step (measured 18 B per flow and record for xWI, 9-10 B for the others),
+    not the dicts it used to (143 B and 73-74 B).  Each simulator at its
+    default recording level, 400 flows on the bench fabric."""
+    import tracemalloc
+
+    flows, steps = 400, 100
+    simulator_cls = {"xwi": run_bench.XwiFluidSimulator, **run_bench.SCHEME_SIMULATORS}[scheme]
+    simulator = simulator_cls(run_bench.build_network(flows), backend="vectorized")
+    simulator.run(2)  # the one-time compile and first-touch caches stay outside
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        simulator.run(steps)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(simulator.history) == steps + 2
+    assert (after - before) / (steps * flows) < 40.0

@@ -131,7 +131,7 @@ class GKQuantiles:
     quantile, unlike :class:`P2Quantile` which tracks a single one.
     """
 
-    __slots__ = ("epsilon", "_entries", "_count", "_since_compress")
+    __slots__ = ("epsilon", "_entries", "_keys", "_count", "_since_compress")
 
     def __init__(self, epsilon: float = 0.001) -> None:
         if not 0.0 < epsilon < 0.5:
@@ -140,6 +140,9 @@ class GKQuantiles:
         # Entries [value, g, delta] sorted by value.  rmin of entry i is
         # the running sum of g up to i; rmax = rmin + delta.
         self._entries: list[list[float]] = []
+        # The entries' values alone, kept in step by add/_compress so that
+        # add bisects a flat list instead of rebuilding one per observation.
+        self._keys: list[float] = []
         self._count = 0
         self._since_compress = 0
 
@@ -155,8 +158,7 @@ class GKQuantiles:
     def add(self, value: float) -> None:
         value = float(value)
         entries = self._entries
-        keys = [e[0] for e in entries]
-        idx = bisect_right(keys, value)
+        idx = bisect_right(self._keys, value)
         if idx == 0 or idx == len(entries):
             delta = 0.0
         else:
@@ -164,6 +166,7 @@ class GKQuantiles:
             if delta > 0.0:
                 delta -= 1.0
         entries.insert(idx, [value, 1.0, delta])
+        self._keys.insert(idx, value)
         self._count += 1
         self._since_compress += 1
         if self._since_compress >= max(1, int(1.0 / (2.0 * self.epsilon))):
@@ -171,7 +174,7 @@ class GKQuantiles:
             self._since_compress = 0
 
     def _compress(self) -> None:
-        entries = self._entries
+        entries, keys = self._entries, self._keys
         if len(entries) < 3:
             return
         threshold = math.floor(2.0 * self.epsilon * self._count)
@@ -181,6 +184,7 @@ class GKQuantiles:
             if cur[1] + nxt[1] + nxt[2] <= threshold:
                 nxt[1] += cur[1]
                 del entries[i]
+                del keys[i]
             i -= 1
 
     def query(self, q: float) -> float:

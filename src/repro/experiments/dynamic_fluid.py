@@ -35,6 +35,7 @@ layer above the constructor can select it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
@@ -46,6 +47,7 @@ from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.oracle import PersistentDualSolver
 from repro.fluid.oracle import solve_num  # noqa: F401 -- benchmarks/e2e's span table binds it
 from repro.fluid.rcp import RcpStarFluidSimulator
+from repro.fluid.vectorized import RateGather
 from repro.fluid.xwi import XwiFluidSimulator
 from repro.workloads.poisson import FlowArrival
 
@@ -84,8 +86,13 @@ class RatePolicy:
         """
         self.on_flow_set_changed(network)
 
-    def rates(self, network: FluidNetwork, dt: float) -> Dict[object, float]:
-        """Return the rates to apply for the next ``dt`` seconds."""
+    def rates(self, network: FluidNetwork, dt: float) -> Mapping:
+        """Return the rates to apply for the next ``dt`` seconds.
+
+        Any flow-id -> rate mapping.  One that also carries ``flow_ids`` and
+        a ``rate_vec`` in that order (:class:`RecordRates`) is read by the
+        array loop as a vector, never key by key.
+        """
         raise NotImplementedError
 
     def rates_epoch(self) -> Optional[int]:
@@ -178,6 +185,34 @@ class OracleRatePolicy(RatePolicy):
         return self._epoch
 
 
+class RecordRates(Mapping):
+    """A simulator record's rates as the mapping :meth:`RatePolicy.rates`
+    promises, without building it: ``flow_ids`` / ``rate_vec`` pass the
+    record's own through, and the dict is built only if someone keys in."""
+
+    __slots__ = ("_record",)
+
+    def __init__(self, record):
+        self._record = record
+
+    @property
+    def flow_ids(self):
+        return self._record.flow_ids
+
+    @property
+    def rate_vec(self) -> Optional[np.ndarray]:
+        return self._record.rate_vec
+
+    def __getitem__(self, flow_id) -> float:
+        return self._record.rates[flow_id]
+
+    def __iter__(self):
+        return iter(self._record.rates)
+
+    def __len__(self) -> int:
+        return len(self._record.rates)
+
+
 class SimulatorRatePolicy(RatePolicy):
     """Rates taken from a fluid control-loop simulator advanced step by step.
 
@@ -195,7 +230,6 @@ class SimulatorRatePolicy(RatePolicy):
     def __init__(self, simulator_factory: Callable[[FluidNetwork], object]):
         self.simulator_factory = simulator_factory
         self._simulator = None
-        self._last_rates: Dict[object, float] = {}
         self._epoch = 0
 
     def _ensure(self, network: FluidNetwork):
@@ -221,12 +255,10 @@ class SimulatorRatePolicy(RatePolicy):
     def on_flow_set_changed(self, network: FluidNetwork) -> None:
         self._ensure(network)
 
-    def rates(self, network: FluidNetwork, dt: float) -> Dict[object, float]:
-        simulator = self._ensure(network)
-        record = simulator.step()
-        self._last_rates = record.rates
+    def rates(self, network: FluidNetwork, dt: float) -> RecordRates:
+        rates = RecordRates(self._ensure(network).step())
         self._epoch += 1  # the control loop moves the allocation every step
-        return self._last_rates
+        return rates
 
     def rates_epoch(self) -> Optional[int]:
         return self._epoch
@@ -256,9 +288,7 @@ def scheme_rate_policy(
             f"unknown scheme {scheme!r}; expected one of {sorted(SCHEME_SIMULATORS)}"
         ) from None
     extra = {"kernel": kernel} if simulator_cls is XwiFluidSimulator else {}
-    # The policy only reads each record's rates, so skip the per-step
-    # price/queue/weight dict builds (record_detail=False) -- measurable at
-    # the dynamic experiments' paper scale.
+    # The policy only reads each record's rates (record_detail=False).
     return SimulatorRatePolicy(
         lambda network: simulator_cls(
             network, params=params, backend="vectorized", record_detail=False, **extra
@@ -368,6 +398,9 @@ class FlowLevelSimulation:
         self._rates_epoch: Callable[[], Optional[int]] = getattr(
             rate_policy, "rates_epoch", lambda: None
         )
+        # For policies that hand over a rate vector: permutes it into slot
+        # order (reset whenever the slot layout changes).
+        self._slot_rates = RateGather()
 
     @property
     def active_flow_count(self) -> int:
@@ -543,6 +576,7 @@ class FlowLevelSimulation:
         self._slots.append(arrival.flow_id)
         self._count += 1
         self._rate_cache = self._rate_cache_epoch = None
+        self._slot_rates.reset()
 
     def _compact(self, keep: np.ndarray) -> None:
         """Drop finished slots in one batch, preserving admission order."""
@@ -553,8 +587,13 @@ class FlowLevelSimulation:
         self._slots = [fid for fid, alive in zip(self._slots, keep.tolist()) if alive]
         self._count = survivors
         self._rate_cache = self._rate_cache_epoch = None
+        self._slot_rates.reset()
 
-    def _gather_rates(self, rates: Dict[object, float]) -> np.ndarray:
+    def _gather_rates(self, rates: Mapping) -> np.ndarray:
+        if getattr(rates, "rate_vec", None) is not None:
+            # The policy computed a vector: permute it into slot order, the
+            # permutation rebuilt only when the flow set or the slots change.
+            return self._slot_rates(rates, self._slots)
         epoch = self._rates_epoch()
         if (
             epoch is not None

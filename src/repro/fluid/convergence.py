@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
+import numpy as np
+
+from repro.fluid.vectorized import RateGather
+
 FlowId = object
 
 
@@ -51,6 +55,29 @@ def fraction_converged(
     return within / len(optimal_rates)
 
 
+class _VectorCriterion:
+    """:func:`fraction_converged` on array-backed records: the same
+    comparisons, elementwise on the record's rates in the optimum's flow
+    order (a flow absent from the record reads rate 0)."""
+
+    def __init__(self, optimal_rates: Mapping[FlowId, float], tolerance: float):
+        self.flows = list(optimal_rates)
+        self.optimal = np.fromiter(optimal_rates.values(), dtype=float, count=len(self.flows))
+        self.idle = self.optimal <= 0.0
+        self.slack = tolerance * self.optimal
+        self.tolerance = tolerance
+        self._gather = RateGather()
+
+    def fraction(self, record) -> float:
+        if not self.flows:
+            return 1.0
+        rates = self._gather(record, self.flows)
+        within = np.where(
+            self.idle, rates <= self.tolerance, np.abs(rates - self.optimal) <= self.slack
+        )
+        return int(np.count_nonzero(within)) / len(self.flows)
+
+
 def convergence_iterations(
     rate_history: Sequence[Mapping[FlowId, float]],
     optimal_rates: Mapping[FlowId, float],
@@ -60,11 +87,24 @@ def convergence_iterations(
 
     Returns ``None`` if the criterion is never satisfied (and held for
     ``hold_iterations`` consecutive iterations) within the recorded history.
+
+    ``rate_history`` holds one entry per iteration: a rate mapping, or a
+    simulator's iteration record (pass ``simulator.history`` itself).  A
+    record that carries its rates as a vector is judged on the vector, so
+    no per-iteration rate dict is ever built; the verdict is identical.
     """
     criterion = criterion or ConvergenceCriterion()
+    vectorized: Optional[_VectorCriterion] = None
     run_length = 0
     for index, rates in enumerate(rate_history):
-        fraction = fraction_converged(rates, optimal_rates, criterion.rate_tolerance)
+        if getattr(rates, "rate_vec", None) is not None:
+            if vectorized is None:
+                vectorized = _VectorCriterion(optimal_rates, criterion.rate_tolerance)
+            fraction = vectorized.fraction(rates)
+        else:
+            fraction = fraction_converged(
+                getattr(rates, "rates", rates), optimal_rates, criterion.rate_tolerance
+            )
         if fraction >= criterion.flow_fraction:
             run_length += 1
             if run_length >= criterion.hold_iterations:

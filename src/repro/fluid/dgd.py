@@ -28,12 +28,19 @@ Two interchangeable backends drive the iteration:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.fluid.network import FluidNetwork, FlowId, LinkId
-from repro.fluid.vectorized import CompiledFluidNetwork, VectorizedBackendMixin
+from repro.fluid.vectorized import (
+    CompiledFluidNetwork,
+    IterationRecord,
+    VectorizedBackendMixin,
+    dict_of,
+    state_view,
+)
 
 
 @dataclass
@@ -47,16 +54,30 @@ class DgdFluidParameters:
     max_outstanding_bdp: float = 2.0
 
 
-@dataclass
-class DgdIterationRecord:
-    iteration: int
-    rates: Dict[FlowId, float]
-    prices: Dict[LinkId, float]
-    queues: Dict[LinkId, float]
+class DgdIterationRecord(IterationRecord):
+    """Snapshot of one DGD interval: ``rates`` plus, when the simulator
+    records detail, the per-link ``prices`` and ``queues`` (else empty)."""
+
+    price_vec: Optional[np.ndarray] = None
+    queue_vec: Optional[np.ndarray] = None
+
+    @cached_property
+    def prices(self) -> Dict[LinkId, float]:
+        return dict_of(self.link_ids, self.price_vec)
+
+    @cached_property
+    def queues(self) -> Dict[LinkId, float]:
+        return dict_of(self.link_ids, self.queue_vec)
 
 
 class DgdFluidSimulator(VectorizedBackendMixin):
     """Iterates the DGD price/rate dynamics on a :class:`FluidNetwork`."""
+
+    #: Per-link state: live, writable dicts on either backend.  The
+    #: vectorized one keeps vectors and brings a dict up to date when the
+    #: attribute is read, so read it after a step rather than keeping it.
+    prices = state_view()
+    queues = state_view()
 
     def __init__(
         self,
@@ -71,19 +92,17 @@ class DgdFluidSimulator(VectorizedBackendMixin):
         self.backend = self._check_backend(backend, "DGD")
         #: When false, records carry only the rates (see xWI's twin flag).
         self.record_detail = record_detail
-        self.prices: Dict[LinkId, float] = {link: initial_price for link in network.links}
-        self.queues: Dict[LinkId, float] = {link: 0.0 for link in network.links}
+        self.prices = {link: initial_price for link in network.links}
+        self.queues = {link: 0.0 for link in network.links}
         self.iteration = 0
         self.history: List[DgdIterationRecord] = []
         self._compiled: Optional[CompiledFluidNetwork] = None
 
-    def _path_price(self, path) -> float:
-        return sum(self.prices.get(link, 0.0) for link in path)
-
     def _flow_rates(self) -> Dict[FlowId, float]:
+        prices = self.prices
         rates: Dict[FlowId, float] = {}
         for flow in self.network.flows:
-            price = self._path_price(flow.path)
+            price = sum(prices.get(link, 0.0) for link in flow.path)
             cap = self.network.path_capacity(flow.flow_id)
             limit = self.params.max_outstanding_bdp * cap
             if price <= 0.0:
@@ -97,7 +116,7 @@ class DgdFluidSimulator(VectorizedBackendMixin):
         """One DGD interval as array operations over the compiled network."""
         compiled = self._ensure_compiled()
         capacities = compiled.capacities_vector()
-        prices = self._link_vector(self.prices)
+        prices = self._link_vector(self._prices)
 
         # Host side, Eq. (3): each flow inverts its marginal utility at the
         # path price, capped at ``max_outstanding_bdp`` path capacities --
@@ -126,19 +145,22 @@ class DgdFluidSimulator(VectorizedBackendMixin):
         excess = np.zeros_like(capacities)
         np.divide(compiled.link_load(rate_vec) - capacities, capacities,
                   out=excess, where=live)
-        queues = np.maximum(self._link_vector(self.queues) + excess * dt, 0.0)
+        queues = np.maximum(self._link_vector(self._queues) + excess * dt, 0.0)
         queue_in_bdp = queues / self.params.rtt
         price_scale = np.maximum(prices, 1e-12)
         delta = self.params.utilization_gain * excess + self.params.queue_gain * queue_in_bdp
         new_prices = np.maximum(prices + delta * price_scale, 1e-15)
-        self._store_link_vector(self.queues, queues)
-        self._store_link_vector(self.prices, new_prices)
+        self._queues.store(compiled.link_ids, queues)
+        self._prices.store(compiled.link_ids, new_prices)
 
+        detail = self.record_detail
         record = DgdIterationRecord(
-            iteration=self.iteration,
-            rates=dict(zip(compiled.flow_ids, rate_vec.tolist())),
-            prices=dict(self.prices) if self.record_detail else {},
-            queues=dict(self.queues) if self.record_detail else {},
+            self.iteration,
+            compiled.flow_id_snapshot(),
+            compiled.link_ids,
+            rate_vec=rate_vec,
+            price_vec=new_prices if detail else None,
+            queue_vec=queues if detail else None,
         )
         self.iteration += 1
         return record
@@ -151,28 +173,29 @@ class DgdFluidSimulator(VectorizedBackendMixin):
         rates = self._flow_rates()
         load = self.network.link_load(rates)
         dt = self.params.update_interval
+        prices, queues = self.prices, self.queues
         for link, capacity in capacities.items():
             # Queue backlog (in "capacity-seconds", i.e. normalized bytes):
             # integrates the over-subscription, drains when under-subscribed.
             # A failed (zero-capacity) link carries no traffic, so its
             # mismatch is zero by definition rather than 0/0.
             excess = (load[link] - capacity) / capacity if capacity > 0.0 else 0.0
-            self.queues[link] = max(self.queues[link] + excess * dt, 0.0)
-            queue_in_bdp = self.queues[link] / self.params.rtt
+            queues[link] = max(queues[link] + excess * dt, 0.0)
+            queue_in_bdp = queues[link] / self.params.rtt
             # Scale the additive update by the typical price magnitude so the
             # normalized gains behave consistently across utility functions.
-            price_scale = max(self.prices[link], 1e-12)
+            price_scale = max(prices[link], 1e-12)
             delta = (
                 self.params.utilization_gain * excess
                 + self.params.queue_gain * queue_in_bdp
             )
-            self.prices[link] = max(self.prices[link] + delta * price_scale, 1e-15)
+            prices[link] = max(prices[link] + delta * price_scale, 1e-15)
 
         record = DgdIterationRecord(
-            iteration=self.iteration,
+            self.iteration,
             rates=dict(rates),
-            prices=dict(self.prices) if self.record_detail else {},
-            queues=dict(self.queues) if self.record_detail else {},
+            prices=dict(prices) if self.record_detail else {},
+            queues=dict(queues) if self.record_detail else {},
         )
         self.iteration += 1
         return record

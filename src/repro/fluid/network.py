@@ -24,6 +24,13 @@ FlowId = Hashable
 #: behind than this simply recompiles from scratch.
 _JOURNAL_LIMIT = 256
 
+#: Process-wide count of ``FluidFlow.utility`` bindings (construction and
+#: rebinds alike).  Compiled views compare it with the value they last
+#: scanned at, so a step on which no utility anywhere was bound skips the
+#: O(flows) identity scan.  A witness only: it never decreases, and a stale
+#: comparison costs one scan, not a wrong answer.
+_utility_bindings = 0
+
 
 @dataclass(slots=True)
 class FluidFlow:
@@ -39,6 +46,12 @@ class FluidFlow:
     path: Tuple[LinkId, ...]
     utility: Utility = field(default_factory=LogUtility)
     group_id: Optional[Hashable] = None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name == "utility":
+            global _utility_bindings
+            _utility_bindings += 1
+        object.__setattr__(self, name, value)
 
     def __post_init__(self) -> None:
         self.path = tuple(self.path)

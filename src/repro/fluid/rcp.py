@@ -23,12 +23,19 @@ Two interchangeable backends drive the iteration:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.fluid.network import FluidNetwork, FlowId, LinkId
-from repro.fluid.vectorized import CompiledFluidNetwork, VectorizedBackendMixin
+from repro.fluid.vectorized import (
+    CompiledFluidNetwork,
+    IterationRecord,
+    VectorizedBackendMixin,
+    dict_of,
+    state_view,
+)
 
 
 @dataclass
@@ -43,16 +50,30 @@ class RcpStarFluidParameters:
     max_outstanding_bdp: float = 2.0
 
 
-@dataclass
-class RcpIterationRecord:
-    iteration: int
-    rates: Dict[FlowId, float]
-    fair_rates: Dict[LinkId, float]
-    queues: Dict[LinkId, float]
+class RcpIterationRecord(IterationRecord):
+    """Snapshot of one RCP* interval: ``rates`` plus, when the simulator
+    records detail, the per-link ``fair_rates`` and ``queues`` (else empty)."""
+
+    fair_rate_vec: Optional[np.ndarray] = None
+    queue_vec: Optional[np.ndarray] = None
+
+    @cached_property
+    def fair_rates(self) -> Dict[LinkId, float]:
+        return dict_of(self.link_ids, self.fair_rate_vec)
+
+    @cached_property
+    def queues(self) -> Dict[LinkId, float]:
+        return dict_of(self.link_ids, self.queue_vec)
 
 
 class RcpStarFluidSimulator(VectorizedBackendMixin):
     """Iterates the RCP* fair-rate dynamics on a :class:`FluidNetwork`."""
+
+    #: Per-link state: live, writable dicts on either backend.  The
+    #: vectorized one keeps vectors and brings a dict up to date when the
+    #: attribute is read, so read it after a step rather than keeping it.
+    fair_rates = state_view()
+    queues = state_view()
 
     def __init__(
         self,
@@ -67,16 +88,17 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         self.backend = self._check_backend(backend, "RCP*")
         #: When false, records carry only the rates (see xWI's twin flag).
         self.record_detail = record_detail
-        self.fair_rates: Dict[LinkId, float] = {
+        self.fair_rates = {
             link: network.capacity(link) * initial_fraction for link in network.links
         }
-        self.queues: Dict[LinkId, float] = {link: 0.0 for link in network.links}
+        self.queues = {link: 0.0 for link in network.links}
         self.iteration = 0
         self.history: List[RcpIterationRecord] = []
         self._compiled: Optional[CompiledFluidNetwork] = None
 
     def _flow_rates(self) -> Dict[FlowId, float]:
         alpha = self.params.alpha
+        fair_rates = self.fair_rates
         rates: Dict[FlowId, float] = {}
         for flow in self.network.flows:
             # A failed link advertises a zero fair share; its ``R^-alpha``
@@ -84,7 +106,7 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
             # literal power would raise ZeroDivisionError).
             total = 0.0
             for link in flow.path:
-                fair = self.fair_rates[link]
+                fair = fair_rates[link]
                 total = float("inf") if fair <= 0.0 else total + fair ** (-alpha)
             rate = (
                 total ** (-1.0 / alpha) if total > 0 else self.network.path_capacity(flow.flow_id)
@@ -97,7 +119,7 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         """One RCP* interval as array operations over the compiled network."""
         compiled = self._ensure_compiled()
         capacities = compiled.capacities_vector()
-        fair_rates = self._link_vector(self.fair_rates)
+        fair_rates = self._link_vector(self._fair_rates)
         params = self.params
 
         # Host side, Eq. (16): combine the per-link fair rates along each
@@ -128,7 +150,7 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         live = capacities > 0.0
         excess = np.zeros_like(capacities)
         np.divide(load - capacities, capacities, out=excess, where=live)
-        queues = np.maximum(self._link_vector(self.queues) + excess * interval, 0.0)
+        queues = np.maximum(self._link_vector(self._queues) + excess * interval, 0.0)
         spare_fraction = np.zeros_like(capacities)
         np.divide(capacities - load, capacities, out=spare_fraction, where=live)
         factor = 1.0 + (interval / rtt) * (
@@ -136,14 +158,17 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         )
         np.clip(factor, 0.5, 2.0, out=factor)
         new_fair = np.clip(fair_rates * factor, capacities * 1e-6, capacities)
-        self._store_link_vector(self.queues, queues)
-        self._store_link_vector(self.fair_rates, new_fair)
+        self._queues.store(compiled.link_ids, queues)
+        self._fair_rates.store(compiled.link_ids, new_fair)
 
+        detail = self.record_detail
         record = RcpIterationRecord(
-            iteration=self.iteration,
-            rates=dict(zip(compiled.flow_ids, rate_vec.tolist())),
-            fair_rates=dict(self.fair_rates) if self.record_detail else {},
-            queues=dict(self.queues) if self.record_detail else {},
+            self.iteration,
+            compiled.flow_id_snapshot(),
+            compiled.link_ids,
+            rate_vec=rate_vec,
+            fair_rate_vec=new_fair if detail else None,
+            queue_vec=queues if detail else None,
         )
         self.iteration += 1
         return record
@@ -156,6 +181,7 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         load = self.network.link_load(rates)
         interval = self.params.update_interval
         rtt = self.params.rtt
+        fair_rates, queues = self.fair_rates, self.queues
         for link, capacity in capacities.items():
             if capacity > 0.0:
                 excess = (load[link] - capacity) / capacity
@@ -163,20 +189,20 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
             else:  # failed link: no traffic, no mismatch (parity with arrays)
                 excess = 0.0
                 spare_fraction = 0.0
-            self.queues[link] = max(self.queues[link] + excess * interval, 0.0)
-            queue_in_rtt = self.queues[link] / rtt
+            queues[link] = max(queues[link] + excess * interval, 0.0)
+            queue_in_rtt = queues[link] / rtt
             factor = 1.0 + (interval / rtt) * (
                 self.params.gain_a * spare_fraction - self.params.gain_b * queue_in_rtt
             )
             factor = min(max(factor, 0.5), 2.0)
-            new_rate = self.fair_rates[link] * factor
-            self.fair_rates[link] = min(max(new_rate, capacity * 1e-6), capacity)
+            new_rate = fair_rates[link] * factor
+            fair_rates[link] = min(max(new_rate, capacity * 1e-6), capacity)
 
         record = RcpIterationRecord(
-            iteration=self.iteration,
+            self.iteration,
             rates=dict(rates),
-            fair_rates=dict(self.fair_rates) if self.record_detail else {},
-            queues=dict(self.queues) if self.record_detail else {},
+            fair_rates=dict(fair_rates) if self.record_detail else {},
+            queues=dict(queues) if self.record_detail else {},
         )
         self.iteration += 1
         return record

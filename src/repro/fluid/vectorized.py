@@ -28,6 +28,19 @@ to ~1e-12 relative; the parity suites in
 ``tests/fluid/test_vectorized_parity.py`` and
 ``tests/fluid/test_scheme_backend_parity.py`` enforce 1e-9.
 
+Arrays are also the only *stored* form of a vectorized simulator's state
+and output.  Per-link and per-flow state (prices, queues, fair rates,
+DCTCP's windows) lives in an :class:`ArrayState`; the dict each public
+attribute promises is a view refilled when somebody reads it, and a dict
+that was read or assigned is authoritative until the next step gathers it
+back -- so external writes (fault noise, tests) behave as on the scalar
+backend and steps nobody observed touch no dict.  A step returns an
+:class:`IterationRecord`: immutable id snapshots plus the read-only
+vectors the step already allocated, with ``.rates`` / ``.prices`` / ... as
+cached dict views.  Consumers that want numbers
+(:func:`repro.fluid.convergence.convergence_iterations`, the flow-level
+loop) read the vectors.
+
 The compiled snapshot is invalidated by
 :attr:`FluidNetwork.topology_version`, which moves only on flow/group
 arrivals and departures: dynamic scenarios recompile per event, not per
@@ -49,6 +62,8 @@ numbers.
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -78,6 +93,7 @@ from repro.fluid.kernels import (  # noqa: F401  (re-exported for the tests)
     csr_from_path_links,
     resolve_kernel,
 )
+from repro.fluid import network as _network
 from repro.fluid.network import FluidFlow, FluidNetwork, FlowId, LinkId
 
 
@@ -442,6 +458,8 @@ class CompiledFluidNetwork:
         "_path_caps_capacities",
         "_csr",
         "_csr_version",
+        "_flow_id_snapshot",
+        "_bindings_seen",
     )
 
     def __init__(self, network: FluidNetwork):
@@ -478,6 +496,20 @@ class CompiledFluidNetwork:
         self._path_caps_capacities: Optional[np.ndarray] = None
         self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
         self._csr_version: int = -1
+        self._flow_id_snapshot = (self.version, tuple(self.flow_ids))
+        # The utilities above were read just now, so every binding counted so
+        # far is already reflected in ``vec_utils`` (see ``_rebound_slots``).
+        self._bindings_seen = _network._utility_bindings
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = {name: getattr(self, name) for name in self.__slots__}
+        # The binding counter is per process: rescan once after a restore.
+        state["_bindings_seen"] = -1
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
 
     @property
     def incidence(self) -> np.ndarray:
@@ -502,25 +534,47 @@ class CompiledFluidNetwork:
         """Per-flow path length in slot order (a view)."""
         return self._path_len[: self._count]
 
-    def is_current(self) -> bool:
-        """Whether the snapshot still matches the network's flow/group set.
+    def flow_id_snapshot(self) -> Tuple[FlowId, ...]:
+        """The current flow ids in slot order, as an immutable tuple.
 
-        Also detects rebound utilities (``flow.utility = NewUtility(...)``,
-        the SRPT-style pattern of refreshing an ``FctUtility`` as a flow
-        drains): the compiled parameter arrays batch the utility *objects*
-        seen at compile time, so a different object means the snapshot is
-        out of date.  The identity check is safe because ``vec_utils`` keeps
-        strong references (ids cannot be recycled).  Mutating a utility's
+        :attr:`flow_ids` is edited in place by churn; records and other
+        holders that outlive the next churn event keep this instead.  One
+        tuple per topology version, so holders of the same flow set share
+        it (and can compare it by identity).
+        """
+        if self._flow_id_snapshot[0] != self.version:
+            self._flow_id_snapshot = (self.version, tuple(self.flow_ids))
+        return self._flow_id_snapshot[1]
+
+    def _rebound_slots(self) -> List[int]:
+        """Slots whose flow now carries a different utility *object*.
+
+        Detects ``flow.utility = NewUtility(...)`` (the SRPT-style pattern
+        of refreshing an ``FctUtility`` as a flow drains): the compiled
+        parameter arrays batch the utility objects seen at compile time.
+        The identity check is safe because ``vec_utils`` keeps strong
+        references (ids cannot be recycled).  Mutating a utility's
         parameters in place is NOT detected -- treat utility instances as
         immutable, as every in-tree caller does.
+
+        The O(flows) scan runs only if some ``FluidFlow.utility`` was bound
+        since this snapshot last scanned clean
+        (:data:`repro.fluid.network._utility_bindings`); steps on which no
+        flow was created or rebound anywhere pay one integer compare.
         """
-        if self.version != self.network.topology_version:
-            return False
+        bindings = _network._utility_bindings
+        if bindings == self._bindings_seen:
+            return []
         utilities = self.vec_utils.utilities
-        for j, flow in enumerate(self.flows):
-            if flow.utility is not utilities[j]:
-                return False
-        return True
+        rebound = [j for j, flow in enumerate(self.flows) if flow.utility is not utilities[j]]
+        if not rebound:
+            self._bindings_seen = bindings
+        return rebound
+
+    def is_current(self) -> bool:
+        """Whether the snapshot still matches the network's flow/group set
+        and every flow's utility object (see :meth:`_rebound_slots`)."""
+        return self.version == self.network.topology_version and not self._rebound_slots()
 
     def refresh(self) -> str:
         """Bring the snapshot up to date in place, if possible.
@@ -549,13 +603,13 @@ class CompiledFluidNetwork:
                     return "stale"
             self.version = network.topology_version
             changed = True
-        utilities = self.vec_utils.utilities
-        for j, flow in enumerate(self.flows):
-            if flow.utility is not utilities[j]:
-                if self.grouped:
-                    return "stale"  # excluded slots must not be re-classified
-                self.vec_utils.replace(j, flow.utility)
-                changed = True
+        rebound = self._rebound_slots()
+        if rebound:
+            if self.grouped:
+                return "stale"  # excluded slots must not be re-classified
+            for j in rebound:
+                self.vec_utils.replace(j, self.flows[j].utility)
+            changed = True
         return "updated" if changed else "current"
 
     def _grow_columns(self, extra: int) -> None:
@@ -697,6 +751,155 @@ def compile_network(network: FluidNetwork) -> CompiledFluidNetwork:
     return CompiledFluidNetwork(network)
 
 
+def dict_of(keys: Sequence, vector: Optional[np.ndarray]) -> Dict:
+    """The dict the scalar backend would hold for ``vector`` (``keys`` order).
+
+    Empty for ``None``, a record field that was not recorded.
+    """
+    return {} if vector is None else dict(zip(keys, vector.tolist()))
+
+
+class ArrayState:
+    """Per-link (or per-flow) simulator state: a vector, read as a dict on demand.
+
+    The vectorized steps compute in arrays, so the array *is* the state:
+    :meth:`store` takes a step's output vector (in ``keys`` order) and leaves
+    the dict stale.  The dict the public attribute promises
+    (``simulator.prices``, ``.queues``, ``.windows`` ...) is one object for
+    the holder's lifetime, refilled in place by the first :meth:`view` after
+    a step.  Whoever reads it may write into it, and whoever assigns the
+    attribute hands in a dict of their own, so in both cases the dict is
+    **handed out**: it is authoritative until the next step, which gathers
+    its vector back from it (:meth:`VectorizedBackendMixin._link_vector`).
+    Steps nobody observed never touch the dict.  The scalar backend never
+    stores a vector, so for it this is just the dict it was given.
+
+    A reference kept across a step is the same dict the attribute returns,
+    but it is only brought up to date by reading the attribute: read
+    ``simulator.prices`` after a step before reading or writing through it
+    (the scalar backend updates the dict during the step itself).
+
+    >>> state = ArrayState({"a": 1.0, "b": 2.0})
+    >>> held = state.view()
+    >>> state.store(("a", "b"), np.array([3.0, 4.0]))   # a vectorized step
+    >>> state.handed_out                                 # nobody looked
+    False
+    >>> state.view()["b"] = 9.0                          # an external write
+    >>> state.handed_out, state.view(), state.view() is held
+    (True, {'a': 3.0, 'b': 9.0}, True)
+    """
+
+    __slots__ = ("keys", "vector", "handed_out", "_dict")
+
+    def __init__(self, initial: Dict):
+        self.keys: Sequence = ()
+        self.vector: Optional[np.ndarray] = None
+        #: Whether the dict is current, so a caller may have written to it.
+        self.handed_out = True
+        self._dict = initial
+
+    def view(self) -> Dict:
+        """The state as a live, writable dict."""
+        if not self.handed_out:
+            self._dict.clear()
+            self._dict.update(zip(self.keys, self.vector.tolist()))
+            self.handed_out = True
+        return self._dict
+
+    def store(self, keys: Sequence, vector: np.ndarray) -> None:
+        """Make a step's output the state; the dict is stale until next read."""
+        self.keys = keys
+        self.vector = vector
+        self.handed_out = False
+
+
+class state_view:
+    """Simulator class attribute backed by an :class:`ArrayState`.
+
+    ``prices = state_view()`` makes ``simulator.prices`` read as the state's
+    dict view and ``simulator.prices = {...}`` start a fresh state from the
+    caller's dict; the holder itself lives in ``simulator._prices`` for the
+    step to read as a vector.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._holder = "_" + name
+
+    def __get__(self, simulator, owner=None):
+        if simulator is None:
+            return self
+        return simulator.__dict__[self._holder].view()
+
+    def __set__(self, simulator, values: Dict) -> None:
+        simulator.__dict__[self._holder] = ArrayState(values)
+
+
+class IterationRecord:
+    """Immutable snapshot of one simulator iteration.
+
+    The vectorized step passes the id snapshots (``flow_ids`` from
+    :meth:`CompiledFluidNetwork.flow_id_snapshot`, ``link_ids``) and the
+    vectors it already allocated -- ``rate_vec`` plus the subclass's detail
+    vectors, kept by reference and made read-only, never copied; the dict
+    fields (``rates`` and the subclass's own) are cached properties, built
+    on first read.  The scalar backend passes the dicts themselves, which
+    land where the cache would, and leaves the vectors ``None``.
+    """
+
+    rate_vec: Optional[np.ndarray] = None
+
+    @cached_property
+    def rates(self) -> Dict[FlowId, float]:
+        return dict_of(self.flow_ids, self.rate_vec)
+
+    def __init__(
+        self,
+        iteration: int,
+        flow_ids: Sequence[FlowId] = (),
+        link_ids: Sequence[LinkId] = (),
+        **fields,
+    ):
+        self.iteration = iteration
+        self.flow_ids = flow_ids
+        self.link_ids = link_ids
+        for value in fields.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(fields)
+
+
+class RateGather:
+    """Reads array-backed records' rates in a caller's own flow order.
+
+    ``gather(record, wanted)`` is ``[record.rates.get(f, 0.0) for f in
+    wanted]`` as a vector, without the dict: a fancy index into
+    ``record.rate_vec``, an absent flow reading a trailing 0.  The index is
+    rebuilt only when the record's ``flow_ids`` tuple is a new one (one per
+    flow set, see :meth:`CompiledFluidNetwork.flow_id_snapshot`); a caller
+    whose ``wanted`` order changes calls :meth:`reset`.
+    """
+
+    __slots__ = ("_flow_ids", "_index")
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self._flow_ids: Optional[Sequence[FlowId]] = None
+        self._index: Optional[np.ndarray] = None
+
+    def __call__(self, record, wanted: Sequence[FlowId]) -> np.ndarray:
+        flow_ids = record.flow_ids
+        if self._flow_ids is not flow_ids:
+            absent = len(flow_ids)
+            position = dict(zip(flow_ids, range(absent)))
+            self._index = np.fromiter(
+                map(position.get, wanted, repeat(absent)), dtype=np.intp, count=len(wanted)
+            )
+            self._flow_ids = flow_ids
+        return np.append(record.rate_vec, 0.0)[self._index]
+
+
 class VectorizedBackendMixin:
     """Compile-on-churn bookkeeping shared by every vectorized simulator.
 
@@ -737,15 +940,15 @@ class VectorizedBackendMixin:
     def _on_recompile(self, compiled: CompiledFluidNetwork) -> None:
         """Called right after a recompile; default is no extra state."""
 
-    def _link_vector(self, values: Mapping[LinkId, float]) -> np.ndarray:
-        """Per-link dict state -> array in the compiled link order."""
-        return self._compiled.link_vector(values)
+    def _link_vector(self, state: ArrayState) -> np.ndarray:
+        """A per-link state as a vector in compiled link order (read-only).
 
-    def _store_link_vector(
-        self, target: Dict[LinkId, float], vector: np.ndarray
-    ) -> None:
-        """Write an array back into the simulator's per-link dict state."""
-        target.update(zip(self._compiled.link_ids, vector.tolist()))
+        The last step's output as stored, unless the dict was handed out
+        since: then it may have been written to, and is gathered again.
+        """
+        if state.handed_out:
+            return self._compiled.link_vector(state.view())
+        return state.vector
 
 
 class CompiledMaxMin:

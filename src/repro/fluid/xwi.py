@@ -15,9 +15,13 @@ same iteration:
 
 * ``backend="vectorized"`` -- the production path: NumPy array math over
   compiled per-flow link indices (:mod:`repro.fluid.vectorized`), patched in
-  place when flows arrive or depart.  Every scenario, experiment harness and
-  rate policy constructs this one unconditionally (~13x faster at 1000
-  flows, ~4x at 200; see ``benchmarks/perf`` and ``BENCH_fluid.json``).
+  place when flows arrive or depart.  Prices are kept as a vector and each
+  step returns an array-backed record; ``simulator.prices`` and
+  ``record.rates`` / ``.prices`` / ``.weights`` are dict views built when
+  read (see :class:`~repro.fluid.vectorized.ArrayState`).  Every scenario,
+  experiment harness and rate policy constructs this one unconditionally
+  (~15x faster at 1000 flows, ~5x at 200; see ``benchmarks/perf`` and
+  ``BENCH_fluid.json``).
 * ``backend="scalar"`` (the constructor default) -- the reference
   implementation below, plain Python over dicts, which
   ``tests/fluid/test_vectorized_parity.py`` pins the array path to within
@@ -27,7 +31,7 @@ same iteration:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -38,9 +42,12 @@ from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidNetwork, FlowId, LinkId
 from repro.fluid.vectorized import (
     CompiledFluidNetwork,
+    IterationRecord,
     VectorizedBackendMixin,
+    dict_of,
     price_update_arrays,
     resolve_kernel,
+    state_view,
     waterfill_arrays,
 )
 
@@ -49,14 +56,23 @@ from repro.fluid.vectorized import (
 _WEIGHT_FLOOR = 1e-12
 
 
-@dataclass
-class XwiIterationRecord:
-    """Snapshot of one xWI iteration."""
+class XwiIterationRecord(IterationRecord):
+    """Snapshot of one xWI iteration: ``rates``, ``prices``, ``weights``.
 
-    iteration: int
-    rates: Dict[FlowId, float]
-    prices: Dict[LinkId, float]
-    weights: Dict[FlowId, float]
+    ``prices`` and ``weights`` are empty unless the simulator records
+    detail (``record_detail=True``).
+    """
+
+    price_vec: Optional[np.ndarray] = None
+    weight_vec: Optional[np.ndarray] = None
+
+    @cached_property
+    def prices(self) -> Dict[LinkId, float]:
+        return dict_of(self.link_ids, self.price_vec)
+
+    @cached_property
+    def weights(self) -> Dict[FlowId, float]:
+        return dict_of(self.flow_ids, self.weight_vec)
 
 
 class XwiFluidSimulator(VectorizedBackendMixin):
@@ -72,6 +88,11 @@ class XwiFluidSimulator(VectorizedBackendMixin):
     its own path price and scales it by the fraction of the aggregate
     throughput it carried in the previous iteration.
     """
+
+    #: Per-link prices: one live, writable dict on either backend.  The
+    #: vectorized one keeps a vector and brings the dict up to date when the
+    #: attribute is read, so read it after a step rather than keeping it.
+    prices = state_view()
 
     def __init__(
         self,
@@ -92,19 +113,25 @@ class XwiFluidSimulator(VectorizedBackendMixin):
         self.kernel = resolve_kernel(kernel)
         #: When false, per-step records carry only the rates (prices and
         #: weights are left empty) -- the policy-driven dynamic experiments
-        #: read nothing else, and skipping the two dict builds per step is
-        #: measurable at paper scale.
+        #: read nothing else.  On the vectorized backend the detail vectors
+        #: are the step's own arrays, so this saves history memory, not time.
         self.record_detail = record_detail
-        self.prices: Dict[LinkId, float] = {link: initial_price for link in network.links}
+        self.prices = {link: initial_price for link in network.links}
         self.iteration = 0
-        self.last_rates: Dict[FlowId, float] = {}
         self.history: List[XwiIterationRecord] = []
         self._compiled: Optional[CompiledFluidNetwork] = None
+        self._last_record: Optional[XwiIterationRecord] = None
+
+    @property
+    def last_rates(self) -> Dict[FlowId, float]:
+        """Rates of the most recent non-empty iteration (``{}`` before it)."""
+        return self._last_record.rates if self._last_record is not None else {}
 
     # -- internals ---------------------------------------------------------
 
-    def _path_price(self, path) -> float:
-        return sum(self.prices.get(link, 0.0) for link in path)
+    @staticmethod
+    def _path_price(prices: Dict[LinkId, float], path) -> float:
+        return sum(prices.get(link, 0.0) for link in path)
 
     def _subflow_fraction(self, group, flow_id: FlowId) -> float:
         """Fraction of the group's aggregate rate carried by this sub-flow."""
@@ -127,8 +154,9 @@ class XwiFluidSimulator(VectorizedBackendMixin):
 
     def _compute_weights(self) -> Dict[FlowId, float]:
         weights: Dict[FlowId, float] = {}
+        prices = self.prices
         for flow in self.network.flows:
-            price = self._path_price(flow.path)
+            price = self._path_price(prices, flow.path)
             cap = self.network.path_capacity(flow.flow_id)
             if flow.group_id is not None:
                 group = self.network.group(flow.group_id)
@@ -152,7 +180,7 @@ class XwiFluidSimulator(VectorizedBackendMixin):
         """One xWI iteration as array operations over the compiled network."""
         compiled = self._ensure_compiled()
         capacities = compiled.capacities_vector()
-        prices = self._link_vector(self.prices)
+        prices = self._link_vector(self._prices)
 
         # Host side, Eq. (7): weights from path prices, clipped to the
         # narrowest-link capacity.  Multipath group members take the group
@@ -178,14 +206,14 @@ class XwiFluidSimulator(VectorizedBackendMixin):
             csr=compiled.csr_arrays() if self.kernel == "numba" else None,
             path_links=compiled.path_links,
         )
-        rates = dict(zip(compiled.flow_ids, rate_vec.tolist()))
-        self.last_rates = rates
 
         # Switch side, Eqs. (9)-(11): minimum normalized residual and
         # utilization per link, then the price update, all vectorized.
         marginals = compiled.vec_utils.marginal(rate_vec)
-        for j, flow in compiled.grouped:
-            marginals[j] = self._marginal_utility(flow, rates)
+        if compiled.grouped:  # a group's marginal is keyed by member id
+            rates = dict_of(compiled.flow_ids, rate_vec)
+            for j, flow in compiled.grouped:
+                marginals[j] = self._marginal_utility(flow, rates)
         residuals = (marginals - path_prices) / compiled.path_len
         min_residuals = compiled.link_min(residuals)
         # Same guard as the scalar branch: a failed (zero-capacity) link is
@@ -195,15 +223,16 @@ class XwiFluidSimulator(VectorizedBackendMixin):
                   where=capacities > 0.0)
         np.minimum(utilizations, 1.0, out=utilizations)
         new_prices = price_update_arrays(prices, min_residuals, utilizations, self.params)
-        self._store_link_vector(self.prices, new_prices)
+        self._prices.store(compiled.link_ids, new_prices)
 
-        record = XwiIterationRecord(
-            iteration=self.iteration,
-            rates=rates,
-            prices=dict(self.prices) if self.record_detail else {},
-            weights=dict(zip(compiled.flow_ids, weight_vec.tolist()))
-            if self.record_detail
-            else {},
+        detail = self.record_detail
+        record = self._last_record = XwiIterationRecord(
+            self.iteration,
+            compiled.flow_id_snapshot(),
+            compiled.link_ids,
+            rate_vec=rate_vec,
+            price_vec=new_prices if detail else None,
+            weight_vec=weight_vec if detail else None,
         )
         self.iteration += 1
         return record
@@ -214,7 +243,9 @@ class XwiFluidSimulator(VectorizedBackendMixin):
         """Run one xWI iteration and return its snapshot."""
         flows = self.network.flows
         if not flows:
-            record = XwiIterationRecord(self.iteration, {}, dict(self.prices), {})
+            record = XwiIterationRecord(
+                self.iteration, rates={}, prices=dict(self.prices), weights={}
+            )
             self.iteration += 1
             return record
         if self.backend == "vectorized":
@@ -224,14 +255,14 @@ class XwiFluidSimulator(VectorizedBackendMixin):
         weights = self._compute_weights()
         paths = {flow.flow_id: flow.path for flow in flows}
         rates = weighted_max_min(weights, paths, capacities)
-        self.last_rates = dict(rates)
 
         # Per-link price update.
+        prices = self.prices
         load: Dict[LinkId, float] = {link: 0.0 for link in capacities}
         min_residual: Dict[LinkId, float] = {link: math.inf for link in capacities}
         for flow in flows:
             rate = rates[flow.flow_id]
-            price = self._path_price(flow.path)
+            price = self._path_price(prices, flow.path)
             residual = (self._marginal_utility(flow, rates) - price) / len(flow.path)
             for link in flow.path:
                 load[link] += rate
@@ -240,14 +271,14 @@ class XwiFluidSimulator(VectorizedBackendMixin):
 
         for link, capacity in capacities.items():
             utilization = min(load[link] / capacity, 1.0) if capacity > 0 else 0.0
-            self.prices[link] = fluid_price_update(
-                self.prices[link], min_residual[link], utilization, self.params
+            prices[link] = fluid_price_update(
+                prices[link], min_residual[link], utilization, self.params
             )
 
-        record = XwiIterationRecord(
-            iteration=self.iteration,
+        record = self._last_record = XwiIterationRecord(
+            self.iteration,
             rates=dict(rates),
-            prices=dict(self.prices) if self.record_detail else {},
+            prices=dict(prices) if self.record_detail else {},
             weights=weights if self.record_detail else {},
         )
         self.iteration += 1

@@ -175,7 +175,7 @@ def _run_fluid(spec: ScenarioSpec, result: ExperimentResult) -> None:
         records = simulator.run(iterations)
         result.artifacts["final_rates"] = records[-1].rates if records else {}
         criterion = spec.size("criterion") or ConvergenceCriterion(hold_iterations=3)
-        its = convergence_iterations(simulator.rate_history(), optimal, criterion)
+        its = convergence_iterations(simulator.history, optimal, criterion)
         seconds = None if its is None else its * simulator.seconds_per_iteration
         result.artifacts["convergence"] = {"iterations": its, "seconds": seconds}
         result.add_row(
@@ -210,7 +210,7 @@ def _run_fluid(spec: ScenarioSpec, result: ExperimentResult) -> None:
     record_timeseries = spec.size("record_timeseries", False)
     keep_timeseries = record_timeseries or plan is not None
     timeseries: List[Dict] = []
-    last_rates: Dict = {}
+    record = None
 
     for step in range(iterations):
         for flow_id in departures.get(step, ()):
@@ -225,10 +225,10 @@ def _run_fluid(spec: ScenarioSpec, result: ExperimentResult) -> None:
         record = simulator.step()
         if snapshot is not None:
             noise.apply(step * dt, simulator.prices, snapshot)
-        last_rates = record.rates
         if keep_timeseries:
             timeseries.append(record.rates)
 
+    last_rates: Dict = record.rates if record is not None else {}
     result.artifacts["final_rates"] = last_rates
     if keep_timeseries:
         result.artifacts["timeseries"] = timeseries
@@ -313,7 +313,7 @@ def _run_fluid_semidynamic(
                 oracle_cache[cache_key] = oracle_rates
         simulator.history = []
         simulator.run(max_iterations)
-        its = convergence_iterations(simulator.rate_history(), oracle_rates, criterion)
+        its = convergence_iterations(simulator.history, oracle_rates, criterion)
         if its is None:
             its = max_iterations
         seconds = its * simulator.seconds_per_iteration
@@ -419,8 +419,10 @@ def _run_flow(spec: ScenarioSpec, result: ExperimentResult) -> None:
 #: Bumped whenever the checkpoint payload layout changes; mismatched
 #: checkpoints are rejected rather than misinterpreted.  Version 2: the
 #: pickled ``OracleRatePolicy`` / ``PersistentDualSolver`` lost their
-#: solver-selection attributes.
-CHECKPOINT_VERSION = 2
+#: solver-selection attributes.  Version 3: the fluid simulators pickle
+#: their state as vectors (``ArrayState``) and ``GKQuantiles`` gained the
+#: key list parallel to its entries.
+CHECKPOINT_VERSION = 3
 
 
 def _checkpoint_fingerprint(spec: ScenarioSpec) -> str:

@@ -104,6 +104,68 @@ class TestGKQuantiles:
             assert a.query(q) == b.query(q)
 
 
+class _RebuildingGK(GKQuantiles):
+    """The sketch as it was before ``_keys`` was kept in step: every ``add``
+    re-derives the key list from the entries (O(sketch size) per call)."""
+
+    def add(self, value):
+        value = float(value)
+        entries = self._entries
+        self._keys = keys = [e[0] for e in entries]
+        idx = bisect_right(keys, value)
+        if idx == 0 or idx == len(entries):
+            delta = 0.0
+        else:
+            delta = math.floor(2.0 * self.epsilon * self._count)
+            if delta > 0.0:
+                delta -= 1.0
+        entries.insert(idx, [value, 1.0, delta])
+        keys.insert(idx, value)
+        self._count += 1
+        self._since_compress += 1
+        if self._since_compress >= max(1, int(1.0 / (2.0 * self.epsilon))):
+            self._compress()
+            self._since_compress = 0
+
+
+def _gk_streams():
+    rng = random.Random(11)
+    lognormal = [rng.lognormvariate(0.0, 2.0) for _ in range(6_000)]
+    return {
+        "lognormal": lognormal,
+        "duplicates": [round(value, 1) for value in lognormal],
+        "sorted": sorted(lognormal),
+        "reversed": sorted(lognormal, reverse=True),
+        "constant": [2.5] * 3_000,
+    }
+
+
+class TestGKParallelKeys:
+    """``add`` bisects a key list kept in step by ``add`` / ``_compress``;
+    the sketch it builds must be the one the per-call rebuild built."""
+
+    @pytest.mark.parametrize("epsilon", [2.5e-4, 1e-3, 1e-2, 5e-2])
+    @pytest.mark.parametrize("name", list(_gk_streams()))
+    def test_same_sketch_as_the_per_call_rebuild(self, name, epsilon):
+        data = _gk_streams()[name]
+        sketch, reference = GKQuantiles(epsilon), _RebuildingGK(epsilon)
+        half = len(data) // 2
+        for value in data[:half]:
+            sketch.add(value)
+            reference.add(value)
+        restored = pickle.loads(pickle.dumps(sketch))
+        for value in data[half:]:
+            sketch.add(value)
+            restored.add(value)
+            reference.add(value)
+        for candidate in (sketch, restored):
+            assert candidate._entries == reference._entries
+            assert candidate._keys == [entry[0] for entry in candidate._entries]
+            assert candidate.count == reference.count
+            for q in (0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0):
+                assert candidate.query(q) == reference.query(q)
+
+
 class TestP2Quantile:
     def test_small_samples_exact(self):
         p = P2Quantile(0.5)

@@ -21,6 +21,7 @@ DOCTEST_MODULES = [
     "repro.scenarios.spec",
     "repro.scenarios.runner",
     "repro.sweep",
+    "repro.fluid.vectorized",
 ]
 
 DOCTEST_FLAGS = doctest.ELLIPSIS | doctest.NORMALIZE_WHITESPACE

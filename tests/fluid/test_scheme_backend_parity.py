@@ -184,7 +184,7 @@ class TestSchemeBackendParity:
         simulator.run(10)
         assert 0 not in simulator.windows
         assert 0 not in simulator.ecn_fraction
-        assert len(simulator._windows_vec) == 1
+        assert len(simulator._windows.vector) == 1
 
     def test_dctcp_external_window_write_honored(self):
         """Assigning `windows` between steps takes effect on both backends."""

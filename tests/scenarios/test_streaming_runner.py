@@ -127,13 +127,65 @@ class TestCheckpointResume:
         spec = _sized_spec(100, seed=2)
         path = tmp_path / "run.ckpt"
         # Version 1 predates OracleRatePolicy / PersistentDualSolver losing
-        # their solver-selection attributes: such a checkpoint must not resume.
-        for version in (1, CHECKPOINT_VERSION + 1):
+        # their solver-selection attributes; version 2 pickled the fluid
+        # simulators' state as dicts and GK sketches slot by slot: such
+        # checkpoints must not resume.
+        assert CHECKPOINT_VERSION == 3
+        for version in (1, 2, CHECKPOINT_VERSION + 1):
             write_checkpoint(path, {"version": version, "spec_fingerprint": "x"})
             with pytest.raises(ValueError, match="format version"):
                 load_checkpoint(path, spec)
             with pytest.raises(ValueError, match="format version"):
                 run_scenario_streaming(spec, engine="flow", checkpoint_path=path)
+
+    def test_mid_run_checkpoint_holds_array_state_and_resumes_identically(self, tmp_path):
+        """A checkpoint written mid-run carries the policy's simulator state
+        as vectors, the sketches come back with their key lists, and resuming
+        ends in exactly the telemetry of an uninterrupted run.  (At 300 flows the
+        sketches have not compressed yet, so their entries *are* the
+        completions: every FCT and slowdown, bit for bit.)"""
+        spec = _sized_spec(300, seed=6)
+        reference = run_scenario_streaming(spec, engine="flow")
+        path = tmp_path / "run.ckpt"
+        segments = iter([False, True])
+        partial = run_scenario_streaming(
+            spec,
+            engine="flow",
+            checkpoint_path=path,
+            checkpoint_every=2e-3,
+            should_stop=lambda: next(segments),
+        )
+        assert partial.artifacts["interrupted"] is True
+
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        assert payload["version"] == CHECKPOINT_VERSION
+        assert 0 < payload["telemetry"].flows_completed < 300
+        simulator = payload["sim"].rate_policy._simulator
+        assert simulator._prices.vector is not None and not simulator._prices.handed_out
+        for sketch in (payload["telemetry"].fct_sketch, payload["telemetry"].slowdown_sketch):
+            assert sketch._keys == [entry[0] for entry in sketch._entries]
+
+        resumed = run_scenario_streaming(
+            spec, engine="flow", checkpoint_path=path, checkpoint_every=2e-3
+        )
+        assert resumed.artifacts["resumed_from"] == str(path)
+        assert resumed.rows == reference.rows
+
+        def state(result):
+            telemetry = result.artifacts["streaming"]
+            return (
+                telemetry.flows_completed,
+                telemetry.bytes_delivered,
+                telemetry.fct_sketch._entries,
+                telemetry.slowdown_sketch._entries,
+                telemetry.fct_moments,
+                telemetry.slowdown_moments,
+                telemetry.utilization.rows,
+            )
+
+        assert state(resumed) == state(reference)
+        assert len(state(resumed)[2]) == 300
 
     def test_checkpoint_file_is_a_complete_pickle(self, tmp_path):
         path = tmp_path / "run.ckpt"
