@@ -222,6 +222,30 @@ def test_ports_park_again_after_the_last_ack():
 
 
 @pytest.mark.perf_smoke
+def test_a_hop_costs_two_events_and_a_flow_one():
+    """Exact event budget of the packet engine's hot path: every packet
+    transmitted is one serialization and one propagation event, and every
+    flow one start event -- nothing else, on a scheme without port
+    controllers or timers.  (fig7's seed-7 DCTCP half: 215 840 events =
+    2 x 107 820 transmissions + 200 flows.)"""
+    from repro.sim.flow import FlowDescriptor
+    from repro.sim.topology import dumbbell
+    from repro.transports import DctcpScheme
+
+    network = dumbbell(DctcpScheme(), num_pairs=3, bottleneck_rate=1e9)
+    flows = [(0, 90_000, 0.0), (1, 30_000, 0.0), (2, 1, 1e-4), (0, 4_500, 2e-4), (1, 200_000, 3e-4)]
+    for flow_id, (pair, size_bytes, start) in enumerate(flows):
+        network.add_flow(FlowDescriptor(
+            flow_id=flow_id, source=("sender", pair), destination=("receiver", pair),
+            size_bytes=size_bytes, start_time=start))
+    network.run(0.5)
+    assert network.fct_tracker.count == len(flows)
+    transmitted = sum(port.packets_transmitted for port in network.ports)
+    assert transmitted > 1_000
+    assert network.simulator.events_processed == 2 * transmitted + len(flows)
+
+
+@pytest.mark.perf_smoke
 def test_parity_enforcement_fails_loudly():
     """A drifted scheme result must abort the harness, not slip into JSON."""
     results = {

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.fct import FctRecord, summarize_fcts
-from repro.core.config import NumFabricParameters, PfabricParameters, SimulationParameters
+from repro.core.config import NumFabricParameters, SimulationParameters
 from repro.results import ExperimentResult
 from repro.scenarios.catalog import dumbbell_fct_spec, flow_level_fct_spec
 from repro.scenarios.runner import run_scenario
@@ -67,10 +67,7 @@ def _scheme_params(scheme_name: str, settings: FctSettings):
             settings.slowdown
         )
     if scheme_name == "pFabric":
-        # Scale the retransmission timeout with the actual fabric RTT (the
-        # paper's 45 us assumes a 16 us RTT at 10 Gbps); an RTO shorter than
-        # the RTT causes spurious retransmissions that melt the tiny queues.
-        return PfabricParameters(retransmission_timeout=3.0 * settings.baseline_rtt)
+        return None  # the runner fits the RTO to the fabric
     raise ValueError(f"unknown scheme {scheme_name!r}")
 
 

@@ -41,6 +41,7 @@ import inspect
 import os
 import pickle
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
@@ -696,7 +697,16 @@ def run_scenario_streaming(
 # -- packet engine ----------------------------------------------------------
 
 
-def _packet_scheme(spec: ScenarioSpec):
+def _packet_scheme(spec: ScenarioSpec, baseline_rtt: float, slowest_link_rate: float):
+    """The spec's transport scheme, with pFabric's RTO fitted to the fabric.
+
+    pFabric recovers every drop by timeout, so an RTO that expires before an
+    ACK can return re-sends every packet forever.  Without explicit
+    ``PfabricParameters`` the RTO is 3 x ``baseline_rtt`` plus the time the
+    slowest link takes to drain a full pFabric queue; an explicit RTO below
+    ``baseline_rtt`` is refused.
+    """
+    from repro.core.config import PfabricParameters
     from repro.transports.dctcp import DctcpScheme
     from repro.transports.dgd import DgdScheme
     from repro.transports.numfabric import NumFabricScheme
@@ -717,7 +727,19 @@ def _packet_scheme(spec: ScenarioSpec):
             f"scheme {spec.scheme.name!r} has no packet-level transport; "
             f"expected one of {sorted(schemes)}"
         ) from None
-    return scheme_cls(params=spec.scheme.params)
+    params = spec.scheme.params
+    if scheme_cls is PfabricScheme:
+        if params is None:
+            params = PfabricParameters()
+            drain = params.queue_capacity_packets * params.mtu_bytes * 8.0 / slowest_link_rate
+            params = replace(params, retransmission_timeout=3.0 * baseline_rtt + drain)
+        elif params.retransmission_timeout < baseline_rtt:
+            raise ValueError(
+                f"pFabric retransmission_timeout {params.retransmission_timeout:g} s is "
+                f"below the scenario's baseline_rtt {baseline_rtt:g} s: every packet "
+                "would time out before its ACK can return"
+            )
+    return scheme_cls(params=params)
 
 
 def _schedule_packet_faults(spec: ScenarioSpec, network, resolve) -> None:
@@ -757,7 +779,6 @@ def _run_packet(spec: ScenarioSpec, result: ExperimentResult) -> None:
     from repro.sim.topology import dumbbell, leaf_spine_network, single_link_network
 
     topo_spec = spec.topology
-    scheme = _packet_scheme(spec)
     workload = spec.workload
     baseline_rtt = spec.size("baseline_rtt", 16e-6)
 
@@ -790,6 +811,8 @@ def _run_packet(spec: ScenarioSpec, result: ExperimentResult) -> None:
         else:
             link_rate = topo_spec.get("bottleneck_rate", 10e9)
             num_pairs = topo_spec.get("num_pairs", 6)
+        access_rate = topo_spec.get("access_rate") or link_rate
+        scheme = _packet_scheme(spec, baseline_rtt, min(link_rate, access_rate))
 
         if workload.kind == "fanout":
             # Persistent flows: fig6(a)'s convergence/queueing setup.  The
@@ -821,7 +844,6 @@ def _run_packet(spec: ScenarioSpec, result: ExperimentResult) -> None:
             core_link_rate=link_rate,
             baseline_rtt=baseline_rtt,
         )
-        access_rate = topo_spec.get("access_rate") or link_rate
         network = dumbbell(
             scheme,
             num_pairs=num_pairs,
@@ -844,6 +866,9 @@ def _run_packet(spec: ScenarioSpec, result: ExperimentResult) -> None:
             edge_link_rate=topo_spec.get("edge_link_rate", 10e9),
             core_link_rate=topo_spec.get("core_link_rate", 40e9),
             baseline_rtt=baseline_rtt,
+        )
+        scheme = _packet_scheme(
+            spec, baseline_rtt, min(params.edge_link_rate, params.core_link_rate)
         )
         arrivals = materialize_arrivals(spec, build_fluid_topology(spec))
         network = leaf_spine_network(scheme, params=params)

@@ -13,19 +13,30 @@ keeps an O(1) live-event count and compacts the heap whenever more than
 half of it is cancelled entries, so cancellation-heavy workloads (e.g.
 retransmission timers) cannot bloat the queue or slow the pop path.
 
-Hot paths that never cancel their events (port serialization and
-propagation -- the bulk of all events in a packet simulation) should use
+Hot paths that never cancel their events use
 :meth:`Simulator.schedule_uncancellable`: every entry shares one immortal
 sentinel handle, so the per-event :class:`EventHandle` allocation
-disappears entirely (a free-list degenerated to a single reusable object).
-``benchmarks/perf/run_bench.py`` measures both scheduling paths
-back-to-back; see ``BENCH_fluid.json`` for the current numbers.
+disappears entirely (a free-list degenerated to a single reusable object),
+and the run loop recognises the sentinel by identity and skips the
+cancellation bookkeeping.  Output ports (serialization and propagation --
+the bulk of all events in a packet simulation) push the same entries onto
+the heap themselves (:mod:`repro.sim.port`).  ``benchmarks/perf/run_bench.py``
+measures both scheduling paths back-to-back; see ``BENCH_fluid.json`` for
+the current numbers.
+
+The ordering contract: events fire in ``(time, key)`` order, where the key
+is the tick rank for a :class:`PeriodicTimer` tick (negative, in timer
+creation order) and the sequence number every other entry draws at
+scheduling time; a cancelled event never fires, and ``events_processed``
+counts the events that fired (brought up to date when :meth:`Simulator.run`
+returns, however it returns).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 # Don't bother compacting tiny heaps: rebuilding costs more than the pops save.
@@ -51,11 +62,18 @@ class EventHandle:
         if scheduler is not None:
             scheduler._on_cancel()
 
+    def __lt__(self, other: "EventHandle") -> bool:
+        # Heap entries compare handles only when (time, key) ties, which
+        # happens once: a timer parked while armed and unparked in the same
+        # instant re-arms its tick beside the cancelled one.  Either order
+        # is right (only one of the two fires), so the handles tie.
+        return False
 
-# Shared sentinel handle for schedule_uncancellable: never cancelled, never
-# handed out, so one immortal instance can stand in for every fire-and-forget
-# event (the "free-list" for handles that would otherwise be allocated and
-# discarded once per event).
+
+# Shared sentinel handle for schedule_uncancellable and the ports' own pushes:
+# never cancelled, never handed out, so one immortal instance can stand in for
+# every fire-and-forget event (the "free-list" for handles that would
+# otherwise be allocated and discarded once per event).
 _FIRE_AND_FORGET = EventHandle(0.0)
 
 
@@ -79,6 +97,7 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
+        """Events fired so far; inside a callback, those before this ``run()``."""
         return self._events_processed
 
     @property
@@ -100,11 +119,10 @@ class Simulator:
     ) -> None:
         """Schedule an event that can never be cancelled; returns no handle.
 
-        The hot-path variant of :meth:`schedule` for fire-and-forget events
-        (port serialization/propagation): all entries share one immortal
-        sentinel handle, skipping the per-event :class:`EventHandle`
-        allocation.  Timing, determinism and tie-breaking are identical to
-        :meth:`schedule`.
+        The hot-path variant of :meth:`schedule` for fire-and-forget events:
+        all entries share one immortal sentinel handle, skipping the
+        per-event :class:`EventHandle` allocation.  Timing, determinism and
+        tie-breaking are identical to :meth:`schedule`.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
@@ -157,25 +175,32 @@ class Simulator:
         # _compact() mutates the queue in place, so the reference stays valid.
         queue = self._queue
         heappop = heapq.heappop
+        sentinel = _FIRE_AND_FORGET
+        horizon = math.inf if until is None else until
+        # At least one event per call, as ever; -1 is never reached.
+        limit = -1 if max_events is None else max(max_events, 1)
         processed = 0
-        while queue:
-            time, _, handle, callback, args = queue[0]
-            if until is not None and time > until:
-                self._now = until
-                return
-            heappop(queue)
-            if handle.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            # Dissociate so a late cancel() (after the event fired) does not
-            # corrupt the pending-event accounting.
-            handle._scheduler = None
-            self._now = time
-            callback(*args)
-            self._events_processed += 1
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                return
+        try:
+            while queue:
+                time, _, handle, callback, args = queue[0]
+                if time > horizon:
+                    self._now = until
+                    return
+                heappop(queue)
+                if handle is not sentinel:
+                    if handle.cancelled:
+                        self._cancelled_pending -= 1
+                        continue
+                    # Dissociate so a late cancel() (after the event fired)
+                    # does not corrupt the pending-event accounting.
+                    handle._scheduler = None
+                self._now = time
+                callback(*args)
+                processed += 1
+                if processed == limit:
+                    return
+        finally:
+            self._events_processed += processed
         if until is not None:
             self._now = max(self._now, until)
 

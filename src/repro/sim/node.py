@@ -97,19 +97,15 @@ class Switch(Node):
             raise ValueError("a route needs at least one port")
         self.routes[destination] = list(ports)
 
-    def route_for(self, packet: Packet) -> Optional[OutputPort]:
+    def receive(self, packet: Packet) -> None:
+        """Forward a packet out of the port its route and flow hash pick."""
         candidates = self.routes.get(packet.destination)
         if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        index = self._hash(packet.flow_id) % len(candidates)
-        return candidates[index]
-
-    def receive(self, packet: Packet) -> None:
-        port = self.route_for(packet)
-        if port is None:
             self.unroutable_packets += 1
             return
+        if len(candidates) == 1:
+            port = candidates[0]
+        else:
+            port = candidates[self._hash(packet.flow_id) % len(candidates)]
         self.packets_forwarded += 1
         port.send(packet)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+
 _packet_ids = itertools.count()
 
 DATA_HEADER_BYTES = 40
@@ -34,7 +35,7 @@ class Packet:
     sequence: int = 0
     is_ack: bool = False
     created_at: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     # --- NUMFabric header fields (Sec. 5) ---------------------------------
     # virtualPacketLen = packet length / flow weight, used by STFQ.

@@ -12,9 +12,10 @@ before a rate change.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import List, Optional, Protocol
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import _FIRE_AND_FORGET, Simulator
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue, QueueDiscipline
 
@@ -46,6 +47,10 @@ class OutputPort:
         "_busy",
         "bytes_transmitted",
         "packets_transmitted",
+        "_events",
+        "_sequence",
+        "_finish",
+        "_deliver",
     )
 
     def __init__(
@@ -70,10 +75,20 @@ class OutputPort:
         self._busy = False
         self.bytes_transmitted = 0
         self.packets_transmitted = 0
+        # A hop is two fire-and-forget events (end of serialization, end of
+        # propagation).  The port pushes them onto the simulator's heap
+        # itself -- the entries Simulator.schedule_uncancellable would push,
+        # sequence numbers drawn from the same counter -- with callbacks
+        # bound once here rather than once per packet.
+        self._events = simulator._queue
+        self._sequence = simulator._sequence
+        self._finish = self._finish_transmission
+        self._deliver = None  # peer.receive, set by connect()
 
     def connect(self, peer) -> None:
         """Attach the receiving node of this port's link."""
         self.peer = peer
+        self._deliver = peer.receive
 
     def attach_controller(self, controller: PortController) -> None:
         self.controllers.append(controller)
@@ -90,9 +105,8 @@ class OutputPort:
         """Queue a packet for transmission; returns False if it was dropped."""
         if self.peer is None:
             raise RuntimeError(f"port {self.name} is not connected")
-        now = self.simulator.now
-        accepted = self.queue.enqueue(packet, now)
-        if not accepted:
+        now = self.simulator._now
+        if not self.queue.enqueue(packet, now):
             return False
         for controller in self.controllers:
             controller.on_enqueue(packet, now)
@@ -120,10 +134,11 @@ class OutputPort:
             self._start_transmission()
 
     def _start_transmission(self) -> None:
+        """Start a busy period: serialize the head of the queue, if any."""
         if self.rate_bps <= 0.0:  # link is down: hold the queue
             self._busy = False
             return
-        now = self.simulator.now
+        now = self.simulator._now
         packet = self.queue.dequeue(now)
         if packet is None:
             self._busy = False
@@ -131,31 +146,58 @@ class OutputPort:
         self._busy = True
         for controller in self.controllers:
             controller.on_dequeue(packet, now)
-        transmission_time = packet.size_bytes * 8.0 / self.rate_bps
-        # Serialization and propagation events are never cancelled, so both
-        # go through the allocation-free fire-and-forget scheduling path --
-        # back-to-back transmissions during a busy period cost two heap
-        # pushes per packet and no EventHandle churn.
-        self.simulator.schedule_uncancellable(transmission_time, self._finish_transmission, packet)
+        heappush(
+            self._events,
+            (
+                now + packet.size_bytes * 8.0 / self.rate_bps,
+                next(self._sequence),
+                _FIRE_AND_FORGET,
+                self._finish,
+                (packet,),
+            ),
+        )
 
     def _finish_transmission(self, packet: Packet) -> None:
+        """End of serialization: deliver, then the next packet or idle.
+
+        Continues the busy period itself rather than through
+        :meth:`_start_transmission` (most calls find the queue empty).
+        """
         self.bytes_transmitted += packet.size_bytes
         self.packets_transmitted += 1
-        if self.propagation_delay == 0.0:
-            # Zero-delay link: coalesce propagation into this serialization
-            # event instead of scheduling a same-timestamp delivery, saving
-            # one heap push+pop per packet.  The next packet starts
-            # serializing before the peer sees this one -- the same
-            # within-timestamp order the two-event path produces -- and a
-            # mid-flight set_rate(0) still only holds the *queue* (this
-            # packet already finished serializing, so it is delivered).
-            self._start_transmission()
-            self.peer.receive(packet)
-            return
-        # The packet propagates to the peer while the port moves on to the
-        # next queued packet.
-        self.simulator.schedule_uncancellable(self.propagation_delay, self.peer.receive, packet)
-        self._start_transmission()
+        now = self.simulator._now
+        events = self._events
+        delay = self.propagation_delay
+        if delay != 0.0:
+            # The packet propagates to the peer while the port moves on.
+            heappush(
+                events,
+                (now + delay, next(self._sequence), _FIRE_AND_FORGET, self._deliver, (packet,)),
+            )
+        following = self.queue.dequeue(now) if self.rate_bps > 0.0 else None
+        if following is None:
+            self._busy = False
+        else:
+            for controller in self.controllers:
+                controller.on_dequeue(following, now)
+            heappush(
+                events,
+                (
+                    now + following.size_bytes * 8.0 / self.rate_bps,
+                    next(self._sequence),
+                    _FIRE_AND_FORGET,
+                    self._finish,
+                    (following,),
+                ),
+            )
+        if delay == 0.0:
+            # Zero-delay link: propagation is coalesced into this event
+            # instead of a same-timestamp delivery, saving one heap push+pop
+            # per packet.  The next packet starts serializing before the peer
+            # sees this one -- the within-timestamp order of the two-event
+            # path -- and a mid-flight set_rate(0) still only holds the
+            # *queue* (this packet finished serializing, so it is delivered).
+            self._deliver(packet)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of the link capacity used over ``elapsed`` seconds."""

@@ -13,10 +13,10 @@ Four disciplines cover all schemes in the evaluation:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from abc import ABC, abstractmethod
 from collections import deque
+from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.sim.packet import Packet
@@ -135,18 +135,24 @@ class StfqQueue(QueueDiscipline):
         if self.bytes_queued + packet.size_bytes > self.capacity_bytes:
             self.packets_dropped += 1
             return False
-        start = max(self.virtual_time, self._last_finish.get(packet.flow_id, 0.0))
-        finish = start + max(packet.virtual_length, 0.0)
+        # Conditional expressions compute exactly what builtin max() would
+        # (the first argument unless the second is greater), minus the call.
+        virtual_time = self.virtual_time
+        last_finish = self._last_finish.get(packet.flow_id, 0.0)
+        start = last_finish if last_finish > virtual_time else virtual_time
+        virtual_length = packet.virtual_length
+        finish = start + (0.0 if 0.0 > virtual_length else virtual_length)
         self._last_finish[packet.flow_id] = finish
-        heapq.heappush(self._heap, (start, next(self._tiebreak), packet))
+        heappush(self._heap, (start, next(self._tiebreak), packet))
         self.bytes_queued += packet.size_bytes
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
         if not self._heap:
             return None
-        start, _, packet = heapq.heappop(self._heap)
-        self.virtual_time = max(self.virtual_time, start)
+        start, _, packet = heappop(self._heap)
+        if start > self.virtual_time:
+            self.virtual_time = start
         self.bytes_queued -= packet.size_bytes
         return packet
 

@@ -180,11 +180,27 @@ class SenderBase:
         return int(min(self.mtu_bytes, self.remaining_bytes))
 
     def maybe_send(self) -> None:
-        """Send as many packets as the window and remaining bytes allow."""
+        """Send as many packets as the window and remaining bytes allow.
+
+        The loop is :meth:`can_send` and :meth:`next_packet_size` written
+        out over the counters (the same arithmetic): it runs once per data
+        packet of every window-clocked sender.
+        """
         if not self.started or self.stopped:
             return
-        while self.remaining_bytes > 0 and self.can_send():
-            size = self.next_packet_size()
+        flow_size = self.flow.size_bytes
+        mtu = self.mtu_bytes
+        while True:
+            if flow_size is None:
+                size = mtu
+            else:
+                remaining = flow_size - self.bytes_sent
+                if not remaining > 0:
+                    break
+                size = int(remaining if remaining < mtu else mtu)
+            in_flight = self.bytes_sent - self.bytes_acked
+            if not (0 if 0 > in_flight else in_flight) + mtu <= self.window_bytes:
+                break
             if size <= 0:
                 break
             self.send_packet(size)
@@ -219,7 +235,8 @@ class SenderBase:
             return
         self.bytes_acked += ack.acked_bytes
         self.process_ack(ack)
-        if self.flow_size is not None and self.bytes_acked >= self.flow_size:
+        flow_size = self.flow.size_bytes
+        if flow_size is not None and self.bytes_acked >= flow_size:
             self._complete()
             return
         self.maybe_send()

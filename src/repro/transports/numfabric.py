@@ -48,14 +48,14 @@ class NumFabricPortController(DemandDrivenPortController):
     def on_enqueue(self, packet: Packet, now: float) -> None:
         if self._timer.parked:
             self.settle()
-        if packet.is_data:
+        if not packet.is_ack:
             self.state.on_enqueue(packet.normalized_residual)
 
     def on_dequeue(self, packet: Packet, now: float) -> None:
         if self._timer.parked:
             self.settle()
         price = self.state.on_dequeue(packet.size_bytes)
-        if packet.is_data:
+        if not packet.is_ack:
             packet.path_price += price
             packet.path_length += 1
 

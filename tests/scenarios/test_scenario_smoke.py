@@ -86,7 +86,10 @@ def _assert_completion_physics(artifacts):
 
 
 def _assert_packet_physics(artifacts):
-    """No port transmitted more bytes than its line rate allows."""
+    """Every sized flow completes, and no port transmitted more bytes than
+    its line rate allows."""
+    if "arrivals" in artifacts:  # persistent (fanout) flows never complete
+        assert len(artifacts["completions"]) == len(artifacts["arrivals"])
     network = artifacts.get("network")
     if network is None or not hasattr(network, "ports"):
         return

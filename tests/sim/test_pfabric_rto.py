@@ -5,10 +5,13 @@ depends entirely on ``_maybe_retransmit`` (the RTO path).  These tests
 exercise it two ways: a deterministic unit-level poke of the timer
 callback, and an end-to-end incast that overflows a small queue so actual
 drops force actual retransmissions -- and every flow still completes.
+At scenario level, the runner's RTO must follow the fabric it builds.
 """
 
 import pytest
 
+from repro.scenarios import run_scenario
+from repro.scenarios.catalog import dumbbell_fct_spec
 from repro.sim.flow import FlowDescriptor
 from repro.sim.topology import dumbbell, single_link_network
 from repro.transports.pfabric import PfabricParameters, PfabricScheme
@@ -121,6 +124,28 @@ class TestMaybeRetransmitUnit:
         before = sender.retransmissions
         sender._maybe_retransmit(sequence, size_bytes)
         assert sender.retransmissions == before
+
+
+class TestScenarioRto:
+    """A scenario's pFabric RTO follows its fabric: 45 us (the paper's value
+    for a 16 us RTT at 10 Gb/s) on fig7's 1 Gb/s, 50 us-RTT dumbbell fires
+    before any ACK returns and strands flows (42 of 60, 135 of 200)."""
+
+    def test_derived_rto_completes_the_200_flow_dumbbell(self):
+        result = run_scenario(dumbbell_fct_spec(scheme_name="pFabric", seed=7, num_flows=200))
+        assert len(result.artifacts["completions"]) == len(result.artifacts["arrivals"]) == 200
+        # 3 x the 50 us baseline RTT + a full 24-packet queue drained at 1 Gb/s.
+        params = result.artifacts["network"].scheme.params
+        assert params.retransmission_timeout == 3 * 50e-6 + 24 * 1500 * 8.0 / 1e9
+
+    def test_explicit_rto_below_the_baseline_rtt_is_refused(self):
+        spec = dumbbell_fct_spec(
+            scheme_name="pFabric",
+            baseline_rtt=50e-6,
+            params=PfabricParameters(retransmission_timeout=45e-6),
+        )
+        with pytest.raises(ValueError, match=r"retransmission_timeout 4\.5e-05 s.*5e-05 s"):
+            run_scenario(spec)
 
 
 def test_retransmission_total_is_deterministic():
