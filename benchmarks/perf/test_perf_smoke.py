@@ -368,3 +368,65 @@ def test_history_records_stay_array_backed(scheme):
         tracemalloc.stop()
     assert len(simulator.history) == steps + 2
     assert (after - before) / (steps * flows) < 40.0
+
+
+class _CountingNumpy:
+    """Stands in for a module's ``np``: counts calls to the named functions."""
+
+    def __init__(self, numpy, names):
+        self._numpy = numpy
+        self.calls = dict.fromkeys(names, 0)
+
+    def __getattr__(self, name):
+        attr = getattr(self._numpy, name)
+        if name not in self.calls:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.perf_smoke
+def test_an_all_log_churn_step_skips_the_family_scans(monkeypatch):
+    """Churn guard of the xWI step: on a 200-flow all-log population, the
+    step after an arrival (or a departure) runs no ``np.nonzero`` family
+    scan inside ``repro.fluid.vectorized`` -- the batch remembers that one
+    family covers every slot -- and neither the step nor ``RateGather``
+    builds an ``np.append`` sentinel copy."""
+    import random
+
+    import numpy as np
+
+    from repro.core.utility import LogUtility
+    from repro.fluid import vectorized
+    from repro.fluid.network import FluidFlow
+    from repro.fluid.topologies import leaf_spine
+    from repro.fluid.xwi import XwiFluidSimulator
+
+    rng = random.Random(3)
+    fabric = leaf_spine()
+    network = fabric.network
+
+    def arrive(flow_id):
+        src, dst = rng.sample(range(fabric.num_servers), 2)
+        network.add_flow(FluidFlow(flow_id, fabric.path(src, dst), LogUtility(rng.choice([1, 2]))))
+
+    for flow_id in range(200):
+        arrive(flow_id)
+    simulator = XwiFluidSimulator(network, backend="vectorized", record_detail=False)
+    simulator.run(3, record_history=False)  # the compile and its one regather
+    counting = _CountingNumpy(np, ("nonzero", "append"))
+    monkeypatch.setattr(vectorized, "np", counting)
+    gather = vectorized.RateGather()
+    for flow_id in range(200, 210):
+        arrive(flow_id)
+        record = simulator.step()
+        network.remove_flow(network.flow_ids[rng.randrange(len(network.flow_ids))])
+        simulator.step()
+        gather(record, list(record.flow_ids)[::-1])  # every wanted flow present
+        gather.reset()
+        gather(record, list(record.flow_ids) + ["absent"])
+    assert counting.calls == {"nonzero": 0, "append": 0}

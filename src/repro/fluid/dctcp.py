@@ -173,7 +173,7 @@ class DctcpFluidSimulator(VectorizedBackendMixin):
         # more than its narrowest link -- in particular a flow crossing a
         # failed (zero-capacity) link delivers nothing even though its
         # window is floored at one MTU.
-        delivered = np.minimum(rate_vec, compiled.path_capacities(capacities))
+        delivered = np.minimum(rate_vec, compiled.path_capacities())
         record = DctcpIterationRecord(
             self.iteration, flow_ids, compiled.link_ids, rate_vec=delivered, queue_vec=queues
         )
@@ -230,9 +230,6 @@ class DctcpFluidSimulator(VectorizedBackendMixin):
         if record_history:
             self.history.extend(records)
         return records
-
-    def rate_history(self) -> List[Dict[FlowId, float]]:
-        return [record.rates for record in self.history]
 
     @property
     def seconds_per_iteration(self) -> float:

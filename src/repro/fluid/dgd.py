@@ -125,7 +125,7 @@ class DgdFluidSimulator(VectorizedBackendMixin):
         # batched per family run as array math; group members (excluded from
         # the batch, DGD ignores grouping) fall back to their own utility.
         path_prices = compiled.path_prices(prices)
-        limits = self.params.max_outstanding_bdp * compiled.path_capacities(capacities)
+        limits = self.params.max_outstanding_bdp * compiled.path_capacities()
         rate_vec = compiled.vec_utils.inverse_marginal_clipped(path_prices, limits)
         for j, flow in compiled.grouped:
             price, limit = float(path_prices[j]), float(limits[j])
@@ -212,9 +212,6 @@ class DgdFluidSimulator(VectorizedBackendMixin):
         if record_history:
             self.history.extend(records)
         return records
-
-    def rate_history(self) -> List[Dict[FlowId, float]]:
-        return [record.rates for record in self.history]
 
     @property
     def seconds_per_iteration(self) -> float:

@@ -24,11 +24,12 @@ FlowId = Hashable
 #: behind than this simply recompiles from scratch.
 _JOURNAL_LIMIT = 256
 
-#: Process-wide count of ``FluidFlow.utility`` bindings (construction and
-#: rebinds alike).  Compiled views compare it with the value they last
-#: scanned at, so a step on which no utility anywhere was bound skips the
-#: O(flows) identity scan.  A witness only: it never decreases, and a stale
-#: comparison costs one scan, not a wrong answer.
+#: Process-wide count of ``FluidFlow.utility`` *rebinds* (a flow's first
+#: binding, at construction, is read when the flow is compiled in).
+#: Compiled views compare it with the value they last scanned at, so a step
+#: on which no utility anywhere was rebound -- arrivals included -- skips
+#: the O(flows) identity scan.  A witness only: it never decreases, and a
+#: stale comparison costs one scan, not a wrong answer.
 _utility_bindings = 0
 
 
@@ -48,7 +49,7 @@ class FluidFlow:
     group_id: Optional[Hashable] = None
 
     def __setattr__(self, name: str, value: object) -> None:
-        if name == "utility":
+        if name == "utility" and hasattr(self, "utility"):
             global _utility_bindings
             _utility_bindings += 1
         object.__setattr__(self, name, value)
@@ -152,7 +153,8 @@ class FluidNetwork:
         lag = current - version
         if lag < 0 or lag > len(self._journal):
             return None
-        return list(self._journal)[-lag:]
+        journal = self._journal
+        return [journal[i] for i in range(-lag, 0)]  # O(lag): deque ends index in O(1)
 
     def capacity(self, link: LinkId) -> float:
         return self._capacities[link]

@@ -43,7 +43,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.utility import _EPSILON
 from repro.fluid import kernels as _kernels
 from repro.fluid.network import FluidNetwork, FlowId, LinkId
 from repro.fluid.vectorized import CompiledFluidNetwork, compile_network, waterfill_arrays
@@ -533,11 +532,14 @@ class _DualProblem:
         remap = np.full(n_links + 1, n_active, dtype=np.intp)
         remap[self.active_idx] = np.arange(n_active)
         self.hops = remap.take(path_links.T)  # take: C-contiguous hops x flows
-        self._hop_values = np.empty(self.hops.shape)  # link_sums' bincount weights
+        # link_sums' bincount input: the hops and a weights buffer, flat views.
+        self._hops_flat = self.hops.ravel()
+        self._hop_values = np.empty(self.hops.shape)
+        self._hop_values_flat = self._hop_values.ravel()
         self.capacities = self.capacities_all[self.active_idx]
         # Per-flow rate cap: the narrowest link on the path.  Clipping at the
         # cap keeps the inner maximization bounded even at a ~0 path price.
-        self.path_caps = compiled.path_capacities(self.capacities_all)
+        self.path_caps = compiled.path_capacities()
         self.floors = self.path_caps * _MIN_RATE_FRACTION
 
     def link_sums(self, per_flow: np.ndarray) -> np.ndarray:
@@ -545,7 +547,7 @@ class _DualProblem:
         n_active = self.capacities.size
         self._hop_values[:] = per_flow
         return np.bincount(
-            self.hops.ravel(), weights=self._hop_values.ravel(), minlength=n_active + 1
+            self._hops_flat, weights=self._hop_values_flat, minlength=n_active + 1
         )[:n_active]
 
     def idle_result(self, network: FluidNetwork) -> OracleResult:
@@ -566,7 +568,6 @@ class _DualProblem:
         path_caps, floors = self.path_caps, self.floors
         objective_scale = float(np.max(capacities) * np.median(scale_vec))
         gradient_scale = scale_vec / objective_scale
-        log_weights = vec_utils.uniform_log_weights()
         link_sums = self.link_sums
         # Reused by every evaluation: gather target and the prices with their
         # zero sentinel entry.
@@ -578,23 +579,14 @@ class _DualProblem:
         def primal_rates(prices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             prices_buf[:] = prices
             prices_ext.take(hops, out=hop_prices, mode="clip")  # "raise" buffers out
-            path_prices = hop_prices.sum(axis=0)
-            if log_weights is None:
-                rates = vec_utils.inverse_marginal_clipped(path_prices, path_caps)
-            else:
-                # Fused all-log fast path: same elementwise arithmetic as
-                # inverse_marginal_clipped, without per-family dispatch.
-                rates = np.minimum(log_weights / np.maximum(path_prices, _EPSILON), path_caps)
-                np.copyto(rates, path_caps, where=path_prices <= 0.0)
+            path_prices = np.add.reduce(hop_prices, axis=0)  # .sum(axis=0) without its wrapper
+            rates = vec_utils.inverse_marginal_clipped(path_prices, path_caps)
             return np.maximum(rates, floors, out=rates), path_prices
 
         def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
             prices = scale_vec * z
             rates, path_prices = primal_rates(prices)
-            if log_weights is None:
-                utility_sum = vec_utils.value(rates).sum()
-            else:
-                utility_sum = (log_weights * np.log(np.maximum(rates, _EPSILON))).sum()
+            utility_sum = np.add.reduce(vec_utils.value(rates))
             value = float(prices @ capacities + utility_sum - rates @ path_prices)
             gradient = capacities - link_sums(rates)
             gradient *= gradient_scale

@@ -126,7 +126,7 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         # path.  Fair rates are clamped to [capacity * 1e-6, capacity], so
         # the power sums stay finite and positive on every non-empty path
         # (the scalar total > 0 branch can only be false for zero flows).
-        path_caps = compiled.path_capacities(capacities)
+        path_caps = compiled.path_capacities()
         # Failed links advertise a zero fair share: exclude them from the
         # power sum (0 ** -alpha would inject inf into the path sums) and
         # zero out the flows that cross them -- exactly the scalar branch's
@@ -217,9 +217,6 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         if record_history:
             self.history.extend(records)
         return records
-
-    def rate_history(self) -> List[Dict[FlowId, float]]:
-        return [record.rates for record in self.history]
 
     @property
     def seconds_per_iteration(self) -> float:

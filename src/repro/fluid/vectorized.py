@@ -97,6 +97,54 @@ from repro.fluid import network as _network
 from repro.fluid.network import FluidFlow, FluidNetwork, FlowId, LinkId
 
 
+# Per-family closed forms, shared by the batched and the one-family
+# evaluation: ``x`` is a batch of rates (or path prices) and ``p`` the batch's
+# parameter rows as :meth:`VectorizedUtilities._classify_into` writes them.
+# Each is the scalar method's arithmetic, operation for operation.
+_MARGINAL = {
+    _FAM_LOG: lambda x, p: p[0] / np.maximum(x, _EPSILON),
+    _FAM_ALPHA: lambda x, p: np.maximum(x, _EPSILON) ** (-p[0]),
+    _FAM_WALPHA: lambda x, p: p[1] * np.maximum(x, _EPSILON) ** (-p[2]),
+    _FAM_FCT: lambda x, p: np.maximum(x, _EPSILON) ** (-p[1]) / p[0],
+    _FAM_POWER: lambda x, p: p[0] * np.maximum(x, _EPSILON) ** (-p[1]),
+}
+_INVERSE = {
+    _FAM_LOG: lambda q, p: p[0] / np.maximum(q, _EPSILON),
+    _FAM_ALPHA: lambda q, p: np.maximum(q, _EPSILON) ** p[1],
+    _FAM_WALPHA: lambda q, p: p[0] * np.maximum(q, _EPSILON) ** p[3],
+    _FAM_FCT: lambda q, p: (p[0] * np.maximum(q, _EPSILON)) ** p[2],
+    _FAM_POWER: lambda q, p: (np.maximum(q, _EPSILON) / p[0]) ** p[2],
+}
+
+
+def _alpha_fair_value(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # Match math.isclose(alpha, 1.0) (rel_tol 1e-9, no abs_tol).
+    log_branch = np.isclose(a, 1.0, rtol=1e-9, atol=0.0)
+    one_minus_a = np.where(log_branch, 1.0, 1.0 - a)
+    return np.where(log_branch, np.log(x), x**one_minus_a / one_minus_a)
+
+
+#: The closed-form families: their value is closed-form too.  Generic power
+#: laws evaluate ``value`` through per-flow scalar calls.
+_VALUE = {
+    _FAM_LOG: lambda x, p: p[0] * np.log(np.maximum(x, _EPSILON)),
+    _FAM_ALPHA: lambda x, p: _alpha_fair_value(np.maximum(x, _EPSILON), p[0]),
+    _FAM_WALPHA: lambda x, p: p[1] * _alpha_fair_value(np.maximum(x, _EPSILON), p[2]),
+    _FAM_FCT: lambda x, p: np.maximum(x, _EPSILON) ** (1.0 - p[1]) / (p[0] * (1.0 - p[1])),
+}
+
+#: Parameter rows each batched family uses.
+_ROWS = {_FAM_LOG: 1, _FAM_ALPHA: 2, _FAM_WALPHA: 4, _FAM_FCT: 3, _FAM_POWER: 3}
+
+
+def _clip(inverse: np.ndarray, prices: np.ndarray, max_rates: np.ndarray) -> np.ndarray:
+    """``min(inverse, max_rates)``, and ``max_rates`` at non-positive prices
+    (Eq. (7)'s clip, as the scalar method), written into ``inverse``."""
+    np.minimum(inverse, max_rates, out=inverse)
+    np.copyto(inverse, max_rates, where=prices <= 0.0)
+    return inverse
+
+
 class VectorizedUtilities:
     """Per-flow utility parameters compiled into family-batched arrays.
 
@@ -114,10 +162,15 @@ class VectorizedUtilities:
 
     Storage is per-slot (a family code plus up to four parameters per flow)
     so incremental flow churn (:meth:`append`, :meth:`move`, :meth:`pop`,
-    :meth:`replace`) is O(1) per event; the per-family index/parameter
-    tuples the evaluation methods consume are regathered lazily with one
-    ``nonzero`` + fancy-index pass per churn batch.  The gathered values are
-    bit-identical to a from-scratch compile, so this never affects parity.
+    :meth:`replace`) is O(1) per event.  When one closed-form family covers
+    every slot -- Fig. 5's all-log flows, an all-FCT population -- that is
+    remembered (:meth:`single_family`): churn within the family keeps it,
+    and the evaluation methods run the family's expression over the whole
+    slot arrays.  Otherwise the per-family index/parameter batches are
+    regathered lazily with one ``nonzero`` + fancy-index pass per churn
+    batch; the first classify into another family drops the flag, and a
+    regather that finds one family again restores it.  Both routes give the
+    bits of a from-scratch compile, so this never affects parity.
     """
 
     def __init__(self, utilities: Sequence[Utility], exclude: frozenset = frozenset()):
@@ -128,10 +181,12 @@ class VectorizedUtilities:
         self._code = np.zeros(capacity, dtype=np.int8)
         self._params = np.zeros((4, capacity))
         self._alpha_eff = np.ones(capacity)
+        self._single: Optional[int] = None
+        self._batches: Optional[list] = None
+        self._fallback: List[int] = []
         for i, utility in enumerate(self.utilities):
             if i not in exclude:
                 self._classify_into(i, utility)
-        self._gathered = False
 
     def _classify_into(self, slot: int, utility: Utility) -> None:
         """Write one utility's family code + parameters into its slot."""
@@ -139,22 +194,22 @@ class VectorizedUtilities:
         kind = type(utility)
         alpha_eff = 1.0
         if kind is LogUtility:
-            self._code[slot] = _FAM_LOG
+            code = _FAM_LOG
             params[0, slot] = utility.weight
         elif kind is AlphaFairUtility and utility.alpha > 0.0:
-            self._code[slot] = _FAM_ALPHA
+            code = _FAM_ALPHA
             params[0, slot] = utility.alpha
             params[1, slot] = -1.0 / utility.alpha
             alpha_eff = utility.alpha
         elif kind is WeightedAlphaFairUtility:
-            self._code[slot] = _FAM_WALPHA
+            code = _FAM_WALPHA
             params[0, slot] = utility.weight
             params[1, slot] = utility.weight ** utility.alpha
             params[2, slot] = utility.alpha
             params[3, slot] = -1.0 / utility.alpha
             alpha_eff = utility.alpha
         elif kind is FctUtility:
-            self._code[slot] = _FAM_FCT
+            code = _FAM_FCT
             params[0, slot] = utility.flow_size
             params[1, slot] = utility.epsilon
             params[2, slot] = -1.0 / utility.epsilon
@@ -162,14 +217,17 @@ class VectorizedUtilities:
         else:
             power = utility.power_law_params()
             if power is not None and power[1] > 0.0:
-                self._code[slot] = _FAM_POWER
+                code = _FAM_POWER
                 params[0, slot] = power[0]
                 params[1, slot] = power[1]
                 params[2, slot] = -1.0 / power[1]
                 alpha_eff = power[1]
             else:
-                self._code[slot] = _FAM_FALLBACK
+                code = _FAM_FALLBACK
+        self._code[slot] = code
         self._alpha_eff[slot] = alpha_eff
+        if code != self._single:
+            self._single = None
 
     @property
     def curvature_alpha(self) -> np.ndarray:
@@ -183,39 +241,34 @@ class VectorizedUtilities:
         """
         return self._alpha_eff[: self.n]
 
-    def _ensure_gathered(self) -> None:
-        """Regather the per-family tuples from the slot arrays if dirty.
+    def single_family(self) -> Optional[int]:
+        """The closed-form family code of every slot, or ``None``.
 
-        Each family tuple is ``(index, count, *parameter arrays)``.  When a
-        single family covers every slot -- the common case for workload
-        populations like Fig. 5's all-log flows -- the index is
-        ``slice(None)`` and the parameter arrays are views, so the
-        evaluation methods run basic (copy-free) indexing over the whole
-        array instead of fancy-index gathers; the arithmetic is unchanged.
+        ``None`` for a mixed population (or an empty one, or one holding
+        excluded, power-law or fallback slots); the per-family batches are
+        then gathered and current.
         """
-        if self._gathered:
-            return
-        code = self._code[: self.n]
-        params = self._params
+        if self._single is None and self._batches is None:
+            self._regather()
+        return self._single
 
-        def gather(family: int, n_params: int, full_ok: bool = True):
-            idx = np.nonzero(code == family)[0]
-            count = int(idx.size)
-            if full_ok and count == self.n:
-                return (slice(None), count) + tuple(
-                    params[row, : self.n] for row in range(n_params)
-                )
-            return (idx, count) + tuple(params[row, idx] for row in range(n_params))
-
-        self._log = gather(_FAM_LOG, 1)
-        self._alpha = gather(_FAM_ALPHA, 2)
-        self._walpha = gather(_FAM_WALPHA, 4)
-        self._fct = gather(_FAM_FCT, 3)
-        # value() iterates the power indices for per-flow scalar calls, so
-        # this family always keeps a concrete index array.
-        self._power = gather(_FAM_POWER, 3, full_ok=False)
+    def _regather(self) -> None:
+        """Scan the slot codes: one family covering every slot sets the
+        flag, anything else gathers the per-family ``(code, index,
+        parameter rows)`` batches and the fallback slots."""
+        n = self.n
+        code = self._code[:n]
+        batches = []
+        for family, rows in _ROWS.items():
+            index = np.nonzero(code == family)[0]
+            if index.size == n and n and family in _VALUE:
+                self._single = family
+                return
+            if index.size:
+                params = tuple(self._params[row, index] for row in range(rows))
+                batches.append((family, index, params))
+        self._batches = batches
         self._fallback = np.nonzero(code == _FAM_FALLBACK)[0].tolist()
-        self._gathered = True
 
     # -- incremental churn (used by CompiledFluidNetwork.refresh) ----------
 
@@ -240,7 +293,7 @@ class VectorizedUtilities:
         self._params[:, slot] = 0.0
         self._classify_into(slot, utility)
         self.n += 1
-        self._gathered = False
+        self._batches = None
 
     def move(self, src: int, dst: int) -> None:
         """Overwrite slot ``dst`` with slot ``src`` (swap-remove helper)."""
@@ -248,41 +301,25 @@ class VectorizedUtilities:
         self._code[dst] = self._code[src]
         self._params[:, dst] = self._params[:, src]
         self._alpha_eff[dst] = self._alpha_eff[src]
-        self._gathered = False
+        self._batches = None
 
     def pop(self) -> None:
         """Drop the last slot."""
         self.n -= 1
         self.utilities.pop()
-        self._gathered = False
+        self._batches = None
 
     def replace(self, slot: int, utility: Utility) -> None:
         """Rebind one slot to a different utility object (same flow)."""
         self.utilities[slot] = utility
         self._params[:, slot] = 0.0
         self._classify_into(slot, utility)
-        self._gathered = False
+        self._batches = None
 
     @property
     def fully_vectorized(self) -> bool:
         """True when no flow needs the per-flow scalar fallback."""
-        self._ensure_gathered()
-        return not self._fallback
-
-    def uniform_log_weights(self) -> Optional[np.ndarray]:
-        """The weight vector when *every* slot is a :class:`LogUtility`.
-
-        Returns ``None`` for any other population.  Hot solvers (the
-        persistent dual Oracle) use this to run a fused whole-array closure
-        for the common all-log workloads (Fig. 5's dynamic flows) instead
-        of the per-family dispatch; the arithmetic is element-for-element
-        the same.  Treat the result as read-only (it views the slot store).
-        """
-        self._ensure_gathered()
-        index, count, weights = self._log
-        if count and count == self.n and isinstance(index, slice):
-            return weights
-        return None
+        return self.single_family() is not None or not self._fallback
 
     def kernel_family_arrays(
         self,
@@ -309,23 +346,12 @@ class VectorizedUtilities:
         price-scale estimate evaluates every flow's marginal at one
         equal-share rate per link, a ``links x flows`` matrix, in one call.
         """
-        self._ensure_gathered()
+        family = self.single_family()
+        if family is not None:
+            return _MARGINAL[family](rates, self._params[:, : self.n])
         out = np.zeros(rates.shape)
-        i, m, w = self._log
-        if m:
-            out[..., i] = w / np.maximum(rates[..., i], _EPSILON)
-        i, m, a, _ = self._alpha
-        if m:
-            out[..., i] = np.maximum(rates[..., i], _EPSILON) ** (-a)
-        i, m, _, wa, a, _ = self._walpha
-        if m:
-            out[..., i] = wa * np.maximum(rates[..., i], _EPSILON) ** (-a)
-        i, m, s, eps, _ = self._fct
-        if m:
-            out[..., i] = np.maximum(rates[..., i], _EPSILON) ** (-eps) / s
-        i, m, c, a, _ = self._power
-        if m:
-            out[..., i] = c * np.maximum(rates[..., i], _EPSILON) ** (-a)
+        for family, i, p in self._batches:
+            out[..., i] = _MARGINAL[family](rates[..., i], p)
         for i in self._fallback:
             column = rates[..., i]
             if column.ndim == 0:
@@ -346,31 +372,17 @@ class VectorizedUtilities:
         use per-flow scalar calls, so the Oracle's dual objective never
         depends on a utility being vectorizable.
         """
-        self._ensure_gathered()
+        family = self.single_family()
+        if family is not None:
+            return _VALUE[family](rates, self._params[:, : self.n])
         out = np.zeros(self.n)
-        i, m, w = self._log
-        if m:
-            out[i] = w * np.log(np.maximum(rates[i], _EPSILON))
-        i, m, a, _ = self._alpha
-        if m:
-            x = np.maximum(rates[i], _EPSILON)
-            # Match math.isclose(alpha, 1.0) (rel_tol 1e-9, no abs_tol).
-            log_branch = np.isclose(a, 1.0, rtol=1e-9, atol=0.0)
-            one_minus_a = np.where(log_branch, 1.0, 1.0 - a)
-            out[i] = np.where(log_branch, np.log(x), x**one_minus_a / one_minus_a)
-        i, m, _, wa, a, _ = self._walpha
-        if m:
-            x = np.maximum(rates[i], _EPSILON)
-            log_branch = np.isclose(a, 1.0, rtol=1e-9, atol=0.0)
-            one_minus_a = np.where(log_branch, 1.0, 1.0 - a)
-            out[i] = wa * np.where(log_branch, np.log(x), x**one_minus_a / one_minus_a)
-        i, m, s, eps, _ = self._fct
-        if m:
-            x = np.maximum(rates[i], _EPSILON)
-            out[i] = x ** (1.0 - eps) / (s * (1.0 - eps))
-        for i in self._power[0]:
-            out[i] = self.utilities[i].value(float(rates[i]))
-        for i in self._fallback:
+        scalar = list(self._fallback)
+        for family, i, p in self._batches:
+            if family in _VALUE:
+                out[i] = _VALUE[family](rates[i], p)
+            else:
+                scalar.extend(i.tolist())
+        for i in scalar:
             out[i] = self.utilities[i].value(float(rates[i]))
         return out
 
@@ -380,27 +392,14 @@ class VectorizedUtilities:
         Non-positive prices map to ``max_rates`` exactly as in the scalar
         :meth:`Utility.inverse_marginal_clipped`; excluded indices stay 0.
         """
-        self._ensure_gathered()
+        family = self.single_family()
+        if family is not None:
+            inverse = _INVERSE[family](prices, self._params[:, : self.n])
+            return _clip(inverse, prices, max_rates)
         out = np.zeros(self.n)
-
-        def clip(i, inverse: np.ndarray) -> None:
-            out[i] = np.where(prices[i] <= 0.0, max_rates[i], np.minimum(inverse, max_rates[i]))
-
-        i, m, w = self._log
-        if m:
-            clip(i, w / np.maximum(prices[i], _EPSILON))
-        i, m, _, inv = self._alpha
-        if m:
-            clip(i, np.maximum(prices[i], _EPSILON) ** inv)
-        i, m, w, _, _, inv = self._walpha
-        if m:
-            clip(i, w * np.maximum(prices[i], _EPSILON) ** inv)
-        i, m, s, _, inv = self._fct
-        if m:
-            clip(i, (s * np.maximum(prices[i], _EPSILON)) ** inv)
-        i, m, c, _, inv = self._power
-        if m:
-            clip(i, (np.maximum(prices[i], _EPSILON) / c) ** inv)
+        for family, i, p in self._batches:
+            q = prices[i]
+            out[i] = _clip(_INVERSE[family](q, p), q, max_rates[i])
         for i in self._fallback:
             out[i] = self.utilities[i].inverse_marginal_clipped(
                 float(prices[i]), float(max_rates[i])
@@ -455,7 +454,8 @@ class CompiledFluidNetwork:
         "_capacities_vec",
         "_capacities_version",
         "_path_caps",
-        "_path_caps_capacities",
+        "_path_caps_version",
+        "_link_ext",
         "_csr",
         "_csr_version",
         "_flow_id_snapshot",
@@ -493,11 +493,13 @@ class CompiledFluidNetwork:
         self._capacities_vec: Optional[np.ndarray] = None
         self._capacities_version: int = -1
         self._path_caps = np.zeros(columns)
-        self._path_caps_capacities: Optional[np.ndarray] = None
+        self._path_caps_version: int = -1
+        # A per-link vector plus the sentinel's zero, for path_prices' take.
+        self._link_ext = np.zeros(n_links + 1)
         self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
         self._csr_version: int = -1
         self._flow_id_snapshot = (self.version, tuple(self.flow_ids))
-        # The utilities above were read just now, so every binding counted so
+        # The utilities above were read just now, so every rebind counted so
         # far is already reflected in ``vec_utils`` (see ``_rebound_slots``).
         self._bindings_seen = _network._utility_bindings
 
@@ -557,10 +559,11 @@ class CompiledFluidNetwork:
         parameters in place is NOT detected -- treat utility instances as
         immutable, as every in-tree caller does.
 
-        The O(flows) scan runs only if some ``FluidFlow.utility`` was bound
-        since this snapshot last scanned clean
+        The O(flows) scan runs only if some ``FluidFlow.utility`` was
+        rebound since this snapshot last scanned clean
         (:data:`repro.fluid.network._utility_bindings`); steps on which no
-        flow was created or rebound anywhere pay one integer compare.
+        flow was rebound anywhere pay one integer compare (an arrival's
+        utility is read when :meth:`refresh` appends it).
         """
         bindings = _network._utility_bindings
         if bindings == self._bindings_seen:
@@ -639,10 +642,11 @@ class CompiledFluidNetwork:
             self._path_links = widened
         self._path_links[slot, : len(rows)] = rows
         self._path_len[slot] = len(rows)
-        if self._path_caps_capacities is not None:
-            # Extend the path-capacity cache in O(path); a later capacity
-            # change is caught by the equality check in path_capacities.
-            self._path_caps[slot] = self._path_caps_capacities[rows].min()
+        if self._path_caps_version == self.network.capacity_version:
+            # Extend the path-capacity memo in O(path) (the capacity vector
+            # it was built from is the memoized one); after a capacity
+            # change, path_capacities recomputes every row anyway.
+            self._path_caps[slot] = self._capacities_vec[rows].min()
         self.flows.append(flow)
         self.flow_ids.append(flow.flow_id)
         self._slot_of[flow.flow_id] = slot
@@ -688,40 +692,46 @@ class CompiledFluidNetwork:
             self._capacities_version = version
         return self._capacities_vec
 
-    def path_capacities(self, capacities: np.ndarray) -> np.ndarray:
+    def path_capacities(self) -> np.ndarray:
         """Per-flow narrowest-link capacity (the Eq. (7) weight clip).
 
-        Memoized on the capacity vector and maintained *incrementally*
-        across flow churn (O(path) per arrival, O(1) per departure): the
-        gather + min over the hop axis is paid once per capacity change,
-        not once per iteration or churn event.  Treat the result as
-        read-only.
+        Memoized on :attr:`FluidNetwork.capacity_version`, like
+        :meth:`capacities_vector`, and maintained *incrementally* across
+        flow churn (O(path) per arrival, O(1) per departure): the gather +
+        min over the hop axis is paid once per capacity change, not once
+        per iteration or churn event.  Treat the result as read-only.
         """
-        if self._path_caps_capacities is not None and np.array_equal(
-            self._path_caps_capacities, capacities
-        ):
-            return self._path_caps[: self._count]
-        hop_caps = np.append(capacities, np.inf)[self.path_links.T]
-        self._path_caps[: self._count] = hop_caps.min(axis=0)
-        self._path_caps_capacities = capacities.copy()
+        version = self.network.capacity_version
+        if self._path_caps_version != version:
+            hop_caps = np.concatenate((self.capacities_vector(), (np.inf,))).take(self.path_links)
+            self._path_caps[: self._count] = np.minimum.reduce(hop_caps, axis=1)
+            self._path_caps_version = version
         return self._path_caps[: self._count]
 
     def path_prices(self, prices: np.ndarray) -> np.ndarray:
-        """Per-flow sum of link prices along the path."""
-        return np.append(prices, 0.0)[self.path_links.T].sum(axis=0)
+        """Per-flow sum of link prices along the path.
+
+        A flows x hops ``take`` from a sentinel-extended buffer that is
+        refilled per call, not reallocated, summed along the contiguous hop
+        axis.
+        """
+        extended = self._link_ext
+        extended[:-1] = prices
+        return np.add.reduce(extended.take(self.path_links), axis=1)
 
     def link_min(self, per_flow: np.ndarray) -> np.ndarray:
         """Per-link minimum of a per-flow quantity (``inf`` on empty links)."""
         n_links = len(self.link_ids)
-        out = np.full(n_links + 1, np.inf)
+        out = np.empty(n_links + 1)
+        out.fill(np.inf)
         path_links = self.path_links
-        np.minimum.at(out, path_links.ravel(), np.repeat(per_flow, path_links.shape[1]))
+        np.minimum.at(out, path_links.ravel(), per_flow.repeat(path_links.shape[1]))
         return out[:n_links]
 
     def link_load(self, rates: np.ndarray) -> np.ndarray:
         """Per-link aggregate traffic for a per-flow rate vector."""
         n_links, path_links = len(self.link_ids), self.path_links
-        per_hop = np.repeat(rates, path_links.shape[1])
+        per_hop = rates.repeat(path_links.shape[1])
         return np.bincount(path_links.ravel(), weights=per_hop, minlength=n_links + 1)[:n_links]
 
     def link_vector(self, values: Mapping[LinkId, float]) -> np.ndarray:
@@ -872,14 +882,15 @@ class RateGather:
     """Reads array-backed records' rates in a caller's own flow order.
 
     ``gather(record, wanted)`` is ``[record.rates.get(f, 0.0) for f in
-    wanted]`` as a vector, without the dict: a fancy index into
-    ``record.rate_vec``, an absent flow reading a trailing 0.  The index is
-    rebuilt only when the record's ``flow_ids`` tuple is a new one (one per
-    flow set, see :meth:`CompiledFluidNetwork.flow_id_snapshot`); a caller
-    whose ``wanted`` order changes calls :meth:`reset`.
+    wanted]`` as a vector, without the dict: a ``take`` from
+    ``record.rate_vec`` -- or, when some wanted flow is absent, from the
+    vector extended by a trailing 0 that the absent flows index.  The index
+    is rebuilt only when the record's ``flow_ids`` tuple is a new one (one
+    per flow set, see :meth:`CompiledFluidNetwork.flow_id_snapshot`); a
+    caller whose ``wanted`` order changes calls :meth:`reset`.
     """
 
-    __slots__ = ("_flow_ids", "_index")
+    __slots__ = ("_flow_ids", "_index", "_extended")
 
     def __init__(self) -> None:
         self.reset()
@@ -887,17 +898,24 @@ class RateGather:
     def reset(self) -> None:
         self._flow_ids: Optional[Sequence[FlowId]] = None
         self._index: Optional[np.ndarray] = None
+        #: The rates plus the absent flows' 0, when some wanted flow is absent.
+        self._extended: Optional[np.ndarray] = None
 
     def __call__(self, record, wanted: Sequence[FlowId]) -> np.ndarray:
         flow_ids = record.flow_ids
         if self._flow_ids is not flow_ids:
-            absent = len(flow_ids)
-            position = dict(zip(flow_ids, range(absent)))
+            present = len(flow_ids)
+            position = dict(zip(flow_ids, range(present)))
             self._index = np.fromiter(
-                map(position.get, wanted, repeat(absent)), dtype=np.intp, count=len(wanted)
+                map(position.get, wanted, repeat(present)), dtype=np.intp, count=len(wanted)
             )
+            some_absent = self._index.size and self._index.max() == present
+            self._extended = np.zeros(present + 1) if some_absent else None
             self._flow_ids = flow_ids
-        return np.append(record.rate_vec, 0.0)[self._index]
+        if self._extended is None:
+            return record.rate_vec.take(self._index)
+        self._extended[:-1] = record.rate_vec
+        return self._extended.take(self._index)
 
 
 class VectorizedBackendMixin:
@@ -1116,13 +1134,15 @@ def _waterfill_paths(
     remaining capacity, never carrying, never freezing).  The working set
     is the still-unfrozen flows, held hops x flows so the per-flow
     reductions run along the contiguous axis; frozen flows are compacted
-    away every round, so a round costs O(live flows x hops).
+    away every round, so a round costs O(live flows x hops).  The round
+    that freezes every live flow returns at once: there is nothing left to
+    charge to ``remaining`` or to compact.
     """
     n_flows, hops = path_links.shape
     n_links = capacities.size
     bins = n_links + 1
     rates = np.zeros(n_flows)
-    remaining = np.append(capacities, np.inf)  # float64 copy, sentinel last
+    remaining = np.concatenate((capacities, (np.inf,)))  # float64 copy, sentinel last
     live_links = np.ascontiguousarray(path_links.T)
     live_weights = np.asarray(weights, dtype=float)
     slots: Optional[np.ndarray] = None  # None = identity mapping
@@ -1138,31 +1158,33 @@ def _waterfill_paths(
         fair_share.fill(np.inf)
         np.divide(remaining, link_weight, out=fair_share, where=carrying)
         # Per-flow bottleneck share: the minimum over the flow's hops.
-        hop_share = fair_share[live_links]
-        flow_share = hop_share.min(axis=0)
+        hop_share = fair_share.take(live_links)
+        flow_share = np.minimum.reduce(hop_share, axis=0)
         # A link freezes when every unfrozen flow on it bottlenecks *here*:
         # no live hop on it belongs to a flow with a smaller share elsewhere.
         elsewhere = np.bincount(flat, weights=(hop_share > flow_share).ravel(), minlength=bins)
         freezing = carrying & (elsewhere == 0.0)
-        frozen = freezing[live_links].any(axis=0)
-        picked = np.nonzero(frozen)[0]
+        frozen = np.logical_or.reduce(freezing.take(live_links), axis=0)
+        picked = frozen.nonzero()[0]
         if not picked.size:
             break  # leftover flows only cross capacity-exhausted links: rate 0
-        frozen_rates = live_weights[picked] * flow_share[picked]
-        rates[picked if slots is None else slots[picked]] = frozen_rates
+        frozen_rates = live_weights.take(picked) * flow_share.take(picked)
+        rates[picked if slots is None else slots.take(picked)] = frozen_rates
+        if stats is not None:
+            levels.update(fair_share[freezing].tolist())
+        rounds += 1
+        if picked.size == live_weights.size:
+            break  # the last round: every live flow froze
         remaining -= np.bincount(
             live_links.take(picked, axis=1).ravel(),
             weights=np.concatenate((frozen_rates,) * hops),
             minlength=bins,
         )
         np.maximum(remaining, 0.0, out=remaining)
-        if stats is not None:
-            levels.update(fair_share[freezing].tolist())
-        rounds += 1
-        alive = np.nonzero(~frozen)[0]
+        alive = (~frozen).nonzero()[0]
         live_links = live_links.take(alive, axis=1)  # take keeps C order, [:, alive] does not
-        live_weights = live_weights[alive]
-        slots = alive if slots is None else slots[alive]
+        live_weights = live_weights.take(alive)
+        slots = alive if slots is None else slots.take(alive)
     if stats is not None:
         stats["rounds"] = rounds
         stats["levels"] = len(levels)
@@ -1300,10 +1322,18 @@ def price_update_arrays(
 
     Mirrors :func:`repro.core.xwi.fluid_price_update` elementwise: links
     whose minimum residual is infinite (no flows) contribute a residual of
-    zero, exactly as the scalar rule.
+    zero, exactly as the scalar rule.  Computes
+    ``beta * p + (1 - beta) * max(p + r - eta * (1 - u) * p, 0)`` in two
+    buffers, operation for operation (IEEE ``+`` and ``*`` commute
+    exactly), so the inputs are never written.
     """
-    residuals = np.where(np.isfinite(min_residuals), min_residuals, 0.0)
-    new_prices = np.maximum(
-        prices + residuals - params.eta * (1.0 - utilizations) * prices, 0.0
-    )
-    return params.beta * prices + (1.0 - params.beta) * new_prices
+    new_prices = np.where(np.isfinite(min_residuals), min_residuals, 0.0)
+    new_prices += prices
+    damping = np.subtract(1.0, utilizations)
+    damping *= params.eta
+    damping *= prices
+    new_prices -= damping
+    np.maximum(new_prices, 0.0, out=new_prices)
+    new_prices *= 1.0 - params.beta
+    new_prices += np.multiply(prices, params.beta, out=damping)
+    return new_prices

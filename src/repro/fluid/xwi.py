@@ -187,7 +187,7 @@ class XwiFluidSimulator(VectorizedBackendMixin):
         # utility's weight scaled by their previous-iteration rate share
         # (Sec. 6.3 heuristic), exactly as in the scalar backend.
         path_prices = compiled.path_prices(prices)
-        path_caps = compiled.path_capacities(capacities)
+        path_caps = compiled.path_capacities()
         weight_vec = compiled.vec_utils.inverse_marginal_clipped(path_prices, path_caps)
         for j, flow in compiled.grouped:
             group = self.network.group(flow.group_id)
@@ -214,11 +214,13 @@ class XwiFluidSimulator(VectorizedBackendMixin):
             rates = dict_of(compiled.flow_ids, rate_vec)
             for j, flow in compiled.grouped:
                 marginals[j] = self._marginal_utility(flow, rates)
-        residuals = (marginals - path_prices) / compiled.path_len
+        residuals = marginals  # (U' - path price) / hops, in place
+        residuals -= path_prices
+        residuals /= compiled.path_len
         min_residuals = compiled.link_min(residuals)
         # Same guard as the scalar branch: a failed (zero-capacity) link is
         # reported as idle rather than producing a 0/0 NaN in the update.
-        utilizations = np.zeros_like(capacities)
+        utilizations = np.zeros(capacities.shape)
         np.divide(compiled.link_load(rate_vec), capacities, out=utilizations,
                   where=capacities > 0.0)
         np.minimum(utilizations, 1.0, out=utilizations)
@@ -293,10 +295,6 @@ class XwiFluidSimulator(VectorizedBackendMixin):
         if record_history:
             self.history.extend(records)
         return records
-
-    def rate_history(self) -> List[Dict[FlowId, float]]:
-        """The sequence of per-iteration rate dictionaries recorded so far."""
-        return [record.rates for record in self.history]
 
     @property
     def seconds_per_iteration(self) -> float:

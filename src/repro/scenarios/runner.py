@@ -422,8 +422,10 @@ def _run_flow(spec: ScenarioSpec, result: ExperimentResult) -> None:
 #: pickled ``OracleRatePolicy`` / ``PersistentDualSolver`` lost their
 #: solver-selection attributes.  Version 3: the fluid simulators pickle
 #: their state as vectors (``ArrayState``) and ``GKQuantiles`` gained the
-#: key list parallel to its entries.
-CHECKPOINT_VERSION = 3
+#: key list parallel to its entries.  Version 4: compiled fluid snapshots
+#: key their path-capacity memo on the capacity version, utility batches
+#: remember a single family, and ``RateGather`` keeps its extended buffer.
+CHECKPOINT_VERSION = 4
 
 
 def _checkpoint_fingerprint(spec: ScenarioSpec) -> str:
@@ -585,6 +587,7 @@ def _run_flow_streaming(
     else:
         if checkpoint_every <= 0.0:
             raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
+        fingerprint = _checkpoint_fingerprint(spec)
         while True:
             done = sim.run_stream(
                 stream, max_time=max_time, stop_at=sim._time + checkpoint_every
@@ -593,7 +596,7 @@ def _run_flow_streaming(
                 checkpoint_path,
                 {
                     "version": CHECKPOINT_VERSION,
-                    "spec_fingerprint": _checkpoint_fingerprint(spec),
+                    "spec_fingerprint": fingerprint,
                     "consumed": stream.consumed,
                     "sim": sim,
                     "telemetry": telemetry,

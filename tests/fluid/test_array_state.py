@@ -305,13 +305,3 @@ class TestConvergenceOnRecords:
         assert convergence_iterations([far] * 5, optimal) is None
         scalar_record = IterationRecord(0, rates={0: 1.0, 1: 1.05})
         assert convergence_iterations([far, scalar_record], optimal) == 1
-
-    def test_a_simulator_history_is_a_rate_history(self):
-        network = build_network({"a": 10e9, "b": 4e9}, {0: ("a",), 1: ("a", "b"), 2: ("b",)})
-        simulator = XwiFluidSimulator(network, backend="vectorized")
-        simulator.run(80)
-        optimal = simulator.history[-1].rates
-        criterion = ConvergenceCriterion(hold_iterations=3)
-        its = convergence_iterations(simulator.history, optimal, criterion)
-        assert its is not None
-        assert its == convergence_iterations(simulator.rate_history(), optimal, criterion)

@@ -64,11 +64,11 @@ class TestDgdFluidSimulator:
 
         xwi = XwiFluidSimulator(build())
         xwi.run(500)
-        xwi_iters = convergence_iterations(xwi.rate_history(), optimal, criterion)
+        xwi_iters = convergence_iterations(xwi.history, optimal, criterion)
 
         dgd = DgdFluidSimulator(build())
         dgd.run(500)
-        dgd_iters = convergence_iterations(dgd.rate_history(), optimal, criterion)
+        dgd_iters = convergence_iterations(dgd.history, optimal, criterion)
 
         assert xwi_iters is not None
         if dgd_iters is None:

@@ -83,9 +83,8 @@ def assert_matches_full_compile(incremental, network):
         for slot, flow_id in enumerate(incremental.flow_ids):
             assert marg_inc[slot] == marg_full[full_slot[flow_id]]
             assert value_inc[slot] == value_full[full_slot[flow_id]]
-        capacities = incremental.capacities_vector()
-        path_inc = incremental.path_capacities(capacities)
-        path_full = full.path_capacities(full.capacities_vector())
+        path_inc = incremental.path_capacities()
+        path_full = full.path_capacities()
         for slot, flow_id in enumerate(incremental.flow_ids):
             assert path_inc[slot] == path_full[full_slot[flow_id]]
 

@@ -254,7 +254,7 @@ def _dual_closure_pair(network, rng):
     incidence = compiled.incidence[active]
     incidence_f = compiled.incidence_f[active]
     capacities = caps_all[active]
-    path_caps = compiled.path_capacities(caps_all)
+    path_caps = compiled.path_capacities()
     floors = path_caps * oracle._MIN_RATE_FRACTION
     scale_vec = 1.0 / capacities * rng.uniform(0.5, 2.0, capacities.size)
     objective_scale = float(np.max(capacities) * np.median(scale_vec))

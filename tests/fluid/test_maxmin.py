@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fluid.maxmin import bottleneck_links, max_min, weighted_max_min
-from repro.fluid.vectorized import CompiledMaxMin, waterfill_arrays
+from repro.fluid.vectorized import CompiledMaxMin, _waterfill_paths, waterfill_arrays
 
 
 class TestWeightedMaxMinSingleLink:
@@ -109,6 +109,101 @@ class TestMaxMin:
         )
 
 
+def _tie_heavy_fabric():
+    """16 identical edge links, one flow each: every flow at one level."""
+    capacities = {f"edge{i}": 10.0 for i in range(16)}
+    paths = {i: [f"edge{i}"] for i in range(16)}
+    weights = {i: 1.0 for i in range(16)}
+    return weights, paths, capacities
+
+
+def _two_tier_fabric():
+    """Two tiers of edge capacities feeding one shared core."""
+    capacities = {f"small{i}": 1.0 for i in range(8)}
+    capacities.update({f"big{i}": 4.0 for i in range(8)})
+    capacities["core"] = 100.0
+    paths = {}
+    weights = {}
+    for i in range(8):
+        paths[f"s{i}"] = [f"small{i}", "core"]
+        paths[f"b{i}"] = [f"big{i}", "core"]
+        weights[f"s{i}"] = weights[f"b{i}"] = 1.0
+    return weights, paths, capacities
+
+
+def _host_link_fabric(seed=9, n_hosts=96, n_flows=120):
+    """Host links at three speeds around a fat core (the Fig. 5 shape)."""
+    import random as random_module
+
+    rng = random_module.Random(seed)
+    capacities = {("edge", h): rng.choice([1.0, 2.0, 4.0]) for h in range(n_hosts)}
+    capacities.update({("core", c): 40.0 for c in range(4)})
+    paths = {}
+    weights = {}
+    for f in range(n_flows):
+        src, dst = rng.sample(range(n_hosts), 2)
+        paths[f] = [("edge", src), ("core", rng.randrange(4)), ("edge", dst)]
+        weights[f] = rng.uniform(0.5, 4.0)
+    return weights, paths, capacities
+
+
+def _waterfill_to_exhaustion(path_links, weights, capacities):
+    """The batched-wave rounds in their plainest form, run until the working
+    set is empty: after the round that freezes the last flows it still
+    charges ``remaining`` and compacts.  Returns ``(rates, rounds, levels)``."""
+    n_flows, hops = path_links.shape
+    n_links = capacities.size
+    bins = n_links + 1
+    rates = np.zeros(n_flows)
+    remaining = np.append(capacities, np.inf)
+    live_links = np.ascontiguousarray(path_links.T)
+    live_weights = np.asarray(weights, dtype=float)
+    slots = np.arange(n_flows)
+    rounds, levels = 0, set()
+    while live_weights.size:
+        flat = live_links.ravel()
+        link_weight = np.bincount(flat, weights=np.tile(live_weights, hops), minlength=bins)
+        link_weight[n_links] = 0.0
+        carrying = link_weight > 0.0
+        fair_share = np.full(bins, np.inf)
+        np.divide(remaining, link_weight, out=fair_share, where=carrying)
+        hop_share = fair_share[live_links]
+        flow_share = hop_share.min(axis=0)
+        elsewhere = np.bincount(flat, weights=(hop_share > flow_share).ravel(), minlength=bins)
+        freezing = carrying & (elsewhere == 0.0)
+        frozen = freezing[live_links].any(axis=0)
+        if not frozen.any():
+            break
+        frozen_rates = live_weights[frozen] * flow_share[frozen]
+        rates[slots[frozen]] = frozen_rates
+        remaining -= np.bincount(
+            live_links[:, frozen].ravel(), weights=np.tile(frozen_rates, hops), minlength=bins
+        )
+        np.maximum(remaining, 0.0, out=remaining)
+        levels.update(fair_share[freezing].tolist())
+        rounds += 1
+        live_links = np.ascontiguousarray(live_links[:, ~frozen])
+        live_weights, slots = live_weights[~frozen], slots[~frozen]
+    return rates, rounds, len(levels)
+
+
+def _assert_early_return_matches_exhaustion(weights, paths, capacities):
+    """The production loop (which returns at the round that freezes every
+    live flow) gives the exhaustive loop's rates, rounds and levels, bit
+    for bit."""
+    compiled = CompiledMaxMin(paths, capacities)
+    weight_vec = np.array([weights[f] for f in compiled.flow_ids])
+    capacity_vec = compiled.capacities_vector()
+    stats = {}
+    rates = _waterfill_paths(compiled.path_links, weight_vec, capacity_vec, stats)
+    expected, rounds, levels = _waterfill_to_exhaustion(
+        compiled.path_links, weight_vec, capacity_vec
+    )
+    assert rates.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert (stats["rounds"], stats["levels"]) == (rounds, levels)
+    return stats
+
+
 def _assert_batched_matches_scalar(weights, paths, capacities):
     """Batched waterfill == scalar progressive filling at 1e-9 relative."""
     scalar = weighted_max_min(weights, paths, capacities)
@@ -131,28 +226,16 @@ class TestBatchedWaterfill:
     """Batched multi-bottleneck freezing vs the scalar progressive reference."""
 
     def test_tie_heavy_symmetric_fabric_freezes_in_few_rounds(self):
-        # 16 identical edge links, one flow each, all bottlenecked at the
-        # same level: one freezing round despite 16 bottleneck links.
-        capacities = {f"edge{i}": 10.0 for i in range(16)}
-        paths = {i: [f"edge{i}"] for i in range(16)}
-        weights = {i: 1.0 for i in range(16)}
-        stats = _assert_batched_matches_scalar(weights, paths, capacities)
+        # All bottlenecked at the same level: one freezing round despite 16
+        # bottleneck links.
+        stats = _assert_batched_matches_scalar(*_tie_heavy_fabric())
         assert stats["rounds"] == 1
         assert stats["levels"] == 1
 
     def test_round_count_tracks_levels_not_links(self):
-        # Two tiers of edge capacities feeding one shared core: the batched
-        # round count is bounded by the distinct bottleneck levels, far
-        # below the link count that the unbatched schedule pays.
-        capacities = {f"small{i}": 1.0 for i in range(8)}
-        capacities.update({f"big{i}": 4.0 for i in range(8)})
-        capacities["core"] = 100.0
-        paths = {}
-        weights = {}
-        for i in range(8):
-            paths[f"s{i}"] = [f"small{i}", "core"]
-            paths[f"b{i}"] = [f"big{i}", "core"]
-            weights[f"s{i}"] = weights[f"b{i}"] = 1.0
+        # The batched round count is bounded by the distinct bottleneck
+        # levels, far below the link count that the unbatched schedule pays.
+        weights, paths, capacities = _two_tier_fabric()
         stats = _assert_batched_matches_scalar(weights, paths, capacities)
         assert stats["rounds"] <= stats["levels"] < len(capacities)
 
@@ -179,20 +262,9 @@ class TestBatchedWaterfill:
     def test_wave_regime_matches_scalar_on_host_link_fabric(self):
         # The local-minimum wave detector freezes independent regions at
         # different levels in one round; pin it to the scalar reference on
-        # a host-link-rich fabric (the Fig. 5 shape) and check the rounds
-        # collapse below the level count.
-        import random as random_module
-
-        rng = random_module.Random(9)
-        n_hosts = 96
-        capacities = {("edge", h): rng.choice([1.0, 2.0, 4.0]) for h in range(n_hosts)}
-        capacities.update({("core", c): 40.0 for c in range(4)})
-        paths = {}
-        weights = {}
-        for f in range(120):
-            src, dst = rng.sample(range(n_hosts), 2)
-            paths[f] = [("edge", src), ("core", rng.randrange(4)), ("edge", dst)]
-            weights[f] = rng.uniform(0.5, 4.0)
+        # a host-link-rich fabric and check the rounds collapse below the
+        # level count.
+        weights, paths, capacities = _host_link_fabric()
         stats = _assert_batched_matches_scalar(weights, paths, capacities)
         assert stats["rounds"] <= stats["levels"]
         assert stats["rounds"] < len(capacities)
@@ -223,3 +295,17 @@ class TestBatchedWaterfill:
             weights[f] = float(data.draw(st.sampled_from([1, 1, 2]), label="w"))
         stats = _assert_batched_matches_scalar(weights, paths, capacities)
         assert stats["rounds"] <= n_links
+        assert _assert_early_return_matches_exhaustion(weights, paths, capacities) == stats
+
+    @pytest.mark.parametrize(
+        "fabric",
+        [
+            _tie_heavy_fabric,
+            _two_tier_fabric,
+            _host_link_fabric,
+            lambda: _host_link_fabric(seed=3, n_hosts=24, n_flows=200),
+        ],
+    )
+    def test_the_last_round_returns_what_running_to_exhaustion_does(self, fabric):
+        stats = _assert_early_return_matches_exhaustion(*fabric())
+        assert stats["rounds"] >= 1

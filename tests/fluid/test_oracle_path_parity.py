@@ -26,7 +26,7 @@ from repro.core.utility import AlphaFairUtility, FctUtility, LogUtility, Weighte
 from repro.fluid import oracle
 from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.oracle import PersistentDualSolver, estimate_price_scale
-from repro.fluid.vectorized import compile_network
+from repro.fluid.vectorized import _FAM_LOG, compile_network
 
 from test_scheme_backend_parity import SCHEMES, add_to_both, assert_step_parity, make_pair
 
@@ -232,7 +232,7 @@ class TestScaleMedians:
         assert [compiled.link_ids[i] for i in active_idx.tolist()] == [
             link for link in compiled.link_ids if link in scalar
         ]
-        all_log = compiled.vec_utils.uniform_log_weights() is not None
+        all_log = compiled.vec_utils.single_family() == _FAM_LOG
         for link_idx, median in zip(active_idx.tolist(), medians.tolist()):
             want = scalar[compiled.link_ids[link_idx]]
             # Log marginals are one division in both loops: the same element

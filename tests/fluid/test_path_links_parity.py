@@ -148,7 +148,7 @@ class TestLinkFlowReductions:
             assert link_min[i] == expected_min[link]  # a selection: exact, inf when idle
 
         path_prices = compiled.path_prices(per_link)
-        path_caps = compiled.path_capacities(compiled.capacities_vector())
+        path_caps = compiled.path_capacities()
         assert path_prices.shape == path_caps.shape == (len(compiled.flow_ids),)
         for j, flow_id in enumerate(compiled.flow_ids):
             expected_price = sum(by_link[link] for link in paths[flow_id])
@@ -167,7 +167,7 @@ class TestLinkFlowReductions:
         assert compiled.link_min(empty).tolist() == [math.inf, math.inf]
         assert compiled.link_load(empty).tolist() == [0.0, 0.0]
         assert compiled.path_prices(np.array([1.0, 2.0])).shape == (0,)
-        assert compiled.path_capacities(compiled.capacities_vector()).shape == (0,)
+        assert compiled.path_capacities().shape == (0,)
 
     def test_link_vector_reads_missing_links_as_zero(self):
         compiled = compile_network(FluidNetwork({"a": 1.0, "b": 2.0, "c": 3.0}))

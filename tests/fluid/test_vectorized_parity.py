@@ -250,4 +250,4 @@ class TestCompiledStructure:
         compiled = compile_network(network)
         assert compiled.incidence.shape == (2, 2)
         assert compiled.path_len.tolist() == [2.0, 1.0]
-        assert compiled.path_capacities(compiled.capacities_vector()).tolist() == [1e9, 2e9]
+        assert compiled.path_capacities().tolist() == [1e9, 2e9]

@@ -155,7 +155,7 @@ class TestConvergenceSpeed:
         simulator.run(100)
         optimal = solve_num(network).rates
         iterations = convergence_iterations(
-            simulator.rate_history(), optimal, ConvergenceCriterion(hold_iterations=3)
+            simulator.history, optimal, ConvergenceCriterion(hold_iterations=3)
         )
         assert iterations is not None
         assert iterations <= 40

@@ -97,7 +97,7 @@ def test_waterfill_arrays_zero_capacity(dead):
     assert np.all(np.isfinite(path_indexed))
     for flow_id, rate in zip(snapshot.flow_ids, path_indexed.tolist()):
         assert rate == pytest.approx(scalar[flow_id], abs=1e-6)
-    assert snapshot.path_capacities(snapshot.capacities_vector()).tolist() == [10e9, dead, dead]
+    assert snapshot.path_capacities().tolist() == [10e9, dead, dead]
     assert np.all(snapshot.link_load(path_indexed) <= snapshot.capacities_vector() + 1e-6)
 
 

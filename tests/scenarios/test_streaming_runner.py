@@ -128,10 +128,11 @@ class TestCheckpointResume:
         path = tmp_path / "run.ckpt"
         # Version 1 predates OracleRatePolicy / PersistentDualSolver losing
         # their solver-selection attributes; version 2 pickled the fluid
-        # simulators' state as dicts and GK sketches slot by slot: such
-        # checkpoints must not resume.
-        assert CHECKPOINT_VERSION == 3
-        for version in (1, 2, CHECKPOINT_VERSION + 1):
+        # simulators' state as dicts and GK sketches slot by slot; version 3
+        # keyed the path-capacity memo on a capacity copy: such checkpoints
+        # must not resume.
+        assert CHECKPOINT_VERSION == 4
+        for version in (1, 2, 3, CHECKPOINT_VERSION + 1):
             write_checkpoint(path, {"version": version, "spec_fingerprint": "x"})
             with pytest.raises(ValueError, match="format version"):
                 load_checkpoint(path, spec)
