@@ -169,16 +169,16 @@ class OracleRatePolicy(RatePolicy):
             safeguard=safeguard,
             kernel=kernel,
         )
-        self._cached: Optional[Dict[object, float]] = None
+        self._cached: Optional[Mapping] = None
         self._epoch = 0
 
     def on_flow_set_changed(self, network: FluidNetwork) -> None:
         self._cached = None
         self._epoch += 1
 
-    def rates(self, network: FluidNetwork, dt: float) -> Dict[object, float]:
+    def rates(self, network: FluidNetwork, dt: float) -> Mapping:
         if self._cached is None:
-            self._cached = self._solver.solve(network).rates if network.flows else {}
+            self._cached = RecordRates(self._solver.solve(network)) if network.flows else {}
         return self._cached
 
     def rates_epoch(self) -> Optional[int]:
@@ -186,9 +186,10 @@ class OracleRatePolicy(RatePolicy):
 
 
 class RecordRates(Mapping):
-    """A simulator record's rates as the mapping :meth:`RatePolicy.rates`
-    promises, without building it: ``flow_ids`` / ``rate_vec`` pass the
-    record's own through, and the dict is built only if someone keys in."""
+    """A simulator record's (or an :class:`~repro.fluid.oracle.OracleResult`'s)
+    rates as the mapping :meth:`RatePolicy.rates` promises, without building
+    it: ``flow_ids`` / ``rate_vec`` pass the record's own through, and the
+    dict is built only if someone keys in."""
 
     __slots__ = ("_record",)
 

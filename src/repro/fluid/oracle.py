@@ -39,13 +39,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.fluid import kernels as _kernels
 from repro.fluid.network import FluidNetwork, FlowId, LinkId
-from repro.fluid.vectorized import CompiledFluidNetwork, compile_network, waterfill_arrays
+from repro.fluid.vectorized import (
+    CompiledFluidNetwork,
+    compile_network,
+    dict_of,
+    waterfill_arrays,
+)
 
 _MIN_RATE_FRACTION = 1e-9
 
@@ -53,15 +59,57 @@ _MIN_RATE_FRACTION = 1e-9
 _FALLBACK_MAX_FLOWS = 400
 
 
-@dataclass
 class OracleResult:
-    """Optimal allocation returned by the Oracle."""
+    """Optimal allocation returned by the Oracle.
 
-    rates: Dict[FlowId, float]
-    prices: Dict[LinkId, float]
-    objective: float
-    iterations: int
-    converged: bool
+    Shaped like :class:`~repro.fluid.vectorized.IterationRecord`: the array
+    dual passes the id snapshots (``flow_ids``, ``link_ids``) and its
+    vectors (``rate_vec``, ``price_vec``, kept by reference and made
+    read-only), and ``rates`` / ``prices`` are cached properties, built on
+    first read.  The scalar, fallback and safeguard paths pass the dicts
+    themselves, which land where the cache would, and leave the vectors
+    ``None``.
+    """
+
+    rate_vec: Optional[np.ndarray] = None
+    price_vec: Optional[np.ndarray] = None
+
+    def __init__(
+        self,
+        *,
+        objective: float,
+        iterations: int,
+        converged: bool,
+        rates: Optional[Dict[FlowId, float]] = None,
+        prices: Optional[Dict[LinkId, float]] = None,
+        flow_ids: Sequence[FlowId] = (),
+        rate_vec: Optional[np.ndarray] = None,
+        link_ids: Sequence[LinkId] = (),
+        price_vec: Optional[np.ndarray] = None,
+    ):
+        self.objective = objective
+        self.iterations = iterations
+        self.converged = converged
+        self.flow_ids = flow_ids
+        self.link_ids = link_ids
+        if rate_vec is not None:
+            rate_vec.flags.writeable = False
+            self.rate_vec = rate_vec
+        if price_vec is not None:
+            price_vec.flags.writeable = False
+            self.price_vec = price_vec
+        if rates is not None:
+            self.rates = rates
+        if prices is not None:
+            self.prices = prices
+
+    @cached_property
+    def rates(self) -> Dict[FlowId, float]:
+        return dict_of(self.flow_ids, self.rate_vec)
+
+    @cached_property
+    def prices(self) -> Dict[LinkId, float]:
+        return dict_of(self.link_ids, self.price_vec)
 
 
 def _path_price(prices: np.ndarray, link_index: Mapping[LinkId, int], path) -> float:
@@ -340,11 +388,7 @@ def _finish(
     network: FluidNetwork,
     flows,
     links: List[LinkId],
-    rates: Dict[FlowId, float],
-    prices: Dict[LinkId, float],
-    objective: float,
-    iterations: int,
-    success: bool,
+    result: OracleResult,
     maxmin_rates: Optional[Dict[FlowId, float]],
     maxmin_objective: Optional[float],
     max_iterations: int,
@@ -358,9 +402,9 @@ def _finish(
     slower but robust for the evaluation's problem sizes.
     """
     if maxmin_objective is None:  # safeguard disabled
-        return OracleResult(rates=rates, prices=prices, objective=objective,
-                            iterations=iterations, converged=success)
-    if (not success or objective < maxmin_objective) and len(flows) <= _FALLBACK_MAX_FLOWS:
+        return result
+    objective = result.objective
+    if (not result.converged or objective < maxmin_objective) and len(flows) <= _FALLBACK_MAX_FLOWS:
         fallback = _solve_num_primal(network, max_iterations=max_iterations)
         if fallback.objective >= objective:
             return fallback
@@ -371,11 +415,10 @@ def _finish(
             rates=maxmin_rates,
             prices={link: 0.0 for link in links},
             objective=maxmin_objective,
-            iterations=iterations,
+            iterations=result.iterations,
             converged=False,
         )
-    return OracleResult(rates=rates, prices=prices, objective=objective,
-                        iterations=iterations, converged=success)
+    return result
 
 
 def _solve_num_scalar(
@@ -454,8 +497,9 @@ def _solve_num_scalar(
     price_dict = {link: 0.0 for link in links}
     for link in active_links:
         price_dict[link] = float(prices[link_index[link]])
-    return _finish(network, flows, links, rates, price_dict, objective,
-                   int(result.nit), bool(result.success),
+    dual = OracleResult(rates=rates, prices=price_dict, objective=objective,
+                        iterations=int(result.nit), converged=bool(result.success))
+    return _finish(network, flows, links, dual,
                    maxmin_rates, maxmin_objective, max_iterations)
 
 
@@ -658,7 +702,6 @@ class _DualProblem:
         rate_vec, _ = self.primal_rates(prices)
         rate_vec = _rescale_to_feasible_arrays(self, rate_vec)
         objective = float(vec_utils.value(rate_vec).sum())
-        rates = dict(zip(compiled.flow_ids, rate_vec.tolist()))
 
         maxmin_rates = maxmin_objective = None
         if safeguard:
@@ -675,9 +718,17 @@ class _DualProblem:
         links = compiled.link_ids
         price_vec = np.zeros(len(links))  # excluded links report a zero price
         price_vec[self.active_idx] = prices
-        price_dict = dict(zip(links, price_vec.tolist()))
-        return _finish(network, compiled.flows, links, rates, price_dict, objective,
-                       iterations, success, maxmin_rates, maxmin_objective, max_iterations)
+        dual = OracleResult(
+            objective=objective,
+            iterations=iterations,
+            converged=success,
+            flow_ids=compiled.flow_id_snapshot(),
+            rate_vec=rate_vec,
+            link_ids=links,
+            price_vec=price_vec,
+        )
+        return _finish(network, compiled.flows, links, dual,
+                       maxmin_rates, maxmin_objective, max_iterations)
 
 
 class PersistentDualSolver:

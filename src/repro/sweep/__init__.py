@@ -10,9 +10,9 @@ makes such sweeps a first-class, crash-only primitive:
 * :mod:`repro.sweep.lease` is the one lease/retry/quarantine machine:
   attempts, expiry, backoff, dead hosts, reconnects and distinct-host
   quarantine as pure decisions (events in, actions out);
-* :mod:`repro.sweep.executor` carries them out: the worker pool (spawn,
-  heartbeat-based dead-worker detection, kill, reap) and the selector loop
-  that leases cells to it or to dialled agents;
+* :mod:`repro.sweep.executor` carries them out: the worker pool (fork --
+  POSIX only -- heartbeat-based dead-worker detection, kill, reap) and the
+  selector loop that leases cells to it or to dialled agents;
 * :mod:`repro.sweep.transport` abstracts the wire (worker pipes and
   line-delimited JSON over TCP) behind one send/recv_all interface;
 * :mod:`repro.sweep.remote` is the agent (``python -m repro agent``): the

@@ -5,7 +5,7 @@ content-addressed cache *before* the worker reports it, so the driver --
 and the whole machine -- can die at any instant and a rerun recomputes
 only the missing delta.
 
-* :class:`WorkerPool` is the only place worker processes are spawned,
+* :class:`WorkerPool` is the only place worker processes are forked,
   health-checked, killed and reaped.  Each worker is driven over its own
   duplex pipe (no shared queue, so killing one can never corrupt a lock
   another holds), and the pool speaks the agent message shapes
@@ -25,14 +25,16 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import signal
 import socket
 import threading
 import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+from repro.scenarios.runner import run_scenario
 from repro.sweep.cache import CACHE_VERSION, ResultCache, code_fingerprint, encode_result
 from repro.sweep.grid import SweepTask
 from repro.sweep.lease import Action, LeaseMachine, RetryPolicy
@@ -73,8 +75,47 @@ def _apply_injection(inject: Mapping[str, Any], attempt: int, beating: threading
         raise RuntimeError(str(inject.get("message", "injected failure")))
 
 
+def _open_descriptors() -> FrozenSet[int]:
+    """The file descriptors this process has open right now."""
+    listed = [int(name) for name in os.listdir("/dev/fd")]
+    open_now = []
+    for fd in listed:  # (one of them was the listing's own, closed again by now)
+        try:
+            os.fstat(fd)
+        except OSError:
+            continue
+        open_now.append(fd)
+    return frozenset(open_now)
+
+
+def _forget_parent(inherited: FrozenSet[int]) -> None:
+    """Drop what a forked worker inherits from its parent before it serves.
+
+    * SIGTERM goes back to the default action: an inherited handler (the
+      driver's or agent's :class:`~repro.sweep.signals.GracefulInterrupt`)
+      would turn the pool's ``terminate()`` into a flag, and the worker
+      would live until the kill fallback.  SIGINT stays ignored: the parent
+      coordinates shutdown, Ctrl-C must interrupt it, not us.
+    * Every inherited descriptor but stdio and our own pipe end -- the
+      parent's end of our pipe, the siblings' pipe ends, an agent's
+      listening socket and driver connection, a driver's agent links --
+      is let go.  Holding the parent's end would hide its death from us
+      (no EOF, ever), and holding a listening socket would keep a dead
+      agent's port accepting.  The descriptors become ``/dev/null`` rather
+      than closed, so a finalizer on an inherited object can never close a
+      descriptor this worker opened later under the same number.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in inherited:
+        os.dup2(null, fd, inheritable=False)
+    os.close(null)
+
+
 def _worker_main(
     conn: Connection,
+    inherited: FrozenSet[int],
     worker_id: int,
     heartbeat_interval: float,
     cache_root: Optional[str],
@@ -82,17 +123,16 @@ def _worker_main(
 ) -> None:
     """One worker process: receive ``task`` messages, run them, report.
 
-    Test hooks: a task's ``inject`` mapping makes it raise, crash, hang, or
-    hang silently (heartbeats stopped) on given attempts.  ``worker_faults``
-    maps a fault name to worker ids: ``die_after_hello`` exits right after
-    the hello (first-contact death), ``wedge_before_start`` takes a task but
-    never acks ``start`` while its heartbeat thread keeps beating (the
-    pre-start wedge the start-ack deadline exists for).
+    ``inherited`` lists the parent's descriptors to let go of
+    (:func:`_forget_parent`).  Test hooks: a task's ``inject`` mapping makes
+    it raise, crash, hang, or hang silently (heartbeats stopped) on given
+    attempts.  ``worker_faults`` maps a fault name to worker ids:
+    ``die_after_hello`` exits right after the hello (first-contact death),
+    ``wedge_before_start`` takes a task but never acks ``start`` while its
+    heartbeat thread keeps beating (the pre-start wedge the start-ack
+    deadline exists for).
     """
-    import signal
-
-    # The driver coordinates shutdown; Ctrl-C must interrupt it, not us.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _forget_parent(inherited)
 
     def _faulted(name: str) -> bool:
         return covers(worker_faults.get(name), worker_id)
@@ -118,8 +158,6 @@ def _worker_main(
     send("hello")
     if _faulted("die_after_hello"):
         os._exit(13)
-
-    from repro.scenarios.runner import run_scenario
 
     while True:
         try:
@@ -159,13 +197,13 @@ class _Worker:
     #: The ``task`` message this worker is running, if any.
     job: Optional[Dict[str, Any]] = None
     dispatched_at: float = 0.0
-    #: When the worker acked "start", i.e. after its first-task imports.
+    #: When the worker acked "start".
     started_at: Optional[float] = None
     #: True once any message arrived; until then silence is judged by
-    #: ``spawn_timeout``, so a slow spawn is not mistaken for death.
+    #: ``spawn_timeout``, so a slow start is not mistaken for death.
     contacted: bool = False
-    #: True once it acked "start" for any task: later start acks carry no
-    #: import cost, so they get the (short) start-ack deadline.
+    #: True once it acked "start" for any task: later start acks get the
+    #: (short) start-ack deadline.
     ever_started: bool = False
     #: The pipe reported EOF: death evidence the health check acts on at
     #: once instead of waiting out the stall detector.
@@ -174,12 +212,19 @@ class _Worker:
 
 
 class WorkerPool:
-    """Up to ``slots`` spawn-ed workers behind the endpoint interface.
+    """Up to ``slots`` forked workers behind the endpoint interface.
 
     ``send`` takes ``task`` (queued, started as soon as a worker is free,
-    spawning on demand) and ``cancel`` (dropped, or its worker killed);
+    forking one on demand) and ``cancel`` (dropped, or its worker killed);
     ``poll`` returns what happened since the last call.  A dead or wedged
     worker is reaped and its cell reported as ``error{kind}``.
+
+    A worker is a ``fork`` of the driver or agent, which already imported
+    everything a cell needs, so it serves within milliseconds; the pool
+    therefore needs a POSIX ``fork``.  It starts from a copy of its parent
+    and drops the parent's signal handlers and descriptors before it serves
+    (:func:`_forget_parent`), so a worker still learns of its parent's death
+    from its pipe's EOF and dies with ``terminate()``.
     """
 
     def __init__(
@@ -199,7 +244,7 @@ class WorkerPool:
             stall_timeout if stall_timeout is not None else max(10.0 * heartbeat_interval, 5.0)
         )
         #: How long a fresh worker may take to report in and to ack its first
-        #: ``start``: process spawn plus the imports.
+        #: ``start``: the fork, on a machine that may be loaded.
         self.spawn_timeout = spawn_timeout
         #: The "start" ack deadline of a *warm* worker.  It catches a main
         #: thread that wedged or died before the ack while the heartbeat
@@ -208,7 +253,7 @@ class WorkerPool:
             start_ack_timeout if start_ack_timeout is not None else self.stall_timeout
         )
         self._worker_args = (heartbeat_interval, cache_root, dict(worker_faults or {}))
-        self._ctx = multiprocessing.get_context("spawn")
+        self._ctx = multiprocessing.get_context("fork")
         self._workers: List[_Worker] = []
         self._queue: List[Dict[str, Any]] = []
         self._events: List[Dict[str, Any]] = [self.hello()]
@@ -284,7 +329,10 @@ class WorkerPool:
 
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        args = (child_conn, self._spawned, *self._worker_args)
+        # Listed before the fork: a descriptor another thread opens in between
+        # stays in the worker (the CLI driver and agent fork single-threaded).
+        inherited = _open_descriptors() - {0, 1, 2, child_conn.fileno()}
+        args = (child_conn, inherited, self._spawned, *self._worker_args)
         process = self._ctx.Process(target=_worker_main, args=args, daemon=True)
         process.start()
         child_conn.close()

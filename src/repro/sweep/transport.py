@@ -15,7 +15,7 @@ agent-to-driver; a transport is the swappable object that carries it:
 Two implementations:
 
 * :class:`PipeTransport` wraps the ``multiprocessing`` duplex pipe a
-  worker pool drives each spawned worker over;
+  worker pool drives each forked worker over;
 * :class:`SocketTransport` frames messages as line-delimited JSON over a
   TCP socket -- driver to agent (:mod:`repro.sweep.remote`).
   Binary payloads travel base64-encoded with their SHA-256 alongside
@@ -24,7 +24,7 @@ Two implementations:
 
 The JSON protocol carries pickled scenario specs (:func:`pack_pickle`),
 so it must only ever span *trusted* machines -- loopback or a private
-cluster -- exactly like the spawn-pipe protocol it generalizes.
+cluster -- exactly like the worker-pipe protocol it generalizes.
 """
 
 from __future__ import annotations

@@ -356,6 +356,21 @@ class TestPersistentDualSolver:
             if name not in _FLAT_DUAL_CASES:
                 assert _max_rel_rate_diff(cold.rates, spg.rates) <= 1e-6, name
 
+    def test_result_keeps_its_vectors_across_later_churn(self):
+        # The result holds the solve's own read-only vectors and id
+        # snapshots; its dicts are built on read, even after a churned solve
+        # edited the solver's compiled flow order in place.
+        network = FluidNetwork.single_link(10e9, 4)
+        solver = PersistentDualSolver()
+        first = solver.solve(network)
+        assert not first.rate_vec.flags.writeable and not first.price_vec.flags.writeable
+        expected = dict(zip(first.flow_ids, first.rate_vec.tolist()))
+        network.remove_flow(network.flow_ids[0])
+        second = solver.solve(network)
+        assert first.rates == expected and len(first.rates) == 4
+        assert first.prices == dict(zip(first.link_ids, first.price_vec.tolist()))
+        assert len(second.rates) == 3
+
     def test_empty_network(self):
         network = FluidNetwork({"l": 1e9})
         solver = PersistentDualSolver()

@@ -43,8 +43,8 @@ class TestCanonicalize:
 
 class TestSpecHashing:
     def test_spec_pickle_round_trip(self):
-        # Satellite requirement: specs must survive the trip to a spawn-ed
-        # worker bit-identically (same fingerprint on the far side).
+        # Specs cross a worker's pipe (and an agent's socket) pickled: they
+        # must arrive bit-identical (same fingerprint on the far side).
         spec = get_scenario("fig4/single-link-churn")
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec

@@ -1,6 +1,6 @@
 """Remote dispatch over loopback TCP: parity, leases, faults, quarantine.
 
-Agents run as in-process threads (each still spawning real worker
+Agents run as in-process threads (each still forking real worker
 processes), so every robustness path -- reconnect after a dropped
 connection, dead-host detection under a partition, lease expiry and
 reassignment, distinct-host quarantine, payload verification -- is
@@ -29,6 +29,14 @@ from repro.sweep import (
 from repro.sweep.cache import code_fingerprint
 from repro.sweep.executor import SweepExecutor
 from repro.sweep.transport import PROTOCOL_VERSION, pack_blob
+
+# The agents below are threads of the test process, so their pools fork
+# workers from a multi-threaded process, which Python 3.12 warns about.  The
+# worker takes no import lock after the fork (the pool imports what a cell
+# needs first), and the CLI agent and driver fork with no other thread.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning"
+)
 
 EXPRESSION = "fig4/single-link-churn scheme=numfabric,dctcp seed=0..1"
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.05, max_delay=0.2)
