@@ -30,10 +30,6 @@ Times (stdlib ``time.perf_counter`` only, no external dependencies):
   the sampled sizes), plus -- in full mode -- the Fig. 5 paper-scale
   end-to-end run (10k-flow Poisson web-search workload, Oracle +
   NUMFabric), which the roadmap requires to finish in under a minute;
-* the compiled kernels (:mod:`repro.fluid.kernels`): the NumPy water-fill
-  and fused dual paths against the numba CSR kernels on identical
-  instances, JIT warm-up excluded, parity-gated at 1e-9 / 1e-6 -- the
-  compiled columns are null (and skipped) when numba is not installed;
 * the streaming result layer: the same sized websearch replay through the
   bounded-memory streaming executor and the materializing flow engine
   (each in its own subprocess so peak RSS is comparable), with the
@@ -97,8 +93,6 @@ from repro.core.config import NumFabricParameters
 from repro.core.utility import AlphaFairUtility, FctUtility, LogUtility
 from repro.experiments.dynamic_fluid import EqualSharePolicy, FlowLevelSimulation
 from repro.experiments.fig5_dynamic import DeviationSettings, run_deviation_experiment
-from repro.fluid import kernels as fluid_kernels
-from repro.fluid import oracle as fluid_oracle
 from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.maxmin import weighted_max_min
@@ -559,103 +553,6 @@ def bench_waterfill(
     return rows
 
 
-def bench_kernels(flow_counts: List[int], repeats: int) -> Dict:
-    """NumPy vs compiled (numba) kernel rows for the two fluid hot loops.
-
-    Each row times the NumPy reference path and -- where numba is
-    installed -- the compiled CSR kernel on the same instance, with the
-    first jitted call (the JIT compile; ``cache=True`` pays it once per
-    machine) excluded from the timed loop and the kernel result gated
-    against the NumPy one.  Without numba the compiled columns are null:
-    timing the pure-Python twin would measure a path no caller runs.
-    """
-    have_numba = fluid_kernels.HAVE_NUMBA
-    waterfill_rows = []
-    for n_flows in flow_counts:
-        rng = random.Random(9)
-        compiled = _waterfill_instance(n_flows)
-        weight_vec = np.array([rng.uniform(0.5, 4.0) for _ in compiled.flow_ids])
-        capacities = compiled.capacities_vector()
-        reference = compiled.solve_array(weight_vec, capacities)
-        start = time.perf_counter()
-        for _ in range(repeats):
-            compiled.solve_array(weight_vec, capacities)
-        numpy_s = time.perf_counter() - start
-        numba_s = speedup = parity = None
-        if have_numba:
-            csr = compiled.csr_arrays()
-            kernel_rates = waterfill_arrays(  # warm-up: triggers the JIT compile
-                compiled.incidence, compiled.incidence_f, weight_vec, capacities,
-                kernel="numba", csr=csr,
-            )
-            start = time.perf_counter()
-            for _ in range(repeats):
-                waterfill_arrays(
-                    compiled.incidence, compiled.incidence_f, weight_vec, capacities,
-                    kernel="numba", csr=csr,
-                )
-            numba_s = time.perf_counter() - start
-            speedup = numpy_s / numba_s if numba_s > 0 else float("inf")
-            scale = float(np.max(capacities))
-            parity = float(np.max(np.abs(kernel_rates - reference)) / scale)
-        waterfill_rows.append(
-            {
-                "flows": n_flows,
-                "repeats": repeats,
-                "numpy_seconds": numpy_s,
-                "numba_seconds": numba_s,
-                "speedup": speedup,
-                "max_rel_rate_diff": parity,
-            }
-        )
-
-    dual_rows = []
-    for n_flows in flow_counts:
-        network = build_network(n_flows, seed=3, utilities="log")
-        # Both columns time the closures the Oracle itself binds.
-        problem = fluid_oracle._DualProblem(compile_network(network))
-        scale_vec = 1.0 / problem.capacities
-        problem.bind(scale_vec, "numpy")
-        numpy_dual = problem.dual_and_gradient
-
-        z = np.full(problem.capacities.size, 0.5)
-        value_np, grad_np = numpy_dual(z)
-        start = time.perf_counter()
-        for _ in range(repeats):
-            numpy_dual(z)
-        numpy_s = time.perf_counter() - start
-        numba_s = speedup = parity = None
-        problem.bind(scale_vec, "numba")
-        fused = problem.dual_and_gradient
-        if have_numba:  # all-log utilities: bind swapped the fused kernel in
-            value_k, grad_k = fused(z)  # warm-up: triggers the JIT compile
-            start = time.perf_counter()
-            for _ in range(repeats):
-                fused(z)
-            numba_s = time.perf_counter() - start
-            speedup = numpy_s / numba_s if numba_s > 0 else float("inf")
-            ref = max(abs(value_np), float(np.max(np.abs(grad_np))), 1e-12)
-            parity = float(
-                max(abs(value_k - value_np), float(np.max(np.abs(grad_k - grad_np))))
-                / ref
-            )
-        dual_rows.append(
-            {
-                "flows": n_flows,
-                "repeats": repeats,
-                "numpy_seconds": numpy_s,
-                "numba_seconds": numba_s,
-                "speedup": speedup,
-                "max_rel_diff": parity,
-            }
-        )
-    return {
-        "have_numba": have_numba,
-        "waterfill": waterfill_rows,
-        "fused_dual": dual_rows,
-    }
-
-
 def _flow_level_arrivals(n_flows: int, seed: int = 7) -> List:
     generator = PoissonTrafficGenerator(
         num_servers=8,
@@ -1058,16 +955,6 @@ def enforce_parity(results: Dict) -> None:
     for row in results.get("incidence", ()):
         if not row["identical"]:
             failures.append(("incidence", row["flows"], float("inf")))
-    kernels = results.get("kernels")
-    if kernels is not None:
-        # The compiled columns are null without numba; parity is only
-        # checkable (and only meaningful) where the kernels actually ran.
-        for row in kernels["waterfill"]:
-            if row["max_rel_rate_diff"] is not None and row["max_rel_rate_diff"] > PARITY_TOLERANCE:
-                failures.append(("kernels.waterfill", row["flows"], row["max_rel_rate_diff"]))
-        for row in kernels["fused_dual"]:
-            if row["max_rel_diff"] is not None and row["max_rel_diff"] > ORACLE_PARITY_TOLERANCE:
-                failures.append(("kernels.fused_dual", row["flows"], row["max_rel_diff"]))
     for row in results["flow_level"]:
         # Rows beyond the dict sampling limit carry no parity number.
         if row["max_rel_fct_diff"] is not None and row["max_rel_fct_diff"] > PARITY_TOLERANCE:
@@ -1102,7 +989,6 @@ def run(smoke: bool = False) -> Dict:
         persistent_counts, churn_events = [50], 15
         incidence_counts, incidence_events = [50], 40
         waterfill_counts, waterfill_repeats, small_fabric_counts = [20, 50], 3, []
-        kernel_counts, kernel_repeats = [20, 50], 3
         flow_level_counts, dict_limit = [100], None
         engine_events, port_packets = 10_000, 2_000
         streaming_flows = 1_500
@@ -1112,7 +998,6 @@ def run(smoke: bool = False) -> Dict:
         persistent_counts, churn_events = [200, 1000], 40
         incidence_counts, incidence_events = [200, 1000], 200
         waterfill_counts, waterfill_repeats, small_fabric_counts = [50, 200, 1000], 20, [400, 2000]
-        kernel_counts, kernel_repeats = [50, 200, 1000], 20
         # The dict reference loop at 10k flows used to burn ~3 minutes of
         # full-mode bench time; parity stays pinned at the sampled sizes.
         flow_level_counts, dict_limit = [500, 2000, 10_000], 2000
@@ -1134,7 +1019,6 @@ def run(smoke: bool = False) -> Dict:
         "oracle_persistent": bench_oracle_persistent(persistent_counts, churn_events),
         "incidence": bench_incidence(incidence_counts, incidence_events),
         "waterfill": bench_waterfill(waterfill_counts, waterfill_repeats, small_fabric_counts),
-        "kernels": bench_kernels(kernel_counts, kernel_repeats),
         "flow_level": bench_flow_level(flow_level_counts, dict_limit),
         "engine": bench_engine(engine_events, port_packets),
         "streaming_replay": bench_streaming_replay(streaming_flows),
@@ -1170,7 +1054,6 @@ REQUIRED_SECTIONS = (
     "oracle_persistent",
     "incidence",
     "waterfill",
-    "kernels",
     "flow_level",
     "engine",
     "streaming_replay",
@@ -1306,23 +1189,6 @@ def main(argv: Optional[List[str]] = None) -> Dict:
             f"({row['rounds_batched']} rounds / {row['distinct_levels']} levels), "
             f"speedup {row['speedup']:.1f}x, max rate diff {row['max_rel_rate_diff']:.2e}"
         )
-    kernels = results["kernels"]
-    for name, rows, diff_key in (
-        ("kernel waterfill", kernels["waterfill"], "max_rel_rate_diff"),
-        ("kernel fused-dual", kernels["fused_dual"], "max_rel_diff"),
-    ):
-        for row in rows:
-            if row["numba_seconds"] is None:
-                print(
-                    f"{name} {row['flows']:>5} flows: numpy {row['numpy_seconds']:.3f}s "
-                    "(numba not installed; compiled columns skipped)"
-                )
-                continue
-            print(
-                f"{name} {row['flows']:>5} flows: numpy {row['numpy_seconds']:.3f}s, "
-                f"numba {row['numba_seconds']:.3f}s, speedup {row['speedup']:.1f}x, "
-                f"max diff {row[diff_key]:.2e}"
-            )
     for row in results["flow_level"]:
         if row["dict_seconds"] is None:
             print(

@@ -151,9 +151,7 @@ class OracleRatePolicy(RatePolicy):
       utility mixes, and for the well-conditioned log/moderate-alpha
       workloads of Fig. 5 it costs more than the solve itself.  Pass
       ``safeguard=True`` when using steep utilities (e.g. FCT with a small
-      epsilon);
-    * ``kernel`` selects the dual-evaluation kernel (``"numpy"``/``"numba"``,
-      ``None`` for ``REPRO_KERNEL``).
+      epsilon).
     """
 
     def __init__(
@@ -161,13 +159,11 @@ class OracleRatePolicy(RatePolicy):
         scale_refresh_interval: int = 32,
         safeguard: bool = False,
         tolerance: float = 1e-9,
-        kernel: Optional[str] = None,
     ):
         self._solver = PersistentDualSolver(
             tolerance=tolerance,
             scale_refresh_interval=scale_refresh_interval,
             safeguard=safeguard,
-            kernel=kernel,
         )
         self._cached: Optional[Mapping] = None
         self._epoch = 0
@@ -274,25 +270,18 @@ SCHEME_SIMULATORS: Dict[str, Callable] = {
 }
 
 
-def scheme_rate_policy(
-    scheme: str, params=None, kernel: Optional[str] = None
-) -> SimulatorRatePolicy:
-    """A :class:`SimulatorRatePolicy` for a named scheme on the vectorized engine.
-
-    ``kernel`` selects the compiled waterfill for simulators that accept one
-    (currently xWI/NUMFabric); schemes without a kernel path ignore it.
-    """
+def scheme_rate_policy(scheme: str, params=None) -> SimulatorRatePolicy:
+    """A :class:`SimulatorRatePolicy` for a named scheme on the vectorized engine."""
     try:
         simulator_cls = SCHEME_SIMULATORS[scheme]
     except KeyError:
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of {sorted(SCHEME_SIMULATORS)}"
         ) from None
-    extra = {"kernel": kernel} if simulator_cls is XwiFluidSimulator else {}
     # The policy only reads each record's rates (record_detail=False).
     return SimulatorRatePolicy(
         lambda network: simulator_cls(
-            network, params=params, backend="vectorized", record_detail=False, **extra
+            network, params=params, backend="vectorized", record_detail=False
         )
     )
 

@@ -44,7 +44,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fluid import kernels as _kernels
 from repro.fluid.network import FluidNetwork, FlowId, LinkId
 from repro.fluid.vectorized import (
     CompiledFluidNetwork,
@@ -197,7 +196,6 @@ def solve_num(
     tolerance: float = 1e-9,
     backend: str = "vectorized",
     safeguard: bool = True,
-    kernel: Optional[str] = None,
 ) -> OracleResult:
     """Solve ``max sum_i U_i(x_i)`` s.t. ``Rx <= c`` for single-path flows.
 
@@ -216,13 +214,6 @@ def solve_num(
         When true (default), the solution is checked against the max-min
         allocation and a primal SLSQP fallback is attempted if the dual
         stalled (very steep utilities).
-    kernel:
-        ``"numba"`` evaluates the dual objective/gradient with the fused
-        compiled kernel of :mod:`repro.fluid.kernels` (vectorized backend,
-        closed-form utility families only; silently keeps the NumPy
-        closures otherwise).  ``None`` defers to the ``REPRO_KERNEL``
-        environment variable.  Parity with the NumPy closures is gated at
-        the oracle's established 1e-6.
 
     Links carrying no flows are excluded from the dual and reported with a
     price of exactly zero (their capacity cannot constrain anything).
@@ -242,7 +233,7 @@ def solve_num(
     problem = _DualProblem(compiled)
     if not problem.active_idx.size:
         return problem.idle_result(network)
-    problem.bind(_scale_medians(compiled)[1], _kernels.resolve_kernel(kernel))
+    problem.bind(_scale_medians(compiled)[1])
     minimised = _cold_minimize(
         problem.dual_and_gradient, len(problem.active_idx), max_iterations, tolerance
     )
@@ -503,46 +494,6 @@ def _solve_num_scalar(
                    maxmin_rates, maxmin_objective, max_iterations)
 
 
-def _kernel_dual_closure(problem: "_DualProblem", scale_vec: np.ndarray, objective_scale: float):
-    """Fused compiled dual objective/gradient closure, or ``None``.
-
-    Builds the CSR index arrays of ``problem.hops`` and binds them, the
-    family-coded utility parameters and preallocated price/rate buffers into
-    a closure around :func:`repro.fluid.kernels.fused_dual_csr_kernel`.
-    Returns ``None`` when numba is unavailable or the utility population is
-    not fully closed-form -- callers then keep their NumPy closures, which
-    is also why a fresh gradient array is returned per call (the minimizers
-    hold ``y = g_new - g`` across iterations).
-    """
-    if not _kernels.HAVE_NUMBA:
-        return None
-    family = problem.compiled.vec_utils.kernel_family_arrays()
-    if family is None:
-        return None
-    capacities = problem.capacities
-    n_links, n_flows = capacities.size, problem.hops.shape[1]
-    csr = _kernels.csr_from_path_links(problem.hops.T, n_links)
-    code = np.ascontiguousarray(family[0])
-    p0, p1, p2, p3 = (np.ascontiguousarray(row) for row in family[1:])
-    path_caps = np.ascontiguousarray(problem.path_caps)
-    floors = np.ascontiguousarray(problem.floors)
-    prices_buf = np.empty(n_links)
-    rates_buf = np.empty(n_flows)
-    inv_scale = 1.0 / objective_scale
-    body = _kernels.fused_dual_csr_kernel
-
-    def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
-        gradient = np.empty(n_links)
-        value = body(
-            np.ascontiguousarray(z), scale_vec, capacities, *csr,
-            code, p0, p1, p2, p3, path_caps, floors, inv_scale,
-            prices_buf, rates_buf, gradient,
-        )
-        return float(value), gradient
-
-    return dual_and_gradient
-
-
 class _DualProblem:
     """The scaled dual of one compiled flow set, assembled once for both solvers.
 
@@ -601,12 +552,8 @@ class _DualProblem:
                             objective=network.total_utility(rates),
                             iterations=0, converged=True)
 
-    def bind(self, scale_vec: np.ndarray, kernel: str) -> None:
-        """Fix the price scale (``p_l = scale_l * z_l``) and build the closures.
-
-        ``kernel`` is a resolved kernel name; ``"numba"`` swaps in the fused
-        compiled closure when the utility population allows it.
-        """
+    def bind(self, scale_vec: np.ndarray) -> None:
+        """Fix the price scale (``p_l = scale_l * z_l``) and build the closures."""
         vec_utils = self.compiled.vec_utils
         hops, capacities = self.hops, self.capacities
         path_caps, floors = self.path_caps, self.floors
@@ -635,11 +582,6 @@ class _DualProblem:
             gradient = capacities - link_sums(rates)
             gradient *= gradient_scale
             return value / objective_scale, gradient
-
-        if kernel == "numba":
-            fused = _kernel_dual_closure(self, scale_vec, objective_scale)
-            if fused is not None:
-                dual_and_gradient = fused
 
         self.scale_vec = scale_vec
         self.objective_scale = objective_scale
@@ -780,14 +722,11 @@ class PersistentDualSolver:
         max_iterations: int = 2000,
         scale_refresh_interval: int = 32,
         safeguard: bool = False,
-        kernel: Optional[str] = None,
     ):
         self.tolerance = tolerance
         self.max_iterations = max_iterations
         self.scale_refresh_interval = scale_refresh_interval
         self.safeguard = safeguard
-        #: Dual-evaluation kernel, resolved once (honors ``REPRO_KERNEL``).
-        self.kernel = _kernels.resolve_kernel(kernel)
         self._network = network
         self._scale_fill = 1.0
         self.reset()
@@ -869,7 +808,7 @@ class PersistentDualSolver:
         active_idx = problem.active_idx
         if not active_idx.size:
             return problem.idle_result(network)
-        problem.bind(self._scale_for(compiled, active_idx), self.kernel)
+        problem.bind(self._scale_for(compiled, active_idx))
 
         if self._warm:
             z0 = np.maximum(self._prices_full[active_idx], 0.0) / problem.scale_vec

@@ -78,23 +78,11 @@ from repro.core.utility import (
     Utility,
     WeightedAlphaFairUtility,
 )
-from repro.fluid import kernels as _kernels
-
-# Utility family codes live in repro.fluid.kernels (the import leaf) so the
-# compiled kernels and the NumPy evaluators share one source of truth.
-from repro.fluid.kernels import (  # noqa: F401  (re-exported for the tests)
-    _EXCLUDED,
-    _FAM_ALPHA,
-    _FAM_FALLBACK,
-    _FAM_FCT,
-    _FAM_LOG,
-    _FAM_POWER,
-    _FAM_WALPHA,
-    csr_from_path_links,
-    resolve_kernel,
-)
 from repro.fluid import network as _network
 from repro.fluid.network import FluidFlow, FluidNetwork, FlowId, LinkId
+
+#: Utility family codes stored per slot by :class:`VectorizedUtilities`.
+_EXCLUDED, _FAM_LOG, _FAM_ALPHA, _FAM_WALPHA, _FAM_FCT, _FAM_POWER, _FAM_FALLBACK = range(7)
 
 
 # Per-family closed forms, shared by the batched and the one-family
@@ -321,24 +309,6 @@ class VectorizedUtilities:
         """True when no flow needs the per-flow scalar fallback."""
         return self.single_family() is not None or not self._fallback
 
-    def kernel_family_arrays(
-        self,
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Slot-order ``(code, p0, p1, p2, p3)`` arrays for the fused kernel.
-
-        Returns ``None`` unless *every* slot belongs to a closed-form family
-        (log / alpha-fair / weighted-alpha-fair / FCT) -- generic power-law
-        and fallback utilities evaluate their value through per-flow scalar
-        calls, which the nopython kernel cannot reach, and excluded
-        (multipath) slots carry no utility of their own.  The returned
-        arrays are contiguous views of the slot store: treat as read-only.
-        """
-        code = self._code[: self.n]
-        if code.size and not np.all((code >= _FAM_LOG) & (code <= _FAM_FCT)):
-            return None
-        params = self._params
-        return (code,) + tuple(params[row, : self.n] for row in range(4))
-
     def marginal(self, rates: np.ndarray) -> np.ndarray:
         """Elementwise ``U_i'(rates[..., i])``; excluded indices are left at 0.
 
@@ -456,8 +426,6 @@ class CompiledFluidNetwork:
         "_path_caps",
         "_path_caps_version",
         "_link_ext",
-        "_csr",
-        "_csr_version",
         "_flow_id_snapshot",
         "_bindings_seen",
     )
@@ -496,8 +464,6 @@ class CompiledFluidNetwork:
         self._path_caps_version: int = -1
         # A per-link vector plus the sentinel's zero, for path_prices' take.
         self._link_ext = np.zeros(n_links + 1)
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
-        self._csr_version: int = -1
         self._flow_id_snapshot = (self.version, tuple(self.flow_ids))
         # The utilities above were read just now, so every rebind counted so
         # far is already reflected in ``vec_utils`` (see ``_rebound_slots``).
@@ -742,19 +708,6 @@ class CompiledFluidNetwork:
             picked = [values.get(link, 0.0) for link in self.link_ids]
         return np.array(picked, dtype=float, ndmin=1)
 
-    def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSR index arrays of the incidence for the compiled kernels.
-
-        Built from :attr:`path_links` (O(nnz log nnz), no dense scan) and
-        memoized on the topology version (column edits always bump it), so
-        per-iteration kernel callers pay it once per churn batch, not once
-        per solve.  Treat the arrays as read-only.
-        """
-        if self._csr is None or self._csr_version != self.version:
-            self._csr = csr_from_path_links(self.path_links, len(self.link_ids))
-            self._csr_version = self.version
-        return self._csr
-
 
 def compile_network(network: FluidNetwork) -> CompiledFluidNetwork:
     """Compile the network's current flow set into array form."""
@@ -988,7 +941,7 @@ class CompiledMaxMin:
     """
 
     __slots__ = ("flow_ids", "link_ids", "incidence", "incidence_f", "path_links",
-                 "_flow_index", "_capacities", "_link_index", "_csr")
+                 "_flow_index", "_capacities", "_link_index")
 
     def __init__(
         self,
@@ -1017,7 +970,6 @@ class CompiledMaxMin:
             dtype=float,
             count=len(self.link_ids),
         )
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_network(cls, network: FluidNetwork) -> "CompiledMaxMin":
@@ -1056,34 +1008,23 @@ class CompiledMaxMin:
         rates = self.solve_array(weight_vec, self._capacity_vector(capacities))
         return dict(zip(self.flow_ids, rates.tolist()))
 
-    def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSR index arrays of the compiled incidence (built once, cached)."""
-        if self._csr is None:
-            self._csr = csr_from_path_links(self.path_links, len(self.link_ids))
-        return self._csr
-
     def solve_array(
         self,
         weight_vec: np.ndarray,
         capacity_vec: Optional[np.ndarray] = None,
         stats: Optional[Dict[str, int]] = None,
-        kernel: Optional[str] = None,
     ) -> np.ndarray:
         """Zero-overhead solve: weights in, rates out, both in compiled order.
 
         ``stats`` is forwarded to :func:`waterfill_arrays` (freezing-round /
-        distinct-level counters); ``kernel`` selects the compiled waterfill
-        (the CSR index arrays are cached across solves).
+        distinct-level counters).
         """
-        kernel = resolve_kernel(kernel)
         return waterfill_arrays(
             self.incidence,
             self.incidence_f,
             weight_vec,
             self._capacities if capacity_vec is None else capacity_vec,
             stats=stats,
-            kernel=kernel,
-            csr=self.csr_arrays() if kernel == "numba" else None,
             path_links=self.path_links,
         )
 
@@ -1198,8 +1139,6 @@ def waterfill_arrays(
     capacities: np.ndarray,
     batch_ties: bool = True,
     stats: Optional[Dict[str, int]] = None,
-    kernel: Optional[str] = None,
-    csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
     path_links: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Weighted max-min water-filling on the compiled incidence structure.
@@ -1232,29 +1171,7 @@ def waterfill_arrays(
     (the before/after reference for the perf harness).  ``stats``, when
     given, receives ``"rounds"`` (freezing rounds executed) and ``"levels"``
     (distinct fair-share levels frozen) for the round-count accounting.
-
-    ``kernel="numba"`` runs the compiled CSR freeze-round loop of
-    :func:`repro.fluid.kernels.waterfill_csr` instead (same fixed point and
-    wave schedule, 1e-9 parity gates).  It resolves through
-    :func:`repro.fluid.kernels.resolve_kernel`, so without numba installed
-    this NumPy path runs unchanged.  ``csr``, when given, must be the
-    :func:`~repro.fluid.kernels.csr_from_path_links` arrays of
-    ``path_links`` (repeat callers cache them, see ``csr_arrays()``); it is
-    ignored on the NumPy path.
     """
-    if resolve_kernel(kernel) == "numba":
-        if csr is None:
-            if path_links is None:
-                path_links = path_links_from_incidence(incidence)
-            csr = csr_from_path_links(path_links, len(capacities))
-        rates, rounds, link_level = _kernels.waterfill_csr(
-            *csr, weights, capacities, batch_ties=batch_ties
-        )
-        if stats is not None:
-            frozen_levels = link_level[np.isfinite(link_level)]
-            stats["rounds"] = rounds
-            stats["levels"] = int(np.unique(frozen_levels).size)
-        return rates
     if batch_ties:
         if path_links is None:
             path_links = path_links_from_incidence(incidence)

@@ -46,7 +46,6 @@ from repro.fluid.vectorized import (
     VectorizedBackendMixin,
     dict_of,
     price_update_arrays,
-    resolve_kernel,
     state_view,
     waterfill_arrays,
 )
@@ -101,16 +100,10 @@ class XwiFluidSimulator(VectorizedBackendMixin):
         initial_price: float = 0.0,
         backend: str = "scalar",
         record_detail: bool = True,
-        kernel: Optional[str] = None,
     ):
         self.network = network
         self.params = params or NumFabricParameters()
         self.backend = self._check_backend(backend, "xWI")
-        #: Waterfill kernel for the vectorized backend ("numpy"/"numba");
-        #: resolved once at construction (honoring ``REPRO_KERNEL``), so the
-        #: per-step dispatch is a string compare and the fallback warning
-        #: fires at most once per simulator.
-        self.kernel = resolve_kernel(kernel)
         #: When false, per-step records carry only the rates (prices and
         #: weights are left empty) -- the policy-driven dynamic experiments
         #: read nothing else.  On the vectorized backend the detail vectors
@@ -202,8 +195,6 @@ class XwiFluidSimulator(VectorizedBackendMixin):
             None,
             weight_vec,
             capacities,
-            kernel=self.kernel,
-            csr=compiled.csr_arrays() if self.kernel == "numba" else None,
             path_links=compiled.path_links,
         )
 

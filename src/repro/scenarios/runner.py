@@ -350,10 +350,10 @@ def _flow_policy_factory(spec: ScenarioSpec) -> Callable[[], object]:
     needs: a restored :class:`SimulatorRatePolicy` that never built its
     simulator carries no state and is rebuilt fresh from the spec.
 
-    ``spec.scheme.options`` (e.g. ``kernel="numba"``) are checked against
-    the policy's parameters here, at the boundary, so a misspelt option is
-    a :class:`ValueError` naming it rather than a ``TypeError`` from inside
-    the run.
+    ``spec.scheme.options`` (e.g. the Oracle's ``safeguard=True``) are
+    checked against the policy's parameters here, at the boundary, so a
+    misspelt option is a :class:`ValueError` naming it rather than a
+    ``TypeError`` from inside the run.
     """
     from repro.experiments.dynamic_fluid import OracleRatePolicy, scheme_rate_policy
 
@@ -425,7 +425,9 @@ def _run_flow(spec: ScenarioSpec, result: ExperimentResult) -> None:
 #: key list parallel to its entries.  Version 4: compiled fluid snapshots
 #: key their path-capacity memo on the capacity version, utility batches
 #: remember a single family, and ``RateGather`` keeps its extended buffer.
-CHECKPOINT_VERSION = 4
+#: Version 5: compiled fluid snapshots lost their CSR cache slots, and the
+#: xWI simulator and the persistent dual solver their ``kernel`` attribute.
+CHECKPOINT_VERSION = 5
 
 
 def _checkpoint_fingerprint(spec: ScenarioSpec) -> str:

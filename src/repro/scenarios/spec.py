@@ -84,7 +84,7 @@ class SchemeSpec:
     ``RCP*``, ``DCTCP``, ``pFabric``) or ``Oracle`` (solve the NUM problem
     directly).  ``params`` is the scheme's parameter dataclass (or None for
     Table 2 defaults); ``options`` are forwarded to the flow engine's rate
-    policy (e.g. ``kernel="numba"``) and validated by the runner.
+    policy (e.g. the Oracle's ``safeguard=True``) and validated by the runner.
     """
 
     name: str = "NUMFabric"

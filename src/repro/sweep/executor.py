@@ -202,9 +202,6 @@ class _Worker:
     #: True once any message arrived; until then silence is judged by
     #: ``spawn_timeout``, so a slow start is not mistaken for death.
     contacted: bool = False
-    #: True once it acked "start" for any task: later start acks get the
-    #: (short) start-ack deadline.
-    ever_started: bool = False
     #: The pipe reported EOF: death evidence the health check acts on at
     #: once instead of waiting out the stall detector.
     eof: bool = False
@@ -243,12 +240,13 @@ class WorkerPool:
         self.stall_timeout = (
             stall_timeout if stall_timeout is not None else max(10.0 * heartbeat_interval, 5.0)
         )
-        #: How long a fresh worker may take to report in and to ack its first
-        #: ``start``: the fork, on a machine that may be loaded.
+        #: How long a fresh worker may stay silent before its first message
+        #: (hello or heartbeat): the fork, on a machine that may be loaded.
         self.spawn_timeout = spawn_timeout
-        #: The "start" ack deadline of a *warm* worker.  It catches a main
-        #: thread that wedged or died before the ack while the heartbeat
-        #: thread kept the stall detector happy.
+        #: The "start" ack deadline of every dispatch, a worker's first
+        #: included (a fork acks its first task as fast as its later ones).
+        #: It catches a main thread that wedged or died before the ack while
+        #: the heartbeat thread kept the stall detector happy.
         self.start_ack_timeout = (
             start_ack_timeout if start_ack_timeout is not None else self.stall_timeout
         )
@@ -290,7 +288,6 @@ class WorkerPool:
                 worker.last_heartbeat = now
                 if message["type"] == "start":
                     worker.started_at = now
-                    worker.ever_started = True
                 elif message["type"] in ("done", "error"):
                     worker.job = None
                 else:  # the worker's own hello / heartbeat
@@ -378,10 +375,9 @@ class WorkerPool:
             return "crash", f"worker process died (exit code {worker.process.exitcode})"
         if worker.job is None:
             return None
-        if worker.started_at is None:
-            grace = self.start_ack_timeout if worker.ever_started else self.spawn_timeout
-            if now - worker.dispatched_at > grace:
-                return "dead-worker", f"no start ack within {grace:.1f}s of dispatch"
+        grace = self.start_ack_timeout
+        if worker.started_at is None and now - worker.dispatched_at > grace:
+            return "dead-worker", f"no start ack within {grace:.1f}s of dispatch"
         silent = now - worker.last_heartbeat
         limit = self.stall_timeout if worker.contacted else self.spawn_timeout
         if silent > limit:

@@ -345,6 +345,34 @@ class TestPersistentDualSolver:
             assert _max_rel_rate_diff(cold.rates, warm.rates) <= 1e-6
             assert warm.converged
 
+    def test_drain_and_refill_leaf_spine_holds_the_rate_gate(self):
+        """Half the flows leave one by one and return: 1e-6 rates throughout.
+
+        A log-utility leaf-spine whose dual is not flat (unlike the grid's
+        ``leaf_spine_log``), so the drain/refill trace runs under the rate
+        gate rather than only the objective gate.
+        """
+        rng = random.Random(5)
+        capacities = {f"leaf{i}": 10e9 for i in range(6)}
+        capacities.update({f"spine{i}": 40e9 for i in range(3)})
+        network = FluidNetwork(capacities)
+        for flow_id in range(40):
+            src, dst = rng.sample(range(6), 2)
+            path = (f"leaf{src}", f"spine{rng.randrange(3)}", f"leaf{dst}")
+            network.add_flow(
+                FluidFlow(flow_id, path, LogUtility(weight=rng.uniform(0.5, 4.0)))
+            )
+        solver = PersistentDualSolver()
+        for op, flow in self._churn_trace(network):
+            if op == "remove":
+                network.remove_flow(flow.flow_id)
+            else:
+                network.add_flow(flow)
+            warm = solver.solve(network)
+            cold = _cold_scipy(network)
+            assert network.is_feasible(warm.rates, tolerance=1e-6)
+            assert _max_rel_rate_diff(cold.rates, warm.rates) <= 1e-6
+
     def test_one_shot_spg_solver_matches_scipy(self):
         """A fresh solver's first solve is the one-shot cold SPG solve."""
         for name, network in _parity_grid().items():

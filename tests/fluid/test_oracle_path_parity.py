@@ -7,11 +7,6 @@ reference assembled *here* from ``path_links`` (1e-12 relative), on the
 shapes where padding, the sentinel and the remap matter: ragged 1/2/4-hop
 rows, links that carry no flow, zero-capacity links that do, a single flow,
 mixed utility families and the slot order a churned snapshot is left in.
-
-The module runs in the numba-free matrix and in the ``tests-numba`` CI leg;
-closures are bound with ``kernel="numpy"`` explicitly, so both legs compare
-the same NumPy arithmetic (the fused kernel has its own gate in
-``test_kernels.py``).
 """
 
 import random
@@ -136,7 +131,7 @@ def bound_pair(compiled, seed):
     problem = oracle._DualProblem(compiled)
     rng = np.random.default_rng(seed)
     scale_vec = rng.uniform(0.5, 2.0, problem.active_idx.size) / problem.capacities
-    problem.bind(scale_vec, "numpy")
+    problem.bind(scale_vec)
     return problem, DenseDual(compiled, scale_vec), rng
 
 

@@ -6,10 +6,6 @@ the dense link x flow incidence.  These tests pin each primitive to the
 scalar / dict implementation at 1e-9 on the shapes where the padding and the
 sentinel entry matter: empty flow sets, a single flow, ragged path lengths,
 zero-capacity links, exact ties and links that carry no flow.
-
-The module runs in the numba-free matrix and in the ``tests-numba`` CI leg
-(``REPRO_KERNEL=numba``), where ``waterfill_arrays`` reads the
-``path_links``-derived CSR arrays instead of the NumPy rounds.
 """
 
 import math
@@ -19,9 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _dense_reference import build_csr
 from _strategies import build_network, instances
-from repro.fluid.kernels import csr_from_path_links, waterfill_csr
 from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidNetwork
 from repro.fluid.vectorized import (
@@ -178,38 +172,7 @@ class TestLinkFlowReductions:
         assert single.link_vector({}).tolist() == [0.0]
 
 
-class TestCsrFromPathLinks:
-    @settings(max_examples=100, deadline=None)
-    @given(instance=instances())
-    def test_same_adjacency_as_the_dense_scan(self, instance):
-        capacities, paths, _ = instance
-        compiled = compile_network(build_network(capacities, paths))
-        dense = build_csr(compiled.incidence)
-        sparse = compiled.csr_arrays()
-        for dense_array, sparse_array in zip(dense, sparse):
-            assert sparse_array.dtype == np.int64 and sparse_array.flags.c_contiguous
-            assert sparse_array.shape == dense_array.shape
-        link_ptr, link_cols, flow_ptr, flow_rows = sparse
-        np.testing.assert_array_equal(link_ptr, dense[0])
-        np.testing.assert_array_equal(link_cols, dense[1])  # flows ascending per link
-        np.testing.assert_array_equal(flow_ptr, dense[2])
-        for j, flow in enumerate(compiled.flows):  # links in path order per flow
-            hops = flow_rows[flow_ptr[j] : flow_ptr[j + 1]].tolist()
-            assert [compiled.link_ids[i] for i in hops] == list(flow.path)
-
-    @settings(max_examples=100, deadline=None)
-    @given(instance=instances())
-    def test_kernel_waterfill_on_path_links_csr(self, instance):
-        # The kernel body (its pure-Python twin without numba) traversing
-        # the path_links-derived arrays reaches the scalar allocation.
-        capacities, paths, weights = instance
-        compiled = compile_network(build_network(capacities, paths))
-        weight_vec = np.array([weights[flow_id] for flow_id in compiled.flow_ids], dtype=float)
-        rates, _, _ = waterfill_csr(
-            *compiled.csr_arrays(), weight_vec, compiled.capacities_vector(), batch_ties=True
-        )
-        assert_rates_match(compiled.flow_ids, rates, weighted_max_min(weights, paths, capacities))
-
+class TestPathLinksFromIncidence:
     @settings(max_examples=100, deadline=None)
     @given(instance=instances())
     def test_derived_path_links_round_trip(self, instance):
@@ -217,7 +180,3 @@ class TestCsrFromPathLinks:
         compiled = compile_network(build_network(capacities, paths))
         derived = path_links_from_incidence(compiled.incidence)
         np.testing.assert_array_equal(derived, np.sort(compiled.path_links, axis=1))
-        for dense_array, sparse_array in zip(
-            build_csr(compiled.incidence), csr_from_path_links(derived, len(capacities))
-        ):
-            np.testing.assert_array_equal(sparse_array, dense_array)

@@ -1,5 +1,7 @@
 """Tests for the declarative scenario subsystem (spec, registry, runner)."""
 
+import re
+
 import pytest
 
 from repro.scenarios import (
@@ -21,6 +23,9 @@ from repro.workloads.hotspot import HotspotTrafficGenerator
 from repro.workloads.incast import IncastTrafficGenerator
 from repro.workloads.trace import arrivals_from_trace, trace_from_arrivals
 from repro.workloads.distributions import web_search_distribution
+
+#: What the runner lists as accepted for an ``Oracle`` scheme's options.
+_ORACLE_OPTIONS = "['safeguard', 'scale_refresh_interval', 'tolerance']"
 
 
 class TestSpec:
@@ -316,15 +321,21 @@ class TestRunnerFlowAndPacket:
             run_scenario(spec)
 
     @pytest.mark.parametrize(
-        "scheme_spec, option",
+        "scheme_spec, option, accepted",
         [
-            (oracle_scheme(solver="scipy"), "solver"),  # a knob that no longer exists
-            (scheme("NUMFabric", kernal="numba"), "kernal"),  # a misspelt one
+            # knobs that no longer exist
+            (oracle_scheme(solver="scipy"), "solver", _ORACLE_OPTIONS),
+            (scheme("NUMFabric", kernel="numba"), "kernel", "[]"),
+            # a misspelt one
+            (oracle_scheme(safegaurd=True), "safegaurd", _ORACLE_OPTIONS),
         ],
     )
-    def test_unknown_scheme_option_is_a_value_error_naming_it(self, scheme_spec, option):
+    def test_unknown_scheme_option_is_a_value_error_naming_it(
+        self, scheme_spec, option, accepted
+    ):
         spec = get_scenario("unit/dumbbell-websearch")
-        with pytest.raises(ValueError, match=rf"option\(s\) \['{option}'\].*'kernel'"):
+        expected = rf"option\(s\) \['{option}'\]; accepted: {re.escape(accepted)}$"
+        with pytest.raises(ValueError, match=expected):
             run_scenario(spec, scheme=scheme_spec, seed=5)
 
     def test_known_scheme_options_reach_the_policy(self):

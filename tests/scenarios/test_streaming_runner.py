@@ -129,10 +129,11 @@ class TestCheckpointResume:
         # Version 1 predates OracleRatePolicy / PersistentDualSolver losing
         # their solver-selection attributes; version 2 pickled the fluid
         # simulators' state as dicts and GK sketches slot by slot; version 3
-        # keyed the path-capacity memo on a capacity copy: such checkpoints
-        # must not resume.
-        assert CHECKPOINT_VERSION == 4
-        for version in (1, 2, 3, CHECKPOINT_VERSION + 1):
+        # keyed the path-capacity memo on a capacity copy; version 4 pickled
+        # compiled snapshots with CSR cache slots: such checkpoints must not
+        # resume.
+        assert CHECKPOINT_VERSION == 5
+        for version in (1, 2, 3, 4, CHECKPOINT_VERSION + 1):
             write_checkpoint(path, {"version": version, "spec_fingerprint": "x"})
             with pytest.raises(ValueError, match="format version"):
                 load_checkpoint(path, spec)
