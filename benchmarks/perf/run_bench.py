@@ -16,7 +16,8 @@ Times (stdlib ``time.perf_counter`` only, no external dependencies):
 * the *persistent* dynamic Oracle
   (:class:`repro.fluid.oracle.PersistentDualSolver`) against a cold
   :func:`~repro.fluid.oracle.solve_num` per event on a churn trace, gated
-  at 1e-6 against tightly converged cold solves;
+  at 1e-6 against tightly converged scipy L-BFGS-B solves (the test-side
+  reference of ``tests/fluid/_oracle_reference.py``);
 * incremental incidence compilation
   (:meth:`repro.fluid.vectorized.CompiledFluidNetwork.refresh`) against a
   full recompile per churn event, with a column-for-column equality check;
@@ -50,7 +51,7 @@ Any scheme whose vectorized allocation drifts more than 1e-9 (relative)
 from its scalar reference aborts the run with a loud error -- the harness
 doubles as a coarse parity canary.  The flow-level dict/array pair is held
 to the same 1e-9; the Oracle pair is held to 1e-6, because its two
-backends run the same L-BFGS-B solve on reassociated floating-point sums
+backends run the same SPG solve on reassociated floating-point sums
 and may stop at marginally different points of the same optimum.
 
 Results are written as JSON to ``BENCH_fluid.json`` at the repository root
@@ -111,9 +112,12 @@ from repro.workloads.poisson import PoissonTrafficGenerator
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_fluid.json")
+#: Home of the test-side Oracle reference (scipy L-BFGS-B) the
+#: ``oracle_persistent`` gate compares against.
+_REFERENCE = os.path.join(REPO_ROOT, "tests", "fluid")
 
 PARITY_TOLERANCE = 1e-9
-#: The Oracle's two backends run the same L-BFGS-B solve on reassociated
+#: The Oracle's two backends run the same SPG solve on reassociated
 #: floating-point sums, so their stopping points can differ marginally even
 #: though they bracket the same optimum; the bench gate is coarser than the
 #: 1e-9 the test-suite parity grid enforces on well-conditioned problems.
@@ -351,9 +355,13 @@ def bench_oracle_persistent(flow_counts: List[int], events: int) -> List[Dict]:
     per event (how the semi-dynamic fluid scenario of Fig. 4 gets its
     reference allocation) and once with the :class:`PersistentDualSolver`
     (the flow engine's Oracle policy) -- and checks the persistent rates
-    per event against a *tightly converged* cold solve (at scipy's default
-    ftol, its own stopping slack is larger than the gate).
+    per event against a *tightly converged* external solve: scipy L-BFGS-B
+    on the same dual at ``ftol=1e-14``, the tests' reference.
     """
+    if _REFERENCE not in sys.path:
+        sys.path.insert(0, _REFERENCE)
+    from _oracle_reference import cold_lbfgsb
+
     rows = []
     for n_flows in flow_counts:
         trace = _churn_trace(build_network(n_flows, seed=5, utilities="log"), events)
@@ -378,9 +386,7 @@ def bench_oracle_persistent(flow_counts: List[int], events: int) -> List[Dict]:
         max_diff = 0.0
         for event, warm in zip(trace, persistent_results):
             _apply_churn_event(network, event)
-            cold = solve_num(
-                network, tolerance=1e-14, max_iterations=20000, safeguard=False
-            )
+            cold = cold_lbfgsb(network)
             max_diff = max(max_diff, _max_rel_rate_diff(cold.rates, warm.rates))
         rows.append(
             {

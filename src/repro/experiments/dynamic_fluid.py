@@ -141,7 +141,7 @@ class OracleRatePolicy(RatePolicy):
 
     A thin owner of a :class:`~repro.fluid.oracle.PersistentDualSolver`,
     which keeps prices, curvature, conditioning *and* the compiled incidence
-    alive across flow-set changes -- no scipy per-call setup, no per-event
+    alive across flow-set changes -- no cold restart per event, no per-event
     recompiles.  The arguments are the solver's:
 
     * the price-scale conditioning is refreshed only every

@@ -5,7 +5,8 @@ the current topology and flow set, against which the distributed schemes are
 judged.  We implement two solvers:
 
 * :func:`solve_num` -- single-path flows.  Solves the *dual* problem (over
-  link prices) with L-BFGS-B.  The dual is smooth because the utilities are
+  link prices) with the in-repo projected spectral-gradient loop of
+  :func:`_spg_minimize`.  The dual is smooth because the utilities are
   strictly concave, and its dimension is the number of links actually
   carrying flows, which is far smaller than the number of flows in
   datacenter scenarios, so this scales to thousands of flows easily.
@@ -17,21 +18,26 @@ judged.  We implement two solvers:
 Every single-path solve is the same scaled dual problem, assembled once by
 :class:`_DualProblem` from a :class:`CompiledFluidNetwork`'s ``path_links``
 (an evaluation is O(flows x hops) gathers and one ``bincount``; no dense
-link x flow matrix exists); the two entry points differ only in start
-point, preconditioner and minimiser:
+link x flow matrix exists), and minimised by the same SPG loop; the two
+entry points differ only in start point and preconditioner:
 
-* :func:`solve_num` -- the *cold reference*: ``z = 0.5`` and scipy
-  L-BFGS-B, the external minimiser every parity gate compares against.
-  scipy is imported by the functions that call it, never by ``import repro``.
+* :func:`solve_num` -- the *cold* solve: :meth:`_DualProblem.cold_start`,
+  ``z = 0.5`` with the Jacobi (diagonal-Hessian) preconditioner.
 * :class:`PersistentDualSolver` -- the *production* path of the dynamic
   experiments (Fig. 5/7): it keeps prices, conditioning, the spectral step
   *and* the compiled snapshot alive across flow-set changes (patched
-  incrementally from the network's churn journal) and minimises with the
-  in-repo projected spectral-gradient loop of :func:`_spg_minimize` --
-  scipy's per-call workspace setup would dominate a warm dynamic solve.
+  incrementally from the network's churn journal); its first solve is the
+  same cold start.
+
+No single-path solve imports scipy.  Only :func:`solve_num_multipath` and
+the safeguard's SLSQP fallback do, inside the function that calls it, never
+by ``import repro``.  The external reference the tight Oracle gates compare
+against -- scipy L-BFGS-B on the same scaled dual -- lives with the tests
+(``tests/fluid/_oracle_reference.py``).
 
 ``solve_num(backend="scalar")`` is the per-flow reference implementation
-that ``tests/fluid/test_oracle.py`` pins the array dual to on a grid of
+of the dual (same cold start, its own per-flow Jacobi loop) that
+``tests/fluid/test_oracle.py`` pins the array dual to on a grid of
 topologies and utility families; no layer above selects it.
 """
 
@@ -199,10 +205,10 @@ def solve_num(
 ) -> OracleResult:
     """Solve ``max sum_i U_i(x_i)`` s.t. ``Rx <= c`` for single-path flows.
 
-    The cold reference solve: every call starts from ``z = 0.5`` and
-    minimises the dual with scipy L-BFGS-B.  Flows that belong to a group
-    (multipath aggregates) are not supported here; use
-    :func:`solve_num_multipath`.
+    The cold solve: every call starts from ``z = 0.5`` with the Jacobi
+    preconditioner and minimises the dual with :func:`_spg_minimize`.
+    Flows that belong to a group (multipath aggregates) are not supported
+    here; use :func:`solve_num_multipath`.
 
     Parameters
     ----------
@@ -211,9 +217,11 @@ def solve_num(
         :class:`_DualProblem`) or ``"scalar"`` (the per-flow reference
         implementation the parity tests compare against).
     safeguard:
-        When true (default), the solution is checked against the max-min
-        allocation and a primal SLSQP fallback is attempted if the dual
-        stalled (very steep utilities).
+        When true (default), the better of the dual's allocation and the
+        max-min allocation is returned, reported converged when it attains
+        the dual bound within ``tolerance`` (the dual's allocation also when
+        the minimiser converged), and a primal SLSQP fallback is attempted
+        otherwise (very steep utilities).
 
     Links carrying no flows are excluded from the dual and reported with a
     price of exactly zero (their capacity cannot constrain anything).
@@ -234,31 +242,12 @@ def solve_num(
     if not problem.active_idx.size:
         return problem.idle_result(network)
     problem.bind(_scale_medians(compiled)[1])
-    minimised = _cold_minimize(
-        problem.dual_and_gradient, len(problem.active_idx), max_iterations, tolerance
+    z0, precondition = problem.cold_start()
+    minimised = _spg_minimize(
+        problem.dual_and_gradient, z0, max_iterations, tolerance, precondition
     )
-    return problem.result(
-        network, problem.prices(minimised.x), int(minimised.nit), bool(minimised.success),
-        safeguard, max_iterations,
-    )
-
-
-def _cold_minimize(dual_and_gradient, n_links: int, max_iterations: int, tolerance: float):
-    """The cold reference minimisation: scipy L-BFGS-B over scaled prices ``z >= 0``.
-
-    Starts at half the scale estimate itself (``z = 0.5``) so multi-hop
-    paths are not wildly overpriced initially.
-    """
-    from scipy import optimize  # only the cold reference pays the import
-
-    return optimize.minimize(
-        dual_and_gradient,
-        np.full(n_links, 0.5, dtype=float),
-        jac=True,
-        bounds=[(0.0, None)] * n_links,
-        method="L-BFGS-B",
-        options={"maxiter": max_iterations, "ftol": tolerance, "gtol": 1e-12},
-    )
+    return problem.result(network, problem.prices(minimised.x), minimised,
+                          safeguard, max_iterations, tolerance)
 
 
 @dataclass
@@ -266,6 +255,7 @@ class _SpgResult:
     """Mirror of the scipy result fields the dual solvers consume."""
 
     x: np.ndarray
+    fun: float
     nit: int
     success: bool
     step: float
@@ -296,9 +286,9 @@ def _spg_minimize(
 ) -> _SpgResult:
     """Preconditioned projected spectral-gradient descent over ``z >= 0``.
 
-    The persistent solver's minimiser, replacing the per-call L-BFGS-B
-    setup: a projected Barzilai-Borwein step with a nonmonotone Armijo line
-    search, operating directly on the caller's arrays.  The dual is convex
+    The minimiser of every single-path dual solve, cold and warm: a
+    projected Barzilai-Borwein step with a nonmonotone Armijo line search,
+    operating directly on the caller's arrays.  The dual is convex
     and (piecewise) smooth, so the spectral step needs no curvature model
     -- and none of scipy's per-call workspace allocation, bound
     standardization and Fortran round trips.  The loop body is the
@@ -319,8 +309,8 @@ def _spg_minimize(
     :data:`_SPG_PGTOL` or the scaled objective stalls below ``tolerance``
     (relative) for :data:`_SPG_STALL_LIMIT` consecutive iterations while
     the projected gradient is already below :data:`_SPG_STALL_PGTOL` --
-    the ``ftol`` contract of the scipy path, guarded against BB's
-    nonmonotone plateaus.  ``initial_step`` carries the spectral
+    an L-BFGS-B-style ``ftol`` contract, guarded against BB's nonmonotone
+    plateaus.  ``initial_step`` carries the spectral
     (curvature) state across solves for :class:`PersistentDualSolver`.
     """
     z = np.maximum(np.asarray(z0, dtype=float), 0.0)
@@ -372,7 +362,7 @@ def _spg_minimize(
         ):
             success = True
             break
-    return _SpgResult(x=z, nit=nit, success=success, step=step)
+    return _SpgResult(x=z, fun=f, nit=nit, success=success, step=step)
 
 
 def _finish(
@@ -380,36 +370,47 @@ def _finish(
     flows,
     links: List[LinkId],
     result: OracleResult,
+    dual_value: float,
+    objective_scale: float,
+    tolerance: float,
     maxmin_rates: Optional[Dict[FlowId, float]],
     maxmin_objective: Optional[float],
     max_iterations: int,
 ) -> OracleResult:
-    """Apply the max-min sanity check / primal fallback shared by both backends.
+    """Apply the max-min safeguard and the optimality certificate shared by both backends.
 
-    The optimum can never be worse than plain max-min (a feasible
-    allocation).  For very steep utilities (alpha >= ~4) the dual becomes so
-    ill-conditioned that L-BFGS-B can stall far from the optimum; in that
-    case fall back to a primal SLSQP solve in normalized units, which is
-    slower but robust for the evaluation's problem sizes.
+    ``dual_value`` is the scaled dual at the minimiser's final prices, so
+    ``dual_value * objective_scale`` bounds the objective of every feasible
+    allocation from above (weak duality).  The better of the dual's
+    allocation and max-min is returned -- max-min replaces any dual answer
+    it beats -- and reported converged when it attains that bound within
+    ``tolerance`` (relative, in the scaled dual's units, like the
+    minimiser's own ``ftol``); the dual's own allocation also keeps the
+    minimiser's verdict.  For very steep utilities (alpha >= ~4) the dual
+    becomes so ill-conditioned that the minimiser can stall far from the
+    optimum; when the returned allocation is not converged, fall back to a
+    primal SLSQP solve in normalized units, which is slower but robust for
+    the evaluation's problem sizes.
     """
     if maxmin_objective is None:  # safeguard disabled
         return result
-    objective = result.objective
-    if (not result.converged or objective < maxmin_objective) and len(flows) <= _FALLBACK_MAX_FLOWS:
-        fallback = _solve_num_primal(network, max_iterations=max_iterations)
-        if fallback.objective >= objective:
-            return fallback
-    if objective < maxmin_objective:
-        # Even the fallback could not beat max-min (or the problem is too
-        # large for it); max-min itself is a feasible, better allocation.
-        return OracleResult(
+    best = result
+    if maxmin_objective > result.objective:
+        best = OracleResult(
             rates=maxmin_rates,
             prices={link: 0.0 for link in links},
             objective=maxmin_objective,
             iterations=result.iterations,
             converged=False,
         )
-    return result
+    gap = dual_value * objective_scale - best.objective
+    if gap <= tolerance * objective_scale * max(abs(dual_value), 1.0):
+        best.converged = True
+    if not best.converged and len(flows) <= _FALLBACK_MAX_FLOWS:
+        fallback = _solve_num_primal(network, max_iterations=max_iterations)
+        if fallback.objective >= best.objective:
+            return fallback
+    return best
 
 
 def _solve_num_scalar(
@@ -420,7 +421,13 @@ def _solve_num_scalar(
     tolerance: float,
     safeguard: bool,
 ) -> OracleResult:
-    """The per-flow reference implementation of the dual solve."""
+    """The per-flow reference implementation of the dual solve.
+
+    Same cold start and minimiser as the vectorized backend -- ``z = 0.5``,
+    the Jacobi preconditioner (here from its own per-flow loop) and
+    :func:`_spg_minimize` -- so the two backends' agreement tests the
+    dual's assembly, not two minimisers' stopping points.
+    """
     used = set()
     for flow in flows:
         used.update(flow.path)
@@ -473,7 +480,36 @@ def _solve_num_scalar(
         gradient = scale_vec * (capacities - load)
         return value / objective_scale, gradient / objective_scale
 
-    result = _cold_minimize(dual_and_gradient, len(active_links), max_iterations, tolerance)
+    def jacobi_precondition(z0: np.ndarray) -> np.ndarray:
+        """Per-flow twin of :meth:`_DualProblem.jacobi_precondition`."""
+        prices = scale_vec * z0
+        rates = primal_rates(prices)
+        curvature = np.zeros(len(active_links))
+        for flow in flows:
+            x = rates[flow.flow_id]
+            if not rate_floors[flow.flow_id] < x < rate_caps[flow.flow_id]:
+                continue
+            # alpha_eff of the power-law demand, as VectorizedUtilities.curvature_alpha
+            power = flow.utility.power_law_params()
+            alpha_eff = power[1] if power is not None and power[1] > 0.0 else 1.0
+            q = _path_price(prices, link_index, flow.path)
+            slope = x / (alpha_eff * max(q, 1e-300))
+            for link in flow.path:
+                index = link_index.get(link)
+                if index is not None:
+                    curvature[index] += slope
+        with np.errstate(divide="ignore", over="ignore"):
+            newton = objective_scale / (scale_vec**2 * curvature)
+        return np.where(
+            (curvature > 0.0) & np.isfinite(newton),
+            newton,
+            objective_scale / (scale_vec * capacities),
+        )
+
+    z0 = np.full(len(active_links), 0.5)
+    result = _spg_minimize(
+        dual_and_gradient, z0, max_iterations, tolerance, jacobi_precondition(z0)
+    )
     prices = scale_vec * np.maximum(result.x, 0.0)
     rates = primal_rates(prices)
     rates = _rescale_to_feasible(network, rates)
@@ -489,8 +525,8 @@ def _solve_num_scalar(
     for link in active_links:
         price_dict[link] = float(prices[link_index[link]])
     dual = OracleResult(rates=rates, prices=price_dict, objective=objective,
-                        iterations=int(result.nit), converged=bool(result.success))
-    return _finish(network, flows, links, dual,
+                        iterations=result.nit, converged=result.success)
+    return _finish(network, flows, links, dual, result.fun, objective_scale, tolerance,
                    maxmin_rates, maxmin_objective, max_iterations)
 
 
@@ -596,6 +632,16 @@ class _DualProblem:
         """``D_l = 1 / (scale_l * capacity_l)`` in objective units (see SPG)."""
         return self.objective_scale / (self.scale_vec * self.capacities)
 
+    def cold_start(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every cold solve's start: ``z = 0.5`` and its Jacobi preconditioner.
+
+        Half the scale estimate itself, so multi-hop paths are not wildly
+        overpriced initially.  Shared by :func:`solve_num` and a fresh
+        :class:`PersistentDualSolver`.
+        """
+        z0 = np.full(self.capacities.size, 0.5)
+        return z0, self.jacobi_precondition(z0)
+
     def jacobi_precondition(self, z0: np.ndarray) -> np.ndarray:
         """Diagonal (Jacobi) preconditioner for *cold* SPG dual solves.
 
@@ -633,12 +679,16 @@ class _DualProblem:
         self,
         network: FluidNetwork,
         prices: np.ndarray,
-        iterations: int,
-        success: bool,
+        minimised,
         safeguard: bool,
         max_iterations: int,
+        tolerance: float,
     ) -> OracleResult:
-        """Pack the minimiser's prices into a feasible, safeguarded allocation."""
+        """Pack the minimiser's prices into a feasible, safeguarded allocation.
+
+        ``minimised`` is the minimiser's result (``fun``, ``nit``,
+        ``success``); ``prices`` are the physical prices at its ``x``.
+        """
         compiled = self.compiled
         vec_utils = compiled.vec_utils
         rate_vec, _ = self.primal_rates(prices)
@@ -662,14 +712,15 @@ class _DualProblem:
         price_vec[self.active_idx] = prices
         dual = OracleResult(
             objective=objective,
-            iterations=iterations,
-            converged=success,
+            iterations=int(minimised.nit),
+            converged=bool(minimised.success),
             flow_ids=compiled.flow_id_snapshot(),
             rate_vec=rate_vec,
             link_ids=links,
             price_vec=price_vec,
         )
-        return _finish(network, compiled.flows, links, dual,
+        return _finish(network, compiled.flows, links, dual, float(minimised.fun),
+                       self.objective_scale, tolerance,
                        maxmin_rates, maxmin_objective, max_iterations)
 
 
@@ -677,11 +728,11 @@ class PersistentDualSolver:
     """A dual Oracle whose state survives flow-set changes.
 
     The dynamic experiments (Fig. 5/7) re-solve the NUM problem on *every*
-    arrival/departure batch; a cold :func:`solve_num` per batch would pay
-    L-BFGS-B's per-call setup (workspace allocation, bound standardization,
-    ``ScalarFunction`` wrappers) even when the previous prices sit one step
-    from the optimum.  This solver keeps everything that is reusable alive
-    across flow-set changes instead:
+    arrival/departure batch; a cold :func:`solve_num` per batch would
+    recompile the network, re-estimate the conditioning and restart from
+    ``z = 0.5`` even when the previous prices sit one step from the
+    optimum.  This solver keeps everything that is reusable alive across
+    flow-set changes instead:
 
     * **Compiled snapshot** -- a private :class:`CompiledFluidNetwork`
       brought up to date via its incremental :meth:`~CompiledFluidNetwork.refresh`
@@ -705,14 +756,15 @@ class PersistentDualSolver:
     one arrival or departure apart): a warm solve takes a median of 25-27
     and a 99th percentile of 91-96 iterations (``fluid.oracle_iters_p50`` /
     ``_p99``), none unconverged; the 12-link churn trace of the tests takes
-    14.  A fresh solver's first solve is a cold SPG solve (``z = 0.5``,
-    Jacobi preconditioner).
+    14.  A fresh solver's first solve is :func:`solve_num`'s cold start
+    (:meth:`_DualProblem.cold_start`).
 
-    Parity: warm persistent solves match a cold :func:`solve_num` of the
-    same instance to well within 1e-6 relative on rates (pinned by the
-    churn-trace tests in ``tests/fluid/test_oracle.py`` and gated by the
-    perf harness); the allocation it converges to is the same unique NUM
-    optimum.  Multipath groups are rejected exactly like :func:`solve_num`.
+    Parity: warm persistent solves match a tightly converged external
+    (scipy L-BFGS-B) solve of the same instance to well within 1e-6
+    relative on rates (pinned by the churn-trace tests in
+    ``tests/fluid/test_oracle.py`` and gated by the perf harness); the
+    allocation it converges to is the same unique NUM optimum.  Multipath
+    groups are rejected exactly like :func:`solve_num`.
     """
 
     def __init__(
@@ -814,8 +866,7 @@ class PersistentDualSolver:
             z0 = np.maximum(self._prices_full[active_idx], 0.0) / problem.scale_vec
             precondition = problem.residual_precondition()
         else:
-            z0 = np.full(len(active_idx), 0.5)  # same cold start as solve_num
-            precondition = problem.jacobi_precondition(z0)
+            z0, precondition = problem.cold_start()
         minimised = _spg_minimize(
             problem.dual_and_gradient, z0, self.max_iterations, self.tolerance,
             precondition=precondition, initial_step=self._step,
@@ -824,8 +875,8 @@ class PersistentDualSolver:
         self._warm = True
         prices = problem.prices(minimised.x)
         self._prices_full[active_idx] = prices
-        return problem.result(network, prices, minimised.nit, minimised.success,
-                              self.safeguard, self.max_iterations)
+        return problem.result(network, prices, minimised, self.safeguard,
+                              self.max_iterations, self.tolerance)
 
 
 def _slsqp_solve(

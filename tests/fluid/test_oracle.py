@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from _oracle_reference import cold_lbfgsb
 from repro.core.bandwidth_function import PiecewiseLinearBandwidthFunction
 from repro.core.config import SimulationParameters
 from repro.core.utility import (
@@ -263,15 +264,18 @@ class TestBackendParity:
         assert _max_rel_rate_diff(scalar.rates, vectorized.rates) <= 1e-9
 
 
-def _cold_scipy(network, **kwargs):
-    """The persistent solver's parity reference: a *tightly converged* cold
-    scipy solve.  (At the default ftol, L-BFGS-B stops up to ~1e-4 away
-    from its own tight solution on multi-link instances, so comparing
-    against a loosely converged reference would measure scipy's stopping
-    slack, not the persistent solver's accuracy.)"""
-    return solve_num(
-        network, tolerance=1e-14, max_iterations=20000, safeguard=False, **kwargs
-    )
+class TestColdSolveAccuracy:
+    """The cold SPG solve reaches the tight external reference's objective."""
+
+    @pytest.mark.parametrize("name", sorted(_parity_grid()))
+    def test_objective_reaches_tight_lbfgsb(self, name):
+        network = _parity_grid()[name]
+        result = solve_num(network)
+        reference = cold_lbfgsb(network)
+        assert result.objective >= reference.objective - 1e-9 * max(
+            abs(reference.objective), 1.0
+        )
+        assert network.is_feasible(result.rates, tolerance=1e-6)
 
 
 #: Grid cases whose dual is so flat near the optimum that float64 cannot
@@ -307,7 +311,7 @@ class TestPersistentDualSolver:
             if not network.flows:
                 continue
             warm = solver.solve(network)
-            cold = _cold_scipy(network)
+            cold = cold_lbfgsb(network)
             assert network.is_feasible(warm.rates, tolerance=1e-6)
             assert abs(warm.objective - cold.objective) <= 1e-8 * max(
                 abs(cold.objective), 1.0
@@ -341,7 +345,7 @@ class TestPersistentDualSolver:
                 )
                 next_id += 1
             warm = solver.solve(network)
-            cold = _cold_scipy(network)
+            cold = cold_lbfgsb(network)
             assert _max_rel_rate_diff(cold.rates, warm.rates) <= 1e-6
             assert warm.converged
 
@@ -369,7 +373,7 @@ class TestPersistentDualSolver:
             else:
                 network.add_flow(flow)
             warm = solver.solve(network)
-            cold = _cold_scipy(network)
+            cold = cold_lbfgsb(network)
             assert network.is_feasible(warm.rates, tolerance=1e-6)
             assert _max_rel_rate_diff(cold.rates, warm.rates) <= 1e-6
 
@@ -377,7 +381,7 @@ class TestPersistentDualSolver:
         """A fresh solver's first solve is the one-shot cold SPG solve."""
         for name, network in _parity_grid().items():
             spg = PersistentDualSolver().solve(network)
-            cold = _cold_scipy(network)
+            cold = cold_lbfgsb(network)
             assert abs(spg.objective - cold.objective) <= 1e-8 * max(
                 abs(cold.objective), 1.0
             ), name

@@ -17,6 +17,7 @@ from repro.core.utility import LogUtility
 from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.maxmin import weighted_max_min
+from repro.fluid import oracle
 from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.oracle import PersistentDualSolver, solve_num
 from repro.fluid.rcp import RcpStarFluidSimulator
@@ -172,6 +173,24 @@ def test_persistent_dual_solver_zero_capacity(dead):
     assert_finite_rates(result.rates, dead)
     reference = solve_num(network, backend="vectorized")
     assert result.rates["a"] == pytest.approx(reference.rates["a"], rel=1e-3)
+
+
+@pytest.mark.parametrize("dead", DEAD_CAPACITIES)
+def test_safeguarded_persistent_solve_is_certified(dead, monkeypatch):
+    """The better of the dual's and max-min's allocations attains the dual
+    bound here, so the safeguarded answer is certified converged without
+    the SLSQP fallback ever running."""
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the SLSQP fallback ran")
+
+    monkeypatch.setattr(oracle, "_solve_num_primal", no_fallback)
+    network = two_link_network(dead)
+    result = PersistentDualSolver(safeguard=True).solve(network)
+    assert result.converged
+    assert_finite_rates(result.rates, dead)
+    reference = solve_num(network, backend="scalar")
+    assert result.objective == pytest.approx(reference.objective, rel=1e-12)
 
 
 def test_persistent_dual_solver_warm_across_fault():
