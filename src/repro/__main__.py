@@ -40,7 +40,7 @@ prints the resume hint.
 written by a different code fingerprint, entries older than ``--max-age``
 days); ``agent`` starts one remote execution agent listening on a TCP
 port; ``serve-sweep`` drives a sweep remotely over such agents
-(``--local-agents N`` spawns N loopback agents for single-machine use).
+(``--local-agents N`` forks N loopback agents for single-machine use).
 See ``docs/SWEEPS.md`` for the failure model.
 
 ``run``, ``sweep`` and ``serve-sweep`` stop gracefully on the first
@@ -256,8 +256,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_agent(args: argparse.Namespace) -> int:
-    from repro.sweep.remote import AgentFaults, SweepAgent
-    from repro.sweep.signals import GracefulInterrupt
+    from repro.sweep.remote import AgentFaults, SweepAgent, serve_agent
     from repro.sweep.transport import parse_host
 
     try:
@@ -278,15 +277,16 @@ def _cmd_agent(args: argparse.Namespace) -> int:
         faults=faults,
         progress=progress,
     )
-    # This exact line is the startup handshake: spawn_local_agents (and any
-    # orchestration script) parses the bound address out of it.
-    print(f"agent listening on {agent.address[0]}:{agent.address[1]}", flush=True)
-    with GracefulInterrupt(on_first="flag", hint="Draining in-flight cells.") as interrupt:
-        agent.serve_forever(stop=lambda: interrupt.requested)
+    # serve_agent prints the "agent listening on HOST:PORT" handshake line:
+    # the contract for orchestration scripts that start agents on real hosts
+    # (loopback agents are forked and announce themselves the same way).
+    serve_agent(agent)
     return 0
 
 
 def _cmd_serve_sweep(args: argparse.Namespace) -> int:
+    import subprocess
+
     from repro.sweep import GracefulInterrupt, ResultCache, RetryPolicy, run_sweep
 
     try:
@@ -318,7 +318,8 @@ def _cmd_serve_sweep(args: argparse.Namespace) -> int:
                 args.local_agents, workers=args.workers or 1
             )
             hosts = hosts + spawned
-            progress(f"spawned {len(spawned)} loopback agent(s): {', '.join(spawned)}")
+            listed = ", ".join(f"{host} (pid {proc.pid})" for proc, host in zip(procs, spawned))
+            progress(f"spawned {len(spawned)} loopback agent(s): {listed}")
         with GracefulInterrupt(on_first="flag", hint=hint) as interrupt:
             print(
                 f"sweep: {len(tasks)} cells over {grid.scenario} "
@@ -345,8 +346,10 @@ def _cmd_serve_sweep(args: argparse.Namespace) -> int:
         for proc in procs:
             try:
                 proc.wait(timeout=5.0)
-            except Exception:
+            except subprocess.TimeoutExpired:
                 proc.kill()
+                proc.wait()
+            proc.stdout.close()
     return _finish_sweep(args, grid, report, interrupt, hint)
 
 
@@ -519,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--local-agents",
         type=int,
         metavar="N",
-        help="spawn N loopback agents for the duration of the sweep",
+        help="fork N loopback agents for the duration of the sweep",
     )
     serve_parser.add_argument(
         "--lease-timeout",

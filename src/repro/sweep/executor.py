@@ -533,9 +533,10 @@ class SweepExecutor:
                         continue
                     for message in messages:
                         quiet = False
+                        if self._interrupted():  # the machine hears of it before the ack
+                            machine.on_interrupt(time.monotonic())
                         self._perform(machine.on_message(name, message, time.monotonic()))
-                interrupted = bool(getattr(self.interrupt, "requested", False))
-                actions = machine.tick(time.monotonic(), interrupted)
+                actions = machine.tick(time.monotonic(), self._interrupted())
                 self._perform(actions)
                 if quiet and not actions:  # (acting may have news ready: a new pool's hello)
                     waitables = [w for link in self._links.values() for w in link.waitables()]
@@ -548,6 +549,9 @@ class SweepExecutor:
                 link.close()
             self._links.clear()
         return machine.results()
+
+    def _interrupted(self) -> bool:
+        return bool(getattr(self.interrupt, "requested", False))
 
     def _perform(self, actions: List[Action]) -> None:
         """Carry out the machine's decisions; feed I/O failures back in."""

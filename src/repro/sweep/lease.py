@@ -26,8 +26,9 @@ The rules, each stated once:
 * a lost endpoint is redialled with backoff and written off when its
   connect budget is spent; with every endpoint written off the remaining
   cells fail as ``no-hosts``;
-* on interrupt nothing more is granted, in-flight acks are collected for
-  the drain window, the rest is cancelled and reported ``cancelled``.
+* on interrupt (``on_interrupt``, told before the next ack is handled)
+  nothing more is granted or retried, in-flight acks are collected for the
+  drain window, the rest is cancelled and reported ``cancelled``.
 """
 
 from __future__ import annotations
@@ -171,8 +172,8 @@ class LeaseMachine:
         """Time passed: redial, health-check, expire, then grant leases."""
         if self.finished:
             return []
-        if interrupted and self._drain_until is None:
-            self._drain_until = now + min(self.lease_timeout or DRAIN_TIMEOUT, DRAIN_TIMEOUT)
+        if interrupted:
+            self.on_interrupt(now)
         for endpoint in self.endpoints.values():
             self._check_endpoint(endpoint, now)
         leased = any(endpoint.leases for endpoint in self.endpoints.values())
@@ -188,6 +189,17 @@ class LeaseMachine:
         else:
             self._grant(now)
         return self._take()
+
+    def on_interrupt(self, now: float) -> None:
+        """The sweep was interrupted: from now on, drain (idempotent).
+
+        Call it as soon as the signal is seen -- before the next ack is
+        handled, not at the next tick -- so that a failure reported after
+        the signal ends ``cancelled`` instead of being retried or judged.
+        Nothing is sent at once: the next tick cancels what is left.
+        """
+        if self._drain_until is None:
+            self._drain_until = now + min(self.lease_timeout or DRAIN_TIMEOUT, DRAIN_TIMEOUT)
 
     def on_lost(self, name: str, reason: str, now: float) -> List[Action]:
         """The link failed (dial refused, EOF, send error, garbage on the wire)."""

@@ -2,7 +2,9 @@
 
 A *driver* (``run_sweep(mode="remote", hosts=[...])`` or ``python -m repro
 serve-sweep``) dials one or more *agents* (``python -m repro agent
-<host:port>``) and speaks line-delimited JSON (:mod:`repro.sweep.transport`).
+<host:port>`` on a real host; :func:`spawn_local_agents` forks loopback
+ones from the driver itself) and speaks line-delimited JSON
+(:mod:`repro.sweep.transport`).
 The driver side -- leases, reassignment, reconnect backoff, quarantine,
 payload verification -- is the :class:`~repro.sweep.lease.LeaseMachine` and
 :class:`~repro.sweep.executor.SweepExecutor` that also drive local workers.
@@ -16,14 +18,22 @@ real network.  The failure model end to end: ``docs/SWEEPS.md``.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import os
 import pickle
+import signal
 import socket
+import subprocess
+import sys
 import time
+import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.sweep.cache import ResultCache
-from repro.sweep.executor import TICK, WorkerPool, covers
+from repro.sweep.executor import TICK, WorkerPool, _forget_parent, _open_descriptors, covers
+from repro.sweep.signals import GracefulInterrupt
 from repro.sweep.transport import (
     ProtocolError,
     SocketTransport,
@@ -240,6 +250,137 @@ class SweepAgent:
             self._listen.close()
 
 
+def serve_agent(agent: SweepAgent) -> None:
+    """Announce ``agent`` and serve until the first SIGINT/SIGTERM, then drain.
+
+    The ``agent listening on HOST:PORT`` line is the startup handshake:
+    :func:`spawn_local_agents`, and any script that starts ``python -m repro
+    agent`` on a real host, parses the bound address out of it.  It is
+    printed once the two-phase handler is live, so a SIGTERM sent after it
+    always drains.
+    """
+    with GracefulInterrupt(on_first="flag", hint="Draining in-flight cells.") as interrupt:
+        print(f"agent listening on {agent.address[0]}:{agent.address[1]}", flush=True)
+        agent.serve_forever(stop=lambda: interrupt.requested)
+
+
+class AgentProcess:
+    """The driver's handle on a forked loopback agent, shaped like a subprocess's.
+
+    ``stdout`` reads what the agent prints (its stdout and stderr, one
+    pipe); ``wait(timeout)`` reaps the agent or raises
+    :class:`subprocess.TimeoutExpired`.
+    """
+
+    def __init__(self, pid: int, stdout: Any):
+        self.pid = pid
+        self.stdout = stdout
+        self.args = f"loopback agent (pid {pid})"
+        self.returncode: Optional[int] = None
+
+    def _reap(self, flags: int) -> None:
+        try:
+            pid, status = os.waitpid(self.pid, flags)
+        except ChildProcessError:  # reaped behind our back: the status is lost
+            self.returncode = 0  # (what the subprocess module reports in that case)
+            return
+        if pid == self.pid:
+            self.returncode = os.waitstatus_to_exitcode(status)
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            self._reap(os.WNOHANG)
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        if timeout is None:
+            if self.returncode is None:
+                self._reap(0)
+            return self.returncode
+        deadline = time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise subprocess.TimeoutExpired(self.args, timeout)
+            time.sleep(min(delay, remaining))
+            delay = min(2 * delay, 0.05)
+        return self.returncode
+
+    def send_signal(self, signum: int) -> None:
+        if self.poll() is None:  # never signal a pid that may have been reused
+            os.kill(self.pid, signum)
+
+    def terminate(self) -> None:
+        self.send_signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self.send_signal(signal.SIGKILL)
+
+
+def _agent_main(
+    write_fd: int,
+    inherited: FrozenSet[int],
+    env: Optional[Mapping[str, str]],
+    options: Mapping[str, Any],
+) -> None:
+    """The forked agent: let go of the driver, then announce and serve.
+
+    Never returns: the driver's ``atexit`` hooks and finalizers are the
+    driver's, so the agent leaves through ``os._exit`` only.
+    """
+    code = 1
+    try:
+        gc.freeze()  # the driver's garbage is never collected (or finalized) here
+        _forget_parent(inherited)
+        os.dup2(write_fd, 1)
+        os.dup2(write_fd, 2)
+        if write_fd > 2:
+            os.close(write_fd)
+        # The driver's sys.stdout may not be fd 1 at all (a capturing test
+        # runner swaps in its own stream); the agent's output is the pipe.
+        sys.stdout = open(1, "w", buffering=1, closefd=False)
+        sys.stderr = open(2, "w", buffering=1, closefd=False)
+        if env is not None:
+            os.environ.clear()
+            os.environ.update(env)
+
+        def progress(message: str) -> None:
+            print(f"  {message}", flush=True)
+
+        serve_agent(SweepAgent("127.0.0.1", 0, progress=progress, **options))
+        code = 0
+    except BaseException:  # (never re-raised: unwinding would run the driver's code)
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _handshake(fd: int, deadline: float) -> str:
+    """Read the agent's output up to its handshake line, EOF or the deadline.
+
+    Byte by byte, so nothing after the line is consumed: the rest stays in
+    the pipe for ``AgentProcess.stdout``.  Returns the last line read.
+    """
+    read = b""
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not wait_readable([fd], timeout=remaining):
+            break
+        byte = os.read(fd, 1)
+        if not byte:  # EOF: the agent died
+            break
+        read += byte
+        if byte == b"\n" and b"listening on" in read.splitlines()[-1]:
+            break
+    lines = read.splitlines()
+    return lines[-1].decode(errors="replace") if lines else ""
+
+
 def spawn_local_agents(
     count: int,
     *,
@@ -247,58 +388,58 @@ def spawn_local_agents(
     workers: int = 1,
     faults: Optional[Sequence[Optional[AgentFaults]]] = None,
     heartbeat_interval: float = 0.5,
-    python: Optional[str] = None,
     env: Optional[Mapping[str, str]] = None,
     startup_timeout: float = 30.0,
-):
-    """Spawn ``count`` loopback agent subprocesses; return ``(procs, hosts)``.
+) -> Tuple[List[AgentProcess], List[str]]:
+    """Fork ``count`` loopback agents; return ``(handles, hosts)``.
 
-    Each agent binds an ephemeral 127.0.0.1 port (parsed from its startup
-    line), so callers get real cross-process remote execution on one
-    machine -- the loopback parity/chaos configuration.  The caller owns the
-    processes; terminate them when done.
+    Each agent is a ``fork`` of the calling process, which already imported
+    everything a cell needs, so it listens within milliseconds; like a pool
+    worker it drops the caller's descriptors first (:func:`_forget_parent`).
+    It binds an ephemeral 127.0.0.1 port, announced by the handshake line
+    of :func:`serve_agent`, so callers get real cross-process remote
+    execution on one machine -- the loopback parity/chaos configuration.
+
+    The handles (:class:`AgentProcess`) answer ``pid``, ``poll()``,
+    ``wait(timeout)``, ``terminate()``, ``kill()``, ``send_signal()`` and
+    ``stdout`` as a :mod:`subprocess` handle would; the caller owns the
+    agents and must terminate and reap them.  ``env``, if given, replaces the agent's
+    ``os.environ``; settings read at import time (``PYTHONPATH``,
+    ``PYTHONHASHSEED``, BLAS threads) are the caller's, already applied.
+    Fork from a single-threaded caller: a descriptor another thread opens
+    during the fork stays open in the agent.
     """
-    import subprocess
-    import sys
-
-    procs = []
+    environ = dict(env) if env is not None else None  # (a copy: env may be os.environ)
+    handles: List[AgentProcess] = []
     hosts: List[str] = []
-    for i in range(count):
-        command = [python or sys.executable, "-u", "-m", "repro", "agent", "127.0.0.1:0"]
-        command += ["--workers", str(workers)]
-        if cache_dirs is not None:
-            command += ["--cache-dir", str(cache_dirs[i])]
-        command += ["--heartbeat", str(heartbeat_interval)]
-        fault = faults[i] if faults is not None else None
-        if fault is not None:
-            for name in ("drop_conn_on", "partition_on", "slow_ack_on"):
-                value = getattr(fault, name)
-                if value == "all":
-                    command += ["--fault", f"{name}=all"]
-                elif value:
-                    command += ["--fault", f"{name}={','.join(str(v) for v in value)}"]
-            command += ["--fault", f"slow_ack_seconds={fault.slow_ack_seconds}"]
-            command += ["--fault", f"partition_seconds={fault.partition_seconds}"]
-        proc = subprocess.Popen(
-            command,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=dict(env) if env is not None else None,
-        )
-        procs.append(proc)
-    deadline = time.monotonic() + startup_timeout
-    for proc in procs:
-        line = ""
-        while time.monotonic() < deadline:
-            line = proc.stdout.readline()
-            if "listening on" in line:
-                break
-            if proc.poll() is not None:
-                break
-        if "listening on" not in line:
-            for p in procs:
-                p.kill()
-            raise RuntimeError(f"agent failed to start (last line: {line!r})")
-        hosts.append(line.rsplit("listening on", 1)[1].strip())
-    return procs, hosts
+    try:
+        for i in range(count):
+            options = dict(
+                workers=workers,
+                cache=cache_dirs[i] if cache_dirs is not None else None,
+                heartbeat_interval=heartbeat_interval,
+                faults=faults[i] if faults is not None else None,
+            )
+            read_fd, write_fd = os.pipe()
+            inherited = _open_descriptors() - {0, 1, 2, write_fd}
+            for stream in (sys.stdout, sys.stderr):  # else buffered output is written twice
+                with contextlib.suppress(AttributeError, ValueError):  # (None, or closed)
+                    stream.flush()
+            pid = os.fork()
+            if pid == 0:
+                _agent_main(write_fd, inherited, environ, options)
+            os.close(write_fd)
+            handles.append(AgentProcess(pid, open(read_fd, "r")))
+        deadline = time.monotonic() + startup_timeout
+        for handle in handles:
+            line = _handshake(handle.stdout.fileno(), deadline)
+            if "listening on" not in line:
+                raise RuntimeError(f"agent failed to start (last line: {line!r})")
+            hosts.append(line.rsplit("listening on", 1)[1].strip())
+    except BaseException:
+        for handle in handles:
+            handle.kill()
+            handle.wait()
+            handle.stdout.close()
+        raise
+    return handles, hosts

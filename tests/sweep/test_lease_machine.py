@@ -139,6 +139,10 @@ class Fleet:
     def lose(self, name):
         self.perform(self.machine.on_lost(name, "connection reset", self.now))
 
+    def interrupt(self):
+        """The signal arrives: the machine is told at once, not at the next tick."""
+        self.machine.on_interrupt(self.now)
+
     def connect(self, *names):
         """Tick once (dials everything due) and hello the named endpoints."""
         self.tick()
@@ -319,6 +323,25 @@ def test_interrupt_cancels_what_outlives_the_drain_window():
     assert fleet.machine.failures[0].kind == "cancelled" and ("a", 0) in fleet.cancels
 
 
+def test_a_failure_between_the_signal_and_the_next_tick_ends_cancelled():
+    # The gap the hypothesis model once found (a failure ack handled after
+    # the signal but before the next tick was judged as usual, and a cell
+    # on its last attempt was quarantined as "error").
+    last_try = RetryPolicy(max_attempts=1, base_delay=0.5, max_delay=2.0, jitter=0.0)
+    fleet = Fleet(cells=3, retry=last_try)
+    fleet.connect()
+    fleet.start("a", 0), fleet.start("b", 1)
+    fleet.interrupt()
+    fleet.error("a", 0)  # no retry, no verdict: it ends "cancelled"
+    fleet.done("b", 1)  # an in-flight cell still finishes
+    assert 0 not in fleet.machine.failures and fleet.machine.stats.get("quarantined", 0) == 0
+    fleet.tick(0.05, interrupted=True)
+    machine = fleet.machine
+    assert machine.finished and sorted(machine.payloads) == [1]
+    assert {i: f.kind for i, f in machine.failures.items()} == {0: "cancelled", 2: "cancelled"}
+    assert len(fleet.grants) == 2 and not any("retrying" in line for line in fleet.lines)
+
+
 def test_draining_agent_hands_queued_cells_back_and_says_bye():
     fleet = Fleet(cells=2, slots={"a": 2, "b": 1})
     fleet.connect()
@@ -398,6 +421,7 @@ class LeaseMachineStates(RuleBasedStateMachine):
     def interrupt(self):
         if self.interrupted_with is None:
             self.interrupted_with = set(self.first)
+            self.fleet.interrupt()
 
     @invariant()
     def no_rule_was_broken(self):

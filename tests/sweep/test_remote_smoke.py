@@ -1,12 +1,14 @@
-"""Remote-dispatch acceptance matrix over real subprocesses and TCP.
+"""Remote-dispatch acceptance matrix over real processes and TCP.
 
-Three scenarios, all on loopback with a driver plus two agent
-subprocesses: a clean run (bit-identical to serial), one agent SIGKILLed
-mid-sweep (the survivor finishes, rows unchanged), and the driver
-SIGKILLed then resumed (only non-cached cells recomputed).
+Three scenarios, all on loopback with a driver plus two forked agents: a
+clean run (bit-identical to serial), one agent SIGKILLed mid-sweep (the
+survivor finishes, rows unchanged), and the driver SIGKILLed then resumed
+(only non-cached cells recomputed).  Then the CLI front end of the same
+configuration, ``python -m repro serve-sweep EXPR --local-agents N``.
 """
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from repro.sweep import (
     parse_sweep,
     run_sweep,
 )
+from repro.results import format_table
 from repro.sweep.remote import spawn_local_agents
 
 pytestmark = pytest.mark.remote_smoke
@@ -156,3 +159,23 @@ class TestRemoteSmoke:
             assert resumed.aggregate("ref").rows == serial_reference
         finally:
             reap(procs)
+
+
+class TestServeSweepCli:
+    def test_local_agents_match_serial_and_leave_no_agent_behind(
+        self, tmp_path, serial_reference
+    ):
+        command = [sys.executable, "-m", "repro", "serve-sweep", EXPRESSION]
+        command += ["--local-agents", "2", "--no-cache", "--rows", "0"]
+        # Run from a scratch directory: the agents cache under ./.sweep-cache.
+        done = subprocess.run(
+            command, cwd=tmp_path, env=ENV, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert format_table(serial_reference) in done.stdout
+        spawned = re.search(r"spawned 2 loopback agent\(s\): (.*)", done.stdout)
+        assert spawned, done.stdout
+        pids = [int(pid) for pid in re.findall(r"\(pid (\d+)\)", spawned.group(1))]
+        assert len(pids) == 2
+        # Reaped before the command returned: not even a zombie is left.
+        assert not [pid for pid in pids if Path(f"/proc/{pid}").exists()]

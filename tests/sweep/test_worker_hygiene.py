@@ -7,8 +7,14 @@ never sees EOF when the parent dies, one holding an agent's listening socket
 keeps a dead agent's port accepting, and one running the parent's
 ``GracefulInterrupt`` handler turns ``terminate()`` into a flag.  Each test
 below fails on a pool that forks without that hygiene.
+
+A loopback agent (``spawn_local_agents``) is a fork of the driver too, and
+owes the driver the same: none of its descriptors, none of its output on
+the driver's streams, none of its ``atexit`` hooks, and a handle that
+reaps like a ``Popen``.
 """
 
+import atexit
 import contextlib
 import os
 import signal
@@ -227,3 +233,85 @@ class TestWorkerState:
             # shared with no sibling.
             assert len(pipes) <= 2 and not pipes & sibling, held
             assert kept == sockets | pipes, held
+
+
+def receive_until(link, kind: str):
+    """Messages from ``link`` up to and including the first of type ``kind``."""
+    received, deadline = [], time.monotonic() + 60
+    while not any(message["type"] == kind for message in received):
+        assert time.monotonic() < deadline, f"no {kind!r} within 60s (got {received})"
+        wait_readable([link], timeout=0.1)
+        received += link.recv_all()
+    return received
+
+
+def stop(agent) -> None:
+    if agent.poll() is None:
+        agent.kill()
+    agent.wait(timeout=30)
+    agent.stdout.close()
+
+
+@pytest.mark.remote_smoke
+class TestForkedAgent:
+    def test_a_forked_agent_holds_none_of_the_drivers_descriptors(self, tmp_path):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener, open(
+            tmp_path / "driver.log", "w"
+        ) as log:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            ours = descriptors(os.getpid())
+            driver_only = {ours[listener.fileno()], ours[log.fileno()]}
+            (agent,), _ = spawn_local_agents(1, cache_dirs=[tmp_path / "agent"])
+            try:
+                held = set(descriptors(agent.pid).values())
+            finally:
+                stop(agent)
+        assert str(tmp_path / "driver.log") in driver_only
+        assert any(target.startswith("socket:") for target in held)  # its own listener
+        assert not held & driver_only, held & driver_only
+
+    def test_terminate_drains_says_bye_and_talks_only_into_its_pipe(self, tmp_path, capfd):
+        (agent,), (host,) = spawn_local_agents(1, cache_dirs=[tmp_path])
+        try:
+            link = SocketTransport(socket.create_connection(parse_host(host), timeout=5.0))
+            receive_until(link, "hello")
+            agent.terminate()
+            receive_until(link, "bye")
+            link.close()
+            assert agent.wait(timeout=30) == 0
+            output = agent.stdout.read()
+        finally:
+            stop(agent)
+        assert "SIGTERM: finishing gracefully" in output
+        assert "finishing gracefully" not in capfd.readouterr().err
+
+    def test_the_drivers_atexit_hooks_do_not_run_in_the_agent(self, tmp_path):
+        marker, driver = tmp_path / "marker", os.getpid()
+
+        def hook():  # (it also runs when the test process exits: a no-op there)
+            if os.getpid() != driver:
+                marker.write_text(f"atexit ran in {os.getpid()}")
+
+        atexit.register(hook)
+        try:
+            (agent,), _ = spawn_local_agents(1, cache_dirs=[tmp_path / "agent"])
+            agent.terminate()
+            assert agent.wait(timeout=30) == 0
+            stop(agent)
+        finally:
+            atexit.unregister(hook)
+        assert not marker.exists(), marker.read_text()
+
+    def test_wait_times_out_on_a_live_agent_and_reaps_a_dead_one(self, tmp_path):
+        (agent,), _ = spawn_local_agents(1, cache_dirs=[tmp_path])
+        try:
+            with pytest.raises(subprocess.TimeoutExpired):
+                agent.wait(timeout=0.2)
+            assert agent.poll() is None
+            agent.kill()
+            assert agent.wait(timeout=30) == -signal.SIGKILL
+            assert agent.poll() == -signal.SIGKILL
+            assert not Path(f"/proc/{agent.pid}").exists(), "the agent was left a zombie"
+        finally:
+            stop(agent)
