@@ -1,11 +1,12 @@
-"""Performance harness: scalar vs vectorized fluid backends + sim engine.
+"""Performance harness: fluid engine vs its scalar references + sim engine.
 
 Times (stdlib ``time.perf_counter`` only, no external dependencies):
 
 * one control-loop iteration of every fluid scheme -- xWI, DGD, RCP* and
   DCTCP -- at 50 / 200 / 1000 flows on a leaf-spine-like multi-bottleneck
-  topology, scalar vs vectorized backend, including a parity check of the
-  final allocations;
+  topology, the scalar reference (the per-flow dict loops of
+  ``tests/fluid/_fluid_reference.py``) vs the production simulator,
+  including a parity check of the final allocations;
 * weighted max-min water-filling alone: the scalar reference, the one-shot
   vectorized entry point, and the compiled entry point
   (:class:`repro.fluid.vectorized.CompiledMaxMin`) that amortizes the
@@ -47,8 +48,8 @@ Times (stdlib ``time.perf_counter`` only, no external dependencies):
   controller, gated) and a timer that parks and is woken every other
   interval against an always-on one over the same span.
 
-Any scheme whose vectorized allocation drifts more than 1e-9 (relative)
-from its scalar reference aborts the run with a loud error -- the harness
+Any scheme whose allocation drifts more than 1e-9 (relative) from its
+scalar reference aborts the run with a loud error -- the harness
 doubles as a coarse parity canary.  The flow-level dict/array pair is held
 to the same 1e-9; the Oracle pair is held to 1e-6, because its two
 backends run the same SPG solve on reassociated floating-point sums
@@ -112,8 +113,9 @@ from repro.workloads.poisson import PoissonTrafficGenerator
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_fluid.json")
-#: Home of the test-side Oracle reference (scipy L-BFGS-B) the
-#: ``oracle_persistent`` gate compares against.
+#: Home of the test-side references: the scalar fluid schemes the ``xwi``
+#: and ``schemes`` rows time and gate against, and the Oracle (scipy
+#: L-BFGS-B) the ``oracle_persistent`` gate compares against.
 _REFERENCE = os.path.join(REPO_ROOT, "tests", "fluid")
 
 PARITY_TOLERANCE = 1e-9
@@ -133,8 +135,7 @@ FIG5_100K_BUDGET_SECONDS = 600.0
 #: audits the committed full-mode number; the smoke run is too short to time).
 PORT_TIMER_CHURN_MAX_RATIO = 1.0
 
-#: The comparison schemes ported to ``backend="vectorized"`` in this repo;
-#: xWI is benchmarked separately (it predates them and skips history).
+#: The comparison schemes; xWI is benchmarked separately (it predates them).
 SCHEME_SIMULATORS = {
     "dgd": DgdFluidSimulator,
     "rcp_star": RcpStarFluidSimulator,
@@ -191,9 +192,19 @@ def _max_rel_rate_diff(reference: Dict, candidate: Dict) -> float:
     )
 
 
+def _fluid_simulator(simulator_cls, network: FluidNetwork, backend: str):
+    """The production simulator, or with ``backend="scalar"`` its test-side
+    scalar reference."""
+    if _REFERENCE not in sys.path:
+        sys.path.insert(0, _REFERENCE)
+    from _fluid_reference import make_simulator
+
+    return make_simulator(simulator_cls, network, backend)
+
+
 def _time_xwi(n_flows: int, iterations: int, backend: str, seed: int = 1):
     network = build_network(n_flows, seed=seed)
-    simulator = XwiFluidSimulator(network, backend=backend)
+    simulator = _fluid_simulator(XwiFluidSimulator, network, backend)
     simulator.run(2, record_history=False)  # warm up (incl. one-time compile)
     start = time.perf_counter()
     records = simulator.run(iterations, record_history=False)
@@ -220,7 +231,9 @@ def bench_xwi(flow_counts: List[int], iterations: int) -> List[Dict]:
 
 
 def _time_scheme(scheme: str, n_flows: int, iterations: int, backend: str, seed: int = 1):
-    simulator = SCHEME_SIMULATORS[scheme](build_network(n_flows, seed=seed), backend=backend)
+    simulator = _fluid_simulator(
+        SCHEME_SIMULATORS[scheme], build_network(n_flows, seed=seed), backend
+    )
     simulator.run(2, record_history=False)  # warm up (incl. one-time compile)
     start = time.perf_counter()
     records = simulator.run(iterations, record_history=False)
@@ -229,7 +242,7 @@ def _time_scheme(scheme: str, n_flows: int, iterations: int, backend: str, seed:
 
 
 def bench_schemes(flow_counts: List[int], iterations: int) -> Dict[str, List[Dict]]:
-    """Scalar vs vectorized timing + parity for DGD, RCP* and DCTCP."""
+    """Scalar reference vs production timing + parity for DGD, RCP* and DCTCP."""
     results: Dict[str, List[Dict]] = {}
     for scheme in SCHEME_SIMULATORS:
         rows = []
@@ -935,7 +948,7 @@ def bench_engine(n_events: int, n_packets: int) -> Dict:
 
 
 def enforce_parity(results: Dict) -> None:
-    """Abort loudly if any vectorized backend drifted from its scalar twin."""
+    """Abort loudly if any production path drifted from its scalar reference."""
     failures = []
     for row in results["xwi"]:
         if row["max_rel_rate_diff"] > PARITY_TOLERANCE:

@@ -5,10 +5,10 @@ runnable; the full (unmarked) benchmark run is a manual/periodic activity:
 
     PYTHONPATH=src python benchmarks/perf/run_bench.py
 
-Every vectorized backend (xWI, DGD, RCP*, DCTCP, compiled max-min) gets a
-smoke case, so tier-1 exercises each scalar/vectorized pair end to end and
-the harness's own parity enforcement (``enforce_parity``) runs on every CI
-pass.  Deselect with ``-m "not perf_smoke"`` if even the ~1 s smoke run is
+Every fluid scheme (xWI, DGD, RCP*, DCTCP) and the compiled max-min get a
+smoke case, so tier-1 exercises each against its scalar reference end to
+end and the harness's own parity enforcement (``enforce_parity``) runs on
+every CI pass.  Deselect with ``-m "not perf_smoke"`` if even the ~1 s smoke run is
 too much.
 """
 
@@ -349,15 +349,15 @@ def test_bench_network_is_deterministic():
 @pytest.mark.perf_smoke
 @pytest.mark.parametrize("scheme", ["xwi", *sorted(run_bench.SCHEME_SIMULATORS)])
 def test_history_records_stay_array_backed(scheme):
-    """Memory guard: a vectorized simulator's history holds a few vectors per
-    step (measured 18 B per flow and record for xWI, 9-10 B for the others),
-    not the dicts it used to (143 B and 73-74 B).  Each simulator at its
-    default recording level, 400 flows on the bench fabric."""
+    """Memory guard: a simulator's history holds a few vectors per step
+    (measured 18 B per flow and record for xWI, 9-10 B for the others), not
+    the dicts it used to (143 B and 73-74 B).  400 flows on the bench
+    fabric."""
     import tracemalloc
 
     flows, steps = 400, 100
     simulator_cls = {"xwi": run_bench.XwiFluidSimulator, **run_bench.SCHEME_SIMULATORS}[scheme]
-    simulator = simulator_cls(run_bench.build_network(flows), backend="vectorized")
+    simulator = simulator_cls(run_bench.build_network(flows))
     simulator.run(2)  # the one-time compile and first-touch caches stay outside
     tracemalloc.start()
     try:
@@ -416,7 +416,7 @@ def test_an_all_log_churn_step_skips_the_family_scans(monkeypatch):
 
     for flow_id in range(200):
         arrive(flow_id)
-    simulator = XwiFluidSimulator(network, backend="vectorized", record_detail=False)
+    simulator = XwiFluidSimulator(network)
     simulator.run(3, record_history=False)  # the compile and its one regather
     counting = _CountingNumpy(np, ("nonzero", "append"))
     monkeypatch.setattr(vectorized, "np", counting)

@@ -97,20 +97,3 @@ class XwiLinkState:
         self.min_residual = math.inf
         return self.price
 
-
-def fluid_price_update(
-    price: float,
-    min_normalized_residual: float,
-    utilization: float,
-    params: NumFabricParameters,
-) -> float:
-    """Single xWI price update in fluid form (Eqs. (9)-(11)).
-
-    This is the same arithmetic as :meth:`XwiLinkState.update_price` but
-    stateless, for use by the iteration-level engine where utilization and
-    the minimum residual are computed analytically instead of measured from
-    packets.
-    """
-    residual = min_normalized_residual if math.isfinite(min_normalized_residual) else 0.0
-    new_price = max(price + residual - params.eta * (1.0 - utilization) * price, 0.0)
-    return params.beta * price + (1.0 - params.beta) * new_price

@@ -218,8 +218,7 @@ class SimulatorRatePolicy(RatePolicy):
     schemes with slower convergence deliver fewer bytes to short flows --
     exactly the effect Fig. 5 measures.
 
-    :func:`scheme_rate_policy` builds the simulator on the vectorized fluid
-    backend: the compiled incidence structure is invalidated only on flow
+    The simulator's compiled incidence structure is patched only on flow
     arrivals/departures, so the per-iteration cost between flow-set changes
     is pure array math.
     """
@@ -271,19 +270,14 @@ SCHEME_SIMULATORS: Dict[str, Callable] = {
 
 
 def scheme_rate_policy(scheme: str, params=None) -> SimulatorRatePolicy:
-    """A :class:`SimulatorRatePolicy` for a named scheme on the vectorized engine."""
+    """A :class:`SimulatorRatePolicy` for a named scheme's fluid simulator."""
     try:
         simulator_cls = SCHEME_SIMULATORS[scheme]
     except KeyError:
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of {sorted(SCHEME_SIMULATORS)}"
         ) from None
-    # The policy only reads each record's rates (record_detail=False).
-    return SimulatorRatePolicy(
-        lambda network: simulator_cls(
-            network, params=params, backend="vectorized", record_detail=False
-        )
-    )
+    return SimulatorRatePolicy(lambda network: simulator_cls(network, params=params))
 
 
 class ArrivalStream:

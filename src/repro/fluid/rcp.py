@@ -6,36 +6,21 @@ spare capacity and queue backlog.  A flow crossing links ``L(i)`` sends at
 ``min_l R_l`` as ``alpha -> inf`` (classic max-min RCP) and to the
 alpha-fair allocation at the fixed point.
 
-Two interchangeable backends drive the iteration:
-
-* ``backend="scalar"`` (default) -- the reference implementation, plain
-  Python over dicts;
-* ``backend="vectorized"`` -- the Eq. (16) rate combination and the
-  fair-rate/queue update as NumPy array operations over the compiled
-  ``path_links`` of :mod:`repro.fluid.vectorized` (the power sums are
-  gather + add over each flow's hops; RCP* needs no utility batching: its
-  dynamics read only paths and capacities).  Rates,
-  fair rates and queues match the scalar backend to well within the 1e-9
-  enforced by ``tests/fluid/test_scheme_backend_parity.py``; see
-  ``BENCH_fluid.json`` for the measured speedup.
+Both rules run as NumPy array operations over the compiled ``path_links``
+of :mod:`repro.fluid.vectorized`: the power sums are gather + add over each
+flow's hops.  RCP* needs no utility batching, because its dynamics read
+only paths and capacities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.fluid.network import FluidNetwork, FlowId, LinkId
-from repro.fluid.vectorized import (
-    CompiledFluidNetwork,
-    IterationRecord,
-    VectorizedBackendMixin,
-    dict_of,
-    state_view,
-)
+from repro.fluid.network import FluidNetwork
+from repro.fluid.vectorized import FluidStepper, IterationRecord, state_view
 
 
 @dataclass
@@ -50,28 +35,18 @@ class RcpStarFluidParameters:
     max_outstanding_bdp: float = 2.0
 
 
-class RcpIterationRecord(IterationRecord):
-    """Snapshot of one RCP* interval: ``rates`` plus, when the simulator
-    records detail, the per-link ``fair_rates`` and ``queues`` (else empty)."""
+class RcpStarFluidSimulator(FluidStepper):
+    """Iterates the RCP* fair-rate dynamics on a :class:`FluidNetwork`.
 
-    fair_rate_vec: Optional[np.ndarray] = None
-    queue_vec: Optional[np.ndarray] = None
+    Records carry ``rates``, ``fair_rates`` and ``queues``.
+    """
 
-    @cached_property
-    def fair_rates(self) -> Dict[LinkId, float]:
-        return dict_of(self.link_ids, self.fair_rate_vec)
+    Parameters = RcpStarFluidParameters
+    interval = "update_interval"
 
-    @cached_property
-    def queues(self) -> Dict[LinkId, float]:
-        return dict_of(self.link_ids, self.queue_vec)
-
-
-class RcpStarFluidSimulator(VectorizedBackendMixin):
-    """Iterates the RCP* fair-rate dynamics on a :class:`FluidNetwork`."""
-
-    #: Per-link state: live, writable dicts on either backend.  The
-    #: vectorized one keeps vectors and brings a dict up to date when the
-    #: attribute is read, so read it after a step rather than keeping it.
+    #: Per-link state: live, writable dicts, kept as vectors and brought up
+    #: to date when the attribute is read -- read it after a step rather
+    #: than keeping it.
     fair_rates = state_view()
     queues = state_view()
 
@@ -80,43 +55,15 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         network: FluidNetwork,
         params: Optional[RcpStarFluidParameters] = None,
         initial_fraction: float = 0.1,
-        backend: str = "scalar",
-        record_detail: bool = True,
     ):
-        self.network = network
-        self.params = params or RcpStarFluidParameters()
-        self.backend = self._check_backend(backend, "RCP*")
-        #: When false, records carry only the rates (see xWI's twin flag).
-        self.record_detail = record_detail
+        super().__init__(network, params)
         self.fair_rates = {
             link: network.capacity(link) * initial_fraction for link in network.links
         }
         self.queues = {link: 0.0 for link in network.links}
-        self.iteration = 0
-        self.history: List[RcpIterationRecord] = []
-        self._compiled: Optional[CompiledFluidNetwork] = None
 
-    def _flow_rates(self) -> Dict[FlowId, float]:
-        alpha = self.params.alpha
-        fair_rates = self.fair_rates
-        rates: Dict[FlowId, float] = {}
-        for flow in self.network.flows:
-            # A failed link advertises a zero fair share; its ``R^-alpha``
-            # term is infinite, so Eq. (16) combines to a zero rate (the
-            # literal power would raise ZeroDivisionError).
-            total = 0.0
-            for link in flow.path:
-                fair = fair_rates[link]
-                total = float("inf") if fair <= 0.0 else total + fair ** (-alpha)
-            rate = (
-                total ** (-1.0 / alpha) if total > 0 else self.network.path_capacity(flow.flow_id)
-            )
-            limit = self.params.max_outstanding_bdp * self.network.path_capacity(flow.flow_id)
-            rates[flow.flow_id] = min(rate, limit)
-        return rates
-
-    def _step_vectorized(self) -> RcpIterationRecord:
-        """One RCP* interval as array operations over the compiled network."""
+    def step(self) -> IterationRecord:
+        """One fair-rate update interval of RCP*."""
         compiled = self._ensure_compiled()
         capacities = compiled.capacities_vector()
         fair_rates = self._link_vector(self._fair_rates)
@@ -124,18 +71,17 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
 
         # Host side, Eq. (16): combine the per-link fair rates along each
         # path.  Fair rates are clamped to [capacity * 1e-6, capacity], so
-        # the power sums stay finite and positive on every non-empty path
-        # (the scalar total > 0 branch can only be false for zero flows).
+        # the power sums stay finite and positive on every non-empty path.
         path_caps = compiled.path_capacities()
-        # Failed links advertise a zero fair share: exclude them from the
-        # power sum (0 ** -alpha would inject inf into the path sums) and
-        # zero out the flows that cross them -- exactly the scalar branch's
-        # inf-total behavior.
+        # A failed link advertises a zero fair share: its ``R^-alpha`` term
+        # is infinite, so every flow crossing it gets a zero rate.  It is
+        # left out of the power sum (0 ** -alpha would inject inf into the
+        # path sums) and those flows are zeroed afterwards.
         live_fair = fair_rates > 0.0
         fair_pow = np.zeros_like(fair_rates)
         np.power(fair_rates, -params.alpha, out=fair_pow, where=live_fair)
         totals = compiled.path_prices(fair_pow)
-        rate_vec = path_caps.copy()  # the scalar fallback when total <= 0
+        rate_vec = path_caps.copy()  # a path with no positive sum sends at capacity
         positive = totals > 0.0
         rate_vec[positive] = totals[positive] ** (-1.0 / params.alpha)
         if not live_fair.all():
@@ -145,6 +91,7 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
 
         # Link side, Eq. (15): integrate the backlog and scale every fair
         # rate by its spare-capacity / queue feedback, all links at once.
+        # A failed link has no traffic and no mismatch.
         interval, rtt = params.update_interval, params.rtt
         load = compiled.link_load(rate_vec)
         live = capacities > 0.0
@@ -161,63 +108,6 @@ class RcpStarFluidSimulator(VectorizedBackendMixin):
         self._queues.store(compiled.link_ids, queues)
         self._fair_rates.store(compiled.link_ids, new_fair)
 
-        detail = self.record_detail
-        record = RcpIterationRecord(
-            self.iteration,
-            compiled.flow_id_snapshot(),
-            compiled.link_ids,
-            rate_vec=rate_vec,
-            fair_rate_vec=new_fair if detail else None,
-            queue_vec=queues if detail else None,
+        return self._record(
+            compiled.flow_id_snapshot(), rate_vec=rate_vec, fair_rate_vec=new_fair, queue_vec=queues
         )
-        self.iteration += 1
-        return record
-
-    def step(self) -> RcpIterationRecord:
-        if self.backend == "vectorized":
-            return self._step_vectorized()
-        capacities = self.network.capacities
-        rates = self._flow_rates()
-        load = self.network.link_load(rates)
-        interval = self.params.update_interval
-        rtt = self.params.rtt
-        fair_rates, queues = self.fair_rates, self.queues
-        for link, capacity in capacities.items():
-            if capacity > 0.0:
-                excess = (load[link] - capacity) / capacity
-                spare_fraction = (capacity - load[link]) / capacity
-            else:  # failed link: no traffic, no mismatch (parity with arrays)
-                excess = 0.0
-                spare_fraction = 0.0
-            queues[link] = max(queues[link] + excess * interval, 0.0)
-            queue_in_rtt = queues[link] / rtt
-            factor = 1.0 + (interval / rtt) * (
-                self.params.gain_a * spare_fraction - self.params.gain_b * queue_in_rtt
-            )
-            factor = min(max(factor, 0.5), 2.0)
-            new_rate = fair_rates[link] * factor
-            fair_rates[link] = min(max(new_rate, capacity * 1e-6), capacity)
-
-        record = RcpIterationRecord(
-            self.iteration,
-            rates=dict(rates),
-            fair_rates=dict(fair_rates) if self.record_detail else {},
-            queues=dict(queues) if self.record_detail else {},
-        )
-        self.iteration += 1
-        return record
-
-    def run(self, iterations: int, record_history: bool = True) -> List[RcpIterationRecord]:
-        """Run ``iterations`` steps; return (and optionally store) the records.
-
-        ``record_history=False`` keeps memory O(1) for long runs; direct
-        ``step()`` calls never touch the history (same contract as xWI).
-        """
-        records = [self.step() for _ in range(iterations)]
-        if record_history:
-            self.history.extend(records)
-        return records
-
-    @property
-    def seconds_per_iteration(self) -> float:
-        return self.params.update_interval

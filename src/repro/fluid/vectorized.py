@@ -1,10 +1,7 @@
-"""NumPy-vectorized fluid backend: compiled incidence structure + array math.
+"""The fluid engine's array core: compiled incidence structure + array math.
 
-The scalar fluid engine (:mod:`repro.fluid.maxmin`, :mod:`repro.fluid.xwi`,
-:mod:`repro.fluid.dgd`, :mod:`repro.fluid.rcp`, :mod:`repro.fluid.dctcp`)
-iterates Python dicts per flow and per link, which caps the convergence and
-sensitivity experiments at toy scale.  This module compiles a
-:class:`~repro.fluid.network.FluidNetwork` snapshot into
+This module compiles a :class:`~repro.fluid.network.FluidNetwork` snapshot
+into
 
 * a padded per-flow **link-index array** (``path_links``) that every
   link <-> flow reduction runs on -- water-filling, the schemes' path sums
@@ -19,25 +16,23 @@ equally DGD's price dynamics (Eq. (14)), RCP*'s fair-rate dynamics
 (Eqs. (15)-(16)) and DCTCP's per-RTT window dynamics -- runs as a handful
 of array operations.  The shared building blocks are the path-price /
 link-load incidence products, the per-flow narrowest-link capacities and
-the family-batched utility evaluations; each simulator adds only its own
-elementwise state update on top.  :class:`VectorizedBackendMixin` carries
-the compile-on-churn logic every ``backend="vectorized"`` simulator uses.
-The arithmetic mirrors the scalar reference operation for operation (same
-clamping floors, same formulas per utility family), so both backends agree
-to ~1e-12 relative; the parity suites in
-``tests/fluid/test_vectorized_parity.py`` and
-``tests/fluid/test_scheme_backend_parity.py`` enforce 1e-9.
+the family-batched utility evaluations; each scheme adds only its own
+elementwise state update on top.  :class:`FluidStepper` is the base every
+scheme's simulator shares: the compiled snapshot, compile-on-churn, the
+history and the :class:`IterationRecord`.  The per-flow dict iterations
+these steps replaced live with the tests (``tests/fluid/_fluid_reference.py``);
+the parity suites hold every scheme to them at 1e-9.
 
-Arrays are also the only *stored* form of a vectorized simulator's state
-and output.  Per-link and per-flow state (prices, queues, fair rates,
-DCTCP's windows) lives in an :class:`ArrayState`; the dict each public
-attribute promises is a view refilled when somebody reads it, and a dict
-that was read or assigned is authoritative until the next step gathers it
-back -- so external writes (fault noise, tests) behave as on the scalar
-backend and steps nobody observed touch no dict.  A step returns an
-:class:`IterationRecord`: immutable id snapshots plus the read-only
-vectors the step already allocated, with ``.rates`` / ``.prices`` / ... as
-cached dict views.  Consumers that want numbers
+Arrays are also the only *stored* form of a simulator's state and output.
+Per-link and per-flow state (prices, queues, fair rates, DCTCP's windows)
+lives in an :class:`ArrayState`; the dict each public attribute promises is
+a view refilled when somebody reads it, and a dict that was read or
+assigned is authoritative until the next step gathers it back -- so
+external writes (fault noise, tests) reach the next step, and steps nobody
+observed touch no dict.  A step returns an :class:`IterationRecord`:
+immutable id snapshots plus the read-only vectors the step already
+allocated, with ``.rates`` / ``.prices`` / ... as cached dict views.
+Consumers that want numbers
 (:func:`repro.fluid.convergence.convergence_iterations`, the flow-level
 loop) read the vectors.
 
@@ -52,12 +47,6 @@ vectors, one flow set), :class:`CompiledMaxMin` keeps the compiled
 incidence across calls so each solve is pure water-filling, skipping the
 dict-to-array rebuild that dominates one-shot
 :func:`weighted_max_min_vectorized` calls.
-
-Measured on the ``benchmarks/perf`` harness (leaf-spine topology, mixed
-utility families), the vectorized backends run several times faster than
-their scalar references at 200 flows and an order of magnitude faster at
-1000; see ``BENCH_fluid.json`` at the repository root for the current
-numbers.
 """
 
 from __future__ import annotations
@@ -715,36 +704,31 @@ def compile_network(network: FluidNetwork) -> CompiledFluidNetwork:
 
 
 def dict_of(keys: Sequence, vector: Optional[np.ndarray]) -> Dict:
-    """The dict the scalar backend would hold for ``vector`` (``keys`` order).
-
-    Empty for ``None``, a record field that was not recorded.
-    """
+    """``vector`` as a dict keyed by ``keys`` (in order); empty for ``None``."""
     return {} if vector is None else dict(zip(keys, vector.tolist()))
 
 
 class ArrayState:
     """Per-link (or per-flow) simulator state: a vector, read as a dict on demand.
 
-    The vectorized steps compute in arrays, so the array *is* the state:
-    :meth:`store` takes a step's output vector (in ``keys`` order) and leaves
-    the dict stale.  The dict the public attribute promises
-    (``simulator.prices``, ``.queues``, ``.windows`` ...) is one object for
-    the holder's lifetime, refilled in place by the first :meth:`view` after
-    a step.  Whoever reads it may write into it, and whoever assigns the
-    attribute hands in a dict of their own, so in both cases the dict is
-    **handed out**: it is authoritative until the next step, which gathers
-    its vector back from it (:meth:`VectorizedBackendMixin._link_vector`).
-    Steps nobody observed never touch the dict.  The scalar backend never
-    stores a vector, so for it this is just the dict it was given.
+    The steps compute in arrays, so the array *is* the state: :meth:`store`
+    takes a step's output vector (in ``keys`` order) and leaves the dict
+    stale.  The dict the public attribute promises (``simulator.prices``,
+    ``.queues``, ``.windows`` ...) is one object for the holder's lifetime,
+    refilled in place by the first :meth:`view` after a step.  Whoever reads
+    it may write into it, and whoever assigns the attribute hands in a dict
+    of their own, so in both cases the dict is **handed out**: it is
+    authoritative until the next step, which gathers its vector back from
+    it (:meth:`FluidStepper._link_vector`).  Steps nobody observed never
+    touch the dict.
 
     A reference kept across a step is the same dict the attribute returns,
     but it is only brought up to date by reading the attribute: read
-    ``simulator.prices`` after a step before reading or writing through it
-    (the scalar backend updates the dict during the step itself).
+    ``simulator.prices`` after a step before reading or writing through it.
 
     >>> state = ArrayState({"a": 1.0, "b": 2.0})
     >>> held = state.view()
-    >>> state.store(("a", "b"), np.array([3.0, 4.0]))   # a vectorized step
+    >>> state.store(("a", "b"), np.array([3.0, 4.0]))   # a step
     >>> state.handed_out                                 # nobody looked
     False
     >>> state.view()["b"] = 9.0                          # an external write
@@ -800,20 +784,16 @@ class state_view:
 class IterationRecord:
     """Immutable snapshot of one simulator iteration.
 
-    The vectorized step passes the id snapshots (``flow_ids`` from
+    A step passes the id snapshots (``flow_ids`` from
     :meth:`CompiledFluidNetwork.flow_id_snapshot`, ``link_ids``) and the
-    vectors it already allocated -- ``rate_vec`` plus the subclass's detail
-    vectors, kept by reference and made read-only, never copied; the dict
-    fields (``rates`` and the subclass's own) are cached properties, built
-    on first read.  The scalar backend passes the dicts themselves, which
-    land where the cache would, and leaves the vectors ``None``.
+    vectors it already allocated -- ``rate_vec`` plus its scheme's state
+    vectors, kept by reference and made read-only, never copied.  The dict
+    fields are cached properties built on first read; a field the scheme
+    does not keep reads as ``{}``.  A record built from dicts
+    (``IterationRecord(0, rates={...})``) holds them where the cache would.
     """
 
-    rate_vec: Optional[np.ndarray] = None
-
-    @cached_property
-    def rates(self) -> Dict[FlowId, float]:
-        return dict_of(self.flow_ids, self.rate_vec)
+    rate_vec = weight_vec = price_vec = queue_vec = fair_rate_vec = None
 
     def __init__(
         self,
@@ -829,6 +809,26 @@ class IterationRecord:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
         self.__dict__.update(fields)
+
+    @cached_property
+    def rates(self) -> Dict[FlowId, float]:
+        return dict_of(self.flow_ids, self.rate_vec)
+
+    @cached_property
+    def weights(self) -> Dict[FlowId, float]:
+        return dict_of(self.flow_ids, self.weight_vec)
+
+    @cached_property
+    def prices(self) -> Dict[LinkId, float]:
+        return dict_of(self.link_ids, self.price_vec)
+
+    @cached_property
+    def queues(self) -> Dict[LinkId, float]:
+        return dict_of(self.link_ids, self.queue_vec)
+
+    @cached_property
+    def fair_rates(self) -> Dict[LinkId, float]:
+        return dict_of(self.link_ids, self.fair_rate_vec)
 
 
 class RateGather:
@@ -871,29 +871,52 @@ class RateGather:
         return self._extended.take(self._index)
 
 
-class VectorizedBackendMixin:
-    """Compile-on-churn bookkeeping shared by every vectorized simulator.
+class FluidStepper:
+    """One fluid scheme's control loop over a :class:`FluidNetwork`.
 
-    A simulator mixes this in, sets ``self._compiled = None`` in its
-    constructor and calls :meth:`_ensure_compiled` at the top of each
-    vectorized step: flow churn (and utility rebinds) are applied to the
-    compiled snapshot *incrementally* via
-    :meth:`CompiledFluidNetwork.refresh` -- O(path) column edits per
-    arrival/departure -- and only falls back to a full recompile when the
-    journal cannot cover the gap (or multipath groups are involved).
-    :meth:`_on_recompile` gives the simulator a hook to realign any
-    per-flow state arrays (e.g. DCTCP's windows) with the new flow order;
-    it fires on incremental updates too, since departures reorder slots.
+    The paper models every scheme alike: a rate rule and a price (or
+    window) rule, applied once per update interval.  This base owns the
+    rest: the network, the parameters, the iteration counter and history,
+    the compiled snapshot, :meth:`run` and the record.  A scheme subclass
+    names its parameters class (``Parameters``) and the field that holds
+    its update interval (``interval``), sets its initial state and defines
+    ``step()``, which calls :meth:`_ensure_compiled` first and ends with
+    :meth:`_record`.
+
+    Flow churn (and utility rebinds) reach the compiled snapshot
+    *incrementally* through :meth:`CompiledFluidNetwork.refresh` -- O(path)
+    column edits per arrival or departure -- and a full recompile happens
+    only when the journal cannot cover the gap (or multipath groups are
+    involved).  :meth:`_on_recompile` lets a scheme realign per-flow state
+    vectors (DCTCP's windows) with the new flow order; it fires on
+    incremental updates too, since departures reorder slots.
     """
 
-    network: FluidNetwork
-    _compiled: Optional[CompiledFluidNetwork]
+    Parameters: type
+    interval: str
 
-    @staticmethod
-    def _check_backend(backend: str, scheme: str) -> str:
-        if backend not in ("scalar", "vectorized"):
-            raise ValueError(f"unknown {scheme} backend {backend!r}")
-        return backend
+    def __init__(self, network: FluidNetwork, params=None):
+        self.network = network
+        self.params = params or self.Parameters()
+        self.iteration = 0
+        self.history: List[IterationRecord] = []
+        self._compiled: Optional[CompiledFluidNetwork] = None
+
+    def run(self, iterations: int, record_history: bool = True) -> List[IterationRecord]:
+        """Run ``iterations`` steps; return (and optionally store) the records.
+
+        ``record_history=False`` keeps memory O(1) for long runs; direct
+        ``step()`` calls never touch the history.
+        """
+        records = [self.step() for _ in range(iterations)]
+        if record_history:
+            self.history.extend(records)
+        return records
+
+    @property
+    def seconds_per_iteration(self) -> float:
+        """Wall-clock duration of one iteration (the scheme's update interval)."""
+        return getattr(self.params, self.interval)
 
     def _ensure_compiled(self) -> CompiledFluidNetwork:
         compiled = self._compiled
@@ -920,6 +943,12 @@ class VectorizedBackendMixin:
         if state.handed_out:
             return self._compiled.link_vector(state.view())
         return state.vector
+
+    def _record(self, flow_ids: Sequence[FlowId], **vectors: np.ndarray) -> IterationRecord:
+        """This iteration's record over the compiled links; advances the count."""
+        record = IterationRecord(self.iteration, flow_ids, self._compiled.link_ids, **vectors)
+        self.iteration += 1
+        return record
 
 
 class CompiledMaxMin:
@@ -1237,9 +1266,9 @@ def price_update_arrays(
 ) -> np.ndarray:
     """Vectorized xWI price update (Eqs. (9)-(11)), all links at once.
 
-    Mirrors :func:`repro.core.xwi.fluid_price_update` elementwise: links
-    whose minimum residual is infinite (no flows) contribute a residual of
-    zero, exactly as the scalar rule.  Computes
+    Mirrors :meth:`repro.core.xwi.XwiLinkState.update_price` elementwise:
+    links whose minimum residual is infinite (no flows) contribute a
+    residual of zero, exactly as the per-link rule.  Computes
     ``beta * p + (1 - beta) * max(p + r - eta * (1 - u) * p, 0)`` in two
     buffers, operation for operation (IEEE ``+`` and ``*`` commute
     exactly), so the inputs are never written.

@@ -137,7 +137,7 @@ def _make_fluid_simulator(spec: ScenarioSpec, network: FluidNetwork):
             f"scheme {spec.scheme.name!r} has no fluid simulator; "
             f"expected one of {sorted(FLUID_SIMULATORS)} or 'Oracle'"
         ) from None
-    return simulator_cls(network, params=spec.scheme.params, backend="vectorized")
+    return simulator_cls(network, params=spec.scheme.params)
 
 
 def _run_fluid(spec: ScenarioSpec, result: ExperimentResult) -> None:
@@ -427,7 +427,9 @@ def _run_flow(spec: ScenarioSpec, result: ExperimentResult) -> None:
 #: remember a single family, and ``RateGather`` keeps its extended buffer.
 #: Version 5: compiled fluid snapshots lost their CSR cache slots, and the
 #: xWI simulator and the persistent dual solver their ``kernel`` attribute.
-CHECKPOINT_VERSION = 5
+#: Version 6: the fluid simulators share one base and one record class and
+#: lost their ``backend`` and ``record_detail`` attributes.
+CHECKPOINT_VERSION = 6
 
 
 def _checkpoint_fingerprint(spec: ScenarioSpec) -> str:

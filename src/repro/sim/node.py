@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import zlib
+from typing import Dict, List, Optional
 
 from repro.sim.packet import Packet
 from repro.sim.port import OutputPort
@@ -71,20 +72,32 @@ class Host(Node):
         self.unroutable_packets += 1
 
 
+def ecmp_hash(flow_id: object) -> int:
+    """A flow id's ECMP hash, the same in every interpreter.
+
+    An int is its own hash, so a switch with ``n`` candidates picks
+    ``flow_id % n`` -- the fluid engine's spine rule.  Any other id hashes
+    to the CRC-32 of its ``repr``: the builtin ``hash`` of a string changes
+    with ``PYTHONHASHSEED``, and ``hash(-1) == -2``.
+    """
+    if isinstance(flow_id, int):
+        return flow_id
+    return zlib.crc32(repr(flow_id).encode())
+
+
 class Switch(Node):
     """An output-queued switch with ECMP routing.
 
     The routing table maps a destination host name to the list of candidate
-    output ports; flows are hashed onto one of them (per-flow ECMP), so all
-    packets of a flow take the same path and sub-flows with distinct flow
-    ids can take different paths.
+    output ports; flows are hashed onto one of them (per-flow ECMP,
+    :func:`ecmp_hash`), so all packets of a flow take the same path and
+    sub-flows with distinct flow ids can take different paths.
     """
 
-    def __init__(self, name: str, hash_function: Optional[Callable[[object], int]] = None):
+    def __init__(self, name: str):
         super().__init__(name)
         self.ports: List[OutputPort] = []
         self.routes: Dict[object, List[OutputPort]] = {}
-        self._hash = hash_function if hash_function is not None else lambda key: hash(key)
         self.packets_forwarded = 0
         self.unroutable_packets = 0
 
@@ -106,6 +119,6 @@ class Switch(Node):
         if len(candidates) == 1:
             port = candidates[0]
         else:
-            port = candidates[self._hash(packet.flow_id) % len(candidates)]
+            port = candidates[ecmp_hash(packet.flow_id) % len(candidates)]
         self.packets_forwarded += 1
         port.send(packet)

@@ -2,16 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.config import NumFabricParameters
 from repro.core.utility import LogUtility
-from repro.core.xwi import (
-    XwiLinkState,
-    compute_flow_weight,
-    fluid_price_update,
-    normalized_residual,
-)
+from repro.core.xwi import XwiLinkState, compute_flow_weight, normalized_residual
+from repro.fluid.vectorized import price_update_arrays
 
 
 class TestComputeFlowWeight:
@@ -103,6 +100,13 @@ class TestXwiLinkState:
         for _ in range(200):
             state.update_price(30e-6)
         assert state.price < 1e-6
+
+
+def fluid_price_update(price, min_residual, utilization, params):
+    """The fluid engine's price update (all links at once), on one link."""
+    return price_update_arrays(
+        np.array([price]), np.array([min_residual]), np.array([utilization]), params
+    ).item()
 
 
 class TestFluidPriceUpdate:

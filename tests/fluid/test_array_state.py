@@ -1,16 +1,16 @@
 """Arrays are the state; dicts are views (``ArrayState`` / ``IterationRecord``).
 
-The vectorized simulators store their per-link / per-flow state and their
+The fluid simulators store their per-link / per-flow state and their
 records as vectors and build the public dicts only when somebody reads them.
 These tests pin the rule on small hypothesis-drawn fabrics, for all four
 simulators:
 
 * steps nobody observed end in exactly the state that observing every step
   (the pre-array behaviour: a dict after every step) ends in, and in the
-  scalar backend's state at the usual 1e-9;
+  scalar reference's state (``_fluid_reference.py``) at the usual 1e-9;
 * a dict that was handed out -- mutated in place or replaced -- is what the
-  next step runs on, on both backends alike, and stays the one object the
-  attribute returns across steps and churn;
+  next step runs on, in the simulator as in the reference, and stays the
+  one object the attribute returns across steps and churn;
 * records are immutable snapshots whose dict views equal their vectors;
 * a pickled simulator resumes bit-identically, whether or not a dict was
   handed out when it was pickled;
@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fluid_reference import make_simulator
 from _strategies import build_network, instances
 from repro.core.utility import LogUtility
 from repro.fluid.convergence import ConvergenceCriterion, convergence_iterations
@@ -68,7 +69,7 @@ schemes = st.sampled_from(sorted(SCHEMES))
 
 def make(scheme, instance, backend="vectorized"):
     capacities, paths, _ = instance
-    return SCHEMES[scheme][0](build_network(capacities, paths), backend=backend)
+    return make_simulator(SCHEMES[scheme][0], build_network(capacities, paths), backend)
 
 
 def state_of(scheme, simulator):
@@ -98,7 +99,7 @@ def assert_close(actual, expected, what):
 class TestUnobservedSteps:
     @settings(max_examples=40, deadline=None)
     @given(scheme=schemes, instance=fabrics, steps=st.integers(min_value=1, max_value=12))
-    def test_equal_observed_steps_and_the_scalar_backend(self, scheme, instance, steps):
+    def test_equal_observed_steps_and_the_scalar_reference(self, scheme, instance, steps):
         scalar = make(scheme, instance, backend="scalar")
         observed = make(scheme, instance)
         unobserved = make(scheme, instance)
@@ -124,7 +125,7 @@ class TestUnobservedSteps:
 class TestHandedOutDicts:
     @settings(max_examples=40, deadline=None)
     @given(scheme=schemes, instance=fabrics, factor=st.sampled_from([0.0, 0.5, 3.0]))
-    def test_writes_between_steps_reach_the_next_step_on_both_backends(
+    def test_writes_between_steps_reach_the_next_step_as_in_the_reference(
         self, scheme, instance, factor
     ):
         scalar = make(scheme, instance, backend="scalar")
@@ -164,8 +165,9 @@ class TestHandedOutDicts:
     @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_a_dict_held_across_steps_stays_the_attribute(self, scheme, backend):
-        """One dict object per attribute, through steps and churn, on both
-        backends: a caller that kept it reads and writes the live state."""
+        """One dict object per attribute, through steps and churn, in the
+        simulator as in the reference: a caller that kept it reads and
+        writes the live state."""
         instance = ({"a": 10e9, "b": 10e9}, {0: ("a",), 1: ("a", "b"), 2: ("b",)}, None)
         holder, reader = make(scheme, instance, backend), make(scheme, instance, backend)
         for simulator in (holder, reader):
@@ -185,7 +187,7 @@ class TestHandedOutDicts:
         assert holder.step().rates == reader.step().rates
 
     def test_a_held_dict_is_brought_up_to_date_by_reading_the_attribute(self):
-        """The vectorized backend's one difference: a step touches no dict,
+        """The one difference from the reference: a step touches no dict,
         so a kept reference lags until the attribute is read again."""
         simulator = make("xwi", ({"a": 1e9}, {0: ("a",)}, None))
         simulator.step()
@@ -220,19 +222,10 @@ class TestRecords:
             assert getattr(record, field) == dict(zip(ids, vector.tolist()))
             assert getattr(record, field) is getattr(record, field)  # cached
 
-    @pytest.mark.parametrize("scheme", ["xwi", "dgd", "rcp_star"])
-    def test_detail_is_left_out_on_request(self, scheme):
-        simulator_cls, _, fields = SCHEMES[scheme]
-        network = build_network({"a": 1e9}, {0: ("a",), 1: ("a",)})
-        record = simulator_cls(network, backend="vectorized", record_detail=False).step()
-        assert set(record.rates) == {0, 1}
-        for field in fields[1:]:
-            assert getattr(record, field) == {}
-
-    def test_no_vectorized_step_builds_a_dict(self):
+    def test_no_step_builds_a_dict(self):
         """The per-step dict builds this layout replaced must not come back."""
         for simulator_cls, _, _ in SCHEMES.values():
-            body = inspect.getsource(simulator_cls._step_vectorized)
+            body = inspect.getsource(simulator_cls.step)
             for banned in ("dict(zip(", "dict(self.", "_store_link_vector("):
                 assert banned not in body, (simulator_cls.__name__, banned)
 

@@ -202,7 +202,7 @@ class TestPathLinksMaintenance:
 
         network = FluidNetwork(dict(LINKS))
         populate(network, 0, 9)
-        simulator = XwiFluidSimulator(network, backend="vectorized", record_detail=False)
+        simulator = XwiFluidSimulator(network)
         simulator.run(5, record_history=False)
         restored = pickle.loads(pickle.dumps(simulator))
         np.testing.assert_array_equal(

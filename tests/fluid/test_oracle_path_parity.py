@@ -23,6 +23,7 @@ from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.oracle import PersistentDualSolver, estimate_price_scale
 from repro.fluid.vectorized import _FAM_LOG, compile_network
 
+from _fluid_reference import Reference
 from test_scheme_backend_parity import SCHEMES, add_to_both, assert_step_parity, make_pair
 
 RELATIVE = 1e-12
@@ -345,7 +346,7 @@ class TestWarmIterationCounts:
 
 class TestSchemesOffTheDensePair:
     """RCP*'s power sums and DCTCP's marking read ``path_links``: the scalar
-    backends still agree within the 1e-9 gates of ``test_scheme_backend_parity``
+    references still agree within the 1e-9 gates of ``test_scheme_backend_parity``
     on ragged paths, with a failed link in the middle of one and a link no
     flow crosses."""
 
@@ -359,8 +360,8 @@ class TestSchemesOffTheDensePair:
         add_to_both(networks, 1, ("a", "b", "c", "dead"), LogUtility(weight=2.0))
         add_to_both(networks, 2, ("b", "c"), AlphaFairUtility(alpha=2.0))
         add_to_both(networks, 3, ("c", "a"), FctUtility(flow_size=1e6))
-        scalar = simulator_cls(networks[0])
-        vectorized = simulator_cls(networks[1], backend="vectorized")
+        scalar = Reference(simulator_cls, networks[0])
+        vectorized = simulator_cls(networks[1])
         assert_step_parity(scalar, vectorized, 60)
         for network in networks:  # churn: the long flow leaves, a 1-hop one arrives
             network.remove_flow(1)

@@ -1,11 +1,11 @@
-"""Parity suite for the vectorized DGD / RCP* / DCTCP backends + CompiledMaxMin.
+"""Parity suite for the DGD / RCP* / DCTCP fluid simulators + CompiledMaxMin.
 
 Mirrors ``tests/fluid/test_vectorized_parity.py`` (the xWI suite): every
-test drives the scalar and the vectorized backend of a scheme through the
-same scenario and asserts that rates AND the per-link state (prices, fair
-rates, queues) agree within 1e-9 -- far looser than the observed agreement
-(~1e-15 relative), but tight enough that any semantic divergence fails
-immediately.  Each scheme gets the Table 2 parameter grid, a churn trace,
+test drives a scheme's scalar reference (``_fluid_reference.py``) and its
+production simulator through the same scenario and asserts that rates AND
+the per-link state (prices, fair rates, queues) agree within 1e-9 -- far
+looser than the observed agreement (~1e-15 relative), but tight enough
+that any semantic divergence fails immediately.  Each scheme gets the Table 2 parameter grid, a churn trace,
 and a hypothesis-driven random-topology comparison.
 """
 
@@ -15,6 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _fluid_reference import Reference
 from repro.core.utility import AlphaFairUtility, FctUtility, LogUtility, WeightedAlphaFairUtility
 from repro.fluid.dctcp import DctcpFluidParameters, DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidParameters, DgdFluidSimulator
@@ -111,19 +112,19 @@ class TestSchemeBackendParity:
         """Parity must hold across the gain grid, not just the defaults."""
         simulator_cls, _ = SCHEMES[scheme]
         networks = build_pair()
-        scalar = simulator_cls(networks[0], params=params)
-        vectorized = simulator_cls(networks[1], params=params, backend="vectorized")
+        scalar = Reference(simulator_cls, networks[0], params=params)
+        vectorized = simulator_cls(networks[1], params=params)
         assert_step_parity(scalar, vectorized, 150)
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_churn_trace(self, scheme):
-        """Arrivals and departures recompile the backend without divergence."""
+        """Arrivals and departures patch the compiled snapshot without divergence."""
         simulator_cls, _ = SCHEMES[scheme]
         networks = make_pair({"a": 10e9, "b": 4e9})
         add_to_both(networks, 0, ("a",), LogUtility())
         add_to_both(networks, 1, ("a", "b"), LogUtility(weight=2.0))
-        scalar = simulator_cls(networks[0])
-        vectorized = simulator_cls(networks[1], backend="vectorized")
+        scalar = Reference(simulator_cls, networks[0])
+        vectorized = simulator_cls(networks[1])
         trace = [
             ("run", 30),
             ("add", 2, ("b",), AlphaFairUtility(alpha=2.0)),
@@ -152,8 +153,8 @@ class TestSchemeBackendParity:
         networks = make_pair({"l": 10e9})
         add_to_both(networks, 0, ("l",), LogUtility())
         add_to_both(networks, 1, ("l",), LogUtility())
-        scalar = simulator_cls(networks[0])
-        vectorized = simulator_cls(networks[1], backend="vectorized")
+        scalar = Reference(simulator_cls, networks[0])
+        vectorized = simulator_cls(networks[1])
         assert_step_parity(scalar, vectorized, 40)
         compiled_before = vectorized._compiled
         for network in networks:
@@ -162,23 +163,17 @@ class TestSchemeBackendParity:
         assert vectorized._compiled is compiled_before
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    def test_unknown_backend_rejected(self, scheme):
-        simulator_cls, _ = SCHEMES[scheme]
-        with pytest.raises(ValueError):
-            simulator_cls(FluidNetwork({"l": 1e9}), backend="gpu")
-
-    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_empty_network(self, scheme):
-        """A flowless step must work on both backends (prices still move)."""
+        """A flowless step must work, as in the reference (prices still move)."""
         simulator_cls, _ = SCHEMES[scheme]
         networks = make_pair({"l": 1e9})
-        scalar = simulator_cls(networks[0])
-        vectorized = simulator_cls(networks[1], backend="vectorized")
+        scalar = Reference(simulator_cls, networks[0])
+        vectorized = simulator_cls(networks[1])
         assert_step_parity(scalar, vectorized, 5)
 
     def test_dctcp_departure_cleans_vectorized_state(self):
         network = FluidNetwork.single_link(10e9, 2)
-        simulator = DctcpFluidSimulator(network, backend="vectorized")
+        simulator = DctcpFluidSimulator(network)
         simulator.run(10)
         network.remove_flow(0)
         simulator.run(10)
@@ -187,12 +182,12 @@ class TestSchemeBackendParity:
         assert len(simulator._windows.vector) == 1
 
     def test_dctcp_external_window_write_honored(self):
-        """Assigning `windows` between steps takes effect on both backends."""
+        """Assigning `windows` between steps takes effect, as in the reference."""
         networks = make_pair({"l": 10e9})
         for i in range(2):
             add_to_both(networks, i, ("l",), LogUtility())
-        scalar = DctcpFluidSimulator(networks[0])
-        vectorized = DctcpFluidSimulator(networks[1], backend="vectorized")
+        scalar = Reference(DctcpFluidSimulator, networks[0])
+        vectorized = DctcpFluidSimulator(networks[1])
         assert_step_parity(scalar, vectorized, 10)
         override = {0: 5e4, 1: 7e4}
         scalar.windows = dict(override)
@@ -214,8 +209,8 @@ class TestSchemeBackendParity:
         networks = make_pair({"l": 10e9})
         for i in range(4):
             add_to_both(networks, i, ("l",), LogUtility())
-        scalar = DctcpFluidSimulator(networks[0])
-        vectorized = DctcpFluidSimulator(networks[1], backend="vectorized")
+        scalar = Reference(DctcpFluidSimulator, networks[0])
+        vectorized = DctcpFluidSimulator(networks[1])
         assert_step_parity(scalar, vectorized, 120)  # long enough to mark
         add_to_both(networks, 99, ("l",), LogUtility())
         assert_step_parity(scalar, vectorized, 120)
@@ -258,8 +253,8 @@ class TestRandomTopologyParity:
         networks = make_pair(capacities)
         for flow_id, path, utility in flows:
             add_to_both(networks, flow_id, path, utility)
-        scalar = simulator_cls(networks[0])
-        vectorized = simulator_cls(networks[1], backend="vectorized")
+        scalar = Reference(simulator_cls, networks[0])
+        vectorized = simulator_cls(networks[1])
         assert_step_parity(scalar, vectorized, 40)
 
 

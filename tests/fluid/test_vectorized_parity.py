@@ -1,7 +1,8 @@
-"""Parity suite: the vectorized fluid backend must match the scalar reference.
+"""Parity suite: the vectorized fluid engine must match the scalar reference.
 
-Every test drives the scalar and the vectorized backend through the same
-scenario and asserts the allocations (and prices) agree within 1e-9 --
+Every test drives the scalar reference (``_fluid_reference.py``) and the
+production xWI simulator through the same scenario and asserts the
+allocations (and prices) agree within 1e-9 --
 far looser than the observed agreement (~1e-12 relative), but tight enough
 that any semantic divergence (different clamping, different update order)
 fails immediately.
@@ -11,6 +12,7 @@ import copy
 
 import pytest
 
+from _fluid_reference import Reference
 from repro.core.bandwidth_function import PiecewiseLinearBandwidthFunction
 from repro.core.config import NumFabricParameters
 from repro.core.utility import (
@@ -47,8 +49,8 @@ def add_to_both(networks, flow_id, path, utility, group_id=None):
 
 
 def run_both(networks, iterations, params=None):
-    scalar = XwiFluidSimulator(networks[0], params=params)
-    vectorized = XwiFluidSimulator(networks[1], params=params, backend="vectorized")
+    scalar = Reference(XwiFluidSimulator, networks[0], params=params)
+    vectorized = XwiFluidSimulator(networks[1], params=params)
     for _ in range(iterations):
         scalar_record = scalar.step()
         vectorized_record = vectorized.step()
@@ -87,8 +89,6 @@ class TestMaxMinBackendParity:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             weighted_max_min({0: 1.0}, {0: ("l",)}, {"l": 1e9}, backend="gpu")
-        with pytest.raises(ValueError):
-            XwiFluidSimulator(FluidNetwork({"l": 1e9}), backend="gpu")
 
     def test_duplicate_link_paths_rejected(self):
         """A repeated link can't be represented in the incidence matrix, so
@@ -165,8 +165,8 @@ class TestXwiBackendParity:
         networks = make_pair({"a": 10e9, "b": 4e9})
         add_to_both(networks, 0, ("a",), LogUtility())
         add_to_both(networks, 1, ("a", "b"), LogUtility(weight=2.0))
-        scalar = XwiFluidSimulator(networks[0])
-        vectorized = XwiFluidSimulator(networks[1], backend="vectorized")
+        scalar = Reference(XwiFluidSimulator, networks[0])
+        vectorized = XwiFluidSimulator(networks[1])
         trace = [
             ("run", 25),
             ("add", 2, ("b",), AlphaFairUtility(alpha=2.0)),
@@ -225,7 +225,7 @@ class TestXwiBackendParity:
         assert vectorized.last_rates[0] == pytest.approx(9e8, rel=1e-3)
 
     def test_empty_network_step(self):
-        vectorized = XwiFluidSimulator(FluidNetwork({"l": 1e9}), backend="vectorized")
+        vectorized = XwiFluidSimulator(FluidNetwork({"l": 1e9}))
         record = vectorized.step()
         assert record.rates == {}
         assert record.prices == {"l": 0.0}

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from _fluid_reference import make_simulator
 from repro.core.utility import LogUtility
 from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
@@ -110,7 +111,7 @@ def test_waterfill_arrays_zero_capacity(dead):
 )
 def test_fluid_simulators_survive_dead_link(simulator_cls, backend, dead):
     network = two_link_network(dead)
-    simulator = simulator_cls(network, backend=backend)
+    simulator = make_simulator(simulator_cls, network, backend)
     record = None
     for _ in range(30):
         record = simulator.step()
@@ -128,7 +129,7 @@ def test_fluid_simulators_survive_dead_link(simulator_cls, backend, dead):
 @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
 def test_fluid_simulator_recovers_after_restore(backend):
     network = two_link_network(0.0)
-    simulator = XwiFluidSimulator(network, backend=backend)
+    simulator = make_simulator(XwiFluidSimulator, network, backend)
     for _ in range(20):
         simulator.step()
     network.set_capacity("dead", 10e9)

@@ -130,10 +130,11 @@ class TestCheckpointResume:
         # their solver-selection attributes; version 2 pickled the fluid
         # simulators' state as dicts and GK sketches slot by slot; version 3
         # keyed the path-capacity memo on a capacity copy; version 4 pickled
-        # compiled snapshots with CSR cache slots: such checkpoints must not
-        # resume.
-        assert CHECKPOINT_VERSION == 5
-        for version in (1, 2, 3, 4, CHECKPOINT_VERSION + 1):
+        # compiled snapshots with CSR cache slots; version 5 pickled fluid
+        # simulators with their backend and record_detail attributes and
+        # per-scheme record classes: such checkpoints must not resume.
+        assert CHECKPOINT_VERSION == 6
+        for version in (1, 2, 3, 4, 5, CHECKPOINT_VERSION + 1):
             write_checkpoint(path, {"version": version, "spec_fingerprint": "x"})
             with pytest.raises(ValueError, match="format version"):
                 load_checkpoint(path, spec)

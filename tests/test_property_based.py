@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) for the core data structures and invariants."""
 
 import math
+import os
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,12 @@ from repro.core.utility import (
 from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.xwi import XwiFluidSimulator
+
+# The scalar fluid references live beside the fluid suites.
+_FLUID_TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fluid")
+if _FLUID_TESTS not in sys.path:
+    sys.path.append(_FLUID_TESTS)
+from _fluid_reference import Reference  # noqa: E402
 
 rates = st.floats(min_value=1e3, max_value=1e11, allow_nan=False, allow_infinity=False)
 alphas = st.floats(min_value=0.1, max_value=4.0)
@@ -176,14 +184,14 @@ class TestXwiBackendParityProperties:
     @given(network=xwi_networks(), iterations=st.integers(min_value=1, max_value=30))
     @settings(max_examples=50, deadline=None)
     def test_vectorized_xwi_matches_scalar(self, network, iterations):
-        """Scalar and vectorized xWI agree to 1e-9 on random topologies."""
+        """xWI and its scalar reference agree to 1e-9 on random topologies."""
         import copy
 
         mirror = FluidNetwork(dict(network.capacities))
         for flow in network.flows:
             mirror.add_flow(FluidFlow(flow.flow_id, flow.path, copy.deepcopy(flow.utility)))
-        scalar = XwiFluidSimulator(network)
-        vectorized = XwiFluidSimulator(mirror, backend="vectorized")
+        scalar = Reference(XwiFluidSimulator, network)
+        vectorized = XwiFluidSimulator(mirror)
         for _ in range(iterations):
             scalar_record = scalar.step()
             vectorized_record = vectorized.step()
