@@ -7,13 +7,14 @@ Times (stdlib ``time.perf_counter`` only, no external dependencies):
   topology, the scalar reference (the per-flow dict loops of
   ``tests/fluid/_fluid_reference.py``) vs the production simulator,
   including a parity check of the final allocations;
-* weighted max-min water-filling alone: the scalar reference, the one-shot
-  vectorized entry point, and the compiled entry point
-  (:class:`repro.fluid.vectorized.CompiledMaxMin`) that amortizes the
-  incidence build over repeated solves;
-* the Oracle (:func:`repro.fluid.oracle.solve_num`): the scalar per-flow
-  dual against the vectorized batched dual, on an all-log workload where
-  both backends converge to the same optimum;
+* weighted max-min water-filling alone: the scalar reference
+  (``tests/fluid/_maxmin_reference.py``), the dict entry point
+  (:func:`repro.fluid.maxmin.weighted_max_min`), and
+  :func:`repro.fluid.vectorized.waterfill_arrays` on link indices built
+  once, as the repeat callers hold them;
+* the Oracle (:func:`repro.fluid.oracle.solve_num`): the per-flow dict
+  dual of ``tests/fluid/_oracle_reference.py`` against the batched array
+  dual, on an all-log workload where both converge to the same optimum;
 * the *persistent* dynamic Oracle
   (:class:`repro.fluid.oracle.PersistentDualSolver`) against a cold
   :func:`~repro.fluid.oracle.solve_num` per event on a churn trace, gated
@@ -22,12 +23,14 @@ Times (stdlib ``time.perf_counter`` only, no external dependencies):
 * incremental incidence compilation
   (:meth:`repro.fluid.vectorized.CompiledFluidNetwork.refresh`) against a
   full recompile per churn event, with a column-for-column equality check;
-* batched multi-bottleneck water-filling against the one-bottleneck-per-
-  round schedule, with the freezing-round / distinct-level counters that
+* batched multi-bottleneck water-filling against the dense one-bottleneck-
+  per-round reference schedule, with the freezing-round / distinct-level
+  counters that
   pin the round count to the bottleneck-level structure;
 * the flow-level dynamic simulation
   (:class:`repro.experiments.dynamic_fluid.FlowLevelSimulation`): the dict
-  reference loop against the array backend on an identical arrival trace
+  reference loop of ``tests/experiments/_flow_reference.py`` against the
+  array loop on an identical arrival trace
   (the dict side is sampled out above 2000 flows -- parity is pinned at
   the sampled sizes), plus -- in full mode -- the Fig. 5 paper-scale
   end-to-end run (10k-flow Poisson web-search workload, Oracle +
@@ -51,8 +54,8 @@ Times (stdlib ``time.perf_counter`` only, no external dependencies):
 Any scheme whose allocation drifts more than 1e-9 (relative) from its
 scalar reference aborts the run with a loud error -- the harness
 doubles as a coarse parity canary.  The flow-level dict/array pair is held
-to the same 1e-9; the Oracle pair is held to 1e-6, because its two
-backends run the same SPG solve on reassociated floating-point sums
+to the same 1e-9; the Oracle pair is held to 1e-6, because the dual and
+its reference run the same SPG solve on reassociated floating-point sums
 and may stop at marginally different points of the same optimum.
 
 Results are written as JSON to ``BENCH_fluid.json`` at the repository root
@@ -81,7 +84,7 @@ import platform
 import random
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,7 +104,7 @@ from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.oracle import PersistentDualSolver, solve_num
 from repro.fluid.rcp import RcpStarFluidSimulator
-from repro.fluid.vectorized import CompiledMaxMin, compile_network, waterfill_arrays
+from repro.fluid.vectorized import compile_network, waterfill_arrays
 from repro.fluid.xwi import XwiFluidSimulator
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
@@ -113,13 +116,18 @@ from repro.workloads.poisson import PoissonTrafficGenerator
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_fluid.json")
-#: Home of the test-side references: the scalar fluid schemes the ``xwi``
-#: and ``schemes`` rows time and gate against, and the Oracle (scipy
-#: L-BFGS-B) the ``oracle_persistent`` gate compares against.
-_REFERENCE = os.path.join(REPO_ROOT, "tests", "fluid")
+#: Homes of the test-side references: the scalar fluid schemes, max-min
+#: schedules and Oracle duals the ``xwi``, ``schemes``, ``maxmin``,
+#: ``waterfill`` and ``oracle`` rows time and gate against, the Oracle
+#: (scipy L-BFGS-B) the ``oracle_persistent`` gate compares against, and the
+#: flow engine's dict loop of the ``flow_level`` rows.
+_REFERENCES = (
+    os.path.join(REPO_ROOT, "tests", "fluid"),
+    os.path.join(REPO_ROOT, "tests", "experiments"),
+)
 
 PARITY_TOLERANCE = 1e-9
-#: The Oracle's two backends run the same SPG solve on reassociated
+#: The Oracle and its dict reference run the same SPG solve on reassociated
 #: floating-point sums, so their stopping points can differ marginally even
 #: though they bracket the same optimum; the bench gate is coarser than the
 #: 1e-9 the test-suite parity grid enforces on well-conditioned problems.
@@ -160,7 +168,7 @@ def build_network(n_flows: int, seed: int = 1, utilities: str = "mixed") -> Flui
     ``utilities="mixed"`` (default) rotates through log / alpha-fair / FCT
     utilities; ``utilities="log"`` uses weighted log utilities only -- the
     well-conditioned instance the Oracle benchmark needs so that both of
-    its backends converge to the same optimum.
+    its dict reference converge to the same optimum.
     """
     rng = random.Random(seed)
     capacities = {f"leaf{i}": 10e9 for i in range(BENCH_LEAVES)}
@@ -192,11 +200,17 @@ def _max_rel_rate_diff(reference: Dict, candidate: Dict) -> float:
     )
 
 
+def _use_references() -> None:
+    """Make the test-side reference modules importable."""
+    for directory in _REFERENCES:
+        if directory not in sys.path:
+            sys.path.insert(0, directory)
+
+
 def _fluid_simulator(simulator_cls, network: FluidNetwork, backend: str):
     """The production simulator, or with ``backend="scalar"`` its test-side
     scalar reference."""
-    if _REFERENCE not in sys.path:
-        sys.path.insert(0, _REFERENCE)
+    _use_references()
     from _fluid_reference import make_simulator
 
     return make_simulator(simulator_cls, network, backend)
@@ -264,7 +278,12 @@ def bench_schemes(flow_counts: List[int], iterations: int) -> Dict[str, List[Dic
 
 
 def bench_maxmin(flow_counts: List[int], repeats: int) -> List[Dict]:
-    """Repeated weighted max-min solves: scalar vs one-shot vs compiled."""
+    """Repeated weighted max-min solves: the scalar reference, the dict entry
+    point (one-shot: validation and link indices per call) and
+    ``waterfill_arrays`` on link indices built once (the ``compiled`` column)."""
+    _use_references()
+    from _maxmin_reference import scalar_max_min
+
     rows = []
     for n_flows in flow_counts:
         network = build_network(n_flows, seed=2)
@@ -273,17 +292,20 @@ def bench_maxmin(flow_counts: List[int], repeats: int) -> List[Dict]:
         capacities = network.capacities
         timings = {}
         results = {}
-        for backend in ("scalar", "vectorized"):
+        for column, solve in (("scalar", scalar_max_min), ("vectorized", weighted_max_min)):
             start = time.perf_counter()
             for _ in range(repeats):
-                results[backend] = weighted_max_min(weights, paths, capacities, backend=backend)
-            timings[backend] = time.perf_counter() - start
-        compiled = CompiledMaxMin(paths, capacities)
-        compiled.solve(weights)  # warm up
+                results[column] = solve(weights, paths, capacities)
+            timings[column] = time.perf_counter() - start
+        compiled = compile_network(network)
+        weight_vec = np.array([weights[flow_id] for flow_id in compiled.flow_ids])
+        capacity_vec = compiled.capacities_vector()
+        waterfill_arrays(compiled.path_links, weight_vec, capacity_vec)  # warm up
         start = time.perf_counter()
         for _ in range(repeats):
-            results["compiled"] = compiled.solve(weights)
+            rate_vec = waterfill_arrays(compiled.path_links, weight_vec, capacity_vec)
         timings["compiled"] = time.perf_counter() - start
+        results["compiled"] = dict(zip(compiled.flow_ids, rate_vec.tolist()))
         rows.append(
             {
                 "flows": n_flows,
@@ -307,18 +329,21 @@ def bench_maxmin(flow_counts: List[int], repeats: int) -> List[Dict]:
 
 
 def bench_oracle(flow_counts: List[int], repeats: int) -> List[Dict]:
-    """Scalar vs vectorized ``solve_num`` on an all-log multi-bottleneck net."""
+    """The dict reference dual vs ``solve_num`` on an all-log multi-bottleneck net."""
+    _use_references()
+    from _oracle_reference import scalar_solve
+
     rows = []
     for n_flows in flow_counts:
         network = build_network(n_flows, seed=3, utilities="log")
         timings = {}
         results = {}
-        for backend in ("scalar", "vectorized"):
-            solve_num(network, backend=backend)  # warm up
+        for column, solve in (("scalar", scalar_solve), ("vectorized", solve_num)):
+            solve(network)  # warm up
             start = time.perf_counter()
             for _ in range(repeats):
-                results[backend] = solve_num(network, backend=backend)
-            timings[backend] = time.perf_counter() - start
+                results[column] = solve(network)
+            timings[column] = time.perf_counter() - start
         rows.append(
             {
                 "flows": n_flows,
@@ -371,8 +396,7 @@ def bench_oracle_persistent(flow_counts: List[int], events: int) -> List[Dict]:
     per event against a *tightly converged* external solve: scipy L-BFGS-B
     on the same dual at ``ftol=1e-14``, the tests' reference.
     """
-    if _REFERENCE not in sys.path:
-        sys.path.insert(0, _REFERENCE)
+    _use_references()
     from _oracle_reference import cold_lbfgsb
 
     rows = []
@@ -422,6 +446,9 @@ def bench_incidence(flow_counts: List[int], events: int) -> List[Dict]:
     ``path_links`` matches a from-scratch compile column-for-column (after
     aligning the slot permutation).
     """
+    _use_references()
+    from _maxmin_reference import dense_incidence
+
     rows = []
     for n_flows in flow_counts:
         trace = _churn_trace(build_network(n_flows, seed=6, utilities="log"), events)
@@ -446,9 +473,9 @@ def bench_incidence(flow_counts: List[int], events: int) -> List[Dict]:
         full_slot = {flow_id: j for j, flow_id in enumerate(full.flow_ids)}
         identical = sorted(map(repr, compiled.flow_ids)) == sorted(
             map(repr, full.flow_ids)
-        ) and np.array_equal(  # .incidence is derived per read: read each once
-            compiled.incidence,
-            full.incidence[:, [full_slot[flow_id] for flow_id in compiled.flow_ids]],
+        ) and np.array_equal(
+            dense_incidence(compiled),
+            dense_incidence(full)[:, [full_slot[flow_id] for flow_id in compiled.flow_ids]],
         )
         rows.append(
             {
@@ -463,8 +490,11 @@ def bench_incidence(flow_counts: List[int], events: int) -> List[Dict]:
     return rows
 
 
-def _waterfill_instance(n_flows: int, seed: int = 4, small: bool = False) -> CompiledMaxMin:
-    """A host-link-rich leaf-spine fabric (the Fig. 5 waterfill shape).
+def _waterfill_instance(
+    n_flows: int, seed: int = 4, small: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A host-link-rich leaf-spine fabric (the Fig. 5 waterfill shape), as
+    ``(path_links, capacities)`` for :func:`waterfill_arrays`.
 
     Every flow crosses its own host up/down links plus shared core links,
     so the one-bottleneck-per-round schedule pays roughly one Python round
@@ -488,11 +518,13 @@ def _waterfill_instance(n_flows: int, seed: int = 4, small: bool = False) -> Com
         servers = max(16, min(128, 8 * max(1, (2 * n_flows) // 8)))
         params = SimulationParameters(num_servers=servers, num_leaves=8, num_spines=4)
     fabric = leaf_spine(params)
-    paths = {}
+    network = fabric.network
     for flow_id in range(n_flows):
         src, dst = rng.sample(range(servers), 2)
-        paths[flow_id] = fabric.path(src, dst, spine=flow_id % params.num_spines)
-    return CompiledMaxMin(paths, fabric.network.capacities)
+        path = fabric.path(src, dst, spine=flow_id % params.num_spines)
+        network.add_flow(FluidFlow(flow_id, path, LogUtility()))
+    compiled = compile_network(network)
+    return compiled.path_links, compiled.capacities_vector()
 
 
 #: Recorded with the small-fabric waterfill rows (see docs/PERFORMANCE.md).
@@ -513,29 +545,30 @@ def bench_waterfill(
 ) -> List[Dict]:
     """Layer 3 before/after: one-bottleneck-per-round vs batched waterfill.
 
-    ``single`` is the dense one-bottleneck-per-round reference schedule,
-    ``batched`` the path-indexed wave schedule every caller runs.  Also
+    ``single`` is the dense one-bottleneck-per-round reference schedule of
+    ``tests/fluid/_maxmin_reference.py``, ``batched`` the path-indexed wave
+    schedule every caller runs.  Also
     records the freezing-round counters: batched rounds track the number of
     distinct bottleneck levels (bounded by the dependency depth), not the
     bottleneck-link count the unbatched schedule pays.
     ``small_fabric_counts`` adds rows on the 48-link fabric, tagged with
     :data:`SMALL_FABRIC_NOTE`.
     """
+    _use_references()
+    from _maxmin_reference import dense_waterfill, incidence_of
+
     rows = []
     cases = [(n, False) for n in flow_counts] + [(n, True) for n in small_fabric_counts]
     for n_flows, small in cases:
         rng = random.Random(3)
-        compiled = _waterfill_instance(n_flows, small=small)
-        weight_vec = np.array([rng.uniform(0.5, 4.0) for _ in compiled.flow_ids])
-        capacities = compiled.capacities_vector()
+        path_links, capacities = _waterfill_instance(n_flows, small=small)
+        weight_vec = np.array([rng.uniform(0.5, 4.0) for _ in range(n_flows)])
+        incidence = incidence_of(path_links, capacities.size)
 
         single_stats: Dict[str, int] = {}
         batched_stats: Dict[str, int] = {}
-        single = waterfill_arrays(
-            compiled.incidence, compiled.incidence_f, weight_vec, capacities,
-            batch_ties=False, stats=single_stats,
-        )
-        batched = compiled.solve_array(weight_vec, capacities, stats=batched_stats)
+        single = dense_waterfill(incidence, weight_vec, capacities, single_stats)
+        batched = waterfill_arrays(path_links, weight_vec, capacities, batched_stats)
         max_diff = float(
             max(
                 abs(s - b) / max(abs(s), 1.0)
@@ -545,18 +578,15 @@ def bench_waterfill(
 
         start = time.perf_counter()
         for _ in range(repeats):
-            waterfill_arrays(
-                compiled.incidence, compiled.incidence_f, weight_vec, capacities,
-                batch_ties=False,
-            )
+            dense_waterfill(incidence, weight_vec, capacities)
         single_s = time.perf_counter() - start
         start = time.perf_counter()
         for _ in range(repeats):
-            compiled.solve_array(weight_vec, capacities)
+            waterfill_arrays(path_links, weight_vec, capacities)
         batched_s = time.perf_counter() - start
         row = {
             "flows": n_flows,
-            "links": len(compiled.link_ids),
+            "links": capacities.size,
             "repeats": repeats,
             "single_seconds": single_s,
             "batched_seconds": batched_s,
@@ -583,16 +613,20 @@ def _flow_level_arrivals(n_flows: int, seed: int = 7) -> List:
     return generator.generate(max_flows=n_flows)
 
 
-def _time_flow_level(arrivals: List, backend: str):
+def _time_flow_level(arrivals: List, loop: str):
+    """Time the ``"array"`` loop or, with ``"dict"``, the test-side dict loop."""
+    _use_references()
+    from _flow_reference import run_dict
+
     network = FluidNetwork({"bottleneck": 10e9})
     simulation = FlowLevelSimulation(
         network,
         lambda arrival: ("bottleneck",),
         EqualSharePolicy(10e9),
-        backend=backend,
     )
+    run = simulation.run if loop == "array" else lambda a: run_dict(simulation, a)
     start = time.perf_counter()
-    completed = simulation.run(arrivals)
+    completed = run(arrivals)
     return time.perf_counter() - start, completed
 
 
@@ -602,7 +636,7 @@ def bench_flow_level(flow_counts: List[int], dict_limit: Optional[int] = None) -
     ``dict_limit`` caps the sizes at which the dict reference loop runs:
     at 10k flows the dict side alone used to burn ~3 minutes of full-mode
     bench time while the bit-exact parity story is already covered by the
-    sampled sizes, so larger rows time only the array backend
+    sampled sizes, so larger rows time only the array loop
     (``dict_seconds`` / ``speedup`` / ``max_rel_fct_diff`` are null).
     """
     rows = []

@@ -19,8 +19,8 @@ and ``inverse_marginal`` is well defined for ``q > 0``.
 original scalar semantics) or a NumPy array (returning an array, computed
 elementwise with the same clamping rules) -- handy for evaluating one
 utility over many rates at once (sweeps, benchmarks, plotting).  Note the
-vectorized fluid backend (:mod:`repro.fluid.vectorized`) batches *across
-flows* instead, via :meth:`Utility.power_law_params` and per-family
+fluid engine (:mod:`repro.fluid.vectorized`) batches *across flows*
+instead, via :meth:`Utility.power_law_params` and per-family
 parameter arrays, because each flow carries its own utility instance.
 """
 
@@ -74,7 +74,7 @@ class Utility(ABC):
     def power_law_params(self) -> Optional[Tuple[float, float]]:
         """``(coefficient, exponent)`` when ``U'(x) = coefficient * x^(-exponent)``.
 
-        The vectorized fluid backend uses this to batch flows whose marginal
+        The fluid engine uses this to batch flows whose marginal
         utility is a pure power law into single array operations.  Utilities
         that are not of this form (or whose inverse marginal is undefined)
         return ``None`` and fall back to per-flow scalar evaluation.

@@ -27,10 +27,8 @@ and completions are detected with a single comparison, with slots compacted
 per completion batch (never per flow).  This is what lets Fig. 5 run the
 paper's 10k-flow workloads.  :meth:`FlowLevelSimulation.run` (materialized
 arrival list) and :meth:`~FlowLevelSimulation.run_stream` (lazy, resumable)
-are the same loop.  ``FlowLevelSimulation(backend="dict")`` is the original
-per-flow dict loop, kept only as the reference that
-``tests/experiments/test_flow_level_parity.py`` pins the array loop to; no
-layer above the constructor can select it.
+are the same loop.  The original per-flow dict loop lives with the tests
+(``tests/experiments/_flow_reference.py``), which pin this one to it.
 """
 
 from __future__ import annotations
@@ -91,15 +89,15 @@ class RatePolicy:
 
         Any flow-id -> rate mapping.  One that also carries ``flow_ids`` and
         a ``rate_vec`` in that order (:class:`RecordRates`) is read by the
-        array loop as a vector, never key by key.
+        flow loop as a vector, never key by key.
         """
         raise NotImplementedError
 
     def rates_epoch(self) -> Optional[int]:
         """Monotonic counter identifying the current allocation, or ``None``.
 
-        The array backend gathers the policy's rate dict into a vector once
-        per allocation *epoch* instead of once per step.  A policy that can
+        The flow loop gathers the policy's rate dict into a vector once per
+        allocation *epoch* instead of once per step.  A policy that can
         tell when its allocation changed returns a counter it bumps on every
         change; the default ``None`` opts out of caching (always correct,
         one dict pass per step), so policies that mutate and re-return the
@@ -335,11 +333,8 @@ class FlowLevelSimulation:
         rate_policy: RatePolicy,
         step_interval: float = 30e-6,
         utility_for_arrival: Optional[Callable[[FlowArrival], Utility]] = None,
-        backend: str = "array",
         fault_injector=None,
     ):
-        if backend not in ("array", "dict"):
-            raise ValueError(f"unknown flow-level backend {backend!r}")
         self.network = network
         self.path_for_arrival = path_for_arrival
         self.rate_policy = rate_policy
@@ -352,22 +347,17 @@ class FlowLevelSimulation:
             rate_policy, "on_capacity_changed", rate_policy.on_flow_set_changed
         )
         self.utility_for_arrival = utility_for_arrival or (lambda arrival: LogUtility())
-        self.backend = backend
         #: Optional completion sink called once per finished flow (streaming
         #: telemetry).  With ``keep_completions=False`` the per-flow record
         #: is *not* appended to :attr:`completed` -- memory stays bounded.
         self.on_complete: Optional[Callable[[CompletedFlow], None]] = None
         self.keep_completions = True
-        #: Simulated-time position of the array step loop (:meth:`run_stream`
+        #: Simulated-time position of the step loop (:meth:`run_stream`
         #: resumes from here; checkpointed alongside the slot arrays).
         self._time = 0.0
         self.completed: List[CompletedFlow] = []
-        # dict-backend state (the parity reference).
-        self._remaining_bytes: Dict[int, float] = {}
-        self._start_times: Dict[int, float] = {}
-        self._sizes: Dict[int, int] = {}
-        # array-backend state: one compact slot per active flow, in admission
-        # order; the arrays are over-allocated and compacted in batches.
+        # One compact slot per active flow, in admission order; the arrays
+        # are over-allocated and compacted in batches.
         self._slots: List[int] = []
         self._count = 0
         self._remaining = np.empty(0, dtype=float)
@@ -389,8 +379,6 @@ class FlowLevelSimulation:
     @property
     def active_flow_count(self) -> int:
         """Number of admitted flows that have not yet completed."""
-        if self.backend == "dict":
-            return len(self._remaining_bytes)
         return self._count
 
     def run(
@@ -402,8 +390,6 @@ class FlowLevelSimulation:
         horizon never complete (and stay in the network).
         """
         pending = sorted(arrivals, key=lambda a: a.time)
-        if self.backend == "dict":
-            return self._run_dict(pending, max_time)
         self._advance(ArrivalStream(pending), max_time, None)
         return self.completed
 
@@ -479,66 +465,7 @@ class FlowLevelSimulation:
         )
         self._rates_epoch = getattr(self.rate_policy, "rates_epoch", lambda: None)
 
-    # -- dict backend (parity reference) ----------------------------------
-
-    def _run_dict(
-        self, pending: List[FlowArrival], max_time: Optional[float]
-    ) -> List[CompletedFlow]:
-        time = 0.0
-        index = 0
-        horizon = max_time if max_time is not None else float("inf")
-
-        while time < horizon and (index < len(pending) or self._remaining_bytes):
-            self._inject_faults(time)
-            # Admit every flow that has arrived by now.
-            changed = False
-            while index < len(pending) and pending[index].time <= time:
-                arrival = pending[index]
-                self._admit(arrival)
-                self._remaining_bytes[arrival.flow_id] = float(arrival.size_bytes)
-                self._start_times[arrival.flow_id] = arrival.time
-                self._sizes[arrival.flow_id] = arrival.size_bytes
-                index += 1
-                changed = True
-            if changed:
-                self.rate_policy.on_flow_set_changed(self.network)
-
-            if not self._remaining_bytes:
-                # Jump to the next arrival.
-                if index < len(pending):
-                    time = pending[index].time
-                    continue
-                break
-
-            dt = self.step_interval
-            rates = self.rate_policy.rates(self.network, dt)
-            finished: List[int] = []
-            for flow_id, remaining in self._remaining_bytes.items():
-                rate = rates.get(flow_id, 0.0)
-                delivered = rate * dt / 8.0
-                new_remaining = remaining - delivered
-                if new_remaining <= 0.0:
-                    finished.append(flow_id)
-                else:
-                    self._remaining_bytes[flow_id] = new_remaining
-            time += dt
-            if finished:
-                for flow_id in finished:
-                    self._emit(
-                        CompletedFlow(
-                            flow_id=flow_id,
-                            size_bytes=self._sizes[flow_id],
-                            start_time=self._start_times[flow_id],
-                            finish_time=time,
-                        )
-                    )
-                    del self._remaining_bytes[flow_id]
-                    self.network.remove_flow(flow_id)
-                self.rate_policy.on_flow_set_changed(self.network)
-
-        return self.completed
-
-    # -- array backend -----------------------------------------------------
+    # -- slot arrays -------------------------------------------------------
 
     def _grow(self, extra: int) -> None:
         needed = self._count + extra
@@ -618,17 +545,12 @@ class FlowLevelSimulation:
         was reached or every admitted flow completed and the stream is
         exhausted.
         """
-        if self.backend != "array":
-            raise ValueError(
-                'run_stream requires backend="array" (the dict backend is the '
-                "materializing parity reference)"
-            )
         return self._advance(stream, max_time, stop_at)
 
     def _advance(
         self, stream: ArrivalStream, max_time: Optional[float], stop_at: Optional[float]
     ) -> bool:
-        """The array-backend step loop behind :meth:`run` and :meth:`run_stream`."""
+        """The step loop behind :meth:`run` and :meth:`run_stream`."""
         horizon = max_time if max_time is not None else float("inf")
         limit = stop_at if stop_at is not None else float("inf")
         dt = self.step_interval
@@ -658,7 +580,7 @@ class FlowLevelSimulation:
             rates = self.rate_policy.rates(self.network, dt)
             rate_vec = self._gather_rates(rates)
             remaining = self._remaining[: self._count]
-            # Identical per-element arithmetic to the dict backend:
+            # Identical per-element arithmetic to the dict reference:
             # ``remaining - rate * dt / 8.0`` with the same operation order.
             remaining -= rate_vec * dt / 8.0
             time += dt

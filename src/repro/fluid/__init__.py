@@ -8,14 +8,7 @@ convergence times via the paper's update intervals.
 
 from repro.fluid.network import FluidFlow, FluidNetwork, FlowGroup
 from repro.fluid.maxmin import weighted_max_min
-from repro.fluid.vectorized import (
-    CompiledFluidNetwork,
-    CompiledMaxMin,
-    VectorizedUtilities,
-    compile_max_min,
-    compile_network,
-    weighted_max_min_vectorized,
-)
+from repro.fluid.vectorized import CompiledFluidNetwork, VectorizedUtilities, compile_network
 from repro.fluid.oracle import (
     PersistentDualSolver,
     estimate_price_scale,
@@ -33,11 +26,8 @@ __all__ = [
     "FluidNetwork",
     "FlowGroup",
     "weighted_max_min",
-    "weighted_max_min_vectorized",
     "CompiledFluidNetwork",
-    "CompiledMaxMin",
     "VectorizedUtilities",
-    "compile_max_min",
     "compile_network",
     "PersistentDualSolver",
     "estimate_price_scale",

@@ -3,13 +3,19 @@
 Swift (WFQ scheduling at switches + packet-pair rate control at hosts)
 drives the network to the *weighted max-min* rate allocation for the
 current set of flow weights.  The fluid engine computes that fixed point
-directly with the classical progressive-filling / bottleneck-freezing
-algorithm (Bertsekas & Gallager).
+directly with progressive filling (Bertsekas & Gallager):
+:func:`weighted_max_min` is the dict-in / dict-out entry point over the one
+array water-fill, :func:`repro.fluid.vectorized.waterfill_arrays`, that
+xWI and the Oracle's safeguard run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence
+
+import numpy as np
+
+from repro.fluid.vectorized import waterfill_arrays
 
 LinkId = Hashable
 FlowId = Hashable
@@ -41,7 +47,6 @@ def weighted_max_min(
     weights: Mapping[FlowId, float],
     paths: Mapping[FlowId, Sequence[LinkId]],
     capacities: Mapping[LinkId, float],
-    backend: str = "scalar",
 ) -> Dict[FlowId, float]:
     """Compute the network-wide weighted max-min fair allocation.
 
@@ -54,97 +59,25 @@ def weighted_max_min(
         Sequence of links traversed by each flow.
     capacities:
         Capacity of every link (same units as the returned rates).
-    backend:
-        ``"scalar"`` (the reference implementation below) or
-        ``"vectorized"`` (NumPy water-filling from
-        :mod:`repro.fluid.vectorized`; same allocation, one to two orders of
-        magnitude faster on large flow populations).  For *repeated* solves
-        on a static topology, compile the instance once with
-        :class:`repro.fluid.vectorized.CompiledMaxMin` instead: it keeps the
-        incidence matrix across calls, so each solve skips the dict-to-array
-        rebuild that dominates one-shot vectorized calls.
 
     Returns
     -------
     Dict mapping flow id to its weighted max-min rate.
 
-    The algorithm repeatedly finds the bottleneck link -- the one whose
-    remaining capacity divided by the total weight of its still-unfrozen
-    flows is smallest -- and freezes those flows at ``weight * fair_share``.
-    Complexity is O(#links * #flows) per freezing round and there are at
-    most ``#links`` rounds.
+    Validates the instance, builds the sentinel-padded per-flow link
+    indices once (see :class:`~repro.fluid.vectorized.CompiledFluidNetwork`)
+    and runs :func:`~repro.fluid.vectorized.waterfill_arrays` on them.
     """
-    if backend == "vectorized":
-        from repro.fluid.vectorized import weighted_max_min_vectorized
-
-        return weighted_max_min_vectorized(weights, paths, capacities)
-    if backend != "scalar":
-        raise ValueError(f"unknown max-min backend {backend!r}")
     flow_ids = _validate_instance(weights, paths, capacities)
-
-    rates: Dict[FlowId, float] = {}
-    if not flow_ids:
-        return rates
-
-    remaining = {link: float(capacities[link]) for link in capacities}
-    # Only links actually carrying flows participate.
-    link_to_flows: Dict[LinkId, List[FlowId]] = {}
-    for flow_id in flow_ids:
-        for link in paths[flow_id]:
-            link_to_flows.setdefault(link, []).append(flow_id)
-
-    unfrozen = set(flow_ids)
-    active_links = set(link_to_flows)
-
-    while unfrozen:
-        bottleneck: Tuple[float, LinkId] = (float("inf"), None)
-        for link in active_links:
-            flows_here = [f for f in link_to_flows[link] if f in unfrozen]
-            if not flows_here:
-                continue
-            total_weight = sum(weights[f] for f in flows_here)
-            fair_share = remaining[link] / total_weight
-            if fair_share < bottleneck[0]:
-                bottleneck = (fair_share, link)
-        fair_share, link = bottleneck
-        if link is None:
-            # Remaining flows only cross links with no capacity pressure left
-            # (can happen with zero-remaining links fully consumed); give zero.
-            for flow_id in unfrozen:
-                rates[flow_id] = 0.0
-            break
-        newly_frozen = [f for f in link_to_flows[link] if f in unfrozen]
-        for flow_id in newly_frozen:
-            rate = weights[flow_id] * fair_share
-            rates[flow_id] = rate
-            for hop in paths[flow_id]:
-                remaining[hop] = max(remaining[hop] - rate, 0.0)
-            unfrozen.discard(flow_id)
-        active_links.discard(link)
-
-    return rates
-
-
-def max_min(
-    paths: Mapping[FlowId, Sequence[LinkId]], capacities: Mapping[LinkId, float]
-) -> Dict[FlowId, float]:
-    """Plain (unweighted) max-min fair allocation."""
-    weights = {flow_id: 1.0 for flow_id in paths}
-    return weighted_max_min(weights, paths, capacities)
-
-
-def bottleneck_links(
-    rates: Mapping[FlowId, float],
-    paths: Mapping[FlowId, Sequence[LinkId]],
-    capacities: Mapping[LinkId, float],
-    tolerance: float = 1e-9,
-) -> Dict[LinkId, bool]:
-    """Return, per link, whether it is saturated under the given rates."""
-    load: Dict[LinkId, float] = {link: 0.0 for link in capacities}
-    for flow_id, rate in rates.items():
-        for link in paths[flow_id]:
-            load[link] += rate
-    return {
-        link: load[link] >= capacities[link] * (1.0 - tolerance) - tolerance
-        for link in capacities
-    }
+    link_index = {link: i for i, link in enumerate(capacities)}
+    hops = max((len(paths[flow_id]) for flow_id in flow_ids), default=1)
+    path_links = np.full((len(flow_ids), hops), len(link_index), dtype=np.intp)
+    for j, flow_id in enumerate(flow_ids):
+        path = paths[flow_id]
+        path_links[j, : len(path)] = [link_index[link] for link in path]
+    rates = waterfill_arrays(
+        path_links,
+        np.array([weights[flow_id] for flow_id in flow_ids], dtype=float),
+        np.array([capacities[link] for link in link_index], dtype=float),
+    )
+    return dict(zip(flow_ids, rates.tolist()))

@@ -38,9 +38,9 @@ class FluidFlow:
     """A unidirectional flow (or sub-flow) traversing a fixed path of links.
 
     ``utility`` may be rebound to a different instance between iterations
-    (both fluid backends pick that up), but treat utility objects themselves
-    as immutable: the vectorized backend batches their parameters at compile
-    time and cannot observe in-place mutation.
+    (the compiled snapshot picks that up), but treat utility objects
+    themselves as immutable: the fluid engine batches their parameters at
+    compile time and cannot observe in-place mutation.
     """
 
     flow_id: FlowId
@@ -59,9 +59,8 @@ class FluidFlow:
         if not self.path:
             raise ValueError(f"flow {self.flow_id!r} must traverse at least one link")
         if len(set(self.path)) != len(self.path):
-            # A repeated link would be double-counted by the scalar engine but
-            # can't be represented in the boolean incidence matrix of the
-            # vectorized backend; reject it outright (no topology builds one).
+            # A repeated link would be double-counted by the per-link sums;
+            # reject it outright (no topology builds one).
             raise ValueError(f"flow {self.flow_id!r} traverses a link twice: {self.path!r}")
 
 
@@ -129,10 +128,10 @@ class FluidNetwork:
     def topology_version(self) -> int:
         """Monotonic counter bumped on every flow/group arrival or departure.
 
-        Compiled (vectorized) backends cache the link x flow incidence
-        structure and recompile only when this counter moves; capacity
-        changes (``set_capacity``) do not bump it because compiled backends
-        re-read capacities on every iteration.
+        Compiled snapshots (:class:`~repro.fluid.vectorized.CompiledFluidNetwork`)
+        cache the per-flow link indices and recompile only when this counter
+        moves; capacity changes (``set_capacity``) do not bump it because
+        the snapshots re-read capacities on every iteration.
         """
         return self._topology_version
 
@@ -163,7 +162,7 @@ class FluidNetwork:
     def capacity_version(self) -> int:
         """Monotonic counter bumped on every ``set_capacity`` call.
 
-        Compiled backends use it to memoize capacity-derived vectors (the
+        Compiled snapshots use it to memoize capacity-derived vectors (the
         capacities themselves, per-flow path capacities) without re-reading
         the dict on every iteration.
         """

@@ -33,12 +33,9 @@ No single-path solve imports scipy.  Only :func:`solve_num_multipath` and
 the safeguard's SLSQP fallback do, inside the function that calls it, never
 by ``import repro``.  The external reference the tight Oracle gates compare
 against -- scipy L-BFGS-B on the same scaled dual -- lives with the tests
-(``tests/fluid/_oracle_reference.py``).
-
-``solve_num(backend="scalar")`` is the per-flow reference implementation
-of the dual (same cold start, its own per-flow Jacobi loop) that
-``tests/fluid/test_oracle.py`` pins the array dual to on a grid of
-topologies and utility families; no layer above selects it.
+(``tests/fluid/_oracle_reference.py``), beside the per-flow dict
+assembly of the same dual that ``tests/fluid/test_oracle.py`` pins the
+array dual to.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +68,7 @@ class OracleResult:
     dual passes the id snapshots (``flow_ids``, ``link_ids``) and its
     vectors (``rate_vec``, ``price_vec``, kept by reference and made
     read-only), and ``rates`` / ``prices`` are cached properties, built on
-    first read.  The scalar, fallback and safeguard paths pass the dicts
+    first read.  The idle, fallback and safeguard results pass the dicts
     themselves, which land where the cache would, and leave the vectors
     ``None``.
     """
@@ -117,18 +114,7 @@ class OracleResult:
         return dict_of(self.link_ids, self.price_vec)
 
 
-def _path_price(prices: np.ndarray, link_index: Mapping[LinkId, int], path) -> float:
-    # Links excluded from the dual (no flows, or failed with zero capacity)
-    # contribute a price of zero.
-    total = 0.0
-    for link in path:
-        index = link_index.get(link)
-        if index is not None:
-            total += prices[index]
-    return float(total)
-
-
-def estimate_price_scale(network: FluidNetwork, backend: str = "vectorized") -> Dict[LinkId, float]:
+def estimate_price_scale(network: FluidNetwork) -> Dict[LinkId, float]:
     """Per-link price scale: median marginal utility at an equal split.
 
     Optimal prices differ by many orders of magnitude across utility
@@ -144,18 +130,6 @@ def estimate_price_scale(network: FluidNetwork, backend: str = "vectorized") -> 
     of recomputing it per solve.
     Single-path flows only (multipath groups are rejected by the callers).
     """
-    if backend == "scalar":
-        scales: Dict[LinkId, float] = {}
-        for link in network.links:
-            flows_here = network.flows_on_link(link)
-            if not flows_here or network.capacity(link) <= 0.0:
-                continue
-            share = network.capacity(link) / len(flows_here)
-            marginals = sorted(flow.utility.marginal(share) for flow in flows_here)
-            scales[link] = max(marginals[len(marginals) // 2], 1e-300)
-        return scales
-    if backend != "vectorized":
-        raise ValueError(f"unknown oracle backend {backend!r}")
     compiled = compile_network(network)
     active_idx, medians = _scale_medians(compiled)
     return {
@@ -168,9 +142,9 @@ def _scale_medians(compiled: CompiledFluidNetwork) -> Tuple[np.ndarray, np.ndarr
     """Per-link price-scale medians on an already-compiled network.
 
     Returns ``(active link indices, median marginal at an equal share)`` in
-    compiled link order -- the array core of the vectorized
-    :func:`estimate_price_scale`, shared with :class:`PersistentDualSolver`
-    so the persistent path never recompiles just to refresh conditioning.
+    compiled link order -- the array core of :func:`estimate_price_scale`,
+    shared with :class:`PersistentDualSolver` so the persistent path never
+    recompiles just to refresh conditioning.
     """
     n_links = len(compiled.link_ids)
     path_links = compiled.path_links
@@ -189,7 +163,7 @@ def _scale_medians(compiled: CompiledFluidNetwork) -> Tuple[np.ndarray, np.ndarr
     hop_links = path_links.T.ravel()
     marginals = compiled.vec_utils.marginal(shares[path_links.T]).ravel()
     # Sorted by link, then marginal: link l's run starts at first[l] and its
-    # upper median (the scalar loop's pick) sits counts[l] // 2 into it.
+    # upper median sits counts[l] // 2 into it.
     order = np.lexsort((marginals, hop_links))
     first = np.cumsum(counts) - counts
     medians = marginals[order[first[active_idx] + counts[active_idx] // 2]]
@@ -200,7 +174,6 @@ def solve_num(
     network: FluidNetwork,
     max_iterations: int = 2000,
     tolerance: float = 1e-9,
-    backend: str = "vectorized",
     safeguard: bool = True,
 ) -> OracleResult:
     """Solve ``max sum_i U_i(x_i)`` s.t. ``Rx <= c`` for single-path flows.
@@ -212,10 +185,6 @@ def solve_num(
 
     Parameters
     ----------
-    backend:
-        ``"vectorized"`` (default, the batched array dual of
-        :class:`_DualProblem`) or ``"scalar"`` (the per-flow reference
-        implementation the parity tests compare against).
     safeguard:
         When true (default), the better of the dual's allocation and the
         max-min allocation is returned, reported converged when it attains
@@ -229,14 +198,9 @@ def solve_num(
     flows = network.flows
     if any(flow.group_id is not None for flow in flows):
         raise ValueError("network contains multipath groups; use solve_num_multipath")
-    if backend not in ("scalar", "vectorized"):
-        raise ValueError(f"unknown oracle backend {backend!r}")
     if not flows:
         return OracleResult(rates={}, prices={link: 0.0 for link in network.links},
                             objective=0.0, iterations=0, converged=True)
-    if backend == "scalar":
-        return _solve_num_scalar(network, flows, network.links, max_iterations, tolerance,
-                                 safeguard)
     compiled = compile_network(network)
     problem = _DualProblem(compiled)
     if not problem.active_idx.size:
@@ -363,171 +327,6 @@ def _spg_minimize(
             success = True
             break
     return _SpgResult(x=z, fun=f, nit=nit, success=success, step=step)
-
-
-def _finish(
-    network: FluidNetwork,
-    flows,
-    links: List[LinkId],
-    result: OracleResult,
-    dual_value: float,
-    objective_scale: float,
-    tolerance: float,
-    maxmin_rates: Optional[Dict[FlowId, float]],
-    maxmin_objective: Optional[float],
-    max_iterations: int,
-) -> OracleResult:
-    """Apply the max-min safeguard and the optimality certificate shared by both backends.
-
-    ``dual_value`` is the scaled dual at the minimiser's final prices, so
-    ``dual_value * objective_scale`` bounds the objective of every feasible
-    allocation from above (weak duality).  The better of the dual's
-    allocation and max-min is returned -- max-min replaces any dual answer
-    it beats -- and reported converged when it attains that bound within
-    ``tolerance`` (relative, in the scaled dual's units, like the
-    minimiser's own ``ftol``); the dual's own allocation also keeps the
-    minimiser's verdict.  For very steep utilities (alpha >= ~4) the dual
-    becomes so ill-conditioned that the minimiser can stall far from the
-    optimum; when the returned allocation is not converged, fall back to a
-    primal SLSQP solve in normalized units, which is slower but robust for
-    the evaluation's problem sizes.
-    """
-    if maxmin_objective is None:  # safeguard disabled
-        return result
-    best = result
-    if maxmin_objective > result.objective:
-        best = OracleResult(
-            rates=maxmin_rates,
-            prices={link: 0.0 for link in links},
-            objective=maxmin_objective,
-            iterations=result.iterations,
-            converged=False,
-        )
-    gap = dual_value * objective_scale - best.objective
-    if gap <= tolerance * objective_scale * max(abs(dual_value), 1.0):
-        best.converged = True
-    if not best.converged and len(flows) <= _FALLBACK_MAX_FLOWS:
-        fallback = _solve_num_primal(network, max_iterations=max_iterations)
-        if fallback.objective >= best.objective:
-            return fallback
-    return best
-
-
-def _solve_num_scalar(
-    network: FluidNetwork,
-    flows,
-    links: List[LinkId],
-    max_iterations: int,
-    tolerance: float,
-    safeguard: bool,
-) -> OracleResult:
-    """The per-flow reference implementation of the dual solve.
-
-    Same cold start and minimiser as the vectorized backend -- ``z = 0.5``,
-    the Jacobi preconditioner (here from its own per-flow loop) and
-    :func:`_spg_minimize` -- so the two backends' agreement tests the
-    dual's assembly, not two minimisers' stopping points.
-    """
-    used = set()
-    for flow in flows:
-        used.update(flow.path)
-    # Failed (zero-capacity) links are excluded like flowless ones: their
-    # price stays zero and path-capacity clipping already pins every flow
-    # crossing them to a zero rate, so they cannot condition the dual.
-    active_links = [link for link in links if link in used and network.capacity(link) > 0.0]
-    if not active_links:
-        rates = {flow.flow_id: 0.0 for flow in flows}
-        return OracleResult(rates=rates, prices={link: 0.0 for link in links},
-                            objective=network.total_utility(rates),
-                            iterations=0, converged=True)
-    link_index = {link: i for i, link in enumerate(active_links)}
-    capacities = np.array([network.capacity(link) for link in active_links], dtype=float)
-
-    # Per-flow rate cap: the narrowest link on the path.  Clipping at the cap
-    # makes the inner maximization bounded even when the path price is ~0.
-    rate_caps = {flow.flow_id: network.path_capacity(flow.flow_id) for flow in flows}
-    rate_floors = {fid: cap * _MIN_RATE_FRACTION for fid, cap in rate_caps.items()}
-
-    scales = estimate_price_scale(network, backend="scalar")
-    scale_vec = np.array([scales[link] for link in active_links], dtype=float)
-    objective_scale = float(np.max(capacities) * np.median(scale_vec))
-
-    def primal_rates(prices: np.ndarray) -> Dict[FlowId, float]:
-        rates = {}
-        for flow in flows:
-            q = _path_price(prices, link_index, flow.path)
-            cap = rate_caps[flow.flow_id]
-            if q <= 0.0:
-                rate = cap
-            else:
-                rate = min(flow.utility.inverse_marginal(q), cap)
-            rates[flow.flow_id] = max(rate, rate_floors[flow.flow_id])
-        return rates
-
-    def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
-        prices = scale_vec * z
-        rates = primal_rates(prices)
-        value = float(np.dot(prices, capacities))
-        load = np.zeros(len(active_links))
-        for flow in flows:
-            x = rates[flow.flow_id]
-            q = _path_price(prices, link_index, flow.path)
-            value += flow.utility.value(x) - x * q
-            for link in flow.path:
-                index = link_index.get(link)  # dead links are not in the dual
-                if index is not None:
-                    load[index] += x
-        gradient = scale_vec * (capacities - load)
-        return value / objective_scale, gradient / objective_scale
-
-    def jacobi_precondition(z0: np.ndarray) -> np.ndarray:
-        """Per-flow twin of :meth:`_DualProblem.jacobi_precondition`."""
-        prices = scale_vec * z0
-        rates = primal_rates(prices)
-        curvature = np.zeros(len(active_links))
-        for flow in flows:
-            x = rates[flow.flow_id]
-            if not rate_floors[flow.flow_id] < x < rate_caps[flow.flow_id]:
-                continue
-            # alpha_eff of the power-law demand, as VectorizedUtilities.curvature_alpha
-            power = flow.utility.power_law_params()
-            alpha_eff = power[1] if power is not None and power[1] > 0.0 else 1.0
-            q = _path_price(prices, link_index, flow.path)
-            slope = x / (alpha_eff * max(q, 1e-300))
-            for link in flow.path:
-                index = link_index.get(link)
-                if index is not None:
-                    curvature[index] += slope
-        with np.errstate(divide="ignore", over="ignore"):
-            newton = objective_scale / (scale_vec**2 * curvature)
-        return np.where(
-            (curvature > 0.0) & np.isfinite(newton),
-            newton,
-            objective_scale / (scale_vec * capacities),
-        )
-
-    z0 = np.full(len(active_links), 0.5)
-    result = _spg_minimize(
-        dual_and_gradient, z0, max_iterations, tolerance, jacobi_precondition(z0)
-    )
-    prices = scale_vec * np.maximum(result.x, 0.0)
-    rates = primal_rates(prices)
-    rates = _rescale_to_feasible(network, rates)
-    objective = network.total_utility(rates)
-
-    maxmin_rates = maxmin_objective = None
-    if safeguard:
-        from repro.fluid.maxmin import max_min as _max_min
-
-        maxmin_rates = _max_min({f.flow_id: f.path for f in flows}, network.capacities)
-        maxmin_objective = network.total_utility(maxmin_rates)
-    price_dict = {link: 0.0 for link in links}
-    for link in active_links:
-        price_dict[link] = float(prices[link_index[link]])
-    dual = OracleResult(rates=rates, prices=price_dict, objective=objective,
-                        iterations=result.nit, converged=result.success)
-    return _finish(network, flows, links, dual, result.fun, objective_scale, tolerance,
-                   maxmin_rates, maxmin_objective, max_iterations)
 
 
 class _DualProblem:
@@ -688,6 +487,20 @@ class _DualProblem:
 
         ``minimised`` is the minimiser's result (``fun``, ``nit``,
         ``success``); ``prices`` are the physical prices at its ``x``.
+
+        ``minimised.fun`` is the scaled dual at those prices, so times
+        :attr:`objective_scale` it bounds the objective of every feasible
+        allocation from above (weak duality).  With ``safeguard``, the
+        better of the dual's allocation and max-min is returned -- max-min
+        replaces any dual answer it beats -- and reported converged when it
+        attains that bound within ``tolerance`` (relative, in the scaled
+        dual's units, like the minimiser's own ``ftol``); the dual's own
+        allocation also keeps the minimiser's verdict.  For very steep
+        utilities (alpha >= ~4) the dual becomes so ill-conditioned that the
+        minimiser can stall far from the optimum; when the returned
+        allocation is not converged, fall back to a primal SLSQP solve in
+        normalized units, which is slower but robust for the evaluation's
+        problem sizes.
         """
         compiled = self.compiled
         vec_utils = compiled.vec_utils
@@ -695,22 +508,10 @@ class _DualProblem:
         rate_vec = _rescale_to_feasible_arrays(self, rate_vec)
         objective = float(vec_utils.value(rate_vec).sum())
 
-        maxmin_rates = maxmin_objective = None
-        if safeguard:
-            # The reference allocation must respect *all* carrying links,
-            # including failed (zero-capacity) ones excluded from the dual --
-            # otherwise a dead-link flow looks entitled to a positive rate and
-            # the safeguard wrongly rejects the (correct) dual solution.
-            maxmin_vec = waterfill_arrays(
-                None, None, np.ones(len(compiled.flow_ids)), self.capacities_all,
-                path_links=compiled.path_links,
-            )
-            maxmin_objective = float(vec_utils.value(maxmin_vec).sum())
-            maxmin_rates = dict(zip(compiled.flow_ids, maxmin_vec.tolist()))
         links = compiled.link_ids
         price_vec = np.zeros(len(links))  # excluded links report a zero price
         price_vec[self.active_idx] = prices
-        dual = OracleResult(
+        best = OracleResult(
             objective=objective,
             iterations=int(minimised.nit),
             converged=bool(minimised.success),
@@ -719,9 +520,34 @@ class _DualProblem:
             link_ids=links,
             price_vec=price_vec,
         )
-        return _finish(network, compiled.flows, links, dual, float(minimised.fun),
-                       self.objective_scale, tolerance,
-                       maxmin_rates, maxmin_objective, max_iterations)
+        if not safeguard:
+            return best
+        # The reference allocation must respect *all* carrying links,
+        # including failed (zero-capacity) ones excluded from the dual --
+        # otherwise a dead-link flow looks entitled to a positive rate and
+        # the safeguard wrongly rejects the (correct) dual solution.
+        maxmin_vec = waterfill_arrays(
+            compiled.path_links, np.ones(len(compiled.flow_ids)), self.capacities_all
+        )
+        maxmin_objective = float(vec_utils.value(maxmin_vec).sum())
+        if maxmin_objective > best.objective:
+            best = OracleResult(
+                rates=dict(zip(compiled.flow_ids, maxmin_vec.tolist())),
+                prices={link: 0.0 for link in links},
+                objective=maxmin_objective,
+                iterations=best.iterations,
+                converged=False,
+            )
+        dual_value = float(minimised.fun)
+        objective_scale = self.objective_scale
+        gap = dual_value * objective_scale - best.objective
+        if gap <= tolerance * objective_scale * max(abs(dual_value), 1.0):
+            best.converged = True
+        if not best.converged and len(compiled.flows) <= _FALLBACK_MAX_FLOWS:
+            fallback = _solve_num_primal(network, max_iterations=max_iterations)
+            if fallback.objective >= best.objective:
+                return fallback
+        return best
 
 
 class PersistentDualSolver:

@@ -41,12 +41,6 @@ The compiled snapshot is invalidated by
 arrivals and departures: dynamic scenarios recompile per event, not per
 iteration, and capacity changes (Fig. 10) are picked up without recompiling
 because capacities are re-read each iteration.
-
-For repeated weighted max-min solves on a static topology (many weight
-vectors, one flow set), :class:`CompiledMaxMin` keeps the compiled
-incidence across calls so each solve is pure water-filling, skipping the
-dict-to-array rebuild that dominates one-shot
-:func:`weighted_max_min_vectorized` calls.
 """
 
 from __future__ import annotations
@@ -381,10 +375,7 @@ class CompiledFluidNetwork:
     so water-filling (:func:`waterfill_arrays`) and the link <-> flow
     reductions (:meth:`path_prices`, :meth:`path_capacities`,
     :meth:`link_min`, :meth:`link_load`) cost O(flows x hops) instead of
-    O(links x flows).  The dense link x flow matrix is not stored:
-    :attr:`incidence` / :attr:`incidence_f` derive it from ``path_links``
-    per read, for the parity tests, the ``batch_ties=False`` reference
-    schedule and the perf harness's reference rows.
+    O(links x flows).  No dense link x flow matrix exists.
 
     The slot storage is over-allocated behind a flow-slot map (mirroring
     the flow-level simulation's slot map), so a single arrival or departure
@@ -467,19 +458,6 @@ class CompiledFluidNetwork:
     def __setstate__(self, state: Dict[str, object]) -> None:
         for name, value in state.items():
             setattr(self, name, value)
-
-    @property
-    def incidence(self) -> np.ndarray:
-        """Boolean link x flow incidence, built from :attr:`path_links` on
-        every read: a reference view for tests, never a hot path."""
-        dense = np.zeros((len(self.link_ids) + 1, self._count), dtype=bool)
-        dense[self.path_links.T, np.arange(self._count)] = True
-        return dense[:-1]  # the sentinel row collected the padding
-
-    @property
-    def incidence_f(self) -> np.ndarray:
-        """Float twin of :attr:`incidence` (derived per read as well)."""
-        return self.incidence.astype(float)
 
     @property
     def path_links(self) -> np.ndarray:
@@ -951,155 +929,29 @@ class FluidStepper:
         return record
 
 
-class CompiledMaxMin:
-    """Weighted max-min solver compiled once for a fixed path/link set.
-
-    One-shot :func:`weighted_max_min_vectorized` calls rebuild the link x
-    flow incidence matrix from dicts on every invocation, which dominates
-    the solve at large flow counts (the ROADMAP's ~2.5x-at-1000-flows
-    ceiling).  When the topology is static and only the weights change --
-    the xWI inner loop, parameter sweeps, repeated oracle probes -- compile
-    the instance once and call :meth:`solve` per weight vector: each solve
-    is then pure water-filling (plus an O(flows) weight gather), ~an order
-    of magnitude faster than the scalar reference at 1000 flows (see
-    ``BENCH_fluid.json``).
-
-    Capacities are frozen at compile time by default; pass ``capacities=``
-    to :meth:`solve` to override per call (same link set, e.g. Fig. 10's
-    capacity steps) without recompiling.
-    """
-
-    __slots__ = ("flow_ids", "link_ids", "incidence", "incidence_f", "path_links",
-                 "_flow_index", "_capacities", "_link_index")
-
-    def __init__(
-        self,
-        paths: Mapping[FlowId, Sequence[LinkId]],
-        capacities: Mapping[LinkId, float],
-    ):
-        # Reuse the scalar entry point's validation (empty/duplicate-link
-        # paths, unknown links) so compiled and one-shot calls fail alike.
-        from repro.fluid.maxmin import _validate_instance
-
-        self.flow_ids: List[FlowId] = _validate_instance(
-            {flow_id: 1.0 for flow_id in paths}, paths, capacities
-        )
-        self.link_ids: List[LinkId] = list(capacities)
-        self._link_index = {link: i for i, link in enumerate(self.link_ids)}
-        self._flow_index = {flow_id: j for j, flow_id in enumerate(self.flow_ids)}
-        incidence = np.zeros((len(self.link_ids), len(self.flow_ids)), dtype=bool)
-        for j, flow_id in enumerate(self.flow_ids):
-            for link in paths[flow_id]:
-                incidence[self._link_index[link], j] = True
-        self.incidence = incidence
-        self.incidence_f = incidence.astype(float)
-        self.path_links = path_links_from_incidence(incidence)
-        self._capacities = np.fromiter(
-            (capacities[link] for link in self.link_ids),
-            dtype=float,
-            count=len(self.link_ids),
-        )
-
-    @classmethod
-    def from_network(cls, network: FluidNetwork) -> "CompiledMaxMin":
-        """Compile the current flow set of a :class:`FluidNetwork`."""
-        return cls(
-            {flow.flow_id: flow.path for flow in network.flows}, network.capacities
-        )
-
-    def capacities_vector(self) -> np.ndarray:
-        """The compile-time capacities in compiled link order (a copy)."""
-        return self._capacities.copy()
-
-    def solve(
-        self,
-        weights: Mapping[FlowId, float],
-        capacities: Optional[Mapping[LinkId, float]] = None,
-    ) -> Dict[FlowId, float]:
-        """Weighted max-min rates for one weight vector on the compiled paths.
-
-        Validates the weights exactly like :func:`weighted_max_min` (same
-        flow-id cover, positive weights); ``capacities`` optionally
-        overrides the compile-time capacities for this call only.
-        """
-        if len(weights) != len(self.flow_ids) or any(
-            flow_id not in self._flow_index for flow_id in weights
-        ):
-            raise ValueError("weights and paths must cover the same flow ids")
-        weight_vec = np.fromiter(
-            (weights[flow_id] for flow_id in self.flow_ids),
-            dtype=float,
-            count=len(self.flow_ids),
-        )
-        if weight_vec.size and weight_vec.min() <= 0.0:
-            bad = self.flow_ids[int(np.argmin(weight_vec))]
-            raise ValueError(f"flow {bad!r} must have a positive weight")
-        rates = self.solve_array(weight_vec, self._capacity_vector(capacities))
-        return dict(zip(self.flow_ids, rates.tolist()))
-
-    def solve_array(
-        self,
-        weight_vec: np.ndarray,
-        capacity_vec: Optional[np.ndarray] = None,
-        stats: Optional[Dict[str, int]] = None,
-    ) -> np.ndarray:
-        """Zero-overhead solve: weights in, rates out, both in compiled order.
-
-        ``stats`` is forwarded to :func:`waterfill_arrays` (freezing-round /
-        distinct-level counters).
-        """
-        return waterfill_arrays(
-            self.incidence,
-            self.incidence_f,
-            weight_vec,
-            self._capacities if capacity_vec is None else capacity_vec,
-            stats=stats,
-            path_links=self.path_links,
-        )
-
-    def _capacity_vector(
-        self, capacities: Optional[Mapping[LinkId, float]]
-    ) -> Optional[np.ndarray]:
-        if capacities is None:
-            return None
-        return np.fromiter(
-            (capacities[link] for link in self.link_ids),
-            dtype=float,
-            count=len(self.link_ids),
-        )
-
-
-def compile_max_min(
-    paths: Mapping[FlowId, Sequence[LinkId]], capacities: Mapping[LinkId, float]
-) -> CompiledMaxMin:
-    """Compile a path/link set for repeated weighted max-min solves."""
-    return CompiledMaxMin(paths, capacities)
-
-
-def path_links_from_incidence(incidence: np.ndarray) -> np.ndarray:
-    """Sentinel-padded flows x max-hops link-index array of a dense incidence.
-
-    O(nnz) after one ``nonzero`` scan of the transpose; row ``j`` lists flow
-    ``j``'s links in ascending index order, padded with ``n_links`` (see
-    :class:`CompiledFluidNetwork` for the sentinel convention).
-    """
-    n_links, n_flows = incidence.shape
-    flows, links = np.nonzero(incidence.T)
-    hops = np.bincount(flows, minlength=n_flows)
-    path_links = np.full((n_flows, int(hops.max(initial=1))), n_links, dtype=np.intp)
-    first_hop = np.cumsum(hops) - hops
-    path_links[flows, np.arange(flows.size) - first_hop[flows]] = links
-    return path_links
-
-
-def _waterfill_paths(
+def waterfill_arrays(
     path_links: np.ndarray,
     weights: np.ndarray,
     capacities: np.ndarray,
-    stats: Optional[Dict[str, int]],
+    stats: Optional[Dict[str, int]] = None,
 ) -> np.ndarray:
-    """Batched-wave water-filling on the padded per-flow link indices.
+    """Weighted max-min water-filling on the padded per-flow link indices.
 
+    Vectorized progressive filling (Bertsekas & Gallager) with *batched
+    multi-bottleneck rounds*.  Fair shares are non-decreasing as flows
+    freeze (freezing a bottleneck removes load and weight from other links
+    in proportion), so every link whose fair share is a **local minimum**
+    -- no unfrozen flow on it sees a smaller share on another of its links
+    -- is already at its final level and can freeze *in the same round*,
+    each at its own share.  That covers exact tie groups (many
+    same-capacity edge links at one level) and, beyond them, whole
+    independent regions of the fabric at different levels at once: the
+    Python round count scales with the depth of the bottleneck dependency
+    chain, bounded by the number of distinct bottleneck levels, instead of
+    the number of bottleneck links.
+
+    ``path_links`` is the sentinel-padded flows x max-hops link-index array
+    (:attr:`CompiledFluidNetwork.path_links`; repeat callers cache it).
     Per-link vectors carry one extra entry for the sentinel index (``+inf``
     remaining capacity, never carrying, never freezing).  The working set
     is the still-unfrozen flows, held hops x flows so the per-flow
@@ -1107,6 +959,10 @@ def _waterfill_paths(
     away every round, so a round costs O(live flows x hops).  The round
     that freezes every live flow returns at once: there is nothing left to
     charge to ``remaining`` or to compact.
+
+    ``stats``, when given, receives ``"rounds"`` (freezing rounds executed)
+    and ``"levels"`` (distinct fair-share levels frozen) for the
+    round-count accounting.
     """
     n_flows, hops = path_links.shape
     n_links = capacities.size
@@ -1159,103 +1015,6 @@ def _waterfill_paths(
         stats["rounds"] = rounds
         stats["levels"] = len(levels)
     return rates
-
-
-def waterfill_arrays(
-    incidence: Optional[np.ndarray],
-    incidence_f: Optional[np.ndarray],
-    weights: np.ndarray,
-    capacities: np.ndarray,
-    batch_ties: bool = True,
-    stats: Optional[Dict[str, int]] = None,
-    path_links: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Weighted max-min water-filling on the compiled incidence structure.
-
-    Vectorized progressive filling (Bertsekas & Gallager) with *batched
-    multi-bottleneck rounds*.  Fair shares are non-decreasing as flows
-    freeze (freezing a bottleneck removes load and weight from other links
-    in proportion), so every link whose fair share is a **local minimum**
-    -- no unfrozen flow on it sees a smaller share on another of its links
-    -- is already at its final level and can freeze *in the same round*,
-    each at its own share.  That covers exact tie groups (many
-    same-capacity edge links at one level) and, beyond them, whole
-    independent regions of the fabric at different levels at once: the
-    Python round count scales with the depth of the bottleneck dependency
-    chain, bounded by the number of distinct bottleneck levels, instead of
-    the number of bottleneck links.  The rounds run on the padded per-flow
-    link indices (:func:`_waterfill_paths`), so each is O(live flows x
-    hops) array work at every fabric size; the allocation matches the
-    scalar reference in :func:`repro.fluid.maxmin.weighted_max_min` (the
-    same unique fixed point, to floating-point reassociation -- 1e-9 gates
-    in the tests and the perf harness).
-
-    ``path_links``, when given, must be the sentinel-padded link-index
-    array of ``incidence`` (:attr:`CompiledFluidNetwork.path_links`; repeat
-    callers cache it); otherwise it is derived from ``incidence`` per call.
-    With it, ``incidence`` / ``incidence_f`` may be ``None``: only the
-    ``batch_ties=False`` schedule reads the dense pair.
-
-    ``batch_ties=False`` keeps the dense one-bottleneck-per-round schedule
-    (the before/after reference for the perf harness).  ``stats``, when
-    given, receives ``"rounds"`` (freezing rounds executed) and ``"levels"``
-    (distinct fair-share levels frozen) for the round-count accounting.
-    """
-    if batch_ties:
-        if path_links is None:
-            path_links = path_links_from_incidence(incidence)
-        return _waterfill_paths(path_links, weights, capacities, stats)
-    n_links, n_flows = incidence.shape
-    rates = np.zeros(n_flows)
-    rounds = 0
-    levels: set = set()
-    if n_flows:
-        # One-bottleneck-per-round reference schedule (perf-harness before/
-        # after baseline); same allocation, one Python round per bottleneck.
-        remaining = capacities.astype(float).copy()
-        unfrozen = np.ones(n_flows, dtype=bool)
-        unfrozen_weights = weights.astype(float).copy()  # zeroed as flows freeze
-        fair_share = np.empty(n_links)
-        flows_left = n_flows
-        while flows_left:
-            link_weight = incidence_f @ unfrozen_weights
-            fair_share.fill(np.inf)
-            np.divide(remaining, link_weight, out=fair_share, where=link_weight > 0.0)
-            bottleneck = int(np.argmin(fair_share))
-            share = fair_share[bottleneck]
-            if not np.isfinite(share):
-                break
-            frozen = np.nonzero(incidence[bottleneck] & unfrozen)[0]
-            frozen_rates = weights[frozen] * share
-            if stats is not None:
-                levels.add(float(share))
-            rates[frozen] = frozen_rates
-            remaining -= incidence_f[:, frozen] @ frozen_rates
-            np.maximum(remaining, 0.0, out=remaining)
-            unfrozen[frozen] = False
-            unfrozen_weights[frozen] = 0.0
-            flows_left -= frozen.size
-            rounds += 1
-    if stats is not None:
-        stats["rounds"] = rounds
-        stats["levels"] = len(levels)
-    return rates
-
-
-def weighted_max_min_vectorized(
-    weights: Mapping[FlowId, float],
-    paths: Mapping[FlowId, Sequence[LinkId]],
-    capacities: Mapping[LinkId, float],
-) -> Dict[FlowId, float]:
-    """One-shot dict-in / dict-out vectorized weighted max-min.
-
-    A compile-and-solve over :class:`CompiledMaxMin`, so validation (same
-    errors as the scalar reference for empty/duplicate-link paths,
-    non-positive weights, unknown links, flow-id mismatches) and the
-    incidence build live in exactly one place.  For repeated solves on the
-    same paths, compile once and reuse the :class:`CompiledMaxMin` instead.
-    """
-    return CompiledMaxMin(paths, capacities).solve(weights)
 
 
 def price_update_arrays(

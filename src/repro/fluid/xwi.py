@@ -120,13 +120,7 @@ class XwiFluidSimulator(FluidStepper):
         np.maximum(weight_vec, _WEIGHT_FLOOR, out=weight_vec)
 
         # Swift settles to the weighted max-min allocation for those weights.
-        rate_vec = waterfill_arrays(
-            None,
-            None,
-            weight_vec,
-            capacities,
-            path_links=compiled.path_links,
-        )
+        rate_vec = waterfill_arrays(compiled.path_links, weight_vec, capacities)
 
         # Switch side, Eqs. (9)-(11): minimum normalized residual and
         # utilization per link, then the price update, all vectorized.

@@ -428,8 +428,10 @@ def _run_flow(spec: ScenarioSpec, result: ExperimentResult) -> None:
 #: Version 5: compiled fluid snapshots lost their CSR cache slots, and the
 #: xWI simulator and the persistent dual solver their ``kernel`` attribute.
 #: Version 6: the fluid simulators share one base and one record class and
-#: lost their ``backend`` and ``record_detail`` attributes.
-CHECKPOINT_VERSION = 6
+#: lost their ``backend`` and ``record_detail`` attributes.  Version 7: the
+#: flow-level simulation lost its ``backend`` attribute and its three
+#: per-flow dicts.
+CHECKPOINT_VERSION = 7
 
 
 def _checkpoint_fingerprint(spec: ScenarioSpec) -> str:

@@ -130,21 +130,12 @@ class SenderBase:
     # -- size bookkeeping -----------------------------------------------------
 
     @property
-    def flow_size(self) -> Optional[int]:
-        return self.flow.size_bytes
-
-    @property
-    def remaining_bytes(self) -> float:
-        if self.flow_size is None:
-            return float("inf")
-        return max(self.flow_size - self.bytes_sent, 0)
-
-    @property
     def unacked_remaining_bytes(self) -> float:
         """Bytes not yet acknowledged (pFabric's notion of remaining size)."""
-        if self.flow_size is None:
+        flow_size = self.flow.size_bytes
+        if flow_size is None:
             return float("inf")
-        return max(self.flow_size - self.bytes_acked, 0)
+        return max(flow_size - self.bytes_acked, 0)
 
     @property
     def bytes_in_flight(self) -> int:
@@ -170,21 +161,13 @@ class SenderBase:
 
     # -- transmission ------------------------------------------------------------
 
-    def can_send(self) -> bool:
-        """Whether the control law currently allows sending one more packet."""
-        return self.bytes_in_flight + self.mtu_bytes <= self.window_bytes
-
-    def next_packet_size(self) -> int:
-        if self.flow_size is None:
-            return self.mtu_bytes
-        return int(min(self.mtu_bytes, self.remaining_bytes))
-
     def maybe_send(self) -> None:
         """Send as many packets as the window and remaining bytes allow.
 
-        The loop is :meth:`can_send` and :meth:`next_packet_size` written
-        out over the counters (the same arithmetic): it runs once per data
-        packet of every window-clocked sender.
+        A packet is the MTU or what is left of the flow, whichever is
+        smaller, and goes out while the bytes in flight plus one MTU fit the
+        window.  The loop runs once per data packet of every window-clocked
+        sender, so it reads the counters directly.
         """
         if not self.started or self.stopped:
             return
@@ -250,7 +233,7 @@ class SenderBase:
         self.network.record_completion(
             FlowCompletion(
                 flow_id=self.flow.flow_id,
-                size_bytes=self.flow_size or self.bytes_acked,
+                size_bytes=self.flow.size_bytes or self.bytes_acked,
                 start_time=self.start_time if self.start_time is not None else 0.0,
                 finish_time=self.simulator.now,
             )

@@ -120,7 +120,8 @@ class RcpStarSender(SenderBase):
             self._schedule_next_packet()
 
     def _schedule_next_packet(self) -> None:
-        if self.stopped or self.completed or self.remaining_bytes <= 0:
+        size = self.flow.size_bytes
+        if self.stopped or self.completed or (size is not None and size <= self.bytes_sent):
             self._pacing_scheduled = False
             return
         self._pacing_scheduled = True
@@ -131,8 +132,13 @@ class RcpStarSender(SenderBase):
         self._pacing_scheduled = False
         if self.stopped or self.completed:
             return
-        if self.remaining_bytes > 0 and self.can_send():
-            self.send_packet(self.next_packet_size())
+        size = self.flow.size_bytes
+        remaining = None if size is None else size - self.bytes_sent
+        if (remaining is None or remaining > 0) and (
+            self.bytes_in_flight + self.mtu_bytes <= self.window_bytes
+        ):
+            mtu = self.mtu_bytes
+            self.send_packet(mtu if remaining is None else int(min(mtu, remaining)))
         self._schedule_next_packet()
 
 

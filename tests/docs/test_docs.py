@@ -82,18 +82,36 @@ def _public_parameters(module):
     return names
 
 
-def test_performance_matrix_options_are_real_parameters():
-    """A selection-matrix row must not outlive the knob it documents."""
+def _engine_modules():
+    """Every ``repro.fluid`` module and the flow engine's."""
     import repro.fluid
 
-    modules = [importlib.import_module("repro.experiments.dynamic_fluid")] + [
+    return [importlib.import_module("repro.experiments.dynamic_fluid")] + [
         importlib.import_module(f"repro.fluid.{info.name}")
         for info in pkgutil.iter_modules(repro.fluid.__path__)
     ]
-    known = set().union(*(_public_parameters(module) for module in modules))
+
+
+def test_performance_matrix_options_are_real_parameters():
+    """A selection-matrix row must not outlive the knob it documents, and a
+    row without a knob says how its path is chosen."""
+    known = set().union(*(_public_parameters(module) for module in _engine_modules()))
     text = (REPO_ROOT / "docs" / "PERFORMANCE.md").read_text()
     matrix = text.split("## Selection matrix", 1)[1].split("\n## ", 1)[0]
-    rows = [line for line in matrix.splitlines() if line.startswith("|")]
+    rows = [line for line in matrix.splitlines() if line.startswith("|")][2:]
+    assert rows, "the selection matrix lost its rows"
+    for row in rows:
+        chosen_by = row.strip().strip("|").rsplit("|", 1)[1].strip()
+        assert chosen_by.startswith(("no knob", "automatic")) or _MATRIX_OPTION.search(
+            chosen_by
+        ), f"row names neither its knob nor 'no knob' / 'automatic': {row}"
     options = {name for row in rows for name in _MATRIX_OPTION.findall(row)}
-    assert options, "the selection matrix lost its `name=\"value\"` options"
     assert options <= known, f"documented option(s) with no parameter: {options - known}"
+
+
+def test_no_engine_callable_takes_a_path_selector():
+    """One path per layer: no public callable or class of ``repro.fluid`` or
+    the flow engine takes a ``backend`` or ``batch_ties`` parameter."""
+    for module in _engine_modules():
+        selectors = _public_parameters(module) & {"backend", "batch_ties"}
+        assert not selectors, f"{module.__name__} takes {sorted(selectors)}"

@@ -1,6 +1,7 @@
-"""Dict/array backend parity for the flow-level simulation (Fig. 5/7 engine).
+"""Array-loop parity for the flow-level simulation (Fig. 5/7 engine).
 
-The array backend must reproduce the dict reference exactly -- same
+``FlowLevelSimulation``'s array loop must reproduce the per-flow dict loop
+of ``_flow_reference.run_dict`` exactly -- same
 completion order, same quantized finish times, same average rates -- across
 the edge cases the batched update has to preserve: zero-byte flows,
 simultaneous arrivals and completions inside one step, and ``max_time``
@@ -9,6 +10,7 @@ truncation mid-flow.
 
 import pytest
 
+from _flow_reference import run_dict
 from repro.experiments.dynamic_fluid import (
     ArrivalStream,
     EqualSharePolicy,
@@ -27,15 +29,17 @@ def single_link_network():
     return FluidNetwork({"bottleneck": 1e9})
 
 
-def run_single_link(arrivals, backend, policy=None, max_time=None, network=None):
+def run_single_link(arrivals, loop, policy=None, max_time=None, network=None):
+    """Run on one bottleneck with the ``"array"`` loop or the ``"dict"`` reference."""
     network = network or single_link_network()
     simulation = FlowLevelSimulation(
         network,
         lambda arrival: ("bottleneck",),
         policy or EqualSharePolicy(1e9),
         step_interval=STEP,
-        backend=backend,
     )
+    if loop == "dict":
+        return simulation, run_dict(simulation, arrivals, max_time=max_time)
     return simulation, simulation.run(arrivals, max_time=max_time)
 
 
@@ -57,11 +61,14 @@ def arrival(flow_id, time, size_bytes):
 
 class TestBackendParity:
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            FlowLevelSimulation(
-                single_link_network(), lambda a: ("bottleneck",), EqualSharePolicy(1e9),
-                backend="gpu",
-            )
+        """The engine has one loop: a caller still asking for a backend is
+        refused, not silently given the array loop."""
+        for backend in ("dict", "array", "gpu"):
+            with pytest.raises(TypeError, match="backend"):
+                FlowLevelSimulation(
+                    single_link_network(), lambda a: ("bottleneck",), EqualSharePolicy(1e9),
+                    backend=backend,
+                )
 
     def test_poisson_workload_identical(self):
         generator = PoissonTrafficGenerator(
@@ -110,10 +117,10 @@ class TestBackendParity:
         sim_array, by_array = run_single_link(arrivals, "array", max_time=horizon)
         assert_identical(by_dict, by_array)
         assert [c.flow_id for c in by_array] == [0]
-        # The truncated flow stays admitted in both backends.
+        # The truncated flow stays admitted in both loops.
         assert sim_dict.network.flow_ids == [1]
         assert sim_array.network.flow_ids == [1]
-        assert sim_dict.active_flow_count == sim_array.active_flow_count == 1
+        assert sim_array.active_flow_count == 1
 
     def test_idle_gap_jumps_to_next_arrival(self):
         arrivals = [arrival(0, 0.0, 1_000), arrival(1, 0.5, 1_000)]
@@ -125,7 +132,7 @@ class TestBackendParity:
 
     def test_flows_outlive_many_compaction_batches(self):
         # Staggered sizes force a completion batch on almost every step, so
-        # the array backend compacts repeatedly while survivors keep state.
+        # the array loop compacts repeatedly while survivors keep state.
         arrivals = [arrival(i, 0.0, 1_000 * (i + 1)) for i in range(50)]
         _, by_dict = run_single_link(arrivals, "dict")
         _, by_array = run_single_link(arrivals, "array")
@@ -189,21 +196,13 @@ class TestRunMatchesRunStream:
         assert simulation.active_flow_count == streamed.active_flow_count == 1
         assert simulation._time == streamed._time
 
-    def test_run_stream_rejects_the_dict_reference(self):
-        simulation = FlowLevelSimulation(
-            single_link_network(), lambda a: ("bottleneck",), EqualSharePolicy(1e9),
-            backend="dict",
-        )
-        with pytest.raises(ValueError, match="array"):
-            simulation.run_stream(ArrivalStream([]))
-
 
 class TestArrayInternals:
     def test_slot_compaction_preserves_admission_order(self):
         policy = EqualSharePolicy(1e9)
         simulation = FlowLevelSimulation(
             single_link_network(), lambda a: ("bottleneck",), policy,
-            step_interval=STEP, backend="array",
+            step_interval=STEP,
         )
         sizes = [5_000, 500_000, 5_000, 500_000, 5_000]
         simulation.run([arrival(i, 0.0, s) for i, s in enumerate(sizes)])
@@ -215,7 +214,7 @@ class TestArrayInternals:
     def test_mutating_policy_without_epoch_is_never_served_stale_rates(self):
         # A policy written the "natural" way: it mutates one dict in place
         # and returns the same object every step.  Since it does not
-        # implement rates_epoch(), the array backend must re-gather every
+        # implement rates_epoch(), the array loop must re-gather every
         # step instead of trusting dict identity.
         class InPlacePolicy:
             def __init__(self):
@@ -258,7 +257,7 @@ class TestArrayInternals:
         policy = StubPolicy()
         simulation = FlowLevelSimulation(
             single_link_network(), lambda a: ("bottleneck",), policy,
-            step_interval=STEP, backend="array",
+            step_interval=STEP,
         )
         simulation._append_flow(arrival(0, 0.0, 1_000))
         first = simulation._gather_rates({0: 5.0})

@@ -15,9 +15,10 @@ steps is what the next step runs on, and ``step()`` / ``run()`` returning
 
 import math
 
+from _maxmin_reference import scalar_max_min
+
 from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
-from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.rcp import RcpStarFluidSimulator
 from repro.fluid.vectorized import IterationRecord
 from repro.fluid.xwi import XwiFluidSimulator
@@ -87,7 +88,7 @@ def xwi_step(sim):
         )
         for flow in flows
     }
-    rates = weighted_max_min(weights, {flow.flow_id: flow.path for flow in flows}, capacities)
+    rates = scalar_max_min(weights, {flow.flow_id: flow.path for flow in flows}, capacities)
     load = dict.fromkeys(capacities, 0.0)
     min_residual = dict.fromkeys(capacities, math.inf)
     for flow in flows:

@@ -6,9 +6,10 @@ have one NumPy implementation.  The parity suites pin both to dict / dense
 references on generated networks; this module adds what those do not
 reach:
 
-* **Water-filling** on bare dense incidences (no compiled network): zero
-  and all-zero capacities, single flows, empty flow sets, the round
-  accounting of the batched schedule, the ``path_links``-only call and the
+* **Water-filling** on bare instances (no compiled network): zero and
+  all-zero capacities, single flows, empty flow sets, the round accounting
+  of the batched schedule against the dense one-bottleneck-per-round
+  reference (``_maxmin_reference``), the dict entry point and the
   homogeneity of the allocation in capacities and weights (1e-9).
 * **The dual** as a function: its gradient is the derivative of its value
   (central differences), it is convex, and at zero prices every flow sits
@@ -21,6 +22,7 @@ import random
 
 import numpy as np
 import pytest
+from _maxmin_reference import dense_waterfill, path_links_of, scalar_max_min
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bandwidth_function import PiecewiseLinearBandwidthFunction
@@ -34,13 +36,7 @@ from repro.core.utility import (
 from repro.fluid import kernels, oracle
 from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidFlow, FluidNetwork
-from repro.fluid.vectorized import (
-    _FAM_FALLBACK,
-    _FAM_LOG,
-    compile_network,
-    path_links_from_incidence,
-    waterfill_arrays,
-)
+from repro.fluid.vectorized import _FAM_FALLBACK, _FAM_LOG, compile_network, waterfill_arrays
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 TOLERANCE = 1e-9
@@ -74,15 +70,19 @@ def _random_waterfill_instance(seed, n_links, n_flows, zero_cap, tie_heavy):
     return incidence, weights, capacities
 
 
-def _waterfill(incidence, weights, capacities, **kwargs):
-    return waterfill_arrays(incidence, incidence.astype(float), weights, capacities, **kwargs)
+def _waterfill(incidence, weights, capacities, dense=False, stats=None):
+    """The production water-fill on the instance, or with ``dense`` the
+    one-bottleneck-per-round reference."""
+    if dense:
+        return dense_waterfill(incidence, weights, capacities, stats)
+    return waterfill_arrays(path_links_of(incidence), weights, capacities, stats)
 
 
 def _scalar_waterfill(incidence, weights, capacities):
     """The dict reference on the same instance, as a vector in flow order."""
     n_links, n_flows = incidence.shape
     paths = {j: tuple(np.nonzero(incidence[:, j])[0].tolist()) for j in range(n_flows)}
-    scalar = weighted_max_min(
+    scalar = scalar_max_min(
         dict(enumerate(weights.tolist())), paths, dict(enumerate(capacities.tolist()))
     )
     return np.array([scalar[j] for j in range(n_flows)])
@@ -97,19 +97,19 @@ class TestWaterfillEdgeCases:
         seed=seeds,
         n_links=st.integers(min_value=1, max_value=6),
         n_flows=st.integers(min_value=1, max_value=9),
-        batch_ties=st.booleans(),
+        dense=st.booleans(),
         zero_cap=st.booleans(),
         tie_heavy=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
     def test_dense_instances_match_the_scalar_reference(
-        self, seed, n_links, n_flows, batch_ties, zero_cap, tie_heavy
+        self, seed, n_links, n_flows, dense, zero_cap, tie_heavy
     ):
         incidence, weights, capacities = _random_waterfill_instance(
             seed, n_links, n_flows, zero_cap, tie_heavy
         )
         stats = {}
-        rates = _waterfill(incidence, weights, capacities, batch_ties=batch_ties, stats=stats)
+        rates = _waterfill(incidence, weights, capacities, dense=dense, stats=stats)
         scale = float(capacities.max(initial=1.0))
         _assert_close(rates, _scalar_waterfill(incidence, weights, capacities), scale)
         assert 1 <= stats["rounds"] and stats["levels"] <= n_links
@@ -118,48 +118,48 @@ class TestWaterfillEdgeCases:
 
     def test_single_flow_single_link(self):
         incidence = np.ones((1, 1), dtype=bool)
-        for batch_ties in (True, False):
+        for dense in (False, True):
             stats = {}
             rates = _waterfill(
-                incidence, np.array([2.0]), np.array([5.0]), batch_ties=batch_ties, stats=stats
+                incidence, np.array([2.0]), np.array([5.0]), dense=dense, stats=stats
             )
             assert rates.tolist() == [5.0]
             assert stats == {"rounds": 1, "levels": 1}
 
     def test_empty_flow_set_on_both_schedules(self):
         incidence = np.zeros((3, 0), dtype=bool)
-        for batch_ties in (True, False):
+        for dense in (False, True):
             stats = {}
             rates = _waterfill(
                 incidence, np.zeros(0), np.array([1.0, 2.0, 3.0]),
-                batch_ties=batch_ties, stats=stats,
+                dense=dense, stats=stats,
             )
             assert rates.size == 0
             assert stats == {"rounds": 0, "levels": 0}
 
     def test_all_links_zero_capacity(self):
         incidence = np.ones((2, 3), dtype=bool)
-        for batch_ties in (True, False):
-            rates = _waterfill(incidence, np.ones(3), np.zeros(2), batch_ties=batch_ties)
+        for dense in (False, True):
+            rates = _waterfill(incidence, np.ones(3), np.zeros(2), dense=dense)
             assert rates.tolist() == [0.0, 0.0, 0.0]
 
     def test_a_failed_link_starves_only_its_own_flows(self):
         # Flow 0 crosses the failed link; flows 1 and 2 split link 1 by weight.
         incidence = np.array([[True, False, False], [True, True, True]])
-        for batch_ties in (True, False):
+        for dense in (False, True):
             rates = _waterfill(
                 incidence, np.array([1.0, 1.0, 3.0]), np.array([0.0, 8.0]),
-                batch_ties=batch_ties,
+                dense=dense,
             )
             _assert_close(rates, np.array([0.0, 2.0, 6.0]), 8.0)
 
     def test_tie_heavy_batched_rounds_collapse(self):
-        """Eight identical edge links freeze together under batch_ties."""
+        """Eight identical edge links freeze together in one batched round."""
         n = 8
         incidence = np.eye(n, dtype=bool)
         batched, single = {}, {}
         rates = _waterfill(incidence, np.ones(n), np.full(n, 4.0), stats=batched)
-        _waterfill(incidence, np.ones(n), np.full(n, 4.0), batch_ties=False, stats=single)
+        _waterfill(incidence, np.ones(n), np.full(n, 4.0), dense=True, stats=single)
         assert rates.tolist() == [4.0] * n
         assert batched == {"rounds": 1, "levels": 1}
         assert single["rounds"] == n
@@ -183,14 +183,34 @@ class TestWaterfillEdgeCases:
         assert stats == {"rounds": 2, "levels": 2}
 
     def test_path_links_alone_need_no_dense_incidence(self):
+        """The padded link indices are the whole instance: widening them with
+        sentinel columns changes no bit, and the order of a flow's hops
+        changes nothing beyond rounding."""
         incidence, weights, capacities = _random_waterfill_instance(
             11, n_links=6, n_flows=9, zero_cap=True, tie_heavy=False
         )
-        dense = _waterfill(incidence, weights, capacities)
-        bare = waterfill_arrays(
-            None, None, weights, capacities, path_links=path_links_from_incidence(incidence)
+        path_links = path_links_of(incidence)
+        rates = waterfill_arrays(path_links, weights, capacities)
+        sentinel = np.full((len(path_links), 2), incidence.shape[0], dtype=np.intp)
+        widened = np.hstack((path_links, sentinel))
+        assert np.array_equal(waterfill_arrays(widened, weights, capacities), rates)
+        reordered = np.array([[*sorted(row[row < incidence.shape[0]], reverse=True),
+                               *row[row == incidence.shape[0]]] for row in path_links],
+                             dtype=np.intp)
+        scale = float(capacities.max())
+        _assert_close(waterfill_arrays(reordered, weights, capacities), rates, scale)
+        _assert_close(rates, dense_waterfill(incidence, weights, capacities), scale)
+
+    def test_the_dict_entry_point_runs_the_same_water_fill(self):
+        incidence, weights, capacities = _random_waterfill_instance(
+            11, n_links=6, n_flows=9, zero_cap=True, tie_heavy=False
         )
-        assert np.array_equal(bare, dense)
+        arrays = _waterfill(incidence, weights, capacities)
+        paths = {j: np.nonzero(incidence[:, j])[0].tolist() for j in range(incidence.shape[1])}
+        by_dict = weighted_max_min(
+            dict(enumerate(weights.tolist())), paths, dict(enumerate(capacities.tolist()))
+        )
+        assert np.array_equal(np.array([by_dict[j] for j in range(len(paths))]), arrays)
 
     @given(
         seed=seeds,

@@ -2,8 +2,8 @@
 
 ``CompiledFluidNetwork.refresh`` replays the network's churn journal as
 O(path) row edits of ``path_links`` (arrivals append a slot, departures
-swap-remove one); the dense ``incidence`` is derived from it on demand.
-These tests pin the contract the vectorized backends rely on: after any
+swap-remove one).  These tests pin the contract every array step relies
+on: after any
 sequence of arrivals/departures, the incrementally maintained arrays are
 *identical* -- up to the documented slot permutation -- to a compile from
 scratch, and the journal machinery degrades safely (full recompile)
@@ -12,6 +12,7 @@ whenever it cannot replay.
 
 import numpy as np
 import pytest
+from _maxmin_reference import dense_incidence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,11 +41,8 @@ def dense_from_flows(compiled):
 
 
 def assert_incidence_matches_flows(compiled):
-    """The on-demand dense views are the matrix the flows' paths spell out."""
-    dense = dense_from_flows(compiled)
-    assert compiled.incidence.dtype == bool and compiled.incidence_f.dtype == float
-    np.testing.assert_array_equal(compiled.incidence, dense)
-    np.testing.assert_array_equal(compiled.incidence_f, dense.astype(float))
+    """``path_links`` spells out the matrix the flows' paths do."""
+    np.testing.assert_array_equal(dense_incidence(compiled), dense_from_flows(compiled))
 
 
 def assert_matches_full_compile(incremental, network):

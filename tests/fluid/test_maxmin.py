@@ -1,12 +1,19 @@
-"""Tests for weighted max-min water-filling."""
+"""Tests for weighted max-min water-filling.
+
+The behaviour tests call the production entry point,
+:func:`repro.fluid.maxmin.weighted_max_min`; the batched-round tests hold
+:func:`repro.fluid.vectorized.waterfill_arrays` to the scalar and dense
+references of ``_maxmin_reference``.
+"""
 
 import numpy as np
 import pytest
+from _maxmin_reference import dense_waterfill, path_links_of, scalar_max_min
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fluid.maxmin import bottleneck_links, max_min, weighted_max_min
-from repro.fluid.vectorized import CompiledMaxMin, _waterfill_paths, waterfill_arrays
+from repro.fluid.maxmin import weighted_max_min
+from repro.fluid.vectorized import waterfill_arrays
 
 
 class TestWeightedMaxMinSingleLink:
@@ -79,7 +86,13 @@ class TestWeightedMaxMinMultiLink:
         weights = {"f1": 1.0, "f2": 1.0, "f3": 1.0}
         capacities = {"a": 6.0, "b": 4.0}
         rates = weighted_max_min(weights, paths, capacities)
-        saturated = bottleneck_links(rates, paths, capacities)
+        load = {link: 0.0 for link in capacities}
+        for flow, rate in rates.items():
+            for link in paths[flow]:
+                load[link] += rate
+        saturated = {
+            link: load[link] >= capacities[link] * (1.0 - 1e-9) - 1e-9 for link in capacities
+        }
         for flow, path in paths.items():
             assert any(saturated[link] for link in path), f"{flow} has no bottleneck"
 
@@ -100,13 +113,37 @@ class TestValidation:
         with pytest.raises(ValueError):
             weighted_max_min({"a": 1.0}, {"b": ["l"]}, {"l": 1.0})
 
+    def test_empty_path_rejected(self):
+        with pytest.raises(ValueError, match="empty path"):
+            weighted_max_min({"a": 1.0}, {"a": []}, {"l": 1.0})
+
 
 class TestMaxMin:
     def test_plain_max_min_is_equal_weights(self):
-        paths = {"a": ["l"], "b": ["l"], "c": ["l"]}
-        assert max_min(paths, {"l": 9.0}) == pytest.approx(
-            weighted_max_min({f: 1.0 for f in paths}, paths, {"l": 9.0})
+        """With equal weights the allocation is plain max-min fair: every
+        flow crosses a saturated link on which no flow gets more than it
+        (Bertsekas & Gallager's bottleneck characterisation)."""
+        paths = {
+            "f1": ["a", "b"],
+            "f2": ["b", "c"],
+            "f3": ["a", "c"],
+            "f4": ["a"],
+            "f5": ["c"],
+            "f6": ["a", "b", "c"],
+        }
+        capacities = {"a": 7.0, "b": 3.0, "c": 5.0}
+        rates = weighted_max_min({flow: 1.0 for flow in paths}, paths, capacities)
+        assert rates == pytest.approx(
+            weighted_max_min({flow: 2.5 for flow in paths}, paths, capacities)
         )
+        load = {link: sum(rates[f] for f in paths if link in paths[f]) for link in capacities}
+        for flow, path in paths.items():
+            assert any(
+                load[link] >= capacities[link] * (1.0 - 1e-9)
+                and all(rates[flow] >= rates[other] * (1.0 - 1e-9)
+                        for other in paths if link in paths[other])
+                for link in path
+            ), f"{flow} has no bottleneck link"
 
 
 def _tie_heavy_fabric():
@@ -187,18 +224,28 @@ def _waterfill_to_exhaustion(path_links, weights, capacities):
     return rates, rounds, len(levels)
 
 
+def _arrays(weights, paths, capacities):
+    """The instance as ``waterfill_arrays`` takes it:
+    ``(flow ids, dense incidence, path_links, weights, capacities)``."""
+    flow_ids = list(paths)
+    link_index = {link: i for i, link in enumerate(capacities)}
+    incidence = np.zeros((len(capacities), len(flow_ids)), dtype=bool)
+    for j, flow_id in enumerate(flow_ids):
+        for link in paths[flow_id]:
+            incidence[link_index[link], j] = True
+    weight_vec = np.array([weights[f] for f in flow_ids], dtype=float)
+    capacity_vec = np.array([capacities[link] for link in link_index], dtype=float)
+    return flow_ids, incidence, path_links_of(incidence), weight_vec, capacity_vec
+
+
 def _assert_early_return_matches_exhaustion(weights, paths, capacities):
     """The production loop (which returns at the round that freezes every
     live flow) gives the exhaustive loop's rates, rounds and levels, bit
     for bit."""
-    compiled = CompiledMaxMin(paths, capacities)
-    weight_vec = np.array([weights[f] for f in compiled.flow_ids])
-    capacity_vec = compiled.capacities_vector()
+    _, _, path_links, weight_vec, capacity_vec = _arrays(weights, paths, capacities)
     stats = {}
-    rates = _waterfill_paths(compiled.path_links, weight_vec, capacity_vec, stats)
-    expected, rounds, levels = _waterfill_to_exhaustion(
-        compiled.path_links, weight_vec, capacity_vec
-    )
+    rates = waterfill_arrays(path_links, weight_vec, capacity_vec, stats)
+    expected, rounds, levels = _waterfill_to_exhaustion(path_links, weight_vec, capacity_vec)
     assert rates.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
     assert (stats["rounds"], stats["levels"]) == (rounds, levels)
     return stats
@@ -206,17 +253,10 @@ def _assert_early_return_matches_exhaustion(weights, paths, capacities):
 
 def _assert_batched_matches_scalar(weights, paths, capacities):
     """Batched waterfill == scalar progressive filling at 1e-9 relative."""
-    scalar = weighted_max_min(weights, paths, capacities)
-    compiled = CompiledMaxMin(paths, capacities)
+    scalar = scalar_max_min(weights, paths, capacities)
+    flow_ids, _, path_links, weight_vec, capacity_vec = _arrays(weights, paths, capacities)
     stats = {}
-    rates = dict(
-        zip(
-            compiled.flow_ids,
-            compiled.solve_array(
-                np.array([weights[f] for f in compiled.flow_ids]), stats=stats
-            ).tolist(),
-        )
-    )
+    rates = dict(zip(flow_ids, waterfill_arrays(path_links, weight_vec, capacity_vec, stats)))
     for flow_id, reference in scalar.items():
         assert rates[flow_id] == pytest.approx(reference, rel=1e-9, abs=1e-9)
     return stats
@@ -243,20 +283,14 @@ class TestBatchedWaterfill:
         capacities = {"a": 3.0, "b": 5.0, "core": 6.0}
         paths = {1: ["a", "core"], 2: ["b", "core"], 3: ["core"]}
         weights = {1: 1.0, 2: 2.0, 3: 1.0}
-        scalar = weighted_max_min(weights, paths, capacities)
-        compiled = CompiledMaxMin(paths, capacities)
-        weight_vec = np.array([weights[f] for f in compiled.flow_ids])
+        scalar = scalar_max_min(weights, paths, capacities)
+        production = weighted_max_min(weights, paths, capacities)
+        flow_ids, incidence, _, weight_vec, capacity_vec = _arrays(weights, paths, capacities)
         stats = {}
-        single = waterfill_arrays(
-            compiled.incidence,
-            compiled.incidence_f,
-            weight_vec,
-            compiled.capacities_vector(),
-            batch_ties=False,
-            stats=stats,
-        )
-        for j, flow_id in enumerate(compiled.flow_ids):
+        single = dense_waterfill(incidence, weight_vec, capacity_vec, stats)
+        for j, flow_id in enumerate(flow_ids):
             assert single[j] == pytest.approx(scalar[flow_id], rel=1e-9)
+            assert production[flow_id] == pytest.approx(single[j], rel=1e-9)
         assert stats["rounds"] >= stats["levels"]
 
     def test_wave_regime_matches_scalar_on_host_link_fabric(self):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from _oracle_reference import cold_lbfgsb
+from _maxmin_reference import scalar_max_min
+from _oracle_reference import cold_lbfgsb, scalar_price_scale, scalar_solve
 from repro.core.bandwidth_function import PiecewiseLinearBandwidthFunction
 from repro.core.config import SimulationParameters
 from repro.core.utility import (
@@ -109,14 +110,12 @@ class TestSolveNumMultiLink:
 
     def test_objective_not_worse_than_maxmin(self):
         """The NUM optimum must dominate any feasible allocation's objective."""
-        from repro.fluid.maxmin import max_min
-
         network = FluidNetwork({"a": 10e9, "b": 4e9})
         network.add_flow(FluidFlow(1, ("a", "b"), LogUtility()))
         network.add_flow(FluidFlow(2, ("a",), LogUtility()))
         network.add_flow(FluidFlow(3, ("b",), LogUtility()))
         result = solve_num(network)
-        maxmin_rates = max_min({f.flow_id: f.path for f in network.flows}, network.capacities)
+        maxmin_rates = _max_min(network)
         assert network.total_utility(result.rates) >= network.total_utility(maxmin_rates) - 1e-6
 
 
@@ -159,12 +158,20 @@ class TestSolveNumMultipath:
         assert network.is_feasible(result.rates, tolerance=1e-3)
 
 
+def _max_min(network):
+    """Plain max-min rates of the network's flows (the scalar reference)."""
+    flows = network.flows
+    return scalar_max_min(
+        {f.flow_id: 1.0 for f in flows}, {f.flow_id: f.path for f in flows}, network.capacities
+    )
+
+
 def _max_rel_rate_diff(a, b):
     return max(abs(a[k] - b[k]) / max(abs(a[k]), 1.0) for k in a)
 
 
 def _parity_grid():
-    """Well-conditioned problems where both backends pin the same optimum."""
+    """Well-conditioned problems where the Oracle and its reference pin the same optimum."""
     cases = {}
 
     single_log = FluidNetwork.single_link(
@@ -211,29 +218,33 @@ def _parity_grid():
 
 
 class TestBackendParity:
-    """The vectorized dual must match the scalar reference on the parity grid."""
+    """The array dual must match the per-flow reference on the parity grid."""
+
+    def test_rejects_unknown_backend(self):
+        """The Oracle has one dual: a caller still asking for a backend is
+        refused, not silently given the array dual."""
+        network = FluidNetwork.single_link(1e9, 1)
+        for backend in ("scalar", "vectorized", "quantum"):
+            with pytest.raises(TypeError, match="backend"):
+                solve_num(network, backend=backend)
+            with pytest.raises(TypeError, match="backend"):
+                estimate_price_scale(network, backend=backend)
 
     @pytest.mark.parametrize("name", sorted(_parity_grid()))
     def test_rates_match_within_1e9(self, name):
         network = _parity_grid()[name]
-        scalar = solve_num(network, backend="scalar")
-        vectorized = solve_num(network, backend="vectorized")
+        scalar = scalar_solve(network)
+        vectorized = solve_num(network)
         assert _max_rel_rate_diff(scalar.rates, vectorized.rates) <= 1e-9
         assert abs(scalar.objective - vectorized.objective) <= 1e-9 * max(
             abs(scalar.objective), 1.0
         )
         assert scalar.converged == vectorized.converged
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            solve_num(FluidNetwork.single_link(1e9, 1), backend="quantum")
-        with pytest.raises(ValueError):
-            estimate_price_scale(FluidNetwork.single_link(1e9, 1), backend="quantum")
-
     def test_price_scale_estimates_match(self):
         for name, network in _parity_grid().items():
-            scalar = estimate_price_scale(network, backend="scalar")
-            vectorized = estimate_price_scale(network, backend="vectorized")
+            scalar = scalar_price_scale(network)
+            vectorized = estimate_price_scale(network)
             assert scalar.keys() == vectorized.keys(), name
             for link, value in scalar.items():
                 assert vectorized[link] == pytest.approx(value, rel=1e-12), (name, link)
@@ -241,8 +252,8 @@ class TestBackendParity:
     def test_unused_links_priced_zero_and_excluded(self):
         network = FluidNetwork({"used": 1e9, "idle": 5e9})
         network.add_flow(FluidFlow("f", ("used",), LogUtility()))
-        for backend in ("scalar", "vectorized"):
-            result = solve_num(network, backend=backend)
+        for solve in (scalar_solve, solve_num):
+            result = solve(network)
             assert result.prices["idle"] == 0.0
             assert result.rates["f"] == pytest.approx(1e9, rel=1e-3)
 
@@ -254,13 +265,13 @@ class TestBackendParity:
 
     def test_fallback_utility_flows_use_scalar_path(self):
         # BandwidthFunctionUtility has no closed-form batched family, so the
-        # vectorized backend must route it through per-flow scalar calls.
+        # array dual must route it through per-flow scalar calls.
         bwf = PiecewiseLinearBandwidthFunction([(0.0, 0.0), (2.0, 6e9), (4.0, 8e9)])
         network = FluidNetwork({"l": 10e9})
         network.add_flow(FluidFlow("bw", ("l",), BandwidthFunctionUtility(bwf)))
         network.add_flow(FluidFlow("log", ("l",), LogUtility()))
-        scalar = solve_num(network, backend="scalar")
-        vectorized = solve_num(network, backend="vectorized")
+        scalar = scalar_solve(network)
+        vectorized = solve_num(network)
         assert _max_rel_rate_diff(scalar.rates, vectorized.rates) <= 1e-9
 
 
@@ -438,18 +449,14 @@ class TestPersistentDualSolver:
 
     def test_safeguard_falls_back_to_maxmin_quality(self):
         # Steep FCT mix: the safeguarded solve must never be worse than
-        # max-min (the _finish contract, exercised through the persistent
-        # path).
-        from repro.fluid.maxmin import max_min
-
+        # max-min (the safeguard's contract, exercised through the
+        # persistent path).
         network = FluidNetwork({"l": 10e9})
         for i, size in enumerate((1e4, 1e6, 1e8)):
             network.add_flow(FluidFlow(i, ("l",), FctUtility(flow_size=size)))
         solver = PersistentDualSolver(safeguard=True)
         result = solver.solve(network)
-        maxmin_rates = max_min(
-            {f.flow_id: f.path for f in network.flows}, network.capacities
-        )
+        maxmin_rates = _max_min(network)
         assert network.total_utility(result.rates) >= (
             network.total_utility(maxmin_rates) - 1e-6
         )

@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 from repro.core.utility import AlphaFairUtility, FctUtility, LogUtility, WeightedAlphaFairUtility
 from repro.fluid import oracle
 from repro.fluid.network import FluidFlow, FluidNetwork
-from repro.fluid.oracle import PersistentDualSolver, estimate_price_scale
+from repro.fluid.oracle import PersistentDualSolver
 from repro.fluid.vectorized import _FAM_LOG, compile_network
 
 from _fluid_reference import Reference
+from _oracle_reference import scalar_price_scale
 from test_scheme_backend_parity import SCHEMES, add_to_both, assert_step_parity, make_pair
 
 RELATIVE = 1e-12
@@ -223,7 +224,7 @@ class TestScaleMedians:
     @given(snapshot=churned_snapshots())
     def test_matches_the_scalar_loop_element_for_element(self, snapshot):
         network, compiled = snapshot
-        scalar = estimate_price_scale(network, backend="scalar")
+        scalar = scalar_price_scale(network)
         active_idx, medians = oracle._scale_medians(compiled)
         assert [compiled.link_ids[i] for i in active_idx.tolist()] == [
             link for link in compiled.link_ids if link in scalar
@@ -251,7 +252,7 @@ class TestScaleMedians:
         network.remove_flow(6)
         active_idx, medians = oracle._scale_medians(compile_network(network))
         assert medians.tolist() == [3.0 / (8e9 / 6), 5.0 / 1.5e9]
-        assert estimate_price_scale(network, backend="scalar") == {
+        assert scalar_price_scale(network) == {
             "even": medians[0], "odd": medians[1]
         }
 

@@ -3,9 +3,10 @@
 ``CompiledFluidNetwork`` runs water-filling and every link <-> flow
 reduction on a sentinel-padded flows x max-hops link-index array instead of
 the dense link x flow incidence.  These tests pin each primitive to the
-scalar / dict implementation at 1e-9 on the shapes where the padding and the
-sentinel entry matter: empty flow sets, a single flow, ragged path lengths,
-zero-capacity links, exact ties and links that carry no flow.
+scalar / dict implementation at 1e-9 (water-filling: the scalar and dense
+references of ``_maxmin_reference``) on the shapes where the padding and
+the sentinel entry matter: empty flow sets, a single flow, ragged path
+lengths, zero-capacity links, exact ties and links that carry no flow.
 """
 
 import math
@@ -15,28 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _maxmin_reference import dense_incidence, dense_waterfill, path_links_of, scalar_max_min
 from _strategies import build_network, instances
 from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidNetwork
-from repro.fluid.vectorized import (
-    CompiledMaxMin,
-    compile_network,
-    path_links_from_incidence,
-    waterfill_arrays,
-)
+from repro.fluid.vectorized import compile_network, waterfill_arrays
 
 TOLERANCE = 1e-9
 
 
-def compiled_waterfill(compiled, weights, **kwargs):
-    weight_vec = np.array([weights[flow_id] for flow_id in compiled.flow_ids], dtype=float)
+def weight_vector(compiled, weights):
+    return np.array([weights[flow_id] for flow_id in compiled.flow_ids], dtype=float)
+
+
+def compiled_waterfill(compiled, weights, stats=None):
     return waterfill_arrays(
-        compiled.incidence,
-        compiled.incidence_f,
-        weight_vec,
-        compiled.capacities_vector(),
-        path_links=compiled.path_links,
-        **kwargs,
+        compiled.path_links, weight_vector(compiled, weights), compiled.capacities_vector(), stats
     )
 
 
@@ -51,13 +46,16 @@ class TestWaterfillParity:
     @given(instance=instances())
     def test_matches_scalar_and_unbatched_reference(self, instance):
         capacities, paths, weights = instance
-        scalar = weighted_max_min(weights, paths, capacities)
+        scalar = scalar_max_min(weights, paths, capacities)
         compiled = compile_network(build_network(capacities, paths))
         stats, reference_stats = {}, {}
         rates = compiled_waterfill(compiled, weights, stats=stats)
         assert_rates_match(compiled.flow_ids, rates, scalar)
-        reference = compiled_waterfill(
-            compiled, weights, batch_ties=False, stats=reference_stats
+        reference = dense_waterfill(
+            dense_incidence(compiled),
+            weight_vector(compiled, weights),
+            compiled.capacities_vector(),
+            reference_stats,
         )
         assert_rates_match(compiled.flow_ids, reference, scalar)
         # A round freezes at least one link for good, on either schedule, and
@@ -73,20 +71,21 @@ class TestWaterfillParity:
     @settings(max_examples=100, deadline=None)
     @given(instance=instances())
     def test_derived_path_links_match_maintained_ones(self, instance):
-        # CompiledMaxMin and bare waterfill_arrays callers derive path_links
-        # from the dense incidence (links ascending within a row, not path
-        # order); the allocation must not depend on the hop order.
+        # path_links derived from the dense incidence list a row's links in
+        # ascending index order, not path order (as weighted_max_min builds
+        # them); the allocation must not depend on the hop order.
         capacities, paths, weights = instance
-        scalar = weighted_max_min(weights, paths, capacities)
-        if not paths:
-            return  # CompiledMaxMin needs no flows to solve nothing
-        solver = CompiledMaxMin(paths, capacities)
-        assert solver.solve(weights) == pytest.approx(scalar, rel=TOLERANCE, abs=TOLERANCE)
-        weight_vec = np.array([weights[flow_id] for flow_id in solver.flow_ids])
-        bare = waterfill_arrays(
-            solver.incidence, solver.incidence_f, weight_vec, solver.capacities_vector()
+        scalar = scalar_max_min(weights, paths, capacities)
+        assert weighted_max_min(weights, paths, capacities) == pytest.approx(
+            scalar, rel=TOLERANCE, abs=TOLERANCE
         )
-        assert_rates_match(solver.flow_ids, bare, scalar)
+        compiled = compile_network(build_network(capacities, paths))
+        bare = waterfill_arrays(
+            path_links_of(dense_incidence(compiled)),
+            weight_vector(compiled, weights),
+            compiled.capacities_vector(),
+        )
+        assert_rates_match(compiled.flow_ids, bare, scalar)
 
     def test_empty_flow_set(self):
         compiled = compile_network(FluidNetwork({"a": 1.0, "b": 2.0}))
@@ -112,7 +111,7 @@ class TestWaterfillParity:
             [0, 1, sentinel, sentinel],
             [0, 1, 2, 3],
         ]
-        scalar = weighted_max_min(weights, paths, capacities)
+        scalar = scalar_max_min(weights, paths, capacities)
         assert_rates_match(compiled.flow_ids, compiled_waterfill(compiled, weights), scalar)
 
 
@@ -178,5 +177,5 @@ class TestPathLinksFromIncidence:
     def test_derived_path_links_round_trip(self, instance):
         capacities, paths, _ = instance
         compiled = compile_network(build_network(capacities, paths))
-        derived = path_links_from_incidence(compiled.incidence)
+        derived = path_links_of(dense_incidence(compiled))
         np.testing.assert_array_equal(derived, np.sort(compiled.path_links, axis=1))

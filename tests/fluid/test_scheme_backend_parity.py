@@ -1,4 +1,4 @@
-"""Parity suite for the DGD / RCP* / DCTCP fluid simulators + CompiledMaxMin.
+"""Parity suite for the DGD / RCP* / DCTCP fluid simulators.
 
 Mirrors ``tests/fluid/test_vectorized_parity.py`` (the xWI suite): every
 test drives a scheme's scalar reference (``_fluid_reference.py``) and its
@@ -7,6 +7,11 @@ the per-link state (prices, fair rates, queues) agree within 1e-9 -- far
 looser than the observed agreement (~1e-15 relative), but tight enough
 that any semantic divergence fails immediately.  Each scheme gets the Table 2 parameter grid, a churn trace,
 and a hypothesis-driven random-topology comparison.
+
+``TestCompiledMaxMin`` holds xWI's water-fill,
+:func:`repro.fluid.vectorized.waterfill_arrays` on a compiled network's
+``path_links`` (compiled once, solved many times), to the scalar reference
+of ``_maxmin_reference`` at the same tolerance.
 """
 
 import copy
@@ -16,13 +21,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _fluid_reference import Reference
+from _maxmin_reference import scalar_max_min
 from repro.core.utility import AlphaFairUtility, FctUtility, LogUtility, WeightedAlphaFairUtility
 from repro.fluid.dctcp import DctcpFluidParameters, DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidParameters, DgdFluidSimulator
 from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.rcp import RcpStarFluidParameters, RcpStarFluidSimulator
-from repro.fluid.vectorized import CompiledMaxMin, compile_max_min
+from repro.fluid.vectorized import compile_network, waterfill_arrays
 
 TOLERANCE = 1e-9
 
@@ -217,6 +223,96 @@ class TestSchemeBackendParity:
         assert_close(scalar.ecn_fraction, vectorized.ecn_fraction, scale=1.0, what="ecn")
 
 
+class TestCompiledMaxMin:
+    """One compile, many water-fills, each equal to the scalar reference."""
+
+    def _network(self, n_flows=30, seed=11):
+        rng = random.Random(seed)
+        network = FluidNetwork({f"l{i}": rng.choice([1e9, 10e9, 40e9]) for i in range(5)})
+        for flow_id in range(n_flows):
+            path = tuple(rng.sample(network.links, rng.randint(1, 3)))
+            network.add_flow(FluidFlow(flow_id, path, LogUtility()))
+        return network
+
+    @staticmethod
+    def _solve(compiled, weights, capacities=None):
+        if capacities is None:
+            capacities = compiled.capacities_vector()
+        else:
+            capacities = compiled.link_vector(capacities)
+        rates = waterfill_arrays(
+            compiled.path_links, [weights[f] for f in compiled.flow_ids], capacities
+        )
+        return dict(zip(compiled.flow_ids, rates.tolist()))
+
+    @staticmethod
+    def _paths(network):
+        return {flow.flow_id: flow.path for flow in network.flows}
+
+    def test_matches_scalar_across_weight_vectors(self):
+        """The whole point: one compile, many solves, scalar-equal answers."""
+        network = self._network()
+        compiled = compile_network(network)
+        paths = self._paths(network)
+        rng = random.Random(3)
+        for _ in range(10):
+            weights = {f: rng.uniform(0.1, 5.0) for f in paths}
+            assert_close(
+                scalar_max_min(weights, paths, network.capacities),
+                self._solve(compiled, weights),
+                scale=1e9,
+            )
+
+    def test_from_network(self):
+        network = FluidNetwork({"a": 10e9, "b": 4e9})
+        network.add_flow(FluidFlow(0, ("a", "b"), LogUtility()))
+        network.add_flow(FluidFlow(1, ("b",), LogUtility()))
+        compiled = compile_network(network)
+        weights = {0: 1.0, 1: 3.0}
+        paths = {0: ("a", "b"), 1: ("b",)}
+        assert_close(
+            scalar_max_min(weights, paths, network.capacities),
+            self._solve(compiled, weights),
+            scale=1e9,
+        )
+        assert self._solve(compiled, weights) == pytest.approx({0: 1e9, 1: 3e9})
+
+    def test_capacity_override_per_solve(self):
+        network = self._network()
+        compiled = compile_network(network)
+        paths = self._paths(network)
+        weights = {f: 1.0 + f % 4 for f in paths}
+        capacities = dict(network.capacities)
+        halved = {link: capacity / 2 for link, capacity in capacities.items()}
+        assert_close(
+            scalar_max_min(weights, paths, halved),
+            self._solve(compiled, weights, capacities=halved),
+            scale=1e9,
+        )
+        # ...and the network's capacities are untouched afterwards.
+        assert dict(network.capacities) == capacities
+        assert_close(
+            scalar_max_min(weights, paths, capacities),
+            self._solve(compiled, weights),
+            scale=1e9,
+        )
+
+    def test_validates_like_scalar(self):
+        """A network refuses the paths ``weighted_max_min`` refuses, with the
+        same error types, so a compiled instance is always a valid one."""
+        for path, error in [((), ValueError), (("l", "l"), ValueError), (("ghost",), KeyError)]:
+            with pytest.raises(error):
+                FluidNetwork({"l": 1e9}).add_flow(FluidFlow(0, path, LogUtility()))
+            with pytest.raises(error):
+                weighted_max_min({0: 1.0}, {0: path}, {"l": 1e9})
+        with pytest.raises(ValueError, match="positive weight"):
+            weighted_max_min({0: -1.0}, {0: ("l",)}, {"l": 1e9})
+        with pytest.raises(ValueError, match="cover the same flow ids"):
+            weighted_max_min({1: 1.0}, {0: ("l",)}, {"l": 1e9})
+        with pytest.raises(ValueError, match="cover the same flow ids"):
+            weighted_max_min({0: 1.0, 1: 1.0}, {0: ("l",)}, {"l": 1e9})
+
+
 @st.composite
 def random_scenarios(draw):
     """A random multi-link topology plus a mixed-utility flow population."""
@@ -256,72 +352,3 @@ class TestRandomTopologyParity:
         scalar = Reference(simulator_cls, networks[0])
         vectorized = simulator_cls(networks[1])
         assert_step_parity(scalar, vectorized, 40)
-
-
-class TestCompiledMaxMin:
-    def _instance(self, n_flows=30, seed=11):
-        rng = random.Random(seed)
-        capacities = {f"l{i}": rng.choice([1e9, 10e9, 40e9]) for i in range(5)}
-        paths = {
-            f: tuple(rng.sample(list(capacities), rng.randint(1, 3)))
-            for f in range(n_flows)
-        }
-        weights = {f: rng.uniform(0.1, 5.0) for f in paths}
-        return weights, paths, capacities
-
-    def test_matches_scalar_across_weight_vectors(self):
-        """The whole point: one compile, many solves, scalar-equal answers."""
-        weights, paths, capacities = self._instance()
-        compiled = compile_max_min(paths, capacities)
-        rng = random.Random(3)
-        for _ in range(10):
-            weights = {f: rng.uniform(0.1, 5.0) for f in paths}
-            assert_close(
-                weighted_max_min(weights, paths, capacities),
-                compiled.solve(weights),
-                scale=1e9,
-            )
-
-    def test_from_network(self):
-        network = FluidNetwork({"a": 10e9, "b": 4e9})
-        network.add_flow(FluidFlow(0, ("a", "b"), LogUtility()))
-        network.add_flow(FluidFlow(1, ("b",), LogUtility()))
-        compiled = CompiledMaxMin.from_network(network)
-        weights = {0: 1.0, 1: 3.0}
-        paths = {0: ("a", "b"), 1: ("b",)}
-        assert_close(
-            weighted_max_min(weights, paths, network.capacities),
-            compiled.solve(weights),
-            scale=1e9,
-        )
-
-    def test_capacity_override_per_solve(self):
-        weights, paths, capacities = self._instance()
-        compiled = compile_max_min(paths, capacities)
-        halved = {link: capacity / 2 for link, capacity in capacities.items()}
-        assert_close(
-            weighted_max_min(weights, paths, halved),
-            compiled.solve(weights, capacities=halved),
-            scale=1e9,
-        )
-        # ...and the compile-time capacities are untouched afterwards.
-        assert_close(
-            weighted_max_min(weights, paths, capacities),
-            compiled.solve(weights),
-            scale=1e9,
-        )
-
-    def test_validates_like_scalar(self):
-        with pytest.raises(ValueError, match="empty"):
-            compile_max_min({0: ()}, {"l": 1e9})
-        with pytest.raises(ValueError, match="twice"):
-            compile_max_min({0: ("l", "l")}, {"l": 1e9})
-        with pytest.raises(KeyError):
-            compile_max_min({0: ("ghost",)}, {"l": 1e9})
-        compiled = compile_max_min({0: ("l",)}, {"l": 1e9})
-        with pytest.raises(ValueError, match="positive weight"):
-            compiled.solve({0: -1.0})
-        with pytest.raises(ValueError, match="cover the same flow ids"):
-            compiled.solve({1: 1.0})
-        with pytest.raises(ValueError, match="cover the same flow ids"):
-            compiled.solve({0: 1.0, 1: 1.0})

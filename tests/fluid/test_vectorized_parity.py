@@ -13,6 +13,7 @@ import copy
 import pytest
 
 from _fluid_reference import Reference
+from _maxmin_reference import scalar_max_min
 from repro.core.bandwidth_function import PiecewiseLinearBandwidthFunction
 from repro.core.config import NumFabricParameters
 from repro.core.utility import (
@@ -64,8 +65,8 @@ class TestMaxMinBackendParity:
         paths = {i: ("l",) for i in range(10)}
         capacities = {"l": 10e9}
         assert_parity(
+            scalar_max_min(weights, paths, capacities),
             weighted_max_min(weights, paths, capacities),
-            weighted_max_min(weights, paths, capacities, backend="vectorized"),
             scale=1e9,
         )
 
@@ -74,8 +75,8 @@ class TestMaxMinBackendParity:
         paths = {"long": ("l1", "l2"), "s1": ("l1",), "s2": ("l2",)}
         capacities = {"l1": 9e9, "l2": 3e9}
         assert_parity(
+            scalar_max_min(weights, paths, capacities),
             weighted_max_min(weights, paths, capacities),
-            weighted_max_min(weights, paths, capacities, backend="vectorized"),
             scale=1e9,
         )
 
@@ -83,37 +84,16 @@ class TestMaxMinBackendParity:
         weights = {0: 1.0}
         paths = {0: ("used",)}
         capacities = {"used": 1e9, "unused": 5e9}
-        result = weighted_max_min(weights, paths, capacities, backend="vectorized")
+        result = weighted_max_min(weights, paths, capacities)
         assert result[0] == pytest.approx(1e9)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_max_min({0: 1.0}, {0: ("l",)}, {"l": 1e9}, backend="gpu")
-
     def test_duplicate_link_paths_rejected(self):
-        """A repeated link can't be represented in the incidence matrix, so
-        both entry points refuse it instead of letting the backends diverge."""
-        from repro.fluid.vectorized import weighted_max_min_vectorized
-
+        """A repeated link can't be represented in the link-index array, so
+        both the dict entry point and a fluid flow refuse it."""
         with pytest.raises(ValueError, match="twice"):
             weighted_max_min({0: 1.0}, {0: ("l", "l")}, {"l": 1e9})
         with pytest.raises(ValueError, match="twice"):
-            weighted_max_min({0: 1.0}, {0: ("l", "l")}, {"l": 1e9}, backend="vectorized")
-        with pytest.raises(ValueError, match="twice"):
-            weighted_max_min_vectorized({0: 1.0}, {0: ("l", "l")}, {"l": 1e9})
-        with pytest.raises(ValueError, match="twice"):
             FluidFlow(0, ("l", "l"))
-
-    def test_direct_vectorized_wrapper_validates(self):
-        """The exported wrapper applies the same validation as the scalar API."""
-        from repro.fluid.vectorized import weighted_max_min_vectorized
-
-        with pytest.raises(ValueError):
-            weighted_max_min_vectorized({0: -1.0}, {0: ("l",)}, {"l": 1e9})
-        with pytest.raises(ValueError):
-            weighted_max_min_vectorized({0: 1.0}, {1: ("l",)}, {"l": 1e9})
-        with pytest.raises(KeyError):
-            weighted_max_min_vectorized({0: 1.0}, {0: ("ghost",)}, {"l": 1e9})
 
 
 class TestXwiBackendParity:
@@ -243,11 +223,11 @@ class TestCompiledStructure:
         network.add_flow(FluidFlow(1, ("l",), LogUtility()))
         assert not compiled.is_current()
 
-    def test_incidence_matrix_shape_and_paths(self):
+    def test_path_links_shape_and_paths(self):
         network = FluidNetwork({"a": 1e9, "b": 2e9})
         network.add_flow(FluidFlow("f", ("a", "b"), LogUtility()))
         network.add_flow(FluidFlow("g", ("b",), LogUtility()))
         compiled = compile_network(network)
-        assert compiled.incidence.shape == (2, 2)
+        assert compiled.path_links.tolist() == [[0, 1], [1, 2]]  # 2: the sentinel
         assert compiled.path_len.tolist() == [2.0, 1.0]
         assert compiled.path_capacities().tolist() == [1e9, 2e9]

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from _fluid_reference import make_simulator
+from _maxmin_reference import scalar_max_min
+from _oracle_reference import scalar_solve
 from repro.core.utility import LogUtility
 from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
@@ -22,10 +24,12 @@ from repro.fluid import oracle
 from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.oracle import PersistentDualSolver, solve_num
 from repro.fluid.rcp import RcpStarFluidSimulator
-from repro.fluid.vectorized import compile_max_min, compile_network, waterfill_arrays
+from repro.fluid.vectorized import compile_network, waterfill_arrays
 from repro.fluid.xwi import XwiFluidSimulator
 
 DEAD_CAPACITIES = [0.0, 1e-12]
+#: The cold Oracle and its per-flow reference, by test id.
+SOLVERS = {"scalar": scalar_solve, "vectorized": solve_num}
 
 
 def two_link_network(dead_capacity: float) -> FluidNetwork:
@@ -68,7 +72,7 @@ def test_set_capacity_bumps_capacity_version():
 
 
 @pytest.mark.parametrize("dead", DEAD_CAPACITIES)
-def test_weighted_max_min_scalar_zero_capacity(dead):
+def test_weighted_max_min_zero_capacity(dead):
     weights = {"a": 1.0, "b": 1.0, "ab": 1.0}
     paths = {"a": ("shared",), "b": ("dead",), "ab": ("shared", "dead")}
     rates = weighted_max_min(weights, paths, {"shared": 10e9, "dead": dead})
@@ -79,13 +83,11 @@ def test_weighted_max_min_scalar_zero_capacity(dead):
 @pytest.mark.parametrize("dead", DEAD_CAPACITIES)
 def test_waterfill_arrays_zero_capacity(dead):
     paths = {"a": ("shared",), "b": ("dead",), "ab": ("shared", "dead")}
-    compiled = compile_max_min(paths, {"shared": 10e9, "dead": dead})
-    rates = compiled.solve({"a": 1.0, "b": 1.0, "ab": 1.0})
+    capacities = {"shared": 10e9, "dead": dead}
+    rates = weighted_max_min({"a": 1.0, "b": 1.0, "ab": 1.0}, paths, capacities)
     assert_finite_rates(rates, dead)
     # Parity with the scalar reference on the degenerate instance.
-    scalar = weighted_max_min(
-        {"a": 1.0, "b": 1.0, "ab": 1.0}, paths, {"shared": 10e9, "dead": dead}
-    )
+    scalar = scalar_max_min({"a": 1.0, "b": 1.0, "ab": 1.0}, paths, capacities)
     for flow_id, rate in scalar.items():
         assert rates[flow_id] == pytest.approx(rate, abs=1e-6)
     # Same instance on the network snapshot's maintained path_links (ragged
@@ -93,8 +95,7 @@ def test_waterfill_arrays_zero_capacity(dead):
     snapshot = compile_network(two_link_network(dead))
     assert snapshot.path_links.tolist() == [[0, 2], [1, 2], [0, 1]]
     path_indexed = waterfill_arrays(
-        snapshot.incidence, snapshot.incidence_f, np.ones(3), snapshot.capacities_vector(),
-        path_links=snapshot.path_links,
+        snapshot.path_links, np.ones(3), snapshot.capacities_vector()
     )
     assert np.all(np.isfinite(path_indexed))
     for flow_id, rate in zip(snapshot.flow_ids, path_indexed.tolist()):
@@ -140,10 +141,10 @@ def test_fluid_simulator_recovers_after_restore(backend):
 
 
 @pytest.mark.parametrize("dead", DEAD_CAPACITIES)
-@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-def test_solve_num_zero_capacity(backend, dead):
+@pytest.mark.parametrize("solver", ["scalar", "vectorized"])
+def test_solve_num_zero_capacity(solver, dead):
     network = two_link_network(dead)
-    result = solve_num(network, backend=backend)
+    result = SOLVERS[solver](network)
     assert result.converged
     assert_finite_rates(result.rates, dead)
     assert math.isfinite(result.objective)
@@ -152,14 +153,14 @@ def test_solve_num_zero_capacity(backend, dead):
     assert result.rates["a"] > 1e8  # the healthy flow still gets real rate
 
 
-@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-def test_solve_num_every_link_dead(backend):
+@pytest.mark.parametrize("solver", ["scalar", "vectorized"])
+def test_solve_num_every_link_dead(solver):
     network = FluidNetwork({"l1": 10e9, "l2": 10e9})
     network.add_flow(FluidFlow("f1", ("l1",), LogUtility()))
     network.add_flow(FluidFlow("f2", ("l1", "l2"), LogUtility()))
     network.set_capacity("l1", 0.0)
     network.set_capacity("l2", 0.0)
-    result = solve_num(network, backend=backend)
+    result = SOLVERS[solver](network)
     assert result.converged
     assert result.rates == {"f1": 0.0, "f2": 0.0}
     assert all(price == 0.0 for price in result.prices.values())
@@ -172,7 +173,7 @@ def test_persistent_dual_solver_zero_capacity(dead):
     solver = PersistentDualSolver()
     result = solver.solve(network)
     assert_finite_rates(result.rates, dead)
-    reference = solve_num(network, backend="vectorized")
+    reference = solve_num(network)
     assert result.rates["a"] == pytest.approx(reference.rates["a"], rel=1e-3)
 
 
@@ -190,7 +191,7 @@ def test_safeguarded_persistent_solve_is_certified(dead, monkeypatch):
     result = PersistentDualSolver(safeguard=True).solve(network)
     assert result.converged
     assert_finite_rates(result.rates, dead)
-    reference = solve_num(network, backend="scalar")
+    reference = scalar_solve(network)
     assert result.objective == pytest.approx(reference.objective, rel=1e-12)
 
 
@@ -204,7 +205,7 @@ def test_persistent_dual_solver_warm_across_fault():
 
     def check():
         mine = solver.solve(network)
-        fresh = solve_num(network, backend="vectorized")
+        fresh = solve_num(network)
         for flow_id, rate in fresh.rates.items():
             assert mine.rates[flow_id] == pytest.approx(rate, rel=1e-3, abs=1.0)
         assert_finite_rates(mine.rates, network.capacity("dead"))
@@ -240,7 +241,7 @@ def test_persistent_dual_solver_invalidates_on_capacity_change():
 
 def test_zero_capacity_property():
     """Property test: random topologies with randomly failed links never
-    produce non-finite rates or prices on either backend."""
+    produce non-finite rates or prices, in the Oracle or its reference."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -264,8 +265,8 @@ def test_zero_capacity_property():
             network.add_flow(FluidFlow(f"f{j}", tuple(path), LogUtility()))
         for link, capacity in zip(links, capacities):
             network.set_capacity(link, capacity)
-        for backend in ("scalar", "vectorized"):
-            result = solve_num(network, backend=backend)
+        for solve in SOLVERS.values():
+            result = solve(network)
             values = list(result.rates.values()) + list(result.prices.values())
             assert np.all(np.isfinite(values))
             assert all(rate >= 0.0 for rate in result.rates.values())

@@ -132,9 +132,11 @@ class TestCheckpointResume:
         # keyed the path-capacity memo on a capacity copy; version 4 pickled
         # compiled snapshots with CSR cache slots; version 5 pickled fluid
         # simulators with their backend and record_detail attributes and
-        # per-scheme record classes: such checkpoints must not resume.
-        assert CHECKPOINT_VERSION == 6
-        for version in (1, 2, 3, 4, 5, CHECKPOINT_VERSION + 1):
+        # per-scheme record classes; version 6 pickled the flow-level
+        # simulation with its backend and dict state: such checkpoints must
+        # not resume.
+        assert CHECKPOINT_VERSION == 7
+        for version in (1, 2, 3, 4, 5, 6, CHECKPOINT_VERSION + 1):
             write_checkpoint(path, {"version": version, "spec_fingerprint": "x"})
             with pytest.raises(ValueError, match="format version"):
                 load_checkpoint(path, spec)

@@ -17,11 +17,12 @@ from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.xwi import XwiFluidSimulator
 
-# The scalar fluid references live beside the fluid suites.
+# The scalar fluid and max-min references live beside the fluid suites.
 _FLUID_TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fluid")
 if _FLUID_TESTS not in sys.path:
     sys.path.append(_FLUID_TESTS)
 from _fluid_reference import Reference  # noqa: E402
+from _maxmin_reference import scalar_max_min  # noqa: E402
 
 rates = st.floats(min_value=1e3, max_value=1e11, allow_nan=False, allow_infinity=False)
 alphas = st.floats(min_value=0.1, max_value=4.0)
@@ -138,8 +139,8 @@ class TestWeightedMaxMinProperties:
     def test_vectorized_backend_matches_scalar(self, instance):
         """The NumPy water-filling gives the scalar allocation on any topology."""
         flow_weights, paths, capacities = instance
-        scalar = weighted_max_min(flow_weights, paths, capacities)
-        vectorized = weighted_max_min(flow_weights, paths, capacities, backend="vectorized")
+        scalar = scalar_max_min(flow_weights, paths, capacities)
+        vectorized = weighted_max_min(flow_weights, paths, capacities)
         assert set(scalar) == set(vectorized)
         for flow, rate in scalar.items():
             assert math.isclose(vectorized[flow], rate, rel_tol=1e-9, abs_tol=1e-9)

@@ -119,6 +119,22 @@ class TestBaselinesPacketLevel:
         assert total == pytest.approx(LINK_RATE, rel=0.35)
         assert rates[0] == pytest.approx(rates[1], rel=0.5)
 
+    @pytest.mark.parametrize("scheme_cls", [DgdScheme, RcpStarScheme])
+    def test_paced_finite_flow_ends_on_a_partial_packet(self, scheme_cls):
+        """The pacing senders send whole MTUs, then the remainder, then stop."""
+        network = single_link_network(scheme_cls(), num_flows=1, link_rate=LINK_RATE)
+        sender = network.add_flow(
+            FlowDescriptor(
+                flow_id=0, source=("sender", 0), destination=("receiver", 0), size_bytes=10_700
+            )
+        )
+        network.run(0.05)
+        full, partial = divmod(10_700, sender.mtu_bytes)
+        assert partial > 0
+        assert sender.next_sequence == full + 1
+        assert sender.bytes_sent == sender.bytes_acked == 10_700
+        assert [c.size_bytes for c in network.fct_tracker.completions] == [10_700]
+
     def test_pfabric_srpt_ordering(self):
         """pFabric finishes short flows before long ones sharing a bottleneck."""
         scheme = PfabricScheme()
