@@ -140,29 +140,12 @@ class OracleRatePolicy(RatePolicy):
     A thin owner of a :class:`~repro.fluid.oracle.PersistentDualSolver`,
     which keeps prices, curvature, conditioning *and* the compiled incidence
     alive across flow-set changes -- no cold restart per event, no per-event
-    recompiles.  The arguments are the solver's:
-
-    * the price-scale conditioning is refreshed only every
-      ``scale_refresh_interval`` flow-set changes (it only conditions the
-      solver, so staleness cannot change the optimum);
-    * the max-min safeguard defaults to off -- it exists for very steep
-      utility mixes, and for the well-conditioned log/moderate-alpha
-      workloads of Fig. 5 it costs more than the solve itself.  Pass
-      ``safeguard=True`` when using steep utilities (e.g. FCT with a small
-      epsilon).
+    recompiles.  It takes no options: every answer carries the solver's
+    KKT certificate, and the solver's settings are its module constants.
     """
 
-    def __init__(
-        self,
-        scale_refresh_interval: int = 32,
-        safeguard: bool = False,
-        tolerance: float = 1e-9,
-    ):
-        self._solver = PersistentDualSolver(
-            tolerance=tolerance,
-            scale_refresh_interval=scale_refresh_interval,
-            safeguard=safeguard,
-        )
+    def __init__(self):
+        self._solver = PersistentDualSolver()
         self._cached: Optional[Mapping] = None
         self._epoch = 0
 

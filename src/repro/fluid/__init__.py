@@ -10,7 +10,9 @@ from repro.fluid.network import FluidFlow, FluidNetwork, FlowGroup
 from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.vectorized import CompiledFluidNetwork, VectorizedUtilities, compile_network
 from repro.fluid.oracle import (
+    OracleCertificate,
     PersistentDualSolver,
+    certify,
     estimate_price_scale,
     solve_num,
     solve_num_multipath,
@@ -29,7 +31,9 @@ __all__ = [
     "CompiledFluidNetwork",
     "VectorizedUtilities",
     "compile_network",
+    "OracleCertificate",
     "PersistentDualSolver",
+    "certify",
     "estimate_price_scale",
     "solve_num",
     "solve_num_multipath",

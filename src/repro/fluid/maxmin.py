@@ -6,7 +6,7 @@ current set of flow weights.  The fluid engine computes that fixed point
 directly with progressive filling (Bertsekas & Gallager):
 :func:`weighted_max_min` is the dict-in / dict-out entry point over the one
 array water-fill, :func:`repro.fluid.vectorized.waterfill_arrays`, that
-xWI and the Oracle's safeguard run.
+xWI runs.
 """
 
 from __future__ import annotations

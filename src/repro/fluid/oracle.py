@@ -29,9 +29,15 @@ entry points differ only in start point and preconditioner:
   incrementally from the network's churn journal); its first solve is the
   same cold start.
 
-No single-path solve imports scipy.  Only :func:`solve_num_multipath` and
-the safeguard's SLSQP fallback do, inside the function that calls it, never
-by ``import repro``.  The external reference the tight Oracle gates compare
+Every single-path answer carries an :class:`OracleCertificate` -- its KKT
+residuals, computed by :meth:`_DualProblem.certificate` -- and is
+``converged`` exactly when every residual is at most :data:`CERTIFIED`;
+the answer itself is never rewritten.  :func:`certify` applies the same
+check to any rates and prices, for instance a fluid simulator's state.
+
+No single-path solve imports scipy.  Only :func:`solve_num_multipath`
+does, inside the function, never by ``import repro``.  The external
+reference the tight Oracle gates compare
 against -- scipy L-BFGS-B on the same scaled dual -- lives with the tests
 (``tests/fluid/_oracle_reference.py``), beside the per-flow dict
 assembly of the same dual that ``tests/fluid/test_oracle.py`` pins the
@@ -43,22 +49,63 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.fluid.network import FluidNetwork, FlowId, LinkId
-from repro.fluid.vectorized import (
-    CompiledFluidNetwork,
-    compile_network,
-    dict_of,
-    waterfill_arrays,
-)
+from repro.fluid.vectorized import CompiledFluidNetwork, compile_network, dict_of
+
+# Not called here: the e2e span table (benchmarks/e2e/trace.py) binds
+# ``repro.fluid.oracle:waterfill_arrays`` by name.
+from repro.fluid.vectorized import waterfill_arrays  # noqa: F401
 
 _MIN_RATE_FRACTION = 1e-9
 
-#: Flow count above which the (SLSQP) primal fallback is not attempted.
-_FALLBACK_MAX_FLOWS = 400
+#: SPG iteration cap of every single-path solve.
+_MAX_ITERATIONS = 2000
+#: SPG's relative objective-stall tolerance (an L-BFGS-B-style ``ftol``).
+_TOLERANCE = 1e-9
+#: Churned solves between :class:`PersistentDualSolver`'s price-scale refreshes.
+_SCALE_REFRESH_INTERVAL = 32
+#: An answer is ``converged`` when its worst certificate term is at most this.
+CERTIFIED = 1e-6
+
+
+@dataclass(frozen=True)
+class OracleCertificate:
+    """KKT residuals of one allocation and its link prices, each relative.
+
+    All four are zero at an exact NUM optimum (see
+    :meth:`_DualProblem.certificate` for the definitions):
+
+    * ``overload`` -- the largest relative link overload, before the
+      feasibility rescale;
+    * ``stationarity`` -- the largest per-flow ``|U'(x) - q| / max(U'(x), q)``,
+      one-sided at a flow's path cap or rate floor;
+    * ``slackness`` -- complementary slackness: a link's relative slack
+      times its price's share of each crossing flow's path price;
+    * ``gap`` -- the duality gap, relative to the dual value.
+    """
+
+    overload: float
+    stationarity: float
+    slackness: float
+    gap: float
+
+    @property
+    def worst(self) -> float:
+        return max(self.overload, self.stationarity, self.slackness, self.gap)
+
+
+#: The certificate of an answer no price can improve (no flows, or no link
+#: that can carry anything).
+_EXACT = OracleCertificate(0.0, 0.0, 0.0, 0.0)
+
+
+def _no_flows(links: Sequence[LinkId]) -> "OracleResult":
+    return OracleResult(rates={}, prices={link: 0.0 for link in links},
+                        objective=0.0, iterations=0, certificate=_EXACT)
 
 
 class OracleResult:
@@ -68,9 +115,13 @@ class OracleResult:
     dual passes the id snapshots (``flow_ids``, ``link_ids``) and its
     vectors (``rate_vec``, ``price_vec``, kept by reference and made
     read-only), and ``rates`` / ``prices`` are cached properties, built on
-    first read.  The idle, fallback and safeguard results pass the dicts
-    themselves, which land where the cache would, and leave the vectors
-    ``None``.
+    first read.  The idle and multipath results pass the dicts themselves,
+    which land where the cache would, and leave the vectors ``None``.
+
+    A single-path result carries its :class:`OracleCertificate` and is
+    ``converged`` when the certificate's worst term is at most
+    :data:`CERTIFIED`; a multipath result has no certificate and passes
+    SLSQP's own verdict as ``converged``.
     """
 
     rate_vec: Optional[np.ndarray] = None
@@ -81,7 +132,8 @@ class OracleResult:
         *,
         objective: float,
         iterations: int,
-        converged: bool,
+        certificate: Optional[OracleCertificate] = None,
+        converged: bool = False,
         rates: Optional[Dict[FlowId, float]] = None,
         prices: Optional[Dict[LinkId, float]] = None,
         flow_ids: Sequence[FlowId] = (),
@@ -91,7 +143,8 @@ class OracleResult:
     ):
         self.objective = objective
         self.iterations = iterations
-        self.converged = converged
+        self.certificate = certificate
+        self.converged = certificate.worst <= CERTIFIED if certificate else converged
         self.flow_ids = flow_ids
         self.link_ids = link_ids
         if rate_vec is not None:
@@ -170,27 +223,15 @@ def _scale_medians(compiled: CompiledFluidNetwork) -> Tuple[np.ndarray, np.ndarr
     return active_idx, np.maximum(medians, 1e-300)
 
 
-def solve_num(
-    network: FluidNetwork,
-    max_iterations: int = 2000,
-    tolerance: float = 1e-9,
-    safeguard: bool = True,
-) -> OracleResult:
+def solve_num(network: FluidNetwork) -> OracleResult:
     """Solve ``max sum_i U_i(x_i)`` s.t. ``Rx <= c`` for single-path flows.
 
     The cold solve: every call starts from ``z = 0.5`` with the Jacobi
     preconditioner and minimises the dual with :func:`_spg_minimize`.
     Flows that belong to a group (multipath aggregates) are not supported
-    here; use :func:`solve_num_multipath`.
-
-    Parameters
-    ----------
-    safeguard:
-        When true (default), the better of the dual's allocation and the
-        max-min allocation is returned, reported converged when it attains
-        the dual bound within ``tolerance`` (the dual's allocation also when
-        the minimiser converged), and a primal SLSQP fallback is attempted
-        otherwise (very steep utilities).
+    here; use :func:`solve_num_multipath`.  The result is the minimiser's
+    answer, certified (:class:`OracleCertificate`) but never rewritten:
+    ``converged`` is false where the certificate rejects it.
 
     Links carrying no flows are excluded from the dual and reported with a
     price of exactly zero (their capacity cannot constrain anything).
@@ -199,19 +240,41 @@ def solve_num(
     if any(flow.group_id is not None for flow in flows):
         raise ValueError("network contains multipath groups; use solve_num_multipath")
     if not flows:
-        return OracleResult(rates={}, prices={link: 0.0 for link in network.links},
-                            objective=0.0, iterations=0, converged=True)
+        return _no_flows(network.links)
     compiled = compile_network(network)
     problem = _DualProblem(compiled)
     if not problem.active_idx.size:
         return problem.idle_result(network)
     problem.bind(_scale_medians(compiled)[1])
     z0, precondition = problem.cold_start()
-    minimised = _spg_minimize(
-        problem.dual_and_gradient, z0, max_iterations, tolerance, precondition
+    minimised = _spg_minimize(problem.dual_and_gradient, z0, precondition)
+    return problem.result(problem.prices(minimised.x), minimised)
+
+
+def certify(
+    network: FluidNetwork, rates: Mapping[FlowId, float], prices: Mapping[LinkId, float]
+) -> OracleCertificate:
+    """The :class:`OracleCertificate` of any single-path allocation and prices.
+
+    The Oracle's own check, applied from outside: ``rates`` maps every flow
+    of ``network`` to its rate and ``prices`` every link carrying flows to
+    its price (a fluid simulator's ``record.rates`` and ``simulator.prices``,
+    for example).  Links without flows or capacity are ignored, as in the
+    dual.
+    """
+    compiled = compile_network(network)
+    problem = _DualProblem(compiled)
+    if not problem.active_idx.size:
+        return _EXACT
+    problem.bind(_scale_medians(compiled)[1])
+    rate_vec = np.array([rates[flow_id] for flow_id in compiled.flow_ids], dtype=float)
+    price_vec = np.array(
+        [prices[compiled.link_ids[idx]] for idx in problem.active_idx.tolist()], dtype=float
     )
-    return problem.result(network, problem.prices(minimised.x), minimised,
-                          safeguard, max_iterations, tolerance)
+    dual_value, _ = problem.dual_and_gradient(price_vec / problem.scale_vec)
+    _, path_prices = problem.primal_rates(price_vec)
+    objective = float(compiled.vec_utils.value(rate_vec).sum())
+    return problem.certificate(rate_vec, price_vec, path_prices, dual_value, objective)
 
 
 @dataclass
@@ -221,7 +284,6 @@ class _SpgResult:
     x: np.ndarray
     fun: float
     nit: int
-    success: bool
     step: float
 
 
@@ -243,8 +305,6 @@ _SPG_STALL_LIMIT = 3
 def _spg_minimize(
     dual_and_gradient,
     z0: np.ndarray,
-    max_iterations: int,
-    tolerance: float,
     precondition: np.ndarray,
     initial_step: Optional[float] = None,
 ) -> _SpgResult:
@@ -269,13 +329,14 @@ def _spg_minimize(
     ~1e-20) leaves the tiny-scale links practically frozen under a single
     scalar step length.
 
-    Stops when the preconditioned projected gradient drops below
-    :data:`_SPG_PGTOL` or the scaled objective stalls below ``tolerance``
-    (relative) for :data:`_SPG_STALL_LIMIT` consecutive iterations while
-    the projected gradient is already below :data:`_SPG_STALL_PGTOL` --
-    an L-BFGS-B-style ``ftol`` contract, guarded against BB's nonmonotone
-    plateaus.  ``initial_step`` carries the spectral
-    (curvature) state across solves for :class:`PersistentDualSolver`.
+    Stops after :data:`_MAX_ITERATIONS`, or when the preconditioned
+    projected gradient drops below :data:`_SPG_PGTOL` or the scaled
+    objective stalls below :data:`_TOLERANCE` (relative) for
+    :data:`_SPG_STALL_LIMIT` consecutive iterations while the projected
+    gradient is already below :data:`_SPG_STALL_PGTOL` -- an
+    L-BFGS-B-style ``ftol`` contract, guarded against BB's nonmonotone
+    plateaus.  ``initial_step`` carries the spectral (curvature) state
+    across solves for :class:`PersistentDualSolver`.
     """
     z = np.maximum(np.asarray(z0, dtype=float), 0.0)
     f, g = dual_and_gradient(z)
@@ -289,13 +350,11 @@ def _spg_minimize(
     recent = deque([f], maxlen=_SPG_MEMORY)
     stalls = 0
     nit = 0
-    success = not z.size
-    for nit in range(1, max_iterations + 1):
+    for nit in range(1, _MAX_ITERATIONS + 1):
         trial = np.maximum(z - step * step_direction, 0.0)
         d = trial - z
         dg = float(d @ g)
-        if dg >= 0.0:
-            success = True  # no feasible descent direction: stationary point
+        if dg >= 0.0:  # no feasible descent direction: stationary point
             nit -= 1
             break
         f_ref = max(recent)
@@ -314,7 +373,7 @@ def _spg_minimize(
         else:
             step = step * 2.0
         step = min(max(step, _SPG_STEP_MIN), _SPG_STEP_MAX)
-        stalls = stalls + 1 if abs(f - f_new) <= tolerance * max(abs(f), abs(f_new), 1.0) else 0
+        stalls = stalls + 1 if abs(f - f_new) <= _TOLERANCE * max(abs(f), abs(f_new), 1.0) else 0
         z, f, g = z_new, f_new, g_new
         recent.append(f)
         step_direction = precondition * g
@@ -324,9 +383,8 @@ def _spg_minimize(
         if pg_norm <= _SPG_PGTOL or (
             stalls >= _SPG_STALL_LIMIT and pg_norm <= _SPG_STALL_PGTOL
         ):
-            success = True
             break
-    return _SpgResult(x=z, fun=f, nit=nit, success=success, step=step)
+    return _SpgResult(x=z, fun=f, nit=nit, step=step)
 
 
 class _DualProblem:
@@ -350,14 +408,14 @@ class _DualProblem:
 
     def __init__(self, compiled: CompiledFluidNetwork):
         self.compiled = compiled
-        self.capacities_all = compiled.capacities_vector()
+        capacities = compiled.capacities_vector()
         n_links = len(compiled.link_ids)
         path_links = compiled.path_links
         carrying = np.bincount(path_links.ravel(), minlength=n_links + 1)[:n_links] > 0
         # Failed (zero-capacity) links are excluded like flowless ones: their
         # price stays zero and path-capacity clipping already pins every flow
         # crossing them to a zero rate, so they cannot condition the dual.
-        self.active_idx = np.nonzero(carrying & (self.capacities_all > 0.0))[0]
+        self.active_idx = np.nonzero(carrying & (capacities > 0.0))[0]
         n_active = self.active_idx.size
         remap = np.full(n_links + 1, n_active, dtype=np.intp)
         remap[self.active_idx] = np.arange(n_active)
@@ -366,7 +424,7 @@ class _DualProblem:
         self._hops_flat = self.hops.ravel()
         self._hop_values = np.empty(self.hops.shape)
         self._hop_values_flat = self._hop_values.ravel()
-        self.capacities = self.capacities_all[self.active_idx]
+        self.capacities = capacities[self.active_idx]
         # Per-flow rate cap: the narrowest link on the path.  Clipping at the
         # cap keeps the inner maximization bounded even at a ~0 path price.
         self.path_caps = compiled.path_capacities()
@@ -385,7 +443,7 @@ class _DualProblem:
         rates = {flow_id: 0.0 for flow_id in self.compiled.flow_ids}
         return OracleResult(rates=rates, prices={link: 0.0 for link in self.compiled.link_ids},
                             objective=network.total_utility(rates),
-                            iterations=0, converged=True)
+                            iterations=0, certificate=_EXACT)
 
     def bind(self, scale_vec: np.ndarray) -> None:
         """Fix the price scale (``p_l = scale_l * z_l``) and build the closures."""
@@ -474,80 +532,76 @@ class _DualProblem:
             (curvature > 0.0) & np.isfinite(newton), newton, self.residual_precondition()
         )
 
-    def result(
+    def certificate(
         self,
-        network: FluidNetwork,
+        rates: np.ndarray,
         prices: np.ndarray,
-        minimised,
-        safeguard: bool,
-        max_iterations: int,
-        tolerance: float,
-    ) -> OracleResult:
-        """Pack the minimiser's prices into a feasible, safeguarded allocation.
+        path_prices: np.ndarray,
+        dual_value: float,
+        objective: float,
+    ) -> OracleCertificate:
+        """The :class:`OracleCertificate` of physical ``rates`` and active-link ``prices``.
 
-        ``minimised`` is the minimiser's result (``fun``, ``nit``,
-        ``success``); ``prices`` are the physical prices at its ``x``.
+        ``rates`` are the allocation before any feasibility rescale,
+        ``path_prices`` the per-flow sums of ``prices``, ``dual_value`` the
+        scaled dual at ``prices`` (times :attr:`objective_scale`, an upper
+        bound on every feasible objective) and ``objective`` the utility of
+        the allocation handed out.  A flow
+        at its path cap is held only to ``U'(x) >= q``, one at its rate
+        floor only to ``U'(x) <= q``.  Slackness is per flow: the largest
+        ``slack_l * p_l`` over its links over its path price ``q``, so a
+        flow whose priced links all have room fails it.  The gap is relative
+        like the minimiser's stall test.
+        """
+        ratio = self.link_sums(rates) / self.capacities
+        marginals = self.compiled.vec_utils.marginal(rates)
+        excess = marginals - path_prices
+        np.minimum(excess, 0.0, out=excess, where=rates >= self.path_caps)
+        np.maximum(excess, 0.0, out=excess, where=rates <= self.floors)
+        stationarity = np.zeros(rates.size)
+        np.divide(np.abs(excess), np.maximum(marginals, path_prices), out=stationarity,
+                  where=excess != 0.0)
+        # Priced slack per link, with a zero entry for the sentinel hop.
+        priced_slack = np.append(prices * np.maximum(1.0 - ratio, 0.0), 0.0)
+        slackness = np.zeros(rates.size)
+        np.divide(np.maximum.reduce(priced_slack[self.hops], axis=0), path_prices,
+                  out=slackness, where=path_prices > 0.0)
+        scale = self.objective_scale
+        gap = abs(dual_value * scale - objective) / (scale * max(abs(dual_value), 1.0))
+        # ufunc.reduce directly, as in the SPG loop: ndarray.max's wrapper costs more
+        largest = np.maximum.reduce
+        return OracleCertificate(
+            overload=max(float(largest(ratio)) - 1.0, 0.0),
+            stationarity=float(largest(stationarity)),
+            slackness=float(largest(slackness)),
+            gap=gap,
+        )
 
-        ``minimised.fun`` is the scaled dual at those prices, so times
-        :attr:`objective_scale` it bounds the objective of every feasible
-        allocation from above (weak duality).  With ``safeguard``, the
-        better of the dual's allocation and max-min is returned -- max-min
-        replaces any dual answer it beats -- and reported converged when it
-        attains that bound within ``tolerance`` (relative, in the scaled
-        dual's units, like the minimiser's own ``ftol``); the dual's own
-        allocation also keeps the minimiser's verdict.  For very steep
-        utilities (alpha >= ~4) the dual becomes so ill-conditioned that the
-        minimiser can stall far from the optimum; when the returned
-        allocation is not converged, fall back to a primal SLSQP solve in
-        normalized units, which is slower but robust for the evaluation's
-        problem sizes.
+    def result(self, prices: np.ndarray, minimised) -> OracleResult:
+        """Pack the minimiser's prices into a feasible, certified allocation.
+
+        ``minimised`` is the minimiser's result (``fun``, ``nit``); ``prices``
+        are the physical prices at its ``x``.  The rates are the dual's primal
+        point at those prices, scaled down onto the capacity region
+        (:func:`_rescale_to_feasible_arrays`); the certificate is of that
+        point, so its ``overload`` term bounds the rescale.
         """
         compiled = self.compiled
-        vec_utils = compiled.vec_utils
-        rate_vec, _ = self.primal_rates(prices)
-        rate_vec = _rescale_to_feasible_arrays(self, rate_vec)
-        objective = float(vec_utils.value(rate_vec).sum())
-
-        links = compiled.link_ids
-        price_vec = np.zeros(len(links))  # excluded links report a zero price
+        raw, path_prices = self.primal_rates(prices)
+        rate_vec = _rescale_to_feasible_arrays(self, raw)
+        objective = float(compiled.vec_utils.value(rate_vec).sum())
+        certificate = self.certificate(raw, prices, path_prices, float(minimised.fun), objective)
+        price_vec = np.zeros(len(compiled.link_ids))  # excluded links report a zero price
         price_vec[self.active_idx] = prices
-        best = OracleResult(
+        return OracleResult(
             objective=objective,
             iterations=int(minimised.nit),
-            converged=bool(minimised.success),
+            certificate=certificate,
             flow_ids=compiled.flow_id_snapshot(),
             rate_vec=rate_vec,
-            link_ids=links,
+            link_ids=compiled.link_ids,
             price_vec=price_vec,
         )
-        if not safeguard:
-            return best
-        # The reference allocation must respect *all* carrying links,
-        # including failed (zero-capacity) ones excluded from the dual --
-        # otherwise a dead-link flow looks entitled to a positive rate and
-        # the safeguard wrongly rejects the (correct) dual solution.
-        maxmin_vec = waterfill_arrays(
-            compiled.path_links, np.ones(len(compiled.flow_ids)), self.capacities_all
-        )
-        maxmin_objective = float(vec_utils.value(maxmin_vec).sum())
-        if maxmin_objective > best.objective:
-            best = OracleResult(
-                rates=dict(zip(compiled.flow_ids, maxmin_vec.tolist())),
-                prices={link: 0.0 for link in links},
-                objective=maxmin_objective,
-                iterations=best.iterations,
-                converged=False,
-            )
-        dual_value = float(minimised.fun)
-        objective_scale = self.objective_scale
-        gap = dual_value * objective_scale - best.objective
-        if gap <= tolerance * objective_scale * max(abs(dual_value), 1.0):
-            best.converged = True
-        if not best.converged and len(compiled.flows) <= _FALLBACK_MAX_FLOWS:
-            fallback = _solve_num_primal(network, max_iterations=max_iterations)
-            if fallback.objective >= best.objective:
-                return fallback
-        return best
 
 
 class PersistentDualSolver:
@@ -572,39 +626,27 @@ class PersistentDualSolver:
       solves.
     * **Conditioning** -- the per-link price scale of
       :func:`estimate_price_scale`, refreshed only every
-      ``scale_refresh_interval`` churned solves (it conditions the solver
+      :data:`_SCALE_REFRESH_INTERVAL` churned solves (it conditions the solver
       but never changes the optimum).
 
     The minimiser is :func:`_spg_minimize`: the clipped dual is piecewise
     smooth, so a quasi-Newton model is invalidated face by face while the
     spectral step carries over.  Measured by ``benchmarks/e2e`` on
     ``fig5_websearch`` (seed 7; ~135 flows on ~220 active links per solve,
-    one arrival or departure apart): a warm solve takes a median of 25-27
-    and a 99th percentile of 91-96 iterations (``fluid.oracle_iters_p50`` /
-    ``_p99``), none unconverged; the 12-link churn trace of the tests takes
-    14.  A fresh solver's first solve is :func:`solve_num`'s cold start
-    (:meth:`_DualProblem.cold_start`).
+    one arrival or departure apart): a warm solve takes a median of 30
+    and a 99th percentile of 86 iterations (``fluid.oracle_iters_p50`` /
+    ``_p99``), and all 705 answers certify (worst term 1.0e-7); the
+    12-link churn trace of the tests takes 14.  A fresh solver's first
+    solve is :func:`solve_num`'s cold start (:meth:`_DualProblem.cold_start`).
 
-    Parity: warm persistent solves match a tightly converged external
-    (scipy L-BFGS-B) solve of the same instance to well within 1e-6
-    relative on rates (pinned by the churn-trace tests in
-    ``tests/fluid/test_oracle.py`` and gated by the perf harness); the
-    allocation it converges to is the same unique NUM optimum.  Multipath
-    groups are rejected exactly like :func:`solve_num`.
+    Parity: warm persistent solves certify on every churn trace of
+    ``tests/fluid/test_oracle.py`` and match a tightly converged external
+    (scipy L-BFGS-B) solve of the same instance to within 1e-6 relative on
+    rates wherever that reference pins them (also gated by the perf
+    harness).  Multipath groups are rejected exactly like :func:`solve_num`.
     """
 
-    def __init__(
-        self,
-        network: Optional[FluidNetwork] = None,
-        tolerance: float = 1e-9,
-        max_iterations: int = 2000,
-        scale_refresh_interval: int = 32,
-        safeguard: bool = False,
-    ):
-        self.tolerance = tolerance
-        self.max_iterations = max_iterations
-        self.scale_refresh_interval = scale_refresh_interval
-        self.safeguard = safeguard
+    def __init__(self, network: Optional[FluidNetwork] = None):
         self._network = network
         self._scale_fill = 1.0
         self.reset()
@@ -640,7 +682,7 @@ class PersistentDualSolver:
         """
         if (
             self._scale_full is None
-            or self._churned_solves >= self.scale_refresh_interval
+            or self._churned_solves >= _SCALE_REFRESH_INTERVAL
         ):
             idx, medians = _scale_medians(compiled)
             n_links = len(compiled.link_ids)
@@ -661,8 +703,7 @@ class PersistentDualSolver:
         if network.groups or compiled.grouped:
             raise ValueError("network contains multipath groups; use solve_num_multipath")
         if not compiled.flows:
-            return OracleResult(rates={}, prices={link: 0.0 for link in links},
-                                objective=0.0, iterations=0, converged=True)
+            return _no_flows(links)
         n_links = len(links)
         if self._prices_full is None or len(self._prices_full) != n_links:
             self._prices_full = np.zeros(n_links)
@@ -694,116 +735,13 @@ class PersistentDualSolver:
         else:
             z0, precondition = problem.cold_start()
         minimised = _spg_minimize(
-            problem.dual_and_gradient, z0, self.max_iterations, self.tolerance,
-            precondition=precondition, initial_step=self._step,
+            problem.dual_and_gradient, z0, precondition, initial_step=self._step
         )
         self._step = minimised.step
         self._warm = True
         prices = problem.prices(minimised.x)
         self._prices_full[active_idx] = prices
-        return problem.result(network, prices, minimised, self.safeguard,
-                              self.max_iterations, self.tolerance)
-
-
-def _slsqp_solve(
-    network: FluidNetwork,
-    utility_of_rates,
-    marginal_of_rates,
-    max_iterations: int,
-    ftol: float,
-) -> OracleResult:
-    """Primal SLSQP scaffold shared by the dual fallback and the multipath solver.
-
-    ``utility_of_rates(x)`` is the total utility at physical rates ``x`` (an
-    array in ``network.flows`` order); ``marginal_of_rates(x)`` its per-flow
-    gradient, or ``None`` to let SLSQP difference the objective (and the
-    constraints) numerically.
-
-    Optimizes in units of the largest link capacity so the variables,
-    constraints and numerical gradients are all O(1); the objective is
-    evaluated at the physical rates, so the optimum is unchanged.  Its
-    magnitude varies across utility families, so it is normalized by its
-    value at an equal-split starting point to make ``ftol`` behave
-    consistently.
-    """
-    from scipy import optimize  # only the primal fallbacks pay the import
-
-    flows = network.flows
-    links = network.links
-    link_index = {link: i for i, link in enumerate(links)}
-    capacities = np.array([network.capacity(link) for link in links], dtype=float)
-    routing = np.zeros((len(links), len(flows)))
-    for column, flow in enumerate(flows):
-        for link in flow.path:
-            routing[link_index[link], column] = 1.0
-    rate_unit = float(np.max(capacities))
-    scaled_capacities = capacities / rate_unit
-    floor = 1e-9
-
-    def physical(y: np.ndarray) -> np.ndarray:
-        return np.maximum(y, floor) * rate_unit
-
-    y0 = np.array([network.path_capacity(f.flow_id) / (4.0 * rate_unit) for f in flows])
-    objective_scale = max(abs(utility_of_rates(physical(y0))), 1e-12)
-
-    if marginal_of_rates is None:
-
-        def objective(y: np.ndarray) -> float:
-            return -utility_of_rates(physical(y)) / objective_scale
-
-    else:
-
-        def objective(y: np.ndarray):
-            x = physical(y)
-            gradient = marginal_of_rates(x) * rate_unit
-            return -utility_of_rates(x) / objective_scale, -gradient / objective_scale
-
-    constraints = []
-    for row in range(len(links)):
-        constraint = {
-            "type": "ineq",
-            "fun": lambda y, row=row: scaled_capacities[row] - routing[row] @ y,
-        }
-        if marginal_of_rates is not None:
-            constraint["jac"] = lambda y, row=row: -routing[row]
-        constraints.append(constraint)
-    result = optimize.minimize(
-        objective,
-        y0,
-        jac=marginal_of_rates is not None,
-        method="SLSQP",
-        bounds=[(floor, 1.0) for _ in flows],
-        constraints=constraints,
-        options={"maxiter": max_iterations, "ftol": ftol},
-    )
-    rates = {
-        flow.flow_id: float(max(result.x[column], 0.0) * rate_unit)
-        for column, flow in enumerate(flows)
-    }
-    rates = _rescale_to_feasible(network, rates)
-    return OracleResult(
-        rates=rates,
-        prices={link: 0.0 for link in links},
-        objective=network.total_utility(rates),
-        iterations=int(result.nit),
-        converged=bool(result.success),
-    )
-
-
-def _solve_num_primal(network: FluidNetwork, max_iterations: int = 500) -> OracleResult:
-    """Primal SLSQP solve for single-path flows (the dual solver's fallback)."""
-    utilities = [flow.utility for flow in network.flows]
-
-    def utility_of_rates(x: np.ndarray) -> float:
-        return sum(utility.value(rate) for utility, rate in zip(utilities, x))
-
-    # Analytic gradient: finite differences are hopeless here because for
-    # steep utilities the objective's magnitude dwarfs the change produced
-    # by SLSQP's default step.
-    def marginal_of_rates(x: np.ndarray) -> np.ndarray:
-        return np.array([utility.marginal(rate) for utility, rate in zip(utilities, x)])
-
-    return _slsqp_solve(network, utility_of_rates, marginal_of_rates, max_iterations, 1e-12)
+        return problem.result(prices, minimised)
 
 
 def _rescale_to_feasible_arrays(problem: _DualProblem, rates: np.ndarray) -> np.ndarray:
@@ -819,7 +757,7 @@ def _rescale_to_feasible_arrays(problem: _DualProblem, rates: np.ndarray) -> np.
 def _rescale_to_feasible(network: FluidNetwork, rates: Dict[FlowId, float]) -> Dict[FlowId, float]:
     """Scale rates down uniformly per-flow so no link is oversubscribed.
 
-    The dual solution can be very slightly infeasible due to finite solver
+    A solver's answer can be very slightly infeasible due to its finite
     tolerance; downstream convergence metrics expect a feasible reference.
     """
     load = network.link_load(rates)
@@ -849,12 +787,22 @@ def solve_num_multipath(
 
     The objective is ``sum_g U_g(sum of member sub-flow rates)`` plus the
     individual utilities of ungrouped flows.  Solved in the primal with
-    SLSQP; intended for the evaluation's scale (hundreds of sub-flows).
+    SLSQP, which differences the objective and constraints numerically;
+    intended for the evaluation's scale (hundreds of sub-flows).
+
+    Optimizes in units of the largest link capacity so the variables,
+    constraints and numerical gradients are all O(1); the objective is
+    evaluated at the physical rates, so the optimum is unchanged.  Its
+    magnitude varies across utility families, so it is normalized by its
+    value at an equal-split starting point to make ``ftol`` behave
+    consistently.
     """
+    from scipy import optimize  # only multipath solves pay the import
+
     flows = network.flows
+    links = network.links
     if not flows:
-        return OracleResult(rates={}, prices={link: 0.0 for link in network.links},
-                            objective=0.0, iterations=0, converged=True)
+        return _no_flows(links)
     flow_index = {flow.flow_id: i for i, flow in enumerate(flows)}
     groups = network.groups
     grouped_members = {m for g in groups for m in g.member_ids}
@@ -869,7 +817,49 @@ def solve_num_multipath(
             total += flow.utility.value(x[flow_index[flow.flow_id]])
         return total
 
-    return _slsqp_solve(network, utility_of_rates, None, max_iterations, tolerance)
+    link_index = {link: i for i, link in enumerate(links)}
+    capacities = np.array([network.capacity(link) for link in links], dtype=float)
+    routing = np.zeros((len(links), len(flows)))
+    for column, flow in enumerate(flows):
+        for link in flow.path:
+            routing[link_index[link], column] = 1.0
+    rate_unit = float(np.max(capacities))
+    scaled_capacities = capacities / rate_unit
+    floor = 1e-9
+
+    def physical(y: np.ndarray) -> np.ndarray:
+        return np.maximum(y, floor) * rate_unit
+
+    y0 = np.array([network.path_capacity(f.flow_id) / (4.0 * rate_unit) for f in flows])
+    objective_scale = max(abs(utility_of_rates(physical(y0))), 1e-12)
+
+    def objective(y: np.ndarray) -> float:
+        return -utility_of_rates(physical(y)) / objective_scale
+
+    constraints = [
+        {"type": "ineq", "fun": lambda y, row=row: scaled_capacities[row] - routing[row] @ y}
+        for row in range(len(links))
+    ]
+    result = optimize.minimize(
+        objective,
+        y0,
+        method="SLSQP",
+        bounds=[(floor, 1.0) for _ in flows],
+        constraints=constraints,
+        options={"maxiter": max_iterations, "ftol": tolerance},
+    )
+    rates = {
+        flow.flow_id: float(max(result.x[column], 0.0) * rate_unit)
+        for column, flow in enumerate(flows)
+    }
+    rates = _rescale_to_feasible(network, rates)
+    return OracleResult(
+        rates=rates,
+        prices={link: 0.0 for link in links},
+        objective=network.total_utility(rates),
+        iterations=int(result.nit),
+        converged=bool(result.success),
+    )
 
 
 def proportional_fair_single_link(capacity: float, n_flows: int) -> List[float]:

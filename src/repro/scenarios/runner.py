@@ -350,10 +350,10 @@ def _flow_policy_factory(spec: ScenarioSpec) -> Callable[[], object]:
     needs: a restored :class:`SimulatorRatePolicy` that never built its
     simulator carries no state and is rebuilt fresh from the spec.
 
-    ``spec.scheme.options`` (e.g. the Oracle's ``safeguard=True``) are
-    checked against the policy's parameters here, at the boundary, so a
-    misspelt option is a :class:`ValueError` naming it rather than a
-    ``TypeError`` from inside the run.
+    ``spec.scheme.options`` are checked against the policy's parameters
+    here, at the boundary, so an option the policy does not take (today:
+    any option, on any scheme) is a :class:`ValueError` naming it rather
+    than a ``TypeError`` from inside the run.
     """
     from repro.experiments.dynamic_fluid import OracleRatePolicy, scheme_rate_policy
 

@@ -84,7 +84,8 @@ class SchemeSpec:
     ``RCP*``, ``DCTCP``, ``pFabric``) or ``Oracle`` (solve the NUM problem
     directly).  ``params`` is the scheme's parameter dataclass (or None for
     Table 2 defaults); ``options`` are forwarded to the flow engine's rate
-    policy (e.g. the Oracle's ``safeguard=True``) and validated by the runner.
+    policy and validated by the runner (no policy takes one today, so any
+    option is a ``ValueError`` naming it).
     """
 
     name: str = "NUMFabric"

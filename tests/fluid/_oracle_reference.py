@@ -14,22 +14,22 @@ solver under test.
 assembly of the same cold solve: the same start (``z = 0.5``), a Jacobi
 preconditioner from their own per-flow loop and the same SPG minimiser,
 so their agreement with ``solve_num`` at 1e-9 tests the dual's array
-assembly, not two minimisers' stopping points.  The safeguard runs the
-scalar water-fill of ``_maxmin_reference``, not the production one.
+assembly, not two minimisers' stopping points.  :func:`scalar_solve`
+certifies its answer with its own per-flow dict loop
+(:func:`scalar_certificate`), so the ``converged`` flags the parity grid
+compares are two implementations of the certificate, not one.
 """
 
 import numpy as np
-from _maxmin_reference import scalar_max_min
 from scipy import optimize
 
 from repro.fluid.oracle import (
-    _FALLBACK_MAX_FLOWS,
     _MIN_RATE_FRACTION,
+    OracleCertificate,
     OracleResult,
     _DualProblem,
     _rescale_to_feasible,
     _scale_medians,
-    _solve_num_primal,
     _spg_minimize,
 )
 from repro.fluid.vectorized import compile_network
@@ -38,7 +38,7 @@ from repro.fluid.vectorized import compile_network
 def cold_lbfgsb(
     network, tolerance: float = 1e-14, max_iterations: int = 20000
 ) -> OracleResult:
-    """A tightly converged, unsafeguarded cold solve with scipy L-BFGS-B."""
+    """A tightly converged cold solve with scipy L-BFGS-B."""
     compiled = compile_network(network)
     problem = _DualProblem(compiled)
     if not problem.active_idx.size:
@@ -53,9 +53,7 @@ def cold_lbfgsb(
         method="L-BFGS-B",
         options={"maxiter": max_iterations, "ftol": tolerance, "gtol": 1e-12},
     )
-    return problem.result(
-        network, problem.prices(minimised.x), minimised, False, max_iterations, tolerance
-    )
+    return problem.result(problem.prices(minimised.x), minimised)
 
 
 def scalar_price_scale(network):
@@ -81,19 +79,57 @@ def _path_price(prices, link_index, path):
     return float(total)
 
 
-def scalar_solve(network, max_iterations: int = 2000, tolerance: float = 1e-9) -> OracleResult:
-    """``solve_num``'s cold, safeguarded solve with the dual assembled per flow."""
+def scalar_certificate(network, rates, raw_rates, prices, dual_value, objective_scale):
+    """The Oracle's KKT certificate, one flow and one link at a time.
+
+    ``raw_rates`` are the dual's primal point at ``prices`` (before the
+    feasibility rescale), ``rates`` the allocation handed out, ``prices``
+    every link's price (zero off the dual) and ``dual_value`` the scaled
+    dual at those prices.
+    """
+    load = network.link_load(raw_rates)
+    active = {
+        link for flow in network.flows for link in flow.path if network.capacity(link) > 0.0
+    }
+    overload = max((load[link] / network.capacity(link) - 1.0 for link in active), default=0.0)
+    stationarity = slackness = 0.0
+    for flow in network.flows:
+        x = raw_rates[flow.flow_id]
+        q = sum(prices[link] for link in flow.path)
+        marginal = flow.utility.marginal(x)
+        excess = marginal - q
+        cap = network.path_capacity(flow.flow_id)
+        if x >= cap:
+            excess = min(excess, 0.0)
+        if x <= cap * _MIN_RATE_FRACTION:
+            excess = max(excess, 0.0)
+        if excess:
+            stationarity = max(stationarity, abs(excess) / max(marginal, q))
+        for link in flow.path:
+            if link in active and q > 0.0:
+                slack = max(1.0 - load[link] / network.capacity(link), 0.0)
+                slackness = max(slackness, slack * prices[link] / q)
+    objective = network.total_utility(rates)
+    gap = abs(dual_value * objective_scale - objective) / (
+        objective_scale * max(abs(dual_value), 1.0)
+    )
+    return OracleCertificate(max(overload, 0.0), stationarity, slackness, gap)
+
+
+def scalar_solve(network) -> OracleResult:
+    """``solve_num``'s cold solve with the dual and its certificate assembled per flow."""
     flows, links = network.flows, network.links
     if not flows:
         return OracleResult(rates={}, prices={link: 0.0 for link in links},
-                            objective=0.0, iterations=0, converged=True)
+                            objective=0.0, iterations=0,
+                            certificate=OracleCertificate(0.0, 0.0, 0.0, 0.0))
     used = {link for flow in flows for link in flow.path}
     active_links = [link for link in links if link in used and network.capacity(link) > 0.0]
     if not active_links:
         rates = {flow.flow_id: 0.0 for flow in flows}
         return OracleResult(rates=rates, prices={link: 0.0 for link in links},
-                            objective=network.total_utility(rates),
-                            iterations=0, converged=True)
+                            objective=network.total_utility(rates), iterations=0,
+                            certificate=OracleCertificate(0.0, 0.0, 0.0, 0.0))
     link_index = {link: i for i, link in enumerate(active_links)}
     capacities = np.array([network.capacity(link) for link in active_links], dtype=float)
     rate_caps = {flow.flow_id: network.path_capacity(flow.flow_id) for flow in flows}
@@ -151,31 +187,15 @@ def scalar_solve(network, max_iterations: int = 2000, tolerance: float = 1e-9) -
         )
 
     z0 = np.full(len(active_links), 0.5)
-    minimised = _spg_minimize(
-        dual_and_gradient, z0, max_iterations, tolerance, jacobi_precondition(z0)
-    )
+    minimised = _spg_minimize(dual_and_gradient, z0, jacobi_precondition(z0))
     prices = scale_vec * np.maximum(minimised.x, 0.0)
-    rates = _rescale_to_feasible(network, primal_rates(prices))
+    raw_rates = primal_rates(prices)
+    rates = _rescale_to_feasible(network, raw_rates)
     price_dict = {link: 0.0 for link in links}
     for link in active_links:
         price_dict[link] = float(prices[link_index[link]])
-    best = OracleResult(rates=rates, prices=price_dict, objective=network.total_utility(rates),
-                        iterations=minimised.nit, converged=minimised.success)
-    maxmin = scalar_max_min(
-        {flow.flow_id: 1.0 for flow in flows},
-        {flow.flow_id: flow.path for flow in flows},
-        network.capacities,
+    certificate = scalar_certificate(
+        network, rates, raw_rates, price_dict, minimised.fun, objective_scale
     )
-    maxmin_objective = network.total_utility(maxmin)
-    if maxmin_objective > best.objective:
-        best = OracleResult(rates=maxmin, prices={link: 0.0 for link in links},
-                            objective=maxmin_objective, iterations=best.iterations,
-                            converged=False)
-    gap = minimised.fun * objective_scale - best.objective
-    if gap <= tolerance * objective_scale * max(abs(minimised.fun), 1.0):
-        best.converged = True
-    if not best.converged and len(flows) <= _FALLBACK_MAX_FLOWS:
-        fallback = _solve_num_primal(network, max_iterations=max_iterations)
-        if fallback.objective >= best.objective:
-            return fallback
-    return best
+    return OracleResult(rates=rates, prices=price_dict, objective=network.total_utility(rates),
+                        iterations=minimised.nit, certificate=certificate)

@@ -1,12 +1,14 @@
-"""scipy is imported where it is used, not by ``import repro``.
+"""One contract: no single-path Oracle solve imports scipy.
 
-Every single-path Oracle solve -- cold ``solve_num``, the persistent
-solver, every dynamic run, sweep worker and agent -- minimises with the
-in-repo SPG loop.  Only ``solve_num_multipath`` and the safeguard's SLSQP
-fallback call scipy.  Importing scipy costs more than the rest of
-``import repro`` together, so it must stay out of the import graph and out
-of single-path runs -- and the function-local import must still find it.
-All checks need a fresh interpreter: this one has long imported scipy.
+Every single-path solve -- cold ``solve_num``, the persistent solver,
+every dynamic run, sweep worker and agent -- minimises with the in-repo
+SPG loop and certifies its own answer; nothing falls back to a scipy
+solve, not even on a network SPG does not converge on.  Only
+``solve_num_multipath`` calls scipy.  Importing scipy costs more than the
+rest of ``import repro`` together, so it must stay out of the import graph
+and out of single-path runs -- and the function-local import must still
+find it.  All checks need a fresh interpreter: this one has long imported
+scipy.
 """
 
 import os
@@ -54,6 +56,17 @@ def test_cold_solve_num_leaves_scipy_to_multipath():
         "result = solve_num(FluidNetwork.single_link(10e9, 4))\n"
         "assert 'scipy' not in sys.modules and result.converged\n"
         "assert all(abs(rate - 2.5e9) <= 2.5e3 for rate in result.rates.values())\n"
+        # Badly scaled: SPG stops at its cap uncertified, and that is the answer.
+        "from repro.core.utility import AlphaFairUtility\n"
+        "from repro.fluid.oracle import PersistentDualSolver\n"
+        "hard = FluidNetwork({'a': 10e9, 'b': 3e9, 'c': 7e9})\n"
+        "hard.add_flow(FluidFlow(1, ('a', 'b'), LogUtility()))\n"
+        "hard.add_flow(FluidFlow(2, ('b', 'c'), AlphaFairUtility(alpha=2.0)))\n"
+        "hard.add_flow(FluidFlow(3, ('a', 'c'), LogUtility(weight=2.0)))\n"
+        "hard.add_flow(FluidFlow(4, ('a',), AlphaFairUtility(alpha=0.5)))\n"
+        "for result in (solve_num(hard), PersistentDualSolver().solve(hard)):\n"
+        "    assert not result.converged and hard.is_feasible(result.rates)\n"
+        "assert 'scipy' not in sys.modules\n"
         "network = FluidNetwork({'p1': 4e9, 'p2': 6e9})\n"
         "network.add_group(FlowGroup('g', LogUtility()))\n"
         "network.add_flow(FluidFlow('s1', ('p1',), LogUtility(), group_id='g'))\n"

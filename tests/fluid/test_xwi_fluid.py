@@ -6,7 +6,7 @@ from repro.core.config import NumFabricParameters
 from repro.core.utility import AlphaFairUtility, FctUtility, LogUtility, WeightedAlphaFairUtility
 from repro.fluid.convergence import ConvergenceCriterion, convergence_iterations
 from repro.fluid.network import FlowGroup, FluidFlow, FluidNetwork
-from repro.fluid.oracle import solve_num
+from repro.fluid.oracle import CERTIFIED, certify, solve_num
 from repro.fluid.xwi import XwiFluidSimulator
 
 
@@ -171,3 +171,39 @@ class TestConvergenceSpeed:
         assert records[-1].rates["short"] > records[-1].rates["long"]
         total = sum(records[-1].rates.values())
         assert total == pytest.approx(10e9, rel=0.05)
+
+
+def _parking_lot(short_utility):
+    network = FluidNetwork({"l1": 9e9, "l2": 9e9})
+    network.add_flow(FluidFlow("long", ("l1", "l2"), LogUtility()))
+    network.add_flow(FluidFlow("s1", ("l1",), LogUtility()))
+    network.add_flow(FluidFlow("s2", ("l2",), short_utility))
+    return network
+
+
+class TestFixedPointIsOptimal:
+    """Sec. 4: xWI's fixed point is the NUM optimum, checked by the Oracle's
+    KKT certificate on xWI's own rates and prices, not against an Oracle
+    solve."""
+
+    @pytest.mark.parametrize(
+        "network",
+        [
+            _parking_lot(LogUtility()),
+            _parking_lot(AlphaFairUtility(alpha=2.0)),
+            FluidNetwork.single_link(10e9, 4),
+            FluidNetwork.single_link(10e9, 4, [AlphaFairUtility(alpha=2.0)] * 4),
+        ],
+        ids=["parking_lot", "parking_lot_mixed", "single_link", "single_link_alpha2"],
+    )
+    def test_rates_and_prices_certify_after_150_iterations(self, network):
+        simulator = XwiFluidSimulator(network)
+        record = simulator.run(150)[-1]
+        certificate = certify(network, record.rates, simulator.prices)
+        assert certificate.worst <= CERTIFIED, certificate
+
+    def test_an_early_state_does_not_certify(self):
+        network = _parking_lot(LogUtility())
+        simulator = XwiFluidSimulator(network)
+        record = simulator.run(5)[-1]
+        assert certify(network, record.rates, simulator.prices).worst > CERTIFIED

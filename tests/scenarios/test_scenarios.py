@@ -25,7 +25,7 @@ from repro.workloads.trace import arrivals_from_trace, trace_from_arrivals
 from repro.workloads.distributions import web_search_distribution
 
 #: What the runner lists as accepted for an ``Oracle`` scheme's options.
-_ORACLE_OPTIONS = "['safeguard', 'scale_refresh_interval', 'tolerance']"
+_ORACLE_OPTIONS = "[]"
 
 
 class TestSpec:
@@ -328,6 +328,10 @@ class TestRunnerFlowAndPacket:
             (scheme("NUMFabric", kernel="numba"), "kernel", "[]"),
             # a misspelt one
             (oracle_scheme(safegaurd=True), "safegaurd", _ORACLE_OPTIONS),
+            # the Oracle takes no tuning knob
+            (oracle_scheme(safeguard=True), "safeguard", _ORACLE_OPTIONS),
+            (oracle_scheme(tolerance=1e-6), "tolerance", _ORACLE_OPTIONS),
+            (oracle_scheme(scale_refresh_interval=8), "scale_refresh_interval", _ORACLE_OPTIONS),
         ],
     )
     def test_unknown_scheme_option_is_a_value_error_naming_it(
@@ -339,8 +343,9 @@ class TestRunnerFlowAndPacket:
             run_scenario(spec, scheme=scheme_spec, seed=5)
 
     def test_known_scheme_options_reach_the_policy(self):
+        """No policy takes an option now: an Oracle scheme with none runs."""
         spec = get_scenario("unit/dumbbell-websearch")
-        assert run_scenario(spec, scheme=oracle_scheme(safeguard=True), seed=5).rows
+        assert run_scenario(spec, scheme=oracle_scheme(), seed=5).rows
 
 
 class TestNewWorkloads:
