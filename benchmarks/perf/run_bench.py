@@ -102,7 +102,7 @@ from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidFlow, FluidNetwork
-from repro.fluid.oracle import PersistentDualSolver, solve_num
+from repro.fluid.oracle import CERTIFIED, PersistentDualSolver, solve_num
 from repro.fluid.rcp import RcpStarFluidSimulator
 from repro.fluid.vectorized import compile_network, waterfill_arrays
 from repro.fluid.xwi import XwiFluidSimulator
@@ -394,7 +394,11 @@ def bench_oracle_persistent(flow_counts: List[int], events: int) -> List[Dict]:
     reference allocation) and once with the :class:`PersistentDualSolver`
     (the flow engine's Oracle policy) -- and checks the persistent rates
     per event against a *tightly converged* external solve: scipy L-BFGS-B
-    on the same dual at ``ftol=1e-14``, the tests' reference.
+    on the same dual at ``ftol=1e-14``, the tests' reference.  Each row
+    also records the persistent solver's SPG iterations after its cold
+    first solve (``warm_iterations``) and the worst KKT certificate term
+    of any of its answers (``worst_certificate``), which the gate holds to
+    :data:`~repro.fluid.oracle.CERTIFIED`.
     """
     _use_references()
     from _oracle_reference import cold_lbfgsb
@@ -433,6 +437,8 @@ def bench_oracle_persistent(flow_counts: List[int], events: int) -> List[Dict]:
                 "persistent_seconds": persistent_s,
                 "speedup": cold_s / persistent_s if persistent_s > 0 else float("inf"),
                 "max_rel_rate_diff": max_diff,
+                "warm_iterations": sum(result.iterations for result in persistent_results[1:]),
+                "worst_certificate": max(result.certificate.worst for result in persistent_results),
             }
         )
     return rows
@@ -1000,6 +1006,10 @@ def enforce_parity(results: Dict) -> None:
     for row in results.get("oracle_persistent", ()):
         if row["max_rel_rate_diff"] > ORACLE_PARITY_TOLERANCE:
             failures.append(("oracle_persistent", row["flows"], row["max_rel_rate_diff"]))
+        if row["worst_certificate"] > CERTIFIED:
+            failures.append(
+                ("oracle_persistent_certificate", row["flows"], row["worst_certificate"])
+            )
     for row in results.get("waterfill", ()):
         if row["max_rel_rate_diff"] > PARITY_TOLERANCE:
             failures.append(("waterfill", row["flows"], row["max_rel_rate_diff"]))
@@ -1135,11 +1145,16 @@ def check_against_committed(path: str) -> None:
             f"committed {os.path.basename(path)} is missing sections: {missing} "
             "(re-run the full benchmark and commit the refreshed JSON)"
         )
-    stale = [row["flows"] for row in committed["oracle_persistent"] if "cold_seconds" not in row]
+    stale = [
+        row["flows"]
+        for row in committed["oracle_persistent"]
+        if "cold_seconds" not in row or "worst_certificate" not in row
+    ]
     if stale:
         raise RuntimeError(
             f"committed oracle_persistent rows at {stale} flows predate the cold-solve "
-            "baseline (no cold_seconds column); re-run that section"
+            "baseline or the certificate gate (no cold_seconds or worst_certificate "
+            "column); re-run that section"
         )
     enforce_parity(committed)
     if "idle_port_timers" not in committed["engine"]:
@@ -1225,7 +1240,9 @@ def main(argv: Optional[List[str]] = None) -> Dict:
             f"oracle-persistent {row['flows']:>5} flows x {row['events']} churn events: "
             f"cold solve_num {row['cold_seconds']:.3f}s, persistent "
             f"{row['persistent_seconds']:.3f}s, speedup {row['speedup']:.1f}x, "
-            f"max rate diff {row['max_rel_rate_diff']:.2e}"
+            f"max rate diff {row['max_rel_rate_diff']:.2e}, "
+            f"{row['warm_iterations']} warm SPG iterations, "
+            f"worst certificate term {row['worst_certificate']:.1e}"
         )
     for row in results["incidence"]:
         print(

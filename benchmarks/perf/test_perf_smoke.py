@@ -68,7 +68,8 @@ def test_smoke_covers_oracle(smoke_results):
 
 @pytest.mark.perf_smoke
 def test_smoke_covers_persistent_oracle(smoke_results):
-    """The persistent dual solver churn row: present, timed, within 1e-6."""
+    """The persistent dual solver churn row: present, timed, within 1e-6,
+    every answer certified."""
     results, written = smoke_results
     rows = results["oracle_persistent"]
     assert [row["flows"] for row in rows] == [50]
@@ -76,6 +77,8 @@ def test_smoke_covers_persistent_oracle(smoke_results):
         assert row["max_rel_rate_diff"] < run_bench.ORACLE_PARITY_TOLERANCE
         assert row["cold_seconds"] > 0 and row["persistent_seconds"] > 0
         assert row["events"] > 0
+        assert row["warm_iterations"] > 0
+        assert 0.0 <= row["worst_certificate"] <= run_bench.CERTIFIED
     assert written["oracle_persistent"] == rows
 
 
@@ -277,10 +280,18 @@ def test_parity_enforcement_covers_oracle_and_flow_level():
 
 @pytest.mark.perf_smoke
 def test_parity_enforcement_covers_new_sections():
-    """oracle_persistent drift, waterfill drift/rounds and incidence
-    mismatches must all abort the harness."""
-    base = _empty_results(oracle_persistent=[{"flows": 50, "max_rel_rate_diff": 1e-3}])
+    """oracle_persistent drift or an uncertified persistent answer,
+    waterfill drift/rounds and incidence mismatches must all abort the
+    harness."""
+    base = _empty_results(
+        oracle_persistent=[{"flows": 50, "max_rel_rate_diff": 1e-3, "worst_certificate": 0.0}]
+    )
     with pytest.raises(RuntimeError, match="oracle_persistent at 50 flows"):
+        run_bench.enforce_parity(base)
+    base = _empty_results(
+        oracle_persistent=[{"flows": 50, "max_rel_rate_diff": 0.0, "worst_certificate": 2e-6}]
+    )
+    with pytest.raises(RuntimeError, match="oracle_persistent_certificate at 50 flows"):
         run_bench.enforce_parity(base)
     base = _empty_results(
         waterfill=[

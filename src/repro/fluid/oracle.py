@@ -66,8 +66,6 @@ _MIN_RATE_FRACTION = 1e-9
 _MAX_ITERATIONS = 2000
 #: SPG's relative objective-stall tolerance (an L-BFGS-B-style ``ftol``).
 _TOLERANCE = 1e-9
-#: Churned solves between :class:`PersistentDualSolver`'s price-scale refreshes.
-_SCALE_REFRESH_INTERVAL = 32
 #: An answer is ``converged`` when its worst certificate term is at most this.
 CERTIFIED = 1e-6
 
@@ -179,48 +177,27 @@ def estimate_price_scale(network: FluidNetwork) -> Dict[LinkId, float]:
     allocation.  Only links with at least one flow appear in the result.
 
     The scale is pure conditioning: it never changes the optimum, so
-    :class:`PersistentDualSolver` caches it across flow-set changes instead
-    of recomputing it per solve.
+    :class:`PersistentDualSolver` keeps it across flow-set changes and
+    re-estimates it only when a link without one starts carrying flows.
     Single-path flows only (multipath groups are rejected by the callers).
     """
     compiled = compile_network(network)
-    active_idx, medians = _scale_medians(compiled)
+    problem = _DualProblem(compiled)
     return {
         compiled.link_ids[idx]: value
-        for idx, value in zip(active_idx.tolist(), medians.tolist())
+        for idx, value in zip(problem.active_idx.tolist(), problem.scale_medians().tolist())
     }
 
 
-def _scale_medians(compiled: CompiledFluidNetwork) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-link price-scale medians on an already-compiled network.
-
-    Returns ``(active link indices, median marginal at an equal share)`` in
-    compiled link order -- the array core of :func:`estimate_price_scale`,
-    shared with :class:`PersistentDualSolver` so the persistent path never
-    recompiles just to refresh conditioning.
-    """
-    n_links = len(compiled.link_ids)
-    path_links = compiled.path_links
-    counts = np.bincount(path_links.ravel(), minlength=n_links + 1)
-    capacities = compiled.capacities_vector()
-    # Failed (zero-capacity) links are skipped: an equal share of zero would
-    # produce the _EPSILON-floored marginal (~1e30) and poison the medians.
-    active = (counts[:n_links] > 0) & (capacities > 0.0)
-    active_idx = np.nonzero(active)[0]
-    if not active_idx.size:
-        return active_idx, np.empty(0)
-    # One marginal per hop at that link's equal share (padding and dead
-    # links: placeholder rate 1.0, never picked below).
-    shares = np.ones(n_links + 1)
-    np.divide(capacities, counts[:n_links], out=shares[:n_links], where=active)
-    hop_links = path_links.T.ravel()
-    marginals = compiled.vec_utils.marginal(shares[path_links.T]).ravel()
-    # Sorted by link, then marginal: link l's run starts at first[l] and its
-    # upper median sits counts[l] // 2 into it.
-    order = np.lexsort((marginals, hop_links))
-    first = np.cumsum(counts) - counts
-    medians = marginals[order[first[active_idx] + counts[active_idx] // 2]]
-    return active_idx, np.maximum(medians, 1e-300)
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D array of finite values, same bits, without its
+    wrapper layers: one partition, and the mean of the two middle elements
+    for an even count."""
+    half = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, half)[half])
+    low, high = np.partition(values, (half - 1, half))[half - 1 : half + 1]
+    return float((low + high) / 2.0)
 
 
 def solve_num(network: FluidNetwork) -> OracleResult:
@@ -245,7 +222,7 @@ def solve_num(network: FluidNetwork) -> OracleResult:
     problem = _DualProblem(compiled)
     if not problem.active_idx.size:
         return problem.idle_result(network)
-    problem.bind(_scale_medians(compiled)[1])
+    problem.bind(problem.scale_medians())
     z0, precondition = problem.cold_start()
     minimised = _spg_minimize(problem.dual_and_gradient, z0, precondition)
     return problem.result(problem.prices(minimised.x), minimised)
@@ -266,7 +243,7 @@ def certify(
     problem = _DualProblem(compiled)
     if not problem.active_idx.size:
         return _EXACT
-    problem.bind(_scale_medians(compiled)[1])
+    problem.bind(problem.scale_medians())
     rate_vec = np.array([rates[flow_id] for flow_id in compiled.flow_ids], dtype=float)
     price_vec = np.array(
         [prices[compiled.link_ids[idx]] for idx in problem.active_idx.tolist()], dtype=float
@@ -438,6 +415,26 @@ class _DualProblem:
             self._hops_flat, weights=self._hop_values_flat, minlength=n_active + 1
         )[:n_active]
 
+    def scale_medians(self) -> np.ndarray:
+        """Per-active-link price scale: the median marginal at an equal share.
+
+        The array core of :func:`estimate_price_scale`, on :attr:`hops`:
+        every hop's marginal at its link's equal share, sorted by link and
+        then by marginal, and each link's upper median picked from its run
+        (the sentinel's placeholder rate 1.0 is never picked).
+        """
+        n_active = self.capacities.size
+        counts = np.bincount(self._hops_flat, minlength=n_active + 1)
+        shares = np.ones(n_active + 1)
+        np.divide(self.capacities, counts[:n_active], out=shares[:n_active])
+        marginals = self.compiled.vec_utils.marginal(shares[self.hops]).ravel()
+        # Sorted by link, then marginal: link l's run starts at first[l] and
+        # its upper median sits counts[l] // 2 into it.
+        order = np.lexsort((marginals, self._hops_flat))
+        first = np.cumsum(counts) - counts
+        medians = marginals[order[first[:n_active] + counts[:n_active] // 2]]
+        return np.maximum(medians, 1e-300)
+
     def idle_result(self, network: FluidNetwork) -> OracleResult:
         """The allocation when no link can carry anything: every rate is zero."""
         rates = {flow_id: 0.0 for flow_id in self.compiled.flow_ids}
@@ -446,13 +443,20 @@ class _DualProblem:
                             iterations=0, certificate=_EXACT)
 
     def bind(self, scale_vec: np.ndarray) -> None:
-        """Fix the price scale (``p_l = scale_l * z_l``) and build the closures."""
-        vec_utils = self.compiled.vec_utils
+        """Fix the price scale (``p_l = scale_l * z_l``) and build the closures.
+
+        The utility kernels are bound here, once per solve
+        (:meth:`VectorizedUtilities.kernels`), and an evaluation writes the
+        prices straight into the gather buffer and sums the hop loads
+        itself: at ~200 links every call layer costs more than its work.
+        """
+        inverse_clipped, utility_value = self.compiled.vec_utils.kernels()
         hops, capacities = self.hops, self.capacities
         path_caps, floors = self.path_caps, self.floors
-        objective_scale = float(np.max(capacities) * np.median(scale_vec))
+        objective_scale = float(np.maximum.reduce(capacities) * _median(scale_vec))
         gradient_scale = scale_vec / objective_scale
-        link_sums = self.link_sums
+        hops_flat, hop_loads = self._hops_flat, self._hop_values
+        hop_loads_flat = self._hop_values_flat
         # Reused by every evaluation: gather target and the prices with their
         # zero sentinel entry.
         n_active = capacities.size
@@ -460,19 +464,25 @@ class _DualProblem:
         prices_ext = np.zeros(n_active + 1)
         prices_buf = prices_ext[:n_active]
 
-        def primal_rates(prices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            prices_buf[:] = prices
+        def buffered_rates() -> Tuple[np.ndarray, np.ndarray]:
+            """Rates and path prices at the prices in ``prices_buf``."""
             prices_ext.take(hops, out=hop_prices, mode="clip")  # "raise" buffers out
             path_prices = np.add.reduce(hop_prices, axis=0)  # .sum(axis=0) without its wrapper
-            rates = vec_utils.inverse_marginal_clipped(path_prices, path_caps)
+            rates = inverse_clipped(path_prices, path_caps)
             return np.maximum(rates, floors, out=rates), path_prices
 
+        def primal_rates(prices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            prices_buf[:] = prices
+            return buffered_rates()
+
         def dual_and_gradient(z: np.ndarray) -> Tuple[float, np.ndarray]:
-            prices = scale_vec * z
-            rates, path_prices = primal_rates(prices)
-            utility_sum = np.add.reduce(vec_utils.value(rates))
+            prices = np.multiply(scale_vec, z, out=prices_buf)
+            rates, path_prices = buffered_rates()
+            utility_sum = np.add.reduce(utility_value(rates))
             value = float(prices @ capacities + utility_sum - rates @ path_prices)
-            gradient = capacities - link_sums(rates)
+            hop_loads[:] = rates
+            loads = np.bincount(hops_flat, weights=hop_loads_flat, minlength=n_active + 1)
+            gradient = capacities - loads[:n_active]
             gradient *= gradient_scale
             return value / objective_scale, gradient
 
@@ -625,16 +635,16 @@ class PersistentDualSolver:
     * **Curvature** -- the spectral (Barzilai-Borwein) step carried between
       solves.
     * **Conditioning** -- the per-link price scale of
-      :func:`estimate_price_scale`, refreshed only every
-      :data:`_SCALE_REFRESH_INTERVAL` churned solves (it conditions the solver
-      but never changes the optimum).
+      :func:`estimate_price_scale`, re-estimated for every active link
+      when a link without a cached scale starts carrying flows (it
+      conditions the solver but never changes the optimum).
 
     The minimiser is :func:`_spg_minimize`: the clipped dual is piecewise
     smooth, so a quasi-Newton model is invalidated face by face while the
     spectral step carries over.  Measured by ``benchmarks/e2e`` on
     ``fig5_websearch`` (seed 7; ~135 flows on ~220 active links per solve,
-    one arrival or departure apart): a warm solve takes a median of 30
-    and a 99th percentile of 86 iterations (``fluid.oracle_iters_p50`` /
+    one arrival or departure apart): a warm solve takes a median of 25
+    and a 99th percentile of 77 iterations (``fluid.oracle_iters_p50`` /
     ``_p99``), and all 705 answers certify (worst term 1.0e-7); the
     12-link churn trace of the tests takes 14.  A fresh solver's first
     solve is :func:`solve_num`'s cold start (:meth:`_DualProblem.cold_start`).
@@ -648,7 +658,6 @@ class PersistentDualSolver:
 
     def __init__(self, network: Optional[FluidNetwork] = None):
         self._network = network
-        self._scale_fill = 1.0
         self.reset()
 
     def reset(self) -> None:
@@ -656,9 +665,6 @@ class PersistentDualSolver:
         self._compiled: Optional[CompiledFluidNetwork] = None
         self._prices_full: Optional[np.ndarray] = None
         self._scale_full: Optional[np.ndarray] = None
-        self._scale_valid: Optional[np.ndarray] = None
-        self._churned_solves = 0
-        self._last_version: Optional[int] = None
         self._last_capacity_version: Optional[int] = None
         self._step: Optional[float] = None
         self._warm = False
@@ -672,29 +678,19 @@ class PersistentDualSolver:
             compiled = self._compiled = compile_network(network)
         return compiled
 
-    def _scale_for(self, compiled: CompiledFluidNetwork, active_idx: np.ndarray) -> np.ndarray:
+    def _scale_for(self, problem: _DualProblem) -> np.ndarray:
         """Cached per-link conditioning for the currently active links.
 
-        A cached scale may predate the current flow set; links that gained
-        flows since the last refresh fall back to the median of the cached
-        values, which keeps the conditioning in the right ballpark without
-        a full recompute.
+        A cached scale may predate the current flow set.  Once any active
+        link has none (it gained its first flows since the last estimate),
+        every active link is re-estimated from the current flows.
         """
-        if (
-            self._scale_full is None
-            or self._churned_solves >= _SCALE_REFRESH_INTERVAL
-        ):
-            idx, medians = _scale_medians(compiled)
-            n_links = len(compiled.link_ids)
-            self._scale_full = np.zeros(n_links)
-            self._scale_valid = np.zeros(n_links, dtype=bool)
-            self._scale_full[idx] = medians
-            self._scale_valid[idx] = True
-            self._scale_fill = float(np.median(medians)) if medians.size else 1.0
-            self._churned_solves = 0
-        scale_vec = self._scale_full[active_idx]
-        scale_vec[~self._scale_valid[active_idx]] = self._scale_fill
-        return scale_vec
+        active_idx = problem.active_idx
+        # Estimates are at least 1e-300: a zero entry means "none cached".
+        if self._scale_full is None or not self._scale_full[active_idx].all():
+            self._scale_full = np.zeros(len(problem.compiled.link_ids))
+            self._scale_full[active_idx] = problem.scale_medians()
+        return self._scale_full[active_idx]
 
     def solve(self, network: FluidNetwork) -> OracleResult:
         """Solve the NUM problem for the network's current flow set."""
@@ -707,10 +703,8 @@ class PersistentDualSolver:
         n_links = len(links)
         if self._prices_full is None or len(self._prices_full) != n_links:
             self._prices_full = np.zeros(n_links)
+            self._scale_full = None
             self._warm = False
-        if self._last_version != compiled.version:
-            self._churned_solves += 1
-            self._last_version = compiled.version
         if self._last_capacity_version != network.capacity_version:
             # Capacity changed (fault injection, Fig. 10 reconfiguration):
             # the cached conditioning and the spectral step were measured on
@@ -727,7 +721,7 @@ class PersistentDualSolver:
         active_idx = problem.active_idx
         if not active_idx.size:
             return problem.idle_result(network)
-        problem.bind(self._scale_for(compiled, active_idx))
+        problem.bind(self._scale_for(problem))
 
         if self._warm:
             z0 = np.maximum(self._prices_full[active_idx], 0.0) / problem.scale_vec

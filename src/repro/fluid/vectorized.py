@@ -48,7 +48,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -338,6 +338,25 @@ class VectorizedUtilities:
         for i in scalar:
             out[i] = self.utilities[i].value(float(rates[i]))
         return out
+
+    def kernels(self) -> Tuple[Callable, Callable]:
+        """``(inverse_marginal_clipped, value)`` bound to the current slots.
+
+        For a one-family population these are the family's closed forms
+        with its parameter rows bound once, so a caller evaluating many
+        times between churn events (the Oracle's dual) skips the per-call
+        dispatch; otherwise the methods themselves.  Either way the bits
+        are the methods'.  Valid until the next churn edit.
+        """
+        family = self.single_family()
+        if family is None:
+            return self.inverse_marginal_clipped, self.value
+        params = self._params[:, : self.n]
+        inverse, value = _INVERSE[family], _VALUE[family]
+        return (
+            lambda prices, max_rates: _clip(inverse(prices, params), prices, max_rates),
+            lambda rates: value(rates, params),
+        )
 
     def inverse_marginal_clipped(self, prices: np.ndarray, max_rates: np.ndarray) -> np.ndarray:
         """Elementwise ``min(U_i'^{-1}(prices[i]), max_rates[i])`` (Eq. (7)).

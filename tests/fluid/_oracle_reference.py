@@ -29,7 +29,6 @@ from repro.fluid.oracle import (
     OracleResult,
     _DualProblem,
     _rescale_to_feasible,
-    _scale_medians,
     _spg_minimize,
 )
 from repro.fluid.vectorized import compile_network
@@ -43,7 +42,7 @@ def cold_lbfgsb(
     problem = _DualProblem(compiled)
     if not problem.active_idx.size:
         return problem.idle_result(network)
-    problem.bind(_scale_medians(compiled)[1])
+    problem.bind(problem.scale_medians())
     n_links = problem.active_idx.size
     minimised = optimize.minimize(
         problem.dual_and_gradient,

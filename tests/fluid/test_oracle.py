@@ -348,6 +348,36 @@ class TestPersistentDualSolver:
             events.append(("add", flow))
         return events
 
+    def _admission_trace(self, network):
+        """Start from the shortest-path half of the flows, then admit the rest.
+
+        The solver first sees the half with the shortest paths, so links
+        that only the later, longer paths cross start carrying flows during
+        the trace: the solves that have no price scale cached for an
+        active link.  Returns the later flows, removed from ``network``.
+        """
+        flows = sorted(network.flows, key=lambda flow: len(flow.path))
+        later = flows[len(flows) // 2 :]
+        for flow in later:
+            network.remove_flow(flow.flow_id)
+        return later
+
+    def _assert_matches_cold_scipy(self, name, network, warm, reference_may_stop_short=False):
+        """The grid's per-answer gates.  With ``reference_may_stop_short``
+        the objective gate on :data:`_FLAT_DUAL_CASES` is one-sided: the
+        warm answer is feasible, so where it lies above the reference the
+        reference stopped short of the optimum."""
+        cold = cold_lbfgsb(network)
+        assert network.is_feasible(warm.rates, tolerance=1e-6)
+        tolerance = 1e-8 * max(abs(cold.objective), 1.0)
+        assert warm.objective >= cold.objective - tolerance
+        if not (reference_may_stop_short and name in _FLAT_DUAL_CASES):
+            assert warm.objective <= cold.objective + tolerance
+        # Every warm answer on the grid certifies, the flat cases' too.
+        assert warm.converged, warm.certificate
+        if name not in _FLAT_DUAL_CASES:
+            assert _max_rel_rate_diff(cold.rates, warm.rates) <= 1e-6
+
     @pytest.mark.parametrize("name", sorted(_parity_grid()))
     def test_churn_trace_matches_cold_scipy(self, name):
         network = _parity_grid()[name]
@@ -359,16 +389,26 @@ class TestPersistentDualSolver:
                 network.add_flow(flow)
             if not network.flows:
                 continue
+            self._assert_matches_cold_scipy(name, network, solver.solve(network))
+
+    @pytest.mark.parametrize("name", sorted(_parity_grid()))
+    def test_admission_trace_matches_cold_scipy(self, name):
+        network = _parity_grid()[name]
+        solver = PersistentDualSolver()
+        later = self._admission_trace(network)
+        carrying = {link for flow in network.flows for link in flow.path}
+        lit = 0
+        # On leaf_spine_log at 38 flows the reference stops 1.6e-8 below the
+        # certified warm answer (its own worst term 2.6e-6).
+        for flow in [None] + later:
+            if flow is not None:
+                lit += not carrying.issuperset(flow.path)
+                carrying.update(flow.path)
+                network.add_flow(flow)
             warm = solver.solve(network)
-            cold = cold_lbfgsb(network)
-            assert network.is_feasible(warm.rates, tolerance=1e-6)
-            assert abs(warm.objective - cold.objective) <= 1e-8 * max(
-                abs(cold.objective), 1.0
-            )
-            # Every warm answer on the grid certifies, the flat cases' too.
-            assert warm.converged, warm.certificate
-            if name not in _FLAT_DUAL_CASES:
-                assert _max_rel_rate_diff(cold.rates, warm.rates) <= 1e-6
+            self._assert_matches_cold_scipy(name, network, warm, reference_may_stop_short=True)
+        # On the multi-link networks some admission lights a link up.
+        assert lit > 0 or len(network.links) == 1
 
     def test_multi_bottleneck_churn_trace(self):
         """Random arrivals/departures on a leaf-spine-like core: 1e-6 rates."""

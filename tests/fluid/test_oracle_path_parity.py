@@ -21,6 +21,7 @@ from repro.core.utility import AlphaFairUtility, FctUtility, LogUtility, Weighte
 from repro.fluid import oracle
 from repro.fluid.network import FluidFlow, FluidNetwork
 from repro.fluid.oracle import PersistentDualSolver
+from repro.fluid.topologies import leaf_spine
 from repro.fluid.vectorized import _FAM_LOG, compile_network
 
 from _fluid_reference import Reference
@@ -219,13 +220,19 @@ class TestDualAgainstDenseReference:
         assert result.rates["a"] == pytest.approx(10e9, rel=1e-6)
 
 
+def scale_medians(compiled):
+    """(active link indices, price-scale medians) of a compiled snapshot."""
+    problem = oracle._DualProblem(compiled)
+    return problem.active_idx, problem.scale_medians()
+
+
 class TestScaleMedians:
     @settings(max_examples=150, deadline=None)
     @given(snapshot=churned_snapshots())
     def test_matches_the_scalar_loop_element_for_element(self, snapshot):
         network, compiled = snapshot
         scalar = scalar_price_scale(network)
-        active_idx, medians = oracle._scale_medians(compiled)
+        active_idx, medians = scale_medians(compiled)
         assert [compiled.link_ids[i] for i in active_idx.tolist()] == [
             link for link in compiled.link_ids if link in scalar
         ]
@@ -242,7 +249,7 @@ class TestScaleMedians:
             network.add_flow(FluidFlow(flow_id, ("even",), LogUtility(weight=weight)))
         for flow_id, weight in enumerate([5.0, 5.0, 1.0], start=4):
             network.add_flow(FluidFlow(flow_id, ("odd", "even"), LogUtility(weight=weight)))
-        active_idx, medians = oracle._scale_medians(compile_network(network))
+        active_idx, medians = scale_medians(compile_network(network))
         assert active_idx.tolist() == [0, 1]
         # "even": 7 flows at share 8e9/7, weights sorted 1 1 2 2 3 5 5 -> 2;
         # "odd": 3 flows at share 1e9, weights sorted 1 5 5 -> the tied 5.
@@ -250,7 +257,7 @@ class TestScaleMedians:
         # Even counts: "even" carries six flows, weights sorted 1 2 2 | 3 5 5 ->
         # the upper median 3; "odd" carries two, 5 | 5 -> 5.
         network.remove_flow(6)
-        active_idx, medians = oracle._scale_medians(compile_network(network))
+        active_idx, medians = scale_medians(compile_network(network))
         assert medians.tolist() == [3.0 / (8e9 / 6), 5.0 / 1.5e9]
         assert scalar_price_scale(network) == {
             "even": medians[0], "odd": medians[1]
@@ -343,6 +350,42 @@ class TestWarmIterationCounts:
         assert all(result.converged for result in results)
         assert abs(results[0].iterations - 17) <= 2
         assert abs(statistics.median(r.iterations for r in results[1:]) - 14) <= 2
+
+    def test_fig5_shaped_churn_pins_the_warm_iteration_total(self):
+        """A seeded Fig.-5-shaped churn trace on the paper fabric, counted.
+
+        The 128-server 8x4 leaf-spine of ``leaf_spine()``, unit-weight log
+        utilities, 130 flows solved cold, then 300 solves one arrival or
+        departure apart (ECMP spine drawn from the seed).  Here links
+        start carrying flows on most solves, so the total prices how the
+        warm solves condition them: a link with no cached price scale
+        triggers a fresh estimate of every active link's scale.  Giving it
+        the median of the cached scales instead, and re-estimating only
+        every 32 churned solves, took 6 787 iterations; the pin allows the
+        last-bit rounding of another BLAS (+-2 %).
+        """
+        rng = random.Random(7)
+        fabric = leaf_spine()
+        network = fabric.network
+
+        def arrive(flow_id):
+            src, dst = rng.sample(range(128), 2)
+            path = fabric.path(src, dst, spine=rng.randrange(4))
+            network.add_flow(FluidFlow(flow_id, path, LogUtility()))
+
+        for flow_id in range(130):
+            arrive(flow_id)
+        solver = PersistentDualSolver()
+        results = [solver.solve(network)]
+        for next_id in range(130, 430):
+            if rng.random() < 0.5:
+                network.remove_flow(rng.choice(network.flow_ids))
+            else:
+                arrive(next_id)
+            results.append(solver.solve(network))
+        assert all(result.converged for result in results)
+        warm = sum(result.iterations for result in results[1:])
+        assert abs(warm - 6167) <= 0.02 * 6167, warm
 
 
 class TestSchemesOffTheDensePair:
