@@ -403,10 +403,12 @@ class _CountingNumpy:
 @pytest.mark.perf_smoke
 def test_an_all_log_churn_step_skips_the_family_scans(monkeypatch):
     """Churn guard of the xWI step: on a 200-flow all-log population, the
-    step after an arrival (or a departure) runs no ``np.nonzero`` family
-    scan inside ``repro.fluid.vectorized`` -- the batch remembers that one
-    family covers every slot -- and neither the step nor ``RateGather``
-    builds an ``np.append`` sentinel copy."""
+    step after an arrival (or a departure) runs no ``np.nonzero`` scan
+    inside ``repro.fluid.vectorized`` -- churn edits one utility row in
+    place and files the slot in the scalar and ``a != 1`` sets, so
+    rebuilding the cached layout scans nothing -- and neither the step nor
+    ``RateGather`` builds an ``np.append`` copy (a sentinel, or a grown
+    row)."""
     import random
 
     import numpy as np
@@ -428,7 +430,7 @@ def test_an_all_log_churn_step_skips_the_family_scans(monkeypatch):
     for flow_id in range(200):
         arrive(flow_id)
     simulator = XwiFluidSimulator(network)
-    simulator.run(3, record_history=False)  # the compile and its one regather
+    simulator.run(3, record_history=False)  # the compile and its first layout
     counting = _CountingNumpy(np, ("nonzero", "append"))
     monkeypatch.setattr(vectorized, "np", counting)
     gather = vectorized.RateGather()

@@ -20,8 +20,10 @@ original scalar semantics) or a NumPy array (returning an array, computed
 elementwise with the same clamping rules) -- handy for evaluating one
 utility over many rates at once (sweeps, benchmarks, plotting).  Note the
 fluid engine (:mod:`repro.fluid.vectorized`) batches *across flows*
-instead, via :meth:`Utility.power_law_params` and per-family
-parameter arrays, because each flow carries its own utility instance.
+instead, because each flow carries its own utility instance: every
+utility with a :meth:`Utility.power_law_params` is one row of
+coefficients and exponents, and the batch evaluates the marginal, its
+inverse and the value from those rows alone.
 """
 
 from __future__ import annotations
@@ -74,10 +76,16 @@ class Utility(ABC):
     def power_law_params(self) -> Optional[Tuple[float, float]]:
         """``(coefficient, exponent)`` when ``U'(x) = coefficient * x^(-exponent)``.
 
-        The fluid engine uses this to batch flows whose marginal
-        utility is a pure power law into single array operations.  Utilities
+        The fluid engine batches flows with a positive exponent ``a`` and
+        coefficient ``c`` into single array operations and evaluates them
+        from ``(c, a)`` alone, without calling this object's methods: the
+        marginal as ``c * x^-a``, the inverse as ``(c / q)^(1/a)`` and the
+        value as ``c * x^(1-a) / (1-a)`` (``c * log x`` when
+        ``math.isclose(a, 1)``), so a subclass's ``value`` should equal that
+        formula.  Utilities
         that are not of this form (or whose inverse marginal is undefined)
-        return ``None`` and fall back to per-flow scalar evaluation.
+        return ``None`` and are evaluated by per-flow calls to their own
+        methods.
         """
         return None
 

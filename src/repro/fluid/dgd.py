@@ -73,8 +73,8 @@ class DgdFluidSimulator(FluidStepper):
         # Host side, Eq. (3): each flow inverts its marginal utility at the
         # path price, capped at ``max_outstanding_bdp`` path capacities (a
         # non-positive price sends at the window limit).  Flows whose utility
-        # is batched per family run as array math; group members (excluded
-        # from the batch, DGD ignores grouping) use their own utility.
+        # is a power law run as array math; group members (excluded from the
+        # batch, DGD ignores grouping) use their own utility.
         path_prices = compiled.path_prices(prices)
         limits = self.params.max_outstanding_bdp * compiled.path_capacities()
         rate_vec = compiled.vec_utils.inverse_marginal_clipped(path_prices, limits)

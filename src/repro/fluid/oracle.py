@@ -514,8 +514,8 @@ class _DualProblem:
 
         The dual Hessian's diagonal is ``H_l = sum_{f on l} |dx_f/dq_f|`` over
         flows whose rate is strictly between floor and cap; every batched
-        family is a power-law demand ``x ~ q^(-1/alpha_eff)``, so
-        ``|dx/dq| = x / (alpha_eff * q)``.  Evaluated at the start point, this
+        utility is a power-law demand ``x ~ q^(-1/a)``, so
+        ``|dx/dq| = x / (a * q)``.  Evaluated at the start point, this
         rescues instances where the median price-scale misestimates a link by
         orders of magnitude (a link shared by log and alpha = 2 flows: the
         median picks the log marginal ~1e-10 while the binding curvature sits

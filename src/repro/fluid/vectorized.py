@@ -7,7 +7,7 @@ into
   link <-> flow reduction runs on -- water-filling, the schemes' path sums
   and the Oracle's dual alike -- plus capacity / path-length vectors
   (:class:`CompiledFluidNetwork`), and
-* per-flow utility parameters batched by family
+* per-flow utilities as power-law rows ``U'(x) = c * x^-a``
   (:class:`VectorizedUtilities`),
 
 so that one control-loop iteration of *any* fluid scheme -- xWI's weight
@@ -16,7 +16,7 @@ equally DGD's price dynamics (Eq. (14)), RCP*'s fair-rate dynamics
 (Eqs. (15)-(16)) and DCTCP's per-RTT window dynamics -- runs as a handful
 of array operations.  The shared building blocks are the path-price /
 link-load incidence products, the per-flow narrowest-link capacities and
-the family-batched utility evaluations; each scheme adds only its own
+the row-wise utility evaluations; each scheme adds only its own
 elementwise state update on top.  :class:`FluidStepper` is the base every
 scheme's simulator shares: the compiled snapshot, compile-on-churn, the
 history and the :class:`IterationRecord`.  The per-flow dict iterations
@@ -45,68 +45,18 @@ because capacities are re-read each iteration.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.config import NumFabricParameters
-from repro.core.utility import (
-    _EPSILON,
-    AlphaFairUtility,
-    FctUtility,
-    LogUtility,
-    Utility,
-    WeightedAlphaFairUtility,
-)
+from repro.core.utility import _EPSILON, Utility
 from repro.fluid import network as _network
 from repro.fluid.network import FluidFlow, FluidNetwork, FlowId, LinkId
-
-#: Utility family codes stored per slot by :class:`VectorizedUtilities`.
-_EXCLUDED, _FAM_LOG, _FAM_ALPHA, _FAM_WALPHA, _FAM_FCT, _FAM_POWER, _FAM_FALLBACK = range(7)
-
-
-# Per-family closed forms, shared by the batched and the one-family
-# evaluation: ``x`` is a batch of rates (or path prices) and ``p`` the batch's
-# parameter rows as :meth:`VectorizedUtilities._classify_into` writes them.
-# Each is the scalar method's arithmetic, operation for operation.
-_MARGINAL = {
-    _FAM_LOG: lambda x, p: p[0] / np.maximum(x, _EPSILON),
-    _FAM_ALPHA: lambda x, p: np.maximum(x, _EPSILON) ** (-p[0]),
-    _FAM_WALPHA: lambda x, p: p[1] * np.maximum(x, _EPSILON) ** (-p[2]),
-    _FAM_FCT: lambda x, p: np.maximum(x, _EPSILON) ** (-p[1]) / p[0],
-    _FAM_POWER: lambda x, p: p[0] * np.maximum(x, _EPSILON) ** (-p[1]),
-}
-_INVERSE = {
-    _FAM_LOG: lambda q, p: p[0] / np.maximum(q, _EPSILON),
-    _FAM_ALPHA: lambda q, p: np.maximum(q, _EPSILON) ** p[1],
-    _FAM_WALPHA: lambda q, p: p[0] * np.maximum(q, _EPSILON) ** p[3],
-    _FAM_FCT: lambda q, p: (p[0] * np.maximum(q, _EPSILON)) ** p[2],
-    _FAM_POWER: lambda q, p: (np.maximum(q, _EPSILON) / p[0]) ** p[2],
-}
-
-
-def _alpha_fair_value(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # Match math.isclose(alpha, 1.0) (rel_tol 1e-9, no abs_tol).
-    log_branch = np.isclose(a, 1.0, rtol=1e-9, atol=0.0)
-    one_minus_a = np.where(log_branch, 1.0, 1.0 - a)
-    return np.where(log_branch, np.log(x), x**one_minus_a / one_minus_a)
-
-
-#: The closed-form families: their value is closed-form too.  Generic power
-#: laws evaluate ``value`` through per-flow scalar calls.
-_VALUE = {
-    _FAM_LOG: lambda x, p: p[0] * np.log(np.maximum(x, _EPSILON)),
-    _FAM_ALPHA: lambda x, p: _alpha_fair_value(np.maximum(x, _EPSILON), p[0]),
-    _FAM_WALPHA: lambda x, p: p[1] * _alpha_fair_value(np.maximum(x, _EPSILON), p[2]),
-    _FAM_FCT: lambda x, p: np.maximum(x, _EPSILON) ** (1.0 - p[1]) / (p[0] * (1.0 - p[1])),
-}
-
-#: Parameter rows each batched family uses.
-_ROWS = {_FAM_LOG: 1, _FAM_ALPHA: 2, _FAM_WALPHA: 4, _FAM_FCT: 3, _FAM_POWER: 3}
-
 
 def _clip(inverse: np.ndarray, prices: np.ndarray, max_rates: np.ndarray) -> np.ndarray:
     """``min(inverse, max_rates)``, and ``max_rates`` at non-positive prices
@@ -117,266 +67,147 @@ def _clip(inverse: np.ndarray, prices: np.ndarray, max_rates: np.ndarray) -> np.
 
 
 class VectorizedUtilities:
-    """Per-flow utility parameters compiled into family-batched arrays.
+    """Per-flow utilities as power-law rows, ``U_i'(x) = c_i * x^-a_i``.
 
-    Flows whose marginal utility is a known closed form (the log /
-    alpha-fair / weighted-alpha-fair / FCT families, or any utility exposing
-    :meth:`~repro.core.utility.Utility.power_law_params`) are evaluated with
-    the exact same arithmetic as their scalar methods, batched per family.
-    Anything else (bandwidth-function utilities, custom subclasses) falls
-    back to per-flow scalar calls, so correctness never depends on the
-    utility being vectorizable.
+    Each slot holds ``c``, ``a`` and ``1 - a`` (1 where ``math.isclose(a, 1)``,
+    the scalar classes' log branch) from :meth:`Utility.power_law_params`,
+    so each quantity is one expression over every slot: the marginal
+    ``c / x**a``, the inverse ``(c / q)**(1/a)`` clipped as in Eq. (7), and
+    the value ``c * x**(1-a) / (1-a)`` (``c * log x`` on log rows).  When
+    every row has ``a == 1`` (Fig. 5's all-log flows) the ``**`` is skipped:
+    the same bits, as ``x**1.0 == x``, at less cost.
 
-    ``exclude`` marks indices (e.g. multipath group members, whose weight
-    comes from the *group* utility) that are left at zero for the caller to
-    overwrite.
-
-    Storage is per-slot (a family code plus up to four parameters per flow)
-    so incremental flow churn (:meth:`append`, :meth:`move`, :meth:`pop`,
-    :meth:`replace`) is O(1) per event.  When one closed-form family covers
-    every slot -- Fig. 5's all-log flows, an all-FCT population -- that is
-    remembered (:meth:`single_family`): churn within the family keeps it,
-    and the evaluation methods run the family's expression over the whole
-    slot arrays.  Otherwise the per-family index/parameter batches are
-    regathered lazily with one ``nonzero`` + fancy-index pass per churn
-    batch; the first classify into another family drops the flag, and a
-    regather that finds one family again restores it.  Both routes give the
-    bits of a from-scratch compile, so this never affects parity.
+    Utilities without a power law (bandwidth functions, ``LinearUtility``,
+    ``alpha = 0``) are ``scalar`` slots, evaluated by calls to their own
+    methods; ``exclude``d slots (multipath group members) are the caller's
+    to overwrite.  Both are rows with ``c = 0`` and ``a = 1``, which never
+    divide by zero.  Churn edits one row and the slot's entries in the
+    scalar and ``a != 1`` sets, and drops the cached layout (:meth:`_bind`).
     """
 
     def __init__(self, utilities: Sequence[Utility], exclude: frozenset = frozenset()):
         self.utilities: List[Utility] = list(utilities)
-        n = len(self.utilities)
-        self.n = n
-        capacity = max(n, 8)
-        self._code = np.zeros(capacity, dtype=np.int8)
-        self._params = np.zeros((4, capacity))
-        self._alpha_eff = np.ones(capacity)
-        self._single: Optional[int] = None
-        self._batches: Optional[list] = None
-        self._fallback: List[int] = []
-        for i, utility in enumerate(self.utilities):
-            if i not in exclude:
-                self._classify_into(i, utility)
+        self.n = len(self.utilities)
+        capacity = max(self.n, 8)
+        self._rows = np.repeat([[0.0], [1.0], [1.0]], capacity, axis=1)  # c, a, 1 - a
+        self._log = np.ones(capacity, dtype=bool)  # a ~ 1: the value's log branch
+        self._scalar: Set[int] = set()  # slots without a power law
+        self._power: Set[int] = set()  # slots with a != 1
+        self._layout: Optional[tuple] = None
+        for slot, utility in enumerate(self.utilities):
+            if slot not in exclude:
+                self._set(slot, utility)
 
-    def _classify_into(self, slot: int, utility: Utility) -> None:
-        """Write one utility's family code + parameters into its slot."""
-        params = self._params
-        kind = type(utility)
-        alpha_eff = 1.0
-        if kind is LogUtility:
-            code = _FAM_LOG
-            params[0, slot] = utility.weight
-        elif kind is AlphaFairUtility and utility.alpha > 0.0:
-            code = _FAM_ALPHA
-            params[0, slot] = utility.alpha
-            params[1, slot] = -1.0 / utility.alpha
-            alpha_eff = utility.alpha
-        elif kind is WeightedAlphaFairUtility:
-            code = _FAM_WALPHA
-            params[0, slot] = utility.weight
-            params[1, slot] = utility.weight ** utility.alpha
-            params[2, slot] = utility.alpha
-            params[3, slot] = -1.0 / utility.alpha
-            alpha_eff = utility.alpha
-        elif kind is FctUtility:
-            code = _FAM_FCT
-            params[0, slot] = utility.flow_size
-            params[1, slot] = utility.epsilon
-            params[2, slot] = -1.0 / utility.epsilon
-            alpha_eff = utility.epsilon
-        else:
-            power = utility.power_law_params()
-            if power is not None and power[1] > 0.0:
-                code = _FAM_POWER
-                params[0, slot] = power[0]
-                params[1, slot] = power[1]
-                params[2, slot] = -1.0 / power[1]
-                alpha_eff = power[1]
-            else:
-                code = _FAM_FALLBACK
-        self._code[slot] = code
-        self._alpha_eff[slot] = alpha_eff
-        if code != self._single:
-            self._single = None
+    def __getstate__(self) -> dict:
+        return {**vars(self), "_layout": None}  # the bound closures do not pickle
 
-    @property
-    def curvature_alpha(self) -> np.ndarray:
-        """Per-slot demand-curve exponent ``alpha_eff`` (a view).
+    def _set(self, slot: int, utility: Utility) -> None:
+        power = utility.power_law_params()
+        scalar = power is None or power[1] <= 0.0
+        c, a = (0.0, 1.0) if scalar else power
+        self._log[slot] = log = math.isclose(a, 1.0)
+        self._rows[:, slot] = c, a, 1.0 if log else 1.0 - a
+        self._mark(slot, scalar, a != 1.0)
 
-        Every batched family's inverse marginal is a power law
-        ``x ~ q^(-1/alpha_eff)``, so ``|dx/dq| = x / (alpha_eff * q)`` --
-        the per-flow term of the dual's diagonal Hessian, used by the SPG
-        Oracle to precondition cold solves.  Fallback and excluded slots
-        report 1.0 (a neutral curvature guess).
-        """
-        return self._alpha_eff[: self.n]
-
-    def single_family(self) -> Optional[int]:
-        """The closed-form family code of every slot, or ``None``.
-
-        ``None`` for a mixed population (or an empty one, or one holding
-        excluded, power-law or fallback slots); the per-family batches are
-        then gathered and current.
-        """
-        if self._single is None and self._batches is None:
-            self._regather()
-        return self._single
-
-    def _regather(self) -> None:
-        """Scan the slot codes: one family covering every slot sets the
-        flag, anything else gathers the per-family ``(code, index,
-        parameter rows)`` batches and the fallback slots."""
-        n = self.n
-        code = self._code[:n]
-        batches = []
-        for family, rows in _ROWS.items():
-            index = np.nonzero(code == family)[0]
-            if index.size == n and n and family in _VALUE:
-                self._single = family
-                return
-            if index.size:
-                params = tuple(self._params[row, index] for row in range(rows))
-                batches.append((family, index, params))
-        self._batches = batches
-        self._fallback = np.nonzero(code == _FAM_FALLBACK)[0].tolist()
-
-    # -- incremental churn (used by CompiledFluidNetwork.refresh) ----------
-
-    def _grow(self, extra: int) -> None:
-        needed = self.n + extra
-        if needed <= len(self._code):
-            return
-        capacity = max(needed, 2 * len(self._code))
-        code = np.zeros(capacity, dtype=np.int8)
-        code[: self.n] = self._code[: self.n]
-        params = np.zeros((4, capacity))
-        params[:, : self.n] = self._params[:, : self.n]
-        alpha_eff = np.ones(capacity)
-        alpha_eff[: self.n] = self._alpha_eff[: self.n]
-        self._code, self._params, self._alpha_eff = code, params, alpha_eff
+    def _mark(self, slot: int, scalar: bool, power: bool) -> None:
+        """File ``slot`` under the scalar and ``a != 1`` slots; drop the layout."""
+        (self._scalar.add if scalar else self._scalar.discard)(slot)
+        (self._power.add if power else self._power.discard)(slot)
+        self._layout = None
 
     def append(self, utility: Utility) -> None:
         """Add one (non-excluded) flow's utility at the next slot."""
-        self._grow(1)
-        slot = self.n
+        if self.n == self._log.size:  # double the capacity
+            self._rows, self._log = np.hstack((self._rows,) * 2), np.hstack((self._log,) * 2)
         self.utilities.append(utility)
-        self._params[:, slot] = 0.0
-        self._classify_into(slot, utility)
+        self._set(self.n, utility)
         self.n += 1
-        self._batches = None
 
     def move(self, src: int, dst: int) -> None:
         """Overwrite slot ``dst`` with slot ``src`` (swap-remove helper)."""
         self.utilities[dst] = self.utilities[src]
-        self._code[dst] = self._code[src]
-        self._params[:, dst] = self._params[:, src]
-        self._alpha_eff[dst] = self._alpha_eff[src]
-        self._batches = None
+        self._rows[:, dst] = self._rows[:, src]
+        self._log[dst] = self._log[src]
+        self._mark(dst, src in self._scalar, src in self._power)
 
     def pop(self) -> None:
         """Drop the last slot."""
         self.n -= 1
         self.utilities.pop()
-        self._batches = None
+        self._mark(self.n, False, False)
 
     def replace(self, slot: int, utility: Utility) -> None:
         """Rebind one slot to a different utility object (same flow)."""
         self.utilities[slot] = utility
-        self._params[:, slot] = 0.0
-        self._classify_into(slot, utility)
-        self._batches = None
+        self._set(slot, utility)
+
+    @property
+    def curvature_alpha(self) -> np.ndarray:
+        """The ``a`` row (a view): ``|dx/dq| = x / (a * q)`` is the per-flow term
+        of the dual's diagonal Hessian (SPG's cold preconditioner); 1 if scalar."""
+        return self._rows[1, : self.n]
 
     @property
     def fully_vectorized(self) -> bool:
-        """True when no flow needs the per-flow scalar fallback."""
-        return self.single_family() is not None or not self._fallback
+        """True when no flow needs per-flow scalar calls."""
+        return not self._scalar
 
     def marginal(self, rates: np.ndarray) -> np.ndarray:
-        """Elementwise ``U_i'(rates[..., i])``; excluded indices are left at 0.
-
-        ``rates`` may carry leading axes (shape ``(..., n)``): the Oracle's
-        price-scale estimate evaluates every flow's marginal at one
-        equal-share rate per link, a ``links x flows`` matrix, in one call.
-        """
-        family = self.single_family()
-        if family is not None:
-            return _MARGINAL[family](rates, self._params[:, : self.n])
-        out = np.zeros(rates.shape)
-        for family, i, p in self._batches:
-            out[..., i] = _MARGINAL[family](rates[..., i], p)
-        for i in self._fallback:
-            column = rates[..., i]
-            if column.ndim == 0:
-                out[..., i] = self.utilities[i].marginal(float(column))
-            else:
-                out[..., i] = np.reshape(
-                    [self.utilities[i].marginal(float(v)) for v in column.ravel()],
-                    column.shape,
-                )
-        return out
-
-    def value(self, rates: np.ndarray) -> np.ndarray:
-        """Elementwise ``U_i(rates[i])``; excluded indices are left at 0.
-
-        The closed-form families evaluate the exact same arithmetic as their
-        scalar ``value`` methods (including the ``alpha ~ 1`` log branch of
-        the alpha-fair families); generic power-law and fallback utilities
-        use per-flow scalar calls, so the Oracle's dual objective never
-        depends on a utility being vectorizable.
-        """
-        family = self.single_family()
-        if family is not None:
-            return _VALUE[family](rates, self._params[:, : self.n])
-        out = np.zeros(self.n)
-        scalar = list(self._fallback)
-        for family, i, p in self._batches:
-            if family in _VALUE:
-                out[i] = _VALUE[family](rates[i], p)
-            else:
-                scalar.extend(i.tolist())
-        for i in scalar:
-            out[i] = self.utilities[i].value(float(rates[i]))
-        return out
-
-    def kernels(self) -> Tuple[Callable, Callable]:
-        """``(inverse_marginal_clipped, value)`` bound to the current slots.
-
-        For a one-family population these are the family's closed forms
-        with its parameter rows bound once, so a caller evaluating many
-        times between churn events (the Oracle's dual) skips the per-call
-        dispatch; otherwise the methods themselves.  Either way the bits
-        are the methods'.  Valid until the next churn edit.
-        """
-        family = self.single_family()
-        if family is None:
-            return self.inverse_marginal_clipped, self.value
-        params = self._params[:, : self.n]
-        inverse, value = _INVERSE[family], _VALUE[family]
-        return (
-            lambda prices, max_rates: _clip(inverse(prices, params), prices, max_rates),
-            lambda rates: value(rates, params),
-        )
+        """Elementwise ``U_i'(rates[..., i])``; leading axes are allowed (the
+        Oracle's price-scale estimate passes a hops x flows matrix)."""
+        return (self._layout or self._bind())[2](rates)
 
     def inverse_marginal_clipped(self, prices: np.ndarray, max_rates: np.ndarray) -> np.ndarray:
-        """Elementwise ``min(U_i'^{-1}(prices[i]), max_rates[i])`` (Eq. (7)).
+        """Elementwise ``min(U_i'^{-1}(prices[i]), max_rates[i])`` (Eq. (7)),
+        ``max_rates`` at non-positive prices as the scalar method."""
+        return (self._layout or self._bind())[3](prices, max_rates)
 
-        Non-positive prices map to ``max_rates`` exactly as in the scalar
-        :meth:`Utility.inverse_marginal_clipped`; excluded indices stay 0.
-        """
-        family = self.single_family()
-        if family is not None:
-            inverse = _INVERSE[family](prices, self._params[:, : self.n])
-            return _clip(inverse, prices, max_rates)
-        out = np.zeros(self.n)
-        for family, i, p in self._batches:
-            q = prices[i]
-            out[i] = _clip(_INVERSE[family](q, p), q, max_rates[i])
-        for i in self._fallback:
-            out[i] = self.utilities[i].inverse_marginal_clipped(
-                float(prices[i]), float(max_rates[i])
-            )
-        return out
+    def value(self, rates: np.ndarray) -> np.ndarray:
+        """Elementwise ``U_i(rates[i])`` by the rows' formula; scalar slots call ``value``."""
+        return (self._layout or self._bind())[4](rates)
+
+    def kernels(self) -> Tuple[Callable, Callable]:
+        """The methods' ``(inverse_marginal_clipped, value)``, valid until a churn edit."""
+        return (self._layout or self._bind())[3:]
+
+    def _bind(self) -> tuple:
+        """The layout, ``(a == 1 everywhere, scalar slots)``, and the marginal,
+        clipped inverse and value bound to it and to the current rows."""
+        n, utilities, log = self.n, self.utilities, self._log[: self.n]
+        c, a, one_minus_a = self._rows[0, :n], self._rows[1, :n], self._rows[2, :n]
+        all_log, scalar = not self._power, sorted(self._scalar)
+        exponent = None if all_log else 1.0 / a
+
+        def marginal(rates):
+            x = np.maximum(rates, _EPSILON)
+            out = c / (x if all_log else x**a)
+            for i in scalar:
+                column = rates[..., i]
+                marginals = [utilities[i].marginal(v) for v in column.ravel().tolist()]
+                out[..., i] = np.reshape(marginals, column.shape)
+            return out
+
+        def inverse_clipped(prices, max_rates):
+            ratio = c / np.maximum(prices, _EPSILON)
+            out = _clip(ratio if all_log else ratio**exponent, prices, max_rates)
+            for i in scalar:
+                out[i] = utilities[i].inverse_marginal_clipped(
+                    float(prices[i]), float(max_rates[i])
+                )
+            return out
+
+        def value(rates):
+            x = np.maximum(rates, _EPSILON)
+            if all_log:
+                out = c * np.log(x)
+            else:
+                out = c * np.where(log, np.log(x), x**one_minus_a / one_minus_a)
+            for i in scalar:
+                out[i] = utilities[i].value(float(rates[i]))
+            return out
+
+        self._layout = (all_log, scalar, marginal, inverse_clipped, value)
+        return self._layout
 
 
 class CompiledFluidNetwork:

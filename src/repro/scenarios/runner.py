@@ -430,8 +430,9 @@ def _run_flow(spec: ScenarioSpec, result: ExperimentResult) -> None:
 #: Version 6: the fluid simulators share one base and one record class and
 #: lost their ``backend`` and ``record_detail`` attributes.  Version 7: the
 #: flow-level simulation lost its ``backend`` attribute and its three
-#: per-flow dicts.
-CHECKPOINT_VERSION = 7
+#: per-flow dicts.  Version 8: utility batches pickle as power-law rows
+#: instead of family codes and per-family parameters.
+CHECKPOINT_VERSION = 8
 
 
 def _checkpoint_fingerprint(spec: ScenarioSpec) -> str:

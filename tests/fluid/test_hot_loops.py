@@ -13,8 +13,8 @@ reach:
   homogeneity of the allocation in capacities and weights (1e-9).
 * **The dual** as a function: its gradient is the derivative of its value
   (central differences), it is convex, and at zero prices every flow sits
-  at its path capacity; the per-flow family batches agree with the scalar
-  utility methods, fallback utilities included.
+  at its path capacity; the power-law rows agree with the scalar utility
+  methods, scalar (bandwidth-function) slots included.
 * The ``kernels`` placeholder the end-to-end benchmark child still reads.
 """
 
@@ -36,7 +36,7 @@ from repro.core.utility import (
 from repro.fluid import kernels, oracle
 from repro.fluid.maxmin import weighted_max_min
 from repro.fluid.network import FluidFlow, FluidNetwork
-from repro.fluid.vectorized import _FAM_FALLBACK, _FAM_LOG, compile_network, waterfill_arrays
+from repro.fluid.vectorized import compile_network, waterfill_arrays
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 TOLERANCE = 1e-9
@@ -310,6 +310,7 @@ class TestDualFunction:
         )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFamilyBatches:
     def _mixed_utilities(self):
         bandwidth = BandwidthFunctionUtility(
@@ -319,15 +320,24 @@ class TestFamilyBatches:
         utilities = [_random_utility(rng) for _ in range(8)]
         return [bandwidth, LogUtility(weight=2.0)] + utilities
 
-    def test_codes_mark_fallback_and_closed_form_slots(self):
+    def test_rows_mark_scalar_and_power_law_slots(self):
+        utilities = self._mixed_utilities()
         network = FluidNetwork({"l": 10e9})
-        for fid, utility in enumerate(self._mixed_utilities()):
+        for fid, utility in enumerate(utilities):
             network.add_flow(FluidFlow(fid, ("l",), utility))
         vec_utils = compile_network(network).vec_utils
-        assert vec_utils.single_family() is None
-        assert vec_utils._code[0] == _FAM_FALLBACK
-        assert vec_utils._code[1] == _FAM_LOG
-        assert _FAM_FALLBACK not in vec_utils._code[2 : vec_utils.n].tolist()
+        n = vec_utils.n
+        assert not vec_utils.fully_vectorized
+        assert vec_utils._scalar == {0}  # only the bandwidth function
+        log_rows = vec_utils._log[:n].tolist()
+        c, a, one_minus_a = vec_utils._rows[:, :n].tolist()
+        assert (c[0], a[0], one_minus_a[0]) == (0.0, 1.0, 1.0)  # no power law
+        assert (c[1], a[1], one_minus_a[1], log_rows[1]) == (2.0, 1.0, 1.0, True)  # w = 2 log
+        for i, utility in enumerate(utilities[2:], start=2):
+            assert (c[i], a[i]) == utility.power_law_params()
+            assert log_rows[i] == (a[i] == 1.0)  # the draw's alphas are 1.0 or far from it
+            assert one_minus_a[i] == (1.0 if log_rows[i] else 1.0 - a[i])
+        assert vec_utils._power == {i for i in range(n) if a[i] != 1.0}
 
     def test_batched_evaluation_matches_the_scalar_methods(self):
         utilities = self._mixed_utilities()

@@ -293,7 +293,7 @@ class TestBackendParity:
             assert result.rates["f"] == pytest.approx(1e9, rel=1e-3)
 
     def test_fallback_utility_flows_use_scalar_path(self):
-        # BandwidthFunctionUtility has no closed-form batched family, so the
+        # BandwidthFunctionUtility has no power law to batch, so the
         # array dual must route it through per-flow scalar calls.
         bwf = PiecewiseLinearBandwidthFunction([(0.0, 0.0), (2.0, 6e9), (4.0, 8e9)])
         network = FluidNetwork({"l": 10e9})

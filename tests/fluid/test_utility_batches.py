@@ -1,33 +1,45 @@
 """Utility batches under churn equal a fresh compile, bit for bit.
 
-:class:`~repro.fluid.vectorized.VectorizedUtilities` remembers when one
-closed-form family covers every slot, so churn within that family skips
-the per-family regather.  These tests drive a batch through random
+:class:`~repro.fluid.vectorized.VectorizedUtilities` keeps one power-law
+row per slot (``c``, ``a``, ``1 - a`` and the log mask) plus the sets of
+scalar and ``a != 1`` slots, edits them in place on churn and rebuilds its
+cached layout -- whether every row has ``a == 1``, and the scalar slots --
+on the next evaluation.  These tests drive a batch through random
 ``append`` / ``move`` / ``pop`` / ``replace`` sequences and, after every
-operation, compare ``inverse_marginal_clipped``, ``marginal`` (with and
-without a leading axis), ``value``, ``curvature_alpha`` and the family flag
-with a batch compiled from scratch over the same slots.  The populations
-cover the all-log case, every family mixed, a replace to ``FctUtility`` and
-back, pops that leave one family again, and excluded (grouped) slots.
+operation, compare the rows, ``inverse_marginal_clipped``, ``marginal``
+(with and without a leading axis), ``value``, ``curvature_alpha`` and the
+layout with a batch compiled from scratch over the same slots.  The
+populations cover the all-log case, every family mixed, a replace to
+``FctUtility`` and back, pops that leave all-log rows again, and excluded
+(grouped) slots.  On an all-log batch the rows reproduce
+:class:`LogUtility`'s own bits, which is what keeps the all-log runs'
+outputs unchanged.  A divide-by-zero or overflow warning fails these
+tests: excluded and scalar rows (``c = 0``) must evaluate cleanly.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.utility import (
+    _EPSILON,
     AlphaFairUtility,
     FctUtility,
     LogUtility,
     Utility,
     WeightedAlphaFairUtility,
 )
-from repro.fluid.vectorized import _FAM_FCT, _FAM_LOG, VectorizedUtilities
+from repro.fluid.vectorized import VectorizedUtilities
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class PowerLaw(Utility):
-    """``U'(x) = c * x^-a`` through ``power_law_params`` only: the generic
-    power-law family, whose ``value`` is a per-flow scalar call."""
+    """``U'(x) = c * x^-a`` through ``power_law_params`` only: a custom
+    power law, batched -- its value included -- from ``(c, a)`` alone."""
 
     def __init__(self, c: float, a: float):
         self.c, self.a = c, a
@@ -77,7 +89,7 @@ POPULATIONS = {
     "all_log": (["log"], ["log"], ["log"]),
     "mixed": (list(FAMILIES), list(FAMILIES), list(FAMILIES)),
     "fct_and_back": (["log"], ["log"], ["fct", "log"]),
-    "one_family_again": (["log", "fct"], ["log"], ["log"]),
+    "all_log_again": (["log", "fct"], ["log"], ["log"]),
     "excluded": (["log"], ["log", "fct"], ["log"]),
 }
 
@@ -114,8 +126,10 @@ def assert_same_bits(churned, slots):
     assert bits(churned.marginal(grid.T.copy().T)) == bits(reference.marginal(grid))
     assert bits(churned.value(rates)) == bits(reference.value(rates))
     assert bits(churned.curvature_alpha) == bits(reference.curvature_alpha)
-    if n:  # an emptied batch may keep its flag: it holds vacuously
-        assert churned.single_family() == reference.single_family()
+    assert bits(churned._rows[:, :n]) == bits(reference._rows[:, :n])
+    assert churned._log[:n].tolist() == reference._log[:n].tolist()
+    assert (churned._scalar, churned._power) == (reference._scalar, reference._power)
+    assert churned._layout[:2] == reference._layout[:2]
 
 
 @st.composite
@@ -125,7 +139,7 @@ def churn_programs(draw):
     initial, appended, replacing = POPULATIONS[population]
     size = draw(st.integers(min_value=0, max_value=8))
     slots = [(draw(FAMILIES[draw(st.sampled_from(initial))]), False) for _ in range(size)]
-    if population == "one_family_again" and slots:
+    if population == "all_log_again" and slots:
         slots[-1] = (FctUtility(flow_size=5e4), False)  # popped first: log again
     if population == "excluded":
         slots = [(utility, True) for utility, _ in slots]
@@ -176,20 +190,96 @@ class TestChurnedBatchesMatchAFreshCompile:
                 slots.pop()
             assert_same_bits(churned, slots)
 
-    def test_the_flag_follows_the_population(self):
+    def test_the_all_log_layout_follows_the_population(self):
         batch = VectorizedUtilities([LogUtility(weight=w) for w in (1.0, 2.0, 3.0)])
-        assert batch.single_family() == _FAM_LOG
+
+        def layout():
+            batch.value(np.ones(batch.n))
+            return batch._layout[:2]
+
+        assert layout() == (True, [])
         batch.append(LogUtility(weight=4.0))
+        assert batch._layout is None  # every edit drops the layout
         batch.move(3, 0)
         batch.pop()
-        assert batch._single == _FAM_LOG and batch._batches is None  # no regather
-        batch.replace(1, FctUtility(flow_size=1e4))
-        assert batch.single_family() is None  # mixed: gathered
-        batch.replace(1, LogUtility(weight=2.0))
-        assert batch.single_family() == _FAM_LOG  # the regather re-derives it
+        assert layout() == (True, [])
+        batch.replace(1, FctUtility(flow_size=1e4))  # into FCT by replace ...
+        assert layout() == (False, [])
+        batch.replace(1, LogUtility(weight=2.0))  # ... and out of it
+        assert layout() == (True, [])
+        batch.append(FctUtility(flow_size=1e5))  # into FCT by append ...
+        assert layout() == (False, [])
+        batch.pop()  # ... out by pop
+        assert layout() == (True, [])
+        batch.append(FctUtility(flow_size=1e5))
+        batch.move(3, 0)  # two FCT slots now
+        assert layout() == (False, [])
+        batch.move(1, 0)
+        batch.pop()  # out by a swap-remove
+        assert layout() == (True, [])
         fct = VectorizedUtilities([FctUtility(flow_size=s) for s in (1e3, 1e5)])
-        assert fct.single_family() == _FAM_FCT
         assert fct.fully_vectorized
+        assert fct._bind()[:2] == (False, [])
         grouped = VectorizedUtilities([LogUtility()] * 3, exclude=frozenset(range(3)))
-        assert grouped.single_family() is None
+        assert grouped._rows[0, :3].tolist() == [0.0, 0.0, 0.0]
         assert grouped.value(np.ones(3)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_a_custom_power_law_is_valued_by_the_formula(self):
+        """``value`` of a power-law row is ``c * x^(1-a) / (1-a)``, and
+        ``c * log x`` at ``a ~ 1`` -- never the class's own ``value``."""
+        shapes = [(3.0, 0.5), (3.0, 2.0), (2.0, 1.0), (2.0, 1.0 + 1e-12)]
+        batch = VectorizedUtilities([PowerLaw(c, a) for c, a in shapes])
+        rates = np.array([0.0, 1e-3, 2.5, 1e9])
+        values = batch.value(rates).tolist()
+        for (c, a), rate, value in zip(shapes, rates.tolist(), values):
+            x = max(rate, _EPSILON)
+            want = c * math.log(x) if math.isclose(a, 1.0) else c * x ** (1.0 - a) / (1.0 - a)
+            assert value == pytest.approx(want, rel=1e-14)
+        assert batch.curvature_alpha.tolist() == [a for _, a in shapes]
+
+
+class TestAllLogBits:
+    WEIGHTS = [0.5, 2.0, 3.0, 7.25, 1e-3, 1e3, 0.1]
+    PRICES = [-1.0, 0.0, 1e-40, _EPSILON, 2.5e-10, 3.0, 1e-3]
+    RATES = [0.0, 1e-40, _EPSILON, 1e-3, 1e9, 7.0, 3.3e8]
+    MAX_RATES = [1e9, 5.0, 1e12, 1e12, 1e12, 1e-3, 1e12]
+
+    def test_rows_reproduce_log_utility_bits(self):
+        """Every route through an all-log batch -- the methods, ``kernels()``
+        and, in a batch with an FCT row, the general ``**`` expressions at
+        ``a = 1`` -- gives :class:`LogUtility`'s marginal and clipped inverse
+        bit for bit, at non-positive prices, zero rates and the ``_EPSILON``
+        floor.  ``value`` is ``weight * log``: the routes agree bit for bit,
+        and with the scalar method up to the last bit, where NumPy's ``log``
+        may round differently from :func:`math.log`."""
+        utilities = [LogUtility(weight=w) for w in self.WEIGHTS]
+        prices, rates = np.array(self.PRICES), np.array(self.RATES)
+        max_rates = np.array(self.MAX_RATES)
+        want_marginal = [u.marginal(r) for u, r in zip(utilities, self.RATES)]
+        want_inverse = [
+            u.inverse_marginal_clipped(q, m)
+            for u, q, m in zip(utilities, self.PRICES, self.MAX_RATES)
+        ]
+        all_log = VectorizedUtilities(utilities)
+        inverse, value = all_log.kernels()
+        assert all_log._layout[:2] == (True, [])
+        mixed = VectorizedUtilities(utilities + [FctUtility(flow_size=1e6)])
+        assert mixed._bind()[:2] == (False, [])
+        n = len(utilities)
+
+        def general(method, *args):
+            return getattr(mixed, method)(*(np.append(arg, 1.0) for arg in args))[:n]
+
+        for got in (all_log.marginal(rates), general("marginal", rates)):
+            assert bits(got) == bits(want_marginal)
+        for got in (
+            all_log.inverse_marginal_clipped(prices, max_rates),
+            inverse(prices, max_rates),
+            general("inverse_marginal_clipped", prices, max_rates),
+        ):
+            assert bits(got) == bits(want_inverse)
+        values = all_log.value(rates)
+        assert bits(value(rates)) == bits(values)
+        assert bits(general("value", rates)) == bits(values)
+        for u, rate, got in zip(utilities, self.RATES, values.tolist()):
+            assert got == pytest.approx(u.value(rate), rel=1e-15, abs=0.0)

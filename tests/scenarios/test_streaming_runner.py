@@ -133,10 +133,11 @@ class TestCheckpointResume:
         # compiled snapshots with CSR cache slots; version 5 pickled fluid
         # simulators with their backend and record_detail attributes and
         # per-scheme record classes; version 6 pickled the flow-level
-        # simulation with its backend and dict state: such checkpoints must
-        # not resume.
-        assert CHECKPOINT_VERSION == 7
-        for version in (1, 2, 3, 4, 5, 6, CHECKPOINT_VERSION + 1):
+        # simulation with its backend and dict state; version 7 pickled
+        # utility batches with family codes: such checkpoints must not
+        # resume.
+        assert CHECKPOINT_VERSION == 8
+        for version in (1, 2, 3, 4, 5, 6, 7, CHECKPOINT_VERSION + 1):
             write_checkpoint(path, {"version": version, "spec_fingerprint": "x"})
             with pytest.raises(ValueError, match="format version"):
                 load_checkpoint(path, spec)
