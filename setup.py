@@ -14,5 +14,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",  # slots=True dataclasses in sim/packet.py, fluid/network.py
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
 )

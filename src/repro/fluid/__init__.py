@@ -15,7 +15,6 @@ from repro.fluid.oracle import (
     certify,
     estimate_price_scale,
     solve_num,
-    solve_num_multipath,
 )
 from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.rcp import RcpStarFluidSimulator
@@ -36,7 +35,6 @@ __all__ = [
     "certify",
     "estimate_price_scale",
     "solve_num",
-    "solve_num_multipath",
     "DgdFluidSimulator",
     "RcpStarFluidSimulator",
     "XwiFluidSimulator",

@@ -1,47 +1,27 @@
 """The Oracle: a centralized solver for the NUM problem (ground truth).
 
-The paper uses a numerical fluid model to compute the optimal allocation for
-the current topology and flow set, against which the distributed schemes are
-judged.  We implement two solvers:
+The paper judges every scheme against the optimal allocation for the
+current topology and flow set.  :func:`solve_num` computes it, for
+single-path flows and for multipath groups whose utility applies to the
+aggregate rate (resource pooling).  Both minimisers work on one
+:class:`_DualProblem`, assembled from a :class:`CompiledFluidNetwork`'s
+``path_links`` (no dense link x flow matrix exists):
 
-* :func:`solve_num` -- single-path flows.  Solves the *dual* problem (over
-  link prices) with the in-repo projected spectral-gradient loop of
-  :func:`_spg_minimize`.  The dual is smooth because the utilities are
-  strictly concave, and its dimension is the number of links actually
-  carrying flows, which is far smaller than the number of flows in
-  datacenter scenarios, so this scales to thousands of flows easily.
-* :func:`solve_num_multipath` -- flows grouped into multipath aggregates
-  whose utility applies to the aggregate rate (resource pooling).  Solves
-  the primal directly with SLSQP (suitable for the evaluation's scale of a
-  few hundred sub-flows).
+* :func:`_spg_minimize` -- projected spectral gradient on the scaled dual,
+  from ``z = 0.5`` (cold) or the previous prices
+  (:class:`PersistentDualSolver`, the dynamic experiments' Oracle).
+* :func:`_newton` -- a primal-dual interior-point solve of the primal.  It
+  runs on networks with pooled groups, whose dual is not smooth, and
+  finishes every SPG answer that fails the certificate, when every utility
+  has a power law.  It does not replace SPG: a ``fig4_semidynamic`` cold
+  solve (~310 links) takes SPG 9-13 ms and 14-18 Newton steps 135-208 ms.
 
-Every single-path solve is the same scaled dual problem, assembled once by
-:class:`_DualProblem` from a :class:`CompiledFluidNetwork`'s ``path_links``
-(an evaluation is O(flows x hops) gathers and one ``bincount``; no dense
-link x flow matrix exists), and minimised by the same SPG loop; the two
-entry points differ only in start point and preconditioner:
-
-* :func:`solve_num` -- the *cold* solve: :meth:`_DualProblem.cold_start`,
-  ``z = 0.5`` with the Jacobi (diagonal-Hessian) preconditioner.
-* :class:`PersistentDualSolver` -- the *production* path of the dynamic
-  experiments (Fig. 5/7): it keeps prices, conditioning, the spectral step
-  *and* the compiled snapshot alive across flow-set changes (patched
-  incrementally from the network's churn journal); its first solve is the
-  same cold start.
-
-Every single-path answer carries an :class:`OracleCertificate` -- its KKT
-residuals, computed by :meth:`_DualProblem.certificate` -- and is
-``converged`` exactly when every residual is at most :data:`CERTIFIED`;
-the answer itself is never rewritten.  :func:`certify` applies the same
-check to any rates and prices, for instance a fluid simulator's state.
-
-No single-path solve imports scipy.  Only :func:`solve_num_multipath`
-does, inside the function, never by ``import repro``.  The external
-reference the tight Oracle gates compare
-against -- scipy L-BFGS-B on the same scaled dual -- lives with the tests
-(``tests/fluid/_oracle_reference.py``), beside the per-flow dict
-assembly of the same dual that ``tests/fluid/test_oracle.py`` pins the
-array dual to.
+Every answer carries an :class:`OracleCertificate` (KKT residuals,
+:meth:`_DualProblem.certificate`) and is ``converged`` exactly when each
+residual is at most :data:`CERTIFIED`; :func:`certify` runs the same check
+on any rates and prices.  Everything runs on numpy alone; the scipy
+L-BFGS-B reference the tight gates compare against lives with the tests
+(``tests/fluid/_oracle_reference.py``).
 """
 
 from __future__ import annotations
@@ -54,7 +34,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fluid.network import FluidNetwork, FlowId, LinkId
-from repro.fluid.vectorized import CompiledFluidNetwork, compile_network, dict_of
+from repro.fluid.vectorized import (
+    CompiledFluidNetwork,
+    VectorizedUtilities,
+    compile_network,
+    dict_of,
+)
 
 # Not called here: the e2e span table (benchmarks/e2e/trace.py) binds
 # ``repro.fluid.oracle:waterfill_arrays`` by name.
@@ -109,17 +94,11 @@ def _no_flows(links: Sequence[LinkId]) -> "OracleResult":
 class OracleResult:
     """Optimal allocation returned by the Oracle.
 
-    Shaped like :class:`~repro.fluid.vectorized.IterationRecord`: the array
-    dual passes the id snapshots (``flow_ids``, ``link_ids``) and its
-    vectors (``rate_vec``, ``price_vec``, kept by reference and made
-    read-only), and ``rates`` / ``prices`` are cached properties, built on
-    first read.  The idle and multipath results pass the dicts themselves,
-    which land where the cache would, and leave the vectors ``None``.
-
-    A single-path result carries its :class:`OracleCertificate` and is
-    ``converged`` when the certificate's worst term is at most
-    :data:`CERTIFIED`; a multipath result has no certificate and passes
-    SLSQP's own verdict as ``converged``.
+    Shaped like :class:`~repro.fluid.vectorized.IterationRecord`: a solve
+    passes the id snapshots and its vectors (kept by reference, made
+    read-only), and ``rates`` / ``prices`` are dicts built on first read;
+    the empty and idle results pass the dicts themselves.  ``converged``
+    is read from the :class:`OracleCertificate` every result carries.
     """
 
     rate_vec: Optional[np.ndarray] = None
@@ -130,8 +109,7 @@ class OracleResult:
         *,
         objective: float,
         iterations: int,
-        certificate: Optional[OracleCertificate] = None,
-        converged: bool = False,
+        certificate: OracleCertificate,
         rates: Optional[Dict[FlowId, float]] = None,
         prices: Optional[Dict[LinkId, float]] = None,
         flow_ids: Sequence[FlowId] = (),
@@ -142,7 +120,7 @@ class OracleResult:
         self.objective = objective
         self.iterations = iterations
         self.certificate = certificate
-        self.converged = certificate.worst <= CERTIFIED if certificate else converged
+        self.converged = certificate.worst <= CERTIFIED
         self.flow_ids = flow_ids
         self.link_ids = link_ids
         if rate_vec is not None:
@@ -169,17 +147,11 @@ def estimate_price_scale(network: FluidNetwork) -> Dict[LinkId, float]:
     """Per-link price scale: median marginal utility at an equal split.
 
     Optimal prices differ by many orders of magnitude across utility
-    families (for example ~1e-9 for log utilities at 10 Gbps but ~1e-19 for
-    alpha = 2), which wrecks the conditioning of a naive dual solve.
-    :func:`solve_num` therefore optimizes over scaled prices ``z`` with
-    ``p_l = scale_l * z_l`` where ``scale_l`` estimates the optimal price of
-    link ``l`` as the median marginal utility of its flows at an equal-share
-    allocation.  Only links with at least one flow appear in the result.
-
-    The scale is pure conditioning: it never changes the optimum, so
-    :class:`PersistentDualSolver` keeps it across flow-set changes and
-    re-estimates it only when a link without one starts carrying flows.
-    Single-path flows only (multipath groups are rejected by the callers).
+    families (~1e-9 for log utilities at 10 Gbps, ~1e-19 for alpha = 2), so
+    SPG optimizes over scaled prices ``z`` with ``p_l = scale_l * z_l``,
+    ``scale_l`` the median marginal of link ``l``'s flows at an equal share.
+    Pure conditioning: it never changes the optimum.  Only links with flows
+    appear; single-path flows only.
     """
     compiled = compile_network(network)
     problem = _DualProblem(compiled)
@@ -201,43 +173,39 @@ def _median(values: np.ndarray) -> float:
 
 
 def solve_num(network: FluidNetwork) -> OracleResult:
-    """Solve ``max sum_i U_i(x_i)`` s.t. ``Rx <= c`` for single-path flows.
+    """Solve ``max sum U(x)`` s.t. ``Rx <= c``, pooled groups included.
 
-    The cold solve: every call starts from ``z = 0.5`` with the Jacobi
-    preconditioner and minimises the dual with :func:`_spg_minimize`.
-    Flows that belong to a group (multipath aggregates) are not supported
-    here; use :func:`solve_num_multipath`.  The result is the minimiser's
-    answer, certified (:class:`OracleCertificate`) but never rewritten:
-    ``converged`` is false where the certificate rejects it.
-
-    Links carrying no flows are excluded from the dual and reported with a
-    price of exactly zero (their capacity cannot constrain anything).
+    The objective is the ungrouped flows' utilities plus each group's
+    utility of its members' aggregate rate.  Without groups, SPG minimises
+    the dual from ``z = 0.5`` and :func:`_newton` finishes an answer that
+    fails the certificate; with groups, :func:`_newton` solves it, and
+    needs a power law on every utility (``ValueError`` otherwise).  Links
+    carrying no flows are reported with a price of exactly zero.
     """
-    flows = network.flows
-    if any(flow.group_id is not None for flow in flows):
-        raise ValueError("network contains multipath groups; use solve_num_multipath")
-    if not flows:
+    if not network.flows:
         return _no_flows(network.links)
-    compiled = compile_network(network)
-    problem = _DualProblem(compiled)
+    problem = _DualProblem(compile_network(network))
     if not problem.active_idx.size:
         return problem.idle_result(network)
     problem.bind(problem.scale_medians())
-    z0, precondition = problem.cold_start()
-    minimised = _spg_minimize(problem.dual_and_gradient, z0, precondition)
-    return problem.result(problem.prices(minimised.x), minimised)
+    if problem.pools is not None:
+        if not problem.power_laws:
+            raise ValueError("a pooled network needs a power-law utility on every flow and group")
+        return _newton(problem)
+    z0 = np.full(problem.capacities.size, 0.5)
+    minimised = _spg_minimize(problem.dual_and_gradient, z0, problem.residual_precondition())
+    return _finish(problem, problem.result(problem.prices(minimised.x), minimised.fun,
+                                           minimised.nit))
 
 
 def certify(
     network: FluidNetwork, rates: Mapping[FlowId, float], prices: Mapping[LinkId, float]
 ) -> OracleCertificate:
-    """The :class:`OracleCertificate` of any single-path allocation and prices.
+    """The :class:`OracleCertificate` of any allocation and prices, from outside.
 
-    The Oracle's own check, applied from outside: ``rates`` maps every flow
-    of ``network`` to its rate and ``prices`` every link carrying flows to
-    its price (a fluid simulator's ``record.rates`` and ``simulator.prices``,
-    for example).  Links without flows or capacity are ignored, as in the
-    dual.
+    ``rates`` maps every flow to its rate and ``prices`` every link carrying
+    flows to its price (e.g. a fluid simulator's ``record.rates`` and
+    ``simulator.prices``); links without flows or capacity are ignored.
     """
     compiled = compile_network(network)
     problem = _DualProblem(compiled)
@@ -248,16 +216,14 @@ def certify(
     price_vec = np.array(
         [prices[compiled.link_ids[idx]] for idx in problem.active_idx.tolist()], dtype=float
     )
-    dual_value, _ = problem.dual_and_gradient(price_vec / problem.scale_vec)
     _, path_prices = problem.primal_rates(price_vec)
-    objective = float(compiled.vec_utils.value(rate_vec).sum())
-    return problem.certificate(rate_vec, price_vec, path_prices, dual_value, objective)
+    return problem.certificate(rate_vec, price_vec, path_prices, problem.dual_value(price_vec),
+                               problem.objective(rate_vec))
 
 
 @dataclass
 class _SpgResult:
-    """Mirror of the scipy result fields the dual solvers consume."""
-
+    """What the dual solvers read of one minimisation."""
     x: np.ndarray
     fun: float
     nit: int
@@ -287,33 +253,19 @@ def _spg_minimize(
 ) -> _SpgResult:
     """Preconditioned projected spectral-gradient descent over ``z >= 0``.
 
-    The minimiser of every single-path dual solve, cold and warm: a
-    projected Barzilai-Borwein step with a nonmonotone Armijo line search,
-    operating directly on the caller's arrays.  The dual is convex
-    and (piecewise) smooth, so the spectral step needs no curvature model
-    -- and none of scipy's per-call workspace allocation, bound
-    standardization and Fortran round trips.  The loop body is the
-    algorithm's arithmetic and nothing else: at ~200 links a NumPy call
-    costs more than its work, so each one here is load-bearing.
+    A projected Barzilai-Borwein step with a nonmonotone Armijo line search
+    on the caller's arrays; at ~200 links a NumPy call costs more than its
+    work, so each one here is load-bearing.  ``precondition`` is a positive
+    diagonal ``D`` on the gradient step (plain SPG in ``z / sqrt(D)``); the
+    dual solvers pass ``D_l ~ 1 / (scale_l * capacity_l)``, so one step
+    moves every link's price in proportion to its relative capacity
+    residual even where optimal prices differ by orders of magnitude.
 
-    ``precondition`` is a positive diagonal ``D`` applied to the gradient
-    step (``z - step * D * g``, equivalent to plain SPG in the variables
-    ``z / sqrt(D)``; the non-negativity projection stays separable).  The
-    dual solvers pass ``D_l ~ 1 / (scale_l * capacity_l)`` so one step
-    moves every link's price in proportion to its *relative* capacity
-    residual: without it, mixing utility families whose optimal prices
-    differ by many orders of magnitude (log at ~1e-10 vs alpha = 2 at
-    ~1e-20) leaves the tiny-scale links practically frozen under a single
-    scalar step length.
-
-    Stops after :data:`_MAX_ITERATIONS`, or when the preconditioned
-    projected gradient drops below :data:`_SPG_PGTOL` or the scaled
-    objective stalls below :data:`_TOLERANCE` (relative) for
-    :data:`_SPG_STALL_LIMIT` consecutive iterations while the projected
-    gradient is already below :data:`_SPG_STALL_PGTOL` -- an
-    L-BFGS-B-style ``ftol`` contract, guarded against BB's nonmonotone
-    plateaus.  ``initial_step`` carries the spectral (curvature) state
-    across solves for :class:`PersistentDualSolver`.
+    Stops after :data:`_MAX_ITERATIONS`, when the projected gradient drops
+    below :data:`_SPG_PGTOL`, or when the scaled objective stalls below
+    :data:`_TOLERANCE` (relative) for :data:`_SPG_STALL_LIMIT` iterations
+    with the projected gradient already below :data:`_SPG_STALL_PGTOL`.
+    ``initial_step`` carries the spectral step across warm solves.
     """
     z = np.maximum(np.asarray(z0, dtype=float), 0.0)
     f, g = dual_and_gradient(z)
@@ -364,23 +316,34 @@ def _spg_minimize(
     return _SpgResult(x=z, fun=f, nit=nit, step=step)
 
 
+class _Pools:
+    """A compiled flow set's multipath groups: member ``slots``, their group
+    index ``owner`` and one utility row per group (``utils``), evaluated at
+    the aggregate; the members' own rows are excluded (``c = 0``)."""
+
+    def __init__(self, compiled: CompiledFluidNetwork):
+        index: Dict[object, int] = {}
+        owner = [index.setdefault(flow.group_id, len(index)) for _, flow in compiled.grouped]
+        self.slots = np.array([slot for slot, _ in compiled.grouped], dtype=np.intp)
+        self.owner, self.count = np.array(owner, dtype=np.intp), len(index)
+        self.utils = VectorizedUtilities([compiled.network.group(g).utility for g in index])
+
+    def aggregate(self, per_flow: np.ndarray) -> np.ndarray:
+        """Per-group sum of a per-flow quantity over the members."""
+        return np.bincount(self.owner, weights=per_flow[self.slots], minlength=self.count)
+
+
 class _DualProblem:
-    """The scaled dual of one compiled flow set, assembled once for both solvers.
+    """The scaled dual of one compiled flow set, assembled once for both minimisers.
 
-    Construction fixes what the flow set and the capacities determine alone
-    (active links, the hop indices in active-link space, per-flow rate caps
-    and floors); :meth:`bind` adds the per-link price scale and builds the
-    objective/gradient closure.  The callers -- cold :func:`solve_num` and
-    :class:`PersistentDualSolver` -- choose only the start point, the
-    preconditioner and the minimiser, then hand the optimal prices to
-    :meth:`result`.
-
-    Everything runs on :attr:`hops`: the compiled ``path_links`` remapped
-    once into active-link index space and held hops x flows (per-flow
-    reductions run along the contiguous axis).  Padding *and* hops on
-    excluded links carry the sentinel ``len(active_idx)``, so a per-link
-    vector extended by one neutral entry prices them at zero and collects
-    their load where nobody reads it.
+    Construction fixes what the flow set and capacities determine (active
+    links, hops in active-link space, rate caps and floors, the multipath
+    :class:`_Pools`); :meth:`bind` adds the price scale and the
+    objective/gradient closure; :meth:`result` packs prices into a
+    certified answer.  Everything runs on :attr:`hops`: ``path_links``
+    remapped into active-link space, hops x flows, with padding and hops on
+    excluded links on the sentinel ``len(active_idx)`` (a per-link vector
+    extended by one neutral entry prices them at zero).
     """
 
     def __init__(self, compiled: CompiledFluidNetwork):
@@ -389,9 +352,8 @@ class _DualProblem:
         n_links = len(compiled.link_ids)
         path_links = compiled.path_links
         carrying = np.bincount(path_links.ravel(), minlength=n_links + 1)[:n_links] > 0
-        # Failed (zero-capacity) links are excluded like flowless ones: their
-        # price stays zero and path-capacity clipping already pins every flow
-        # crossing them to a zero rate, so they cannot condition the dual.
+        # Failed links are excluded like flowless ones: path-capacity clipping
+        # already pins every flow crossing them to a zero rate.
         self.active_idx = np.nonzero(carrying & (capacities > 0.0))[0]
         n_active = self.active_idx.size
         remap = np.full(n_links + 1, n_active, dtype=np.intp)
@@ -402,10 +364,18 @@ class _DualProblem:
         self._hop_values = np.empty(self.hops.shape)
         self._hop_values_flat = self._hop_values.ravel()
         self.capacities = capacities[self.active_idx]
-        # Per-flow rate cap: the narrowest link on the path.  Clipping at the
-        # cap keeps the inner maximization bounded even at a ~0 path price.
+        # Per-flow rate cap (the narrowest link): bounds the inner maximum at q ~ 0.
         self.path_caps = compiled.path_capacities()
         self.floors = self.path_caps * _MIN_RATE_FRACTION
+        self.pools = _Pools(compiled) if compiled.grouped else None
+
+    @property
+    def power_laws(self) -> bool:
+        """Whether every flow and group utility is a power-law row (Newton's domain)."""
+        pools = self.pools
+        return self.compiled.vec_utils.fully_vectorized and (
+            pools is None or pools.utils.fully_vectorized
+        )
 
     def link_sums(self, per_flow: np.ndarray) -> np.ndarray:
         """Per-active-link sum of a per-flow quantity: one ``bincount`` over the hops."""
@@ -416,13 +386,8 @@ class _DualProblem:
         )[:n_active]
 
     def scale_medians(self) -> np.ndarray:
-        """Per-active-link price scale: the median marginal at an equal share.
-
-        The array core of :func:`estimate_price_scale`, on :attr:`hops`:
-        every hop's marginal at its link's equal share, sorted by link and
-        then by marginal, and each link's upper median picked from its run
-        (the sentinel's placeholder rate 1.0 is never picked).
-        """
+        """Per-active-link upper median of the hops' marginals at the link's
+        equal share (:func:`estimate_price_scale`'s array core)."""
         n_active = self.capacities.size
         counts = np.bincount(self._hops_flat, minlength=n_active + 1)
         shares = np.ones(n_active + 1)
@@ -443,13 +408,8 @@ class _DualProblem:
                             iterations=0, certificate=_EXACT)
 
     def bind(self, scale_vec: np.ndarray) -> None:
-        """Fix the price scale (``p_l = scale_l * z_l``) and build the closures.
-
-        The utility kernels are bound here, once per solve
-        (:meth:`VectorizedUtilities.kernels`), and an evaluation writes the
-        prices straight into the gather buffer and sums the hop loads
-        itself: at ~200 links every call layer costs more than its work.
-        """
+        """Fix the price scale (``p_l = scale_l * z_l``) and build the closures,
+        with the utility kernels bound once per solve."""
         inverse_clipped, utility_value = self.compiled.vec_utils.kernels()
         hops, capacities = self.hops, self.capacities
         path_caps, floors = self.path_caps, self.floors
@@ -457,8 +417,7 @@ class _DualProblem:
         gradient_scale = scale_vec / objective_scale
         hops_flat, hop_loads = self._hops_flat, self._hop_values
         hop_loads_flat = self._hop_values_flat
-        # Reused by every evaluation: gather target and the prices with their
-        # zero sentinel entry.
+        # Reused by every evaluation: gather target, prices plus the sentinel's 0.
         n_active = capacities.size
         hop_prices = np.empty(hops.shape)
         prices_ext = np.zeros(n_active + 1)
@@ -499,48 +458,39 @@ class _DualProblem:
         """``D_l = 1 / (scale_l * capacity_l)`` in objective units (see SPG)."""
         return self.objective_scale / (self.scale_vec * self.capacities)
 
-    def cold_start(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Every cold solve's start: ``z = 0.5`` and its Jacobi preconditioner.
+    def marginals(self, rates: np.ndarray) -> np.ndarray:
+        """Per-flow marginal utility; a pooled member's is its group's at the aggregate."""
+        marginals = self.compiled.vec_utils.marginal(rates)
+        pools = self.pools
+        if pools is not None:
+            group = pools.utils.marginal(pools.aggregate(rates))
+            marginals[pools.slots] = group[pools.owner]
+        return marginals
 
-        Half the scale estimate itself, so multi-hop paths are not wildly
-        overpriced initially.  Shared by :func:`solve_num` and a fresh
-        :class:`PersistentDualSolver`.
-        """
-        z0 = np.full(self.capacities.size, 0.5)
-        return z0, self.jacobi_precondition(z0)
+    def objective(self, rates: np.ndarray) -> float:
+        """The NUM objective of physical ``rates``, pooled groups included."""
+        total = float(self.compiled.vec_utils.value(rates).sum())
+        pools = self.pools
+        if pools is not None:
+            total += float(pools.utils.value(pools.aggregate(rates)).sum())
+        return total
 
-    def jacobi_precondition(self, z0: np.ndarray) -> np.ndarray:
-        """Diagonal (Jacobi) preconditioner for *cold* SPG dual solves.
-
-        The dual Hessian's diagonal is ``H_l = sum_{f on l} |dx_f/dq_f|`` over
-        flows whose rate is strictly between floor and cap; every batched
-        utility is a power-law demand ``x ~ q^(-1/a)``, so
-        ``|dx/dq| = x / (a * q)``.  Evaluated at the start point, this
-        rescues instances where the median price-scale misestimates a link by
-        orders of magnitude (a link shared by log and alpha = 2 flows: the
-        median picks the log marginal ~1e-10 while the binding curvature sits
-        at ~1e-20, and the plain relative-residual step then oscillates across
-        the tiny true price for thousands of iterations).  Warm solves skip
-        this -- measured on the Fig. 5 churn pattern, the relative-residual
-        heuristic converges in fewer iterations from a near-optimal start.
-        Links with zero measured curvature (all flows clipped) fall back to
-        the heuristic.
-        """
-        scale_vec = self.scale_vec
-        rates0, path_prices0 = self.primal_rates(scale_vec * z0)
-        interior = (rates0 > self.floors) & (rates0 < self.path_caps)
-        slopes = np.zeros(len(rates0))
-        np.divide(
-            rates0,
-            self.compiled.vec_utils.curvature_alpha * np.maximum(path_prices0, 1e-300),
-            out=slopes, where=interior,
-        )
-        curvature = self.link_sums(slopes)
-        with np.errstate(divide="ignore", over="ignore"):
-            newton = self.objective_scale / (scale_vec**2 * curvature)
-        return np.where(
-            (curvature > 0.0) & np.isfinite(newton), newton, self.residual_precondition()
-        )
+    def dual_value(self, prices: np.ndarray) -> float:
+        """The scaled dual at physical active-link ``prices``.  A pooled group
+        adds its inner maximum as if all its traffic took its cheapest
+        member's path, capped by its members' summed path caps: never below
+        the exact one, so the value stays an upper bound on the objective."""
+        value, _ = self.dual_and_gradient(prices / self.scale_vec)
+        pools = self.pools
+        if pools is None:
+            return value
+        _, path_prices = self.primal_rates(prices)
+        cheapest = np.full(pools.count, np.inf)
+        np.minimum.at(cheapest, pools.owner, path_prices[pools.slots])
+        inverse_clipped, utility_value = pools.utils.kernels()
+        aggregate = inverse_clipped(cheapest, pools.aggregate(self.path_caps))
+        inner = float(utility_value(aggregate).sum() - aggregate @ cheapest)
+        return value + inner / self.objective_scale
 
     def certificate(
         self,
@@ -552,21 +502,19 @@ class _DualProblem:
     ) -> OracleCertificate:
         """The :class:`OracleCertificate` of physical ``rates`` and active-link ``prices``.
 
-        ``rates`` are the allocation before any feasibility rescale,
+        ``rates`` are the allocation before the feasibility rescale,
         ``path_prices`` the per-flow sums of ``prices``, ``dual_value`` the
-        scaled dual at ``prices`` (times :attr:`objective_scale`, an upper
-        bound on every feasible objective) and ``objective`` the utility of
-        the allocation handed out.  A flow
-        at its path cap is held only to ``U'(x) >= q``, one at its rate
-        floor only to ``U'(x) <= q``.  Slackness is per flow: the largest
-        ``slack_l * p_l`` over its links over its path price ``q``, so a
-        flow whose priced links all have room fails it.  The gap is relative
-        like the minimiser's stall test.
+        scaled dual at ``prices`` and ``objective`` the handed-out utility.
+        A pooled member's marginal is its group's (:meth:`marginals`).  A
+        flow at its path cap (within :data:`CERTIFIED`, so the rescale does
+        not move it off) is held only to ``U'(x) >= q``, one at its floor
+        (an unused pooled member) only to ``U'(x) <= q``.  Slackness is per
+        flow: the largest ``slack_l * p_l`` on its path over ``q``.
         """
         ratio = self.link_sums(rates) / self.capacities
-        marginals = self.compiled.vec_utils.marginal(rates)
+        marginals = self.marginals(rates)
         excess = marginals - path_prices
-        np.minimum(excess, 0.0, out=excess, where=rates >= self.path_caps)
+        np.minimum(excess, 0.0, out=excess, where=rates >= self.path_caps * (1.0 - CERTIFIED))
         np.maximum(excess, 0.0, out=excess, where=rates <= self.floors)
         stationarity = np.zeros(rates.size)
         np.divide(np.abs(excess), np.maximum(marginals, path_prices), out=stationarity,
@@ -587,25 +535,27 @@ class _DualProblem:
             gap=gap,
         )
 
-    def result(self, prices: np.ndarray, minimised) -> OracleResult:
-        """Pack the minimiser's prices into a feasible, certified allocation.
-
-        ``minimised`` is the minimiser's result (``fun``, ``nit``); ``prices``
-        are the physical prices at its ``x``.  The rates are the dual's primal
-        point at those prices, scaled down onto the capacity region
-        (:func:`_rescale_to_feasible_arrays`); the certificate is of that
-        point, so its ``overload`` term bounds the rescale.
-        """
+    def result(
+        self,
+        prices: np.ndarray,
+        dual_value: float,
+        iterations: int,
+        rates: Optional[np.ndarray] = None,
+    ) -> OracleResult:
+        """Pack prices into a feasible, certified allocation: ``rates`` if given
+        (a pooled Newton point), else the dual's primal point at ``prices``,
+        scaled onto the capacity region; certified before the rescale."""
         compiled = self.compiled
-        raw, path_prices = self.primal_rates(prices)
+        dual_rates, path_prices = self.primal_rates(prices)
+        raw = dual_rates if rates is None else rates
         rate_vec = _rescale_to_feasible_arrays(self, raw)
-        objective = float(compiled.vec_utils.value(rate_vec).sum())
-        certificate = self.certificate(raw, prices, path_prices, float(minimised.fun), objective)
+        objective = self.objective(rate_vec)
+        certificate = self.certificate(raw, prices, path_prices, dual_value, objective)
         price_vec = np.zeros(len(compiled.link_ids))  # excluded links report a zero price
         price_vec[self.active_idx] = prices
         return OracleResult(
             objective=objective,
-            iterations=int(minimised.nit),
+            iterations=iterations,
             certificate=certificate,
             flow_ids=compiled.flow_id_snapshot(),
             rate_vec=rate_vec,
@@ -614,46 +564,219 @@ class _DualProblem:
         )
 
 
+#: Newton's step cap, and the worst certificate term at which it stops.
+_NEWTON_STEPS = 150
+_NEWTON_TARGET = 1e-10
+#: A step goes this fraction of the way to the positivity boundary.
+_NEWTON_BOUNDARY = 0.99
+#: A pooled group's proximal weight on its members, relative to its curvature.
+_NEWTON_PROXIMAL = 1e-6
+
+
+def _finish(problem: _DualProblem, answer: OracleResult) -> OracleResult:
+    """SPG's ``answer``, or Newton's where that fails the certificate and
+    every utility has a power law; the better certified of the two."""
+    if answer.converged or not problem.power_laws:
+        return answer
+    finished = _newton(problem, answer.iterations)
+    return finished if finished.certificate.worst < answer.certificate.worst else answer
+
+
+def _newton(problem: _DualProblem, iterations: int = 0) -> OracleResult:
+    """A primal-dual interior-point solve of the NUM primal; the best certified step.
+
+    In units of the largest active capacity, on the rates ``y`` of the flows
+    with a live path (one crossing a failed link keeps rate 0), the link
+    slacks ``s`` and prices ``p`` and the rate floors' multipliers ``z``, it
+    solves ``U'(y) - R'p + z = 0``, ``Ry + s = c``, ``p s = t_p``,
+    ``z (y - f) = t_z``: one links x links system ``(R D^-1 R' + S P^-1) dp
+    = rhs`` per direction, assembled from :attr:`_DualProblem.hops`.  ``D``
+    is ``-U''(y) + Z / (y - f)`` (curvature ``a U'(x) / x`` from the
+    power-law rows) plus a rank-1 ``-U_g''`` block per pooled group, applied
+    by Sherman-Morrison, plus :data:`_NEWTON_PROXIMAL` times the group's
+    curvature on its members -- on the matrix only, so the KKT point does
+    not move while tied member routes keep it non-singular (Lin and Shroff,
+    IEEE TAC 2006).  Parallel links (the same live flows) keep only the
+    tightest.  The start is half of each flow's tightest equal share, a
+    link priced at its flows' smallest marginal over their hop count.
+
+    Each complementarity pair is centred on its own price scale (``p s`` on
+    the smallest marginal of the link's flows times its capacity, ``z (y -
+    f)`` on the flow's marginal times its rate): one centre for all stalls
+    where prices span 14 orders of magnitude.  Mehrotra's predictor sets
+    ``sigma = (mu_aff / mu)^3``, floored by the largest relative dual
+    residual and capped at 0.5; the corrector's second-order term is left
+    out (with it 11 of 150 finding-2 draws stall, without it none).  A step
+    goes :data:`_NEWTON_BOUNDARY` of the way to the boundary.  Every step is
+    certified by :meth:`_DualProblem.result`, with the dual's primal point
+    as the rates, or with groups the step's own rates (a member with
+    ``z y >= q (y - f)`` at its floor); the best is returned at
+    :data:`_NEWTON_TARGET` or after :data:`_NEWTON_STEPS`.
+    """
+    vec_utils, pools = problem.compiled.vec_utils, problem.pools
+    n_flows, n_active = problem.path_caps.size, problem.capacities.size
+    live = np.nonzero(problem.path_caps > 0.0)[0]
+    live_hops = problem.hops[:, live]
+    # Parallel constraints: sort the live hops by (link, flow), key each
+    # link by its run of flows and keep the tightest link per key.
+    flat = live_hops.ravel()
+    flows_of = np.tile(np.arange(live.size), live_hops.shape[0])
+    real = flat < n_active
+    order = np.lexsort((flows_of[real], flat[real]))
+    runs = np.split(flows_of[real][order], np.cumsum(np.bincount(flat[real], minlength=n_active)))
+    tightest: Dict[bytes, int] = {}
+    for link, run in enumerate(runs[:n_active]):
+        if run.size:
+            kept = tightest.setdefault(run.tobytes(), link)
+            if problem.capacities[link] < problem.capacities[kept]:
+                tightest[run.tobytes()] = link
+    keep = np.array(sorted(tightest.values()), dtype=np.intp)
+    n_keep = keep.size
+    remap = np.full(n_active + 1, n_keep, dtype=np.intp)
+    remap[keep] = np.arange(n_keep)
+    hops = remap[live_hops]
+    hops_flat = hops.ravel()
+    n_hops, n_live = hops.shape
+    pairs = (hops[:, None, :] * (n_keep + 1) + hops[None, :, :]).ravel()
+    unit = float(problem.capacities.max())
+    c = problem.capacities[keep] / unit
+    f = problem.floors[live] / unit
+
+    def link_sums(per_flow: np.ndarray) -> np.ndarray:
+        weights = np.broadcast_to(per_flow, hops.shape).ravel()
+        return np.bincount(hops_flat, weights, minlength=n_keep + 1)[:n_keep]
+
+    def path_sums(per_link: np.ndarray) -> np.ndarray:
+        return np.append(per_link, 0.0)[hops].sum(axis=0)
+
+    def link_min(per_flow: np.ndarray) -> np.ndarray:
+        out = np.full(n_keep + 1, np.inf)
+        np.minimum.at(out, hops_flat, np.broadcast_to(per_flow, hops.shape).ravel())
+        return out[:n_keep]
+
+    if pools is not None:  # the live members, their groups and a per-group sum
+        group_of = np.full(n_flows, -1, dtype=np.intp)
+        group_of[pools.slots] = pools.owner
+        members = np.nonzero(group_of[live] >= 0)[0]
+        owner = group_of[live][members]
+
+        def aggregate(per_flow: np.ndarray) -> np.ndarray:
+            return np.bincount(owner, weights=per_flow[members], minlength=pools.count)
+
+    rates = np.zeros(n_flows)
+
+    def derivatives(y: np.ndarray):
+        """Scaled per-flow marginals and curvatures, and each group's curvature."""
+        rates[live] = y * unit
+        marginal = vec_utils.marginal(rates)[live] * unit
+        curvature = vec_utils.curvature(rates)[live] * unit**2
+        if pools is None:
+            return marginal, curvature, None
+        totals = aggregate(y) * unit
+        marginal[members] = (pools.utils.marginal(totals) * unit)[owner]
+        return marginal, curvature, pools.utils.curvature(totals) * unit**2
+
+    share = np.append(c / np.bincount(hops_flat, minlength=n_keep + 1)[:n_keep], np.inf)
+    y = 0.5 * share[hops].min(axis=0)
+    w, s = y - f, c - link_sums(y)
+    marginal, _, _ = derivatives(y)
+    p = link_min(marginal / (hops < n_keep).sum(axis=0))
+    z = float((p * s / (link_min(marginal) * c)).sum()) / max(n_keep, 1) * marginal * y / w
+
+    best: Optional[OracleResult] = None
+    for step in range(_NEWTON_STEPS + 1):
+        prices = np.zeros(n_active)
+        prices[keep] = p / unit
+        rates_out = None
+        if pools is not None:
+            rates_out = np.zeros(n_flows)
+            rates_out[live] = np.where(z * y >= path_sums(p) * w, f, y) * unit
+        candidate = problem.result(prices, problem.dual_value(prices), iterations + step,
+                                   rates_out)
+        if best is None or candidate.certificate.worst < best.certificate.worst:
+            best = candidate
+        if best.certificate.worst <= _NEWTON_TARGET or step == _NEWTON_STEPS:
+            break
+        marginal, curvature, group_curvature = derivatives(y)
+        r_dual = marginal - path_sums(p) + z
+        r_primal = link_sums(y) + s - c
+        d = curvature + z / w
+        if pools is not None:
+            d[members] += _NEWTON_PROXIMAL * group_curvature[owner]
+        inv_d = 1.0 / d
+        matrix = np.bincount(
+            pairs, weights=np.broadcast_to(inv_d, (n_hops, n_hops, n_live)).ravel(),
+            minlength=(n_keep + 1) ** 2,
+        ).reshape(n_keep + 1, n_keep + 1)[:n_keep, :n_keep]
+        if pools is not None:  # Sherman-Morrison: D^-1 less one rank-1 term per group
+            beta = group_curvature / (1.0 + group_curvature * aggregate(inv_d))
+            member_links = np.bincount(
+                (hops[:, members] * pools.count + owner).ravel(),
+                weights=np.broadcast_to(inv_d[members], (n_hops, members.size)).ravel(),
+                minlength=(n_keep + 1) * pools.count,
+            ).reshape(n_keep + 1, pools.count)[:n_keep]
+            matrix = matrix - (member_links * beta) @ member_links.T
+        matrix[np.diag_indices(n_keep)] += s / p
+        equilibrate = 1.0 / np.sqrt(matrix.diagonal())
+        matrix *= equilibrate[:, None] * equilibrate[None, :]
+
+        def apply_inverse_d(v: np.ndarray) -> np.ndarray:
+            out = v * inv_d
+            if pools is not None:
+                out[members] -= inv_d[members] * (beta * aggregate(out))[owner]
+            return out
+
+        def direction(r_slack: np.ndarray, r_floor: np.ndarray):
+            base = r_dual + r_floor / w
+            rhs = r_primal + link_sums(apply_inverse_d(base)) + r_slack / p
+            dp = equilibrate * np.linalg.solve(matrix, equilibrate * rhs)
+            dy = apply_inverse_d(base - path_sums(dp))
+            return dy, (r_slack - s * dp) / p, dp, (r_floor - z * dy) / w
+
+        def reach(dy, ds, dp, dz) -> float:
+            """The longest step (at most 1) keeping ``y - f``, ``s``, ``p``, ``z`` non-negative."""
+            ratios = [v[dv < 0.0] / -dv[dv < 0.0] for v, dv in ((w, dy), (s, ds), (p, dp), (z, dz))]
+            return float(np.concatenate(ratios + [np.ones(1)]).min())
+
+        price_scale, flow_scale = link_min(marginal) * c, marginal * y
+        link_pairs, floor_pairs = p * s, z * w
+        mu = float((link_pairs / price_scale).sum() + (floor_pairs / flow_scale).sum())
+        try:
+            dy, ds, dp, dz = direction(-link_pairs, -floor_pairs)
+            alpha = reach(dy, ds, dp, dz)
+            mu_affine = float(
+                ((p + alpha * dp) * (s + alpha * ds) / price_scale).sum()
+                + ((z + alpha * dz) * (w + alpha * dy) / flow_scale).sum()
+            )
+            sigma = min(max((mu_affine / mu) ** 3, float(np.abs(r_dual / marginal).max())), 0.5)
+            target = sigma * mu / (n_keep + n_live)
+            dy, ds, dp, dz = direction(target * price_scale - link_pairs,
+                                       target * flow_scale - floor_pairs)
+        except np.linalg.LinAlgError:
+            break
+        alpha = _NEWTON_BOUNDARY * reach(dy, ds, dp, dz)
+        if not (alpha > 0.0 and np.isfinite(alpha)):
+            break
+        w, s, p, z = w + alpha * dy, s + alpha * ds, p + alpha * dp, z + alpha * dz
+        y = f + w
+    return best
+
+
 class PersistentDualSolver:
     """A dual Oracle whose state survives flow-set changes.
 
-    The dynamic experiments (Fig. 5/7) re-solve the NUM problem on *every*
-    arrival/departure batch; a cold :func:`solve_num` per batch would
-    recompile the network, re-estimate the conditioning and restart from
-    ``z = 0.5`` even when the previous prices sit one step from the
-    optimum.  This solver keeps everything that is reusable alive across
-    flow-set changes instead:
-
-    * **Compiled snapshot** -- a private :class:`CompiledFluidNetwork`
-      brought up to date via its incremental :meth:`~CompiledFluidNetwork.refresh`
-      (O(path) ``path_links`` edits replayed from the network's churn
-      journal) rather than recompiled per event.
-    * **Prices** -- a full-length per-link price vector; the dual optimum
-      moves little per churn event, so the previous solve's prices are the
-      warm start (links temporarily without flows keep their last price as
-      the guess for when they refill).
-    * **Curvature** -- the spectral (Barzilai-Borwein) step carried between
-      solves.
-    * **Conditioning** -- the per-link price scale of
-      :func:`estimate_price_scale`, re-estimated for every active link
-      when a link without a cached scale starts carrying flows (it
-      conditions the solver but never changes the optimum).
-
-    The minimiser is :func:`_spg_minimize`: the clipped dual is piecewise
-    smooth, so a quasi-Newton model is invalidated face by face while the
-    spectral step carries over.  Measured by ``benchmarks/e2e`` on
-    ``fig5_websearch`` (seed 7; ~135 flows on ~220 active links per solve,
-    one arrival or departure apart): a warm solve takes a median of 25
-    and a 99th percentile of 77 iterations (``fluid.oracle_iters_p50`` /
-    ``_p99``), and all 705 answers certify (worst term 1.0e-7); the
-    12-link churn trace of the tests takes 14.  A fresh solver's first
-    solve is :func:`solve_num`'s cold start (:meth:`_DualProblem.cold_start`).
-
-    Parity: warm persistent solves certify on every churn trace of
-    ``tests/fluid/test_oracle.py`` and match a tightly converged external
-    (scipy L-BFGS-B) solve of the same instance to within 1e-6 relative on
-    rates wherever that reference pins them (also gated by the perf
-    harness).  Multipath groups are rejected exactly like :func:`solve_num`.
+    The dynamic experiments (Fig. 5/7) re-solve on every arrival/departure
+    batch, so this solver keeps alive what is reusable: the compiled
+    snapshot (patched from the network's churn journal), the per-link
+    prices (the warm start; links without flows keep theirs for when they
+    refill), the spectral step, and the price scales (re-estimated for
+    every active link once a link without one starts carrying flows, and
+    after a capacity change).  Its first solve starts where
+    :func:`solve_num` does, and an answer that fails the certificate is
+    finished by :func:`_newton` as there.  On ``fig5_websearch`` (seed 7,
+    ~135 flows on ~220 active links per solve) a warm solve takes a median
+    of 25 and a 99th percentile of 77 iterations, and all 705 answers
+    certify.  Multipath groups are rejected (:func:`solve_num` pools them).
     """
 
     def __init__(self, network: Optional[FluidNetwork] = None):
@@ -679,12 +802,8 @@ class PersistentDualSolver:
         return compiled
 
     def _scale_for(self, problem: _DualProblem) -> np.ndarray:
-        """Cached per-link conditioning for the currently active links.
-
-        A cached scale may predate the current flow set.  Once any active
-        link has none (it gained its first flows since the last estimate),
-        every active link is re-estimated from the current flows.
-        """
+        """Cached price scales of the active links; all re-estimated once any
+        active link has none (it gained its first flows since the estimate)."""
         active_idx = problem.active_idx
         # Estimates are at least 1e-300: a zero entry means "none cached".
         if self._scale_full is None or not self._scale_full[active_idx].all():
@@ -697,7 +816,7 @@ class PersistentDualSolver:
         compiled = self._refresh_compiled(network)
         links = compiled.link_ids
         if network.groups or compiled.grouped:
-            raise ValueError("network contains multipath groups; use solve_num_multipath")
+            raise ValueError("network contains multipath groups; use solve_num")
         if not compiled.flows:
             return _no_flows(links)
         n_links = len(links)
@@ -706,11 +825,9 @@ class PersistentDualSolver:
             self._scale_full = None
             self._warm = False
         if self._last_capacity_version != network.capacity_version:
-            # Capacity changed (fault injection, Fig. 10 reconfiguration):
-            # the cached conditioning and the spectral step were measured on
-            # the old capacities and can be arbitrarily stale, so force a
-            # scale refresh and drop the curvature estimate.  Warm prices
-            # survive -- the dual optimum moves continuously with capacity.
+            # Capacity changed (faults, Fig. 10): the scales and the spectral
+            # step are stale; warm prices survive (the optimum moves
+            # continuously with capacity).
             if self._last_capacity_version is not None:
                 self._scale_full = None
                 self._step = None
@@ -725,135 +842,29 @@ class PersistentDualSolver:
 
         if self._warm:
             z0 = np.maximum(self._prices_full[active_idx], 0.0) / problem.scale_vec
-            precondition = problem.residual_precondition()
         else:
-            z0, precondition = problem.cold_start()
+            z0 = np.full(active_idx.size, 0.5)
         minimised = _spg_minimize(
-            problem.dual_and_gradient, z0, precondition, initial_step=self._step
+            problem.dual_and_gradient, z0, problem.residual_precondition(),
+            initial_step=self._step,
         )
         self._step = minimised.step
         self._warm = True
-        prices = problem.prices(minimised.x)
-        self._prices_full[active_idx] = prices
-        return problem.result(prices, minimised)
+        answer = _finish(problem, problem.result(problem.prices(minimised.x), minimised.fun,
+                                                 minimised.nit))
+        self._prices_full[active_idx] = answer.price_vec[active_idx]
+        return answer
 
 
 def _rescale_to_feasible_arrays(problem: _DualProblem, rates: np.ndarray) -> np.ndarray:
-    """Array twin of :func:`_rescale_to_feasible` on :attr:`_DualProblem.hops`."""
+    """Divide each flow by the worst overload on its path (a solver's finite
+    tolerance leaves the answer slightly infeasible)."""
     # Active links all have positive capacity; the sentinel's ratio is neutral.
     ratio = np.append(problem.link_sums(rates) / problem.capacities, 1.0)
     if not (ratio > 1.0).any():
         return rates
     worst = np.maximum(ratio, 1.0)[problem.hops].max(axis=0)
     return np.where(worst > 1.0, rates / worst, rates)
-
-
-def _rescale_to_feasible(network: FluidNetwork, rates: Dict[FlowId, float]) -> Dict[FlowId, float]:
-    """Scale rates down uniformly per-flow so no link is oversubscribed.
-
-    A solver's answer can be very slightly infeasible due to its finite
-    tolerance; downstream convergence metrics expect a feasible reference.
-    """
-    load = network.link_load(rates)
-    # A failed (zero-capacity) link with any load maps to an infinite
-    # overload ratio, which pins every flow crossing it to exactly zero.
-    overload = {
-        link: (load[link] / capacity if capacity > 0.0 else np.inf)
-        for link, capacity in network.capacities.items()
-        if load[link] > capacity
-    }
-    if not overload:
-        return rates
-    adjusted = dict(rates)
-    for flow in network.flows:
-        worst = max((overload.get(link, 1.0) for link in flow.path), default=1.0)
-        if worst > 1.0:
-            adjusted[flow.flow_id] = rates[flow.flow_id] / worst
-    return adjusted
-
-
-def solve_num_multipath(
-    network: FluidNetwork,
-    max_iterations: int = 500,
-    tolerance: float = 1e-9,
-) -> OracleResult:
-    """Solve the NUM problem when flows are grouped into multipath aggregates.
-
-    The objective is ``sum_g U_g(sum of member sub-flow rates)`` plus the
-    individual utilities of ungrouped flows.  Solved in the primal with
-    SLSQP, which differences the objective and constraints numerically;
-    intended for the evaluation's scale (hundreds of sub-flows).
-
-    Optimizes in units of the largest link capacity so the variables,
-    constraints and numerical gradients are all O(1); the objective is
-    evaluated at the physical rates, so the optimum is unchanged.  Its
-    magnitude varies across utility families, so it is normalized by its
-    value at an equal-split starting point to make ``ftol`` behave
-    consistently.
-    """
-    from scipy import optimize  # only multipath solves pay the import
-
-    flows = network.flows
-    links = network.links
-    if not flows:
-        return _no_flows(links)
-    flow_index = {flow.flow_id: i for i, flow in enumerate(flows)}
-    groups = network.groups
-    grouped_members = {m for g in groups for m in g.member_ids}
-    ungrouped = [flow for flow in flows if flow.flow_id not in grouped_members]
-
-    def utility_of_rates(x: np.ndarray) -> float:
-        total = 0.0
-        for group in groups:
-            aggregate = sum(x[flow_index[m]] for m in group.member_ids if m in flow_index)
-            total += group.utility.value(aggregate)
-        for flow in ungrouped:
-            total += flow.utility.value(x[flow_index[flow.flow_id]])
-        return total
-
-    link_index = {link: i for i, link in enumerate(links)}
-    capacities = np.array([network.capacity(link) for link in links], dtype=float)
-    routing = np.zeros((len(links), len(flows)))
-    for column, flow in enumerate(flows):
-        for link in flow.path:
-            routing[link_index[link], column] = 1.0
-    rate_unit = float(np.max(capacities))
-    scaled_capacities = capacities / rate_unit
-    floor = 1e-9
-
-    def physical(y: np.ndarray) -> np.ndarray:
-        return np.maximum(y, floor) * rate_unit
-
-    y0 = np.array([network.path_capacity(f.flow_id) / (4.0 * rate_unit) for f in flows])
-    objective_scale = max(abs(utility_of_rates(physical(y0))), 1e-12)
-
-    def objective(y: np.ndarray) -> float:
-        return -utility_of_rates(physical(y)) / objective_scale
-
-    constraints = [
-        {"type": "ineq", "fun": lambda y, row=row: scaled_capacities[row] - routing[row] @ y}
-        for row in range(len(links))
-    ]
-    result = optimize.minimize(
-        objective,
-        y0,
-        method="SLSQP",
-        bounds=[(floor, 1.0) for _ in flows],
-        constraints=constraints,
-        options={"maxiter": max_iterations, "ftol": tolerance},
-    )
-    rates = {
-        flow.flow_id: float(max(result.x[column], 0.0) * rate_unit)
-        for column, flow in enumerate(flows)
-    }
-    rates = _rescale_to_feasible(network, rates)
-    return OracleResult(
-        rates=rates,
-        prices={link: 0.0 for link in links},
-        objective=network.total_utility(rates),
-        iterations=int(result.nit),
-        converged=bool(result.success),
-    )
 
 
 def proportional_fair_single_link(capacity: float, n_flows: int) -> List[float]:

@@ -141,11 +141,10 @@ class VectorizedUtilities:
         self.utilities[slot] = utility
         self._set(slot, utility)
 
-    @property
-    def curvature_alpha(self) -> np.ndarray:
-        """The ``a`` row (a view): ``|dx/dq| = x / (a * q)`` is the per-flow term
-        of the dual's diagonal Hessian (SPG's cold preconditioner); 1 if scalar."""
-        return self._rows[1, : self.n]
+    def curvature(self, rates: np.ndarray) -> np.ndarray:
+        """Elementwise ``-U_i''(rates[i]) = a * U_i'(x) / x`` from the rows (the
+        Oracle's Newton Hessian); meaningless on scalar slots."""
+        return self._rows[1, : self.n] * self.marginal(rates) / np.maximum(rates, _EPSILON)
 
     @property
     def fully_vectorized(self) -> bool:

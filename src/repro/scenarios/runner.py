@@ -50,7 +50,7 @@ from repro.fluid.convergence import ConvergenceCriterion, convergence_iterations
 from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.network import FluidFlow, FluidNetwork
-from repro.fluid.oracle import solve_num, solve_num_multipath
+from repro.fluid.oracle import solve_num
 from repro.fluid.rcp import RcpStarFluidSimulator
 from repro.fluid.xwi import XwiFluidSimulator
 from repro.scenarios.faults import CapacityInjector, compile_step_schedule
@@ -150,9 +150,7 @@ def _run_fluid(spec: ScenarioSpec, result: ExperimentResult) -> None:
     result.artifacts["network"] = network
 
     if spec.scheme.name == "Oracle":
-        solution = (
-            solve_num_multipath(network) if network.groups else solve_num(network)
-        )
+        solution = solve_num(network)
         result.artifacts["final_rates"] = solution.rates
         for flow in network.flows:
             result.add_row(flow=flow.flow_id, rate_bps=solution.rates.get(flow.flow_id, 0.0))
@@ -161,10 +159,7 @@ def _run_fluid(spec: ScenarioSpec, result: ExperimentResult) -> None:
     measure = spec.size("measure", "rates")
     optimal: Optional[Dict] = None
     if measure == "convergence" or spec.size("compare_oracle", False):
-        reference = (
-            solve_num_multipath(network) if network.groups else solve_num(network)
-        )
-        optimal = reference.rates
+        optimal = solve_num(network).rates
         result.artifacts["oracle_rates"] = optimal
 
     simulator = _make_fluid_simulator(spec, network)
@@ -240,10 +235,7 @@ def _run_fluid(spec: ScenarioSpec, result: ExperimentResult) -> None:
     if plan is not None and fault_steps and timeseries:
         from repro.analysis.resilience import resilience_report
 
-        post_reference = (
-            solve_num_multipath(network) if network.groups else solve_num(network)
-        )
-        post_oracle = post_reference.rates
+        post_oracle = solve_num(network).rates
         result.artifacts["post_fault_oracle"] = post_oracle
         faulted = set(plan.affected_links)
         affected = [

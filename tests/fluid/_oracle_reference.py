@@ -11,10 +11,11 @@ multi-link instances, measuring scipy's stopping slack instead of the
 solver under test.
 
 :func:`scalar_solve` and :func:`scalar_price_scale` are the per-flow dict
-assembly of the same cold solve: the same start (``z = 0.5``), a Jacobi
-preconditioner from their own per-flow loop and the same SPG minimiser,
-so their agreement with ``solve_num`` at 1e-9 tests the dual's array
-assembly, not two minimisers' stopping points.  :func:`scalar_solve`
+assembly of the same SPG solve: the same start (``z = 0.5``), the same
+relative-residual preconditioner and the same SPG minimiser, so their
+agreement with ``solve_num``'s SPG phase at 1e-9 tests the dual's array
+assembly, not two minimisers' stopping points.  (Neither has the Newton
+finish: where SPG does not certify, ``solve_num`` goes on.)  :func:`scalar_solve`
 certifies its answer with its own per-flow dict loop
 (:func:`scalar_certificate`), so the ``converged`` flags the parity grid
 compares are two implementations of the certificate, not one.
@@ -25,10 +26,10 @@ from scipy import optimize
 
 from repro.fluid.oracle import (
     _MIN_RATE_FRACTION,
+    CERTIFIED,
     OracleCertificate,
     OracleResult,
     _DualProblem,
-    _rescale_to_feasible,
     _spg_minimize,
 )
 from repro.fluid.vectorized import compile_network
@@ -52,7 +53,30 @@ def cold_lbfgsb(
         method="L-BFGS-B",
         options={"maxiter": max_iterations, "ftol": tolerance, "gtol": 1e-12},
     )
-    return problem.result(problem.prices(minimised.x), minimised)
+    return problem.result(problem.prices(minimised.x), minimised.fun, minimised.nit)
+
+
+def _rescale_to_feasible(network, rates):
+    """Scale rates down uniformly per flow so no link is oversubscribed.
+
+    The dict rule ``_rescale_to_feasible_arrays`` is pinned to: a failed
+    (zero-capacity) link with any load maps to an infinite overload ratio,
+    which pins every flow crossing it to exactly zero.
+    """
+    load = network.link_load(rates)
+    overload = {
+        link: (load[link] / capacity if capacity > 0.0 else np.inf)
+        for link, capacity in network.capacities.items()
+        if load[link] > capacity
+    }
+    if not overload:
+        return rates
+    adjusted = dict(rates)
+    for flow in network.flows:
+        worst = max((overload.get(link, 1.0) for link in flow.path), default=1.0)
+        if worst > 1.0:
+            adjusted[flow.flow_id] = rates[flow.flow_id] / worst
+    return adjusted
 
 
 def scalar_price_scale(network):
@@ -98,7 +122,7 @@ def scalar_certificate(network, rates, raw_rates, prices, dual_value, objective_
         marginal = flow.utility.marginal(x)
         excess = marginal - q
         cap = network.path_capacity(flow.flow_id)
-        if x >= cap:
+        if x >= cap * (1.0 - CERTIFIED):
             excess = min(excess, 0.0)
         if x <= cap * _MIN_RATE_FRACTION:
             excess = max(excess, 0.0)
@@ -165,28 +189,9 @@ def scalar_solve(network) -> OracleResult:
         gradient = scale_vec * (capacities - per_link(rates, lambda flow, x: x))
         return value / objective_scale, gradient / objective_scale
 
-    def jacobi_precondition(z0):
-        prices = scale_vec * z0
-        rates = primal_rates(prices)
-
-        def slope(flow, x):
-            if not rate_floors[flow.flow_id] < x < rate_caps[flow.flow_id]:
-                return 0.0
-            power = flow.utility.power_law_params()
-            alpha_eff = power[1] if power is not None and power[1] > 0.0 else 1.0
-            return x / (alpha_eff * max(_path_price(prices, link_index, flow.path), 1e-300))
-
-        curvature = per_link(rates, slope)
-        with np.errstate(divide="ignore", over="ignore"):
-            newton = objective_scale / (scale_vec**2 * curvature)
-        return np.where(
-            (curvature > 0.0) & np.isfinite(newton),
-            newton,
-            objective_scale / (scale_vec * capacities),
-        )
-
     z0 = np.full(len(active_links), 0.5)
-    minimised = _spg_minimize(dual_and_gradient, z0, jacobi_precondition(z0))
+    precondition = objective_scale / (scale_vec * capacities)
+    minimised = _spg_minimize(dual_and_gradient, z0, precondition)
     prices = scale_vec * np.maximum(minimised.x, 0.0)
     raw_rates = primal_rates(prices)
     rates = _rescale_to_feasible(network, raw_rates)

@@ -13,6 +13,7 @@ from repro.core.utility import (
     AlphaFairUtility,
     BandwidthFunctionUtility,
     FctUtility,
+    LinearUtility,
     LogUtility,
     WeightedAlphaFairUtility,
 )
@@ -27,7 +28,6 @@ from repro.fluid.oracle import (
     estimate_price_scale,
     proportional_fair_single_link,
     solve_num,
-    solve_num_multipath,
 )
 from repro.fluid.topologies import leaf_spine
 
@@ -95,17 +95,16 @@ class TestSolveNumMultiLink:
         result = solve_num(network)
         assert network.is_feasible(result.rates, tolerance=1e-3)
 
-    def test_badly_scaled_answer_is_reported_uncertified(self):
-        """SPG stops at its iteration cap short of this network's optimum
-        (the KKT point puts flow 2 at 3e9); the answer is handed out
-        feasible but not ``converged``, and the certificate says why:
-        flow 2's links have room yet carry its whole path price."""
+    def test_badly_scaled_network_certifies_at_its_kkt_point(self):
+        """Finding 1: SPG stops at its iteration cap short of this network's
+        optimum (links priced ~1e-5 and ~1e-19 under one median scale), and
+        the Newton finish certifies the answer.  The KKT point puts flow 2
+        at 2.99990e9, not 3e9: flows 1 and 3 keep ~1e5 b/s each."""
         network = _badly_scaled_network()
         result = solve_num(network)
         assert network.is_feasible(result.rates, tolerance=1e-9)
-        assert result.converged is False
-        assert result.certificate.worst > 1e-2
-        assert result.certificate.slackness > 1e-2
+        assert result.converged and result.certificate.worst <= 1e-9
+        assert result.rates[2] == pytest.approx(2.99990e9, rel=1e-6)
 
     def test_prices_nonzero_only_when_constraining(self):
         network = FluidNetwork({"tight": 1e9, "loose": 100e9})
@@ -114,11 +113,12 @@ class TestSolveNumMultiLink:
         assert result.prices["tight"] > 0.0
         assert result.prices["loose"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_rejects_multipath_groups(self):
+    def test_a_pooled_group_without_a_power_law_is_refused(self):
+        """Newton is the only pooled minimiser and needs ``U''`` from a power law."""
         network = FluidNetwork({"l": 1e9})
-        network.add_group(FlowGroup("g", LogUtility()))
+        network.add_group(FlowGroup("g", LinearUtility()))
         network.add_flow(FluidFlow("sub", ("l",), LogUtility(), group_id="g"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="power-law"):
             solve_num(network)
 
     def test_objective_not_worse_than_maxmin(self):
@@ -133,15 +133,21 @@ class TestSolveNumMultiLink:
 
 
 class TestSolveNumMultipath:
+    """Pooled groups go through ``solve_num`` (Newton) and certify."""
+
     def test_two_path_pooling_uses_both_paths(self):
         network = FluidNetwork({"p1": 4e9, "p2": 6e9})
         network.add_group(FlowGroup("g", LogUtility()))
         network.add_flow(FluidFlow("sub1", ("p1",), LogUtility(), group_id="g"))
         network.add_flow(FluidFlow("sub2", ("p2",), LogUtility(), group_id="g"))
         network.group("g").member_ids = ("sub1", "sub2")
-        result = solve_num_multipath(network)
+        result = solve_num(network)
+        assert result.converged
         aggregate = result.rates["sub1"] + result.rates["sub2"]
-        assert aggregate == pytest.approx(10e9, rel=1e-2)
+        assert aggregate == pytest.approx(10e9, rel=1e-6)
+        # Both paths are priced at the group's marginal 1 / 10e9, not 0.
+        for link in ("p1", "p2"):
+            assert result.prices[link] == pytest.approx(1e-10, rel=1e-6)
 
     def test_pooling_shares_common_bottleneck_fairly(self):
         """Two groups share a middle link plus private links (Fig. 10 shape)."""
@@ -154,12 +160,13 @@ class TestSolveNumMultipath:
         network.add_flow(FluidFlow("g2_bot", ("bottom",), LogUtility(), group_id="g2"))
         network.group("g1").member_ids = ("g1_top", "g1_mid")
         network.group("g2").member_ids = ("g2_mid", "g2_bot")
-        result = solve_num_multipath(network)
+        result = solve_num(network)
+        assert result.converged
         g1 = result.rates["g1_top"] + result.rates["g1_mid"]
         g2 = result.rates["g2_mid"] + result.rates["g2_bot"]
         # Symmetric problem: both aggregates should be equal and fill the network.
-        assert g1 == pytest.approx(g2, rel=0.02)
-        assert g1 + g2 == pytest.approx(20e9, rel=0.02)
+        assert g1 == pytest.approx(g2, rel=1e-6)
+        assert g1 + g2 == pytest.approx(20e9, rel=1e-6)
 
     def test_feasibility(self):
         network = FluidNetwork({"p1": 2e9, "p2": 3e9})
@@ -167,8 +174,24 @@ class TestSolveNumMultipath:
         network.add_flow(FluidFlow("s1", ("p1",), LogUtility(), group_id="g"))
         network.add_flow(FluidFlow("s2", ("p2",), LogUtility(), group_id="g"))
         network.group("g").member_ids = ("s1", "s2")
-        result = solve_num_multipath(network)
-        assert network.is_feasible(result.rates, tolerance=1e-3)
+        result = solve_num(network)
+        assert result.converged
+        assert network.is_feasible(result.rates, tolerance=1e-9)
+        assert result.rates["s1"] + result.rates["s2"] == pytest.approx(5e9, rel=1e-6)
+
+    def test_an_unused_sub_flow_sits_at_its_floor(self):
+        """A sub-flow whose path costs more than its group's marginal is
+        held only to ``U_g' <= q`` (the floor rule) and carries ~nothing."""
+        network = FluidNetwork({"a": 10e9, "b": 10e9})
+        network.add_flow(FluidFlow("rival", ("b",), LogUtility(weight=50.0)))
+        network.add_group(FlowGroup("g", LogUtility()))
+        network.add_flow(FluidFlow("direct", ("a",), LogUtility(), group_id="g"))
+        network.add_flow(FluidFlow("shared", ("b",), LogUtility(), group_id="g"))
+        result = solve_num(network)
+        assert result.converged
+        assert result.rates["direct"] == pytest.approx(10e9, rel=1e-6)
+        assert result.rates["shared"] <= 10e9 * oracle._MIN_RATE_FRACTION
+        assert certify(network, result.rates, result.prices) == result.certificate
 
 
 def _badly_scaled_network():
@@ -262,6 +285,8 @@ class TestBackendParity:
         # cap; the gate compares the first 200, inside which every other
         # case has converged.
         monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 200)
+        # The reference has no Newton finish: compare SPG's answer.
+        monkeypatch.setattr(oracle, "_finish", lambda problem, answer: answer)
         network = _parity_grid()[name]
         scalar = scalar_solve(network)
         vectorized = solve_num(network)
@@ -322,17 +347,14 @@ class TestColdSolveAccuracy:
 #: their answers are gated on the objective (1e-8 relative), feasibility and,
 #: where SPG reaches it, the certificate instead:
 #:
-#: * ``parking_lot_mixed``: a cold SPG solve does not certify it (links
-#:   priced ~2e-10 and ~5e-20 under one median scale; it stops at the
-#:   2 000-iteration cap 3.3e-5 off on ``s2``), and L-BFGS-B the L-BFGS-B
-#:   reference's own worst term is 3e-4.  A minimiser that certifies it is ROADMAP item 1(c).
+#: * ``parking_lot_mixed``: SPG does not certify it (links priced ~2e-10
+#:   and ~5e-20 under one median scale; it stops at the 2 000-iteration
+#:   cap 3.3e-5 off on ``s2``) and the Newton finish does, but the L-BFGS-B
+#:   reference's own worst term is 3e-4.
 #: * ``leaf_spine_log``: SPG certifies every solve (worst term <= 1e-7), but
 #:   the reference stops at a worst term of ~1e-6, 2.8e-6 away in rates, so
 #:   a rate gate against it would measure the reference.
 _FLAT_DUAL_CASES = {"parking_lot_mixed", "leaf_spine_log"}
-
-#: The grid cases a cold solve does not certify.
-_UNCERTIFIED_COLD = {"parking_lot_mixed"}
 
 
 class TestPersistentDualSolver:
@@ -478,7 +500,7 @@ class TestPersistentDualSolver:
             ), name
             if name not in _FLAT_DUAL_CASES:
                 assert _max_rel_rate_diff(cold.rates, spg.rates) <= 1e-6, name
-            assert spg.converged == (name not in _UNCERTIFIED_COLD), name
+            assert spg.converged, name
 
     def test_result_keeps_its_vectors_across_later_churn(self):
         # The result holds the solve's own read-only vectors and id
@@ -550,7 +572,7 @@ class TestCertificate:
         for result in (solve_num(network), PersistentDualSolver().solve(network)):
             certificate = result.certificate
             assert result.converged == (certificate.worst <= CERTIFIED)
-            assert result.converged == (name not in _UNCERTIFIED_COLD)
+            assert result.converged
             assert certificate.worst == max(
                 certificate.overload, certificate.stationarity,
                 certificate.slackness, certificate.gap,

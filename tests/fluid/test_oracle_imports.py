@@ -1,16 +1,16 @@
-"""One contract: no single-path Oracle solve imports scipy.
+"""One contract: the runtime needs numpy alone.
 
-Every single-path solve -- cold ``solve_num``, the persistent solver,
-every dynamic run, sweep worker and agent -- minimises with the in-repo
-SPG loop and certifies its own answer; nothing falls back to a scipy
-solve, not even on a network SPG does not converge on.  Only
-``solve_num_multipath`` calls scipy.  Importing scipy costs more than the
-rest of ``import repro`` together, so it must stay out of the import graph
-and out of single-path runs -- and the function-local import must still
-find it.  All checks need a fresh interpreter: this one has long imported
-scipy.
+The Oracle's two minimisers -- SPG on the dual and the Newton solve that
+finishes it and pools multipath groups -- are in-repo numpy code, so no
+module under ``src/`` imports scipy, and every solve, single-path, badly
+scaled or pooled, runs and certifies where ``import scipy`` fails.
+Importing scipy costs more than the rest of ``import repro`` together, so
+it must also stay out of the import graph.  The interpreter checks need a
+fresh process: this one has long imported scipy (the test-side L-BFGS-B
+reference uses it).
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import repro
 
-SRC = str(Path(repro.__file__).resolve().parents[1])
+SRC = Path(repro.__file__).resolve().parents[1]
 
 #: Prepended to a fresh interpreter's code: any ``import scipy`` raises.
 BLOCK_SCIPY = (
@@ -33,48 +33,61 @@ BLOCK_SCIPY = (
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", BLOCK_SCIPY + code], env=env, capture_output=True, text=True,
+        timeout=120,
     )
+
+
+def test_no_module_under_src_imports_scipy():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not offenders, offenders
 
 
 def test_import_repro_leaves_scipy_unimported():
     done = run_fresh(
-        "import repro, repro.fluid.oracle, repro.scenarios.runner, repro.sweep, sys; "
-        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+        "import repro, repro.fluid.oracle, repro.scenarios.runner, repro.sweep\n"
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
     )
     assert done.returncode == 0, done.stderr
 
 
-def test_cold_solve_num_leaves_scipy_to_multipath():
+def test_three_solves_certify_with_scipy_blocked():
+    """A single-path solve, finding 1's badly scaled network (SPG stops
+    uncertified and Newton finishes it) and a pooled two-path network."""
     done = run_fresh(
-        "import sys\n"
-        "from repro.core.utility import LogUtility\n"
+        "from repro.core.utility import AlphaFairUtility, LogUtility\n"
         "from repro.fluid.network import FlowGroup, FluidFlow, FluidNetwork\n"
-        "from repro.fluid.oracle import solve_num, solve_num_multipath\n"
-        "result = solve_num(FluidNetwork.single_link(10e9, 4))\n"
-        "assert 'scipy' not in sys.modules and result.converged\n"
-        "assert all(abs(rate - 2.5e9) <= 2.5e3 for rate in result.rates.values())\n"
-        # Badly scaled: SPG stops at its cap uncertified, and that is the answer.
-        "from repro.core.utility import AlphaFairUtility\n"
-        "from repro.fluid.oracle import PersistentDualSolver\n"
+        "from repro.fluid.oracle import solve_num\n"
+        "single = solve_num(FluidNetwork.single_link(10e9, 4))\n"
+        "assert single.converged\n"
+        "assert all(abs(rate - 2.5e9) <= 2.5e3 for rate in single.rates.values())\n"
         "hard = FluidNetwork({'a': 10e9, 'b': 3e9, 'c': 7e9})\n"
         "hard.add_flow(FluidFlow(1, ('a', 'b'), LogUtility()))\n"
         "hard.add_flow(FluidFlow(2, ('b', 'c'), AlphaFairUtility(alpha=2.0)))\n"
         "hard.add_flow(FluidFlow(3, ('a', 'c'), LogUtility(weight=2.0)))\n"
         "hard.add_flow(FluidFlow(4, ('a',), AlphaFairUtility(alpha=0.5)))\n"
-        "for result in (solve_num(hard), PersistentDualSolver().solve(hard)):\n"
-        "    assert not result.converged and hard.is_feasible(result.rates)\n"
-        "assert 'scipy' not in sys.modules\n"
+        "finding = solve_num(hard)\n"
+        "assert finding.converged and hard.is_feasible(finding.rates)\n"
         "network = FluidNetwork({'p1': 4e9, 'p2': 6e9})\n"
         "network.add_group(FlowGroup('g', LogUtility()))\n"
         "network.add_flow(FluidFlow('s1', ('p1',), LogUtility(), group_id='g'))\n"
         "network.add_flow(FluidFlow('s2', ('p2',), LogUtility(), group_id='g'))\n"
-        "network.group('g').member_ids = ('s1', 's2')\n"
-        "pooled = solve_num_multipath(network)\n"
-        "assert 'scipy.optimize' in sys.modules\n"
-        "assert abs(sum(pooled.rates.values()) - 10e9) <= 1e8\n"
+        "pooled = solve_num(network)\n"
+        "assert pooled.converged\n"
+        "assert abs(sum(pooled.rates.values()) - 10e9) <= 1e4\n"
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
     )
     assert done.returncode == 0, done.stderr
 
@@ -84,8 +97,7 @@ def test_single_path_scenarios_run_without_scipy():
     event) and a fluid star scenario (a cold Oracle reference) complete in
     an interpreter where ``import scipy`` fails."""
     done = run_fresh(
-        BLOCK_SCIPY
-        + "from repro.scenarios.catalog import (\n"
+        "from repro.scenarios.catalog import (\n"
         "    semidynamic_convergence_spec, star_convergence_spec)\n"
         "from repro.scenarios.runner import run_scenario\n"
         "semidynamic = run_scenario(semidynamic_convergence_spec(\n"

@@ -25,7 +25,7 @@ from repro.fluid.topologies import leaf_spine
 from repro.fluid.vectorized import compile_network
 
 from _fluid_reference import Reference
-from _oracle_reference import scalar_price_scale
+from _oracle_reference import _rescale_to_feasible, scalar_price_scale
 from test_scheme_backend_parity import SCHEMES, add_to_both, assert_step_parity, make_pair
 
 RELATIVE = 1e-12
@@ -275,7 +275,7 @@ class TestFeasibilityRescale:
         # on a failed link arrive at zero, as the dual's clipping leaves them.
         rates = np.minimum(rng.uniform(0.0, 3e9, len(compiled.flow_ids)), problem.path_caps)
         got = oracle._rescale_to_feasible_arrays(problem, rates)
-        want = oracle._rescale_to_feasible(network, dict(zip(compiled.flow_ids, rates.tolist())))
+        want = _rescale_to_feasible(network, dict(zip(compiled.flow_ids, rates.tolist())))
         assert_vectors_close(got, np.array([want[flow_id] for flow_id in compiled.flow_ids]))
         assert network.is_feasible(dict(zip(compiled.flow_ids, got.tolist())), tolerance=1e-9)
 
@@ -288,42 +288,17 @@ class TestFeasibilityRescale:
         assert oracle._rescale_to_feasible_arrays(problem, rates) is rates
 
 
-class TestJacobiPrecondition:
-    @settings(max_examples=100, deadline=None)
-    @given(snapshot=churned_snapshots(), seed=st.integers(min_value=0, max_value=2**16))
-    def test_matches_the_dense_curvature_sum(self, snapshot, seed):
-        _, compiled = snapshot
-        if not oracle._DualProblem(compiled).active_idx.size:
-            return
-        problem, dense, rng = bound_pair(compiled, seed)
-        z0 = rng.uniform(0.05, 2.0, problem.active_idx.size)
-        rates0, path_prices0 = dense.primal_rates(dense.scale_vec * z0)
-        interior = (rates0 > dense.floors) & (rates0 < dense.path_caps)
-        slopes = np.zeros(len(rates0))
-        np.divide(
-            rates0, compiled.vec_utils.curvature_alpha * np.maximum(path_prices0, 1e-300),
-            out=slopes, where=interior,
-        )
-        curvature = dense.incidence_f @ slopes
-        with np.errstate(divide="ignore", over="ignore"):
-            newton = dense.objective_scale / (dense.scale_vec**2 * curvature)
-        want = np.where(
-            (curvature > 0.0) & np.isfinite(newton),
-            newton,
-            dense.objective_scale / (dense.scale_vec * dense.capacities),
-        )
-        assert_vectors_close(problem.jacobi_precondition(z0), want)
-
-
 class TestWarmIterationCounts:
     def test_churn_trace_iterations_stay_where_the_dense_oracle_had_them(self):
         """The multi-bottleneck churn trace of ``test_oracle.py``, counted.
 
-        The dense-incidence Oracle (PR 13) took 17 iterations cold and a
-        median of 14 warm on this trace, every solve converged.  The
-        path-indexed sums round differently in the last bits, which may move
-        single solves by an iteration; a drift of the median beyond +-2 means
-        the arithmetic or the stopping rule changed, not the rounding.
+        The dense-incidence Oracle (PR 13) took a median of 14 iterations
+        warm on this trace, every solve converged.  The path-indexed sums
+        round differently in the last bits, which may move single solves by
+        an iteration; a drift beyond +-2 means the arithmetic or the
+        stopping rule changed, not the rounding.  The first (cold) solve
+        took 17 with the Jacobi preconditioner; the relative-residual one
+        every solve now starts with takes 20.
         """
         rng = random.Random(1)
         capacities = {f"leaf{i}": 10e9 for i in range(8)}
@@ -348,7 +323,7 @@ class TestWarmIterationCounts:
                 next_id += 1
             results.append(solver.solve(network))
         assert all(result.converged for result in results)
-        assert abs(results[0].iterations - 17) <= 2
+        assert abs(results[0].iterations - 20) <= 2
         assert abs(statistics.median(r.iterations for r in results[1:]) - 14) <= 2
 
     def test_fig5_shaped_churn_pins_the_warm_iteration_total(self):

@@ -7,7 +7,7 @@ cached layout -- whether every row has ``a == 1``, and the scalar slots --
 on the next evaluation.  These tests drive a batch through random
 ``append`` / ``move`` / ``pop`` / ``replace`` sequences and, after every
 operation, compare the rows, ``inverse_marginal_clipped``, ``marginal``
-(with and without a leading axis), ``value``, ``curvature_alpha`` and the
+(with and without a leading axis), ``value``, ``curvature`` and the
 layout with a batch compiled from scratch over the same slots.  The
 populations cover the all-log case, every family mixed, a replace to
 ``FctUtility`` and back, pops that leave all-log rows again, and excluded
@@ -125,7 +125,7 @@ def assert_same_bits(churned, slots):
     assert bits(churned.marginal(grid)) == bits(reference.marginal(grid))
     assert bits(churned.marginal(grid.T.copy().T)) == bits(reference.marginal(grid))
     assert bits(churned.value(rates)) == bits(reference.value(rates))
-    assert bits(churned.curvature_alpha) == bits(reference.curvature_alpha)
+    assert bits(churned.curvature(rates)) == bits(reference.curvature(rates))
     assert bits(churned._rows[:, :n]) == bits(reference._rows[:, :n])
     assert churned._log[:n].tolist() == reference._log[:n].tolist()
     assert (churned._scalar, churned._power) == (reference._scalar, reference._power)
@@ -235,7 +235,10 @@ class TestChurnedBatchesMatchAFreshCompile:
             x = max(rate, _EPSILON)
             want = c * math.log(x) if math.isclose(a, 1.0) else c * x ** (1.0 - a) / (1.0 - a)
             assert value == pytest.approx(want, rel=1e-14)
-        assert batch.curvature_alpha.tolist() == [a for _, a in shapes]
+        curvatures = batch.curvature(rates).tolist()
+        for (c, a), rate, curvature in zip(shapes, rates.tolist(), curvatures):
+            x = max(rate, _EPSILON)
+            assert curvature == pytest.approx(a * c * x ** (-a - 1.0), rel=1e-12)
 
 
 class TestAllLogBits:
