@@ -4,8 +4,8 @@ For each objective the harness solves a small canonical scenario with the
 corresponding utility functions and reports the resulting allocation next to
 the analytically expected one, demonstrating that the utility encodes the
 intended policy.  Every row is one explicit-workload scenario spec solved
-by the Oracle (the runner picks the multipath solver automatically when
-groups are present); all five specs run as one sweep through
+by the Oracle (``solve_num`` pools the groups itself where they are
+present); all five specs run as one sweep through
 :func:`repro.sweep.run_sweep` -- serially by default, over worker
 processes with ``mode="sharded"``.
 """

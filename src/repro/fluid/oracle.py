@@ -1,31 +1,55 @@
 """The Oracle: a centralized solver for the NUM problem (ground truth).
 
-The paper judges every scheme against the optimal allocation for the
-current topology and flow set.  :func:`solve_num` computes it, for
-single-path flows and for multipath groups whose utility applies to the
-aggregate rate (resource pooling).  Both minimisers work on one
-:class:`_DualProblem`, assembled from a :class:`CompiledFluidNetwork`'s
-``path_links`` (no dense link x flow matrix exists):
+The paper uses a numerical fluid model to compute the optimal allocation for
+the current topology and flow set, against which the distributed schemes are
+judged.  :func:`solve_num` computes it for single-path flows and for flows
+grouped into multipath aggregates whose utility applies to the aggregate
+rate (resource pooling), with two minimisers:
 
-* :func:`_spg_minimize` -- projected spectral gradient on the scaled dual,
-  from ``z = 0.5`` (cold) or the previous prices
-  (:class:`PersistentDualSolver`, the dynamic experiments' Oracle).
+* :func:`_spg_minimize` -- single-path flows.  Solves the *dual* problem
+  (over link prices) with an in-repo projected spectral-gradient loop.  The
+  dual is smooth because the utilities are strictly concave, and its
+  dimension is the number of links actually carrying flows, which is far
+  smaller than the number of flows in datacenter scenarios, so this scales
+  to thousands of flows easily.
 * :func:`_newton` -- a primal-dual interior-point solve of the primal.  It
-  runs on networks with pooled groups, whose dual is not smooth, and
-  finishes every SPG answer that fails the certificate, when every utility
-  has a power law.  It does not replace SPG: a ``fig4_semidynamic`` cold
-  solve (~310 links) takes SPG 9-13 ms and 14-18 Newton steps 135-208 ms.
+  runs on networks with pooled groups, whose dual is not smooth where
+  member routes tie, and finishes every SPG answer that fails the
+  certificate, when every utility has a power law.  It does not replace
+  SPG: a ``fig4_semidynamic`` cold solve (~310 links) takes SPG 9-13 ms and
+  14-18 Newton steps 135-208 ms.
 
-Every answer carries an :class:`OracleCertificate` (KKT residuals,
-:meth:`_DualProblem.certificate`) and is ``converged`` exactly when each
-residual is at most :data:`CERTIFIED`; :func:`certify` runs the same check
-on any rates and prices.  Everything runs on numpy alone; the scipy
-L-BFGS-B reference the tight gates compare against lives with the tests
-(``tests/fluid/_oracle_reference.py``).
+Every solve works on one scaled dual problem, assembled once by
+:class:`_DualProblem` from a :class:`CompiledFluidNetwork`'s ``path_links``
+(an evaluation is O(flows x hops) gathers and one ``bincount``; no dense
+link x flow matrix exists).  The SPG entry points differ only in start
+point:
+
+* :func:`solve_num` -- the *cold* solve, from ``z = 0.5`` with the
+  relative-residual preconditioner.
+* :class:`PersistentDualSolver` -- the *production* path of the dynamic
+  experiments (Fig. 5/7): it keeps prices, conditioning, the spectral step
+  *and* the compiled snapshot alive across flow-set changes (patched
+  incrementally from the network's churn journal); its first solve is the
+  same cold start.
+
+Every answer carries an :class:`OracleCertificate` -- its KKT residuals,
+computed by :meth:`_DualProblem.certificate` -- and is ``converged``
+exactly when every residual is at most :data:`CERTIFIED`; the answer
+itself is never rewritten.  :func:`certify` applies the same check to any
+rates and prices, for instance a fluid simulator's state.
+
+No module of the Oracle imports scipy: everything runs on numpy alone.
+The external reference the tight Oracle gates compare against -- scipy
+L-BFGS-B on the same scaled dual -- lives with the tests
+(``tests/fluid/_oracle_reference.py``), beside the per-flow dict assembly
+of the same dual that ``tests/fluid/test_oracle.py`` pins the array dual
+to.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,8 +71,13 @@ from repro.fluid.vectorized import waterfill_arrays  # noqa: F401
 
 _MIN_RATE_FRACTION = 1e-9
 
-#: SPG iteration cap of every single-path solve.
+#: SPG iteration cap of a single-path solve :func:`_newton` cannot finish.
 _MAX_ITERATIONS = 2000
+#: SPG iteration cap where every utility has a power law, so :func:`_newton`
+#: finishes an answer that fails the certificate.  On 600 random mixed-family
+#: networks (the finding-2 draw) SPG certified 266, 28 of them after 500
+#: iterations, and ran into the 2 000 cap on 323.
+_NEWTON_HANDOFF = 500
 #: SPG's relative objective-stall tolerance (an L-BFGS-B-style ``ftol``).
 _TOLERANCE = 1e-9
 #: An answer is ``converged`` when its worst certificate term is at most this.
@@ -78,7 +107,11 @@ class OracleCertificate:
 
     @property
     def worst(self) -> float:
-        return max(self.overload, self.stationarity, self.slackness, self.gap)
+        """The largest term; a NaN term (an overflowed dual value, say) is
+        infinite, where ``max`` would skip it unless it came first."""
+        terms = (self.overload, self.stationarity, self.slackness, self.gap)
+        # The terms are non-negative, so their sum is NaN exactly when one is.
+        return math.inf if math.isnan(sum(terms)) else max(terms)
 
 
 #: The certificate of an answer no price can improve (no flows, or no link
@@ -94,11 +127,16 @@ def _no_flows(links: Sequence[LinkId]) -> "OracleResult":
 class OracleResult:
     """Optimal allocation returned by the Oracle.
 
-    Shaped like :class:`~repro.fluid.vectorized.IterationRecord`: a solve
-    passes the id snapshots and its vectors (kept by reference, made
-    read-only), and ``rates`` / ``prices`` are dicts built on first read;
-    the empty and idle results pass the dicts themselves.  ``converged``
-    is read from the :class:`OracleCertificate` every result carries.
+    Shaped like :class:`~repro.fluid.vectorized.IterationRecord`: the array
+    dual passes the id snapshots (``flow_ids``, ``link_ids``) and its
+    vectors (``rate_vec``, ``price_vec``, kept by reference and made
+    read-only), and ``rates`` / ``prices`` are cached properties, built on
+    first read.  The empty and idle results pass the dicts themselves,
+    which land where the cache would, and leave the vectors ``None``.
+
+    Every result, pooled, empty and idle ones included, carries its
+    :class:`OracleCertificate` and is ``converged`` when the certificate's
+    worst term is at most :data:`CERTIFIED`.
     """
 
     rate_vec: Optional[np.ndarray] = None
@@ -147,11 +185,18 @@ def estimate_price_scale(network: FluidNetwork) -> Dict[LinkId, float]:
     """Per-link price scale: median marginal utility at an equal split.
 
     Optimal prices differ by many orders of magnitude across utility
-    families (~1e-9 for log utilities at 10 Gbps, ~1e-19 for alpha = 2), so
-    SPG optimizes over scaled prices ``z`` with ``p_l = scale_l * z_l``,
-    ``scale_l`` the median marginal of link ``l``'s flows at an equal share.
-    Pure conditioning: it never changes the optimum.  Only links with flows
-    appear; single-path flows only.
+    families (for example ~1e-9 for log utilities at 10 Gbps but ~1e-19 for
+    alpha = 2), which wrecks the conditioning of a naive dual solve.
+    :func:`solve_num` therefore optimizes over scaled prices ``z`` with
+    ``p_l = scale_l * z_l`` where ``scale_l`` estimates the optimal price of
+    link ``l`` as the median marginal utility of its flows at an equal-share
+    allocation.  Only links with at least one flow appear in the result.
+
+    The scale is pure conditioning: it never changes the optimum, so
+    :class:`PersistentDualSolver` keeps it across flow-set changes and
+    re-estimates it only when a link without one starts carrying flows.
+    Single-path flows only (a pooled group's members are counted as
+    separate flows).
     """
     compiled = compile_network(network)
     problem = _DualProblem(compiled)
@@ -173,14 +218,20 @@ def _median(values: np.ndarray) -> float:
 
 
 def solve_num(network: FluidNetwork) -> OracleResult:
-    """Solve ``max sum U(x)`` s.t. ``Rx <= c``, pooled groups included.
+    """Solve ``max sum_i U_i(x_i)`` s.t. ``Rx <= c``, pooled groups included.
 
     The objective is the ungrouped flows' utilities plus each group's
-    utility of its members' aggregate rate.  Without groups, SPG minimises
-    the dual from ``z = 0.5`` and :func:`_newton` finishes an answer that
-    fails the certificate; with groups, :func:`_newton` solves it, and
-    needs a power law on every utility (``ValueError`` otherwise).  Links
-    carrying no flows are reported with a price of exactly zero.
+    utility of its members' aggregate rate.  Without groups, the cold
+    solve: every call starts from ``z = 0.5`` with the relative-residual
+    preconditioner and minimises the dual with :func:`_spg_minimize`; an
+    answer the certificate rejects is finished by :func:`_newton` when
+    every utility has a power law, and otherwise returned as it is, with
+    ``converged`` false.  With groups, :func:`_newton` solves the primal,
+    and needs a power law on every flow and group utility (``ValueError``
+    otherwise: there is no SPG answer to fall back on).
+
+    Links carrying no flows are excluded from the dual and reported with a
+    price of exactly zero (their capacity cannot constrain anything).
     """
     if not network.flows:
         return _no_flows(network.links)
@@ -192,8 +243,11 @@ def solve_num(network: FluidNetwork) -> OracleResult:
         if not problem.power_laws:
             raise ValueError("a pooled network needs a power-law utility on every flow and group")
         return _newton(problem)
+    # Half the scale estimate itself, so multi-hop paths are not wildly
+    # overpriced initially.
     z0 = np.full(problem.capacities.size, 0.5)
-    minimised = _spg_minimize(problem.dual_and_gradient, z0, problem.residual_precondition())
+    minimised = _spg_minimize(problem.dual_and_gradient, z0, problem.residual_precondition(),
+                              max_iterations=problem.spg_iterations)
     return _finish(problem, problem.result(problem.prices(minimised.x), minimised.fun,
                                            minimised.nit))
 
@@ -201,11 +255,13 @@ def solve_num(network: FluidNetwork) -> OracleResult:
 def certify(
     network: FluidNetwork, rates: Mapping[FlowId, float], prices: Mapping[LinkId, float]
 ) -> OracleCertificate:
-    """The :class:`OracleCertificate` of any allocation and prices, from outside.
+    """The :class:`OracleCertificate` of any allocation and prices.
 
-    ``rates`` maps every flow to its rate and ``prices`` every link carrying
-    flows to its price (e.g. a fluid simulator's ``record.rates`` and
-    ``simulator.prices``); links without flows or capacity are ignored.
+    The Oracle's own check, applied from outside: ``rates`` maps every flow
+    of ``network`` to its rate and ``prices`` every link carrying flows to
+    its price (a fluid simulator's ``record.rates`` and ``simulator.prices``,
+    for example).  Links without flows or capacity are ignored, as in the
+    dual.
     """
     compiled = compile_network(network)
     problem = _DualProblem(compiled)
@@ -224,6 +280,7 @@ def certify(
 @dataclass
 class _SpgResult:
     """What the dual solvers read of one minimisation."""
+
     x: np.ndarray
     fun: float
     nit: int
@@ -250,22 +307,38 @@ def _spg_minimize(
     z0: np.ndarray,
     precondition: np.ndarray,
     initial_step: Optional[float] = None,
+    max_iterations: Optional[int] = None,
 ) -> _SpgResult:
     """Preconditioned projected spectral-gradient descent over ``z >= 0``.
 
-    A projected Barzilai-Borwein step with a nonmonotone Armijo line search
-    on the caller's arrays; at ~200 links a NumPy call costs more than its
-    work, so each one here is load-bearing.  ``precondition`` is a positive
-    diagonal ``D`` on the gradient step (plain SPG in ``z / sqrt(D)``); the
-    dual solvers pass ``D_l ~ 1 / (scale_l * capacity_l)``, so one step
-    moves every link's price in proportion to its relative capacity
-    residual even where optimal prices differ by orders of magnitude.
+    The minimiser of every single-path dual solve, cold and warm: a
+    projected Barzilai-Borwein step with a nonmonotone Armijo line search,
+    operating directly on the caller's arrays.  The dual is convex
+    and (piecewise) smooth, so the spectral step needs no curvature model
+    -- and none of a library minimiser's per-call workspace allocation,
+    bound standardization and Fortran round trips.  The loop body is the
+    algorithm's arithmetic and nothing else: at ~200 links a NumPy call
+    costs more than its work, so each one here is load-bearing.
 
-    Stops after :data:`_MAX_ITERATIONS`, when the projected gradient drops
-    below :data:`_SPG_PGTOL`, or when the scaled objective stalls below
-    :data:`_TOLERANCE` (relative) for :data:`_SPG_STALL_LIMIT` iterations
-    with the projected gradient already below :data:`_SPG_STALL_PGTOL`.
-    ``initial_step`` carries the spectral step across warm solves.
+    ``precondition`` is a positive diagonal ``D`` applied to the gradient
+    step (``z - step * D * g``, equivalent to plain SPG in the variables
+    ``z / sqrt(D)``; the non-negativity projection stays separable).  The
+    dual solvers pass ``D_l ~ 1 / (scale_l * capacity_l)`` so one step
+    moves every link's price in proportion to its *relative* capacity
+    residual: without it, mixing utility families whose optimal prices
+    differ by many orders of magnitude (log at ~1e-10 vs alpha = 2 at
+    ~1e-20) leaves the tiny-scale links practically frozen under a single
+    scalar step length.
+
+    Stops after ``max_iterations`` (:data:`_MAX_ITERATIONS` by default;
+    the callers pass :attr:`_DualProblem.spg_iterations`), or when the preconditioned
+    projected gradient drops below :data:`_SPG_PGTOL` or the scaled
+    objective stalls below :data:`_TOLERANCE` (relative) for
+    :data:`_SPG_STALL_LIMIT` consecutive iterations while the projected
+    gradient is already below :data:`_SPG_STALL_PGTOL` -- an
+    L-BFGS-B-style ``ftol`` contract, guarded against BB's nonmonotone
+    plateaus.  ``initial_step`` carries the spectral (curvature) state
+    across solves for :class:`PersistentDualSolver`.
     """
     z = np.maximum(np.asarray(z0, dtype=float), 0.0)
     f, g = dual_and_gradient(z)
@@ -279,7 +352,8 @@ def _spg_minimize(
     recent = deque([f], maxlen=_SPG_MEMORY)
     stalls = 0
     nit = 0
-    for nit in range(1, _MAX_ITERATIONS + 1):
+    cap = _MAX_ITERATIONS if max_iterations is None else max_iterations
+    for nit in range(1, cap + 1):
         trial = np.maximum(z - step * step_direction, 0.0)
         d = trial - z
         dg = float(d @ g)
@@ -336,14 +410,20 @@ class _Pools:
 class _DualProblem:
     """The scaled dual of one compiled flow set, assembled once for both minimisers.
 
-    Construction fixes what the flow set and capacities determine (active
-    links, hops in active-link space, rate caps and floors, the multipath
-    :class:`_Pools`); :meth:`bind` adds the price scale and the
-    objective/gradient closure; :meth:`result` packs prices into a
-    certified answer.  Everything runs on :attr:`hops`: ``path_links``
-    remapped into active-link space, hops x flows, with padding and hops on
-    excluded links on the sentinel ``len(active_idx)`` (a per-link vector
-    extended by one neutral entry prices them at zero).
+    Construction fixes what the flow set and the capacities determine alone
+    (active links, the hop indices in active-link space, per-flow rate caps
+    and floors, the multipath :class:`_Pools`); :meth:`bind` adds the
+    per-link price scale and builds the objective/gradient closure.  The
+    callers -- cold :func:`solve_num`, :class:`PersistentDualSolver` and
+    :func:`_newton` -- choose only the start point, the preconditioner and
+    the minimiser, then hand the optimal prices to :meth:`result`.
+
+    Everything runs on :attr:`hops`: the compiled ``path_links`` remapped
+    once into active-link index space and held hops x flows (per-flow
+    reductions run along the contiguous axis).  Padding *and* hops on
+    excluded links carry the sentinel ``len(active_idx)``, so a per-link
+    vector extended by one neutral entry prices them at zero and collects
+    their load where nobody reads it.
     """
 
     def __init__(self, compiled: CompiledFluidNetwork):
@@ -352,8 +432,9 @@ class _DualProblem:
         n_links = len(compiled.link_ids)
         path_links = compiled.path_links
         carrying = np.bincount(path_links.ravel(), minlength=n_links + 1)[:n_links] > 0
-        # Failed links are excluded like flowless ones: path-capacity clipping
-        # already pins every flow crossing them to a zero rate.
+        # Failed (zero-capacity) links are excluded like flowless ones: their
+        # price stays zero and path-capacity clipping already pins every flow
+        # crossing them to a zero rate, so they cannot condition the dual.
         self.active_idx = np.nonzero(carrying & (capacities > 0.0))[0]
         n_active = self.active_idx.size
         remap = np.full(n_links + 1, n_active, dtype=np.intp)
@@ -364,7 +445,8 @@ class _DualProblem:
         self._hop_values = np.empty(self.hops.shape)
         self._hop_values_flat = self._hop_values.ravel()
         self.capacities = capacities[self.active_idx]
-        # Per-flow rate cap (the narrowest link): bounds the inner maximum at q ~ 0.
+        # Per-flow rate cap: the narrowest link on the path.  Clipping at the
+        # cap keeps the inner maximization bounded even at a ~0 path price.
         self.path_caps = compiled.path_capacities()
         self.floors = self.path_caps * _MIN_RATE_FRACTION
         self.pools = _Pools(compiled) if compiled.grouped else None
@@ -377,6 +459,12 @@ class _DualProblem:
             pools is None or pools.utils.fully_vectorized
         )
 
+    @property
+    def spg_iterations(self) -> int:
+        """SPG's iteration cap: :data:`_NEWTON_HANDOFF` where :func:`_newton`
+        can finish the answer, else :data:`_MAX_ITERATIONS`."""
+        return min(_NEWTON_HANDOFF, _MAX_ITERATIONS) if self.power_laws else _MAX_ITERATIONS
+
     def link_sums(self, per_flow: np.ndarray) -> np.ndarray:
         """Per-active-link sum of a per-flow quantity: one ``bincount`` over the hops."""
         n_active = self.capacities.size
@@ -386,8 +474,13 @@ class _DualProblem:
         )[:n_active]
 
     def scale_medians(self) -> np.ndarray:
-        """Per-active-link upper median of the hops' marginals at the link's
-        equal share (:func:`estimate_price_scale`'s array core)."""
+        """Per-active-link price scale: the median marginal at an equal share.
+
+        The array core of :func:`estimate_price_scale`, on :attr:`hops`:
+        every hop's marginal at its link's equal share, sorted by link and
+        then by marginal, and each link's upper median picked from its run
+        (the sentinel's placeholder rate 1.0 is never picked).
+        """
         n_active = self.capacities.size
         counts = np.bincount(self._hops_flat, minlength=n_active + 1)
         shares = np.ones(n_active + 1)
@@ -408,8 +501,13 @@ class _DualProblem:
                             iterations=0, certificate=_EXACT)
 
     def bind(self, scale_vec: np.ndarray) -> None:
-        """Fix the price scale (``p_l = scale_l * z_l``) and build the closures,
-        with the utility kernels bound once per solve."""
+        """Fix the price scale (``p_l = scale_l * z_l``) and build the closures.
+
+        The utility kernels are bound here, once per solve
+        (:meth:`VectorizedUtilities.kernels`), and an evaluation writes the
+        prices straight into the gather buffer and sums the hop loads
+        itself: at ~200 links every call layer costs more than its work.
+        """
         inverse_clipped, utility_value = self.compiled.vec_utils.kernels()
         hops, capacities = self.hops, self.capacities
         path_caps, floors = self.path_caps, self.floors
@@ -417,7 +515,8 @@ class _DualProblem:
         gradient_scale = scale_vec / objective_scale
         hops_flat, hop_loads = self._hops_flat, self._hop_values
         hop_loads_flat = self._hop_values_flat
-        # Reused by every evaluation: gather target, prices plus the sentinel's 0.
+        # Reused by every evaluation: gather target and the prices with their
+        # zero sentinel entry.
         n_active = capacities.size
         hop_prices = np.empty(hops.shape)
         prices_ext = np.zeros(n_active + 1)
@@ -502,19 +601,22 @@ class _DualProblem:
     ) -> OracleCertificate:
         """The :class:`OracleCertificate` of physical ``rates`` and active-link ``prices``.
 
-        ``rates`` are the allocation before the feasibility rescale,
+        ``rates`` are the allocation before any feasibility rescale,
         ``path_prices`` the per-flow sums of ``prices``, ``dual_value`` the
-        scaled dual at ``prices`` and ``objective`` the handed-out utility.
-        A pooled member's marginal is its group's (:meth:`marginals`).  A
-        flow at its path cap (within :data:`CERTIFIED`, so the rescale does
-        not move it off) is held only to ``U'(x) >= q``, one at its floor
-        (an unused pooled member) only to ``U'(x) <= q``.  Slackness is per
-        flow: the largest ``slack_l * p_l`` on its path over ``q``.
+        scaled dual at ``prices`` (times :attr:`objective_scale`, an upper
+        bound on every feasible objective) and ``objective`` the utility of
+        the allocation handed out.  A pooled member's marginal is its
+        group's at the aggregate (:meth:`marginals`).  A flow
+        at its path cap is held only to ``U'(x) >= q``, one at its rate
+        floor (an unused pooled member, say) only to ``U'(x) <= q``.
+        Slackness is per flow: the largest ``slack_l * p_l`` over its links
+        over its path price ``q``, so a flow whose priced links all have
+        room fails it.  The gap is relative like the minimiser's stall test.
         """
         ratio = self.link_sums(rates) / self.capacities
         marginals = self.marginals(rates)
         excess = marginals - path_prices
-        np.minimum(excess, 0.0, out=excess, where=rates >= self.path_caps * (1.0 - CERTIFIED))
+        np.minimum(excess, 0.0, out=excess, where=rates >= self.path_caps)
         np.maximum(excess, 0.0, out=excess, where=rates <= self.floors)
         stationarity = np.zeros(rates.size)
         np.divide(np.abs(excess), np.maximum(marginals, path_prices), out=stationarity,
@@ -542,9 +644,16 @@ class _DualProblem:
         iterations: int,
         rates: Optional[np.ndarray] = None,
     ) -> OracleResult:
-        """Pack prices into a feasible, certified allocation: ``rates`` if given
-        (a pooled Newton point), else the dual's primal point at ``prices``,
-        scaled onto the capacity region; certified before the rescale."""
+        """Pack a minimiser's prices into a feasible, certified allocation.
+
+        ``prices`` are the physical active-link prices, ``dual_value`` the
+        scaled dual there and ``iterations`` the minimiser's count.  The
+        rates are ``rates`` if given (a pooled Newton step's own point),
+        else the dual's primal point at those prices, scaled down onto the
+        capacity region (:func:`_rescale_to_feasible_arrays`); the
+        certificate is of the point before the rescale, so its ``overload``
+        term bounds the rescale.
+        """
         compiled = self.compiled
         dual_rates, path_prices = self.primal_rates(prices)
         raw = dual_rates if rates is None else rates
@@ -571,6 +680,12 @@ _NEWTON_TARGET = 1e-10
 _NEWTON_BOUNDARY = 0.99
 #: A pooled group's proximal weight on its members, relative to its curvature.
 _NEWTON_PROXIMAL = 1e-6
+#: Once the best step certifies, Newton stops after this many steps without a
+#: better one.  On 300 random pooled and 300 single-path mixed-family
+#: networks, 30 returned the same answer as running on to the step cap
+#: (20 returned one worse answer), and pooled solves, most of which level
+#: off between 1e-10 and 2e-9 short of the target, took 70 steps, not 115.
+_NEWTON_PATIENCE = 30
 
 
 def _finish(problem: _DualProblem, answer: OracleResult) -> OracleResult:
@@ -611,7 +726,8 @@ def _newton(problem: _DualProblem, iterations: int = 0) -> OracleResult:
     certified by :meth:`_DualProblem.result`, with the dual's primal point
     as the rates, or with groups the step's own rates (a member with
     ``z y >= q (y - f)`` at its floor); the best is returned at
-    :data:`_NEWTON_TARGET` or after :data:`_NEWTON_STEPS`.
+    :data:`_NEWTON_TARGET`, :data:`_NEWTON_PATIENCE` steps after a certified
+    best that nothing improves, or after :data:`_NEWTON_STEPS`.
     """
     vec_utils, pools = problem.compiled.vec_utils, problem.pools
     n_flows, n_active = problem.path_caps.size, problem.capacities.size
@@ -684,6 +800,7 @@ def _newton(problem: _DualProblem, iterations: int = 0) -> OracleResult:
     z = float((p * s / (link_min(marginal) * c)).sum()) / max(n_keep, 1) * marginal * y / w
 
     best: Optional[OracleResult] = None
+    best_step = 0
     for step in range(_NEWTON_STEPS + 1):
         prices = np.zeros(n_active)
         prices[keep] = p / unit
@@ -694,8 +811,9 @@ def _newton(problem: _DualProblem, iterations: int = 0) -> OracleResult:
         candidate = problem.result(prices, problem.dual_value(prices), iterations + step,
                                    rates_out)
         if best is None or candidate.certificate.worst < best.certificate.worst:
-            best = candidate
-        if best.certificate.worst <= _NEWTON_TARGET or step == _NEWTON_STEPS:
+            best, best_step = candidate, step
+        if (best.certificate.worst <= _NEWTON_TARGET or step == _NEWTON_STEPS
+                or (best.converged and step - best_step >= _NEWTON_PATIENCE)):
             break
         marginal, curvature, group_curvature = derivatives(y)
         r_dual = marginal - path_sums(p) + z
@@ -765,18 +883,45 @@ def _newton(problem: _DualProblem, iterations: int = 0) -> OracleResult:
 class PersistentDualSolver:
     """A dual Oracle whose state survives flow-set changes.
 
-    The dynamic experiments (Fig. 5/7) re-solve on every arrival/departure
-    batch, so this solver keeps alive what is reusable: the compiled
-    snapshot (patched from the network's churn journal), the per-link
-    prices (the warm start; links without flows keep theirs for when they
-    refill), the spectral step, and the price scales (re-estimated for
-    every active link once a link without one starts carrying flows, and
-    after a capacity change).  Its first solve starts where
-    :func:`solve_num` does, and an answer that fails the certificate is
-    finished by :func:`_newton` as there.  On ``fig5_websearch`` (seed 7,
-    ~135 flows on ~220 active links per solve) a warm solve takes a median
-    of 25 and a 99th percentile of 77 iterations, and all 705 answers
-    certify.  Multipath groups are rejected (:func:`solve_num` pools them).
+    The dynamic experiments (Fig. 5/7) re-solve the NUM problem on *every*
+    arrival/departure batch; a cold :func:`solve_num` per batch would
+    recompile the network, re-estimate the conditioning and restart from
+    ``z = 0.5`` even when the previous prices sit one step from the
+    optimum.  This solver keeps everything that is reusable alive across
+    flow-set changes instead:
+
+    * **Compiled snapshot** -- a private :class:`CompiledFluidNetwork`
+      brought up to date via its incremental :meth:`~CompiledFluidNetwork.refresh`
+      (O(path) ``path_links`` edits replayed from the network's churn
+      journal) rather than recompiled per event.
+    * **Prices** -- a full-length per-link price vector; the dual optimum
+      moves little per churn event, so the previous solve's prices are the
+      warm start (links temporarily without flows keep their last price as
+      the guess for when they refill).
+    * **Curvature** -- the spectral (Barzilai-Borwein) step carried between
+      solves.
+    * **Conditioning** -- the per-link price scale of
+      :func:`estimate_price_scale`, re-estimated for every active link
+      when a link without a cached scale starts carrying flows (it
+      conditions the solver but never changes the optimum).
+
+    The minimiser is :func:`_spg_minimize`: the clipped dual is piecewise
+    smooth, so a quasi-Newton model is invalidated face by face while the
+    spectral step carries over.  An answer that fails the certificate is
+    finished by :func:`_newton`, as in :func:`solve_num`, and the next
+    warm start is the finished prices.  Measured by ``benchmarks/e2e`` on
+    ``fig5_websearch`` (seed 7; ~135 flows on ~220 active links per solve,
+    one arrival or departure apart): a warm solve takes a median of 25
+    and a 99th percentile of 77 iterations (``fluid.oracle_iters_p50`` /
+    ``_p99``), and all 705 answers certify (worst term 1.0e-7) without a
+    Newton finish; the 12-link churn trace of the tests takes 14.  A fresh
+    solver's first solve is :func:`solve_num`'s cold start.
+
+    Parity: warm persistent solves certify on every churn trace of
+    ``tests/fluid/test_oracle.py`` and match a tightly converged external
+    (scipy L-BFGS-B) solve of the same instance to within 1e-6 relative on
+    rates wherever that reference pins them (also gated by the perf
+    harness).  Multipath groups are rejected (:func:`solve_num` pools them).
     """
 
     def __init__(self, network: Optional[FluidNetwork] = None):
@@ -802,8 +947,12 @@ class PersistentDualSolver:
         return compiled
 
     def _scale_for(self, problem: _DualProblem) -> np.ndarray:
-        """Cached price scales of the active links; all re-estimated once any
-        active link has none (it gained its first flows since the estimate)."""
+        """Cached per-link conditioning for the currently active links.
+
+        A cached scale may predate the current flow set.  Once any active
+        link has none (it gained its first flows since the last estimate),
+        every active link is re-estimated from the current flows.
+        """
         active_idx = problem.active_idx
         # Estimates are at least 1e-300: a zero entry means "none cached".
         if self._scale_full is None or not self._scale_full[active_idx].all():
@@ -825,9 +974,11 @@ class PersistentDualSolver:
             self._scale_full = None
             self._warm = False
         if self._last_capacity_version != network.capacity_version:
-            # Capacity changed (faults, Fig. 10): the scales and the spectral
-            # step are stale; warm prices survive (the optimum moves
-            # continuously with capacity).
+            # Capacity changed (fault injection, Fig. 10 reconfiguration):
+            # the cached conditioning and the spectral step were measured on
+            # the old capacities and can be arbitrarily stale, so force a
+            # scale refresh and drop the curvature estimate.  Warm prices
+            # survive -- the dual optimum moves continuously with capacity.
             if self._last_capacity_version is not None:
                 self._scale_full = None
                 self._step = None
@@ -846,7 +997,7 @@ class PersistentDualSolver:
             z0 = np.full(active_idx.size, 0.5)
         minimised = _spg_minimize(
             problem.dual_and_gradient, z0, problem.residual_precondition(),
-            initial_step=self._step,
+            initial_step=self._step, max_iterations=problem.spg_iterations,
         )
         self._step = minimised.step
         self._warm = True
@@ -857,8 +1008,14 @@ class PersistentDualSolver:
 
 
 def _rescale_to_feasible_arrays(problem: _DualProblem, rates: np.ndarray) -> np.ndarray:
-    """Divide each flow by the worst overload on its path (a solver's finite
-    tolerance leaves the answer slightly infeasible)."""
+    """Scale rates down uniformly per flow so no link is oversubscribed.
+
+    A solver's answer can be very slightly infeasible due to its finite
+    tolerance; downstream convergence metrics expect a feasible reference.
+    Each flow is divided by the worst overload ratio on its path.  (The
+    per-flow dict rule this is pinned to lives with the tests:
+    ``tests/fluid/_oracle_reference.py``.)
+    """
     # Active links all have positive capacity; the sentinel's ratio is neutral.
     ratio = np.append(problem.link_sums(rates) / problem.capacities, 1.0)
     if not (ratio > 1.0).any():

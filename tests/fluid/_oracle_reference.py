@@ -24,9 +24,9 @@ compares are two implementations of the certificate, not one.
 import numpy as np
 from scipy import optimize
 
+from repro.fluid import oracle
 from repro.fluid.oracle import (
     _MIN_RATE_FRACTION,
-    CERTIFIED,
     OracleCertificate,
     OracleResult,
     _DualProblem,
@@ -122,7 +122,7 @@ def scalar_certificate(network, rates, raw_rates, prices, dual_value, objective_
         marginal = flow.utility.marginal(x)
         excess = marginal - q
         cap = network.path_capacity(flow.flow_id)
-        if x >= cap * (1.0 - CERTIFIED):
+        if x >= cap:
             excess = min(excess, 0.0)
         if x <= cap * _MIN_RATE_FRACTION:
             excess = max(excess, 0.0)
@@ -191,7 +191,17 @@ def scalar_solve(network) -> OracleResult:
 
     z0 = np.full(len(active_links), 0.5)
     precondition = objective_scale / (scale_vec * capacities)
-    minimised = _spg_minimize(dual_and_gradient, z0, precondition)
+    # The same cap as ``_DualProblem.spg_iterations``: short where every
+    # utility has a power law (the Newton finish takes over), read at call
+    # time so a test's monkeypatched cap reaches both sides.
+    power_laws = all(
+        (params := flow.utility.power_law_params()) is not None and params[1] > 0.0
+        for flow in flows
+    )
+    cap = oracle._MAX_ITERATIONS
+    if power_laws:
+        cap = min(cap, oracle._NEWTON_HANDOFF)
+    minimised = _spg_minimize(dual_and_gradient, z0, precondition, max_iterations=cap)
     prices = scale_vec * np.maximum(minimised.x, 0.0)
     raw_rates = primal_rates(prices)
     rates = _rescale_to_feasible(network, raw_rates)

@@ -22,6 +22,7 @@ from repro.fluid import oracle
 from repro.fluid.network import FlowGroup, FluidFlow, FluidNetwork
 from repro.fluid.oracle import (
     CERTIFIED,
+    OracleCertificate,
     PersistentDualSolver,
     alpha_fair_single_link,
     certify,
@@ -281,8 +282,8 @@ class TestBackendParity:
         # Both sides run the same SPG loop on two assemblies of one dual, so
         # their iterates agree until the assemblies' roundoff is amplified.
         # On parking_lot_mixed, which SPG does not converge on, they are
-        # bit-identical through iteration 300 and 4e-2 apart at the 2 000
-        # cap; the gate compares the first 200, inside which every other
+        # bit-identical through iteration 300 and were 4e-2 apart after
+        # 2 000; the gate compares the first 200, inside which every other
         # case has converged.
         monkeypatch.setattr(oracle, "_MAX_ITERATIONS", 200)
         # The reference has no Newton finish: compare SPG's answer.
@@ -348,8 +349,8 @@ class TestColdSolveAccuracy:
 #: where SPG reaches it, the certificate instead:
 #:
 #: * ``parking_lot_mixed``: SPG does not certify it (links priced ~2e-10
-#:   and ~5e-20 under one median scale; it stops at the 2 000-iteration
-#:   cap 3.3e-5 off on ``s2``) and the Newton finish does, but the L-BFGS-B
+#:   and ~5e-20 under one median scale; it stops at its 500-iteration
+#:   cap short of ``s2``'s price) and the Newton finish does, but the L-BFGS-B
 #:   reference's own worst term is 3e-4.
 #: * ``leaf_spine_log``: SPG certifies every solve (worst term <= 1e-7), but
 #:   the reference stops at a worst term of ~1e-6, 2.8e-6 away in rates, so
@@ -577,6 +578,14 @@ class TestCertificate:
                 certificate.overload, certificate.stationarity,
                 certificate.slackness, certificate.gap,
             )
+
+    def test_a_nan_term_fails_the_certificate(self):
+        """An overflowed dual value makes the gap NaN; ``max`` would skip a
+        NaN term unless it came first, and read the rest as converged."""
+        for position in range(4):
+            terms = [0.0] * 4
+            terms[position] = float("nan")
+            assert OracleCertificate(*terms).worst == float("inf")
 
     def test_trivial_answers_carry_an_exact_certificate(self):
         empty = FluidNetwork({"l": 1e9})

@@ -348,6 +348,21 @@ class TestRunnerFlowAndPacket:
         assert run_scenario(spec, scheme=oracle_scheme(), seed=5).rows
 
 
+class TestPooledOracle:
+    def test_fig10_bandwidth_function_pooling_has_no_oracle(self):
+        """Fig. 10 pools sub-flows under bandwidth-function utilities, which
+        have no power law, so the Oracle's pooled (Newton) solve refuses the
+        network with a ``ValueError`` instead of answering uncertified --
+        both as the scheme and as the ``compare_oracle`` reference.  The
+        NUMFabric run itself needs no Oracle."""
+        spec = get_scenario("fig10/bwfunction-pooling")
+        with pytest.raises(ValueError, match="needs a power-law utility on every flow and group"):
+            run_scenario(spec, scheme=oracle_scheme(), seed=0)
+        with pytest.raises(ValueError, match="needs a power-law utility on every flow and group"):
+            run_scenario(spec.using(compare_oracle=True), seed=0)
+        assert run_scenario(spec, seed=0).rows
+
+
 class TestNewWorkloads:
     def test_incast_waves_target_one_receiver(self):
         generator = IncastTrafficGenerator(
