@@ -32,6 +32,16 @@ The package is organized into layers:
     evaluation section.
 """
 
+import os
+
+# One BLAS thread unless the caller chose otherwise, set before the first
+# import below loads numpy: with a thread per core beside one busy process,
+# the Oracle's dense Newton solves ran ~30x slower.  Forked sweep workers and
+# agents inherit it.  Plain calls, not a loop: ruff's E402 exempts only those.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from repro.core.utility import (
     AlphaFairUtility,
     BandwidthFunctionUtility,

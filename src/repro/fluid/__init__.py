@@ -13,7 +13,6 @@ from repro.fluid.oracle import (
     OracleCertificate,
     PersistentDualSolver,
     certify,
-    estimate_price_scale,
     solve_num,
 )
 from repro.fluid.dgd import DgdFluidSimulator
@@ -33,7 +32,6 @@ __all__ = [
     "OracleCertificate",
     "PersistentDualSolver",
     "certify",
-    "estimate_price_scale",
     "solve_num",
     "DgdFluidSimulator",
     "RcpStarFluidSimulator",

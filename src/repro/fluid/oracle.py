@@ -2,9 +2,9 @@
 
 The paper uses a numerical fluid model to compute the optimal allocation for
 the current topology and flow set, against which the distributed schemes are
-judged.  :func:`solve_num` computes it for single-path flows and for flows
-grouped into multipath aggregates whose utility applies to the aggregate
-rate (resource pooling), with two minimisers:
+judged.  :class:`PersistentDualSolver` computes it for single-path flows and
+for flows grouped into multipath aggregates whose utility applies to the
+aggregate rate (resource pooling), with two minimisers:
 
 * :func:`_spg_minimize` -- single-path flows.  Solves the *dual* problem
   (over link prices) with an in-repo projected spectral-gradient loop.  The
@@ -22,16 +22,12 @@ rate (resource pooling), with two minimisers:
 Every solve works on one scaled dual problem, assembled once by
 :class:`_DualProblem` from a :class:`CompiledFluidNetwork`'s ``path_links``
 (an evaluation is O(flows x hops) gathers and one ``bincount``; no dense
-link x flow matrix exists).  The SPG entry points differ only in start
-point:
-
-* :func:`solve_num` -- the *cold* solve, from ``z = 0.5`` with the
-  relative-residual preconditioner.
-* :class:`PersistentDualSolver` -- the *production* path of the dynamic
-  experiments (Fig. 5/7): it keeps prices, conditioning, the spectral step
-  *and* the compiled snapshot alive across flow-set changes (patched
-  incrementally from the network's churn journal); its first solve is the
-  same cold start.
+link x flow matrix exists), and has one dispatch,
+:meth:`PersistentDualSolver.solve`.  A kept solver is the *production* path
+of the dynamic experiments (Fig. 5/7): it carries prices, conditioning, the
+spectral step and the compiled snapshot across flow-set changes.
+:func:`solve_num` is a fresh solver's first, *cold* solve, from ``z = 0.5``
+with the relative-residual preconditioner.
 
 Every answer carries an :class:`OracleCertificate` -- its KKT residuals,
 computed by :meth:`_DualProblem.certificate` -- and is ``converged``
@@ -53,7 +49,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,14 +110,8 @@ class OracleCertificate:
         return math.inf if math.isnan(sum(terms)) else max(terms)
 
 
-#: The certificate of an answer no price can improve (no flows, or no link
-#: that can carry anything).
+#: The certificate of an answer no price can improve (no link carries anything).
 _EXACT = OracleCertificate(0.0, 0.0, 0.0, 0.0)
-
-
-def _no_flows(links: Sequence[LinkId]) -> "OracleResult":
-    return OracleResult(rates={}, prices={link: 0.0 for link in links},
-                        objective=0.0, iterations=0, certificate=_EXACT)
 
 
 class OracleResult:
@@ -131,10 +121,10 @@ class OracleResult:
     dual passes the id snapshots (``flow_ids``, ``link_ids``) and its
     vectors (``rate_vec``, ``price_vec``, kept by reference and made
     read-only), and ``rates`` / ``prices`` are cached properties, built on
-    first read.  The empty and idle results pass the dicts themselves,
-    which land where the cache would, and leave the vectors ``None``.
+    first read.  An idle result (no link carries a flow) passes the dicts
+    themselves, which land where the cache would, and leaves the vectors ``None``.
 
-    Every result, pooled, empty and idle ones included, carries its
+    Every result, pooled and idle ones included, carries its
     :class:`OracleCertificate` and is ``converged`` when the certificate's
     worst term is at most :data:`CERTIFIED`.
     """
@@ -181,31 +171,6 @@ class OracleResult:
         return dict_of(self.link_ids, self.price_vec)
 
 
-def estimate_price_scale(network: FluidNetwork) -> Dict[LinkId, float]:
-    """Per-link price scale: median marginal utility at an equal split.
-
-    Optimal prices differ by many orders of magnitude across utility
-    families (for example ~1e-9 for log utilities at 10 Gbps but ~1e-19 for
-    alpha = 2), which wrecks the conditioning of a naive dual solve.
-    :func:`solve_num` therefore optimizes over scaled prices ``z`` with
-    ``p_l = scale_l * z_l`` where ``scale_l`` estimates the optimal price of
-    link ``l`` as the median marginal utility of its flows at an equal-share
-    allocation.  Only links with at least one flow appear in the result.
-
-    The scale is pure conditioning: it never changes the optimum, so
-    :class:`PersistentDualSolver` keeps it across flow-set changes and
-    re-estimates it only when a link without one starts carrying flows.
-    Single-path flows only (a pooled group's members are counted as
-    separate flows).
-    """
-    compiled = compile_network(network)
-    problem = _DualProblem(compiled)
-    return {
-        compiled.link_ids[idx]: value
-        for idx, value in zip(problem.active_idx.tolist(), problem.scale_medians().tolist())
-    }
-
-
 def _median(values: np.ndarray) -> float:
     """``np.median`` of a 1-D array of finite values, same bits, without its
     wrapper layers: one partition, and the mean of the two middle elements
@@ -221,35 +186,13 @@ def solve_num(network: FluidNetwork) -> OracleResult:
     """Solve ``max sum_i U_i(x_i)`` s.t. ``Rx <= c``, pooled groups included.
 
     The objective is the ungrouped flows' utilities plus each group's
-    utility of its members' aggregate rate.  Without groups, the cold
-    solve: every call starts from ``z = 0.5`` with the relative-residual
-    preconditioner and minimises the dual with :func:`_spg_minimize`; an
-    answer the certificate rejects is finished by :func:`_newton` when
-    every utility has a power law, and otherwise returned as it is, with
-    ``converged`` false.  With groups, :func:`_newton` solves the primal,
-    and needs a power law on every flow and group utility (``ValueError``
-    otherwise: there is no SPG answer to fall back on).
+    utility of its members' aggregate rate.  The cold solve: a fresh
+    :class:`PersistentDualSolver`'s first solve (see there for the dispatch).
 
     Links carrying no flows are excluded from the dual and reported with a
     price of exactly zero (their capacity cannot constrain anything).
     """
-    if not network.flows:
-        return _no_flows(network.links)
-    problem = _DualProblem(compile_network(network))
-    if not problem.active_idx.size:
-        return problem.idle_result(network)
-    problem.bind(problem.scale_medians())
-    if problem.pools is not None:
-        if not problem.power_laws:
-            raise ValueError("a pooled network needs a power-law utility on every flow and group")
-        return _newton(problem)
-    # Half the scale estimate itself, so multi-hop paths are not wildly
-    # overpriced initially.
-    z0 = np.full(problem.capacities.size, 0.5)
-    minimised = _spg_minimize(problem.dual_and_gradient, z0, problem.residual_precondition(),
-                              max_iterations=problem.spg_iterations)
-    return _finish(problem, problem.result(problem.prices(minimised.x), minimised.fun,
-                                           minimised.nit))
+    return PersistentDualSolver().solve(network)
 
 
 def certify(
@@ -306,8 +249,8 @@ def _spg_minimize(
     dual_and_gradient,
     z0: np.ndarray,
     precondition: np.ndarray,
+    max_iterations: int,
     initial_step: Optional[float] = None,
-    max_iterations: Optional[int] = None,
 ) -> _SpgResult:
     """Preconditioned projected spectral-gradient descent over ``z >= 0``.
 
@@ -330,15 +273,14 @@ def _spg_minimize(
     ~1e-20) leaves the tiny-scale links practically frozen under a single
     scalar step length.
 
-    Stops after ``max_iterations`` (:data:`_MAX_ITERATIONS` by default;
-    the callers pass :attr:`_DualProblem.spg_iterations`), or when the preconditioned
-    projected gradient drops below :data:`_SPG_PGTOL` or the scaled
-    objective stalls below :data:`_TOLERANCE` (relative) for
-    :data:`_SPG_STALL_LIMIT` consecutive iterations while the projected
-    gradient is already below :data:`_SPG_STALL_PGTOL` -- an
-    L-BFGS-B-style ``ftol`` contract, guarded against BB's nonmonotone
-    plateaus.  ``initial_step`` carries the spectral (curvature) state
-    across solves for :class:`PersistentDualSolver`.
+    Stops after ``max_iterations`` (:attr:`_DualProblem.spg_iterations` in
+    production), or when the preconditioned projected gradient drops below
+    :data:`_SPG_PGTOL` or the scaled objective stalls below
+    :data:`_TOLERANCE` (relative) for :data:`_SPG_STALL_LIMIT` consecutive
+    iterations while the projected gradient is already below
+    :data:`_SPG_STALL_PGTOL` -- an L-BFGS-B-style ``ftol`` contract, guarded
+    against BB's nonmonotone plateaus.  ``initial_step`` carries the
+    spectral (curvature) state across solves for :class:`PersistentDualSolver`.
     """
     z = np.maximum(np.asarray(z0, dtype=float), 0.0)
     f, g = dual_and_gradient(z)
@@ -352,8 +294,7 @@ def _spg_minimize(
     recent = deque([f], maxlen=_SPG_MEMORY)
     stalls = 0
     nit = 0
-    cap = _MAX_ITERATIONS if max_iterations is None else max_iterations
-    for nit in range(1, cap + 1):
+    for nit in range(1, max_iterations + 1):
         trial = np.maximum(z - step * step_direction, 0.0)
         d = trial - z
         dg = float(d @ g)
@@ -414,9 +355,9 @@ class _DualProblem:
     (active links, the hop indices in active-link space, per-flow rate caps
     and floors, the multipath :class:`_Pools`); :meth:`bind` adds the
     per-link price scale and builds the objective/gradient closure.  The
-    callers -- cold :func:`solve_num`, :class:`PersistentDualSolver` and
-    :func:`_newton` -- choose only the start point, the preconditioner and
-    the minimiser, then hand the optimal prices to :meth:`result`.
+    callers -- :meth:`PersistentDualSolver.solve` and :func:`_newton` --
+    choose only the start point, the preconditioner and the minimiser, then
+    hand the optimal prices to :meth:`result`.
 
     Everything runs on :attr:`hops`: the compiled ``path_links`` remapped
     once into active-link index space and held hops x flows (per-flow
@@ -476,10 +417,18 @@ class _DualProblem:
     def scale_medians(self) -> np.ndarray:
         """Per-active-link price scale: the median marginal at an equal share.
 
-        The array core of :func:`estimate_price_scale`, on :attr:`hops`:
-        every hop's marginal at its link's equal share, sorted by link and
-        then by marginal, and each link's upper median picked from its run
-        (the sentinel's placeholder rate 1.0 is never picked).
+        Optimal prices differ by many orders of magnitude across utility
+        families (~1e-9 for log utilities at 10 Gbps, ~1e-19 for alpha = 2),
+        which wrecks the conditioning of a naive dual solve, so the solvers
+        work on scaled prices ``z``, ``p_l = scale_l * z_l``, with ``scale_l``
+        an estimate of link ``l``'s optimal price.  It is pure conditioning:
+        it never changes the optimum, so :class:`PersistentDualSolver` keeps
+        it across flow-set changes.  Pooled members count as separate flows.
+
+        On :attr:`hops`: every hop's marginal at its link's equal share,
+        sorted by link and then by marginal, and each link's upper median
+        picked from its run (the sentinel's placeholder rate 1.0 is never
+        picked).
         """
         n_active = self.capacities.size
         counts = np.bincount(self._hops_flat, minlength=n_active + 1)
@@ -883,11 +832,12 @@ def _newton(problem: _DualProblem, iterations: int = 0) -> OracleResult:
 class PersistentDualSolver:
     """A dual Oracle whose state survives flow-set changes.
 
-    The dynamic experiments (Fig. 5/7) re-solve the NUM problem on *every*
-    arrival/departure batch; a cold :func:`solve_num` per batch would
+    The one dispatch of the Oracle: :func:`solve_num` is a fresh solver's
+    first solve.  The dynamic experiments (Fig. 5/7) re-solve the NUM problem
+    on *every* arrival/departure batch; a fresh solver per batch would
     recompile the network, re-estimate the conditioning and restart from
     ``z = 0.5`` even when the previous prices sit one step from the
-    optimum.  This solver keeps everything that is reusable alive across
+    optimum.  A kept solver carries everything that is reusable across
     flow-set changes instead:
 
     * **Compiled snapshot** -- a private :class:`CompiledFluidNetwork`
@@ -901,31 +851,34 @@ class PersistentDualSolver:
     * **Curvature** -- the spectral (Barzilai-Borwein) step carried between
       solves.
     * **Conditioning** -- the per-link price scale of
-      :func:`estimate_price_scale`, re-estimated for every active link
+      :meth:`_DualProblem.scale_medians`, re-estimated for every active link
       when a link without a cached scale starts carrying flows (it
       conditions the solver but never changes the optimum).
 
     The minimiser is :func:`_spg_minimize`: the clipped dual is piecewise
     smooth, so a quasi-Newton model is invalidated face by face while the
     spectral step carries over.  An answer that fails the certificate is
-    finished by :func:`_newton`, as in :func:`solve_num`, and the next
-    warm start is the finished prices.  Measured by ``benchmarks/e2e`` on
-    ``fig5_websearch`` (seed 7; ~135 flows on ~220 active links per solve,
-    one arrival or departure apart): a warm solve takes a median of 25
-    and a 99th percentile of 77 iterations (``fluid.oracle_iters_p50`` /
-    ``_p99``), and all 705 answers certify (worst term 1.0e-7) without a
-    Newton finish; the 12-link churn trace of the tests takes 14.  A fresh
-    solver's first solve is :func:`solve_num`'s cold start.
+    finished by :func:`_newton` when every utility has a power law (else it
+    stands, with ``converged`` false), and the next warm start is the
+    finished prices.  A network with multipath groups is solved by
+    :func:`_newton` alone, cold each time, and needs a power law on every
+    flow and group utility (``ValueError`` otherwise: there is no SPG
+    answer to fall back on).
 
-    Parity: warm persistent solves certify on every churn trace of
-    ``tests/fluid/test_oracle.py`` and match a tightly converged external
-    (scipy L-BFGS-B) solve of the same instance to within 1e-6 relative on
-    rates wherever that reference pins them (also gated by the perf
-    harness).  Multipath groups are rejected (:func:`solve_num` pools them).
+    Measured by ``benchmarks/e2e`` on ``fig5_websearch`` (seed 7; ~135 flows
+    on ~220 active links per solve, one arrival or departure apart): a warm
+    solve takes a median of 25 and a 99th percentile of 77 iterations
+    (``fluid.oracle_iters_p50`` / ``_p99``), and all 705 answers certify
+    (worst term 1.0e-7) without a Newton finish; the 12-link churn trace of
+    the tests takes 14.  Parity: warm persistent solves certify on every
+    churn trace of ``tests/fluid/test_oracle.py`` and match a tightly
+    converged external (scipy L-BFGS-B) solve of the same instance to within
+    1e-6 relative on rates wherever that reference pins them (also gated by
+    the perf harness).
     """
 
-    def __init__(self, network: Optional[FluidNetwork] = None):
-        self._network = network
+    def __init__(self):
+        self._network: Optional[FluidNetwork] = None
         self.reset()
 
     def reset(self) -> None:
@@ -963,12 +916,7 @@ class PersistentDualSolver:
     def solve(self, network: FluidNetwork) -> OracleResult:
         """Solve the NUM problem for the network's current flow set."""
         compiled = self._refresh_compiled(network)
-        links = compiled.link_ids
-        if network.groups or compiled.grouped:
-            raise ValueError("network contains multipath groups; use solve_num")
-        if not compiled.flows:
-            return _no_flows(links)
-        n_links = len(links)
+        n_links = len(compiled.link_ids)
         if self._prices_full is None or len(self._prices_full) != n_links:
             self._prices_full = np.zeros(n_links)
             self._scale_full = None
@@ -987,22 +935,29 @@ class PersistentDualSolver:
         # Dead links keep their warm price for their restoration.
         problem = _DualProblem(compiled)
         active_idx = problem.active_idx
-        if not active_idx.size:
+        if not active_idx.size:  # no flows, or none that any link can carry
             return problem.idle_result(network)
         problem.bind(self._scale_for(problem))
 
-        if self._warm:
-            z0 = np.maximum(self._prices_full[active_idx], 0.0) / problem.scale_vec
+        if problem.pools is None:
+            if self._warm:
+                z0 = np.maximum(self._prices_full[active_idx], 0.0) / problem.scale_vec
+            else:
+                # Half the scale estimate itself, so multi-hop paths are not
+                # wildly overpriced initially.
+                z0 = np.full(active_idx.size, 0.5)
+            minimised = _spg_minimize(
+                problem.dual_and_gradient, z0, problem.residual_precondition(),
+                initial_step=self._step, max_iterations=problem.spg_iterations,
+            )
+            self._step = minimised.step
+            answer = _finish(problem, problem.result(problem.prices(minimised.x),
+                                                     minimised.fun, minimised.nit))
+        elif problem.power_laws:
+            answer = _newton(problem)
         else:
-            z0 = np.full(active_idx.size, 0.5)
-        minimised = _spg_minimize(
-            problem.dual_and_gradient, z0, problem.residual_precondition(),
-            initial_step=self._step, max_iterations=problem.spg_iterations,
-        )
-        self._step = minimised.step
+            raise ValueError("a pooled network needs a power-law utility on every flow and group")
         self._warm = True
-        answer = _finish(problem, problem.result(problem.prices(minimised.x), minimised.fun,
-                                                 minimised.nit))
         self._prices_full[active_idx] = answer.price_vec[active_idx]
         return answer
 
@@ -1023,22 +978,3 @@ def _rescale_to_feasible_arrays(problem: _DualProblem, rates: np.ndarray) -> np.
     worst = np.maximum(ratio, 1.0)[problem.hops].max(axis=0)
     return np.where(worst > 1.0, rates / worst, rates)
 
-
-def proportional_fair_single_link(capacity: float, n_flows: int) -> List[float]:
-    """Closed form: proportional fairness on one link is an equal split."""
-    if n_flows <= 0:
-        return []
-    return [capacity / n_flows] * n_flows
-
-
-def alpha_fair_single_link(capacity: float, weights: List[float], alpha: float) -> List[float]:
-    """Closed-form weighted alpha-fair split of a single link.
-
-    At the optimum each flow gets ``capacity * w_i / sum w`` independent of
-    alpha (for alpha > 0), because the single-link weighted alpha-fair
-    problem always allocates in proportion to the weights.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive for a unique optimum")
-    total = sum(weights)
-    return [capacity * w / total for w in weights]
