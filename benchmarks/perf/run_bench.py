@@ -96,7 +96,7 @@ if _SRC not in sys.path:  # allow running without installation
 
 from repro.core.config import NumFabricParameters
 from repro.core.utility import AlphaFairUtility, FctUtility, LogUtility
-from repro.experiments.dynamic_fluid import EqualSharePolicy, FlowLevelSimulation
+from repro.experiments.dynamic_fluid import FlowLevelSimulation
 from repro.experiments.fig5_dynamic import DeviationSettings, run_deviation_experiment
 from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
@@ -622,7 +622,7 @@ def _flow_level_arrivals(n_flows: int, seed: int = 7) -> List:
 def _time_flow_level(arrivals: List, loop: str):
     """Time the ``"array"`` loop or, with ``"dict"``, the test-side dict loop."""
     _use_references()
-    from _flow_reference import run_dict
+    from _flow_reference import EqualSharePolicy, run_dict
 
     network = FluidNetwork({"bottleneck": 10e9})
     simulation = FlowLevelSimulation(

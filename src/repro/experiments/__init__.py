@@ -3,8 +3,10 @@
 Every harness returns an :class:`~repro.results.ExperimentResult` whose rows
 mirror the series the paper plots, so a benchmark (or a user at a REPL) can
 print the same numbers the figure shows.  Default parameters are scaled down
-so each harness completes in seconds; pass ``paper_scale=True`` (or the
-full-size parameters explicitly) to run the published configuration.
+so each harness completes in seconds; pass ``settings=`` its settings
+class's ``paper_scale()`` (e.g. ``DeviationSettings.paper_scale()``), or
+build the catalog scenario with ``get_scenario(name, scale="paper")``, to
+run the published configuration.
 
 Since the scenario-subsystem refactor every harness is a thin layer: it
 builds declarative specs (:mod:`repro.scenarios.catalog`), submits them to

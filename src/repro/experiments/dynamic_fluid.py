@@ -14,6 +14,10 @@ The result is, per flow, its completion time and therefore its average rate
 (size / FCT), which Fig. 5 compares across schemes and Fig. 7's flow-level
 mode turns into normalized FCTs.
 
+Every policy hands the loop one record carrying ``flow_ids`` and a
+``rate_vec`` in that order (an ``OracleResult`` or a simulator's
+``IterationRecord``, as is); the loop permutes it into its slot order.
+
 Time advances in fixed steps of ``step_interval`` (the price-update
 interval): arrivals are admitted at the first step boundary at or after
 their arrival time, mirroring how the real system only applies new rates
@@ -33,7 +37,6 @@ are the same loop.  The original per-flow dict loop lives with the tests
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
@@ -42,10 +45,10 @@ import numpy as np
 from repro.core.utility import LogUtility, Utility
 from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.network import FluidFlow, FluidNetwork
-from repro.fluid.oracle import PersistentDualSolver
+from repro.fluid.oracle import OracleResult, PersistentDualSolver
 from repro.fluid.oracle import solve_num  # noqa: F401 -- benchmarks/e2e's span table binds it
 from repro.fluid.rcp import RcpStarFluidSimulator
-from repro.fluid.vectorized import RateGather
+from repro.fluid.vectorized import FluidStepper, IterationRecord, RateGather
 from repro.fluid.xwi import XwiFluidSimulator
 from repro.workloads.poisson import FlowArrival
 
@@ -84,54 +87,15 @@ class RatePolicy:
         """
         self.on_flow_set_changed(network)
 
-    def rates(self, network: FluidNetwork, dt: float) -> Mapping:
-        """Return the rates to apply for the next ``dt`` seconds.
+    def rates(self, network: FluidNetwork, dt: float):
+        """Return the record whose rates apply for the next ``dt`` seconds.
 
-        Any flow-id -> rate mapping.  One that also carries ``flow_ids`` and
-        a ``rate_vec`` in that order (:class:`RecordRates`) is read by the
-        flow loop as a vector, never key by key.
+        It carries ``flow_ids`` and a ``rate_vec`` in that order; a flow it
+        does not list gets rate 0.  Return the same ``flow_ids`` object for
+        as long as the flow set is unchanged: the loop rebuilds its
+        permutation only when that object is a new one.
         """
         raise NotImplementedError
-
-    def rates_epoch(self) -> Optional[int]:
-        """Monotonic counter identifying the current allocation, or ``None``.
-
-        The flow loop gathers the policy's rate dict into a vector once per
-        allocation *epoch* instead of once per step.  A policy that can
-        tell when its allocation changed returns a counter it bumps on every
-        change; the default ``None`` opts out of caching (always correct,
-        one dict pass per step), so policies that mutate and re-return the
-        same dict are never served a stale vector.
-        """
-        return None
-
-
-class EqualSharePolicy(RatePolicy):
-    """Reference policy: an equal split of a single bottleneck's capacity.
-
-    The simplest useful allocation -- used by the perf harness and the
-    parity tests as a constant-work baseline, and handy as a template for
-    custom policies (note the epoch bump per allocation change).
-    """
-
-    def __init__(self, capacity: float):
-        self.capacity = capacity
-        self._cached: Optional[Dict[object, float]] = None
-        self._epoch = 0
-
-    def on_flow_set_changed(self, network: FluidNetwork) -> None:
-        self._cached = None
-        self._epoch += 1
-
-    def rates(self, network: FluidNetwork, dt: float) -> Dict[object, float]:
-        if self._cached is None:
-            flows = network.flows
-            share = self.capacity / len(flows) if flows else 0.0
-            self._cached = {flow.flow_id: share for flow in flows}
-        return self._cached
-
-    def rates_epoch(self) -> Optional[int]:
-        return self._epoch
 
 
 class OracleRatePolicy(RatePolicy):
@@ -146,99 +110,47 @@ class OracleRatePolicy(RatePolicy):
 
     def __init__(self):
         self._solver = PersistentDualSolver()
-        self._cached: Optional[Mapping] = None
-        self._epoch = 0
+        self._cached: Optional[OracleResult] = None
 
     def on_flow_set_changed(self, network: FluidNetwork) -> None:
         self._cached = None
-        self._epoch += 1
 
-    def rates(self, network: FluidNetwork, dt: float) -> Mapping:
+    def rates(self, network: FluidNetwork, dt: float) -> OracleResult:
         if self._cached is None:
-            self._cached = RecordRates(self._solver.solve(network)) if network.flows else {}
+            self._cached = self._solver.solve(network)
         return self._cached
-
-    def rates_epoch(self) -> Optional[int]:
-        return self._epoch
-
-
-class RecordRates(Mapping):
-    """A simulator record's (or an :class:`~repro.fluid.oracle.OracleResult`'s)
-    rates as the mapping :meth:`RatePolicy.rates` promises, without building
-    it: ``flow_ids`` / ``rate_vec`` pass the record's own through, and the
-    dict is built only if someone keys in."""
-
-    __slots__ = ("_record",)
-
-    def __init__(self, record):
-        self._record = record
-
-    @property
-    def flow_ids(self):
-        return self._record.flow_ids
-
-    @property
-    def rate_vec(self) -> Optional[np.ndarray]:
-        return self._record.rate_vec
-
-    def __getitem__(self, flow_id) -> float:
-        return self._record.rates[flow_id]
-
-    def __iter__(self):
-        return iter(self._record.rates)
-
-    def __len__(self) -> int:
-        return len(self._record.rates)
 
 
 class SimulatorRatePolicy(RatePolicy):
     """Rates taken from a fluid control-loop simulator advanced step by step.
 
-    ``simulator_factory`` builds the simulator around the (shared) network;
-    it is advanced one iteration per ``step_interval`` of simulated time, so
-    schemes with slower convergence deliver fewer bytes to short flows --
-    exactly the effect Fig. 5 measures.
+    ``simulator_cls(network, params=params)`` is built around the (shared)
+    network on the first flow-set change; it is advanced one iteration per
+    ``step_interval`` of simulated time, so schemes with slower convergence
+    deliver fewer bytes to short flows -- exactly the effect Fig. 5
+    measures.  The class and its parameters pickle, so a checkpoint taken
+    before the simulator exists resumes by building it then.
 
     The simulator's compiled incidence structure is patched only on flow
     arrivals/departures, so the per-iteration cost between flow-set changes
     is pure array math.
     """
 
-    def __init__(self, simulator_factory: Callable[[FluidNetwork], object]):
-        self.simulator_factory = simulator_factory
-        self._simulator = None
-        self._epoch = 0
+    def __init__(self, simulator_cls: Callable[..., FluidStepper], params=None):
+        self.simulator_cls = simulator_cls
+        self.params = params
+        self._simulator: Optional[FluidStepper] = None
 
-    def _ensure(self, network: FluidNetwork):
+    def _ensure(self, network: FluidNetwork) -> FluidStepper:
         if self._simulator is None:
-            if self.simulator_factory is None:
-                raise RuntimeError(
-                    "SimulatorRatePolicy restored from a checkpoint before its "
-                    "simulator was built; rebuild the policy from the spec "
-                    "(no simulator state existed to lose)"
-                )
-            self._simulator = self.simulator_factory(network)
+            self._simulator = self.simulator_cls(network, params=self.params)
         return self._simulator
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The factory is a closure (unpicklable); the live simulator --
-        # which holds all the state the factory would have created -- is
-        # picklable and rides along.  After restore the factory is only
-        # needed if the simulator was never built (see ``_ensure``).
-        state = self.__dict__.copy()
-        state["simulator_factory"] = None
-        return state
 
     def on_flow_set_changed(self, network: FluidNetwork) -> None:
         self._ensure(network)
 
-    def rates(self, network: FluidNetwork, dt: float) -> RecordRates:
-        rates = RecordRates(self._ensure(network).step())
-        self._epoch += 1  # the control loop moves the allocation every step
-        return rates
-
-    def rates_epoch(self) -> Optional[int]:
-        return self._epoch
+    def rates(self, network: FluidNetwork, dt: float) -> IterationRecord:
+        return self._ensure(network).step()
 
 
 #: Fluid control-loop simulators usable as dynamic rate policies, by the
@@ -258,7 +170,7 @@ def scheme_rate_policy(scheme: str, params=None) -> SimulatorRatePolicy:
         raise ValueError(
             f"unknown scheme {scheme!r}; expected one of {sorted(SCHEME_SIMULATORS)}"
         ) from None
-    return SimulatorRatePolicy(lambda network: simulator_cls(network, params=params))
+    return SimulatorRatePolicy(simulator_cls, params)
 
 
 class ArrivalStream:
@@ -326,9 +238,6 @@ class FlowLevelSimulation:
         #: object with ``apply_until(set_capacity, time) -> int``); capacity
         #: changes apply at step boundaries, then the policy is invalidated.
         self.fault_injector = fault_injector
-        self._on_capacity_changed = getattr(
-            rate_policy, "on_capacity_changed", rate_policy.on_flow_set_changed
-        )
         self.utility_for_arrival = utility_for_arrival or (lambda arrival: LogUtility())
         #: Optional completion sink called once per finished flow (streaming
         #: telemetry).  With ``keep_completions=False`` the per-flow record
@@ -346,17 +255,8 @@ class FlowLevelSimulation:
         self._remaining = np.empty(0, dtype=float)
         self._starts = np.empty(0, dtype=float)
         self._sizes_arr = np.empty(0, dtype=np.int64)
-        # Rate-vector cache: valid while the policy reports the same
-        # allocation epoch and the slot layout is unchanged.  Policies whose
-        # ``rates_epoch`` returns None -- or duck-typed policies without the
-        # method at all -- are gathered every step.
-        self._rate_cache: Optional[np.ndarray] = None
-        self._rate_cache_epoch: Optional[int] = None
-        self._rates_epoch: Callable[[], Optional[int]] = getattr(
-            rate_policy, "rates_epoch", lambda: None
-        )
-        # For policies that hand over a rate vector: permutes it into slot
-        # order (reset whenever the slot layout changes).
+        # Permutes the policy's record into slot order (reset whenever the
+        # slot layout changes).
         self._slot_rates = RateGather()
 
     @property
@@ -389,7 +289,7 @@ class FlowLevelSimulation:
         if self.fault_injector is None:
             return
         if self.fault_injector.apply_until(self.network.set_capacity, time):
-            self._on_capacity_changed(self.network)
+            self.rate_policy.on_capacity_changed(self.network)
 
     def _emit(self, flow: CompletedFlow) -> None:
         """Route one completion to the configured sinks."""
@@ -409,8 +309,7 @@ class FlowLevelSimulation:
     # (the policy's network is *this* network) survive the round trip.
     # After restore, call :meth:`rebind` before resuming.
 
-    _UNPICKLABLE = ("path_for_arrival", "utility_for_arrival", "on_complete",
-                    "_on_capacity_changed", "_rates_epoch")
+    _UNPICKLABLE = ("path_for_arrival", "utility_for_arrival", "on_complete")
 
     def __getstate__(self) -> Dict[str, object]:
         state = self.__dict__.copy()
@@ -418,35 +317,16 @@ class FlowLevelSimulation:
             state[name] = None
         return state
 
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._on_capacity_changed = getattr(
-            self.rate_policy, "on_capacity_changed", self.rate_policy.on_flow_set_changed
-        )
-        self._rates_epoch = getattr(self.rate_policy, "rates_epoch", lambda: None)
-
     def rebind(
         self,
         path_for_arrival: Callable[[FlowArrival], tuple],
         utility_for_arrival: Optional[Callable[[FlowArrival], Utility]] = None,
         on_complete: Optional[Callable[[CompletedFlow], None]] = None,
-        rate_policy: Optional[RatePolicy] = None,
     ) -> None:
-        """Re-attach the closures dropped by :meth:`__getstate__`.
-
-        ``rate_policy`` replaces the restored policy wholesale -- used when
-        the checkpointed policy never built its simulator (so no state
-        existed) and must be rebuilt fresh from the spec.
-        """
+        """Re-attach the closures dropped by :meth:`__getstate__`."""
         self.path_for_arrival = path_for_arrival
         self.utility_for_arrival = utility_for_arrival or (lambda arrival: LogUtility())
         self.on_complete = on_complete
-        if rate_policy is not None:
-            self.rate_policy = rate_policy
-        self._on_capacity_changed = getattr(
-            self.rate_policy, "on_capacity_changed", self.rate_policy.on_flow_set_changed
-        )
-        self._rates_epoch = getattr(self.rate_policy, "rates_epoch", lambda: None)
 
     # -- slot arrays -------------------------------------------------------
 
@@ -469,7 +349,6 @@ class FlowLevelSimulation:
         self._sizes_arr[slot] = arrival.size_bytes
         self._slots.append(arrival.flow_id)
         self._count += 1
-        self._rate_cache = self._rate_cache_epoch = None
         self._slot_rates.reset()
 
     def _compact(self, keep: np.ndarray) -> None:
@@ -480,28 +359,7 @@ class FlowLevelSimulation:
             array[:survivors] = array[: self._count][keep]
         self._slots = [fid for fid, alive in zip(self._slots, keep.tolist()) if alive]
         self._count = survivors
-        self._rate_cache = self._rate_cache_epoch = None
         self._slot_rates.reset()
-
-    def _gather_rates(self, rates: Mapping) -> np.ndarray:
-        if getattr(rates, "rate_vec", None) is not None:
-            # The policy computed a vector: permute it into slot order, the
-            # permutation rebuilt only when the flow set or the slots change.
-            return self._slot_rates(rates, self._slots)
-        epoch = self._rates_epoch()
-        if (
-            epoch is not None
-            and epoch == self._rate_cache_epoch
-            and self._rate_cache is not None
-        ):
-            return self._rate_cache
-        get = rates.get
-        vector = np.fromiter(
-            (get(fid, 0.0) for fid in self._slots), dtype=float, count=self._count
-        )
-        self._rate_cache = vector
-        self._rate_cache_epoch = epoch
-        return vector
 
     # -- streaming loop (bounded memory, resumable) -------------------------
 
@@ -560,8 +418,10 @@ class FlowLevelSimulation:
                     continue
                 break
 
+            # The policy's record, permuted into slot order; the permutation
+            # is rebuilt only when the flow set or the slots change.
             rates = self.rate_policy.rates(self.network, dt)
-            rate_vec = self._gather_rates(rates)
+            rate_vec = self._slot_rates(rates, self._slots)
             remaining = self._remaining[: self._count]
             # Identical per-element arithmetic to the dict reference:
             # ``remaining - rate * dt / 8.0`` with the same operation order.

@@ -268,10 +268,13 @@ class FluidNetwork:
 
         Grouped flows contribute their group utility evaluated at the
         aggregate member rate; ungrouped flows contribute their own utility.
+        A group whose members have all left contributes nothing.
         """
         total = 0.0
         grouped_members = set()
         for group in self._groups.values():
+            if not group.member_ids:
+                continue
             aggregate = sum(rates.get(member, 0.0) for member in group.member_ids)
             grouped_members.update(group.member_ids)
             total += group.utility.value(aggregate)

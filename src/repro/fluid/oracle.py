@@ -121,8 +121,8 @@ class OracleResult:
     dual passes the id snapshots (``flow_ids``, ``link_ids``) and its
     vectors (``rate_vec``, ``price_vec``, kept by reference and made
     read-only), and ``rates`` / ``prices`` are cached properties, built on
-    first read.  An idle result (no link carries a flow) passes the dicts
-    themselves, which land where the cache would, and leaves the vectors ``None``.
+    first read.  An idle result (no link can carry a flow) passes zero
+    vectors and the dicts themselves, which land where the cache would.
 
     Every result, pooled and idle ones included, carries its
     :class:`OracleCertificate` and is ``converged`` when the certificate's
@@ -444,10 +444,13 @@ class _DualProblem:
 
     def idle_result(self, network: FluidNetwork) -> OracleResult:
         """The allocation when no link can carry anything: every rate is zero."""
-        rates = {flow_id: 0.0 for flow_id in self.compiled.flow_ids}
-        return OracleResult(rates=rates, prices={link: 0.0 for link in self.compiled.link_ids},
+        flow_ids, link_ids = self.compiled.flow_id_snapshot(), self.compiled.link_ids
+        rates = dict.fromkeys(flow_ids, 0.0)
+        return OracleResult(rates=rates, prices=dict.fromkeys(link_ids, 0.0),
                             objective=network.total_utility(rates),
-                            iterations=0, certificate=_EXACT)
+                            iterations=0, certificate=_EXACT,
+                            flow_ids=flow_ids, rate_vec=np.zeros(len(flow_ids)),
+                            link_ids=link_ids, price_vec=np.zeros(len(link_ids)))
 
     def bind(self, scale_vec: np.ndarray) -> None:
         """Fix the price scale (``p_l = scale_l * z_l``) and build the closures.

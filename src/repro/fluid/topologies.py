@@ -253,18 +253,6 @@ def single_bottleneck(capacity: float = 10e9) -> FluidNetwork:
     return FluidNetwork({"bottleneck": capacity})
 
 
-def two_path_pooling(
-    top_capacity: float = 5e9, middle_capacity: float = 5e9, bottom_capacity: float = 3e9
-) -> FluidNetwork:
-    """The Fig. 10 topology: two private links plus a shared middle link.
-
-    Flow 1 can split its traffic between the ``top`` link and the ``middle``
-    link; Flow 2 between the ``bottom`` link and the ``middle`` link.  The
-    middle link's capacity is the experiment's variable (5 -> 17 Gbps).
-    """
-    return FluidNetwork({"top": top_capacity, "middle": middle_capacity, "bottom": bottom_capacity})
-
-
 def parking_lot(n_hops: int = 2, capacity: float = 10e9) -> FluidNetwork:
     """A classic parking-lot chain of ``n_hops`` links (used in unit studies)."""
     if n_hops < 1:

@@ -374,7 +374,7 @@ class CompiledFluidNetwork:
         network = self.network
         changed = False
         if self.version != network.topology_version:
-            if self.grouped or network.groups:
+            if self.grouped:
                 return "stale"
             events = network.churn_since(self.version)
             if events is None:

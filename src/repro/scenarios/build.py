@@ -296,18 +296,14 @@ def explicit_workload(
 # -- schemes and objectives -------------------------------------------------
 
 
-def scheme(
-    name: str = "NUMFabric",
-    params: Optional[Any] = None,
-    **options: Any,
-) -> SchemeSpec:
+def scheme(name: str = "NUMFabric", params: Optional[Any] = None) -> SchemeSpec:
     """A named scheme (NUMFabric, DGD, RCP*, DCTCP, pFabric) with parameters."""
-    return SchemeSpec(name=name, params=params, options=options)
+    return SchemeSpec(name=name, params=params)
 
 
-def oracle_scheme(**options: Any) -> SchemeSpec:
+def oracle_scheme() -> SchemeSpec:
     """The centralized NUM Oracle (exact optimal rates)."""
-    return SchemeSpec(name="Oracle", options=options)
+    return SchemeSpec(name="Oracle")
 
 
 def log_objective() -> ObjectiveSpec:

@@ -37,7 +37,6 @@ faulted fluid links.
 
 from __future__ import annotations
 
-import inspect
 import os
 import pickle
 import tempfile
@@ -335,34 +334,13 @@ def _check_flow_workload(spec: ScenarioSpec) -> None:
         )
 
 
-def _flow_policy_factory(spec: ScenarioSpec) -> Callable[[], object]:
-    """A zero-argument factory for the spec's rate policy.
-
-    The factory (rather than a policy instance) is what checkpoint resume
-    needs: a restored :class:`SimulatorRatePolicy` that never built its
-    simulator carries no state and is rebuilt fresh from the spec.
-
-    ``spec.scheme.options`` are checked against the policy's parameters
-    here, at the boundary, so an option the policy does not take (today:
-    any option, on any scheme) is a :class:`ValueError` naming it rather
-    than a ``TypeError`` from inside the run.
-    """
+def _flow_policy(spec: ScenarioSpec):
+    """The spec's rate policy: the Oracle, or the scheme's fluid simulator."""
     from repro.experiments.dynamic_fluid import OracleRatePolicy, scheme_rate_policy
 
-    options = dict(spec.scheme.options)
     if spec.scheme.name == "Oracle":
-        policy, supplied = OracleRatePolicy, {}
-    else:
-        policy = scheme_rate_policy
-        supplied = {"scheme": spec.scheme.name, "params": spec.scheme.params}
-    accepted = set(inspect.signature(policy).parameters) - set(supplied)
-    unknown = sorted(set(options) - accepted)
-    if unknown:
-        raise ValueError(
-            f"scheme {spec.scheme.name!r} does not accept option(s) {unknown}; "
-            f"accepted: {sorted(accepted)}"
-        )
-    return lambda: policy(**supplied, **options)
+        return OracleRatePolicy()
+    return scheme_rate_policy(spec.scheme.name, spec.scheme.params)
 
 
 def _build_flow_simulation(spec: ScenarioSpec, topo: FluidTopology):
@@ -377,7 +355,7 @@ def _build_flow_simulation(spec: ScenarioSpec, topo: FluidTopology):
     return FlowLevelSimulation(
         topo.network,
         lambda arrival: topo.path_for(arrival.source, arrival.destination, arrival.flow_id),
-        _flow_policy_factory(spec)(),
+        _flow_policy(spec),
         step_interval=spec.size("step_interval", 30e-6),
         utility_for_arrival=utility_for_arrival_factory(spec.objective),
         fault_injector=fault_injector,
@@ -423,8 +401,10 @@ def _run_flow(spec: ScenarioSpec, result: ExperimentResult) -> None:
 #: lost their ``backend`` and ``record_detail`` attributes.  Version 7: the
 #: flow-level simulation lost its ``backend`` attribute and its three
 #: per-flow dicts.  Version 8: utility batches pickle as power-law rows
-#: instead of family codes and per-family parameters.
-CHECKPOINT_VERSION = 8
+#: instead of family codes and per-family parameters.  Version 9: the
+#: simulator rate policy pickles its simulator class and parameters (no
+#: factory closure), and the flow-level simulation lost its rate cache.
+CHECKPOINT_VERSION = 9
 
 
 def _checkpoint_fingerprint(spec: ScenarioSpec) -> str:
@@ -539,7 +519,7 @@ def _run_flow_streaming(
     after the checkpoint is written (the CLI wires SIGINT to this).
     """
     from repro.analysis.fct import ideal_fct
-    from repro.experiments.dynamic_fluid import ArrivalStream, SimulatorRatePolicy
+    from repro.experiments.dynamic_fluid import ArrivalStream
 
     _check_flow_workload(spec)
     topo = build_fluid_topology(spec)
@@ -563,18 +543,10 @@ def _run_flow_streaming(
         slowdown = flow.fct / ideal_fct(flow.size_bytes, link_rate, baseline_rtt)
         telemetry.observe(flow.fct, flow.size_bytes, flow.finish_time, slowdown)
 
-    fresh_policy = None
-    if (
-        isinstance(sim.rate_policy, SimulatorRatePolicy)
-        and sim.rate_policy._simulator is None
-        and sim.rate_policy.simulator_factory is None
-    ):
-        fresh_policy = _flow_policy_factory(spec)()
     sim.rebind(
         lambda arrival: topo.path_for(arrival.source, arrival.destination, arrival.flow_id),
         utility_for_arrival_factory(spec.objective),
         on_complete=on_complete,
-        rate_policy=fresh_policy,
     )
     sim.keep_completions = False
 

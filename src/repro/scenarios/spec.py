@@ -83,17 +83,11 @@ class SchemeSpec:
     ``name`` is one of the evaluation's schemes (``NUMFabric``, ``DGD``,
     ``RCP*``, ``DCTCP``, ``pFabric``) or ``Oracle`` (solve the NUM problem
     directly).  ``params`` is the scheme's parameter dataclass (or None for
-    Table 2 defaults); ``options`` are forwarded to the flow engine's rate
-    policy and validated by the runner (no policy takes one today, so any
-    option is a ``ValueError`` naming it).
+    Table 2 defaults).  No scheme takes any other option.
     """
 
     name: str = "NUMFabric"
     params: Optional[Any] = None
-    options: Mapping[str, Any] = field(default_factory=dict)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.options.get(key, default)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,39 @@ slot arrays and updates them with one vector operation per step.
 :func:`run_dict` drives the same simulation -- its network, rate policy,
 admission, fault timeline and completion sinks -- through the loop it
 replaced, one dict entry per flow, so the parity tests can hold the array
-loop to it exactly.
+loop to it exactly.  :class:`EqualSharePolicy` is the constant-work
+policy both the parity tests and the perf harness drive it with.
 """
 
-from repro.experiments.dynamic_fluid import CompletedFlow
+import numpy as np
+
+from repro.experiments.dynamic_fluid import CompletedFlow, RatePolicy
+from repro.fluid.vectorized import IterationRecord
+
+
+class EqualSharePolicy(RatePolicy):
+    """Reference policy: an equal split of a single bottleneck's capacity.
+
+    The simplest useful allocation, and a template for custom policies: it
+    builds one record per flow set, so the flow loop rebuilds its
+    permutation only when the flow set changes.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._cached = None
+
+    def on_flow_set_changed(self, network):
+        self._cached = None
+
+    def rates(self, network, dt):
+        if self._cached is None:
+            flow_ids = tuple(network.flow_ids)
+            share = self.capacity / len(flow_ids)
+            self._cached = IterationRecord(
+                0, flow_ids, rate_vec=np.full(len(flow_ids), share)
+            )
+        return self._cached
 
 
 def run_dict(simulation, arrivals, max_time=None):
@@ -43,7 +72,8 @@ def run_dict(simulation, arrivals, max_time=None):
                 continue
             break
         dt = simulation.step_interval
-        rates = policy.rates(network, dt)
+        record = policy.rates(network, dt)
+        rates = dict(zip(record.flow_ids, record.rate_vec.tolist()))
         finished = []
         for flow_id, remaining in remaining_bytes.items():
             new_remaining = remaining - rates.get(flow_id, 0.0) * dt / 8.0

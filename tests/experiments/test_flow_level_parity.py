@@ -8,17 +8,21 @@ simultaneous arrivals and completions inside one step, and ``max_time``
 truncation mid-flow.
 """
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from _flow_reference import run_dict
+from _flow_reference import EqualSharePolicy, run_dict
 from repro.experiments.dynamic_fluid import (
     ArrivalStream,
-    EqualSharePolicy,
     FlowLevelSimulation,
     OracleRatePolicy,
+    RatePolicy,
     scheme_rate_policy,
 )
 from repro.fluid.network import FluidNetwork
+from repro.scenarios.faults import CapacityChange, CapacityInjector
 from repro.workloads.distributions import UniformFlowSizeDistribution
 from repro.workloads.poisson import FlowArrival, PoissonTrafficGenerator
 
@@ -169,6 +173,28 @@ class TestBackendParity:
         _, by_array = run_single_link(arrivals, "array", policy=OracleRatePolicy())
         assert_identical(by_dict, by_array)
 
+    def test_oracle_through_an_outage(self):
+        """While the bottleneck is down no link can carry a flow, and the
+        Oracle's idle answer still hands the loop a record: zero rates, so
+        both loops hold every flow until the link comes back."""
+        outage = [
+            CapacityChange(10 * STEP, "bottleneck", 0.0),
+            CapacityChange(30 * STEP, "bottleneck", 1e9),
+        ]
+        arrivals = [arrival(i, 0.0, 20_000 * (i + 1)) for i in range(4)]
+        runs = []
+        for loop in ("dict", "array"):
+            simulation = FlowLevelSimulation(
+                single_link_network(), lambda a: ("bottleneck",), OracleRatePolicy(),
+                step_interval=STEP, fault_injector=CapacityInjector(outage),
+            )
+            runs.append(
+                run_dict(simulation, arrivals) if loop == "dict" else simulation.run(arrivals)
+            )
+        assert_identical(*runs)
+        assert [c.flow_id for c in runs[1]] == [0, 1, 2, 3]
+        assert all(c.finish_time > 30 * STEP for c in runs[1])
+
 
 class TestRunMatchesRunStream:
     def test_list_run_and_streamed_run_complete_identically(self):
@@ -211,72 +237,35 @@ class TestArrayInternals:
         assert [c.flow_id for c in simulation.completed] == [0, 2, 4, 1, 3]
         assert simulation.active_flow_count == 0
 
-    def test_mutating_policy_without_epoch_is_never_served_stale_rates(self):
-        # A policy written the "natural" way: it mutates one dict in place
-        # and returns the same object every step.  Since it does not
-        # implement rates_epoch(), the array loop must re-gather every
-        # step instead of trusting dict identity.
-        class InPlacePolicy:
+    def test_mutating_policy_is_never_served_stale_rates(self):
+        # A policy that keeps one record and rewrites its ``rate_vec`` in
+        # place every step, handing back the same object: the loop must read
+        # the vector every step, caching only the permutation.
+        class InPlacePolicy(RatePolicy):
             def __init__(self):
-                self._rates = {}
+                self.record = SimpleNamespace(flow_ids=(), rate_vec=np.empty(0))
                 self.calls = 0
 
             def on_flow_set_changed(self, network):
-                pass
+                self.record.flow_ids = tuple(network.flow_ids)
+                self.record.rate_vec = np.empty(len(self.record.flow_ids))
 
             def rates(self, network, dt):
                 self.calls += 1
-                self._rates.clear()
-                # Rate grows step over step, so a stale cached vector would
+                # Rate grows step over step, so a stale vector would
                 # visibly delay completions.
-                for flow in network.flows:
-                    self._rates[flow.flow_id] = 1e6 * self.calls
-                return self._rates
-
-            def rates_epoch(self):
-                return None
+                self.record.rate_vec[:] = 1e6 * self.calls
+                return self.record
 
         arrivals = [arrival(0, 0.0, 40_000), arrival(1, 0.0, 40_000)]
         _, by_dict = run_single_link(arrivals, "dict", policy=InPlacePolicy())
         _, by_array = run_single_link(arrivals, "array", policy=InPlacePolicy())
         assert_identical(by_dict, by_array)
 
-    def test_epoch_caching_reuses_vector_between_flow_set_changes(self):
-        class StubPolicy:
-            epoch = 1
-
-            def on_flow_set_changed(self, network):
-                pass
-
-            def rates(self, network, dt):
-                return {}
-
-            def rates_epoch(self):
-                return self.epoch
-
-        policy = StubPolicy()
-        simulation = FlowLevelSimulation(
-            single_link_network(), lambda a: ("bottleneck",), policy,
-            step_interval=STEP,
-        )
-        simulation._append_flow(arrival(0, 0.0, 1_000))
-        first = simulation._gather_rates({0: 5.0})
-        # Same epoch: the gathered vector is reused (that is the contract --
-        # a policy advertising an epoch promises the allocation is stable).
-        assert simulation._gather_rates({0: 7.0}) is first
-        policy.epoch = 2
-        refreshed = simulation._gather_rates({0: 7.0})
-        assert refreshed is not first
-        assert refreshed[0] == 7.0
-        # A slot-layout change invalidates the cache even at the same epoch.
-        simulation._append_flow(arrival(1, 0.0, 1_000))
-        regathered = simulation._gather_rates({0: 7.0, 1: 9.0})
-        assert regathered.shape == (2,) and regathered[1] == 9.0
-
     def test_rate_cache_invalidated_on_flow_set_change(self):
-        # A policy that mutates its allocation only on flow-set changes, like
-        # the Oracle: the cached rate vector must be refreshed when the slot
-        # layout changes even though the dict object stays logically similar.
+        # A policy that changes its allocation only on flow-set changes, like
+        # the Oracle: the loop's permutation must be rebuilt when the slot
+        # layout changes.
         arrivals = [arrival(0, 0.0, 40_000), arrival(1, 10 * STEP, 40_000)]
         _, by_dict = run_single_link(arrivals, "dict")
         _, by_array = run_single_link(arrivals, "array")

@@ -558,6 +558,20 @@ class TestPersistentDualSolver:
         after = solver.solve(network)
         assert after.converged, after.certificate
         assert _max_rel_rate_diff(solve_num(network).rates, after.rates) <= 1e-6
+        # The emptied group stays in the network but pools nothing: the next
+        # single-path arrival replays into the same compiled snapshot, and
+        # the objective leaves the group out, as the Oracle's does.
+        compiled = solver._compiled
+        network.add_flow(FluidFlow(3, ("a",), LogUtility()))
+        assert compiled.refresh() == "updated"
+        replayed = solver.solve(network)
+        assert solver._compiled is compiled
+        assert replayed.converged, replayed.certificate
+        assert _max_rel_rate_diff(solve_num(network).rates, replayed.rates) <= 1e-6
+        rates = replayed.rates
+        flows_alone = sum(flow.utility.value(rates[flow.flow_id]) for flow in network.flows)
+        assert network.total_utility(rates) == flows_alone
+        assert flows_alone == pytest.approx(replayed.objective, rel=1e-12)
 
     def test_rebinding_network_resets_state(self):
         solver = PersistentDualSolver()

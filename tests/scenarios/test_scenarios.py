@@ -1,12 +1,13 @@
 """Tests for the declarative scenario subsystem (spec, registry, runner)."""
 
-import re
+import dataclasses
 
 import pytest
 
 from repro.scenarios import (
     SCENARIOS,
     ScenarioSpec,
+    SchemeSpec,
     fanout_workload,
     get_scenario,
     leaf_spine_topology,
@@ -23,9 +24,6 @@ from repro.workloads.hotspot import HotspotTrafficGenerator
 from repro.workloads.incast import IncastTrafficGenerator
 from repro.workloads.trace import arrivals_from_trace, trace_from_arrivals
 from repro.workloads.distributions import web_search_distribution
-
-#: What the runner lists as accepted for an ``Oracle`` scheme's options.
-_ORACLE_OPTIONS = "[]"
 
 
 class TestSpec:
@@ -321,29 +319,27 @@ class TestRunnerFlowAndPacket:
             run_scenario(spec)
 
     @pytest.mark.parametrize(
-        "scheme_spec, option, accepted",
+        "build, option",
         [
             # knobs that no longer exist
-            (oracle_scheme(solver="scipy"), "solver", _ORACLE_OPTIONS),
-            (scheme("NUMFabric", kernel="numba"), "kernel", "[]"),
+            (lambda: oracle_scheme(solver="scipy"), "solver"),
+            (lambda: scheme("NUMFabric", kernel="numba"), "kernel"),
             # a misspelt one
-            (oracle_scheme(safegaurd=True), "safegaurd", _ORACLE_OPTIONS),
+            (lambda: oracle_scheme(safegaurd=True), "safegaurd"),
             # the Oracle takes no tuning knob
-            (oracle_scheme(safeguard=True), "safeguard", _ORACLE_OPTIONS),
-            (oracle_scheme(tolerance=1e-6), "tolerance", _ORACLE_OPTIONS),
-            (oracle_scheme(scale_refresh_interval=8), "scale_refresh_interval", _ORACLE_OPTIONS),
+            (lambda: oracle_scheme(safeguard=True), "safeguard"),
+            (lambda: oracle_scheme(tolerance=1e-6), "tolerance"),
+            (lambda: oracle_scheme(scale_refresh_interval=8), "scale_refresh_interval"),
         ],
     )
-    def test_unknown_scheme_option_is_a_value_error_naming_it(
-        self, scheme_spec, option, accepted
-    ):
-        spec = get_scenario("unit/dumbbell-websearch")
-        expected = rf"option\(s\) \['{option}'\]; accepted: {re.escape(accepted)}$"
-        with pytest.raises(ValueError, match=expected):
-            run_scenario(spec, scheme=scheme_spec, seed=5)
+    def test_unknown_scheme_option_is_a_type_error_at_the_builder(self, build, option):
+        with pytest.raises(TypeError, match=rf"unexpected keyword argument '{option}'"):
+            build()
 
     def test_known_scheme_options_reach_the_policy(self):
-        """No policy takes an option now: an Oracle scheme with none runs."""
+        """No scheme takes an option: a scheme is its name and parameters,
+        and an Oracle scheme runs."""
+        assert [f.name for f in dataclasses.fields(SchemeSpec)] == ["name", "params"]
         spec = get_scenario("unit/dumbbell-websearch")
         assert run_scenario(spec, scheme=oracle_scheme(), seed=5).rows
 

@@ -15,7 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.fluid.xwi import XwiFluidSimulator
 from repro.scenarios import get_scenario, run_scenario, run_scenario_streaming
+from repro.scenarios.materialize import build_fluid_topology, materialize_arrivals
 from repro.scenarios.runner import CHECKPOINT_VERSION, load_checkpoint, write_checkpoint
 
 
@@ -134,10 +136,11 @@ class TestCheckpointResume:
         # simulators with their backend and record_detail attributes and
         # per-scheme record classes; version 6 pickled the flow-level
         # simulation with its backend and dict state; version 7 pickled
-        # utility batches with family codes: such checkpoints must not
-        # resume.
-        assert CHECKPOINT_VERSION == 8
-        for version in (1, 2, 3, 4, 5, 6, 7, CHECKPOINT_VERSION + 1):
+        # utility batches with family codes; version 8 pickled the simulator
+        # rate policy without its simulator class and the flow-level
+        # simulation with its rate cache: such checkpoints must not resume.
+        assert CHECKPOINT_VERSION == 9
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, CHECKPOINT_VERSION + 1):
             write_checkpoint(path, {"version": version, "spec_fingerprint": "x"})
             with pytest.raises(ValueError, match="format version"):
                 load_checkpoint(path, spec)
@@ -192,6 +195,40 @@ class TestCheckpointResume:
 
         assert state(resumed) == state(reference)
         assert len(state(resumed)[2]) == 300
+
+    def test_checkpoint_before_the_first_arrival_resumes_identically(self, tmp_path):
+        """A checkpoint written before any flow arrived holds a simulator
+        policy that has not built its simulator yet.  The policy pickles its
+        simulator class and parameters, so the resumed run builds the
+        simulator at the first arrival and ends bit for bit where an
+        uninterrupted run does."""
+        spec = _sized_spec(400)
+        first_arrival = min(
+            a.time for a in materialize_arrivals(spec, build_fluid_topology(spec))
+        )
+        checkpoint_every = 30e-6
+        assert checkpoint_every < first_arrival
+        reference = run_scenario_streaming(spec, engine="flow")
+        path = tmp_path / "run.ckpt"
+        partial = run_scenario_streaming(
+            spec,
+            engine="flow",
+            checkpoint_path=path,
+            checkpoint_every=checkpoint_every,
+            should_stop=lambda: True,
+        )
+        assert partial.artifacts["interrupted"] is True
+        assert partial.artifacts["arrivals_consumed"] == 0
+
+        policy = load_checkpoint(path, spec)["sim"].rate_policy
+        assert policy._simulator is None
+        assert policy.simulator_cls is XwiFluidSimulator
+
+        resumed = run_scenario_streaming(
+            spec, engine="flow", checkpoint_path=path, checkpoint_every=2e-3
+        )
+        assert resumed.artifacts["resumed_from"] == str(path)
+        assert resumed.rows == reference.rows  # bit-identical, not approx
 
     def test_checkpoint_file_is_a_complete_pickle(self, tmp_path):
         path = tmp_path / "run.ckpt"

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.workloads.distributions import (
@@ -193,8 +194,9 @@ class TestArrivalsFromScenario:
             )
 
     def test_drives_flow_level_simulation(self):
-        from repro.experiments.dynamic_fluid import FlowLevelSimulation
+        from repro.experiments.dynamic_fluid import FlowLevelSimulation, RatePolicy
         from repro.fluid.network import FluidNetwork
+        from repro.fluid.vectorized import IterationRecord
 
         arrivals = arrivals_from_scenario(
             self._scenario(), UniformFlowSizeDistribution(1_000, 5_000),
@@ -202,14 +204,12 @@ class TestArrivalsFromScenario:
         )
         network = FluidNetwork({"bottleneck": 1e9})
 
-        class EqualShare:
-            def on_flow_set_changed(self, network):
-                self._rates = None
-
+        class EqualShare(RatePolicy):
             def rates(self, network, dt):
-                flows = network.flows
-                share = 1e9 / len(flows) if flows else 0.0
-                return {flow.flow_id: share for flow in flows}
+                flow_ids = tuple(network.flow_ids)
+                return IterationRecord(
+                    0, flow_ids, rate_vec=np.full(len(flow_ids), 1e9 / len(flow_ids))
+                )
 
         simulation = FlowLevelSimulation(
             network, lambda a: ("bottleneck",), EqualShare()
