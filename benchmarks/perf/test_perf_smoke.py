@@ -381,6 +381,46 @@ def test_history_records_stay_array_backed(scheme):
     assert (after - before) / (steps * flows) < 40.0
 
 
+@pytest.mark.perf_smoke
+def test_rate_monitors_log_sixteen_bytes_per_delivered_packet():
+    """Memory guard: a flow's rate monitor logs a delivered packet as one
+    double and one 64-bit int in two typed arrays (16 B), not the
+    ``(time, size)`` tuple in a list it used to (about 120 B).  One entry per
+    packet its receiver took; tracemalloc over 100 000 direct records sees
+    only the arrays' 1/16 growth headroom on top."""
+    import tracemalloc
+    from array import array
+
+    from repro.sim.flow import FlowDescriptor
+    from repro.sim.monitor import FlowRateMonitor
+
+    network = run_bench.dumbbell(run_bench.NumFabricScheme(
+        run_bench.NumFabricParameters(baseline_rtt=50e-6).slowed_down(2.0)), num_pairs=2)
+    for i, size_bytes in enumerate((None, 300_000)):
+        network.add_flow(FlowDescriptor(flow_id=i, source=("sender", i),
+                                        destination=("receiver", i), size_bytes=size_bytes))
+    network.run(0.002)
+    for flow_id, monitor in network.rate_monitors.items():
+        delivered = network.receivers[flow_id].packets_received
+        assert len(monitor) == delivered > 50
+        logs = [value for value in vars(monitor).values() if hasattr(value, "__len__")]
+        assert logs and all(isinstance(log, array) for log in logs), logs
+        assert sum(memoryview(log).nbytes for log in logs) <= 16 * delivered
+
+    records = 100_000
+    monitor = FlowRateMonitor(0)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for i in range(records):
+            monitor.record(i * 1.2e-6, 1500)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(monitor) == records
+    assert (after - before) / records < 17.5
+
+
 class _CountingNumpy:
     """Stands in for a module's ``np``: counts calls to the named functions."""
 

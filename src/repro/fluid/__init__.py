@@ -19,7 +19,7 @@ from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.rcp import RcpStarFluidSimulator
 from repro.fluid.xwi import XwiFluidSimulator
 from repro.fluid.dctcp import DctcpFluidSimulator
-from repro.fluid.convergence import convergence_iterations, ConvergenceCriterion
+from repro.fluid.convergence import convergence_iterations, ConvergenceCriterion, ConvergenceJudge
 
 __all__ = [
     "FluidFlow",
@@ -39,4 +39,5 @@ __all__ = [
     "DctcpFluidSimulator",
     "convergence_iterations",
     "ConvergenceCriterion",
+    "ConvergenceJudge",
 ]

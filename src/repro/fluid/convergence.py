@@ -10,7 +10,7 @@ update interval so results are reported in the paper's units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -78,8 +78,59 @@ class _VectorCriterion:
         return int(np.count_nonzero(within)) / len(self.flows)
 
 
+class ConvergenceJudge:
+    """The convergence criterion judged online, one iteration at a time.
+
+    Feed each iteration's rates to :meth:`observe` as the simulator hands
+    them out -- a rate mapping or an iteration record; a record that
+    carries its rates as a vector is judged on the vector, so no
+    per-iteration rate dict is ever built.  :attr:`verdict` is the first
+    iteration after which the criterion has held for ``hold_iterations``
+    consecutive iterations, or ``None`` until it has; nothing is kept per
+    iteration, so a caller that only needs the verdict keeps no history.
+    """
+
+    def __init__(
+        self,
+        optimal_rates: Mapping[FlowId, float],
+        criterion: Optional[ConvergenceCriterion] = None,
+    ):
+        self.optimal_rates = optimal_rates
+        self.criterion = criterion or ConvergenceCriterion()
+        self.verdict: Optional[int] = None
+        self._vectorized: Optional[_VectorCriterion] = None
+        self._observed = 0
+        self._run_length = 0
+
+    def observe(self, rates) -> Optional[int]:
+        """Judge the next iteration; return :attr:`verdict`.
+
+        Once a verdict is reached, further records are not looked at.
+        """
+        if self.verdict is not None:
+            return self.verdict
+        criterion = self.criterion
+        if getattr(rates, "rate_vec", None) is not None:
+            if self._vectorized is None:
+                self._vectorized = _VectorCriterion(self.optimal_rates, criterion.rate_tolerance)
+            fraction = self._vectorized.fraction(rates)
+        else:
+            fraction = fraction_converged(
+                getattr(rates, "rates", rates), self.optimal_rates, criterion.rate_tolerance
+            )
+        index = self._observed
+        self._observed += 1
+        if fraction >= criterion.flow_fraction:
+            self._run_length += 1
+            if self._run_length >= criterion.hold_iterations:
+                self.verdict = index - criterion.hold_iterations + 1
+        else:
+            self._run_length = 0
+        return self.verdict
+
+
 def convergence_iterations(
-    rate_history: Sequence[Mapping[FlowId, float]],
+    rate_history: Iterable[Mapping[FlowId, float]],
     optimal_rates: Mapping[FlowId, float],
     criterion: Optional[ConvergenceCriterion] = None,
 ) -> Optional[int]:
@@ -88,30 +139,15 @@ def convergence_iterations(
     Returns ``None`` if the criterion is never satisfied (and held for
     ``hold_iterations`` consecutive iterations) within the recorded history.
 
-    ``rate_history`` holds one entry per iteration: a rate mapping, or a
-    simulator's iteration record (pass ``simulator.history`` itself).  A
-    record that carries its rates as a vector is judged on the vector, so
-    no per-iteration rate dict is ever built; the verdict is identical.
+    ``rate_history`` holds one entry per iteration, each judged as
+    :meth:`ConvergenceJudge.observe` judges it; this is that judge run over
+    a kept history.
     """
-    criterion = criterion or ConvergenceCriterion()
-    vectorized: Optional[_VectorCriterion] = None
-    run_length = 0
-    for index, rates in enumerate(rate_history):
-        if getattr(rates, "rate_vec", None) is not None:
-            if vectorized is None:
-                vectorized = _VectorCriterion(optimal_rates, criterion.rate_tolerance)
-            fraction = vectorized.fraction(rates)
-        else:
-            fraction = fraction_converged(
-                getattr(rates, "rates", rates), optimal_rates, criterion.rate_tolerance
-            )
-        if fraction >= criterion.flow_fraction:
-            run_length += 1
-            if run_length >= criterion.hold_iterations:
-                return index - criterion.hold_iterations + 1
-        else:
-            run_length = 0
-    return None
+    judge = ConvergenceJudge(optimal_rates, criterion)
+    for rates in rate_history:
+        if judge.observe(rates) is not None:
+            break
+    return judge.verdict
 
 
 def iterations_to_seconds(

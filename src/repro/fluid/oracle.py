@@ -811,6 +811,8 @@ def _newton(problem: _DualProblem, iterations: int = 0) -> OracleResult:
         price_scale, flow_scale = link_min(marginal) * c, marginal * y
         link_pairs, floor_pairs = p * s, z * w
         mu = float((link_pairs / price_scale).sum() + (floor_pairs / flow_scale).sum())
+        if not mu > 0.0:  # the pairs underflowed: no centring step exists, keep the best
+            break
         try:
             dy, ds, dp, dz = direction(-link_pairs, -floor_pairs)
             alpha = reach(dy, ds, dp, dz)

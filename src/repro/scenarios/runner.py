@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.results import ExperimentResult, StreamingResult
-from repro.fluid.convergence import ConvergenceCriterion, convergence_iterations
+from repro.fluid.convergence import ConvergenceCriterion, ConvergenceJudge
 from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.network import FluidFlow, FluidNetwork
@@ -166,11 +166,16 @@ def _run_fluid(spec: ScenarioSpec, result: ExperimentResult) -> None:
 
     if measure == "convergence":
         # Convergence against the Oracle on a fixed flow set (Fig. 6's inner
-        # measurement); churn/capacity schedules do not apply here.
-        records = simulator.run(iterations)
-        result.artifacts["final_rates"] = records[-1].rates if records else {}
+        # measurement); churn/capacity schedules do not apply here.  Each
+        # record is judged as it arrives; only the last one is kept.
         criterion = spec.size("criterion") or ConvergenceCriterion(hold_iterations=3)
-        its = convergence_iterations(simulator.history, optimal, criterion)
+        judge = ConvergenceJudge(optimal, criterion)
+        record = None
+        for _ in range(iterations):
+            record = simulator.step()
+            judge.observe(record)
+        result.artifacts["final_rates"] = record.rates if record is not None else {}
+        its = judge.verdict
         seconds = None if its is None else its * simulator.seconds_per_iteration
         result.artifacts["convergence"] = {"iterations": its, "seconds": seconds}
         result.add_row(
@@ -303,9 +308,12 @@ def _run_fluid_semidynamic(
             if oracle_rates is None:
                 oracle_rates = solve_num(network).rates
                 oracle_cache[cache_key] = oracle_rates
-        simulator.history = []
-        simulator.run(max_iterations)
-        its = convergence_iterations(simulator.history, oracle_rates, criterion)
+        # Every event runs its full iteration budget (the next event starts
+        # from this state); the judge stops looking once it has a verdict.
+        judge = ConvergenceJudge(oracle_rates, criterion)
+        for _ in range(max_iterations):
+            judge.observe(simulator.step())
+        its = judge.verdict
         if its is None:
             its = max_iterations
         seconds = its * simulator.seconds_per_iteration

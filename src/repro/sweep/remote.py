@@ -197,14 +197,21 @@ class SweepAgent:
         ack = {field: done[field] for field in ("index", "attempt", "key", "elapsed")}
         self._send({"type": "done", **ack, "blob": pack_blob(blob), "cached": cached})
 
-    def serve_forever(self, stop: Optional[Callable[[], bool]] = None) -> None:
+    def serve_forever(
+        self, stop: Optional[Callable[[], bool]] = None, wake: Optional[socket.socket] = None
+    ) -> None:
         """Serve drivers until ``stop()`` goes true, then drain and exit.
 
         The drain is graceful: no new cells are started, in-flight cells
         finish (and cache, and ack), queued cells go back to the driver with
         ``requeue``, and a final ``bye`` says the exit is not a failure.
+        ``wake``, if given, is a non-blocking socket in the wait set: a byte
+        written to its peer (as :func:`serve_agent`'s signal handler does)
+        ends the wait at once, so ``stop()`` is polled without waiting out
+        the rest of a ``TICK``.
         """
         draining = False
+        wakers = [wake] if wake is not None else []
         try:
             while True:
                 now = time.monotonic()
@@ -217,7 +224,12 @@ class SweepAgent:
                     self._send({"type": "bye"})
                     return
                 links = [self._driver] if self._driver is not None else []
-                wait_readable([self._listen, *links, *self._pool.waitables()], timeout=TICK)
+                ready = wait_readable(
+                    [self._listen, *links, *self._pool.waitables(), *wakers], timeout=TICK
+                )
+                if wake in ready:
+                    with contextlib.suppress(BlockingIOError):
+                        wake.recv(64)
                 self._accept()
                 if self._driver is not None:
                     try:
@@ -257,11 +269,22 @@ def serve_agent(agent: SweepAgent) -> None:
     :func:`spawn_local_agents`, and any script that starts ``python -m repro
     agent`` on a real host, parses the bound address out of it.  It is
     printed once the two-phase handler is live, so a SIGTERM sent after it
-    always drains.
+    always drains, and the drain starts as the signal arrives: the handler
+    writes to a self-pipe in the agent's wait set.
     """
-    with GracefulInterrupt(on_first="flag", hint="Draining in-flight cells.") as interrupt:
-        print(f"agent listening on {agent.address[0]}:{agent.address[1]}", flush=True)
-        agent.serve_forever(stop=lambda: interrupt.requested)
+    wake, waker = socket.socketpair()
+    try:
+        wake.setblocking(False)
+        waker.setblocking(False)
+        with GracefulInterrupt(
+            on_first="flag", hint="Draining in-flight cells.",
+            on_request=lambda: waker.send(b"\0"),
+        ) as interrupt:
+            print(f"agent listening on {agent.address[0]}:{agent.address[1]}", flush=True)
+            agent.serve_forever(stop=lambda: interrupt.requested, wake=wake)
+    finally:
+        wake.close()
+        waker.close()
 
 
 class AgentProcess:

@@ -27,9 +27,9 @@ class GracefulInterrupt:
     ``"raise"`` (raise :class:`SweepInterrupted` in the main thread).
     ``force_exit`` is called with the exit code on the second signal
     (``os._exit`` by default; injectable for tests).  ``on_request`` is an
-    optional callback invoked on the first signal -- the remote driver and
-    agent use it to start draining (stop leasing, finish in-flight cells)
-    without waiting for their next poll.
+    optional callback invoked on the first signal --
+    :func:`~repro.sweep.remote.serve_agent` uses it to wake the agent's
+    wait, so the drain starts without waiting for the next poll.
     """
 
     EXIT_CODE = 130

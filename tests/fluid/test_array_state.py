@@ -15,7 +15,8 @@ simulators:
 * a pickled simulator resumes bit-identically, whether or not a dict was
   handed out when it was pickled;
 * ``convergence_iterations`` gives the same verdict on records as on the
-  rate dicts it used to be handed.
+  rate dicts it used to be handed, and the online ``ConvergenceJudge``
+  reaches it record by record.
 """
 
 import inspect
@@ -29,7 +30,12 @@ from hypothesis import strategies as st
 from _fluid_reference import make_simulator
 from _strategies import build_network, instances
 from repro.core.utility import LogUtility
-from repro.fluid.convergence import ConvergenceCriterion, convergence_iterations
+from repro.fluid.convergence import (
+    ConvergenceCriterion,
+    ConvergenceJudge,
+    convergence_iterations,
+    fraction_converged,
+)
 from repro.fluid.dctcp import DctcpFluidSimulator
 from repro.fluid.dgd import DgdFluidSimulator
 from repro.fluid.network import FluidFlow
@@ -292,9 +298,37 @@ class TestConvergenceOnRecords:
         expected = convergence_iterations([r.rates for r in records], optimal, criterion)
         assert convergence_iterations(records, optimal, criterion) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        history=histories(),
+        hold=st.integers(min_value=1, max_value=5),
+        fraction=st.sampled_from([0.5, 0.95, 1.0]),
+    )
+    def test_the_online_judge_matches_a_kept_history(self, history, hold, fraction):
+        """Fed one record at a time, the judge reaches the verdict of the
+        whole-history scan (every record's fraction first, then the first
+        run of ``hold`` passing records) at the record that earns it, and
+        keeps it; a run that never converges reads ``None`` throughout."""
+        records, optimal = history
+        criterion = ConvergenceCriterion(flow_fraction=fraction, hold_iterations=hold)
+        passing = [
+            fraction_converged(r.rates, optimal, criterion.rate_tolerance) >= fraction
+            for r in records
+        ]
+        starts = [i for i in range(len(records) - hold + 1) if all(passing[i:i + hold])]
+        expected = starts[0] if starts else None
+        assert convergence_iterations(records, optimal, criterion) == expected
+        judge = ConvergenceJudge(optimal, criterion)
+        verdicts = [judge.observe(record) for record in records]
+        earned = len(records) if expected is None else expected + hold - 1
+        assert verdicts == [None] * earned + [expected] * (len(records) - earned)
+        assert judge.verdict == expected
+
     def test_never_converged_is_none_and_dict_records_are_read_through(self):
         optimal = {0: 1.0, 1: 1.0}
         far = IterationRecord(0, (0, 1), (), rate_vec=np.array([0.1, 0.2]))
         assert convergence_iterations([far] * 5, optimal) is None
+        judge = ConvergenceJudge(optimal)
+        assert [judge.observe(far) for _ in range(5)] == [None] * 5
         scalar_record = IterationRecord(0, rates={0: 1.0, 1: 1.05})
         assert convergence_iterations([far, scalar_record], optimal) == 1

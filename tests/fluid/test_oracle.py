@@ -729,7 +729,7 @@ class TestClosedForms:
 
     @pytest.mark.xfail(strict=True, reason="known defect: at alpha >= 3 a lone flow's "
                        "KKT price, U'(capacity) = capacity ** -alpha, is below 1e-30 "
-                       "at Gb/s; SPG stops uncertified and Newton fails or divides by zero")
+                       "at Gb/s; SPG stops uncertified and Newton cannot certify it either")
     @pytest.mark.parametrize("alpha, capacity", [(3.0, 11e9), (4.0, 1e9), (6.0, 11e9)])
     def test_high_alpha_lone_flow_takes_the_link(self, alpha, capacity):
         network = FluidNetwork({"link": capacity})
@@ -737,6 +737,16 @@ class TestClosedForms:
         result = solve_num(network)
         assert result.converged, result.certificate
         assert result.rates[0] == pytest.approx(capacity, rel=1e-6)
+
+    def test_newton_stops_when_its_complementarity_underflows(self):
+        """At alpha = 6 on 11 Gb/s the price-slack and floor pairs underflow
+        to a zero duality measure; Newton stops there and hands back its best
+        iterate, uncertified, instead of dividing by zero."""
+        network = FluidNetwork({"link": 11e9})
+        network.add_flow(FluidFlow(0, ("link",), WeightedAlphaFairUtility(weight=1.0, alpha=6.0)))
+        result = solve_num(network)
+        assert not result.converged
+        assert 0.0 < result.rates[0] <= 11e9
 
     def test_alpha_fair_requires_positive_alpha(self):
         """At ``alpha = 0`` the marginal utility is constant and the optimum

@@ -286,6 +286,19 @@ class TestForkedAgent:
         assert "SIGTERM: finishing gracefully" in output
         assert "finishing gracefully" not in capfd.readouterr().err
 
+    def test_terminate_wakes_the_agent_without_waiting_out_a_tick(self, tmp_path, monkeypatch):
+        """The agent's wait set holds a self-pipe its signal handler writes
+        to: with the selector tick stretched to 5 s (the fork inherits the
+        patch), the drain still starts as SIGTERM arrives."""
+        monkeypatch.setattr("repro.sweep.remote.TICK", 5.0)
+        (agent,), _ = spawn_local_agents(1, cache_dirs=[tmp_path])
+        try:
+            time.sleep(0.2)  # well inside the agent's first 5 s wait
+            agent.terminate()
+            assert agent.wait(timeout=2) == 0
+        finally:
+            stop(agent)
+
     def test_the_drivers_atexit_hooks_do_not_run_in_the_agent(self, tmp_path):
         marker, driver = tmp_path / "marker", os.getpid()
 
