@@ -421,6 +421,35 @@ def test_rate_monitors_log_sixteen_bytes_per_delivered_packet():
     assert (after - before) / records < 17.5
 
 
+@pytest.mark.perf_smoke
+def test_repeated_packet_runs_do_not_grow_memory():
+    """Memory guard: a packet run's graph is cyclic, and the runner frees
+    the one its caller dropped before it builds the next.  With automatic
+    collection off, five more toy Fig. 7 runs after the first leave
+    tracemalloc's current memory where the first left it; without the
+    runner's collection each kept its whole graph (about 80 KB a run)."""
+    import gc
+    import tracemalloc
+
+    from repro.scenarios import get_scenario, run_scenario
+
+    spec = get_scenario("fig7/dumbbell-fct")
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        run_scenario(spec)
+        first, _ = tracemalloc.get_traced_memory()
+        for _ in range(5):
+            run_scenario(spec)
+        last, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert last - first < 40_000
+
+
 class _CountingNumpy:
     """Stands in for a module's ``np``: counts calls to the named functions."""
 

@@ -37,6 +37,7 @@ faulted fluid links.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import tempfile
@@ -756,6 +757,13 @@ def _schedule_packet_faults(spec: ScenarioSpec, network, resolve) -> None:
 
 
 def _run_packet(spec: ScenarioSpec, result: ExperimentResult) -> None:
+    # A packet network is one big reference cycle by design (ports keep
+    # bound methods of themselves and of their peers, hosts and endpoints
+    # point at each other, endpoints at the network), so a finished run
+    # its caller dropped waits for CPython's rare generation-2 pass.
+    # Collect it now, before this run allocates its own graph: a process
+    # that makes many packet runs then peaks at one graph, not several.
+    gc.collect()
     from repro.core.config import SimulationParameters
     from repro.sim.flow import FlowDescriptor
     from repro.sim.topology import dumbbell, leaf_spine_network, single_link_network

@@ -161,15 +161,21 @@ def task_key(
 
 
 def encode_result(result: ExperimentResult) -> Dict[str, Any]:
-    """Reduce a result to a picklable payload (rows + picklable artifacts).
+    """Reduce a result to a picklable payload (rows + data artifacts).
 
-    Artifacts that cannot be pickled (live packet networks with scheduled
-    callbacks, for instance) are dropped and their names recorded under
-    ``dropped_artifacts`` so consumers know what did not survive the trip.
+    The live ``network`` an engine leaves behind is always dropped: a
+    finished packet network pickles whole (every port, endpoint and
+    delivery log), many times the size of everything else, and no sweep
+    consumer reads it.  Other artifacts that cannot be pickled are dropped
+    too.  Either way the name is recorded under ``dropped_artifacts`` so
+    consumers know what did not survive the trip.
     """
     artifacts: Dict[str, Any] = {}
     dropped = []
     for name, value in result.artifacts.items():
+        if name == "network":
+            dropped.append(name)
+            continue
         try:
             pickle.dumps(value)
         except Exception:

@@ -22,6 +22,7 @@ only the missing delta.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
@@ -132,6 +133,7 @@ def _worker_main(
     heartbeat thread keeps beating (the pre-start wedge the start-ack
     deadline exists for).
     """
+    gc.freeze()  # the parent's garbage is never collected (or finalized) here
     _forget_parent(inherited)
 
     def _faulted(name: str) -> bool:

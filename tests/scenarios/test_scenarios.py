@@ -1,6 +1,8 @@
 """Tests for the declarative scenario subsystem (spec, registry, runner)."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -291,6 +293,21 @@ class TestRunnerFlowAndPacket:
         )
         assert result.artifacts["engine"] == "packet"
         assert len(result.artifacts["completions"]) > 0
+
+    def test_a_dropped_packet_run_is_freed_when_the_next_one_starts(self):
+        # A packet network is cyclic, so with automatic collection off only
+        # the runner's own collection can free a run its caller dropped.
+        spec = get_scenario("fig7/dumbbell-fct")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            network = weakref.ref(run_scenario(spec).artifacts["network"])
+            assert network() is not None  # the dropped graph is still there
+            assert len(run_scenario(spec).artifacts["completions"]) > 0
+            assert network() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_packet_single_link_sizes_pairs_from_endpoints(self):
         spec = ScenarioSpec(

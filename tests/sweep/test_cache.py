@@ -10,6 +10,7 @@ import pytest
 
 from repro.results import ExperimentResult
 from repro.scenarios.catalog import get_scenario
+from repro.scenarios.runner import run_scenario
 from repro.sweep import (
     CACHE_VERSION,
     ResultCache,
@@ -109,6 +110,18 @@ class TestResultCodec:
         clone = decode_result(payload)
         assert clone.artifacts["ok"] == [1, 2]
         assert clone.artifacts["dropped_artifacts"] == ("network",)
+
+    def test_a_packet_runs_live_network_stays_behind(self):
+        # A finished packet network pickles (ports, endpoints, delivery
+        # logs, many times the rest of the payload), yet never travels.
+        result = run_scenario(get_scenario("fig7/dumbbell-fct"))
+        pickle.dumps(result.artifacts["network"])
+        payload = encode_result(result)
+        assert payload["dropped_artifacts"] == ("network",)
+        assert set(payload["artifacts"]) == set(result.artifacts) - {"network"}
+        clone = decode_result(payload)
+        assert clone.rows == result.rows
+        assert len(clone.artifacts["completions"]) == len(result.rows) > 0
 
 
 class TestResultCache:

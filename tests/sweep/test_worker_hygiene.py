@@ -16,17 +16,19 @@ reaps like a ``Popen``.
 
 import atexit
 import contextlib
+import gc
 import os
 import signal
 import socket
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
-from repro.sweep import GracefulInterrupt, expand_grid, parse_sweep
+from repro.sweep import GracefulInterrupt, expand_grid, parse_sweep, run_sweep
 from repro.sweep.executor import WorkerPool
 from repro.sweep.remote import spawn_local_agents
 from repro.sweep.transport import SocketTransport, pack_pickle, parse_host, wait_readable
@@ -233,6 +235,39 @@ class TestWorkerState:
             # shared with no sibling.
             assert len(pipes) <= 2 and not pipes & sibling, held
             assert kept == sockets | pipes, held
+
+
+    def test_a_worker_never_finalizes_the_drivers_garbage(self, tmp_path):
+        """Packet runs collect before they build, and a worker is a fork of
+        the driver: unless it freezes the heap it inherits, that collection
+        finalizes the driver's uncollected cycles in the worker's pid.  A
+        finalizer such as ``TemporaryDirectory``'s would delete the
+        driver's files."""
+        marker, driver = tmp_path / "marker", os.getpid()
+
+        def hook():  # (it runs in the driver when the test collects: a no-op there)
+            if os.getpid() != driver:
+                marker.write_text(f"finalizer ran in {os.getpid()}")
+
+        class Cycle:
+            pass
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            garbage = Cycle()
+            garbage.self = garbage
+            finalizer = weakref.finalize(garbage, hook)
+            del garbage  # only a collection can free it now
+            tasks = expand_grid(parse_sweep("fig7/dumbbell-fct seed=1..2"))
+            report = run_sweep(tasks, mode="sharded", workers=1)
+        finally:
+            if enabled:
+                gc.enable()
+            gc.collect()
+        assert not report.failures and len(report.results) == 2
+        assert not finalizer.alive  # it did run once, in the driver
+        assert not marker.exists(), marker.read_text()
 
 
 def receive_until(link, kind: str):
